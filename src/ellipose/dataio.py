@@ -166,6 +166,15 @@ class _Reader:
             raise ParseError("missing field", file=self.file, record=record, field=key)
         return obj[key]
 
+    def get_mapping(self, obj, key, record):
+        value = self.get(obj, key, record)
+        if not isinstance(value, dict):
+            raise ParseError(
+                f"expected an object, got {type(value).__name__}",
+                file=self.file, record=record, field=key,
+            )
+        return value
+
     def fail(self, message, record, fld=None):
         raise ParseError(message, file=self.file, record=record, field=fld)
 
@@ -222,7 +231,7 @@ def load_dataset(path) -> Dataset:
     doc, rd = _load_json(path)
     views = [_parse_view(rec, rd, i) for i, rec in enumerate(rd.get(doc, "views", "<root>"))]
     annotations = {}
-    for vid, recs in rd.get(doc, "annotations", "<root>").items():
+    for vid, recs in rd.get_mapping(doc, "annotations", "<root>").items():
         rows = []
         for j, rec in enumerate(recs):
             record = f"annotations[{vid}][{j}]"
@@ -258,7 +267,7 @@ def load_dataset(path) -> Dataset:
             float(rd.get(pdoc, "overlap_fraction", "predictions")),
         )
         records = {}
-        for vid, recs in rd.get(pdoc, "records", "predictions").items():
+        for vid, recs in rd.get_mapping(pdoc, "records", "predictions").items():
             rows = []
             for j, rec in enumerate(recs):
                 record = f"predictions[{vid}][{j}]"
@@ -347,7 +356,7 @@ def save_annotations(annotations: dict, skipped, path) -> None:
 def load_annotations(path) -> tuple:
     doc, rd = _load_json(path)
     out = {}
-    for vid, recs in rd.get(doc, "annotations", "<root>").items():
+    for vid, recs in rd.get_mapping(doc, "annotations", "<root>").items():
         rows = []
         for j, rec in enumerate(recs):
             record = f"annotations[{vid}][{j}]"
@@ -371,7 +380,7 @@ def save_orientations(orientations: dict, path) -> None:
 def load_orientations(path) -> dict:
     doc, rd = _load_json(path)
     out = {}
-    for vid, R in rd.get(doc, "orientations", "<root>").items():
+    for vid, R in rd.get_mapping(doc, "orientations", "<root>").items():
         R = np.asarray(R, float)
         if R.shape != (3, 3):
             rd.fail("orientation must be 3x3", f"orientations[{vid}]")

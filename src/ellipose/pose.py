@@ -8,10 +8,14 @@ refinement over any number of pairs, and a seeded RANSAC over label-based
 association hypotheses.
 
 All residuals are Frobenius differences of unit-normalized point conics.
+The damped least-squares solvers use the exact Jacobian of that conic with
+respect to (axis-angle increment, translation), and the two-pair rotation
+search scores its whole start grid as array code.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -113,8 +117,8 @@ class _PairData:
     """
 
     __slots__ = (
-        "Qd", "M_det", "center_w", "area_det", "max_axis", "ellipse",
-        "ax_sq", "rot_w", "det_center_n", "major_norm",
+        "Qd", "M_det", "center_w", "area_det", "max_axis",
+        "ax_sq", "rot_w", "det_center_n", "ray_dir", "major_norm",
     )
 
     def __init__(self, corr: Correspondence, K: np.ndarray):
@@ -122,40 +126,43 @@ class _PairData:
         M_pix = ellipse_to_conic(corr.ellipse).M
         self.M_det = normalize_symmetric(K.T @ M_pix @ K)
         self.center_w = corr.ellipsoid.center
-        self.area_det = _conic_area(self.M_det)
+        area = _conic_areas(self.M_det[None])[0]
+        self.area_det = float(area) if area > 0.0 else None
         self.max_axis = corr.ellipsoid.max_axis
-        self.ellipse = corr.ellipse
         self.ax_sq = corr.ellipsoid.axes
         self.rot_w = corr.ellipsoid.rotation
         h = np.linalg.solve(K, np.array([corr.ellipse.center[0], corr.ellipse.center[1], 1.0]))
         self.det_center_n = h[:2] / h[2]
+        self.ray_dir = h / np.linalg.norm(h)  # unit back-projection ray of the detected center
         f = 0.5 * (K[0, 0] + K[1, 1])
         self.major_norm = float(corr.ellipse.axes[0]) / f
 
 
-def _projected_conic(R, t, pair: _PairData):
-    """Point conic of the pair's quadric in normalized image coordinates,
-    unit-Frobenius scaled, or None when the projection is invalid.
+_UPPER = [0, 1, 2, 4, 5, 8]  # raveled 3x3 index of entries 00, 01, 02, 11, 12, 22
+_UPPER_T = [0, 3, 6, 4, 7, 8]  # raveled index of the same entries of the transpose
+_FULL = [0, 1, 2, 1, 3, 4, 2, 4, 5]  # upper-triangle index of each raveled 3x3 entry
+_FROBENIUS_WEIGHTS = np.array([1.0, 2.0, 2.0, 1.0, 2.0, 1.0])
 
-    Hand-rolled symmetric 3x3 adjugate (the inverse up to scale, which the
+
+def _adjugate(a, b, c, d, e, f):
+    """Upper-triangle entries (00, 01, 02, 11, 12, 22) of the adjugate of a
+    symmetric 3x3 matrix; works on scalars and on arrays alike."""
+    return (d * f - e * e, c * e - b * f, b * e - c * d,
+            a * f - c * c, b * c - a * e, a * d - b * b)
+
+
+def _unit_adjugate(Cd):
+    """Adjugate entries of the dual conic ``Cd`` and the signed scale ``s``
+    that makes them a unit-Frobenius point conic, or None when degenerate.
+
+    Hand-rolled (the adjugate is the inverse up to scale, which the
     normalization absorbs): this sits inside every optimizer residual, so
-    LAPACK call overhead matters.
+    LAPACK call overhead matters.  The sign makes the first entry of
+    significant size positive.
     """
-    depth = R[2] @ pair.center_w + t[2]
-    if depth <= 0.0:
-        return None
-    P = np.empty((3, 4))
-    P[:, :3] = R
-    P[:, 3] = t
-    Cd = P @ pair.Qd @ P.T
-    a, b, c = Cd[0, 0], Cd[0, 1], Cd[0, 2]
-    d, e, f = Cd[1, 1], Cd[1, 2], Cd[2, 2]
-    m00 = d * f - e * e
-    m01 = c * e - b * f
-    m02 = b * e - c * d
-    m11 = a * f - c * c
-    m12 = b * c - a * e
-    m22 = a * d - b * b
+    (a, b, c), (_, d, e), (_, _, f) = Cd.tolist()
+    m = _adjugate(a, b, c, d, e, f)
+    m00, m01, m02, m11, m12, m22 = m
     det = a * m00 + b * m01 + c * m02
     scale = max(abs(a), abs(b), abs(c), abs(d), abs(e), abs(f))
     if scale <= 0.0 or abs(det) < 1e-14 * scale**3:
@@ -166,11 +173,32 @@ def _projected_conic(R, t, pair: _PairData):
     if norm < 1e-300:
         return None
     s = 1.0 / norm
-    for v in (m00, m01, m02, m11, m12, m22):
+    for v in m:
         if abs(v) * s > 1e-12:
             if v < 0.0:
                 s = -s
             break
+    return m, s
+
+
+def _projection_matrix(R, t):
+    P = np.empty((3, 4))
+    P[:, :3] = R
+    P[:, 3] = t
+    return P
+
+
+def _projected_conic(R, t, pair: _PairData):
+    """Point conic of the pair's quadric in normalized image coordinates,
+    unit-Frobenius scaled, or None when the projection is invalid."""
+    depth = R[2] @ pair.center_w + t[2]
+    if depth <= 0.0:
+        return None
+    P = _projection_matrix(R, t)
+    unit = _unit_adjugate(P @ pair.Qd @ P.T)
+    if unit is None:
+        return None
+    (m00, m01, m02, m11, m12, m22), s = unit
     return np.array(
         [
             [m00 * s, m01 * s, m02 * s],
@@ -180,20 +208,81 @@ def _projected_conic(R, t, pair: _PairData):
     )
 
 
-def _conic_area(M):
-    """Area enclosed by an ellipse-signature point conic, or None."""
-    A = M[:2, :2]
-    detA = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-    if detA <= 0.0:
-        return None
-    if A[0, 0] + A[1, 1] < 0.0:
-        M = -M
-        A = -A
-    center = np.linalg.solve(A, -M[:2, 2])
-    k = float(M[:2, 2] @ center) + M[2, 2]
-    if k >= 0.0:
-        return None
-    return math.pi * (-k) / math.sqrt(detA)
+def _projected_conics(Rs, ts, pair: _PairData):
+    """:func:`_projected_conic` over a stack of poses (Rs (n,3,3), ts (n,3)).
+
+    Returns (N, valid): the (n,3,3) unit point conics and the mask of poses
+    whose projection is valid; rows of invalid poses are NaN.
+    """
+    P = np.concatenate([Rs, ts[:, :, None]], axis=2)
+    Cd = np.einsum("nij,jk,nlk->nil", P, pair.Qd, P)
+    a, b, c = Cd[:, 0, 0], Cd[:, 0, 1], Cd[:, 0, 2]
+    d, e, f = Cd[:, 1, 1], Cd[:, 1, 2], Cd[:, 2, 2]
+    m = np.stack(_adjugate(a, b, c, d, e, f), axis=1)
+    m00, m01, m02, m11, m12, m22 = m.T
+    det = a * m00 + b * m01 + c * m02
+    scale = np.abs(Cd.reshape(-1, 9)).max(axis=1)
+    norm = np.sqrt(
+        m00 * m00 + m11 * m11 + m22 * m22 + 2.0 * (m01 * m01 + m02 * m02 + m12 * m12)
+    )
+    with np.errstate(all="ignore"):
+        valid = ~(
+            (Rs[:, 2] @ pair.center_w + ts[:, 2] <= 0.0)
+            | (scale <= 0.0)
+            | (np.abs(det) < 1e-14 * scale**3)
+            | (norm < 1e-300)
+        )
+        s = 1.0 / norm
+        first = np.argmax(np.abs(m) * s[:, None] > 1e-12, axis=1)
+        s = np.where(m[np.arange(len(m)), first] < 0.0, -s, s)
+        u = np.where(valid[:, None], m * s[:, None], np.nan)
+    return u[:, _FULL].reshape(-1, 3, 3), valid
+
+
+def _conic_jacobian(R, t, pair: _PairData, dP):
+    """Exact Jacobian (9, k) of the raveled unit conic of
+    :func:`_projected_conic` at a valid pose, for the k directions
+    ``dP`` (k,3,4) of the projection matrix [R | t].
+
+    dC = G + G^T with G = dP Qd P^T; the adjugate entries m are quadratic
+    in C, so dm = L(C) dC; the unit normalization N = s m contributes
+    dN = s (dm - m <m, dm> / |m|^2), off-diagonal entries weighing 2.
+    """
+    P = _projection_matrix(R, t)
+    QPt = pair.Qd @ P.T
+    C = P @ QPt
+    m, s = _unit_adjugate(C)
+    (a, b, c), (_, d, e), (_, _, f) = C.tolist()
+    L = np.array(  # d(m00, m01, m02, m11, m12, m22) / d(a, b, c, d, e, f)
+        [
+            [0.0, 0.0, 0.0, f, -2.0 * e, d],
+            [0.0, -f, e, 0.0, c, -b],
+            [0.0, e, -d, -c, b, 0.0],
+            [f, 0.0, -2.0 * c, 0.0, 0.0, a],
+            [-e, c, b, 0.0, -a, 0.0],
+            [d, -2.0 * b, 0.0, a, 0.0, 0.0],
+        ]
+    )
+    G = (dP @ QPt).reshape(-1, 9)
+    dm = (G[:, _UPPER] + G[:, _UPPER_T]) @ L.T
+    m = np.array(m)
+    inner = dm @ (_FROBENIUS_WEIGHTS * m) * (s * s)
+    dn = s * (dm - inner[:, None] * m)
+    return dn[:, _FULL].T
+
+
+def _conic_areas(M):
+    """Areas enclosed by a stack (n,3,3) of point conics; NaN where a conic
+    is not a real ellipse."""
+    a, b, c = M[:, 0, 0], M[:, 0, 1], M[:, 0, 2]
+    d, e = M[:, 1, 1], M[:, 1, 2]
+    with np.errstate(all="ignore"):
+        det2 = a * d - b * b
+        cx = (e * b - c * d) / det2
+        cy = (b * c - a * e) / det2
+        k = c * cx + e * cy + M[:, 2, 2]  # conic value at the center
+        k = np.where(a + d < 0.0, -k, k)
+        return np.where((det2 > 0.0) & (k < 0.0), math.pi * (-k) / np.sqrt(det2), np.nan)
 
 
 def _outline_geometry(M, pair):
@@ -270,8 +359,9 @@ class _LMResult:
         self.grad_norm = grad_norm
 
 
-def _levenberg_marquardt(fun, x0, scales, *, max_iter=50, grad_tol=1e-10, step_tol=1e-13):
-    """Damped least squares with a numeric Jacobian; cost is monotone
+def _levenberg_marquardt(fun, x0, jac, *, max_iter=50, grad_tol=1e-10, step_tol=1e-13):
+    """Damped least squares on the residual ``fun`` with its exact Jacobian
+    ``jac`` (evaluated at accepted iterates only); cost is monotone
     non-increasing because only strictly valid downhill steps are taken."""
     x = np.array(x0, float)
     r = fun(x)
@@ -283,7 +373,7 @@ def _levenberg_marquardt(fun, x0, scales, *, max_iter=50, grad_tol=1e-10, step_t
     converged = False
     grad_norm = math.inf
     for _ in range(max_iter):
-        J = _num_jacobian(fun, x, r, scales)
+        J = jac(x)
         g = J.T @ r
         grad_norm = float(np.linalg.norm(g))
         if grad_norm < grad_tol:
@@ -321,60 +411,71 @@ def _levenberg_marquardt(fun, x0, scales, *, max_iter=50, grad_tol=1e-10, step_t
     return _LMResult(x, costs, converged, grad_norm)
 
 
-def _num_jacobian(fun, x, r0, scales):
-    J = np.empty((r0.size, x.size))
-    for i in range(x.size):
-        h = scales[i]
-        xp = x.copy()
-        xp[i] += h
-        xm = x.copy()
-        xm[i] -= h
-        rp, rm = fun(xp), fun(xm)
-        if rp is not None and rm is not None:
-            J[:, i] = (rp - rm) / (2.0 * h)
-        elif rp is not None:
-            J[:, i] = (rp - r0) / h
-        elif rm is not None:
-            J[:, i] = (r0 - rm) / h
-        else:
-            J[:, i] = 0.0
-    return J
-
-
 # ---------------------------------------------------------------------------
 # Single-pair position
 # ---------------------------------------------------------------------------
 
 
-def _initial_position(K, R, pair: _PairData):
-    """Closed-form placement on the detection's back-projection ray at the
+# d[R | t] / dt_k: translation directions of the projection matrix
+_DP_TRANSLATION = np.zeros((3, 3, 4))
+_DP_TRANSLATION[[0, 1, 2], [0, 1, 2], 3] = 1.0
+
+
+def _skews(V):
+    """Cross-product matrices [v]x of the columns v of V (3, k), as (k, 3, 3)."""
+    S = np.zeros((V.shape[1], 3, 3))
+    S[:, 0, 1], S[:, 0, 2], S[:, 1, 2] = -V[2], V[1], -V[0]
+    return S - S.transpose(0, 2, 1)
+
+
+def _left_jacobian(w):
+    """SO(3) left Jacobian: exp([w + dw]x) = exp([J dw]x) exp([w]x) to first order."""
+    theta = float(np.linalg.norm(w))
+    W = _skews(w[:, None])[0]
+    if theta < 1e-8:
+        return np.eye(3) + 0.5 * W
+    return (
+        np.eye(3)
+        + ((1.0 - math.cos(theta)) / theta**2) * W
+        + ((theta - math.sin(theta)) / theta**3) * (W @ W)
+    )
+
+
+def _pose_directions(w, R):
+    """d[R | t] / d(w, t) for R = exp([w]x) R0 (the current rotation R):
+    dR/dw_k = [J_l(w) e_k]x R."""
+    dP = np.zeros((6, 3, 4))
+    dP[:3, :, :3] = _skews(_left_jacobian(w)) @ R
+    dP[3:] = _DP_TRANSLATION
+    return dP
+
+
+def _ray_placements(Rs, pair: _PairData):
+    """Closed-form camera translations, one per rotation in Rs (n,3,3), that
+    put the ellipsoid center on the detection's back-projection ray at the
     depth that equates projected and detected areas.
 
-    Returns (t0, lam_min); raises BehindCamera when the detected size would
-    force the ellipsoid across the principal plane.
+    Returns (ts, ok); ``ok`` is False where the detected size would force
+    the ellipsoid across the principal plane or the reference projection
+    is invalid.
     """
-    if pair.area_det is None or pair.area_det <= 0.0:
-        raise BehindCamera("detected conic encloses no area")
-    e = pair.ellipse
-    ray = np.linalg.solve(K, np.array([e.center[0], e.center[1], 1.0]))
-    vhat = ray / np.linalg.norm(ray)
+    n = len(Rs)
+    if pair.area_det is None:
+        return np.full((n, 3), np.nan), np.zeros(n, bool)
+    v = pair.ray_dir
+    Rc = Rs @ pair.center_w
     # ellipsoid support along the camera z axis bounds the closest valid depth
-    z_row = (R @ pair.rot_w)[2]
-    support_z = math.sqrt(float(np.sum((pair.ax_sq * z_row) ** 2)))
-    lam_min = 1.05 * support_z / vhat[2]
-    lam_ref = max(20.0 * pair.max_axis, 2.0 * lam_min)
-    t_ref = lam_ref * vhat - R @ pair.center_w
-    M_ref = _projected_conic(R, t_ref, pair)
-    area_ref = _conic_area(M_ref) if M_ref is not None else None
-    if area_ref is None or area_ref <= 0.0:
-        raise BehindCamera("reference projection is invalid")
-    lam0 = lam_ref * math.sqrt(area_ref / pair.area_det)
-    if lam0 < 0.5 * lam_min:
-        raise BehindCamera(
-            "detected ellipse size implies the object crosses the principal plane"
-        )
-    lam0 = max(lam0, lam_min)
-    return lam0 * vhat - R @ pair.center_w, lam_min
+    z_rows = Rs[:, 2] @ pair.rot_w
+    support_z = np.sqrt(np.sum((pair.ax_sq * z_rows) ** 2, axis=1))
+    lam_min = 1.05 * support_z / v[2]
+    lam_ref = np.maximum(20.0 * pair.max_axis, 2.0 * lam_min)
+    M_ref, valid = _projected_conics(Rs, lam_ref[:, None] * v - Rc, pair)
+    area_ref = _conic_areas(M_ref)
+    with np.errstate(invalid="ignore"):
+        lam0 = lam_ref * np.sqrt(area_ref / pair.area_det)
+        ok = valid & (area_ref > 0.0) & (lam0 >= 0.5 * lam_min)
+    lam0 = np.maximum(lam0, lam_min)
+    return lam0[:, None] * v - Rc, ok
 
 
 def position_from_pair(
@@ -389,16 +490,21 @@ def position_from_pair(
     """
     R = np.asarray(R, float)
     pair = _PairData(corr, cam.K)
-    t0, _ = _initial_position(cam.K, R, pair)
+    ts, ok = _ray_placements(R[None], pair)
+    if not ok[0]:
+        raise BehindCamera(
+            "detected ellipse size implies the object crosses the principal plane"
+        )
+    t0 = ts[0]
     caps = _tether_caps(R, t0, (pair,))
 
     def fun(t):
         return _residual(R, t, (pair,), caps)
 
-    scale = max(1.0, float(np.linalg.norm(t0)))
-    res = _levenberg_marquardt(
-        fun, t0, np.full(3, 1e-6 * scale), max_iter=max_iter, grad_tol=1e-12
-    )
+    def jac(t):
+        return _conic_jacobian(R, t, pair, _DP_TRANSLATION)
+
+    res = _levenberg_marquardt(fun, t0, jac, max_iter=max_iter, grad_tol=1e-12)
     # a stalled refinement leaves the closed-form placement, which is the
     # legitimate area/ray solution for detections no outline can match
     return res.x
@@ -444,6 +550,17 @@ _STAGE_B_KEEP = 24
 _STAGE_C_KEEP = 6
 
 
+@functools.lru_cache(maxsize=1)
+def _rotation_starts() -> np.ndarray:
+    """The (336, 3, 3) rotation grid: each viewing direction times 8 rolls."""
+    rolls = [rotation_z(2.0 * math.pi * k / _N_ROLLS) for k in range(_N_ROLLS)]
+    starts = np.array(
+        [roll @ _rotation_with_forward(u) for u in _icosphere_directions() for roll in rolls]
+    )
+    starts.setflags(write=False)
+    return starts
+
+
 def pose_from_two_pairs(
     c1: Correspondence, c2: Correspondence, cam: CameraModel
 ) -> Pose:
@@ -460,37 +577,35 @@ def pose_from_two_pairs(
     scale = max(c1.ellipsoid.max_axis, c2.ellipsoid.max_axis, 1e-12)
     if sep < 1e-9 * max(scale, 1.0):
         raise DegenerateConfiguration("ellipsoid centers coincide")
-    K = cam.K
-    pairs = (_PairData(c1, K), _PairData(c2, K))
+    pairs = (_PairData(c1, cam.K), _PairData(c2, cam.K))
 
-    starts = []
-    rolls = [2.0 * math.pi * k / _N_ROLLS for k in range(_N_ROLLS)]
-    for u in _icosphere_directions():
-        base = _rotation_with_forward(u)
-        for roll in rolls:
-            starts.append(rotation_z(roll) @ base)
+    starts = _rotation_starts()
 
-    # stage A: closed-form position from either pair, residual on both
-    scored = []
-    for R in starts:
-        for anchor in (0, 1):
-            try:
-                t0, _ = _initial_position(K, R, pairs[anchor])
-            except BehindCamera:
-                continue
-            r = _residual(R, t0, pairs)
-            if r is None:
-                continue
-            scored.append((float(r @ r), R, t0))
-    if not scored:
+    # stage A: closed-form position from either pair, residual on both;
+    # candidates in start order, anchor 0 before anchor 1, stably sorted
+    costs, placements = [], []
+    for anchor in pairs:
+        ts, ok = _ray_placements(starts, anchor)
+        cost = np.zeros(len(starts))
+        for pair in pairs:
+            N, valid = _projected_conics(starts, ts, pair)
+            ok &= valid
+            cost += np.sum((N - pair.M_det) ** 2, axis=(1, 2))
+        costs.append(np.where(ok, cost, np.inf))
+        placements.append(ts)
+    costs = np.stack(costs, axis=1).ravel()
+    placements = np.stack(placements, axis=1).reshape(-1, 3)
+    order = np.argsort(costs, kind="stable")
+    order = order[np.isfinite(costs[order])]
+    if not order.size:
         raise NoConvergence("no rotation start produced a valid projection")
-    scored.sort(key=lambda s: s[0])
 
     # stage B: short joint refinement to make the ranking trustworthy
     # (position-only polish is not discriminative enough: a wrong rotation
     # can reach a similar cost to a nearly-right one)
     stage_b = []
-    for cost, R, t0 in scored[:_STAGE_B_KEEP]:
+    for i in order[:_STAGE_B_KEEP]:
+        R, t0 = starts[i // 2], placements[i]
         res = _refine_raw(R, t0, pairs, max_iter=8, grad_tol=1e-12, guarded=False)
         stage_b.append(
             (res.costs[-1], axis_angle_to_matrix(res.x[:3]) @ R, t0 + res.x[3:])
@@ -532,17 +647,21 @@ def _refine_raw(R0, t0, pairs, *, max_iter=50, grad_tol=1e-12, rotation_fixed=Fa
         def fun(x):
             return _residual(R0, t0 + x, pairs, caps)
 
-        scales = np.full(3, 1e-6 * max(1.0, float(np.linalg.norm(t0))))
-        return _levenberg_marquardt(fun, np.zeros(3), scales, max_iter=max_iter, grad_tol=grad_tol)
+        def jac(x):
+            return np.vstack([_conic_jacobian(R0, t0 + x, p, _DP_TRANSLATION) for p in pairs])
+
+        return _levenberg_marquardt(fun, np.zeros(3), jac, max_iter=max_iter, grad_tol=grad_tol)
 
     def fun(x):
         R = axis_angle_to_matrix(x[:3]) @ R0
         return _residual(R, t0 + x[3:], pairs, caps)
 
-    scales = np.concatenate(
-        [np.full(3, 1e-7), np.full(3, 1e-6 * max(1.0, float(np.linalg.norm(t0))))]
-    )
-    return _levenberg_marquardt(fun, np.zeros(6), scales, max_iter=max_iter, grad_tol=grad_tol)
+    def jac(x):
+        R = axis_angle_to_matrix(x[:3]) @ R0
+        dP = _pose_directions(x[:3], R)
+        return np.vstack([_conic_jacobian(R, t0 + x[3:], p, dP) for p in pairs])
+
+    return _levenberg_marquardt(fun, np.zeros(6), jac, max_iter=max_iter, grad_tol=grad_tol)
 
 
 def refine_pose(

@@ -44,6 +44,8 @@ from .simulator import (
 )
 
 _ORIENT_STREAM = 7919  # detector and orientation draws use distinct streams
+# detector kinds whose ellipses do not depend on the box noise (run_detector)
+_BOX_NOISE_FREE = frozenset({"gt_projection", "oracle_with_box_noise"})
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,40 +148,44 @@ def noise_sweep(
 
     The sweep keeps a tolerant inlier threshold: box-fitted ellipses differ
     from every possible outline in shape, and the point of the experiment is
-    to measure how far they drag the pose, not to gate them out.
+    to measure how far they drag the pose, not to gate them out.  A detector
+    whose ellipses do not depend on the box noise is localised once, and its
+    row values are repeated at every level.
 
     Returns rows of dicts with keys: half_range_px, detector, n_views,
     n_failures, median_position_error, median_rotation_error.
     """
     orients = noisy_orientations(views, orientation_noise, seed)
     det_scene = detection_scene if detection_scene is not None else scene
+    summaries = {}
     rows = []
     for half_range in half_ranges:
         for kind in detectors:
-            detector = DetectorModel(kind, float(half_range), seed=seed)
-            results, failures = run_pose_experiment(
-                det_scene,
-                views,
-                detector,
-                orientations=orients,
-                seed=seed,
-                iterations=iterations,
-                inlier_iou_threshold=inlier_iou_threshold,
-                refine_orientation=refine_orientation,
-                cloud=cloud,
-                eval_points=scene.evaluation_points(200),
-            )
-            pos = [r.position_error for r in results]
-            rot = [r.rotation_error for r in results]
-            rows.append(
-                {
-                    "half_range_px": float(half_range),
-                    "detector": kind,
+            key = kind if kind in _BOX_NOISE_FREE else (kind, float(half_range))
+            if key not in summaries:
+                detector = DetectorModel(kind, float(half_range), seed=seed)
+                results, failures = run_pose_experiment(
+                    det_scene,
+                    views,
+                    detector,
+                    orientations=orients,
+                    seed=seed,
+                    iterations=iterations,
+                    inlier_iou_threshold=inlier_iou_threshold,
+                    refine_orientation=refine_orientation,
+                    cloud=cloud,
+                    eval_points=scene.evaluation_points(200),
+                )
+                pos = [r.position_error for r in results]
+                rot = [r.rotation_error for r in results]
+                summaries[key] = {
                     "n_views": len(results),
                     "n_failures": len(failures),
                     "median_position_error": float(np.median(pos)) if pos else float("nan"),
                     "median_rotation_error": float(np.median(rot)) if rot else float("nan"),
                 }
+            rows.append(
+                {"half_range_px": float(half_range), "detector": kind, **summaries[key]}
             )
     return rows
 

@@ -63,6 +63,16 @@ class TestReconstructCommand:
         bad.write_text("{}")
         assert main(["reconstruct", "--dataset", str(bad), "--out", str(tmp_path / "c.json")]) == 2
 
+    def test_annotations_list_exit_code(self, board, tmp_path, capsys):
+        _, _, _, dpath = board
+        doc = json.loads(dpath.read_text())
+        doc["annotations"] = list(doc["annotations"].values())
+        dpath.write_text(json.dumps(doc))
+        out = tmp_path / "c.json"
+        assert main(["reconstruct", "--dataset", str(dpath), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"file={dpath}" in err and "field=annotations" in err
+
 
 class TestAnnotateCommand:
     def test_round_trip_annotations(self, board, tmp_path):

@@ -90,6 +90,17 @@ class TestDatasetRoundTrip:
             load_dataset(path)
         assert ei.value.field == "K"
 
+    def test_annotations_list_named(self, dataset, tmp_path):
+        path = tmp_path / "d.json"
+        save_dataset(dataset, path)
+        doc = json.loads(path.read_text())
+        doc["annotations"] = list(doc["annotations"].values())
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError) as ei:
+            load_dataset(path)
+        assert ei.value.file == str(path)
+        assert ei.value.field == "annotations"
+
     def test_schema_mismatch(self, dataset, tmp_path):
         path = tmp_path / "d.json"
         save_dataset(dataset, path)

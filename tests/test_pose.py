@@ -10,7 +10,14 @@ from ellipose.errors import (
     DegenerateConfiguration,
     NoValidPose,
 )
-from ellipose.geometry import Ellipse, Ellipsoid, Pose, project_ellipsoid, rotation_z
+from ellipose.geometry import (
+    Ellipse,
+    Ellipsoid,
+    Pose,
+    axis_angle_to_matrix,
+    project_ellipsoid,
+    rotation_z,
+)
 from ellipose.metrics import pose_errors
 from ellipose.pose import (
     Correspondence,
@@ -23,6 +30,14 @@ from ellipose.pose import (
     ransac_iterations,
     ransac_pose,
     refine_pose,
+)
+from ellipose.pose import (  # white-box kernels
+    _DP_TRANSLATION,
+    _PairData,
+    _conic_jacobian,
+    _pose_directions,
+    _projected_conic,
+    _projected_conics,
 )
 from ellipose.simulator import DEG, OrientationNoise, perturb_orientation
 
@@ -74,6 +89,73 @@ class TestPositionFromPair:
         R = look_at_pose((2.0, 0.0, 0.5), (8.0, 0.0, 0.0)).R  # pointing away
         with pytest.raises(BehindCamera):
             position_from_pair(Correspondence(ell, E, "x"), R, cam)
+
+
+class TestConicKernels:
+    def _pair(self, rng):
+        cam = default_camera()
+        E = sized_ellipsoid(rng)
+        pose = camera_near(rng, E.center + rng.uniform(-0.1, 0.1, 3))
+        pair = _PairData(Correspondence(project_ellipsoid(E, pose, cam), E, "x"), cam.K)
+        return pair, pose
+
+    @staticmethod
+    def _central_difference(fun, x, h=1e-6):
+        cols = []
+        for k in range(x.size):
+            step = np.zeros(x.size)
+            step[k] = h
+            cols.append((fun(x + step) - fun(x - step)) / (2.0 * h))
+        return np.stack(cols, axis=1)
+
+    @pytest.mark.parametrize("w_scale", [0.2, 1e-10])
+    def test_pose_jacobian_matches_central_differences(self, rng, w_scale):
+        # w_scale 1e-10 exercises the small-angle branch of the left Jacobian
+        for _ in range(20):
+            pair, pose = self._pair(rng)
+            w = rng.normal(size=3)
+            w *= w_scale / np.linalg.norm(w)
+            x = np.concatenate([w, rng.normal(scale=0.02, size=3)])
+
+            def fun(x):
+                R = axis_angle_to_matrix(x[:3]) @ pose.R
+                return _projected_conic(R, pose.t + x[3:], pair).ravel()
+
+            R = axis_angle_to_matrix(x[:3]) @ pose.R
+            J = _conic_jacobian(R, pose.t + x[3:], pair, _pose_directions(x[:3], R))
+            Jn = self._central_difference(fun, x)
+            assert J.shape == (9, 6)
+            assert np.abs(J - Jn).max() <= 1e-6 * np.abs(Jn).max()
+
+    def test_translation_jacobian_matches_central_differences(self, rng):
+        for _ in range(20):
+            pair, pose = self._pair(rng)
+            t = pose.t + rng.normal(scale=0.02, size=3)
+
+            def fun(t):
+                return _projected_conic(pose.R, t, pair).ravel()
+
+            J = _conic_jacobian(pose.R, t, pair, _DP_TRANSLATION)
+            Jn = self._central_difference(fun, t)
+            assert J.shape == (9, 3)
+            assert np.abs(J - Jn).max() <= 1e-6 * np.abs(Jn).max()
+
+    def test_batched_projection_matches_scalar(self, rng):
+        pair, pose = self._pair(rng)
+        Rs = np.array([random_rotation(rng) for _ in range(300)])
+        ts = rng.normal(scale=2.0, size=(300, 3))
+        Rs[:100] = pose.R  # near the true pose: mostly valid
+        ts[:100] = pose.t + rng.normal(scale=0.05, size=(100, 3))
+        N, valid = _projected_conics(Rs, ts, pair)
+        depth = Rs[:, 2] @ pair.center_w + ts[:, 2]
+        assert (depth <= 0.0).sum() > 50 and valid.sum() > 100
+        for R, t, Ni, ok in zip(Rs, ts, N, valid):
+            M = _projected_conic(R, t, pair)
+            assert (M is not None) == ok
+            if ok:
+                assert np.abs(M - Ni).max() <= 1e-12
+            else:
+                assert np.isnan(Ni).all()
 
 
 class TestPoseFromTwoPairs:
