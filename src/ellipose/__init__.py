@@ -50,13 +50,10 @@ from .geometry import (
     wrap_angle_half_pi,
 )
 from .metrics import (
-    PoseErrorReport,
     add_error,
     ellipse_iou,
-    pose_error_report,
     pose_errors,
     reprojection_error,
-    tabulate,
 )
 from .multibin import (
     BinEncoding,

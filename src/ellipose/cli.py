@@ -12,11 +12,9 @@ import sys
 from . import dataio
 from .errors import ElliposeError, ParseError, SchemaVersionMismatch
 from .geometry import crop_transform, inscribed_ellipse
-from .metrics import pose_errors, reprojection_error, add_error
 from .multibin import decode_prediction
-from .pose import RansacOptions, ransac_pose
 from .reconstruction import generate_annotations, reconstruct_cloud
-from .scenarios import run_scenario
+from .scenarios import localize_views, run_scenario
 from .simulator import DEG, DetectorModel, run_detector
 
 EXIT_OK = 0
@@ -88,59 +86,32 @@ def _detections_for_view(dataset, view, args, annotations_override):
 def _cmd_pose(args) -> int:
     dataset = dataio.load_dataset(args.dataset)
     cloud = dataio.load_cloud(args.cloud)
-    orientations = (
-        dataio.load_orientations(args.orientation_file)
-        if args.orientation_file
-        else None
-    )
+    orientations = None
+    if args.orientation_file:
+        orientations = dataio.load_orientations(args.orientation_file)
+        for view in dataset.views:
+            if view.view_id not in orientations:
+                raise ParseError(
+                    "no orientation for view", file=args.orientation_file,
+                    record=view.view_id,
+                )
     annotations_override = None
     if args.annotations_file:
         annotations_override, _ = dataio.load_annotations(args.annotations_file)
-    mode = args.mode.replace("-", "_")
-    eval_points = (
-        dataset.scene.evaluation_points(1000) if dataset.scene is not None else None
+    poses, results, failures = localize_views(
+        dataset.views,
+        lambda view: _detections_for_view(dataset, view, args, annotations_override),
+        cloud,
+        orientations=orientations,
+        eval_points=(
+            dataset.scene.evaluation_points(1000) if dataset.scene is not None else None
+        ),
+        mode=args.mode.replace("-", "_"),
+        iterations=args.iterations,
+        inlier_iou_threshold=args.iou_threshold,
+        seed=args.seed,
+        refine_orientation=not args.keep_orientation,
     )
-    poses, failures, rows = {}, {}, []
-    for view in dataset.views:
-        detections = _detections_for_view(dataset, view, args, annotations_override)
-        if orientations is not None:
-            R = orientations.get(view.view_id, view.pose.R)
-        else:
-            R = view.pose.R
-        opts = RansacOptions(
-            mode=mode,
-            iterations=args.iterations,
-            inlier_iou_threshold=args.iou_threshold,
-            seed=args.seed,
-            rotation=R if mode == "orientation_known" else None,
-            refine_orientation=not args.keep_orientation,
-        )
-        try:
-            est = ransac_pose(detections, cloud, view.cam, opts)
-        except ElliposeError as exc:
-            failures[view.view_id] = f"{type(exc).__name__}: {exc}"
-            continue
-        poses[view.view_id] = est
-        rot, pos = pose_errors(est.pose, view.pose)
-        if eval_points is not None:
-            try:
-                reproj = reprojection_error(est.pose, view.pose, view.cam, eval_points)
-            except ElliposeError:
-                reproj = float("inf")
-            add = add_error(est.pose, view.pose, eval_points)
-        else:
-            reproj = add = float("nan")
-        rows.append(
-            (
-                view.view_id,
-                len(est.inliers),
-                float(est.score),
-                rot / DEG,
-                pos,
-                reproj,
-                add,
-            )
-        )
     dataio.save_poses(poses, failures, args.out_poses)
     dataio.write_csv(
         args.out_metrics,
@@ -153,11 +124,15 @@ def _cmd_pose(args) -> int:
             "reprojection_error[px]",
             "add_error[world]",
         ],
-        rows,
+        [
+            (r.view_id, r.n_inliers, float(r.score), r.rotation_error / DEG,
+             r.position_error, r.reprojection_error, r.add_error)
+            for r in results
+        ],
     )
     for vid, reason in failures.items():
         print(f"warning: no pose for view {vid}: {reason}", file=sys.stderr)
-    print(f"wrote {args.out_poses} and {args.out_metrics} ({len(rows)} views)")
+    print(f"wrote {args.out_poses} and {args.out_metrics} ({len(results)} views)")
     if not poses:
         print("error: no view produced a pose", file=sys.stderr)
         return EXIT_NUMERIC

@@ -65,12 +65,6 @@ class Dataset:
                 if vid not in known:
                     raise ValueError(f"prediction references unknown view {vid!r}")
 
-    def view(self, view_id: str) -> CalibratedView:
-        for v in self.views:
-            if v.view_id == view_id:
-                return v
-        raise KeyError(view_id)
-
 
 # ---------------------------------------------------------------------------
 # Encoding
@@ -167,10 +161,16 @@ class _Reader:
         return obj[key]
 
     def get_mapping(self, obj, key, record):
+        return self._get_typed(obj, key, record, dict, "an object")
+
+    def get_list(self, obj, key, record):
+        return self._get_typed(obj, key, record, list, "a list")
+
+    def _get_typed(self, obj, key, record, kind, name):
         value = self.get(obj, key, record)
-        if not isinstance(value, dict):
+        if not isinstance(value, kind):
             raise ParseError(
-                f"expected an object, got {type(value).__name__}",
+                f"expected {name}, got {type(value).__name__}",
                 file=self.file, record=record, field=key,
             )
         return value
@@ -229,11 +229,14 @@ def _parse_box(vals, rd, record) -> Box:
 
 def load_dataset(path) -> Dataset:
     doc, rd = _load_json(path)
-    views = [_parse_view(rec, rd, i) for i, rec in enumerate(rd.get(doc, "views", "<root>"))]
+    views = [
+        _parse_view(rec, rd, i) for i, rec in enumerate(rd.get_list(doc, "views", "<root>"))
+    ]
     annotations = {}
-    for vid, recs in rd.get_mapping(doc, "annotations", "<root>").items():
+    ann_doc = rd.get_mapping(doc, "annotations", "<root>")
+    for vid in ann_doc:
         rows = []
-        for j, rec in enumerate(recs):
+        for j, rec in enumerate(rd.get_list(ann_doc, vid, "annotations")):
             record = f"annotations[{vid}][{j}]"
             box = _parse_box(rd.get(rec, "box", record), rd, record)
             raw_e = rd.get(rec, "ellipse", record)
@@ -244,7 +247,7 @@ def load_dataset(path) -> Dataset:
     if doc.get("scene") is not None:
         sdoc = doc["scene"]
         objs = []
-        for j, rec in enumerate(rd.get(sdoc, "objects", "scene")):
+        for j, rec in enumerate(rd.get_list(sdoc, "objects", "scene")):
             record = f"scene.objects[{j}]"
             try:
                 ellipsoid = Ellipsoid(
@@ -267,9 +270,10 @@ def load_dataset(path) -> Dataset:
             float(rd.get(pdoc, "overlap_fraction", "predictions")),
         )
         records = {}
-        for vid, recs in rd.get_mapping(pdoc, "records", "predictions").items():
+        rec_doc = rd.get_mapping(pdoc, "records", "predictions")
+        for vid in rec_doc:
             rows = []
-            for j, rec in enumerate(recs):
+            for j, rec in enumerate(rd.get_list(rec_doc, vid, "predictions.records")):
                 record = f"predictions[{vid}][{j}]"
                 box = _parse_box(rd.get(rec, "box", record), rd, record)
                 try:
@@ -319,7 +323,7 @@ def save_cloud(cloud: EllipsoidCloud, path) -> None:
 def load_cloud(path) -> EllipsoidCloud:
     doc, rd = _load_json(path)
     entries = []
-    for j, rec in enumerate(rd.get(doc, "objects", "<root>")):
+    for j, rec in enumerate(rd.get_list(doc, "objects", "<root>")):
         record = f"objects[{j}]"
         try:
             E = Ellipsoid(
@@ -356,9 +360,10 @@ def save_annotations(annotations: dict, skipped, path) -> None:
 def load_annotations(path) -> tuple:
     doc, rd = _load_json(path)
     out = {}
-    for vid, recs in rd.get_mapping(doc, "annotations", "<root>").items():
+    ann_doc = rd.get_mapping(doc, "annotations", "<root>")
+    for vid in ann_doc:
         rows = []
-        for j, rec in enumerate(recs):
+        for j, rec in enumerate(rd.get_list(ann_doc, vid, "annotations")):
             record = f"annotations[{vid}][{j}]"
             e = _parse_ellipse(rd.get(rec, "ellipse", record), rd, record)
             box = _parse_box(rd.get(rec, "box", record), rd, record)

@@ -1,27 +1,14 @@
 """Pose evaluation metrics: rotation/position error, reprojection error,
-ADD, threshold tabulation and a deterministic ellipse IoU."""
+ADD and a deterministic ellipse IoU."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BehindCamera, EmptyInput, EmptyPointSet
+from .errors import BehindCamera, EmptyPointSet
 from .geometry import CameraModel, Ellipse, Pose, bbox_of_ellipse
-
-
-@dataclass(frozen=True, eq=False)
-class PoseErrorReport:
-    """Per-view error bundle; ``passes`` maps threshold names to flags."""
-
-    rotation_error: float       # radians, geodesic
-    position_error: float       # world units, camera-center distance
-    reprojection_error: float   # pixels
-    add_error: float            # world units
-    diameter: float             # of the evaluation point set, world units
-    passes: dict = field(default_factory=dict)
 
 
 def rotation_distance(R1: np.ndarray, R2: np.ndarray) -> float:
@@ -67,30 +54,6 @@ def add_error(est: Pose, gt: Pose, points3d) -> float:
     return float(np.linalg.norm(d, axis=1).mean())
 
 
-def point_set_diameter(points3d) -> float:
-    """Max pairwise distance; hull-reduced for large clouds."""
-    pts = np.atleast_2d(np.asarray(points3d, float))
-    if pts.size == 0:
-        raise EmptyPointSet("no points")
-    if len(pts) > 1500:
-        from scipy.spatial import ConvexHull
-
-        try:
-            pts = pts[ConvexHull(pts).vertices]
-        except Exception:
-            pass  # degenerate hull: fall through to the direct computation
-    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-    return float(math.sqrt(d2.max()))
-
-
-def tabulate(errors, thresholds) -> list:
-    """Percentage of errors at or below each threshold."""
-    e = np.asarray(list(errors), float)
-    if e.size == 0:
-        raise EmptyInput("no errors to tabulate")
-    return [100.0 * float(np.mean(e <= t)) for t in thresholds]
-
-
 def ellipse_iou(e1: Ellipse, e2: Ellipse, grid: int = 512) -> float:
     """Deterministic grid estimate of the intersection-over-union.
 
@@ -120,30 +83,3 @@ def _inside_grid(e: Ellipse, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     v = (-s * dx + c * dy) / e.axes[1]
     return u * u + v * v <= 1.0
 
-
-def pose_error_report(
-    est: Pose,
-    gt: Pose,
-    cam: CameraModel,
-    points3d,
-    *,
-    reproj_px=(5.0,),
-    pos_world=(0.05,),
-    add_frac=(0.1,),
-) -> PoseErrorReport:
-    """Evaluate one estimated pose against ground truth on a point set."""
-    rot, pos = pose_errors(est, gt)
-    try:
-        reproj = reprojection_error(est, gt, cam, points3d)
-    except BehindCamera:
-        reproj = float("inf")
-    add = add_error(est, gt, points3d)
-    diam = point_set_diameter(points3d)
-    passes = {}
-    for t in reproj_px:
-        passes[f"reproj<={t:g}px"] = reproj <= t
-    for t in pos_world:
-        passes[f"pos<={t:g}"] = pos <= t
-    for f in add_frac:
-        passes[f"add<={100 * f:g}%diam"] = add <= f * diam
-    return PoseErrorReport(rot, pos, reproj, add, diam, passes)

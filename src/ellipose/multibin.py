@@ -125,11 +125,6 @@ class LossGradients:
     corrections: np.ndarray
 
 
-def _wrap_pi(delta: float) -> float:
-    """Signed wrap of an angle difference modulo pi into (-pi/2, pi/2]."""
-    return wrap_angle_half_pi(delta)
-
-
 def encode_angle(theta: float, cfg: MultibinConfig) -> BinEncoding:
     """Bins overlapping ``theta`` (wrapped into (-pi/2, pi/2]) and the
     residual theta - mid_angle for each, wrapped with pi-periodicity."""
@@ -138,7 +133,7 @@ def encode_angle(theta: float, cfg: MultibinConfig) -> BinEncoding:
     bins = []
     residuals = []
     for i in range(cfg.n_bins):
-        r = _wrap_pi(theta - cfg.bin_center(i))
+        r = wrap_angle_half_pi(theta - cfg.bin_center(i))
         if abs(r) <= hw + 1e-12:
             bins.append(i)
             residuals.append(r)
@@ -149,7 +144,7 @@ def target_bin(theta: float, cfg: MultibinConfig) -> int:
     """Classification label: the bin whose mid-angle is nearest theta
     (lowest index on ties)."""
     theta = wrap_angle_half_pi(theta)
-    d = [abs(_wrap_pi(theta - cfg.bin_center(i))) for i in range(cfg.n_bins)]
+    d = [abs(wrap_angle_half_pi(theta - cfg.bin_center(i))) for i in range(cfg.n_bins)]
     return int(np.argmin(d))
 
 
@@ -259,6 +254,6 @@ def perfect_prediction(
     scores[target_bin(gt.angle, cfg)] = 0.0
     corr = np.zeros((cfg.n_bins, 2))
     for i in range(cfg.n_bins):
-        r = _wrap_pi(gt.angle - cfg.bin_center(i))
+        r = wrap_angle_half_pi(gt.angle - cfg.bin_center(i))
         corr[i] = (math.cos(r), math.sin(r))
     return MultibinPrediction(gt.center, gt.axes, scores, corr)

@@ -46,6 +46,8 @@ from .geometry import (
 from .metrics import ellipse_iou, rotation_distance
 from .reconstruction import EllipsoidCloud
 
+_IOU_GRID = 128  # grid resolution of the consensus IoU
+
 
 @dataclass(frozen=True, eq=False)
 class Correspondence:
@@ -80,7 +82,6 @@ class RansacOptions:
     seed: int = 0
     rotation: np.ndarray | None = None
     refine_orientation: bool = True
-    iou_grid: int = 128  # grid resolution for hypothesis scoring
 
     def __post_init__(self):
         if self.mode not in ("orientation_known", "full"):
@@ -821,7 +822,7 @@ def _consensus(pose: Pose, cam: CameraModel, corrs, pairs, opts: RansacOptions):
             proj = conic_to_ellipse(Conic(Kinv.T @ M @ Kinv))
         except ElliposeError:
             continue
-        iou = ellipse_iou(corr.ellipse, proj, grid=opts.iou_grid)
+        iou = ellipse_iou(corr.ellipse, proj, grid=_IOU_GRID)
         if iou >= opts.inlier_iou_threshold:
             inliers.append(i)
             total += iou

@@ -85,9 +85,6 @@ class EllipsoidCloud:
     def labels(self) -> list:
         return [l for l, _ in self.entries]
 
-    def with_label(self, label: str) -> list:
-        return [e for l, e in self.entries if l == label]
-
 
 def _normalized_dual_conic(e: Ellipse, cam: CameraModel) -> np.ndarray:
     """Dual conic of a detected ellipse in intrinsics-normalized coordinates."""

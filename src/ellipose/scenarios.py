@@ -73,36 +73,34 @@ def noisy_orientations(views, noise: OrientationNoise, seed: int) -> dict:
     }
 
 
-def run_pose_experiment(
-    scene: SceneSpec,
+def localize_views(
     views,
-    detector: DetectorModel,
+    detections_of,
+    cloud: EllipsoidCloud,
     *,
     orientations: dict | None = None,
+    eval_points: np.ndarray | None = None,
     mode: str = "orientation_known",
     iterations: int = 8,
     inlier_iou_threshold: float = 0.75,
     seed: int = 0,
     refine_orientation: bool = True,
-    eval_points: np.ndarray | None = None,
-    cloud: EllipsoidCloud | None = None,
 ):
-    """Detector -> RANSAC -> metrics over every view.
+    """Detections -> RANSAC -> errors against ground truth, view by view.
 
-    Returns (results, failures): per-view :class:`ViewResult` rows and a
-    view_id -> reason map for views where no pose was found.
+    ``detections_of(view)`` gives the view's (label, Ellipse) detections;
+    ``orientations`` maps view ids to the world->camera rotations that
+    orientation-known mode starts from (the ground truth when None).
+    Without ``eval_points`` the reprojection and ADD errors are NaN.
+
+    Returns (estimates, results, failures): view_id -> PoseEstimate, the
+    per-view :class:`ViewResult` rows, and view_id -> reason for the views
+    where no pose was found.
     """
-    cloud = cloud if cloud is not None else cloud_of_scene(scene)
-    pts = eval_points if eval_points is not None else scene.evaluation_points(200)
-    results, failures = [], {}
+    estimates, results, failures = {}, [], {}
     for view in views:
-        detections = [
-            (label, e) for label, e, _ in run_detector(detector, scene, view)
-        ]
-        if orientations is not None:
-            R = orientations[view.view_id]
-        else:
-            R = view.pose.R
+        detections = detections_of(view)
+        R = view.pose.R if orientations is None else orientations[view.view_id]
         opts = RansacOptions(
             mode=mode,
             iterations=iterations,
@@ -116,18 +114,20 @@ def run_pose_experiment(
         except ElliposeError as exc:
             failures[view.view_id] = f"{type(exc).__name__}: {exc}"
             continue
+        estimates[view.view_id] = est
         rot, pos = pose_errors(est.pose, view.pose)
-        try:
-            reproj = reprojection_error(est.pose, view.pose, view.cam, pts)
-        except ElliposeError:
-            reproj = float("inf")
+        if eval_points is None:
+            reproj = add = float("nan")
+        else:
+            try:
+                reproj = reprojection_error(est.pose, view.pose, view.cam, eval_points)
+            except ElliposeError:
+                reproj = float("inf")
+            add = add_error(est.pose, view.pose, eval_points)
         results.append(
-            ViewResult(
-                view.view_id, len(est.inliers), est.score, rot, pos, reproj,
-                add_error(est.pose, view.pose, pts),
-            )
+            ViewResult(view.view_id, len(est.inliers), est.score, rot, pos, reproj, add)
         )
-    return results, failures
+    return estimates, results, failures
 
 
 def noise_sweep(
@@ -139,24 +139,24 @@ def noise_sweep(
     orientation_noise: OrientationNoise = OrientationNoise(2.0 * DEG),
     seed: int = 0,
     iterations: int = 8,
-    inlier_iou_threshold: float = 0.35,
-    refine_orientation: bool = True,
     cloud: EllipsoidCloud | None = None,
     detection_scene: SceneSpec | None = None,
 ):
     """Median pose errors versus box-noise level, per detector model.
 
-    The sweep keeps a tolerant inlier threshold: box-fitted ellipses differ
-    from every possible outline in shape, and the point of the experiment is
-    to measure how far they drag the pose, not to gate them out.  A detector
-    whose ellipses do not depend on the box noise is localised once, and its
-    row values are repeated at every level.
+    The sweep keeps a tolerant inlier threshold (0.35): box-fitted ellipses
+    differ from every possible outline in shape, and the point of the
+    experiment is to measure how far they drag the pose, not to gate them
+    out.  A detector whose ellipses do not depend on the box noise is
+    localised once, and its row values are repeated at every level.
 
     Returns rows of dicts with keys: half_range_px, detector, n_views,
     n_failures, median_position_error, median_rotation_error.
     """
     orients = noisy_orientations(views, orientation_noise, seed)
     det_scene = detection_scene if detection_scene is not None else scene
+    cloud = cloud if cloud is not None else cloud_of_scene(det_scene)
+    eval_points = scene.evaluation_points(200)
     summaries = {}
     rows = []
     for half_range in half_ranges:
@@ -164,17 +164,17 @@ def noise_sweep(
             key = kind if kind in _BOX_NOISE_FREE else (kind, float(half_range))
             if key not in summaries:
                 detector = DetectorModel(kind, float(half_range), seed=seed)
-                results, failures = run_pose_experiment(
-                    det_scene,
+                _, results, failures = localize_views(
                     views,
-                    detector,
+                    lambda view: [
+                        (label, e) for label, e, _ in run_detector(detector, det_scene, view)
+                    ],
+                    cloud,
                     orientations=orients,
-                    seed=seed,
+                    eval_points=eval_points,
                     iterations=iterations,
-                    inlier_iou_threshold=inlier_iou_threshold,
-                    refine_orientation=refine_orientation,
-                    cloud=cloud,
-                    eval_points=scene.evaluation_points(200),
+                    inlier_iou_threshold=0.35,
+                    seed=seed,
                 )
                 pos = [r.position_error for r in results]
                 rot = [r.rotation_error for r in results]
@@ -286,6 +286,16 @@ def reconstruction_consistency_experiment(*, n_build: int = 3, n_held: int = 8):
 # ---------------------------------------------------------------------------
 
 
+def _annotated_dataset(scene: SceneSpec, views) -> Dataset:
+    """The scene's views with the exact reprojection of every object."""
+    anns, _ = generate_annotations(cloud_of_scene(scene), views)
+    annotations = {
+        vid: [Annotation(label, box, e) for label, e, box in rows]
+        for vid, rows in anns.items()
+    }
+    return Dataset(views, annotations, scene)
+
+
 def _board_dataset(params, seed: int) -> tuple:
     scene = tless_like_board(int(params.get("n_objects", 6)))
     rig = CameraRig(
@@ -294,12 +304,7 @@ def _board_dataset(params, seed: int) -> tuple:
         int(params.get("n_elevation", 10)),
     )
     views = sample_cameras(rig)
-    anns, _ = generate_annotations(cloud_of_scene(scene), views)
-    annotations = {
-        vid: [Annotation(label, box, e) for label, e, box in rows]
-        for vid, rows in anns.items()
-    }
-    return scene, views, Dataset(views, annotations, scene)
+    return scene, views, _annotated_dataset(scene, views)
 
 
 def _run_tless_board(params, out_dir: Path, seed: int) -> list:
@@ -322,12 +327,7 @@ def _run_linemod_single(params, out_dir: Path, seed: int) -> list:
         int(params.get("n_elevation", 5)),
     )
     views = sample_cameras(rig)
-    anns, _ = generate_annotations(cloud_of_scene(scene), views)
-    annotations = {
-        vid: [Annotation(label, box, e) for label, e, box in rows]
-        for vid, rows in anns.items()
-    }
-    dataset = Dataset(views, annotations, scene)
+    dataset = _annotated_dataset(scene, views)
     noise = OrientationNoise(float(params.get("orientation_noise_deg", 2.0)) * DEG)
     orients = noisy_orientations(views, noise, seed)
     p1 = out_dir / "dataset.json"

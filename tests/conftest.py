@@ -3,14 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ellipose.geometry import (
-    CameraModel,
-    Ellipse,
-    Ellipsoid,
-    Pose,
-    canonicalize,
-    ellipse_to_conic,
-)
+from ellipose.geometry import Ellipse, Ellipsoid, canonicalize, ellipse_to_conic
 
 
 @pytest.fixture
@@ -44,24 +37,6 @@ def random_ellipsoid(rng, center_scale=2.0, min_ratio=1.0) -> Ellipsoid:
     axes = np.sort(rng.uniform(0.2, 1.0, size=3))[::-1]
     axes[0] *= min_ratio  # optionally force asphericity
     return Ellipsoid(center, axes, random_rotation(rng))
-
-
-def look_at_pose(camera_pos, target, up=(0.0, 0.0, 1.0)) -> Pose:
-    camera_pos = np.asarray(camera_pos, float)
-    f = np.asarray(target, float) - camera_pos
-    f = f / np.linalg.norm(f)
-    x = np.cross(f, np.asarray(up, float))
-    if np.linalg.norm(x) < 1e-9:
-        x = np.cross(f, (0.0, 1.0, 0.0))
-    x = x / np.linalg.norm(x)
-    y = np.cross(f, x)
-    R = np.stack([x, y, f])
-    return Pose(R, -R @ camera_pos)
-
-
-def default_camera() -> CameraModel:
-    K = np.array([[500.0, 0.0, 320.0], [0.0, 500.0, 240.0], [0.0, 0.0, 1.0]])
-    return CameraModel(K, (640.0, 480.0))
 
 
 def conic_residuals(e: Ellipse, M: np.ndarray, n=64) -> np.ndarray:

@@ -11,9 +11,7 @@ from scipy.stats import spearmanr
 
 from conftest import (
     conic_residuals,
-    default_camera,
     ellipsoids_equivalent,
-    look_at_pose,
     random_ellipse,
     random_ellipsoid,
     random_rotation,
@@ -62,6 +60,8 @@ from ellipose.scenarios import (
 from ellipose.simulator import (
     DEG,
     CameraRig,
+    default_camera,
+    look_at,
     min_enclosing_ellipse,
     sample_cameras,
     sample_ellipsoid_surface,
@@ -87,7 +87,7 @@ def ring_views(n, radius, target=(0.0, 0.0, 0.0), elevation=0.5, phase=0.0, cam=
         pos = np.asarray(target) + radius * np.array(
             [math.cos(elevation) * math.cos(az), math.cos(elevation) * math.sin(az), math.sin(elevation)]
         )
-        views.append(CalibratedView(f"v{k}", cam, look_at_pose(pos, target)))
+        views.append(CalibratedView(f"v{k}", cam, look_at(pos, target)))
     return views
 
 
@@ -125,7 +125,7 @@ def test_criterion_1_geometry_round_trips():
         pos = E.center + d * np.array(
             [math.cos(el) * math.cos(az), math.cos(el) * math.sin(az), math.sin(el)]
         )
-        pose = look_at_pose(pos, E.center + rng.uniform(-0.2, 0.2, 3))
+        pose = look_at(pos, E.center + rng.uniform(-0.2, 0.2, 3))
         outline = project_ellipsoid(E, pose, cam)
         pts = sample_ellipsoid_surface(E, 20000)
         pc = (pose.R @ pts.T).T + pose.t
@@ -190,7 +190,7 @@ def test_criterion_3_pose_round_trips():
         pos = E.center + 2.0 * np.array(
             [math.cos(el) * math.cos(az), math.cos(el) * math.sin(az), math.sin(el)]
         )
-        pose = look_at_pose(pos, E.center + rng.uniform(-0.1, 0.1, 3))
+        pose = look_at(pos, E.center + rng.uniform(-0.1, 0.1, 3))
         ell = project_ellipsoid(E, pose, cam)
         t = position_from_pair(Correspondence(ell, E, "x"), pose.R, cam)
         worst_pos = max(worst_pos, float(np.linalg.norm(t - pose.t)))
@@ -204,7 +204,7 @@ def test_criterion_3_pose_round_trips():
         pos = mid + 2.2 * np.array(
             [math.cos(el) * math.cos(az), math.cos(el) * math.sin(az), math.sin(el)]
         )
-        pose = look_at_pose(pos, mid)
+        pose = look_at(pos, mid)
         c1 = Correspondence(project_ellipsoid(E1, pose, cam), E1, "a")
         c2 = Correspondence(project_ellipsoid(E2, pose, cam), E2, "b")
         try:
@@ -227,7 +227,7 @@ def test_criterion_3_pose_round_trips():
             axes = np.sort(rng.uniform(0.04, 0.1, size=3))[::-1]
             objs.append((f"o{i}", Ellipsoid(center, axes, random_rotation(rng))))
         cloud = EllipsoidCloud(tuple(objs))
-        pose = look_at_pose(
+        pose = look_at(
             1.8 * np.array([math.cos(scene_idx), math.sin(scene_idx), 1.0]) / math.sqrt(2.0),
             (0, 0, 0),
         )

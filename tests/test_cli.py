@@ -74,6 +74,17 @@ class TestReconstructCommand:
         assert f"file={dpath}" in err and "field=annotations" in err
 
 
+    def test_non_list_views_exit_code(self, board, tmp_path, capsys):
+        _, _, _, dpath = board
+        doc = json.loads(dpath.read_text())
+        doc["views"] = 5
+        dpath.write_text(json.dumps(doc))
+        out = tmp_path / "c.json"
+        assert main(["reconstruct", "--dataset", str(dpath), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"file={dpath}" in err and "field=views" in err
+
+
 class TestAnnotateCommand:
     def test_round_trip_annotations(self, board, tmp_path):
         scene, views, dataset, dpath = board
@@ -166,6 +177,45 @@ class TestPoseCommand:
         rot_errs = [float(l.split(",")[3]) for l in metrics.read_text().splitlines()[1:]]
         # orientation kept as provided: rotation error equals the injected noise
         assert all(1e-4 < r < 3.5 for r in rot_errs)
+
+    def test_partial_orientation_file_is_parse_error(self, board, tmp_path, capsys):
+        scene, views, dataset, dpath = board
+        cloud_path = tmp_path / "cloud.json"
+        dataio.save_cloud(cloud_of_scene(scene), cloud_path)
+        opath = tmp_path / "orient.json"
+        dataio.save_orientations({v.view_id: v.pose.R for v in views[:3]}, opath)
+        rc = main(
+            [
+                "pose", "--dataset", str(dpath), "--cloud", str(cloud_path),
+                "--out-poses", str(tmp_path / "p.json"),
+                "--out-metrics", str(tmp_path / "m.csv"),
+                "--orientation-file", str(opath), "--keep-orientation",
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"file={opath}" in err and f"record={views[3].view_id}" in err
+
+    def test_sceneless_dataset_nan_scene_metrics(self, board, tmp_path):
+        scene, views, dataset, dpath = board
+        dataio.save_dataset(Dataset(views, dataset.annotations), dpath)
+        cloud_path = tmp_path / "cloud.json"
+        dataio.save_cloud(cloud_of_scene(scene), cloud_path)
+        metrics = tmp_path / "m.csv"
+        rc = main(
+            [
+                "pose", "--dataset", str(dpath), "--cloud", str(cloud_path),
+                "--out-poses", str(tmp_path / "p.json"), "--out-metrics", str(metrics),
+                "--seed", "3", "--iterations", "6",
+            ]
+        )
+        assert rc == 0
+        rows = [line.split(",") for line in metrics.read_text().splitlines()[1:]]
+        assert len(rows) == len(views)
+        for cells in rows:
+            rot, pos, reproj, add = (float(c) for c in cells[3:])
+            assert math.isfinite(rot) and pos < 1e-4
+            assert math.isnan(reproj) and math.isnan(add)
 
     def test_reconstructed_cloud_with_its_own_annotations(self, board, tmp_path):
         # full closed loop: boxes -> cloud -> regenerated annotations -> pose;

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import default_camera, look_at_pose, random_ellipse, random_ellipsoid
+from conftest import random_ellipse, random_ellipsoid
 from ellipose.dataio import (
     Annotation,
     Dataset,
@@ -27,14 +27,14 @@ from ellipose.geometry import Box, Ellipse, bbox_of_ellipse, Pose
 from ellipose.multibin import MultibinConfig, perfect_prediction
 from ellipose.pose import PoseEstimate
 from ellipose.reconstruction import CalibratedView, EllipsoidCloud
-from ellipose.simulator import SceneObject, SceneSpec
+from ellipose.simulator import SceneObject, SceneSpec, default_camera, look_at
 
 
 @pytest.fixture
 def dataset(rng):
     cam = default_camera()
     views = [
-        CalibratedView(f"v{k}", cam, look_at_pose(rng.uniform(1, 2, 3), (0, 0, 0)))
+        CalibratedView(f"v{k}", cam, look_at(rng.uniform(1, 2, 3), (0, 0, 0)))
         for k in range(3)
     ]
     e = random_ellipse(rng)
@@ -116,15 +116,50 @@ class TestDatasetRoundTrip:
         with pytest.raises(ParseError):
             load_dataset(path)
 
+    @pytest.mark.parametrize(
+        "file_kind, keys",
+        [
+            ("dataset", ("views",)),
+            ("dataset", ("annotations", "v0")),
+            ("dataset", ("scene", "objects")),
+            ("dataset", ("predictions", "records", "v2")),
+            ("cloud", ("objects",)),
+            ("annotations", ("annotations", "v0")),
+        ],
+        ids=["views", "annotations", "scene", "predictions", "cloud", "annotation_rows"],
+    )
+    def test_non_list_field_named(self, dataset, rng, tmp_path, file_kind, keys):
+        path = tmp_path / f"{file_kind}.json"
+        if file_kind == "dataset":
+            save_dataset(dataset, path)
+            load = load_dataset
+        elif file_kind == "cloud":
+            save_cloud(EllipsoidCloud((("a", random_ellipsoid(rng)),)), path)
+            load = load_cloud
+        else:
+            e = random_ellipse(rng)
+            save_annotations({"v0": [("a", e, bbox_of_ellipse(e))]}, [], path)
+            load = load_annotations
+        doc = json.loads(path.read_text())
+        parent = doc
+        for key in keys[:-1]:
+            parent = parent[key]
+        parent[keys[-1]] = 7
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError) as ei:
+            load(path)
+        assert ei.value.file == str(path)
+        assert ei.value.field == keys[-1]
+
     def test_duplicate_view_ids_rejected(self, rng):
         cam = default_camera()
-        v = CalibratedView("v0", cam, look_at_pose((1, 1, 1), (0, 0, 0)))
+        v = CalibratedView("v0", cam, look_at((1, 1, 1), (0, 0, 0)))
         with pytest.raises(ValueError):
             Dataset([v, v])
 
     def test_annotation_for_unknown_view_rejected(self, rng):
         cam = default_camera()
-        v = CalibratedView("v0", cam, look_at_pose((1, 1, 1), (0, 0, 0)))
+        v = CalibratedView("v0", cam, look_at((1, 1, 1), (0, 0, 0)))
         with pytest.raises(ValueError):
             Dataset([v], {"nope": []})
 
@@ -152,13 +187,13 @@ class TestOtherFiles:
         assert skipped == [("v1", "b", "BehindCamera")]
 
     def test_orientations_round_trip(self, rng, tmp_path):
-        R = look_at_pose((1, 2, 3), (0, 0, 0)).R
+        R = look_at((1, 2, 3), (0, 0, 0)).R
         path = tmp_path / "o.json"
         save_orientations({"v0": R}, path)
         assert np.array_equal(load_orientations(path)["v0"], R)
 
     def test_poses_file(self, rng, tmp_path):
-        pose = look_at_pose((1, 1, 1), (0, 0, 0))
+        pose = look_at((1, 1, 1), (0, 0, 0))
         est = PoseEstimate(pose, (0, 2), 0.9)
         path = tmp_path / "p.json"
         save_poses({"v0": est}, {"v1": "NoValidPose"}, path)

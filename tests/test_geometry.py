@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import (
     conic_residuals,
-    default_camera,
     ellipses_close,
     ellipsoids_equivalent,
-    look_at_pose,
     random_ellipse,
     random_ellipsoid,
     random_rotation,
@@ -38,6 +36,7 @@ from ellipose.geometry import (
     transform_ellipse,
     wrap_angle_half_pi,
 )
+from ellipose.simulator import default_camera, look_at
 
 
 class TestEllipseConic:
@@ -175,7 +174,7 @@ class TestProjection:
         for _ in range(20):
             E = random_ellipsoid(rng)
             pos = rng.uniform(-1, 1, size=3) * 0.5 + np.array([0, 0, 6.0])
-            pose = look_at_pose(E.center + np.array([0, 0, -1]) * 0 + pos, E.center)
+            pose = look_at(E.center + np.array([0, 0, -1]) * 0 + pos, E.center)
             ell = project_ellipsoid(E, pose, cam)
             pts = sample_ellipsoid_surface(E, 4000)
             pc = (pose.R @ pts.T).T + pose.t

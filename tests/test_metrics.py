@@ -3,18 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from conftest import default_camera, look_at_pose, random_rotation
-from ellipose.errors import BehindCamera, EmptyInput, EmptyPointSet
+from conftest import random_rotation
+from ellipose.errors import BehindCamera, EmptyPointSet
 from ellipose.geometry import Ellipse, Pose, rotation_z
 from ellipose.metrics import (
     add_error,
     ellipse_iou,
-    point_set_diameter,
-    pose_error_report,
     pose_errors,
     reprojection_error,
-    tabulate,
 )
+from ellipose.simulator import default_camera, look_at
 
 
 class TestPoseErrors:
@@ -29,8 +27,8 @@ class TestPoseErrors:
         assert rot == pytest.approx(math.pi)
 
     def test_camera_center_distance(self):
-        gt = look_at_pose((1.0, 0.0, 0.0), (0, 0, 0))
-        est = look_at_pose((1.0, 0.0, 0.05), (0, 0, 0))
+        gt = look_at((1.0, 0.0, 0.0), (0, 0, 0))
+        est = look_at((1.0, 0.0, 0.05), (0, 0, 0))
         _, pos = pose_errors(est, gt)
         assert pos == pytest.approx(0.05, rel=1e-9)
 
@@ -73,35 +71,6 @@ class TestAdd:
         with pytest.raises(EmptyPointSet):
             add_error(gt, gt, np.empty((0, 3)))
 
-    def test_diameter_threshold(self, rng):
-        pts = np.array([[0, 0, 0], [1, 0, 0], [0, 2, 0], [0, 0, 0.5]], float)
-        diam = point_set_diameter(pts)
-        assert diam == pytest.approx(math.sqrt(5.0))
-        gt = Pose(np.eye(3), (0, 0, 5.0))
-        est = Pose(np.eye(3), gt.t + np.array([0.1 * diam, 0, 0]))
-        rep = pose_error_report(est, gt, default_camera(), pts, add_frac=(0.1,))
-        assert rep.passes["add<=10%diam"] is True
-        est2 = Pose(np.eye(3), gt.t + np.array([0.11 * diam, 0, 0]))
-        rep2 = pose_error_report(est2, gt, default_camera(), pts, add_frac=(0.1,))
-        assert rep2.passes["add<=10%diam"] is False
-
-
-class TestTabulate:
-    def test_examples(self):
-        assert tabulate([1.0, 2.0, 3.0], [2.0]) == [pytest.approx(200.0 / 3.0)]
-        assert tabulate([1.0, 2.0, 3.0], [0.5]) == [0.0]
-        assert tabulate([1.0, 2.0, 3.0], [3.0]) == [100.0]
-
-    def test_monotone(self, rng):
-        errors = rng.uniform(0, 10, size=200)
-        taus = np.sort(rng.uniform(0, 10, size=20))
-        out = tabulate(errors, taus)
-        assert all(a <= b for a, b in zip(out, out[1:]))
-
-    def test_empty(self):
-        with pytest.raises(EmptyInput):
-            tabulate([], [1.0])
-
 
 class TestEllipseIoU:
     def test_identical(self):
@@ -131,7 +100,7 @@ class TestRigidInvariance:
         # every metric unchanged
         cam = default_camera()
         pts = rng.uniform(-0.5, 0.5, size=(60, 3)) + np.array([0, 0, 0.0])
-        gt = look_at_pose((2.0, 1.0, 1.5), (0, 0, 0))
+        gt = look_at((2.0, 1.0, 1.5), (0, 0, 0))
         est = Pose(rotation_z(0.01) @ gt.R, gt.t + np.array([0.01, -0.02, 0.005]))
         G_R = random_rotation(rng)
         G_t = rng.normal(size=3)

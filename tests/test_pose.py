@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import default_camera, look_at_pose, random_rotation
+from conftest import random_rotation
 from ellipose.errors import (
     AmbiguousSolution,
     BehindCamera,
@@ -39,7 +39,7 @@ from ellipose.pose import (  # white-box kernels
     _projected_conic,
     _projected_conics,
 )
-from ellipose.simulator import DEG, OrientationNoise, perturb_orientation
+from ellipose.simulator import DEG, OrientationNoise, default_camera, look_at, perturb_orientation
 
 
 def sized_ellipsoid(rng, center_scale=0.5, lo=0.05, hi=0.12):
@@ -55,7 +55,7 @@ def camera_near(rng, target, dist=2.0):
     pos = np.asarray(target) + dist * np.array(
         [math.cos(el) * math.cos(az), math.cos(el) * math.sin(az), math.sin(el)]
     )
-    return look_at_pose(pos, target)
+    return look_at(pos, target)
 
 
 class TestPositionFromPair:
@@ -86,7 +86,7 @@ class TestPositionFromPair:
         # detection center outside the image and far larger than any valid
         # projection: the object would have to cross the principal plane
         ell = Ellipse((900.0, 700.0), (2500.0, 2200.0), 0.2)
-        R = look_at_pose((2.0, 0.0, 0.5), (8.0, 0.0, 0.0)).R  # pointing away
+        R = look_at((2.0, 0.0, 0.5), (8.0, 0.0, 0.0)).R  # pointing away
         with pytest.raises(BehindCamera):
             position_from_pair(Correspondence(ell, E, "x"), R, cam)
 
@@ -188,7 +188,7 @@ class TestPoseFromTwoPairs:
         cam = default_camera()
         E1 = Ellipsoid((0.4, 0.0, 0.0), (0.1, 0.1, 0.1), np.eye(3))
         E2 = Ellipsoid((-0.4, 0.0, 0.0), (0.15, 0.15, 0.15), np.eye(3))
-        pose = look_at_pose((1.2, 1.5, 1.0), (0.0, 0.0, 0.0))
+        pose = look_at((1.2, 1.5, 1.0), (0.0, 0.0, 0.0))
         c1 = Correspondence(project_ellipsoid(E1, pose, cam), E1, "a")
         c2 = Correspondence(project_ellipsoid(E2, pose, cam), E2, "b")
         with pytest.raises(AmbiguousSolution) as ei:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import default_camera, ellipsoids_equivalent, look_at_pose, random_ellipsoid
+from conftest import ellipsoids_equivalent, random_ellipsoid
 from ellipose.errors import DegenerateConfiguration, EmptyInput, InsufficientViews
 from ellipose.geometry import (
     Box,
@@ -23,7 +23,7 @@ from ellipose.reconstruction import (
     reconstruct_ellipsoid,
     reconstruct_from_dual_conics,
 )
-from ellipose.simulator import CameraRig, DEG, sample_cameras, tless_like_board
+from ellipose.simulator import CameraRig, DEG, default_camera, look_at, sample_cameras, tless_like_board
 
 
 def ring_views(n, radius=5.0, target=(0, 0, 0), elevation=0.35, cam=None):
@@ -34,7 +34,7 @@ def ring_views(n, radius=5.0, target=(0, 0, 0), elevation=0.35, cam=None):
         pos = np.array(target) + radius * np.array(
             [math.cos(elevation) * math.cos(az), math.cos(elevation) * math.sin(az), math.sin(elevation)]
         )
-        views.append(CalibratedView(f"v{k}", cam, look_at_pose(pos, target)))
+        views.append(CalibratedView(f"v{k}", cam, look_at(pos, target)))
     return views
 
 
@@ -99,7 +99,7 @@ class TestReconstructEllipsoid:
         # three copies of the same camera: rank-deficient system
         E = Ellipsoid((0, 0, 0), (1, 1, 1), np.eye(3))
         cam = default_camera()
-        pose = look_at_pose((5.0, 0, 1.0), (0, 0, 0))
+        pose = look_at((5.0, 0, 1.0), (0, 0, 0))
         views = [CalibratedView(f"v{k}", cam, pose) for k in range(3)]
         obs = [
             Observation("s", project_ellipsoid(E, pose, cam), f"v{k}") for k in range(3)
@@ -160,7 +160,7 @@ class TestGenerateAnnotations:
         E = Ellipsoid((0, 0, 0), (0.3, 0.3, 0.3), np.eye(3))
         cloud = EllipsoidCloud((("ball", E),))
         cam = default_camera()
-        pose = look_at_pose((0, 0, 3.0), (0, 0, 0))
+        pose = look_at((0, 0, 3.0), (0, 0, 0))
         anns, skipped = generate_annotations(cloud, [CalibratedView("v0", cam, pose)])
         assert not skipped
         label, e, box = anns["v0"][0]
@@ -176,7 +176,7 @@ class TestGenerateAnnotations:
             )
         )
         cam = default_camera()
-        view = CalibratedView("v0", cam, look_at_pose((0, 0, 3.0), (0, 0, 0)))
+        view = CalibratedView("v0", cam, look_at((0, 0, 3.0), (0, 0, 0)))
         anns, skipped = generate_annotations(cloud, [view])
         assert [l for l, _, _ in anns["v0"]] == ["front"]
         assert skipped and skipped[0][:2] == ("v0", "behind")

@@ -1,12 +1,13 @@
 import numpy as np
 
 from ellipose import scenarios
-from ellipose.scenarios import noise_sweep, noisy_orientations, run_pose_experiment
+from ellipose.scenarios import cloud_of_scene, localize_views, noise_sweep, noisy_orientations
 from ellipose.simulator import (
     DEG,
     CameraRig,
     DetectorModel,
     OrientationNoise,
+    run_detector,
     sample_cameras,
     tless_like_board,
 )
@@ -17,26 +18,32 @@ def test_sweep_runs_noise_free_detector_once(monkeypatch):
     views = sample_cameras(CameraRig(0.75, 4, 2))
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(args[2])
-        return run_pose_experiment(*args, **kwargs)
+    def counting(detector, *args, **kwargs):
+        calls.append((detector.kind, detector.box_noise_half_range))
+        return run_detector(detector, *args, **kwargs)
 
-    monkeypatch.setattr(scenarios, "run_pose_experiment", counting)
+    monkeypatch.setattr(scenarios, "run_detector", counting)
     rows = noise_sweep(scene, views, (0.0, 10.0), seed=17)
-    assert [(d.kind, d.box_noise_half_range) for d in calls] == [
-        ("inscribed_of_noisy_box", 0.0),
-        ("oracle_with_box_noise", 0.0),
-        ("inscribed_of_noisy_box", 10.0),
+    # one detector pass runs the detector once per view
+    assert calls == [
+        *[("inscribed_of_noisy_box", 0.0)] * len(views),
+        *[("oracle_with_box_noise", 0.0)] * len(views),
+        *[("inscribed_of_noisy_box", 10.0)] * len(views),
     ]
 
     oracle = {r["half_range_px"]: r for r in rows if r["detector"] == "oracle_with_box_noise"}
     assert oracle[0.0] == {**oracle[10.0], "half_range_px": 0.0}
 
-    orients = noisy_orientations(views, OrientationNoise(2.0 * DEG), 17)
-    results, failures = run_pose_experiment(
-        scene, views, DetectorModel("oracle_with_box_noise", 10.0, seed=17),
-        orientations=orients, seed=17, iterations=8, inlier_iou_threshold=0.35,
+    detector = DetectorModel("oracle_with_box_noise", 10.0, seed=17)
+    _, results, failures = localize_views(
+        views,
+        lambda view: [(label, e) for label, e, _ in run_detector(detector, scene, view)],
+        cloud_of_scene(scene),
+        orientations=noisy_orientations(views, OrientationNoise(2.0 * DEG), 17),
         eval_points=scene.evaluation_points(200),
+        iterations=8,
+        inlier_iou_threshold=0.35,
+        seed=17,
     )
     assert oracle[10.0] == {
         "half_range_px": 10.0,
