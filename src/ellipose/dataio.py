@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, SchemaVersionMismatch
-from .geometry import Box, CameraModel, Ellipse, Ellipsoid, Pose
+from .geometry import Box, CameraModel, Ellipse, Ellipsoid, Pose, _check_rotation, _freeze
 from .multibin import MultibinConfig, MultibinPrediction
 from .reconstruction import CalibratedView, EllipsoidCloud
 from .simulator import SceneObject, SceneSpec
@@ -256,11 +256,11 @@ def load_dataset(path) -> Dataset:
                 )
             except (ValueError, TypeError) as exc:
                 rd.fail(f"bad ellipsoid: {exc}", record)
-            objs.append(
-                SceneObject(
-                    str(rd.get(rec, "label", record)), ellipsoid, rec.get("model_points")
-                )
-            )
+            label = str(rd.get(rec, "label", record))
+            try:
+                objs.append(SceneObject(label, ellipsoid, rec.get("model_points")))
+            except (ValueError, TypeError) as exc:
+                rd.fail(f"bad model points: {exc}", record, "model_points")
         scene = SceneSpec(tuple(objs), float(rd.get(sdoc, "world_scale", "scene")))
     predictions = None
     if doc.get("predictions") is not None:
@@ -369,7 +369,11 @@ def load_annotations(path) -> tuple:
             box = _parse_box(rd.get(rec, "box", record), rd, record)
             rows.append((str(rd.get(rec, "label", record)), e, box))
         out[vid] = rows
-    return out, [tuple(s) for s in doc.get("skipped", [])]
+    skipped = rd.get_list(doc, "skipped", "<root>") if "skipped" in doc else []
+    for j, note in enumerate(skipped):
+        if not isinstance(note, list):
+            rd.fail(f"expected a list, got {type(note).__name__}", f"skipped[{j}]", "skipped")
+    return out, [tuple(note) for note in skipped]
 
 
 def save_orientations(orientations: dict, path) -> None:
@@ -386,9 +390,11 @@ def load_orientations(path) -> dict:
     doc, rd = _load_json(path)
     out = {}
     for vid, R in rd.get_mapping(doc, "orientations", "<root>").items():
-        R = np.asarray(R, float)
-        if R.shape != (3, 3):
-            rd.fail("orientation must be 3x3", f"orientations[{vid}]")
+        try:
+            R = _freeze(R, (3, 3))
+            _check_rotation(R)
+        except (ValueError, TypeError) as exc:
+            rd.fail(f"bad orientation: {exc}", f"orientations[{vid}]")
         out[vid] = R
     return out
 

@@ -28,6 +28,8 @@ CIRCLE_TIE_TOL = 1e-9
 
 _SIGN_TOL = 1e-12
 
+_TRIU: dict = {}  # matrix size -> its row-major upper-triangle indices
+
 
 def _freeze(values, shape) -> np.ndarray:
     a = np.array(values, dtype=float)
@@ -47,7 +49,10 @@ def normalize_symmetric(M: np.ndarray) -> np.ndarray:
     if not np.isfinite(n) or n < 1e-300:
         raise ValueError("cannot normalize a zero matrix")
     M = M / n
-    vals = M[np.triu_indices(M.shape[0])]
+    size = M.shape[0]
+    if size not in _TRIU:
+        _TRIU[size] = np.triu_indices(size)
+    vals = M[_TRIU[size]]
     nz = np.flatnonzero(np.abs(vals) > _SIGN_TOL)
     if nz.size and vals[nz[0]] < 0:
         M = -M
@@ -412,23 +417,118 @@ def project_ellipsoid(E: Ellipsoid, pose: Pose, cam: CameraModel) -> Ellipse:
     quadric crosses the principal plane (outline degenerates to a
     hyperbola).
     """
-    depth = float(pose.R[2] @ E.center + pose.t[2])
-    if depth <= 0.0:
-        raise BehindCamera(f"ellipsoid center depth {depth:.3g} <= 0")
-    P = cam.K @ pose.matrix
-    M = _point_conic_of_projection(P, ellipsoid_to_dual_quadric(E).Q)
-    return conic_to_ellipse(Conic(M))
+    Q = _dual_matrices(E.center[None], E.shape_matrix()[None])
+    centers, axes, angles, errors = _project_dual_quadrics(Q, pose.matrix[None], cam.K[None])
+    if errors[0] is not None:
+        raise errors[0]
+    return Ellipse(centers[0], axes[0], angles[0])
 
 
-def _point_conic_of_projection(P: np.ndarray, Qdual: np.ndarray) -> np.ndarray:
-    """Normalized point conic of a dual quadric under projection P (3x4)."""
-    Cd = P @ Qdual @ P.T
-    det = np.linalg.det(Cd)
-    scale = float(np.abs(Cd).max())
-    if scale <= 0.0 or abs(det) < 1e-14 * scale**3:
-        raise NotAnEllipse("projected dual conic is degenerate")
-    M = np.linalg.inv(Cd)
-    return normalize_symmetric(M)
+def _dual_matrices(centers, shapes):
+    """Dual conics (d = 2) or dual quadrics (d = 3) [[S - c c^T, -c], [-c^T, -1]]
+    of the ellipses or ellipsoids with centers c (n,d) and shape matrices
+    S = R diag(axes^2) R^T (n,d,d); the inverse of the point form
+    [[A, -A c], [-c^T A, c^T A c - 1]] with A = S^-1."""
+    n, d = centers.shape
+    D = np.empty((n, d + 1, d + 1))
+    D[:, :d, :d] = shapes - centers[:, :, None] * centers[:, None, :]
+    D[:, :d, d] = D[:, d, :d] = -centers
+    D[:, d, d] = -1.0
+    return D
+
+
+_FULL = [0, 1, 2, 1, 3, 4, 2, 4, 5]  # upper-triangle index of each raveled 3x3 entry
+
+
+def _adjugate(a, b, c, d, e, f):
+    """Upper-triangle entries (00, 01, 02, 11, 12, 22) of the adjugate of a
+    symmetric 3x3 matrix; works on scalars and on arrays alike."""
+    return (d * f - e * e, c * e - b * f, b * e - c * d,
+            a * f - c * c, b * c - a * e, a * d - b * b)
+
+
+def _unit_point_conics(Cd, in_front):
+    """Point conics of a stack (n,3,3) of dual conics, and the mask of the
+    valid ones: ``in_front`` (the quadric center has positive depth) and
+    not degenerate; rows of invalid ones are NaN.
+
+    The adjugate is the inverse up to scale, so it is scaled to unit
+    Frobenius norm with the first entry of significant size positive (the
+    convention of :func:`normalize_symmetric`).  The pose solvers' rotation
+    search scores its whole start grid through this.
+    """
+    a, b, c = Cd[:, 0, 0], Cd[:, 0, 1], Cd[:, 0, 2]
+    d, e, f = Cd[:, 1, 1], Cd[:, 1, 2], Cd[:, 2, 2]
+    m = np.stack(_adjugate(a, b, c, d, e, f), axis=1)
+    m00, m01, m02, m11, m12, m22 = m.T
+    det = a * m00 + b * m01 + c * m02
+    scale = np.abs(Cd.reshape(-1, 9)).max(axis=1)
+    norm = np.sqrt(
+        m00 * m00 + m11 * m11 + m22 * m22 + 2.0 * (m01 * m01 + m02 * m02 + m12 * m12)
+    )
+    with np.errstate(all="ignore"):
+        valid = in_front & ~(
+            (scale <= 0.0) | (np.abs(det) < 1e-14 * scale**3) | (norm < 1e-300)
+        )
+        s = 1.0 / norm
+        first = np.argmax(np.abs(m) * s[:, None] > 1e-12, axis=1)
+        s = np.where(m[np.arange(len(m)), first] < 0.0, -s, s)
+        u = np.where(valid[:, None], m * s[:, None], np.nan)
+    return u[:, _FULL].reshape(-1, 3, 3), valid
+
+
+_NOT_AN_ELLIPSE = {
+    2: "projected dual conic is degenerate",
+    3: "conic is parabolic or degenerate",
+    4: "conic is a hyperbola",
+    5: "conic has no real bounded point set",
+}
+
+
+def _project_dual_quadrics(Q, Rt, K):
+    """Outlines of a stack of dual quadrics Q (n,4,4) seen by cameras with
+    extrinsics [R | t] (n,3,4) and intrinsics K (n,3,3), with the tests of
+    :func:`conic_to_ellipse`.
+
+    Returns (centers (n,2), axes (n,2), angles (n,), errors): canonical
+    ellipse parameters, and per pair None or the BehindCamera/NotAnEllipse
+    that its projection raises (its parameters are then NaN).
+
+    The adjugate is taken in intrinsics-normalized coordinates: pixel-frame
+    dual-conic entries span several orders of magnitude, and its products
+    would cancel (axes about 50 times less accurate with f = 500 px).
+    """
+    depth = np.einsum("ni,ni->n", Rt[:, 2], Q[:, :, 3]) / Q[:, 3, 3]
+    M, valid = _unit_point_conics(Rt @ Q @ Rt.transpose(0, 2, 1), depth > 0.0)
+    Kinv = np.linalg.inv(K)
+    M = Kinv.transpose(0, 2, 1) @ M @ Kinv
+    M[~valid] = np.diag([1.0, 1.0, -1.0])  # placeholder, keeps LAPACK finite
+    M[np.trace(M[:, :2, :2], axis1=1, axis2=2) < 0.0] *= -1.0  # positive leading block
+    A = M[:, :2, :2]
+    lam, V = np.linalg.eigh(A)
+    scale = np.abs(lam).max(axis=1)
+    parabolic = (scale <= 0.0) | (np.abs(lam).min(axis=1) <= 1e-12 * scale)
+    hyperbola = lam[:, 0] * lam[:, 1] < 0.0
+    A[parabolic] = np.eye(2)  # placeholder, keeps the solve nonsingular
+    centers = np.linalg.solve(A, -M[:, :2, 2:])[:, :, 0]
+    k = np.einsum("ni,ni->n", M[:, :2, 2], centers) + M[:, 2, 2]  # conic value at the center
+    code = np.select(
+        [depth <= 0.0, ~valid, parabolic, hyperbola, k >= 0.0], [1, 2, 3, 4, 5], 0
+    )
+    ok = code == 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        axes = np.sqrt(-k[:, None] / lam)  # ascending lam -> axes already sorted a >= b
+    angles = (np.arctan2(V[:, 1, 0], V[:, 0, 0]) + 0.5 * math.pi) % math.pi - 0.5 * math.pi
+    angles[angles <= -0.5 * math.pi] = 0.5 * math.pi
+    angles[np.abs(axes[:, 0] - axes[:, 1]) <= CIRCLE_TIE_TOL * axes[:, 0]] = 0.0
+    centers[~ok] = axes[~ok] = angles[~ok] = np.nan
+    errors = [
+        None if c == 0
+        else BehindCamera(f"ellipsoid center depth {z:.3g} <= 0") if c == 1
+        else NotAnEllipse(_NOT_AN_ELLIPSE[c])
+        for c, z in zip(code.tolist(), depth.tolist())
+    ]
+    return centers, axes, angles, errors
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,9 @@ from .geometry import (
     ellipsoid_to_dual_quadric,
     normalize_symmetric,
     rotation_z,
+    _FULL,
+    _adjugate,
+    _unit_point_conics,
 )
 from .metrics import ellipse_iou, rotation_distance
 from .reconstruction import EllipsoidCloud
@@ -141,15 +144,7 @@ class _PairData:
 
 _UPPER = [0, 1, 2, 4, 5, 8]  # raveled 3x3 index of entries 00, 01, 02, 11, 12, 22
 _UPPER_T = [0, 3, 6, 4, 7, 8]  # raveled index of the same entries of the transpose
-_FULL = [0, 1, 2, 1, 3, 4, 2, 4, 5]  # upper-triangle index of each raveled 3x3 entry
 _FROBENIUS_WEIGHTS = np.array([1.0, 2.0, 2.0, 1.0, 2.0, 1.0])
-
-
-def _adjugate(a, b, c, d, e, f):
-    """Upper-triangle entries (00, 01, 02, 11, 12, 22) of the adjugate of a
-    symmetric 3x3 matrix; works on scalars and on arrays alike."""
-    return (d * f - e * e, c * e - b * f, b * e - c * d,
-            a * f - c * c, b * c - a * e, a * d - b * b)
 
 
 def _unit_adjugate(Cd):
@@ -216,28 +211,8 @@ def _projected_conics(Rs, ts, pair: _PairData):
     whose projection is valid; rows of invalid poses are NaN.
     """
     P = np.concatenate([Rs, ts[:, :, None]], axis=2)
-    Cd = np.einsum("nij,jk,nlk->nil", P, pair.Qd, P)
-    a, b, c = Cd[:, 0, 0], Cd[:, 0, 1], Cd[:, 0, 2]
-    d, e, f = Cd[:, 1, 1], Cd[:, 1, 2], Cd[:, 2, 2]
-    m = np.stack(_adjugate(a, b, c, d, e, f), axis=1)
-    m00, m01, m02, m11, m12, m22 = m.T
-    det = a * m00 + b * m01 + c * m02
-    scale = np.abs(Cd.reshape(-1, 9)).max(axis=1)
-    norm = np.sqrt(
-        m00 * m00 + m11 * m11 + m22 * m22 + 2.0 * (m01 * m01 + m02 * m02 + m12 * m12)
-    )
-    with np.errstate(all="ignore"):
-        valid = ~(
-            (Rs[:, 2] @ pair.center_w + ts[:, 2] <= 0.0)
-            | (scale <= 0.0)
-            | (np.abs(det) < 1e-14 * scale**3)
-            | (norm < 1e-300)
-        )
-        s = 1.0 / norm
-        first = np.argmax(np.abs(m) * s[:, None] > 1e-12, axis=1)
-        s = np.where(m[np.arange(len(m)), first] < 0.0, -s, s)
-        u = np.where(valid[:, None], m * s[:, None], np.nan)
-    return u[:, _FULL].reshape(-1, 3, 3), valid
+    in_front = Rs[:, 2] @ pair.center_w + ts[:, 2] > 0.0
+    return _unit_point_conics(np.einsum("nij,jk,nlk->nil", P, pair.Qd, P), in_front)
 
 
 def _conic_jacobian(R, t, pair: _PairData, dP):

@@ -2,10 +2,14 @@
 and ground-truth annotation generation by reprojection.
 
 Each view of an object constrains its dual quadric through the linear
-relation C* ~ P Q* P^T.  The per-view scales are kept as explicit unknowns
-and the stacked homogeneous system is solved by the smallest singular
-vector; image coordinates are normalized by the intrinsics beforehand to
-keep the system well conditioned.
+relation C* ~ P Q* P^T, which holds up to an unknown per-view scale.  That
+scale is projected out: each view's six equations are multiplied by
+(I - c c^T), with c the unit vector of the view's dual-conic entries, and
+the stacked homogeneous system in the ten quadric entries alone is solved
+by its smallest singular vector (the scale-per-view formulation of Rubino,
+Crocco & Del Bue, "3D Object Localisation from Multi-View Image
+Detections", TPAMI 2018).  Image coordinates are normalized by the
+intrinsics beforehand to keep the system well conditioned.
 """
 
 from __future__ import annotations
@@ -15,17 +19,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    BehindCamera,
     DegenerateConfiguration,
     ElliposeError,
     EmptyInput,
     InsufficientViews,
-    NotAnEllipse,
 )
 from .geometry import (
     Box,
     CameraModel,
-    Conic,
     DualQuadric,
     Ellipse,
     Ellipsoid,
@@ -33,18 +34,18 @@ from .geometry import (
     bbox_of_ellipse,
     canonicalize,
     dual_quadric_to_ellipsoid,
-    ellipse_to_conic,
     inscribed_ellipse,
-    normalize_symmetric,
-    project_ellipsoid,
+    _dual_matrices,
+    _project_dual_quadrics,
 )
 
 MIN_VIEWS = 3
 
-# Index pairs of the 10 independent entries of a symmetric 4x4 matrix and
-# of the 6 entries of a symmetric 3x3 matrix, row-major upper triangle.
-_QUAD_PAIRS = [(i, j) for i in range(4) for j in range(i, 4)]
-_CONIC_PAIRS = [(i, j) for i in range(3) for j in range(i, 3)]
+# Row and column indices of the 10 independent entries of a symmetric 4x4
+# matrix and of the 6 entries of a symmetric 3x3 matrix, row-major upper
+# triangle.
+_QUAD_I, _QUAD_J = np.triu_indices(4)
+_CONIC_I, _CONIC_J = np.triu_indices(3)
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,49 +87,28 @@ class EllipsoidCloud:
         return [l for l, _ in self.entries]
 
 
-def _normalized_dual_conic(e: Ellipse, cam: CameraModel) -> np.ndarray:
-    """Dual conic of a detected ellipse in intrinsics-normalized coordinates."""
-    M = ellipse_to_conic(e).M
-    Cd = np.linalg.inv(M)
-    Kinv = np.linalg.inv(cam.K)
-    return normalize_symmetric(Kinv @ Cd @ Kinv.T)
-
-
-def _dual_projection_rows(P: np.ndarray) -> np.ndarray:
-    """6x10 map from the quadric entries to the projected dual-conic entries."""
-    B = np.empty((6, 10))
-    for k, (i, j) in enumerate(_QUAD_PAIRS):
-        E = np.zeros((4, 4))
-        E[i, j] = E[j, i] = 1.0
-        C = P @ E @ P.T
-        B[:, k] = [C[a, b] for a, b in _CONIC_PAIRS]
-    return B
-
-
-def _quadric_from_vector(q: np.ndarray) -> np.ndarray:
-    Q = np.empty((4, 4))
-    for k, (i, j) in enumerate(_QUAD_PAIRS):
-        Q[i, j] = Q[j, i] = q[k]
-    return Q
-
-
 def reconstruct_from_dual_conics(duals, projections) -> Ellipsoid:
-    """Solve the stacked system B_i q = s_i c_i for the dual quadric.
+    """Solve the stacked system B_i q ~ c_i for the dual quadric.
 
-    ``duals`` are per-view dual-conic matrices (any positive scale),
-    ``projections`` the matching 3x4 normalized projection matrices.  The
-    joint null vector over (q, s_1..s_m) is taken from the SVD.
+    ``duals`` are per-view dual-conic matrices (any nonzero scale),
+    ``projections`` the matching 3x4 normalized projection matrices.  Each
+    view's rows are multiplied by (I - c c^T), c its unit 6-vector of
+    dual-conic entries, which removes the unknown per-view scale; the
+    quadric is the smallest right singular vector of the reduced system.
     """
-    m = len(duals)
+    C = np.asarray(duals, float)
+    P = np.asarray(projections, float)
+    m = len(C)
     if m < MIN_VIEWS:
         raise InsufficientViews(f"{m} views given, at least {MIN_VIEWS} required")
-    A = np.zeros((6 * m, 10 + m))
-    for i, (Cd, P) in enumerate(zip(duals, projections)):
-        Cd = normalize_symmetric(np.asarray(Cd, float))
-        rows = slice(6 * i, 6 * i + 6)
-        A[rows, :10] = _dual_projection_rows(np.asarray(P, float))
-        A[rows, 10 + i] = -np.array([Cd[a, b] for a, b in _CONIC_PAIRS])
-    _, s, vt = np.linalg.svd(A, full_matrices=False)
+    c = C[:, _CONIC_I, _CONIC_J]
+    c /= np.linalg.norm(c, axis=1, keepdims=True)
+    # B_i[r, k]: entry r of P_i E_k P_i^T, E_k the symmetric unit matrix of entry k
+    a, b = _CONIC_I[:, None], _CONIC_J[:, None]
+    B = P[:, a, _QUAD_I] * P[:, b, _QUAD_J] + P[:, a, _QUAD_J] * P[:, b, _QUAD_I]
+    B[:, :, _QUAD_I == _QUAD_J] *= 0.5
+    B -= c[:, :, None] * np.einsum("mr,mrk->mk", c, B)[:, None, :]
+    _, s, vt = np.linalg.svd(B.reshape(6 * m, 10), full_matrices=False)
     # A rank-deficiency of two or more means the solution is not unique.
     # The smallest-singular-value ratio test only applies when the data are
     # consistent enough to produce a genuine null vector.
@@ -138,10 +118,9 @@ def reconstruct_from_dual_conics(duals, projections) -> Ellipsoid:
         raise DegenerateConfiguration(
             "singular value gap too small for a unique solution"
         )
-    q = vt[-1, :10]
-    if np.linalg.norm(q) < 1e-12:
-        raise DegenerateConfiguration("null vector carries no quadric")
-    return dual_quadric_to_ellipsoid(DualQuadric(_quadric_from_vector(q)))
+    Q = np.empty((4, 4))
+    Q[_QUAD_I, _QUAD_J] = Q[_QUAD_J, _QUAD_I] = vt[-1]
+    return dual_quadric_to_ellipsoid(DualQuadric(Q))
 
 
 def reconstruct_ellipsoid(observations, views) -> Ellipsoid:
@@ -156,14 +135,20 @@ def reconstruct_ellipsoid(observations, views) -> Ellipsoid:
         raise InsufficientViews(
             f"{len(seen)} distinct views, at least {MIN_VIEWS} required"
         )
-    duals, projections = [], []
     for o in observations:
         if o.view_id not in by_id:
             raise ValueError(f"observation references unknown view {o.view_id!r}")
-        v = by_id[o.view_id]
-        duals.append(_normalized_dual_conic(o.ellipse, v.cam))
-        projections.append(v.pose.matrix)
-    return reconstruct_from_dual_conics(duals, projections)
+    seen_from = [by_id[o.view_id] for o in observations]
+    ellipses = [o.ellipse for o in observations]
+    axes = np.array([e.axes for e in ellipses])
+    angles = np.array([e.angle for e in ellipses])
+    cos, sin = np.cos(angles), np.sin(angles)
+    R = np.stack([np.stack([cos, -sin], 1), np.stack([sin, cos], 1)], 1)
+    shapes = np.einsum("nij,nj,nkj->nik", R, axes**2, R)
+    pixel_duals = _dual_matrices(np.array([e.center for e in ellipses]), shapes)
+    Kinv = np.linalg.inv(np.array([v.cam.K for v in seen_from]))
+    duals = Kinv @ pixel_duals @ Kinv.transpose(0, 2, 1)
+    return reconstruct_from_dual_conics(duals, [v.pose.matrix for v in seen_from])
 
 
 def reconstruct_cloud(boxes_by_view, views, *, allow_partial: bool = False):
@@ -203,16 +188,27 @@ def generate_annotations(cloud: EllipsoidCloud, views):
     (label, Ellipse, Box); objects behind the camera or without an elliptic
     outline are skipped with a per-item note.
     """
+    views = list(views)
+    ellipsoids = [E for _, E in cloud.entries]
+    Q = _dual_matrices(
+        np.array([E.center for E in ellipsoids]).reshape(-1, 3),
+        np.array([E.shape_matrix() for E in ellipsoids]).reshape(-1, 3, 3),
+    )
+    Rt = np.array([v.pose.matrix for v in views]).reshape(-1, 3, 4)
+    K = np.array([v.cam.K for v in views]).reshape(-1, 3, 3)
+    # one pair per (view, label), view-major like the returned rows
+    projected = zip(*_project_dual_quadrics(
+        np.tile(Q, (len(views), 1, 1)), np.repeat(Rt, len(Q), axis=0), np.repeat(K, len(Q), axis=0)
+    ))
     annotations: dict = {}
     skipped: list = []
     for v in views:
         rows = []
-        for label, ellipsoid in cloud.entries:
-            try:
-                e = project_ellipsoid(ellipsoid, v.pose, v.cam)
-            except (BehindCamera, NotAnEllipse) as exc:
+        for label, (center, axes, angle, exc) in zip(cloud.labels, projected):
+            if exc is not None:
                 skipped.append((v.view_id, label, f"{type(exc).__name__}: {exc}"))
                 continue
+            e = Ellipse(center, axes, angle)
             rows.append((label, e, bbox_of_ellipse(e)))
         annotations[v.view_id] = rows
     return annotations, skipped

@@ -196,6 +196,28 @@ class TestPoseCommand:
         err = capsys.readouterr().err
         assert f"file={opath}" in err and f"record={views[3].view_id}" in err
 
+    def test_bad_skipped_in_annotations_file_is_parse_error(self, board, tmp_path, capsys):
+        scene, views, dataset, dpath = board
+        cloud_path = tmp_path / "cloud.json"
+        dataio.save_cloud(cloud_of_scene(scene), cloud_path)
+        ann_path = tmp_path / "ann.json"
+        assert main(["annotate", "--dataset", str(dpath), "--cloud", str(cloud_path),
+                     "--out", str(ann_path)]) == 0
+        doc = json.loads(ann_path.read_text())
+        doc["skipped"] = 5
+        ann_path.write_text(json.dumps(doc))
+        rc = main(
+            [
+                "pose", "--dataset", str(dpath), "--cloud", str(cloud_path),
+                "--annotations-file", str(ann_path),
+                "--out-poses", str(tmp_path / "p.json"),
+                "--out-metrics", str(tmp_path / "m.csv"),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"file={ann_path}" in err and "record=<root>" in err and "field=skipped" in err
+
     def test_sceneless_dataset_nan_scene_metrics(self, board, tmp_path):
         scene, views, dataset, dpath = board
         dataio.save_dataset(Dataset(views, dataset.annotations), dpath)

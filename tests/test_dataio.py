@@ -151,6 +151,19 @@ class TestDatasetRoundTrip:
         assert ei.value.file == str(path)
         assert ei.value.field == keys[-1]
 
+    @pytest.mark.parametrize("model_points", [[[1, 2]], [["a", 0, 0]]], ids=["2d", "non_numeric"])
+    def test_bad_model_points_named(self, dataset, tmp_path, model_points):
+        path = tmp_path / "d.json"
+        save_dataset(dataset, path)
+        doc = json.loads(path.read_text())
+        doc["scene"]["objects"][0]["model_points"] = model_points
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError) as ei:
+            load_dataset(path)
+        assert ei.value.file == str(path)
+        assert ei.value.record == "scene.objects[0]"
+        assert ei.value.field == "model_points"
+
     def test_duplicate_view_ids_rejected(self, rng):
         cam = default_camera()
         v = CalibratedView("v0", cam, look_at((1, 1, 1), (0, 0, 0)))
@@ -191,6 +204,40 @@ class TestOtherFiles:
         path = tmp_path / "o.json"
         save_orientations({"v0": R}, path)
         assert np.array_equal(load_orientations(path)["v0"], R)
+
+    @pytest.mark.parametrize("skipped, record", [(5, "<root>"), ([7], "skipped[0]")], ids=["number", "entry"])
+    def test_bad_skipped_named(self, rng, tmp_path, skipped, record):
+        path = tmp_path / "a.json"
+        save_annotations({}, [], path)
+        doc = json.loads(path.read_text())
+        doc["skipped"] = skipped
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError) as ei:
+            load_annotations(path)
+        assert ei.value.file == str(path)
+        assert ei.value.record == record
+        assert ei.value.field == "skipped"
+
+    @pytest.mark.parametrize(
+        "R",
+        [
+            [[2, 0, 0], [0, 1, 0], [0, 0, 1]],
+            [[1, 0, 0], [0, 1, 0], [0, 0, -1]],
+            [["x", 0, 0], [0, 1, 0], [0, 0, 1]],
+            [[1, 0, 0], [0, 1, 0]],
+        ],
+        ids=["scaled", "reflection", "non_numeric", "2x3"],
+    )
+    def test_bad_orientation_named(self, tmp_path, R):
+        path = tmp_path / "o.json"
+        save_orientations({}, path)
+        doc = json.loads(path.read_text())
+        doc["orientations"]["v0"] = R
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError) as ei:
+            load_orientations(path)
+        assert ei.value.file == str(path)
+        assert ei.value.record == "orientations[v0]"
 
     def test_poses_file(self, rng, tmp_path):
         pose = look_at((1, 1, 1), (0, 0, 0))

@@ -35,6 +35,8 @@ from ellipose.geometry import (
     transform_conic,
     transform_ellipse,
     wrap_angle_half_pi,
+    _dual_matrices,
+    _project_dual_quadrics,
 )
 from ellipose.simulator import default_camera, look_at
 
@@ -190,6 +192,83 @@ class TestProjection:
             )
             q = (local[:, 0] / ell.axes[0]) ** 2 + (local[:, 1] / ell.axes[1]) ** 2
             assert q.max() > 0.999
+
+
+def _reference_outline(E, pose, cam):
+    """Outline by the textbook route: C = inv(K [R|t] Q* [R|t]^T K^T), then
+    the center, axes and angle of the point conic C; or the exception the
+    projection must raise, as BehindCamera or a NotAnEllipse message."""
+    if pose.R[2] @ E.center + pose.t[2] <= 0.0:
+        return BehindCamera
+    Z = np.eye(4)
+    Z[:3, :3] = E.rotation
+    Z[:3, 3] = E.center
+    P = cam.K @ np.column_stack([pose.R, pose.t])
+    C = np.linalg.inv(P @ Z @ np.diag(np.append(E.axes**2, -1.0)) @ Z.T @ P.T)
+    lam = np.linalg.eigvalsh(C[:2, :2])
+    if np.abs(lam).min() <= 1e-12 * np.abs(lam).max():
+        return "conic is parabolic or degenerate"
+    if lam[0] * lam[1] < 0.0:
+        return "conic is a hyperbola"
+    if lam[0] < 0.0:
+        C = -C
+    center = -np.linalg.solve(C[:2, :2], C[:2, 2])
+    k = C[2, 2] + C[:2, 2] @ center
+    if k >= 0.0:
+        return "conic has no real bounded point set"
+    lam, V = np.linalg.eigh(C[:2, :2])
+    return center, np.sqrt(-k / lam), math.atan2(V[1, 0], V[0, 0])
+
+
+class TestProjectionKernel:
+    def test_batch_matches_reference(self, rng):
+        cam = default_camera()
+        cases = []
+        for kind in ["front", "behind", "inside", "straddle"] * 30:
+            E = random_ellipsoid(rng)
+            if kind == "front":
+                d = rng.uniform(2.0, 8.0) * E.max_axis
+            elif kind == "behind":
+                d = -rng.uniform(0.1, 5.0)
+            else:  # center in front, but the principal plane cuts the ellipsoid
+                d = rng.uniform(0.05, 0.5) * E.axes.min()
+            # camera-frame center: near the optical axis, or beside the camera
+            # so that the camera center lies outside the ellipsoid
+            side = rng.uniform(1.5, 3.0) * E.max_axis if kind == "straddle" else 0.0
+            x_cam = np.array([side, 0.0, 0.0]) + np.array([*rng.uniform(-0.3, 0.3, 2) * abs(d), d])
+            R = random_rotation(rng)
+            cases.append((E, Pose(R, x_cam - R @ E.center)))
+        Q = _dual_matrices(
+            np.array([E.center for E, _ in cases]), np.array([E.shape_matrix() for E, _ in cases])
+        )
+        Rt = np.array([pose.matrix for _, pose in cases])
+        centers, axes, angles, errors = _project_dual_quadrics(Q, Rt, np.array([cam.K] * len(cases)))
+        kinds = set()
+        for (E, pose), c, ax, ang, exc in zip(cases, centers, axes, angles, errors):
+            want = _reference_outline(E, pose, cam)
+            if not isinstance(want, tuple):
+                kinds.add(want)
+                if want is BehindCamera:
+                    assert type(exc) is BehindCamera
+                else:
+                    assert type(exc) is NotAnEllipse and str(exc) == want
+                assert np.isnan(c).all() and np.isnan(ax).all()
+                with pytest.raises(type(exc)):
+                    project_ellipsoid(E, pose, cam)
+                continue
+            kinds.add(None)
+            assert exc is None
+            w_center, w_axes, w_angle = want
+            scale = max(1.0, float(np.abs(w_center).max()))
+            assert np.abs(c - w_center).max() <= 1e-9 * scale
+            assert np.abs(ax - w_axes).max() <= 1e-9 * w_axes.max()
+            assert abs(wrap_angle_half_pi(ang - w_angle)) <= 1e-6
+            single = project_ellipsoid(E, pose, cam)
+            assert np.array_equal(single.center, c) and np.array_equal(single.axes, ax)
+            assert single.angle == ang
+        assert kinds == {
+            None, BehindCamera, "conic is a hyperbola", "conic has no real bounded point set"
+        }
 
 
 class TestBoxes:

@@ -7,9 +7,11 @@ from conftest import ellipsoids_equivalent, random_ellipsoid
 from ellipose.errors import DegenerateConfiguration, EmptyInput, InsufficientViews
 from ellipose.geometry import (
     Box,
+    DualQuadric,
     Ellipsoid,
     bbox_of_ellipse,
     conic_distance,
+    dual_quadric_to_ellipsoid,
     ellipse_to_conic,
     project_ellipsoid,
 )
@@ -42,6 +44,39 @@ def exact_observations(E, label, views):
     return [
         Observation(label, project_ellipsoid(E, v.pose, v.cam), v.view_id) for v in views
     ]
+
+
+def exact_duals(E, views):
+    """Intrinsics-normalized dual conics of exact outlines, and the views' [R | t]."""
+    duals, projections = [], []
+    for v in views:
+        Kinv = np.linalg.inv(v.cam.K)
+        M = ellipse_to_conic(project_ellipsoid(E, v.pose, v.cam)).M
+        duals.append(Kinv @ np.linalg.inv(M) @ Kinv.T)
+        projections.append(v.pose.matrix)
+    return duals, projections
+
+
+def unreduced_solve(duals, projections):
+    """Dual quadric from B_i q = s_i c_i with one scale unknown per view:
+    the null vector of the 6m x (10+m) system, conic entries unit-Frobenius."""
+    quad = [(i, j) for i in range(4) for j in range(i, 4)]
+    conic = [(i, j) for i in range(3) for j in range(i, 3)]
+    m = len(duals)
+    A = np.zeros((6 * m, 10 + m))
+    for v, (Cd, P) in enumerate(zip(duals, projections)):
+        Cd = Cd / np.linalg.norm(Cd)
+        for k, (i, j) in enumerate(quad):
+            Ek = np.zeros((4, 4))
+            Ek[i, j] = Ek[j, i] = 1.0
+            C = P @ Ek @ P.T
+            A[6 * v:6 * v + 6, k] = [C[a, b] for a, b in conic]
+        A[6 * v:6 * v + 6, 10 + v] = [-Cd[a, b] for a, b in conic]
+    q = np.linalg.svd(A)[2][-1, :10]
+    Q = np.empty((4, 4))
+    for k, (i, j) in enumerate(quad):
+        Q[i, j] = Q[j, i] = q[k]
+    return Q
 
 
 class TestReconstructEllipsoid:
@@ -83,29 +118,43 @@ class TestReconstructEllipsoid:
         # white-box: the stacked solver must ignore per-view conic scales
         E = random_ellipsoid(rng, center_scale=0.2)
         views = ring_views(4, radius=5.0)
-        duals, projections = [], []
-        for v in views:
-            e = project_ellipsoid(E, v.pose, v.cam)
-            Kinv = np.linalg.inv(v.cam.K)
-            Cd = Kinv @ np.linalg.inv(ellipse_to_conic(e).M) @ Kinv.T
-            duals.append(Cd)
-            projections.append(v.pose.matrix)
+        duals, projections = exact_duals(E, views)
         a = reconstruct_from_dual_conics(duals, projections)
         scales = rng.uniform(0.01, 100.0, size=len(duals))
         b = reconstruct_from_dual_conics([s * d for s, d in zip(scales, duals)], projections)
         assert ellipsoids_equivalent(a, b, tol=1e-9)
 
-    def test_degenerate_identical_viewpoints(self):
-        # three copies of the same camera: rank-deficient system
+    def test_matches_unreduced_system(self, rng):
+        # the scale-free solve equals the 6m x (10+m) system that keeps one
+        # scale unknown per view, on exact outlines
+        for _ in range(5):
+            E = random_ellipsoid(rng, center_scale=0.3)
+            views = ring_views(int(rng.integers(3, 9)), radius=6.0, elevation=rng.uniform(0.2, 0.8))
+            duals, projections = exact_duals(E, views)
+            got = reconstruct_from_dual_conics(duals, projections)
+            want = dual_quadric_to_ellipsoid(DualQuadric(unreduced_solve(duals, projections)))
+            assert ellipsoids_equivalent(got, want, tol=1e-12)
+
+    @staticmethod
+    def assert_degenerate(targets):
+        # every view is taken from one camera center, so every view sees the
+        # same cone: the system is rank-deficient
         E = Ellipsoid((0, 0, 0), (1, 1, 1), np.eye(3))
         cam = default_camera()
-        pose = look_at((5.0, 0, 1.0), (0, 0, 0))
-        views = [CalibratedView(f"v{k}", cam, pose) for k in range(3)]
-        obs = [
-            Observation("s", project_ellipsoid(E, pose, cam), f"v{k}") for k in range(3)
+        views = [
+            CalibratedView(f"v{k}", cam, look_at((5.0, 0, 1.0), t)) for k, t in enumerate(targets)
         ]
         with pytest.raises(DegenerateConfiguration):
-            reconstruct_ellipsoid(obs, views)
+            reconstruct_ellipsoid(exact_observations(E, "s", views), views)
+        duals, projections = exact_duals(E, views)
+        with pytest.raises(DegenerateConfiguration):
+            reconstruct_from_dual_conics(duals, projections)
+
+    def test_degenerate_identical_viewpoints(self):
+        self.assert_degenerate([(0, 0, 0)] * 3)
+
+    def test_degenerate_one_camera_center(self):
+        self.assert_degenerate([(0, 0, 0), (0, 0.3, 0), (0, 0, 0.3)])
 
 
 class TestReconstructCloud:
@@ -179,7 +228,7 @@ class TestGenerateAnnotations:
         view = CalibratedView("v0", cam, look_at((0, 0, 3.0), (0, 0, 0)))
         anns, skipped = generate_annotations(cloud, [view])
         assert [l for l, _, _ in anns["v0"]] == ["front"]
-        assert skipped and skipped[0][:2] == ("v0", "behind")
+        assert skipped == [("v0", "behind", "BehindCamera: ellipsoid center depth -6 <= 0")]
 
     def test_inscribed_reconstruction_not_fully_coherent(self):
         # ellipses inscribed in boxes are not exact outlines, so reprojecting
