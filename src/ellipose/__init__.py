@@ -72,10 +72,8 @@ from .pose import (
     PoseEstimate,
     RansacOptions,
     RefineResult,
-    enumerate_associations,
     pose_from_two_pairs,
     position_from_pair,
-    ransac_iterations,
     ransac_pose,
     refine_pose,
 )

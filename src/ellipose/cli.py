@@ -6,7 +6,6 @@ Exit codes: 0 success, 2 parse/usage error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import dataio
@@ -140,18 +139,10 @@ def _cmd_pose(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    with open(args.scenario, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}", file=args.scenario) from exc
-    if doc.get("schema_version") != dataio.SCHEMA_VERSION:
-        raise SchemaVersionMismatch(f"{args.scenario}: unsupported schema_version")
-    name = doc.get("name")
-    if not name:
-        raise ParseError("missing field", file=args.scenario, field="name")
-    seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
-    paths = run_scenario(name, doc.get("params", {}), args.out_dir, seed)
+    name, params, seed = dataio.load_scenario(args.scenario)
+    if args.seed is not None:
+        seed = args.seed
+    paths = run_scenario(name, params, args.out_dir, seed)
     for p in paths:
         print(f"wrote {p}")
     return EXIT_OK

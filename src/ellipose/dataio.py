@@ -166,6 +166,16 @@ class _Reader:
     def get_list(self, obj, key, record):
         return self._get_typed(obj, key, record, list, "a list")
 
+    def get_number(self, obj, key, record, kind=float):
+        value = self.get(obj, key, record)
+        try:
+            return kind(value)
+        except (TypeError, ValueError) as exc:
+            raise ParseError(
+                f"expected a number, got {type(value).__name__}",
+                file=self.file, record=record, field=key,
+            ) from exc
+
     def _get_typed(self, obj, key, record, kind, name):
         value = self.get(obj, key, record)
         if not isinstance(value, kind):
@@ -195,8 +205,28 @@ def _load_json(path) -> tuple:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", file=str(path)) from exc
+    except (IsADirectoryError, PermissionError) as exc:
+        raise ParseError(f"cannot read: {exc.strerror}", file=str(path)) from exc
+    if not isinstance(doc, dict):
+        rd.fail(f"expected a JSON object, got {type(doc).__name__}", "<root>")
     _check_schema(doc, rd)
     return doc, rd
+
+
+def load_scenario(path) -> tuple:
+    """(name, params, seed) of a scenario file; the seed defaults to 0 and
+    the params to an empty object."""
+    doc, rd = _load_json(path)
+    name = rd.get(doc, "name", "<root>")
+    if not isinstance(name, str) or not name:
+        rd.fail("expected a scenario name", "<root>", "name")
+    params = doc.get("params")
+    if params is None:
+        params = {}
+    elif not isinstance(params, dict):
+        rd.fail(f"expected an object, got {type(params).__name__}", "<root>", "params")
+    seed = rd.get_number(doc, "seed", "<root>", int) if "seed" in doc else 0
+    return name, params, seed
 
 
 def _parse_view(rec, rd: _Reader, idx: int) -> CalibratedView:
@@ -261,14 +291,16 @@ def load_dataset(path) -> Dataset:
                 objs.append(SceneObject(label, ellipsoid, rec.get("model_points")))
             except (ValueError, TypeError) as exc:
                 rd.fail(f"bad model points: {exc}", record, "model_points")
-        scene = SceneSpec(tuple(objs), float(rd.get(sdoc, "world_scale", "scene")))
+        scene = SceneSpec(tuple(objs), rd.get_number(sdoc, "world_scale", "scene"))
     predictions = None
     if doc.get("predictions") is not None:
         pdoc = doc["predictions"]
-        cfg = MultibinConfig(
-            int(rd.get(pdoc, "n_bins", "predictions")),
-            float(rd.get(pdoc, "overlap_fraction", "predictions")),
-        )
+        n_bins = rd.get_number(pdoc, "n_bins", "predictions", int)
+        overlap = rd.get_number(pdoc, "overlap_fraction", "predictions")
+        try:
+            cfg = MultibinConfig(n_bins, overlap)
+        except ValueError as exc:
+            rd.fail(f"bad multibin configuration: {exc}", "predictions")
         records = {}
         rec_doc = rd.get_mapping(pdoc, "records", "predictions")
         for vid in rec_doc:
@@ -286,7 +318,7 @@ def load_dataset(path) -> Dataset:
                     rd.fail(f"bad prediction: {exc}", record)
                 rows.append(PredictionRecord(str(rd.get(rec, "label", record)), box, pred))
             records[vid] = rows
-        predictions = PredictionSet(float(rd.get(pdoc, "crop_size", "predictions")), cfg, records)
+        predictions = PredictionSet(rd.get_number(pdoc, "crop_size", "predictions"), cfg, records)
     try:
         return Dataset(views, annotations, scene, predictions)
     except ValueError as exc:

@@ -438,6 +438,10 @@ def _dual_matrices(centers, shapes):
 
 
 _FULL = [0, 1, 2, 1, 3, 4, 2, 4, 5]  # upper-triangle index of each raveled 3x3 entry
+_UPPER = [0, 1, 2, 4, 5, 8]  # raveled 3x3 index of entries 00, 01, 02, 11, 12, 22
+# adjugate entry k is x[P[k]] * x[Q[k]] - x[R[k]] * x[S[k]] over the upper entries x
+_ADJ_P, _ADJ_Q = [3, 2, 1, 0, 1, 0], [5, 4, 4, 5, 2, 3]
+_ADJ_R, _ADJ_S = [4, 1, 2, 2, 0, 1], [4, 5, 3, 2, 4, 1]
 
 
 def _adjugate(a, b, c, d, e, f):
@@ -457,15 +461,12 @@ def _unit_point_conics(Cd, in_front):
     convention of :func:`normalize_symmetric`).  The pose solvers' rotation
     search scores its whole start grid through this.
     """
-    a, b, c = Cd[:, 0, 0], Cd[:, 0, 1], Cd[:, 0, 2]
-    d, e, f = Cd[:, 1, 1], Cd[:, 1, 2], Cd[:, 2, 2]
-    m = np.stack(_adjugate(a, b, c, d, e, f), axis=1)
-    m00, m01, m02, m11, m12, m22 = m.T
-    det = a * m00 + b * m01 + c * m02
+    x = Cd.reshape(-1, 9)[:, _UPPER]  # (a, b, c, d, e, f)
+    m = x[:, _ADJ_P] * x[:, _ADJ_Q] - x[:, _ADJ_R] * x[:, _ADJ_S]  # the terms of _adjugate
+    det = x[:, 0] * m[:, 0] + x[:, 1] * m[:, 1] + x[:, 2] * m[:, 2]
     scale = np.abs(Cd.reshape(-1, 9)).max(axis=1)
-    norm = np.sqrt(
-        m00 * m00 + m11 * m11 + m22 * m22 + 2.0 * (m01 * m01 + m02 * m02 + m12 * m12)
-    )
+    sq = m * m
+    norm = np.sqrt(sq[:, 0] + sq[:, 3] + sq[:, 5] + 2.0 * (sq[:, 1] + sq[:, 2] + sq[:, 4]))
     with np.errstate(all="ignore"):
         valid = in_front & ~(
             (scale <= 0.0) | (np.abs(det) < 1e-14 * scale**3) | (norm < 1e-300)
@@ -512,9 +513,11 @@ def _project_dual_quadrics(Q, Rt, K):
     A[parabolic] = np.eye(2)  # placeholder, keeps the solve nonsingular
     centers = np.linalg.solve(A, -M[:, :2, 2:])[:, :, 0]
     k = np.einsum("ni,ni->n", M[:, :2, 2], centers) + M[:, 2, 2]  # conic value at the center
-    code = np.select(
-        [depth <= 0.0, ~valid, parabolic, hyperbola, k >= 0.0], [1, 2, 3, 4, 5], 0
-    )
+    code = np.where(k >= 0.0, 5, 0)  # the first failed test names the error
+    code[hyperbola] = 4
+    code[parabolic] = 3
+    code[~valid] = 2
+    code[depth <= 0.0] = 1
     ok = code == 0
     with np.errstate(divide="ignore", invalid="ignore"):
         axes = np.sqrt(-k[:, None] / lam)  # ascending lam -> axes already sorted a >= b
@@ -544,10 +547,16 @@ def inscribed_ellipse(b: Box) -> Ellipse:
 
 def bbox_of_ellipse(e: Ellipse) -> Box:
     """Tight axis-aligned bounding box of an ellipse."""
-    a2, b2 = float(e.axes[0]) ** 2, float(e.axes[1]) ** 2
-    c2, s2 = math.cos(e.angle) ** 2, math.sin(e.angle) ** 2
-    half = np.array([math.sqrt(a2 * c2 + b2 * s2), math.sqrt(a2 * s2 + b2 * c2)])
+    half = np.array(_bbox_half(float(e.axes[0]), float(e.axes[1]), e.angle))
     return Box(e.center - half, e.center + half)
+
+
+def _bbox_half(a, b, angle):
+    """Half width and half height of the bounding box of an ellipse with
+    semi-axes (a, b) at ``angle``, in Python floats."""
+    a2, b2 = a**2, b**2
+    c2, s2 = math.cos(angle) ** 2, math.sin(angle) ** 2
+    return math.sqrt(a2 * c2 + b2 * s2), math.sqrt(a2 * s2 + b2 * c2)
 
 
 def transform_conic(C: Conic, T: FrameTransform) -> Conic:
@@ -585,8 +594,3 @@ def crop_transform(b: Box, out_size: float) -> FrameTransform:
     )
     return FrameTransform(H)
 
-
-def conic_distance(C1: Conic, C2: Conic) -> float:
-    """Frobenius distance between normalized conics, sign-ambiguity safe."""
-    d = float(np.linalg.norm(C1.M - C2.M))
-    return min(d, float(np.linalg.norm(C1.M + C2.M)))

@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from .errors import BehindCamera, EmptyPointSet
-from .geometry import CameraModel, Ellipse, Pose, bbox_of_ellipse
+from .geometry import CameraModel, Ellipse, Pose, _bbox_half
 
 
 def rotation_distance(R1: np.ndarray, R2: np.ndarray) -> float:
@@ -57,29 +57,70 @@ def add_error(est: Pose, gt: Pose, points3d) -> float:
 def ellipse_iou(e1: Ellipse, e2: Ellipse, grid: int = 512) -> float:
     """Deterministic grid estimate of the intersection-over-union.
 
-    Samples ``grid`` x ``grid`` cell centers over the union of the two
-    bounding boxes; the absolute error is O(perimeter * cell / area), about
-    0.5% at the default resolution for moderately eccentric ellipses.
+    Counts the ``grid`` x ``grid`` cell centers over the union of the two
+    bounding boxes that fall inside each ellipse.  The inside cells of one
+    grid row form a span, found in closed form and settled by the exact
+    inside test of its end cells, so the counts, and the IoU, equal a test
+    of every cell while memory stays O(grid).  The absolute error against
+    the true IoU is O(perimeter * cell / area), about 0.5% at the default
+    resolution for moderately eccentric ellipses.
     """
-    b1, b2 = bbox_of_ellipse(e1), bbox_of_ellipse(e2)
-    lo = np.minimum(b1.min, b2.min)
-    hi = np.maximum(b1.max, b2.max)
-    xs = lo[0] + (np.arange(grid) + 0.5) * (hi[0] - lo[0]) / grid
-    ys = lo[1] + (np.arange(grid) + 0.5) * (hi[1] - lo[1]) / grid
-    in1 = _inside_grid(e1, xs, ys)
-    in2 = _inside_grid(e2, xs, ys)
-    union = int(np.count_nonzero(in1 | in2))
-    if union == 0:
-        return 0.0
-    inter = int(np.count_nonzero(in1 & in2))
-    return inter / union
+    iou = _ellipse_ious(
+        e1.center[None], e1.axes[None], np.array([e1.angle]),
+        e2.center[None], e2.axes[None], np.array([e2.angle]), grid,
+    )
+    return float(iou[0])
 
 
-def _inside_grid(e: Ellipse, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    c, s = math.cos(e.angle), math.sin(e.angle)
-    dx = xs[None, :] - e.center[0]
-    dy = ys[:, None] - e.center[1]
-    u = (c * dx + s * dy) / e.axes[0]
-    v = (-s * dx + c * dy) / e.axes[1]
-    return u * u + v * v <= 1.0
+def _ellipse_ious(c1, ax1, ang1, c2, ax2, ang2, grid):
+    """IoUs (n,) on :func:`ellipse_iou`'s grid of n ellipse pairs, each side
+    given as centers (n,2), semi-axes (n,2) and angles (n,).
 
+    The cosines, sines and bounding boxes are taken per ellipse in Python
+    floats, with the arithmetic of :func:`bbox_of_ellipse`, and each cell
+    is placed and tested with the grid's own expressions: the counts are
+    then those of testing all cells.
+    """
+    n = len(c1)
+    if n == 0:
+        return np.zeros(0)
+    centers = np.concatenate([c1, c2])  # both sides as one stack of 2n ellipses
+    axes = np.concatenate([ax1, ax2])
+    angles = np.concatenate([ang1, ang2]).tolist()
+    c = np.array([math.cos(t) for t in angles])[:, None]
+    s = np.array([math.sin(t) for t in angles])[:, None]
+    half = np.array([_bbox_half(a, b, t) for (a, b), t in zip(axes.tolist(), angles)])
+    lo = np.minimum(centers[:n] - half[:n], centers[n:] - half[n:])
+    width = np.maximum(centers[:n] + half[:n], centers[n:] + half[n:]) - lo
+    lo, width = np.concatenate([lo, lo]), np.concatenate([width, width])
+    x_lo, x_w = lo[:, 0:1], width[:, 0:1]
+    ys = lo[:, 1:2] + (np.arange(grid) + 0.5) * width[:, 1:2] / grid  # (2n, grid) row centers
+    cx, cy = centers[:, 0:1], centers[:, 1:2]
+    a, b = axes[:, 0:1], axes[:, 1:2]
+    dy = ys - cy
+
+    # each row's inside chord in closed form: p dx^2 + 2 q dx dy + r dy^2 <= 1
+    # with p r - q^2 = 1 / (a b)^2, in column units
+    ia2, ib2 = 1.0 / (a * a), 1.0 / (b * b)
+    p = c * c * ia2 + s * s * ib2
+    mid = (cx - x_lo - c * s * (ia2 - ib2) * dy / p) * grid / x_w - 0.5
+    half_chord = np.sqrt(np.maximum(p - dy * dy * (ia2 * ib2), 0.0)) / p * grid / x_w
+    with np.errstate(invalid="ignore"):
+        first = np.ceil(np.clip(mid - half_chord, -2.0, grid + 1.0))
+        last = np.floor(np.clip(mid + half_chord, -2.0, grid + 1.0))
+    # the chord is exact to far below a cell: the cells next to its ends
+    # decide, tested as the grid tests them
+    j = np.stack([first - 1.0, first, last, last + 1.0])
+    dx = x_lo + (j + 0.5) * x_w / grid - cx
+    u = (c * dx + s * dy) / a
+    v = (-s * dx + c * dy) / b
+    inside = (u * u + v * v <= 1.0) & (j >= 0.0) & (j < grid)
+    first = np.where(inside[0], first - 1.0, np.where(inside[1], first, first + 1.0))
+    last = np.where(inside[3], last + 1.0, np.where(inside[2], last, last - 1.0))
+
+    count = np.maximum(last - first + 1.0, 0.0).sum(axis=1)
+    inter = np.maximum(np.minimum(last[:n], last[n:]) - np.maximum(first[:n], first[n:]) + 1.0, 0.0)
+    inter = inter.sum(axis=1)
+    union = count[:n] + count[n:] - inter
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(union > 0.0, inter / union, 0.0)

@@ -10,7 +10,9 @@ association hypotheses.
 All residuals are Frobenius differences of unit-normalized point conics.
 The damped least-squares solvers use the exact Jacobian of that conic with
 respect to (axis-angle increment, translation), and the two-pair rotation
-search scores its whole start grid as array code.
+search scores its whole start grid as array code.  RANSAC scores each
+hypothesis with one batched projection of every correspondence and one
+batched ellipse IoU.
 """
 
 from __future__ import annotations
@@ -31,22 +33,22 @@ from .errors import (
 )
 from .geometry import (
     CameraModel,
-    Conic,
     Ellipse,
     Ellipsoid,
     Pose,
     axis_angle_to_matrix,
     canonicalize,
-    conic_to_ellipse,
     ellipse_to_conic,
     ellipsoid_to_dual_quadric,
     normalize_symmetric,
     rotation_z,
     _FULL,
+    _UPPER,
     _adjugate,
+    _project_dual_quadrics,
     _unit_point_conics,
 )
-from .metrics import ellipse_iou, rotation_distance
+from .metrics import _ellipse_ious, rotation_distance
 from .reconstruction import EllipsoidCloud
 
 _IOU_GRID = 128  # grid resolution of the consensus IoU
@@ -142,7 +144,6 @@ class _PairData:
         self.major_norm = float(corr.ellipse.axes[0]) / f
 
 
-_UPPER = [0, 1, 2, 4, 5, 8]  # raveled 3x3 index of entries 00, 01, 02, 11, 12, 22
 _UPPER_T = [0, 3, 6, 4, 7, 8]  # raveled index of the same entries of the transpose
 _FROBENIUS_WEIGHTS = np.array([1.0, 2.0, 2.0, 1.0, 2.0, 1.0])
 
@@ -464,8 +465,11 @@ def position_from_pair(
     coordinates are refined by damped least squares on the normalized-conic
     residual (gradient norm below 1e-12 or ``max_iter`` iterations).
     """
-    R = np.asarray(R, float)
-    pair = _PairData(corr, cam.K)
+    return _position_from_pair_data(_PairData(corr, cam.K), np.asarray(R, float), max_iter)
+
+
+def _position_from_pair_data(pair: _PairData, R, max_iter):
+    """:func:`position_from_pair` on a correspondence's prepared data."""
     ts, ok = _ray_placements(R[None], pair)
     if not ok[0]:
         raise BehindCamera(
@@ -686,25 +690,6 @@ def _associations_with_indices(detections, cloud: EllipsoidCloud):
     return out
 
 
-def enumerate_associations(detections, cloud: EllipsoidCloud):
-    """All label-compatible (detection, object) pairings.
-
-    ``detections`` is a sequence of (label, Ellipse).  Objects of the same
-    class multiply the hypotheses, not the solver complexity.
-    """
-    return [c for c, _, _ in _associations_with_indices(detections, cloud)]
-
-
-def ransac_iterations(inlier_fraction: float, minimal_set: int, confidence: float = 0.99) -> int:
-    """Draws needed to hit an all-inlier sample at the given confidence."""
-    if not 0.0 < inlier_fraction <= 1.0:
-        raise ValueError("inlier fraction must be in (0, 1]")
-    if inlier_fraction >= 1.0:
-        return 1
-    w = inlier_fraction**minimal_set
-    return max(1, math.ceil(math.log(1.0 - confidence) / math.log(1.0 - w)))
-
-
 def ransac_pose(detections, cloud: EllipsoidCloud, cam: CameraModel, opts: RansacOptions) -> PoseEstimate:
     """Seeded RANSAC over association hypotheses.
 
@@ -720,6 +705,7 @@ def ransac_pose(detections, cloud: EllipsoidCloud, cam: CameraModel, opts: Ransa
     if len(corrs) < min_set:
         raise NoValidPose(f"{len(corrs)} correspondences, need {min_set}")
     pairs = [_PairData(c, cam.K) for c in corrs]
+    scoring = _Scoring(corrs, pairs, cam.K, opts.inlier_iou_threshold)
     rng = np.random.default_rng(np.random.SeedSequence(int(opts.seed)))
     best = None  # (count, score, -draw_idx, pose, inliers)
 
@@ -729,7 +715,7 @@ def ransac_pose(detections, cloud: EllipsoidCloud, cam: CameraModel, opts: Ransa
             continue
         try:
             if opts.mode == "orientation_known":
-                t = position_from_pair(corrs[sample[0]], opts.rotation, cam, max_iter=25)
+                t = _position_from_pair_data(pairs[sample[0]], opts.rotation, 25)
                 hypotheses = [Pose(opts.rotation, t)]
             else:
                 hypotheses = [pose_from_two_pairs(corrs[sample[0]], corrs[sample[1]], cam)]
@@ -738,7 +724,7 @@ def ransac_pose(detections, cloud: EllipsoidCloud, cam: CameraModel, opts: Ransa
         except ElliposeError:
             continue
         for pose in hypotheses:
-            inliers, score = _consensus(pose, cam, corrs, pairs, opts)
+            inliers, score = _consensus(pose, scoring)
             if len(inliers) < min_set:
                 continue
             key = (len(inliers), score, -draw_idx)
@@ -760,7 +746,7 @@ def ransac_pose(detections, cloud: EllipsoidCloud, cam: CameraModel, opts: Ransa
         refined = refine_pose(
             pose, [corrs[i] for i in inliers], cam, rotation_fixed=rotation_fixed
         )
-        inliers2, score2 = _consensus(refined.pose, cam, corrs, pairs, opts)
+        inliers2, score2 = _consensus(refined.pose, scoring)
         if (len(inliers2), score2) < (len(inliers), score):
             break
         grew = len(inliers2) > len(inliers)
@@ -785,20 +771,45 @@ def _draw_minimal_set(rng, assoc, min_set):
     return None
 
 
-def _consensus(pose: Pose, cam: CameraModel, corrs, pairs, opts: RansacOptions):
-    Kinv = np.linalg.inv(cam.K)
+class _Scoring:
+    """Pose-independent consensus data of all correspondences: their dual
+    quadrics, the detected ellipses as arrays, the intrinsics and the
+    inlier threshold."""
+
+    __slots__ = ("Q", "K", "centers", "axes", "angles", "threshold")
+
+    def __init__(self, corrs, pairs, K, threshold):
+        n = len(pairs)
+        self.Q = np.stack([p.Qd for p in pairs])
+        self.K = np.broadcast_to(K, (n, 3, 3))
+        self.centers = np.stack([c.ellipse.center for c in corrs])
+        self.axes = np.stack([c.ellipse.axes for c in corrs])
+        self.angles = np.array([c.ellipse.angle for c in corrs])
+        self.threshold = threshold
+
+
+def _consensus(pose: Pose, scoring: _Scoring):
+    """Inlier indices and mean inlier IoU of a hypothesis.
+
+    All correspondences are projected in one kernel call; those whose
+    outline is invalid (behind the camera, degenerate, not an ellipse) are
+    skipped, and the rest are scored against their detections in one IoU
+    call.  Inliers are kept and summed in index order.
+    """
+    n = len(scoring.Q)
+    centers, axes, angles, errors = _project_dual_quadrics(
+        scoring.Q, np.broadcast_to(pose.matrix, (n, 3, 4)), scoring.K
+    )
+    valid = np.array([e is None for e in errors])
+    idx = np.flatnonzero(valid & (axes[:, 1] > 0.0) & np.isfinite(axes[:, 0]))
+    ious = _ellipse_ious(
+        centers[idx], axes[idx], angles[idx],
+        scoring.centers[idx], scoring.axes[idx], scoring.angles[idx], _IOU_GRID,
+    )
     inliers = []
     total = 0.0
-    for i, (corr, pair) in enumerate(zip(corrs, pairs)):
-        M = _projected_conic(pose.R, pose.t, pair)
-        if M is None:
-            continue
-        try:
-            proj = conic_to_ellipse(Conic(Kinv.T @ M @ Kinv))
-        except ElliposeError:
-            continue
-        iou = ellipse_iou(corr.ellipse, proj, grid=_IOU_GRID)
-        if iou >= opts.inlier_iou_threshold:
+    for i, iou in zip(idx.tolist(), ious.tolist()):
+        if iou >= scoring.threshold:
             inliers.append(i)
             total += iou
     score = total / len(inliers) if inliers else 0.0

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ellipose.geometry import Ellipse, Ellipsoid, canonicalize, ellipse_to_conic
+from ellipose.geometry import Ellipse, Ellipsoid, bbox_of_ellipse, canonicalize, ellipse_to_conic
 
 
 @pytest.fixture
@@ -37,6 +37,48 @@ def random_ellipsoid(rng, center_scale=2.0, min_ratio=1.0) -> Ellipsoid:
     axes = np.sort(rng.uniform(0.2, 1.0, size=3))[::-1]
     axes[0] *= min_ratio  # optionally force asphericity
     return Ellipsoid(center, axes, random_rotation(rng))
+
+
+def grid_ellipse_iou(e1: Ellipse, e2: Ellipse, grid: int) -> float:
+    """Reference IoU: tests every one of the grid x grid cell centers over
+    the union of the two bounding boxes."""
+    b1, b2 = bbox_of_ellipse(e1), bbox_of_ellipse(e2)
+    lo = np.minimum(b1.min, b2.min)
+    hi = np.maximum(b1.max, b2.max)
+    xs = lo[0] + (np.arange(grid) + 0.5) * (hi[0] - lo[0]) / grid
+    ys = lo[1] + (np.arange(grid) + 0.5) * (hi[1] - lo[1]) / grid
+    in1 = _inside_grid(e1, xs, ys)
+    in2 = _inside_grid(e2, xs, ys)
+    union = int(np.count_nonzero(in1 | in2))
+    if union == 0:
+        return 0.0
+    inter = int(np.count_nonzero(in1 & in2))
+    return inter / union
+
+
+def _inside_grid(e: Ellipse, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    c, s = math.cos(e.angle), math.sin(e.angle)
+    dx = xs[None, :] - e.center[0]
+    dy = ys[:, None] - e.center[1]
+    u = (c * dx + s * dy) / e.axes[0]
+    v = (-s * dx + c * dy) / e.axes[1]
+    return u * u + v * v <= 1.0
+
+
+def conic_distance(C1, C2) -> float:
+    """Frobenius distance between normalized conics, sign-ambiguity safe."""
+    d = float(np.linalg.norm(C1.M - C2.M))
+    return min(d, float(np.linalg.norm(C1.M + C2.M)))
+
+
+def ransac_iterations(inlier_fraction: float, minimal_set: int, confidence: float = 0.99) -> int:
+    """Draws needed to hit an all-inlier sample at the given confidence."""
+    if not 0.0 < inlier_fraction <= 1.0:
+        raise ValueError("inlier fraction must be in (0, 1]")
+    if inlier_fraction >= 1.0:
+        return 1
+    w = inlier_fraction**minimal_set
+    return max(1, math.ceil(math.log(1.0 - confidence) / math.log(1.0 - w)))
 
 
 def conic_residuals(e: Ellipse, M: np.ndarray, n=64) -> np.ndarray:

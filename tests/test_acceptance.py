@@ -10,11 +10,13 @@ import pytest
 from scipy.stats import spearmanr
 
 from conftest import (
+    conic_distance,
     conic_residuals,
     ellipsoids_equivalent,
     random_ellipse,
     random_ellipsoid,
     random_rotation,
+    ransac_iterations,
 )
 from ellipose.cli import main as cli_main
 from ellipose.errors import AmbiguousSolution
@@ -24,7 +26,6 @@ from ellipose.geometry import (
     Pose,
     conic_to_ellipse,
     ellipse_to_conic,
-    conic_distance,
     dual_quadric_to_ellipsoid,
     ellipsoid_to_dual_quadric,
     project_ellipsoid,
@@ -46,7 +47,6 @@ from ellipose.pose import (
     RansacOptions,
     pose_from_two_pairs,
     position_from_pair,
-    ransac_iterations,
     ransac_pose,
 )
 from ellipose.reconstruction import CalibratedView, EllipsoidCloud, Observation, reconstruct_ellipsoid

@@ -85,6 +85,12 @@ class TestReconstructCommand:
         assert f"file={dpath}" in err and "field=views" in err
 
 
+    def test_dataset_directory_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "c.json"
+        assert main(["reconstruct", "--dataset", str(tmp_path), "--out", str(out)]) == 2
+        assert f"file={tmp_path}" in capsys.readouterr().err
+
+
 class TestAnnotateCommand:
     def test_round_trip_annotations(self, board, tmp_path):
         scene, views, dataset, dpath = board
@@ -348,6 +354,22 @@ class TestSimulateCommand:
     def test_unknown_scenario(self, tmp_path):
         spath = self._scenario(tmp_path, "nope", {})
         assert main(["simulate", "--scenario", str(spath), "--out-dir", str(tmp_path / "o")]) == 2
+
+    def test_list_document_exit_code(self, tmp_path, capsys):
+        spath = tmp_path / "scenario.json"
+        spath.write_text(json.dumps([{"schema_version": 1, "name": "fig3_demo"}]))
+        assert main(["simulate", "--scenario", str(spath), "--out-dir", str(tmp_path / "o")]) == 2
+        assert f"file={spath}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("seed", [3]), ("params", [1])], ids=["seed", "params"])
+    def test_bad_field_exit_code(self, tmp_path, capsys, key, value):
+        spath = self._scenario(tmp_path, "fig3_demo", {})
+        doc = json.loads(spath.read_text())
+        doc[key] = value
+        spath.write_text(json.dumps(doc))
+        assert main(["simulate", "--scenario", str(spath), "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"file={spath}" in err and f"field={key}" in err
 
     def test_seeded_rerun_identical_bytes(self, tmp_path):
         spath = self._scenario(

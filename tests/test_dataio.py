@@ -164,6 +164,36 @@ class TestDatasetRoundTrip:
         assert ei.value.record == "scene.objects[0]"
         assert ei.value.field == "model_points"
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("scene", "world_scale", [1.0]),
+            ("predictions", "n_bins", [8]),
+            ("predictions", "overlap_fraction", {"a": 1}),
+            ("predictions", "crop_size", "large"),
+        ],
+        ids=["world_scale", "n_bins", "overlap_fraction", "crop_size"],
+    )
+    def test_non_numeric_field_named(self, dataset, tmp_path, section, key, value):
+        path = tmp_path / "d.json"
+        save_dataset(dataset, path)
+        doc = json.loads(path.read_text())
+        doc[section][key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError) as ei:
+            load_dataset(path)
+        assert (ei.value.file, ei.value.record, ei.value.field) == (str(path), section, key)
+
+    def test_bad_multibin_config_named(self, dataset, tmp_path):
+        path = tmp_path / "d.json"
+        save_dataset(dataset, path)
+        doc = json.loads(path.read_text())
+        doc["predictions"]["n_bins"] = 1
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError) as ei:
+            load_dataset(path)
+        assert (ei.value.file, ei.value.record) == (str(path), "predictions")
+
     def test_duplicate_view_ids_rejected(self, rng):
         cam = default_camera()
         v = CalibratedView("v0", cam, look_at((1, 1, 1), (0, 0, 0)))

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_rotation
+from conftest import grid_ellipse_iou, random_rotation
 from ellipose.errors import BehindCamera, EmptyPointSet
 from ellipose.geometry import Ellipse, Pose, rotation_z
 from ellipose.metrics import (
+    _ellipse_ious,
     add_error,
     ellipse_iou,
     pose_errors,
@@ -92,6 +93,72 @@ class TestEllipseIoU:
             a = Ellipse(rng.uniform(-5, 5, 2), np.sort(rng.uniform(0.5, 4, 2))[::-1], rng.uniform(-1, 1))
             b = Ellipse(rng.uniform(-5, 5, 2), np.sort(rng.uniform(0.5, 4, 2))[::-1], rng.uniform(-1, 1))
             assert ellipse_iou(a, b) == pytest.approx(ellipse_iou(b, a), abs=1e-12)
+
+
+def _random_pair_ellipse(rng):
+    b = 10.0 ** rng.uniform(-1.0, 2.0)
+    a = b * 10.0 ** rng.uniform(0.0, 1.0)
+    angle = rng.choice([0.0, 0.5 * math.pi, rng.uniform(-0.5 * math.pi, 0.5 * math.pi)])
+    return Ellipse(rng.uniform(-200.0, 200.0, 2), (a, b), angle)
+
+
+def _iou_cases(rng, n_random, grid):
+    """Seeded random pairs, half of them overlapping, plus the special cases.
+
+    In the boundary cases a circle of radius grid/2 puts the cell centers on
+    half-integers, and a Pythagorean-triple outline passes exactly through
+    some of them, where rounding decides the inside test.
+    """
+    big = Ellipse((0, 0), (grid / 2, grid / 2), 0.0)
+    cases = [(Ellipse((0.5 + dx, 0.5), (a, b), angle), big)
+             for a, b in ((5, 5), (13, 13), (25, 25), (10, 5), (26, 13))
+             for dx in (0.0, 1.0) for angle in (0.0, 0.5 * math.pi)]
+    cases += [
+        (Ellipse((10, 20), (5, 2), 0.7), Ellipse((10, 20), (5, 2), 0.7)),  # identical
+        (Ellipse((0, 0), (1, 1), 0.0), Ellipse((10, 0), (1, 1), 0.0)),  # disjoint
+        (Ellipse((3, -2), (4, 2), 0.3), Ellipse((3.5, -2), (1.5, 0.5), -0.4)),  # nested
+        (Ellipse((0, 0), (1, 1), 0.0), Ellipse((0.3, 0.1), (2, 2), 0.0)),  # circles
+        (Ellipse((0, 0), (300, 0.02), 0.01), Ellipse((5, 0), (250, 0.5), 0.0)),  # very eccentric
+        (Ellipse((0, 0), (2, 1), 0.0), Ellipse((4, 0), (2, 1), 0.0)),  # bboxes share an edge
+        (Ellipse((0, 0), (2, 1), 0.0), Ellipse((0, 0.5), (2, 3), 0.0)),  # same x extent
+        (Ellipse((0, 0), (2, 1), 0.5 * math.pi), Ellipse((0, 0), (2, 1), 0.0)),  # crossed
+    ]
+    for i in range(n_random):
+        e1 = _random_pair_ellipse(rng)
+        if i % 2:
+            e2 = _random_pair_ellipse(rng)
+        else:
+            e2 = Ellipse(
+                e1.center + rng.normal(size=2) * e1.axes[1],
+                e1.axes * rng.uniform(0.7, 1.3, 2),
+                e1.angle + rng.normal(scale=0.2),
+            )
+        cases.append((e1, e2))
+    return cases
+
+
+class TestEllipseIoUKernel:
+    """The row-span kernel counts exactly the cells the full grid test counts."""
+
+    @pytest.mark.parametrize("grid, n_random", [(128, 400), (512, 60), (5, 200)])
+    def test_equals_grid_reference(self, rng, grid, n_random):
+        cases = _iou_cases(rng, n_random, grid)
+        want = [grid_ellipse_iou(a, b, grid) for a, b in cases]
+        assert [ellipse_iou(a, b, grid) for a, b in cases] == want
+
+        def side(k):
+            return (
+                np.array([p[k].center for p in cases]),
+                np.array([p[k].axes for p in cases]),
+                np.array([p[k].angle for p in cases]),
+            )
+
+        assert _ellipse_ious(*side(0), *side(1), grid).tolist() == want
+        assert 0.0 < min(w for w in want if w > 0.0) and max(want) == 1.0
+
+    def test_empty_batch(self):
+        none = np.zeros((0, 2))
+        assert _ellipse_ious(none, none, np.zeros(0), none, none, np.zeros(0), 128).shape == (0,)
 
 
 class TestRigidInvariance:

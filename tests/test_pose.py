@@ -3,18 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_rotation
+from conftest import grid_ellipse_iou, random_rotation, ransac_iterations
 from ellipose.errors import (
     AmbiguousSolution,
     BehindCamera,
     DegenerateConfiguration,
+    ElliposeError,
     NoValidPose,
 )
 from ellipose.geometry import (
+    Conic,
     Ellipse,
     Ellipsoid,
     Pose,
     axis_angle_to_matrix,
+    conic_to_ellipse,
     project_ellipsoid,
     rotation_z,
 )
@@ -24,17 +27,19 @@ from ellipose.pose import (
     EllipsoidCloud,
     PoseEstimate,
     RansacOptions,
-    enumerate_associations,
     pose_from_two_pairs,
     position_from_pair,
-    ransac_iterations,
     ransac_pose,
     refine_pose,
 )
 from ellipose.pose import (  # white-box kernels
     _DP_TRANSLATION,
+    _IOU_GRID,
     _PairData,
+    _Scoring,
+    _associations_with_indices,
     _conic_jacobian,
+    _consensus,
     _pose_directions,
     _projected_conic,
     _projected_conics,
@@ -238,6 +243,65 @@ class TestRefinePose:
         cam, pose, _ = self._scene(rng, n=1)
         with pytest.raises(ValueError):
             refine_pose(pose, [], cam)
+
+
+def reference_consensus(pose, cam, corrs, pairs, threshold, outcomes):
+    """Per-pair consensus: scalar projection, Conic, conic_to_ellipse and
+    the full grid IoU; ``outcomes`` counts what happened to each pair."""
+    Kinv = np.linalg.inv(cam.K)
+    inliers, total = [], 0.0
+    for i, (corr, pair) in enumerate(zip(corrs, pairs)):
+        M = _projected_conic(pose.R, pose.t, pair)
+        if M is None:
+            outcomes["no conic"] += 1
+            continue
+        try:
+            proj = conic_to_ellipse(Conic(Kinv.T @ M @ Kinv))
+        except ElliposeError:
+            outcomes["not an ellipse"] += 1
+            continue
+        iou = grid_ellipse_iou(corr.ellipse, proj, _IOU_GRID)
+        if iou >= threshold:
+            outcomes["inlier"] += 1
+            inliers.append(i)
+            total += iou
+        else:
+            outcomes["outlier"] += 1
+    return tuple(inliers), total / len(inliers) if inliers else 0.0
+
+
+def test_consensus_equals_per_pair_reference(rng):
+    # objects in front of, across and behind the principal plane of the
+    # true camera; hypotheses near it and far from it
+    cam = default_camera()
+    outcomes = dict.fromkeys(["no conic", "not an ellipse", "inlier", "outlier"], 0)
+    for trial in range(25):
+        truth = Pose(random_rotation(rng), rng.normal(size=3))
+        corrs = []
+        for depth in (-0.6, -0.05, 0.0, 0.06, 0.4, 1.0, 1.5, 2.5):
+            p_cam = np.array([*rng.uniform(-0.3, 0.3, 2) * max(depth, 0.5), depth])
+            E = Ellipsoid(truth.R.T @ (p_cam - truth.t), rng.uniform(0.05, 0.2, 3),
+                          random_rotation(rng))
+            try:
+                det = project_ellipsoid(E, truth, cam)
+            except ElliposeError:
+                det = Ellipse(rng.uniform(0, 600, 2), (30.0, 10.0), rng.uniform(-1, 1))
+            det = Ellipse(det.center + rng.normal(scale=3.0, size=2),
+                          det.axes * rng.uniform(0.8, 1.25, 2), det.angle)
+            corrs.append(Correspondence(det, E, "x"))
+        pairs = [_PairData(c, cam.K) for c in corrs]
+        scoring = _Scoring(corrs, pairs, cam.K, 0.5)
+        for step in (0.0, 0.02, 0.3):
+            w = rng.normal(scale=step, size=3)
+            hyp = Pose(axis_angle_to_matrix(w) @ truth.R, truth.t + rng.normal(scale=step, size=3))
+            want = reference_consensus(hyp, cam, corrs, pairs, 0.5, outcomes)
+            assert _consensus(hyp, scoring) == want
+    assert min(outcomes.values()) > 0, outcomes
+
+
+def enumerate_associations(detections, cloud):
+    """All label-compatible (detection, object) pairings."""
+    return [c for c, _, _ in _associations_with_indices(detections, cloud)]
 
 
 class TestAssociations:

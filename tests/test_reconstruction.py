@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ellipsoids_equivalent, random_ellipsoid
+from conftest import conic_distance, ellipsoids_equivalent, random_ellipsoid
 from ellipose.errors import DegenerateConfiguration, EmptyInput, InsufficientViews
 from ellipose.geometry import (
     Box,
     DualQuadric,
     Ellipsoid,
     bbox_of_ellipse,
-    conic_distance,
     dual_quadric_to_ellipsoid,
     ellipse_to_conic,
     project_ellipsoid,
