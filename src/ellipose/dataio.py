@@ -8,8 +8,10 @@ and writers are deterministic byte-for-byte for identical inputs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,16 +77,24 @@ def _mat(a) -> list:
     return np.asarray(a, float).tolist()
 
 
-def _ellipse_to_json(e: Ellipse) -> dict:
-    return {"center": _mat(e.center), "axes": _mat(e.axes), "angle": float(e.angle)}
-
-
 def _box_to_json(b: Box) -> list:
     return [float(b.min[0]), float(b.min[1]), float(b.max[0]), float(b.max[1])]
 
 
-def _ellipsoid_to_json(E: Ellipsoid) -> dict:
-    return {"center": _mat(E.center), "axes": _mat(E.axes), "rotation": _mat(E.rotation)}
+def _object_to_json(o: SceneObject) -> dict:
+    E = o.ellipsoid
+    rec = {"label": o.label, "center": _mat(E.center), "axes": _mat(E.axes),
+           "rotation": _mat(E.rotation)}
+    if o.model_points is not None:
+        rec["model_points"] = _mat(o.model_points)
+    return rec
+
+
+def _annotation_to_json(label: str, box: Box, e: Ellipse | None) -> dict:
+    ellipse = None if e is None else {
+        "center": _mat(e.center), "axes": _mat(e.axes), "angle": float(e.angle)
+    }
+    return {"label": label, "box": _box_to_json(box), "ellipse": ellipse}
 
 
 def dataset_to_json(d: Dataset) -> dict:
@@ -101,25 +111,15 @@ def dataset_to_json(d: Dataset) -> dict:
             for v in d.views
         ],
         "annotations": {
-            vid: [
-                {
-                    "label": a.label,
-                    "box": _box_to_json(a.box),
-                    "ellipse": None if a.ellipse is None else _ellipse_to_json(a.ellipse),
-                }
-                for a in anns
-            ]
+            vid: [_annotation_to_json(a.label, a.box, a.ellipse) for a in anns]
             for vid, anns in d.annotations.items()
         },
     }
     if d.scene is not None:
-        objs = []
-        for o in d.scene.objects:
-            rec = {"label": o.label, **_ellipsoid_to_json(o.ellipsoid)}
-            if o.model_points is not None:
-                rec["model_points"] = _mat(o.model_points)
-            objs.append(rec)
-        out["scene"] = {"world_scale": float(d.scene.world_scale), "objects": objs}
+        out["scene"] = {
+            "world_scale": float(d.scene.world_scale),
+            "objects": [_object_to_json(o) for o in d.scene.objects],
+        }
     if d.predictions is not None:
         p = d.predictions
         out["predictions"] = {
@@ -213,18 +213,93 @@ def _load_json(path) -> tuple:
     return doc, rd
 
 
+class ScenarioParam(NamedTuple):
+    """Type, default and valid range of one scenario param."""
+
+    kind: type  # int, float, or list: a non-empty list of floats
+    default: object
+    lo: float  # least valid value (of each entry of a list)
+    hi: float = math.inf
+    lo_open: bool = False  # lo itself is not valid
+
+    def describe(self) -> str:
+        what = {int: "an integer", float: "a number", list: "a non-empty list of numbers"}
+        if self.hi < math.inf:
+            return f"{what[self.kind]} in {self.lo}..{self.hi}"
+        return f"{what[self.kind]} {'>' if self.lo_open else '>='} {self.lo:g}"
+
+
+_RIG_PARAMS = {
+    "radius": ScenarioParam(float, 0.75, 0.0, lo_open=True),
+    "n_azimuth": ScenarioParam(int, 25, 1),
+    "n_elevation": ScenarioParam(int, 10, 1),
+}
+_BOARD_PARAMS = {"n_objects": ScenarioParam(int, 6, 1, 6), **_RIG_PARAMS}
+_NOISE_PARAM = {"orientation_noise_deg": ScenarioParam(float, 2.0, 0.0)}
+
+# the params each named scenario of `ellipose simulate` reads
+SCENARIO_PARAMS = {
+    "tless_board": _BOARD_PARAMS,
+    "linemod_single": {
+        "radius": ScenarioParam(float, 0.6, 0.0, lo_open=True),
+        "n_azimuth": ScenarioParam(int, 20, 1),
+        "n_elevation": ScenarioParam(int, 5, 1),
+        **_NOISE_PARAM,
+    },
+    "fig3_demo": {
+        "n_build": ScenarioParam(int, 3, 3),
+        "n_held": ScenarioParam(int, 8, 1),
+    },
+    "noise_sweep": {
+        **_BOARD_PARAMS,
+        "half_ranges": ScenarioParam(list, (0.0, 5.0, 10.0, 15.0, 20.0), 0.0),
+        "iterations": ScenarioParam(int, 8, 1),
+        **_NOISE_PARAM,
+    },
+}
+
+
+def _scenario_param(params: dict, key: str, spec: ScenarioParam, rd: _Reader):
+    """``params[key]`` checked against its spec and converted to its type."""
+    value = params[key]
+    entries = value if spec.kind is list else [value]
+    scalar = int if spec.kind is int else float
+    if not (isinstance(entries, list) and entries and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool)
+        and (scalar is float or isinstance(v, int)) and math.isfinite(v)
+        and (v > spec.lo if spec.lo_open else v >= spec.lo) and v <= spec.hi
+        for v in entries
+    )):
+        rd.fail(f"expected {spec.describe()}, got {json.dumps(value)}", "params", key)
+    converted = [scalar(v) for v in entries]
+    return converted if spec.kind is list else converted[0]
+
+
 def load_scenario(path) -> tuple:
-    """(name, params, seed) of a scenario file; the seed defaults to 0 and
-    the params to an empty object."""
+    """(name, params, seed) of a scenario file.
+
+    The name must be a key of :data:`SCENARIO_PARAMS` and every param one
+    of that scenario's, within its range; the params hold the given ones,
+    converted to their types (absent ones take their defaults when the
+    scenario runs).  The seed defaults to 0.
+    """
     doc, rd = _load_json(path)
     name = rd.get(doc, "name", "<root>")
-    if not isinstance(name, str) or not name:
-        rd.fail("expected a scenario name", "<root>", "name")
-    params = doc.get("params")
-    if params is None:
-        params = {}
-    elif not isinstance(params, dict):
-        rd.fail(f"expected an object, got {type(params).__name__}", "<root>", "params")
+    if not isinstance(name, str) or name not in SCENARIO_PARAMS:
+        rd.fail(
+            f"expected one of {sorted(SCENARIO_PARAMS)}, got {json.dumps(name)}", "<root>", "name"
+        )
+    raw = doc.get("params")
+    if raw is None:
+        raw = {}
+    elif not isinstance(raw, dict):
+        rd.fail(f"expected an object, got {type(raw).__name__}", "<root>", "params")
+    specs = SCENARIO_PARAMS[name]
+    params = {}
+    for key in raw:
+        if key not in specs:
+            rd.fail(f"unknown param of {name}; have {sorted(specs)}", "params", key)
+        params[key] = _scenario_param(raw, key, specs[key], rd)
     seed = rd.get_number(doc, "seed", "<root>", int) if "seed" in doc else 0
     return name, params, seed
 
@@ -240,21 +315,51 @@ def _parse_view(rec, rd: _Reader, idx: int) -> CalibratedView:
     return CalibratedView(str(vid), cam, pose)
 
 
-def _parse_ellipse(rec, rd, record) -> Ellipse:
+def _parse_box(rec, rd, record) -> Box:
+    vals = rd.get(rec, "box", record)
     try:
-        return Ellipse(
-            rd.get(rec, "center", record), rd.get(rec, "axes", record),
-            rd.get(rec, "angle", record),
-        )
-    except (ValueError, TypeError) as exc:
-        rd.fail(f"bad ellipse: {exc}", record)
-
-
-def _parse_box(vals, rd, record) -> Box:
-    try:
+        if len(vals) != 4:
+            raise ValueError(f"expected 4 values, got {len(vals)}")
         return Box((vals[0], vals[1]), (vals[2], vals[3]))
-    except (ValueError, TypeError, IndexError) as exc:
+    except (ValueError, TypeError, IndexError, KeyError) as exc:
         rd.fail(f"bad box: {exc}", record, "box")
+
+
+def _parse_annotation(rec, rd, record) -> Annotation:
+    """One labeled box with its ellipse (None when the record's is null),
+    as a dataset annotation or an annotations-file row."""
+    box = _parse_box(rec, rd, record)
+    raw = rd.get(rec, "ellipse", record)
+    ellipse = None
+    if raw is not None:
+        try:
+            if not isinstance(raw, dict) or not raw.keys() >= {"center", "axes", "angle"}:
+                raise ValueError("expected an object with center, axes and angle")
+            ellipse = Ellipse(raw["center"], raw["axes"], raw["angle"])
+        except (ValueError, TypeError) as exc:
+            rd.fail(f"bad ellipse: {exc}", record, "ellipse")
+    return Annotation(str(rd.get(rec, "label", record)), box, ellipse)
+
+
+def _parse_object(rec, rd, record) -> SceneObject:
+    """One labeled ellipsoid, with optional model points, of a dataset scene
+    or a cloud file; each fault names the key it is in."""
+    parts = {}
+    for key, shape in (("center", (3,)), ("axes", (3,)), ("rotation", (3, 3))):
+        try:
+            parts[key] = _freeze(rd.get(rec, key, record), shape)
+        except (ValueError, TypeError) as exc:
+            rd.fail(f"bad ellipsoid: {exc}", record, key)
+    try:
+        ellipsoid = Ellipsoid(**parts)
+    except ValueError as exc:  # a non-positive semi-axis or not a rotation
+        key = "axes" if min(parts["axes"]) <= 0.0 else "rotation"
+        rd.fail(f"bad ellipsoid: {exc}", record, key)
+    label = str(rd.get(rec, "label", record))
+    try:
+        return SceneObject(label, ellipsoid, rec.get("model_points"))
+    except (ValueError, TypeError) as exc:
+        rd.fail(f"bad model points: {exc}", record, "model_points")
 
 
 def load_dataset(path) -> Dataset:
@@ -265,32 +370,17 @@ def load_dataset(path) -> Dataset:
     annotations = {}
     ann_doc = rd.get_mapping(doc, "annotations", "<root>")
     for vid in ann_doc:
-        rows = []
-        for j, rec in enumerate(rd.get_list(ann_doc, vid, "annotations")):
-            record = f"annotations[{vid}][{j}]"
-            box = _parse_box(rd.get(rec, "box", record), rd, record)
-            raw_e = rd.get(rec, "ellipse", record)
-            ellipse = None if raw_e is None else _parse_ellipse(raw_e, rd, record)
-            rows.append(Annotation(str(rd.get(rec, "label", record)), box, ellipse))
-        annotations[vid] = rows
+        annotations[vid] = [
+            _parse_annotation(rec, rd, f"annotations[{vid}][{j}]")
+            for j, rec in enumerate(rd.get_list(ann_doc, vid, "annotations"))
+        ]
     scene = None
     if doc.get("scene") is not None:
         sdoc = doc["scene"]
-        objs = []
-        for j, rec in enumerate(rd.get_list(sdoc, "objects", "scene")):
-            record = f"scene.objects[{j}]"
-            try:
-                ellipsoid = Ellipsoid(
-                    rd.get(rec, "center", record), rd.get(rec, "axes", record),
-                    rd.get(rec, "rotation", record),
-                )
-            except (ValueError, TypeError) as exc:
-                rd.fail(f"bad ellipsoid: {exc}", record)
-            label = str(rd.get(rec, "label", record))
-            try:
-                objs.append(SceneObject(label, ellipsoid, rec.get("model_points")))
-            except (ValueError, TypeError) as exc:
-                rd.fail(f"bad model points: {exc}", record, "model_points")
+        objs = [
+            _parse_object(rec, rd, f"scene.objects[{j}]")
+            for j, rec in enumerate(rd.get_list(sdoc, "objects", "scene"))
+        ]
         scene = SceneSpec(tuple(objs), rd.get_number(sdoc, "world_scale", "scene"))
     predictions = None
     if doc.get("predictions") is not None:
@@ -307,7 +397,7 @@ def load_dataset(path) -> Dataset:
             rows = []
             for j, rec in enumerate(rd.get_list(rec_doc, vid, "predictions.records")):
                 record = f"predictions[{vid}][{j}]"
-                box = _parse_box(rd.get(rec, "box", record), rd, record)
+                box = _parse_box(rec, rd, record)
                 try:
                     pred = MultibinPrediction(
                         rd.get(rec, "center", record), rd.get(rec, "dims", record),
@@ -344,9 +434,7 @@ def save_cloud(cloud: EllipsoidCloud, path) -> None:
     _dump(
         {
             "schema_version": SCHEMA_VERSION,
-            "objects": [
-                {"label": label, **_ellipsoid_to_json(E)} for label, E in cloud.entries
-            ],
+            "objects": [_object_to_json(SceneObject(label, E)) for label, E in cloud.entries],
         },
         path,
     )
@@ -354,18 +442,11 @@ def save_cloud(cloud: EllipsoidCloud, path) -> None:
 
 def load_cloud(path) -> EllipsoidCloud:
     doc, rd = _load_json(path)
-    entries = []
-    for j, rec in enumerate(rd.get_list(doc, "objects", "<root>")):
-        record = f"objects[{j}]"
-        try:
-            E = Ellipsoid(
-                rd.get(rec, "center", record), rd.get(rec, "axes", record),
-                rd.get(rec, "rotation", record),
-            )
-        except (ValueError, TypeError) as exc:
-            rd.fail(f"bad ellipsoid: {exc}", record)
-        entries.append((str(rd.get(rec, "label", record)), E))
-    return EllipsoidCloud(tuple(entries), allow_duplicate_labels=True)
+    objs = [
+        _parse_object(rec, rd, f"objects[{j}]")
+        for j, rec in enumerate(rd.get_list(doc, "objects", "<root>"))
+    ]
+    return EllipsoidCloud(tuple((o.label, o.ellipsoid) for o in objs), allow_duplicate_labels=True)
 
 
 def save_annotations(annotations: dict, skipped, path) -> None:
@@ -373,14 +454,7 @@ def save_annotations(annotations: dict, skipped, path) -> None:
         {
             "schema_version": SCHEMA_VERSION,
             "annotations": {
-                vid: [
-                    {
-                        "label": label,
-                        "box": _box_to_json(box),
-                        "ellipse": _ellipse_to_json(e),
-                    }
-                    for label, e, box in rows
-                ]
+                vid: [_annotation_to_json(label, box, e) for label, e, box in rows]
                 for vid, rows in annotations.items()
             },
             "skipped": [list(s) for s in skipped],
@@ -397,9 +471,10 @@ def load_annotations(path) -> tuple:
         rows = []
         for j, rec in enumerate(rd.get_list(ann_doc, vid, "annotations")):
             record = f"annotations[{vid}][{j}]"
-            e = _parse_ellipse(rd.get(rec, "ellipse", record), rd, record)
-            box = _parse_box(rd.get(rec, "box", record), rd, record)
-            rows.append((str(rd.get(rec, "label", record)), e, box))
+            a = _parse_annotation(rec, rd, record)
+            if a.ellipse is None:
+                rd.fail("expected an ellipse, got null", record, "ellipse")
+            rows.append((a.label, a.ellipse, a.box))
         out[vid] = rows
     skipped = rd.get_list(doc, "skipped", "<root>") if "skipped" in doc else []
     for j, note in enumerate(skipped):

@@ -49,10 +49,6 @@ class MultibinConfig:
     def bin_center(self, i: int) -> float:
         return -0.5 * math.pi + (i + 0.5) * self.width
 
-    @property
-    def bin_centers(self) -> np.ndarray:
-        return -0.5 * math.pi + (np.arange(self.n_bins) + 0.5) * self.width
-
 
 @dataclass(frozen=True)
 class BinEncoding:

@@ -124,7 +124,7 @@ class _PairData:
 
     __slots__ = (
         "Qd", "M_det", "center_w", "area_det", "max_axis",
-        "ax_sq", "rot_w", "det_center_n", "ray_dir", "major_norm",
+        "axes", "rot_w", "det_center_n", "ray_dir", "major_norm",
     )
 
     def __init__(self, corr: Correspondence, K: np.ndarray):
@@ -135,7 +135,7 @@ class _PairData:
         area = _conic_areas(self.M_det[None])[0]
         self.area_det = float(area) if area > 0.0 else None
         self.max_axis = corr.ellipsoid.max_axis
-        self.ax_sq = corr.ellipsoid.axes
+        self.axes = corr.ellipsoid.axes
         self.rot_w = corr.ellipsoid.rotation
         h = np.linalg.solve(K, np.array([corr.ellipse.center[0], corr.ellipse.center[1], 1.0]))
         self.det_center_n = h[:2] / h[2]
@@ -326,17 +326,20 @@ def _tether_caps(R, t, pairs):
     return caps
 
 
-class _LMResult:
-    __slots__ = ("x", "costs", "converged", "grad_norm")
+_GRAD_TOL = 1e-12  # LM stops when the gradient norm falls below this
+_STEP_TOL = 1e-13  # ... or when a step is this small relative to 1 + |x|
 
-    def __init__(self, x, costs, converged, grad_norm):
+
+class _LMResult:
+    __slots__ = ("x", "costs", "converged")
+
+    def __init__(self, x, costs, converged):
         self.x = x
         self.costs = costs
         self.converged = converged
-        self.grad_norm = grad_norm
 
 
-def _levenberg_marquardt(fun, x0, jac, *, max_iter=50, grad_tol=1e-10, step_tol=1e-13):
+def _levenberg_marquardt(fun, x0, jac, *, max_iter=50):
     """Damped least squares on the residual ``fun`` with its exact Jacobian
     ``jac`` (evaluated at accepted iterates only); cost is monotone
     non-increasing because only strictly valid downhill steps are taken."""
@@ -353,7 +356,7 @@ def _levenberg_marquardt(fun, x0, jac, *, max_iter=50, grad_tol=1e-10, step_tol=
         J = jac(x)
         g = J.T @ r
         grad_norm = float(np.linalg.norm(g))
-        if grad_norm < grad_tol:
+        if grad_norm < _GRAD_TOL:
             converged = True
             break
         A = J.T @ J
@@ -374,7 +377,7 @@ def _levenberg_marquardt(fun, x0, jac, *, max_iter=50, grad_tol=1e-10, step_tol=
                     costs.append(cost)
                     lam = max(lam * 0.3, 1e-12)
                     stepped = True
-                    if float(np.linalg.norm(delta)) < step_tol * (1.0 + float(np.linalg.norm(x))):
+                    if float(np.linalg.norm(delta)) < _STEP_TOL * (1.0 + float(np.linalg.norm(x))):
                         converged = True
                     break
             lam *= 4.0
@@ -385,7 +388,7 @@ def _levenberg_marquardt(fun, x0, jac, *, max_iter=50, grad_tol=1e-10, step_tol=
             break
         if converged:
             break
-    return _LMResult(x, costs, converged, grad_norm)
+    return _LMResult(x, costs, converged)
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +446,7 @@ def _ray_placements(Rs, pair: _PairData):
     Rc = Rs @ pair.center_w
     # ellipsoid support along the camera z axis bounds the closest valid depth
     z_rows = Rs[:, 2] @ pair.rot_w
-    support_z = np.sqrt(np.sum((pair.ax_sq * z_rows) ** 2, axis=1))
+    support_z = np.sqrt(np.sum((pair.axes * z_rows) ** 2, axis=1))
     lam_min = 1.05 * support_z / v[2]
     lam_ref = np.maximum(20.0 * pair.max_axis, 2.0 * lam_min)
     M_ref, valid = _projected_conics(Rs, lam_ref[:, None] * v - Rc, pair)
@@ -475,19 +478,10 @@ def _position_from_pair_data(pair: _PairData, R, max_iter):
         raise BehindCamera(
             "detected ellipse size implies the object crosses the principal plane"
         )
-    t0 = ts[0]
-    caps = _tether_caps(R, t0, (pair,))
-
-    def fun(t):
-        return _residual(R, t, (pair,), caps)
-
-    def jac(t):
-        return _conic_jacobian(R, t, pair, _DP_TRANSLATION)
-
-    res = _levenberg_marquardt(fun, t0, jac, max_iter=max_iter, grad_tol=1e-12)
     # a stalled refinement leaves the closed-form placement, which is the
     # legitimate area/ray solution for detections no outline can match
-    return res.x
+    _, (_, t) = _refine_raw(R, ts[0], (pair,), max_iter=max_iter, rotation_fixed=True)
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -585,19 +579,15 @@ def pose_from_two_pairs(
     # can reach a similar cost to a nearly-right one)
     stage_b = []
     for i in order[:_STAGE_B_KEEP]:
-        R, t0 = starts[i // 2], placements[i]
-        res = _refine_raw(R, t0, pairs, max_iter=8, grad_tol=1e-12, guarded=False)
-        stage_b.append(
-            (res.costs[-1], axis_angle_to_matrix(res.x[:3]) @ R, t0 + res.x[3:])
-        )
+        res, (R, t) = _refine_raw(starts[i // 2], placements[i], pairs, max_iter=8, guarded=False)
+        stage_b.append((res.costs[-1], R, t))
     stage_b.sort(key=lambda s: s[0])
 
     # stage C: full joint 6-dof refinement of the leading candidates
     candidates = []
     for cost, R0, t0 in stage_b[:_STAGE_C_KEEP]:
-        res = _refine_raw(R0, t0, pairs, max_iter=60, grad_tol=1e-12, guarded=False)
-        R = axis_angle_to_matrix(res.x[:3]) @ R0
-        candidates.append((res.costs[-1], R, t0 + res.x[3:]))
+        res, (R, t) = _refine_raw(R0, t0, pairs, max_iter=60, guarded=False)
+        candidates.append((res.costs[-1], R, t))
     candidates.sort(key=lambda s: s[0])
 
     # cluster distinct poses, best first
@@ -619,29 +609,34 @@ def pose_from_two_pairs(
     return Pose(best[1], best[2])
 
 
-def _refine_raw(R0, t0, pairs, *, max_iter=50, grad_tol=1e-12, rotation_fixed=False,
-                guarded=True):
-    """Joint LM over (axis-angle increment, translation offset)."""
+def _refine_raw(R0, t0, pairs, *, max_iter=50, rotation_fixed=False, guarded=True):
+    """LM over the translation itself (``rotation_fixed``) or jointly over
+    (axis-angle increment, translation offset) from (R0, t0).
+
+    Returns the LM result and the pose (R, t) of its final iterate.
+    """
     caps = _tether_caps(R0, t0, pairs) if guarded else None
     if rotation_fixed:
-        def fun(x):
-            return _residual(R0, t0 + x, pairs, caps)
+        x0 = t0
 
-        def jac(x):
-            return np.vstack([_conic_jacobian(R0, t0 + x, p, _DP_TRANSLATION) for p in pairs])
+        def pose_at(x):
+            return R0, x
+    else:
+        x0 = np.zeros(6)
 
-        return _levenberg_marquardt(fun, np.zeros(3), jac, max_iter=max_iter, grad_tol=grad_tol)
+        def pose_at(x):
+            return axis_angle_to_matrix(x[:3]) @ R0, t0 + x[3:]
 
     def fun(x):
-        R = axis_angle_to_matrix(x[:3]) @ R0
-        return _residual(R, t0 + x[3:], pairs, caps)
+        return _residual(*pose_at(x), pairs, caps)
 
     def jac(x):
-        R = axis_angle_to_matrix(x[:3]) @ R0
-        dP = _pose_directions(x[:3], R)
-        return np.vstack([_conic_jacobian(R, t0 + x[3:], p, dP) for p in pairs])
+        R, t = pose_at(x)
+        dP = _DP_TRANSLATION if rotation_fixed else _pose_directions(x[:3], R)
+        return np.concatenate([_conic_jacobian(R, t, p, dP) for p in pairs])
 
-    return _levenberg_marquardt(fun, np.zeros(6), jac, max_iter=max_iter, grad_tol=grad_tol)
+    res = _levenberg_marquardt(fun, x0, jac, max_iter=max_iter)
+    return res, pose_at(res.x)
 
 
 def refine_pose(
@@ -662,17 +657,13 @@ def refine_pose(
         raise ValueError("refinement needs at least one correspondence")
     pairs = tuple(_PairData(c, cam.K) for c in correspondences)
     try:
-        res = _refine_raw(
+        res, (R, t) = _refine_raw(
             p0.R, p0.t, pairs, max_iter=max_iter, rotation_fixed=rotation_fixed
         )
     except NoConvergence:
         return RefineResult(p0, False, ())
-    if rotation_fixed:
-        pose = Pose(p0.R, p0.t + res.x)
-    else:
-        pose = Pose(axis_angle_to_matrix(res.x[:3]) @ p0.R, p0.t + res.x[3:])
-    if len(res.costs) == 1:
-        pose = p0  # no accepted step: return the input bit-for-bit
+    # no accepted step: return the input bit-for-bit
+    pose = p0 if len(res.costs) == 1 else Pose(R, t)
     return RefineResult(pose, res.converged, tuple(res.costs))
 
 

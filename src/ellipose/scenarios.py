@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import Annotation, Dataset, save_dataset, save_orientations, write_csv
+from .dataio import SCENARIO_PARAMS, Annotation, Dataset, save_dataset, save_orientations, write_csv
 from .errors import ElliposeError
 from .geometry import Ellipsoid, project_ellipsoid, rotation_z
 from .metrics import add_error, ellipse_iou, pose_errors, reprojection_error
@@ -31,6 +31,7 @@ from .simulator import (
     OrientationNoise,
     SceneObject,
     SceneSpec,
+    cloud_of_scene,
     default_camera,
     l_shaped_prism,
     look_at,
@@ -57,10 +58,6 @@ class ViewResult:
     position_error: float  # world units
     reprojection_error: float  # pixels
     add_error: float  # world units
-
-
-def cloud_of_scene(scene: SceneSpec) -> EllipsoidCloud:
-    return EllipsoidCloud(tuple((o.label, o.ellipsoid) for o in scene.objects))
 
 
 def noisy_orientations(views, noise: OrientationNoise, seed: int) -> dict:
@@ -297,12 +294,8 @@ def _annotated_dataset(scene: SceneSpec, views) -> Dataset:
 
 
 def _board_dataset(params, seed: int) -> tuple:
-    scene = tless_like_board(int(params.get("n_objects", 6)))
-    rig = CameraRig(
-        float(params.get("radius", 0.75)),
-        int(params.get("n_azimuth", 25)),
-        int(params.get("n_elevation", 10)),
-    )
+    scene = tless_like_board(params["n_objects"])
+    rig = CameraRig(params["radius"], params["n_azimuth"], params["n_elevation"])
     views = sample_cameras(rig)
     return scene, views, _annotated_dataset(scene, views)
 
@@ -321,14 +314,10 @@ def _run_linemod_single(params, out_dir: Path, seed: int) -> list:
     scene = SceneSpec(
         (SceneObject("target", ellipsoid, sample_ellipsoid_surface(ellipsoid, 500)),)
     )
-    rig = CameraRig(
-        float(params.get("radius", 0.6)),
-        int(params.get("n_azimuth", 20)),
-        int(params.get("n_elevation", 5)),
-    )
+    rig = CameraRig(params["radius"], params["n_azimuth"], params["n_elevation"])
     views = sample_cameras(rig)
     dataset = _annotated_dataset(scene, views)
-    noise = OrientationNoise(float(params.get("orientation_noise_deg", 2.0)) * DEG)
+    noise = OrientationNoise(params["orientation_noise_deg"] * DEG)
     orients = noisy_orientations(views, noise, seed)
     p1 = out_dir / "dataset.json"
     p2 = out_dir / "orientations.json"
@@ -339,7 +328,7 @@ def _run_linemod_single(params, out_dir: Path, seed: int) -> list:
 
 def _run_fig3_demo(params, out_dir: Path, seed: int) -> list:
     rows, mean_min, mean_gt = reconstruction_consistency_experiment(
-        n_build=int(params.get("n_build", 3)), n_held=int(params.get("n_held", 8))
+        n_build=params["n_build"], n_held=params["n_held"]
     )
     path = out_dir / "fig3_ious.csv"
     out_rows = [(vid, float(a), float(b)) for vid, a, b in rows]
@@ -355,16 +344,13 @@ def _run_fig3_demo(params, out_dir: Path, seed: int) -> list:
 
 def _run_noise_sweep(params, out_dir: Path, seed: int) -> list:
     scene, views, dataset = _board_dataset(params, seed)
-    half_ranges = params.get("half_ranges", [0.0, 5.0, 10.0, 15.0, 20.0])
     rows = noise_sweep(
         scene,
         views,
-        half_ranges,
+        params["half_ranges"],
         seed=seed,
-        iterations=int(params.get("iterations", 8)),
-        orientation_noise=OrientationNoise(
-            float(params.get("orientation_noise_deg", 2.0)) * DEG
-        ),
+        iterations=params["iterations"],
+        orientation_noise=OrientationNoise(params["orientation_noise_deg"] * DEG),
     )
     p1 = out_dir / "dataset.json"
     p2 = out_dir / "noise_sweep.csv"
@@ -403,8 +389,11 @@ SCENARIOS = {
 
 
 def run_scenario(name: str, params: dict, out_dir, seed: int) -> list:
+    """Run a named scenario; params it does not set take the defaults in
+    :data:`dataio.SCENARIO_PARAMS` (which ``load_scenario`` checks)."""
     if name not in SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}; have {sorted(SCENARIOS)}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return SCENARIOS[name](dict(params or {}), out_dir, int(seed))
+    defaults = {key: spec.default for key, spec in SCENARIO_PARAMS[name].items()}
+    return SCENARIOS[name]({**defaults, **(params or {})}, out_dir, int(seed))

@@ -17,22 +17,18 @@ import numpy as np
 
 from .errors import DegenerateBox, DegeneratePointSet
 from .geometry import (
-    BehindCamera,
     Box,
     CameraModel,
     Ellipse,
     Ellipsoid,
-    NotAnEllipse,
     Pose,
-    bbox_of_ellipse,
     canonicalize,
     inscribed_ellipse,
-    project_ellipsoid,
     rotation_x,
     rotation_y,
     rotation_z,
 )
-from .reconstruction import CalibratedView
+from .reconstruction import CalibratedView, EllipsoidCloud, generate_annotations
 
 DEG = math.pi / 180.0
 
@@ -173,21 +169,24 @@ def sample_cameras(rig: CameraRig) -> list:
     return views
 
 
+def cloud_of_scene(scene: SceneSpec) -> EllipsoidCloud:
+    """The scene's labeled ellipsoids; several objects may share a label."""
+    return EllipsoidCloud(
+        tuple((o.label, o.ellipsoid) for o in scene.objects), allow_duplicate_labels=True
+    )
+
+
 def render_detections(scene: SceneSpec, view: CalibratedView) -> list:
     """Exact (label, Ellipse, Box) per object whose projected center lies
-    inside the image; objects behind the camera or with degenerate outlines
-    are skipped."""
+    inside the image, in scene order; objects behind the camera or with
+    degenerate outlines are skipped."""
+    annotations, _ = generate_annotations(cloud_of_scene(scene), [view])
     w, h = view.cam.image_size
-    out = []
-    for obj in scene.objects:
-        try:
-            e = project_ellipsoid(obj.ellipsoid, view.pose, view.cam)
-        except (BehindCamera, NotAnEllipse):
-            continue
-        if not (0.0 <= e.center[0] <= w and 0.0 <= e.center[1] <= h):
-            continue
-        out.append((obj.label, e, bbox_of_ellipse(e)))
-    return out
+    return [
+        (label, e, box)
+        for label, e, box in annotations[view.view_id]
+        if 0.0 <= e.center[0] <= w and 0.0 <= e.center[1] <= h
+    ]
 
 
 def perturb_box(b: Box, half_range: float, rng) -> Box:

@@ -371,6 +371,32 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert f"file={spath}" in err and f"field={key}" in err
 
+    @pytest.mark.parametrize(
+        "name, params, record, field",
+        [
+            ("noise_sweep", {"radius": None}, "params", "radius"),
+            ("noise_sweep", {"n_azimuth": None}, "params", "n_azimuth"),
+            ("noise_sweep", {"n_elevation": [1]}, "params", "n_elevation"),
+            ("noise_sweep", {"half_ranges": 5}, "params", "half_ranges"),
+            ("noise_sweep", {"n_azimuth": "abc"}, "params", "n_azimuth"),
+            ("fig3_demo", {"n_build": 2}, "params", "n_build"),
+            ("fig3_demo", {"n_held": 0}, "params", "n_held"),
+            ("fig3_demo", {"n_held": 1, "n_views": 3}, "params", "n_views"),
+            ("nope", {}, "<root>", "name"),
+        ],
+        ids=[
+            "radius_null", "n_azimuth_null", "n_elevation_list", "half_ranges_number",
+            "n_azimuth_string", "n_build_2", "n_held_0", "unknown_param", "unknown_scenario",
+        ],
+    )
+    def test_bad_param_named(self, tmp_path, capsys, name, params, record, field):
+        spath = self._scenario(tmp_path, name, params)
+        out = tmp_path / "o"
+        assert main(["simulate", "--scenario", str(spath), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"file={spath}" in err and f"record={record}" in err and f"field={field}" in err
+        assert not out.exists()
+
     def test_seeded_rerun_identical_bytes(self, tmp_path):
         spath = self._scenario(
             tmp_path,

@@ -207,6 +207,76 @@ class TestDatasetRoundTrip:
             Dataset([v], {"nope": []})
 
 
+# Each record kind has one parser; these are the four places it is read.
+# site -> (file kind, keys to the record in its document, record name)
+_RECORD_SITES = {
+    "dataset_object": ("dataset", ("scene", "objects", 0), "scene.objects[0]"),
+    "cloud_object": ("cloud", ("objects", 0), "objects[0]"),
+    "dataset_annotation": ("dataset", ("annotations", "v0", 0), "annotations[v0][0]"),
+    "annotations_row": ("annotations", ("annotations", "v0", 0), "annotations[v0][0]"),
+}
+_OBJECT_FAULTS = {
+    "center_shape": ("center", [0.0, 1.0]),
+    "center_missing": ("center", None),
+    "negative_axis": ("axes", [0.1, -0.2, 0.3]),
+    "not_a_rotation": ("rotation", [[1, 0, 0], [0, 1, 0], [0, 0, 2]]),
+    "non_numeric_rotation": ("rotation", [["x", 0, 0], [0, 1, 0], [0, 0, 1]]),
+}
+_ANNOTATION_FAULTS = {
+    "negative_ellipse_axis": ("ellipse", {"center": [1.0, 2.0], "axes": [-3.0, 2.0], "angle": 0.0}),
+    "ellipse_missing_axes": ("ellipse", {"center": [1.0, 2.0], "angle": 0.0}),
+    "ellipse_not_an_object": ("ellipse", [1.0, 2.0, 3.0]),
+    "box_three_values": ("box", [0.0, 0.0, 10.0]),
+    "box_five_values": ("box", [0.0, 0.0, 10.0, 10.0, 5.0]),
+    "box_inverted": ("box", [10.0, 0.0, 0.0, 10.0]),
+}
+_RECORD_CASES = [
+    (site, fault)
+    for site in _RECORD_SITES
+    for fault in (_OBJECT_FAULTS if site.endswith("object") else _ANNOTATION_FAULTS)
+]
+
+
+class TestRecordSites:
+    def _write(self, kind, dataset, rng, path):
+        e = random_ellipse(rng)
+        if kind == "dataset":
+            save_dataset(dataset, path)
+            return load_dataset
+        if kind == "cloud":
+            save_cloud(EllipsoidCloud((("a", random_ellipsoid(rng)),)), path)
+            return load_cloud
+        save_annotations({"v0": [("a", e, bbox_of_ellipse(e))]}, [], path)
+        return load_annotations
+
+    def _load_with(self, site, key, value, dataset, rng, tmp_path):
+        kind, keys, record = _RECORD_SITES[site]
+        path = tmp_path / f"{kind}.json"
+        load = self._write(kind, dataset, rng, path)
+        doc = json.loads(path.read_text())
+        rec = doc
+        for k in keys:
+            rec = rec[k]
+        if value is None and key != "ellipse":
+            del rec[key]
+        else:
+            rec[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError) as ei:
+            load(path)
+        assert (ei.value.file, ei.value.record) == (str(path), record)
+        return ei.value
+
+    @pytest.mark.parametrize("site, fault", _RECORD_CASES, ids=[f"{s}-{f}" for s, f in _RECORD_CASES])
+    def test_malformed_record_named(self, dataset, rng, tmp_path, site, fault):
+        key, value = {**_OBJECT_FAULTS, **_ANNOTATION_FAULTS}[fault]
+        assert self._load_with(site, key, value, dataset, rng, tmp_path).field == key
+
+    def test_null_ellipse_in_annotations_file_named(self, dataset, rng, tmp_path):
+        err = self._load_with("annotations_row", "ellipse", None, dataset, rng, tmp_path)
+        assert err.field == "ellipse"
+
+
 class TestOtherFiles:
     def test_cloud_round_trip(self, rng, tmp_path):
         cloud = EllipsoidCloud(tuple((f"o{i}", random_ellipsoid(rng)) for i in range(3)))

@@ -1,6 +1,7 @@
 import numpy as np
 
 from ellipose import scenarios
+from ellipose.dataio import SCENARIO_PARAMS
 from ellipose.scenarios import cloud_of_scene, localize_views, noise_sweep, noisy_orientations
 from ellipose.simulator import (
     DEG,
@@ -53,3 +54,7 @@ def test_sweep_runs_noise_free_detector_once(monkeypatch):
         "median_position_error": float(np.median([r.position_error for r in results])),
         "median_rotation_error": float(np.median([r.rotation_error for r in results])),
     }
+
+
+def test_every_scenario_has_a_param_table():
+    assert set(scenarios.SCENARIOS) == set(SCENARIO_PARAMS)

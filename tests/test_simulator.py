@@ -4,9 +4,18 @@ import numpy as np
 import pytest
 
 from conftest import random_ellipsoid
-from ellipose.errors import DegenerateBox, DegeneratePointSet
-from ellipose.geometry import Box, Ellipse, Ellipsoid, ellipse_to_conic, project_ellipsoid
+from conftest import random_rotation
+from ellipose.errors import BehindCamera, DegenerateBox, DegeneratePointSet, NotAnEllipse
+from ellipose.geometry import (
+    Box,
+    Ellipse,
+    Ellipsoid,
+    bbox_of_ellipse,
+    ellipse_to_conic,
+    project_ellipsoid,
+)
 from ellipose.metrics import ellipse_iou
+from ellipose.reconstruction import CalibratedView
 from ellipose.simulator import (
     DEG,
     CameraRig,
@@ -16,6 +25,7 @@ from ellipose.simulator import (
     SceneSpec,
     default_camera,
     l_shaped_prism,
+    look_at,
     min_enclosing_ellipse,
     perturb_box,
     perturb_orientation,
@@ -106,6 +116,62 @@ class TestRender:
             assert len(dets) == expected
             total += len(dets)
         assert total > 0
+
+
+def _per_object_detections(scene, view):
+    """Reference rendering: each object through its own projection."""
+    w, h = view.cam.image_size
+    out = []
+    for obj in scene.objects:
+        try:
+            e = project_ellipsoid(obj.ellipsoid, view.pose, view.cam)
+        except (BehindCamera, NotAnEllipse):
+            continue
+        if 0.0 <= e.center[0] <= w and 0.0 <= e.center[1] <= h:
+            out.append((obj.label, e, bbox_of_ellipse(e)))
+    return out
+
+
+def _assert_identical_detections(got, want):
+    assert [label for label, _, _ in got] == [label for label, _, _ in want]
+    for (_, e1, b1), (_, e2, b2) in zip(got, want):
+        assert np.array_equal(e1.center, e2.center)
+        assert np.array_equal(e1.axes, e2.axes)
+        assert e1.angle == e2.angle
+        assert np.array_equal(b1.min, b2.min) and np.array_equal(b1.max, b2.max)
+
+
+class TestRenderMatchesPerObjectProjection:
+    """render_detections projects the scene in one batched call; its output
+    must equal projecting each object on its own, bit for bit."""
+
+    def test_board_rig(self):
+        scene = tless_like_board(6)
+        n = 0
+        for view in sample_cameras(CameraRig(0.75, 10, 5)):
+            want = _per_object_detections(scene, view)
+            _assert_identical_detections(render_detections(scene, view), want)
+            n += len(want)
+        assert n > 200
+
+    def test_skipped_objects_and_shared_labels(self, rng):
+        def obj(label, center, axes, R=np.eye(3)):
+            return SceneObject(label, Ellipsoid(center, axes, R))
+
+        scene = SceneSpec(
+            (
+                obj("front", (0.0, 0.0, 0.0), (0.2, 0.15, 0.1), random_rotation(rng)),
+                obj("behind", (0.0, 0.0, 9.0), (0.2, 0.2, 0.2)),
+                obj("outside", (5.0, 0.0, 0.0), (0.2, 0.2, 0.2)),
+                obj("straddles", (1.0, 0.0, 2.95), (0.3, 0.3, 0.3)),
+                obj("twin", (0.5, 0.3, 0.0), (0.12, 0.08, 0.05), random_rotation(rng)),
+                obj("twin", (-0.4, -0.2, 0.1), (0.1, 0.1, 0.06), random_rotation(rng)),
+            )
+        )
+        view = CalibratedView("v", default_camera(), look_at((0.0, 0.0, 3.0), (0.0, 0.0, 0.0)))
+        want = _per_object_detections(scene, view)
+        assert [label for label, _, _ in want] == ["front", "twin", "twin"]
+        _assert_identical_detections(render_detections(scene, view), want)
 
 
 class TestPerturbations:
