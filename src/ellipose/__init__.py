@@ -2,9 +2,10 @@
 
 Objects are abstracted as labeled ellipsoids; detections as ellipses.
 The package covers the exact projective algebra, multiview ellipsoid
-reconstruction, pose solvers with RANSAC, a bin-coded ellipse
-parameterization with its training loss, a synthetic scene simulator with
-noise models, evaluation metrics, and file formats plus a CLI.
+reconstruction, pose solvers with RANSAC, the decoder of a bin-coded
+ellipse parameterization for learned detection heads, a synthetic scene
+simulator with noise models, evaluation metrics, and file formats plus a
+CLI.
 """
 
 from .errors import (
@@ -14,7 +15,6 @@ from .errors import (
     DegenerateConfiguration,
     DegeneratePointSet,
     ElliposeError,
-    EmptyBatch,
     EmptyInput,
     EmptyPointSet,
     InsufficientViews,
@@ -56,15 +56,9 @@ from .metrics import (
     reprojection_error,
 )
 from .multibin import (
-    BinEncoding,
-    LossBreakdown,
-    LossWeights,
     MultibinConfig,
     MultibinPrediction,
     decode_prediction,
-    encode_angle,
-    multibin_loss,
-    multibin_loss_gradients,
     perfect_prediction,
 )
 from .pose import (

@@ -9,7 +9,7 @@ import argparse
 import sys
 
 from . import dataio
-from .errors import ElliposeError, ParseError, SchemaVersionMismatch
+from .errors import ElliposeError, ParseError
 from .geometry import crop_transform, inscribed_ellipse
 from .multibin import decode_prediction
 from .reconstruction import generate_annotations, reconstruct_cloud
@@ -209,7 +209,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, SchemaVersionMismatch, FileNotFoundError, ValueError) as exc:
+    except (ParseError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ElliposeError as exc:

@@ -23,6 +23,9 @@ from .simulator import SceneObject, SceneSpec
 
 SCHEMA_VERSION = 1
 
+# what numpy and float() raise on a value of the wrong type or size
+_BAD_VALUE = (ValueError, TypeError, OverflowError)
+
 
 @dataclass(frozen=True, eq=False)
 class Annotation:
@@ -116,10 +119,7 @@ def dataset_to_json(d: Dataset) -> dict:
         },
     }
     if d.scene is not None:
-        out["scene"] = {
-            "world_scale": float(d.scene.world_scale),
-            "objects": [_object_to_json(o) for o in d.scene.objects],
-        }
+        out["scene"] = {"objects": [_object_to_json(o) for o in d.scene.objects]}
     if d.predictions is not None:
         p = d.predictions
         out["predictions"] = {
@@ -168,13 +168,11 @@ class _Reader:
 
     def get_number(self, obj, key, record, kind=float):
         value = self.get(obj, key, record)
-        try:
-            return kind(value)
-        except (TypeError, ValueError) as exc:
-            raise ParseError(
-                f"expected a number, got {type(value).__name__}",
-                file=self.file, record=record, field=key,
-            ) from exc
+        number = _number(value, kind)
+        if number is None:
+            what = "an integer" if kind is int else "a finite number"
+            self.fail(f"expected {what}, got {json.dumps(value)}", record, key)
+        return number
 
     def _get_typed(self, obj, key, record, kind, name):
         value = self.get(obj, key, record)
@@ -189,11 +187,38 @@ class _Reader:
         raise ParseError(message, file=self.file, record=record, field=fld)
 
 
+def _number(value, kind):
+    """``value`` as a finite ``kind`` (int or float), or None when it is not
+    a JSON number of that kind (a boolean is not a number)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    if kind is int:
+        return value if isinstance(value, int) else None
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def _parse_arrays(rec, rd: _Reader, record, shapes: dict, what: str) -> dict:
+    """The finite arrays of ``rec`` under the keys of ``shapes``, each of its
+    shape; a fault names the key it is in."""
+    out = {}
+    for key, shape in shapes.items():
+        try:
+            out[key] = _freeze(rd.get(rec, key, record), shape)
+        except _BAD_VALUE as exc:
+            rd.fail(f"bad {what}: {exc}", record, key)
+    return out
+
+
 def _check_schema(doc, rd: _Reader):
     version = rd.get(doc, "schema_version", record="<root>")
     if version != SCHEMA_VERSION:
         raise SchemaVersionMismatch(
-            f"{rd.file}: schema_version {version!r}, this build reads {SCHEMA_VERSION}"
+            f"schema_version {version!r}, this build reads {SCHEMA_VERSION}",
+            file=rd.file, record="<root>", field="schema_version",
         )
 
 
@@ -203,7 +228,7 @@ def _load_json(path) -> tuple:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"invalid JSON: {exc}", file=str(path)) from exc
     except (IsADirectoryError, PermissionError) as exc:
         raise ParseError(f"cannot read: {exc.strerror}", file=str(path)) from exc
@@ -264,15 +289,13 @@ def _scenario_param(params: dict, key: str, spec: ScenarioParam, rd: _Reader):
     value = params[key]
     entries = value if spec.kind is list else [value]
     scalar = int if spec.kind is int else float
-    if not (isinstance(entries, list) and entries and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool)
-        and (scalar is float or isinstance(v, int)) and math.isfinite(v)
-        and (v > spec.lo if spec.lo_open else v >= spec.lo) and v <= spec.hi
-        for v in entries
+    numbers = [_number(v, scalar) for v in entries] if isinstance(entries, list) else []
+    if not (numbers and all(
+        v is not None and (v > spec.lo if spec.lo_open else v >= spec.lo) and v <= spec.hi
+        for v in numbers
     )):
         rd.fail(f"expected {spec.describe()}, got {json.dumps(value)}", "params", key)
-    converted = [scalar(v) for v in entries]
-    return converted if spec.kind is list else converted[0]
+    return numbers if spec.kind is list else numbers[0]
 
 
 def load_scenario(path) -> tuple:
@@ -301,17 +324,27 @@ def load_scenario(path) -> tuple:
             rd.fail(f"unknown param of {name}; have {sorted(specs)}", "params", key)
         params[key] = _scenario_param(raw, key, specs[key], rd)
     seed = rd.get_number(doc, "seed", "<root>", int) if "seed" in doc else 0
+    if seed < 0:
+        rd.fail(f"expected a non-negative integer, got {seed}", "<root>", "seed")
     return name, params, seed
 
 
 def _parse_view(rec, rd: _Reader, idx: int) -> CalibratedView:
-    label = f"views[{idx}]"
-    vid = rd.get(rec, "view_id", label)
+    """One calibrated view; each fault names the key it is in."""
+    record = f"views[{idx}]"
+    vid = rd.get(rec, "view_id", record)
+    parts = _parse_arrays(
+        rec, rd, record, {"K": (3, 3), "image_size": (2,), "R": (3, 3), "t": (3,)}, "view"
+    )
     try:
-        cam = CameraModel(rd.get(rec, "K", label), rd.get(rec, "image_size", label))
-        pose = Pose(rd.get(rec, "R", label), rd.get(rec, "t", label))
-    except (ValueError, TypeError) as exc:
-        rd.fail(f"bad view geometry: {exc}", label)
+        cam = CameraModel(parts["K"], parts["image_size"])
+    except ValueError as exc:  # a non-positive image size, or not intrinsics
+        key = "image_size" if min(parts["image_size"]) <= 0.0 else "K"
+        rd.fail(f"bad view: {exc}", record, key)
+    try:
+        pose = Pose(parts["R"], parts["t"])
+    except ValueError as exc:  # not a rotation
+        rd.fail(f"bad view: {exc}", record, "R")
     return CalibratedView(str(vid), cam, pose)
 
 
@@ -321,7 +354,7 @@ def _parse_box(rec, rd, record) -> Box:
         if len(vals) != 4:
             raise ValueError(f"expected 4 values, got {len(vals)}")
         return Box((vals[0], vals[1]), (vals[2], vals[3]))
-    except (ValueError, TypeError, IndexError, KeyError) as exc:
+    except (*_BAD_VALUE, IndexError, KeyError) as exc:
         rd.fail(f"bad box: {exc}", record, "box")
 
 
@@ -336,7 +369,7 @@ def _parse_annotation(rec, rd, record) -> Annotation:
             if not isinstance(raw, dict) or not raw.keys() >= {"center", "axes", "angle"}:
                 raise ValueError("expected an object with center, axes and angle")
             ellipse = Ellipse(raw["center"], raw["axes"], raw["angle"])
-        except (ValueError, TypeError) as exc:
+        except _BAD_VALUE as exc:
             rd.fail(f"bad ellipse: {exc}", record, "ellipse")
     return Annotation(str(rd.get(rec, "label", record)), box, ellipse)
 
@@ -344,12 +377,9 @@ def _parse_annotation(rec, rd, record) -> Annotation:
 def _parse_object(rec, rd, record) -> SceneObject:
     """One labeled ellipsoid, with optional model points, of a dataset scene
     or a cloud file; each fault names the key it is in."""
-    parts = {}
-    for key, shape in (("center", (3,)), ("axes", (3,)), ("rotation", (3, 3))):
-        try:
-            parts[key] = _freeze(rd.get(rec, key, record), shape)
-        except (ValueError, TypeError) as exc:
-            rd.fail(f"bad ellipsoid: {exc}", record, key)
+    parts = _parse_arrays(
+        rec, rd, record, {"center": (3,), "axes": (3,), "rotation": (3, 3)}, "ellipsoid"
+    )
     try:
         ellipsoid = Ellipsoid(**parts)
     except ValueError as exc:  # a non-positive semi-axis or not a rotation
@@ -358,7 +388,7 @@ def _parse_object(rec, rd, record) -> SceneObject:
     label = str(rd.get(rec, "label", record))
     try:
         return SceneObject(label, ellipsoid, rec.get("model_points"))
-    except (ValueError, TypeError) as exc:
+    except _BAD_VALUE as exc:
         rd.fail(f"bad model points: {exc}", record, "model_points")
 
 
@@ -376,12 +406,14 @@ def load_dataset(path) -> Dataset:
         ]
     scene = None
     if doc.get("scene") is not None:
-        sdoc = doc["scene"]
         objs = [
             _parse_object(rec, rd, f"scene.objects[{j}]")
-            for j, rec in enumerate(rd.get_list(sdoc, "objects", "scene"))
+            for j, rec in enumerate(rd.get_list(doc["scene"], "objects", "scene"))
         ]
-        scene = SceneSpec(tuple(objs), rd.get_number(sdoc, "world_scale", "scene"))
+        try:
+            scene = SceneSpec(tuple(objs))
+        except ValueError as exc:  # no objects
+            rd.fail(f"bad scene: {exc}", "scene", "objects")
     predictions = None
     if doc.get("predictions") is not None:
         pdoc = doc["predictions"]
@@ -391,6 +423,10 @@ def load_dataset(path) -> Dataset:
             cfg = MultibinConfig(n_bins, overlap)
         except ValueError as exc:
             rd.fail(f"bad multibin configuration: {exc}", "predictions")
+        crop_size = rd.get_number(pdoc, "crop_size", "predictions")
+        if crop_size <= 0.0:
+            rd.fail(f"expected a positive number, got {crop_size!r}", "predictions", "crop_size")
+        shapes = {"center": (2,), "dims": (2,), "bin_scores": (n_bins,), "corrections": (n_bins, 2)}
         records = {}
         rec_doc = rd.get_mapping(pdoc, "records", "predictions")
         for vid in rec_doc:
@@ -398,17 +434,10 @@ def load_dataset(path) -> Dataset:
             for j, rec in enumerate(rd.get_list(rec_doc, vid, "predictions.records")):
                 record = f"predictions[{vid}][{j}]"
                 box = _parse_box(rec, rd, record)
-                try:
-                    pred = MultibinPrediction(
-                        rd.get(rec, "center", record), rd.get(rec, "dims", record),
-                        rd.get(rec, "bin_scores", record),
-                        rd.get(rec, "corrections", record),
-                    )
-                except (ValueError, TypeError) as exc:
-                    rd.fail(f"bad prediction: {exc}", record)
+                pred = MultibinPrediction(**_parse_arrays(rec, rd, record, shapes, "prediction"))
                 rows.append(PredictionRecord(str(rd.get(rec, "label", record)), box, pred))
             records[vid] = rows
-        predictions = PredictionSet(rd.get_number(pdoc, "crop_size", "predictions"), cfg, records)
+        predictions = PredictionSet(crop_size, cfg, records)
     try:
         return Dataset(views, annotations, scene, predictions)
     except ValueError as exc:
@@ -446,7 +475,7 @@ def load_cloud(path) -> EllipsoidCloud:
         _parse_object(rec, rd, f"objects[{j}]")
         for j, rec in enumerate(rd.get_list(doc, "objects", "<root>"))
     ]
-    return EllipsoidCloud(tuple((o.label, o.ellipsoid) for o in objs), allow_duplicate_labels=True)
+    return EllipsoidCloud(tuple((o.label, o.ellipsoid) for o in objs))
 
 
 def save_annotations(annotations: dict, skipped, path) -> None:
@@ -500,7 +529,7 @@ def load_orientations(path) -> dict:
         try:
             R = _freeze(R, (3, 3))
             _check_rotation(R)
-        except (ValueError, TypeError) as exc:
+        except _BAD_VALUE as exc:
             rd.fail(f"bad orientation: {exc}", f"orientations[{vid}]")
         out[vid] = R
     return out

@@ -25,10 +25,6 @@ class InvalidDims(ElliposeError):
     """Decoded ellipse dimensions are not strictly positive."""
 
 
-class EmptyBatch(ElliposeError):
-    """Loss requested over an empty batch."""
-
-
 class InsufficientViews(ElliposeError):
     """Fewer distinct views than the solver minimum."""
 
@@ -93,5 +89,5 @@ class ParseError(ElliposeError):
         self.field = field
 
 
-class SchemaVersionMismatch(ElliposeError):
+class SchemaVersionMismatch(ParseError):
     """File declares a schema version this code does not understand."""

@@ -35,7 +35,7 @@ def _freeze(values, shape) -> np.ndarray:
     a = np.array(values, dtype=float)
     if a.shape != shape:
         raise ValueError(f"expected shape {shape}, got {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():  # the method skips np.all's dispatch, ~2 us a call
         raise ValueError("values must be finite")
     a.setflags(write=False)
     return a
@@ -129,26 +129,25 @@ class Ellipse:
         axes = _freeze(self.axes, (2,))
         if not (axes[0] > 0.0 and axes[1] > 0.0):
             raise ValueError("ellipse semi-axes must be positive")
+        angle = float(self.angle)
+        if not math.isfinite(angle):
+            raise ValueError("ellipse angle must be finite")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "axes", axes)
-        object.__setattr__(self, "angle", float(self.angle))
+        object.__setattr__(self, "angle", angle)
 
-    @property
-    def area(self) -> float:
-        return math.pi * float(self.axes[0] * self.axes[1])
 
-    def boundary_points(self, n: int = 64) -> np.ndarray:
-        """(n, 2) points of the parametric boundary."""
-        t = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-        local = np.stack([self.axes[0] * np.cos(t), self.axes[1] * np.sin(t)])
-        return (rot2d(self.angle) @ local).T + self.center
-
-    def contains(self, points: np.ndarray, slack: float = 0.0) -> np.ndarray:
-        """Boolean mask of points inside the (slightly inflated) ellipse."""
-        d = np.atleast_2d(points) - self.center
-        local = d @ rot2d(self.angle)  # equals R^T applied to rows
-        q = (local[:, 0] / self.axes[0]) ** 2 + (local[:, 1] / self.axes[1]) ** 2
-        return q <= 1.0 + slack
+def _normalized(M, size: int, what: str) -> np.ndarray:
+    """``M`` checked to be a symmetric ``size`` x ``size`` matrix, then
+    normalized by :func:`normalize_symmetric` and frozen."""
+    M = np.asarray(M, dtype=float)
+    if M.shape != (size, size):
+        raise ValueError(f"{what} matrix must be {size}x{size}")
+    if not np.allclose(M, M.T, atol=1e-8 * max(1.0, float(np.abs(M).max()))):
+        raise ValueError(f"{what} matrix must be symmetric")
+    M = normalize_symmetric(M)
+    M.setflags(write=False)
+    return M
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,14 +157,7 @@ class Conic:
     M: np.ndarray
 
     def __post_init__(self):
-        M = np.asarray(self.M, dtype=float)
-        if M.shape != (3, 3):
-            raise ValueError("conic matrix must be 3x3")
-        if not np.allclose(M, M.T, atol=1e-8 * max(1.0, float(np.abs(M).max()))):
-            raise ValueError("conic matrix must be symmetric")
-        M = normalize_symmetric(M)
-        M.setflags(write=False)
-        object.__setattr__(self, "M", M)
+        object.__setattr__(self, "M", _normalized(self.M, 3, "conic"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,14 +195,7 @@ class DualQuadric:
     Q: np.ndarray
 
     def __post_init__(self):
-        Q = np.asarray(self.Q, dtype=float)
-        if Q.shape != (4, 4):
-            raise ValueError("dual quadric matrix must be 4x4")
-        if not np.allclose(Q, Q.T, atol=1e-8 * max(1.0, float(np.abs(Q).max()))):
-            raise ValueError("dual quadric matrix must be symmetric")
-        Q = normalize_symmetric(Q)
-        Q.setflags(write=False)
-        object.__setattr__(self, "Q", Q)
+        object.__setattr__(self, "Q", _normalized(self.Q, 4, "dual quadric"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,6 +213,8 @@ class CameraModel:
             raise ValueError("K must be upper-triangular with K[2,2] = 1")
         if K[0, 0] <= 0 or K[1, 1] <= 0:
             raise ValueError("focal lengths must be positive")
+        if not np.all(size > 0.0):
+            raise ValueError("image size must be positive")
         object.__setattr__(self, "K", K)
         object.__setattr__(self, "image_size", size)
 
@@ -296,17 +283,6 @@ class FrameTransform:
     def inverse(self) -> "FrameTransform":
         return FrameTransform(np.linalg.inv(self.H))
 
-    def __matmul__(self, other: "FrameTransform") -> "FrameTransform":
-        """Composition with matrix semantics: (A @ B)(x) = A(B(x))."""
-        return FrameTransform(self.H @ other.H)
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        """Map (N, 2) or (2,) points through the homography."""
-        p = np.atleast_2d(points)
-        h = np.column_stack([p, np.ones(len(p))]) @ self.H.T
-        out = h[:, :2] / h[:, 2:3]
-        return out[0] if np.ndim(points) == 1 else out
-
 
 def _check_rotation(R: np.ndarray) -> None:
     if np.linalg.norm(R.T @ R - np.eye(3)) > 1e-8:
@@ -339,25 +315,10 @@ def conic_to_ellipse(C: Conic) -> Ellipse:
     degenerate (the usual symptom of a bad homography transfer or of a
     quadric crossing the principal plane).
     """
-    M = C.M
-    A = M[:2, :2]
-    evals = np.linalg.eigvalsh(A)
-    scale = float(np.abs(evals).max())
-    if scale <= 0.0 or float(np.abs(evals).min()) <= 1e-12 * scale:
-        raise NotAnEllipse("conic is parabolic or degenerate")
-    if evals[0] * evals[1] < 0.0:
-        raise NotAnEllipse("conic is a hyperbola")
-    if evals[0] < 0.0:  # make the leading block positive definite
-        M = -M
-        A = -A
-    center = np.linalg.solve(A, -M[:2, 2])
-    k = float(M[:2, 2] @ center) + M[2, 2]  # conic value at the center
-    if k >= 0.0:
-        raise NotAnEllipse("conic has no real bounded point set")
-    lam, V = np.linalg.eigh(A)
-    axes = np.sqrt(-k / lam)  # ascending lam -> axes already sorted a >= b
-    angle = math.atan2(V[1, 0], V[0, 0])
-    return canonicalize(Ellipse(center, axes, angle))
+    centers, axes, angles, code = _ellipses_of_conics(np.array(C.M)[None])
+    if code[0]:
+        raise NotAnEllipse(_NOT_AN_ELLIPSE[int(code[0])])
+    return Ellipse(centers[0], axes[0], angles[0])
 
 
 def canonicalize(e: Ellipse) -> Ellipse:
@@ -486,10 +447,38 @@ _NOT_AN_ELLIPSE = {
 }
 
 
+def _ellipses_of_conics(M):
+    """Canonical ellipse parameters of a stack (n,3,3) of point conics, which
+    it overwrites: (centers (n,2), axes (n,2), angles (n,), codes).
+
+    A conic's code is 0, or the key in ``_NOT_AN_ELLIPSE`` of the first test
+    it fails (3 parabolic or degenerate, 4 hyperbola, 5 no real point); the
+    parameters of a failed conic are meaningless.
+    """
+    M[np.trace(M[:, :2, :2], axis1=1, axis2=2) < 0.0] *= -1.0  # positive leading block
+    A = M[:, :2, :2]
+    lam, V = np.linalg.eigh(A)
+    scale = np.abs(lam).max(axis=1)
+    parabolic = (scale <= 0.0) | (np.abs(lam).min(axis=1) <= 1e-12 * scale)
+    hyperbola = lam[:, 0] * lam[:, 1] < 0.0
+    A[parabolic] = np.eye(2)  # placeholder, keeps the solve nonsingular
+    centers = np.linalg.solve(A, -M[:, :2, 2:])[:, :, 0]
+    k = np.einsum("ni,ni->n", M[:, :2, 2], centers) + M[:, 2, 2]  # conic value at the center
+    code = np.where(k >= 0.0, 5, 0)
+    code[hyperbola] = 4
+    code[parabolic] = 3
+    with np.errstate(divide="ignore", invalid="ignore"):
+        axes = np.sqrt(-k[:, None] / lam)  # ascending lam -> axes already sorted a >= b
+    angles = (np.arctan2(V[:, 1, 0], V[:, 0, 0]) + 0.5 * math.pi) % math.pi - 0.5 * math.pi
+    angles[angles <= -0.5 * math.pi] = 0.5 * math.pi
+    angles[np.abs(axes[:, 0] - axes[:, 1]) <= CIRCLE_TIE_TOL * axes[:, 0]] = 0.0
+    return centers, axes, angles, code
+
+
 def _project_dual_quadrics(Q, Rt, K):
     """Outlines of a stack of dual quadrics Q (n,4,4) seen by cameras with
     extrinsics [R | t] (n,3,4) and intrinsics K (n,3,3), with the tests of
-    :func:`conic_to_ellipse`.
+    :func:`_ellipses_of_conics`.
 
     Returns (centers (n,2), axes (n,2), angles (n,), errors): canonical
     ellipse parameters, and per pair None or the BehindCamera/NotAnEllipse
@@ -504,26 +493,10 @@ def _project_dual_quadrics(Q, Rt, K):
     Kinv = np.linalg.inv(K)
     M = Kinv.transpose(0, 2, 1) @ M @ Kinv
     M[~valid] = np.diag([1.0, 1.0, -1.0])  # placeholder, keeps LAPACK finite
-    M[np.trace(M[:, :2, :2], axis1=1, axis2=2) < 0.0] *= -1.0  # positive leading block
-    A = M[:, :2, :2]
-    lam, V = np.linalg.eigh(A)
-    scale = np.abs(lam).max(axis=1)
-    parabolic = (scale <= 0.0) | (np.abs(lam).min(axis=1) <= 1e-12 * scale)
-    hyperbola = lam[:, 0] * lam[:, 1] < 0.0
-    A[parabolic] = np.eye(2)  # placeholder, keeps the solve nonsingular
-    centers = np.linalg.solve(A, -M[:, :2, 2:])[:, :, 0]
-    k = np.einsum("ni,ni->n", M[:, :2, 2], centers) + M[:, 2, 2]  # conic value at the center
-    code = np.where(k >= 0.0, 5, 0)  # the first failed test names the error
-    code[hyperbola] = 4
-    code[parabolic] = 3
+    centers, axes, angles, code = _ellipses_of_conics(M)
     code[~valid] = 2
     code[depth <= 0.0] = 1
     ok = code == 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        axes = np.sqrt(-k[:, None] / lam)  # ascending lam -> axes already sorted a >= b
-    angles = (np.arctan2(V[:, 1, 0], V[:, 0, 0]) + 0.5 * math.pi) % math.pi - 0.5 * math.pi
-    angles[angles <= -0.5 * math.pi] = 0.5 * math.pi
-    angles[np.abs(axes[:, 0] - axes[:, 1]) <= CIRCLE_TIE_TOL * axes[:, 0]] = 0.0
     centers[~ok] = axes[~ok] = angles[~ok] = np.nan
     errors = [
         None if c == 0
@@ -561,10 +534,7 @@ def _bbox_half(a, b, angle):
 
 def transform_conic(C: Conic, T: FrameTransform) -> Conic:
     """Push a point conic through a homography: C' = H^-T C H^-1."""
-    try:
-        Hinv = np.linalg.inv(T.H)
-    except np.linalg.LinAlgError as exc:
-        raise SingularTransform(str(exc)) from exc
+    Hinv = np.linalg.inv(T.H)  # FrameTransform has checked that H is invertible
     return Conic(Hinv.T @ C.M @ Hinv)
 
 

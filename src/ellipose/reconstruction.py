@@ -14,7 +14,7 @@ intrinsics beforehand to keep the system well conditioned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,18 +69,12 @@ class CalibratedView:
 
 @dataclass(frozen=True, eq=False)
 class EllipsoidCloud:
-    """Labeled ellipsoid scene model; duplicate labels (several objects of
-    one class) must be declared explicitly."""
+    """Labeled ellipsoid scene model; several objects may share a label."""
 
     entries: tuple
-    allow_duplicate_labels: bool = field(default=False, compare=False)
 
     def __post_init__(self):
-        entries = tuple((str(l), e) for l, e in self.entries)
-        labels = [l for l, _ in entries]
-        if not self.allow_duplicate_labels and len(set(labels)) != len(labels):
-            raise ValueError("duplicate labels must be declared explicitly")
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", tuple((str(l), e) for l, e in self.entries))
 
     @property
     def labels(self) -> list:

@@ -26,6 +26,7 @@ from .reconstruction import (
 )
 from .simulator import (
     DEG,
+    DETECTOR_KINDS,
     CameraRig,
     DetectorModel,
     OrientationNoise,
@@ -45,8 +46,6 @@ from .simulator import (
 )
 
 _ORIENT_STREAM = 7919  # detector and orientation draws use distinct streams
-# detector kinds whose ellipses do not depend on the box noise (run_detector)
-_BOX_NOISE_FREE = frozenset({"gt_projection", "oracle_with_box_noise"})
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,7 +135,6 @@ def noise_sweep(
     orientation_noise: OrientationNoise = OrientationNoise(2.0 * DEG),
     seed: int = 0,
     iterations: int = 8,
-    cloud: EllipsoidCloud | None = None,
     detection_scene: SceneSpec | None = None,
 ):
     """Median pose errors versus box-noise level, per detector model.
@@ -146,21 +144,23 @@ def noise_sweep(
     experiment is to measure how far they drag the pose, not to gate them
     out.  A detector whose ellipses do not depend on the box noise is
     localised once, and its row values are repeated at every level.
+    The detectors see ``detection_scene`` (``scene`` when None), and the
+    pose is solved against its ellipsoids.
 
     Returns rows of dicts with keys: half_range_px, detector, n_views,
     n_failures, median_position_error, median_rotation_error.
     """
     orients = noisy_orientations(views, orientation_noise, seed)
     det_scene = detection_scene if detection_scene is not None else scene
-    cloud = cloud if cloud is not None else cloud_of_scene(det_scene)
+    cloud = cloud_of_scene(det_scene)
     eval_points = scene.evaluation_points(200)
     summaries = {}
     rows = []
     for half_range in half_ranges:
         for kind in detectors:
-            key = kind if kind in _BOX_NOISE_FREE else (kind, float(half_range))
+            detector = DetectorModel(kind, float(half_range), seed=seed)
+            key = (kind, detector.box_noise_half_range) if DETECTOR_KINDS[kind] else kind
             if key not in summaries:
-                detector = DetectorModel(kind, float(half_range), seed=seed)
                 _, results, failures = localize_views(
                     views,
                     lambda view: [
@@ -185,33 +185,6 @@ def noise_sweep(
                 {"half_range_px": float(half_range), "detector": kind, **summaries[key]}
             )
     return rows
-
-
-def stretched_cloud(cloud: EllipsoidCloud, scale: float = 1.5, angle: float = 30.0 * DEG) -> EllipsoidCloud:
-    """Variant abstraction: longest axis scaled, frame rotated in-plane.
-
-    Used consistently for annotation generation and pose, the choice of
-    abstraction should barely move the error statistics.
-    """
-    entries = []
-    for label, E in cloud.entries:
-        axes = np.array(E.axes)
-        axes[0] *= scale
-        entries.append(
-            (label, Ellipsoid(E.center, axes, rotation_z(angle) @ E.rotation))
-        )
-    return EllipsoidCloud(tuple(entries))
-
-
-def scene_from_cloud(cloud: EllipsoidCloud, template: SceneSpec) -> SceneSpec:
-    by_label = dict(cloud.entries)
-    return SceneSpec(
-        tuple(
-            SceneObject(o.label, by_label[o.label], o.model_points)
-            for o in template.objects
-        ),
-        template.world_scale,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,12 @@ from .reconstruction import CalibratedView, EllipsoidCloud, generate_annotations
 
 DEG = math.pi / 180.0
 
-DETECTOR_KINDS = ("gt_projection", "inscribed_of_noisy_box", "oracle_with_box_noise")
+# detector kind -> whether its ellipses depend on the box noise (run_detector)
+DETECTOR_KINDS = {
+    "gt_projection": False,
+    "inscribed_of_noisy_box": True,
+    "oracle_with_box_noise": False,
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,8 +49,8 @@ class SceneObject:
     def __post_init__(self):
         if self.model_points is not None:
             pts = np.atleast_2d(np.asarray(self.model_points, float))
-            if pts.shape[0] < 1 or pts.shape[1] != 3:
-                raise ValueError("model_points must be (N, 3) with N >= 1")
+            if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] != 3 or not np.isfinite(pts).all():
+                raise ValueError("model_points must be finite and (N, 3) with N >= 1")
             pts.setflags(write=False)
             object.__setattr__(self, "model_points", pts)
 
@@ -53,7 +58,6 @@ class SceneObject:
 @dataclass(frozen=True, eq=False)
 class SceneSpec:
     objects: tuple
-    world_scale: float = 1.0  # meters per world unit
 
     def __post_init__(self):
         objects = tuple(self.objects)
@@ -171,9 +175,7 @@ def sample_cameras(rig: CameraRig) -> list:
 
 def cloud_of_scene(scene: SceneSpec) -> EllipsoidCloud:
     """The scene's labeled ellipsoids; several objects may share a label."""
-    return EllipsoidCloud(
-        tuple((o.label, o.ellipsoid) for o in scene.objects), allow_duplicate_labels=True
-    )
+    return EllipsoidCloud(tuple((o.label, o.ellipsoid) for o in scene.objects))
 
 
 def render_detections(scene: SceneSpec, view: CalibratedView) -> list:

@@ -3,7 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from ellipose.geometry import Ellipse, Ellipsoid, bbox_of_ellipse, canonicalize, ellipse_to_conic
+from ellipose.geometry import (
+    Ellipse,
+    Ellipsoid,
+    FrameTransform,
+    bbox_of_ellipse,
+    canonicalize,
+    ellipse_to_conic,
+    rot2d,
+    rotation_z,
+)
+from ellipose.reconstruction import EllipsoidCloud
+from ellipose.simulator import SceneObject, SceneSpec
 
 
 @pytest.fixture
@@ -81,9 +92,49 @@ def ransac_iterations(inlier_fraction: float, minimal_set: int, confidence: floa
     return max(1, math.ceil(math.log(1.0 - confidence) / math.log(1.0 - w)))
 
 
+def boundary_points(e: Ellipse, n: int = 64) -> np.ndarray:
+    """(n, 2) points of the parametric boundary."""
+    t = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    local = np.stack([e.axes[0] * np.cos(t), e.axes[1] * np.sin(t)])
+    return (rot2d(e.angle) @ local).T + e.center
+
+
+def ellipse_contains(e: Ellipse, points: np.ndarray, slack: float = 0.0) -> np.ndarray:
+    """Boolean mask of points inside the (slightly inflated) ellipse."""
+    local = (np.atleast_2d(points) - e.center) @ rot2d(e.angle)  # R^T applied to rows
+    q = (local[:, 0] / e.axes[0]) ** 2 + (local[:, 1] / e.axes[1]) ** 2
+    return q <= 1.0 + slack
+
+
+def apply_transform(T: FrameTransform, points: np.ndarray) -> np.ndarray:
+    """Map (N, 2) or (2,) points through the homography."""
+    p = np.atleast_2d(points)
+    h = np.column_stack([p, np.ones(len(p))]) @ T.H.T
+    out = h[:, :2] / h[:, 2:3]
+    return out[0] if np.ndim(points) == 1 else out
+
+
+def stretched_cloud(cloud: EllipsoidCloud, scale: float, angle: float) -> EllipsoidCloud:
+    """Variant abstraction: longest axis scaled, frame rotated in-plane."""
+    entries = []
+    for label, E in cloud.entries:
+        axes = np.array(E.axes)
+        axes[0] *= scale
+        entries.append((label, Ellipsoid(E.center, axes, rotation_z(angle) @ E.rotation)))
+    return EllipsoidCloud(tuple(entries))
+
+
+def scene_from_cloud(cloud: EllipsoidCloud, template: SceneSpec) -> SceneSpec:
+    """``template`` with each object's ellipsoid taken from ``cloud``."""
+    by_label = dict(cloud.entries)
+    return SceneSpec(
+        tuple(SceneObject(o.label, by_label[o.label], o.model_points) for o in template.objects)
+    )
+
+
 def conic_residuals(e: Ellipse, M: np.ndarray, n=64) -> np.ndarray:
     """Incidence oracle: |x^T M x| for points on the parametric boundary."""
-    pts = e.boundary_points(n)
+    pts = boundary_points(e, n)
     h = np.column_stack([pts, np.ones(len(pts))])
     return np.abs(np.einsum("ij,jk,ik->i", h, M, h))
 

@@ -7,7 +7,14 @@ import pytest
 from ellipose import dataio
 from ellipose.cli import main
 from ellipose.dataio import Annotation, Dataset, PredictionRecord, PredictionSet
-from ellipose.geometry import bbox_of_ellipse, crop_transform, project_ellipsoid, transform_ellipse
+from ellipose.geometry import (
+    Box,
+    Ellipse,
+    bbox_of_ellipse,
+    crop_transform,
+    project_ellipsoid,
+    transform_ellipse,
+)
 from ellipose.multibin import MultibinConfig, perfect_prediction
 from ellipose.reconstruction import generate_annotations
 from ellipose.scenarios import cloud_of_scene
@@ -159,6 +166,30 @@ class TestPoseCommand:
         assert rc == 0
         for line in metrics.read_text().splitlines()[1:]:
             assert float(line.split(",")[4]) < 1e-4
+
+    def test_nan_prediction_is_parse_error(self, board, tmp_path, capsys):
+        scene, views, dataset, dpath = board
+        cfg = MultibinConfig(8, 0.1)
+        pred = perfect_prediction(Ellipse((112.0, 112.0), (60.0, 30.0), 0.4), cfg)
+        records = {views[0].view_id: [PredictionRecord("obj01", Box((5, 5), (50, 60)), pred)]}
+        ds = Dataset(views, dataset.annotations, scene, PredictionSet(224.0, cfg, records))
+        dpath2 = tmp_path / "with_preds.json"
+        dataio.save_dataset(ds, dpath2)
+        doc = json.loads(dpath2.read_text())
+        doc["predictions"]["records"][views[0].view_id][0]["bin_scores"] = [math.nan] * 8
+        dpath2.write_text(json.dumps(doc))
+        cloud_path = tmp_path / "cloud.json"
+        dataio.save_cloud(cloud_of_scene(scene), cloud_path)
+        rc = main(
+            [
+                "pose", "--dataset", str(dpath2), "--cloud", str(cloud_path),
+                "--out-poses", str(tmp_path / "p.json"), "--out-metrics", str(tmp_path / "m.csv"),
+                "--detections", "predictions",
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"file={dpath2}" in err and "field=bin_scores" in err
 
     def test_orientation_file_used(self, board, tmp_path):
         scene, views, dataset, dpath = board

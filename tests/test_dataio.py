@@ -167,12 +167,11 @@ class TestDatasetRoundTrip:
     @pytest.mark.parametrize(
         "section, key, value",
         [
-            ("scene", "world_scale", [1.0]),
             ("predictions", "n_bins", [8]),
             ("predictions", "overlap_fraction", {"a": 1}),
             ("predictions", "crop_size", "large"),
         ],
-        ids=["world_scale", "n_bins", "overlap_fraction", "crop_size"],
+        ids=["n_bins", "overlap_fraction", "crop_size"],
     )
     def test_non_numeric_field_named(self, dataset, tmp_path, section, key, value):
         path = tmp_path / "d.json"
@@ -183,6 +182,65 @@ class TestDatasetRoundTrip:
         with pytest.raises(ParseError) as ei:
             load_dataset(path)
         assert (ei.value.file, ei.value.record, ei.value.field) == (str(path), section, key)
+
+    def test_world_scale_neither_written_nor_read(self, dataset, tmp_path):
+        path = tmp_path / "d.json"
+        save_dataset(dataset, path)
+        doc = json.loads(path.read_text())
+        assert list(doc["scene"]) == ["objects"]
+        doc["scene"]["world_scale"] = 1.0  # as in datasets written before it was dropped
+        path.write_text(json.dumps(doc))
+        assert load_dataset(path).scene.objects[0].label == "a"
+
+    @pytest.mark.parametrize(
+        "record, key, value",
+        [
+            ("predictions[v2][0]", "bin_scores", "short"),
+            ("predictions[v2][0]", "center", [math.nan, 1.0]),
+            ("predictions", "crop_size", 0),
+            ("predictions", "crop_size", math.nan),
+            ("predictions[v2][0]", "bin_scores", [math.nan] * 8),
+        ],
+        ids=["short_bin_scores", "nan_center", "zero_crop_size", "nan_crop_size", "nan_bin_scores"],
+    )
+    def test_bad_prediction_named(self, dataset, tmp_path, record, key, value):
+        path = tmp_path / "d.json"
+        save_dataset(dataset, path)
+        doc = json.loads(path.read_text())
+        pdoc = doc["predictions"]
+        rec = pdoc if record == "predictions" else pdoc["records"]["v2"][0]
+        if value == "short":  # a head with one bin fewer than the file declares
+            rec["bin_scores"] = rec["bin_scores"][:-1]
+            rec["corrections"] = rec["corrections"][:-1]
+        else:
+            rec[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError) as ei:
+            load_dataset(path)
+        assert (ei.value.file, ei.value.record, ei.value.field) == (str(path), record, key)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("K", [[500.0, 0, 320], [1.0, 500, 240], [0, 0, 1]]),
+            ("K", [[500.0, 0, 320], [0, 500, 240]]),
+            ("image_size", [-640.0, 480.0]),
+            ("image_size", [640.0, math.inf]),
+            ("R", [[1.0, 0, 0], [0, 1, 0], [0, 0, -1]]),
+            ("t", [0.0, "x", 1.0]),
+        ],
+        ids=["K_not_intrinsics", "K_shape", "negative_image_size", "inf_image_size",
+             "R_reflection", "t_non_numeric"],
+    )
+    def test_bad_view_named(self, dataset, tmp_path, key, value):
+        path = tmp_path / "d.json"
+        save_dataset(dataset, path)
+        doc = json.loads(path.read_text())
+        doc["views"][1][key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError) as ei:
+            load_dataset(path)
+        assert (ei.value.file, ei.value.record, ei.value.field) == (str(path), "views[1]", key)
 
     def test_bad_multibin_config_named(self, dataset, tmp_path):
         path = tmp_path / "d.json"

@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    apply_transform,
+    boundary_points,
     conic_residuals,
+    ellipse_contains,
     ellipses_close,
     ellipsoids_equivalent,
     random_ellipse,
@@ -181,7 +184,7 @@ class TestProjection:
             pts = sample_ellipsoid_surface(E, 4000)
             pc = (pose.R @ pts.T).T + pose.t
             uv = (cam.K @ (pc / pc[:, 2:3]).T).T[:, :2]
-            assert ell.contains(uv, slack=1e-9).all()
+            assert ellipse_contains(ell, uv, slack=1e-9).all()
             # tight: some sample lies near the boundary
             d = uv - ell.center
             local = d @ np.array(
@@ -295,7 +298,7 @@ class TestBoxes:
     def test_bbox_tilted_against_sampling_oracle(self):
         e = Ellipse((0, 0), (2, 1), math.pi / 4)
         b = bbox_of_ellipse(e)
-        pts = e.boundary_points(200000)
+        pts = boundary_points(e, 200000)
         assert b.max[0] == pytest.approx(np.abs(pts[:, 0]).max(), abs=1e-6)
         assert b.max[1] == pytest.approx(np.abs(pts[:, 1]).max(), abs=1e-6)
         assert b.max[0] == pytest.approx(math.sqrt(2.5), abs=1e-12)
@@ -336,7 +339,7 @@ class TestTransformConic:
         for _ in range(20):
             e = random_ellipse(rng, center_scale=20.0)
             C2 = transform_conic(ellipse_to_conic(e), T)
-            pts = T.apply(e.boundary_points(64))
+            pts = apply_transform(T, boundary_points(e, 64))
             h = np.column_stack([pts, np.ones(len(pts))])
             res = np.abs(np.einsum("ij,jk,ik->i", h, C2.M, h))
             assert res.max() < 1e-10
@@ -346,7 +349,7 @@ class TestTransformConic:
         T2 = FrameTransform(np.array([[0.9, -0.2, -1.0], [0.3, 1.1, 2.0], [1e-4, 0, 1.0]]))
         e = random_ellipse(rng)
         C = ellipse_to_conic(e)
-        lhs = transform_conic(C, T2 @ T1)
+        lhs = transform_conic(C, FrameTransform(T2.H @ T1.H))
         rhs = transform_conic(transform_conic(C, T1), T2)
         assert np.allclose(lhs.M, rhs.M, atol=1e-12)
 
@@ -363,13 +366,13 @@ class TestCropTransform:
     def test_wide_box_completion(self):
         T = crop_transform(Box((0, 0), (20, 10)), 20.0)
         # square completion is (0,-5)-(20,15), scale 1
-        assert np.allclose(T.apply(np.array([0.0, -5.0])), (0.0, 0.0), atol=1e-12)
-        assert np.allclose(T.apply(np.array([20.0, 15.0])), (20.0, 20.0), atol=1e-12)
+        assert np.allclose(apply_transform(T, np.array([0.0, -5.0])), (0.0, 0.0), atol=1e-12)
+        assert np.allclose(apply_transform(T, np.array([20.0, 15.0])), (20.0, 20.0), atol=1e-12)
 
     def test_scale_and_center(self):
         T = crop_transform(Box((0, 0), (4, 2)), 64.0)
         assert T.H[0, 0] == pytest.approx(16.0)
-        assert np.allclose(T.apply(np.array([2.0, 1.0])), (32.0, 32.0), atol=1e-12)
+        assert np.allclose(apply_transform(T, np.array([2.0, 1.0])), (32.0, 32.0), atol=1e-12)
 
     def test_crop_round_trip(self, rng):
         for _ in range(50):
@@ -398,6 +401,16 @@ class TestValidation:
     def test_camera_checks(self):
         with pytest.raises(ValueError):
             CameraModel(np.array([[1.0, 0, 0], [0, 1, 0], [0, 0, 2.0]]), (10, 10))
+
+    @pytest.mark.parametrize("size", [(-640, 480), (640, 0), (640, math.nan)])
+    def test_camera_image_size_checked(self, size):
+        K = np.array([[500.0, 0, 320], [0, 500, 240], [0, 0, 1]])
+        with pytest.raises(ValueError):
+            CameraModel(K, size)
+
+    def test_ellipse_angle_checked(self):
+        with pytest.raises(ValueError):
+            Ellipse((0, 0), (2.0, 1.0), math.nan)
 
     def test_pose_rotation_checked(self, rng):
         R = random_rotation(rng)

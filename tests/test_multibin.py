@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_ellipse
-from ellipose.errors import EmptyBatch, InvalidDims
+from ellipose.errors import InvalidDims
 from ellipose.geometry import (
     Box,
     Ellipse,
@@ -14,14 +13,9 @@ from ellipose.geometry import (
     wrap_angle_half_pi,
 )
 from ellipose.multibin import (
-    BinEncoding,
-    LossWeights,
     MultibinConfig,
     MultibinPrediction,
     decode_prediction,
-    encode_angle,
-    multibin_loss,
-    multibin_loss_gradients,
     perfect_prediction,
     target_bin,
 )
@@ -31,39 +25,6 @@ CFG = MultibinConfig(n_bins=8, overlap_fraction=0.1)
 
 def make_prediction(center, dims, scores, corrections):
     return MultibinPrediction(center, dims, np.asarray(scores, float), corrections)
-
-
-class TestEncode:
-    def test_bin_center_single(self):
-        theta = CFG.bin_center(3)
-        enc = encode_angle(theta, CFG)
-        assert enc.bins == (3,)
-        assert enc.residuals[0] == pytest.approx(0.0, abs=1e-15)
-
-    def test_shared_boundary_two_bins(self):
-        w = CFG.width
-        enc = encode_angle(0.0, CFG)  # nominal boundary between bins 3 and 4
-        assert enc.bins == (3, 4)
-        assert enc.residuals[0] == pytest.approx(w / 2)
-        assert enc.residuals[1] == pytest.approx(-w / 2)
-
-    def test_pi_periodicity(self):
-        e1 = encode_angle(math.pi / 2, CFG)
-        e2 = encode_angle(-math.pi / 2 + 1e-12, CFG)
-        assert e1.bins == e2.bins
-        assert np.allclose(e1.residuals, e2.residuals, atol=1e-9)
-
-    def test_every_angle_covered(self, rng):
-        for cfg in (CFG, MultibinConfig(2, 0.0), MultibinConfig(5, 0.3)):
-            for theta in rng.uniform(-math.pi / 2, math.pi / 2, size=500):
-                enc = encode_angle(theta, cfg)
-                assert 1 <= len(enc.bins) <= 2
-                for r in enc.residuals:
-                    assert abs(r) <= cfg.half_width_widened + 1e-9
-
-    def test_invalid_count_rejected(self):
-        with pytest.raises(ValueError):
-            BinEncoding((0, 1, 2), (0.0, 0.0, 0.0))
 
 
 class TestDecode:
@@ -105,131 +66,6 @@ class TestDecode:
         a = decode_prediction(p, CFG, FrameTransform(np.eye(3)))
         b = decode_prediction(scaled, CFG, FrameTransform(np.eye(3)))
         assert abs(wrap_angle_half_pi(a.angle - b.angle)) < 1e-12
-
-
-class TestLoss:
-    def test_perfect_prediction(self):
-        gt = canonicalize(Ellipse((50, 60), (20, 10), 0.3))
-        p = perfect_prediction(gt, CFG)
-        lb = multibin_loss([(p, gt)], CFG)
-        assert lb.l_center == 0.0
-        assert lb.l_dim == 0.0
-        assert lb.l_correction == pytest.approx(-1.0, abs=1e-12)
-        assert lb.l_bin < 1e-9
-
-    def test_hand_computed_cross_entropy(self):
-        cfg = MultibinConfig(n_bins=2, overlap_fraction=0.1)
-        gt = canonicalize(Ellipse((0, 0), (2, 1), cfg.bin_center(0)))
-        corr = np.array([[1.0, 0.0], [1.0, 0.0]])
-        p = make_prediction((0, 0), (2, 1), (math.log(3.0), 0.0), corr)
-        lb = multibin_loss([(p, gt)], cfg)
-        assert lb.l_bin == pytest.approx(-math.log(0.75), abs=1e-12)
-
-    def test_center_offset_and_alpha_weight(self):
-        gt = canonicalize(Ellipse((10, 10), (5, 2), 0.1))
-        p0 = perfect_prediction(gt, CFG)
-        p = MultibinPrediction(gt.center + (3.0, 4.0), p0.dims, p0.bin_scores, p0.corrections)
-        lb = multibin_loss([(p, gt)], CFG, LossWeights(alpha=0.01, beta=1.0))
-        assert lb.l_center == pytest.approx(25.0)
-        perfect = multibin_loss([(p0, gt)], CFG).total
-        assert lb.total - perfect == pytest.approx(0.01 * 25.0, abs=1e-12)
-
-    def test_batch_mean_semantics(self):
-        gt = canonicalize(Ellipse((10, 10), (5, 2), 0.1))
-        p0 = perfect_prediction(gt, CFG)
-        p = MultibinPrediction(gt.center + (3.0, 4.0), p0.dims, p0.bin_scores, p0.corrections)
-        lb = multibin_loss([(p, gt), (p0, gt)], CFG)
-        assert lb.l_center == pytest.approx(12.5)
-
-    def test_empty_batch(self):
-        with pytest.raises(EmptyBatch):
-            multibin_loss([], CFG)
-
-    def test_total_composition(self, rng):
-        gt = random_ellipse(rng, center_scale=50)
-        p0 = perfect_prediction(gt, CFG)
-        p = MultibinPrediction(
-            p0.center + rng.normal(size=2),
-            p0.dims * 1.1,
-            p0.bin_scores + rng.normal(size=8),
-            p0.corrections + 0.2 * rng.normal(size=(8, 2)),
-        )
-        w = LossWeights(alpha=0.07, beta=2.5)
-        lb = multibin_loss([(p, gt)], CFG, w)
-        assert lb.total == pytest.approx(
-            w.alpha * (lb.l_center + lb.l_dim) + lb.l_bin + w.beta * lb.l_correction
-        )
-        assert -1.0 <= lb.l_correction <= 1.0
-
-    def test_non_overlapping_bin_has_no_effect(self, rng):
-        gt = canonicalize(Ellipse((10, 10), (5, 2), CFG.bin_center(2)))
-        p = perfect_prediction(gt, CFG)
-        enc = encode_angle(gt.angle, CFG)
-        outside = [i for i in range(CFG.n_bins) if i not in enc.bins]
-        corr = np.array(p.corrections)
-        corr[outside[0]] = (math.cos(1.0), math.sin(1.0))
-        p2 = MultibinPrediction(p.center, p.dims, p.bin_scores, corr)
-        assert multibin_loss([(p, gt)], CFG).l_correction == pytest.approx(
-            multibin_loss([(p2, gt)], CFG).l_correction
-        )
-
-    def test_minimum_at_ground_truth(self, rng):
-        gt = random_ellipse(rng, center_scale=50)
-        p0 = perfect_prediction(gt, CFG)
-        base = multibin_loss([(p0, gt)], CFG).total
-        for _ in range(1000):
-            p = MultibinPrediction(
-                p0.center + rng.normal(scale=2.0, size=2),
-                np.maximum(p0.dims + rng.normal(scale=1.0, size=2), 0.1),
-                p0.bin_scores + rng.normal(scale=1.0, size=8),
-                p0.corrections + rng.normal(scale=0.3, size=(8, 2)),
-            )
-            assert multibin_loss([(p, gt)], CFG).total > base
-
-
-class TestGradients:
-    def _fd_check(self, batch, cfg, term, field, atol=1e-7, rtol=1e-5):
-        grads = multibin_loss_gradients(batch, cfg)
-        h = 1e-6
-        for s, (p, gt) in enumerate(batch):
-            analytic = getattr(grads[s], field)
-            arr = getattr(p, {"center": "center", "dims": "dims",
-                              "bin_scores": "bin_scores", "corrections": "corrections"}[field])
-            fd = np.zeros_like(analytic)
-            for idx in np.ndindex(arr.shape):
-                for sign, store in ((1.0, "hi"), (-1.0, "lo")):
-                    pert = np.array(arr)
-                    pert[idx] += sign * h
-                    fields = dict(center=p.center, dims=p.dims,
-                                  bin_scores=p.bin_scores, corrections=p.corrections)
-                    fields[field] = pert
-                    p2 = MultibinPrediction(**fields)
-                    batch2 = list(batch)
-                    batch2[s] = (p2, gt)
-                    val = getattr(multibin_loss(batch2, cfg), term)
-                    if store == "hi":
-                        hi = val
-                    else:
-                        lo = val
-                fd[idx] = (hi - lo) / (2 * h)
-            assert np.allclose(analytic, fd, atol=atol, rtol=rtol), (term, field)
-
-    def test_finite_differences(self, rng):
-        batch = []
-        for _ in range(3):
-            gt = random_ellipse(rng, center_scale=50)
-            p0 = perfect_prediction(gt, CFG)
-            p = MultibinPrediction(
-                p0.center + rng.normal(scale=2.0, size=2),
-                np.maximum(p0.dims + rng.normal(scale=0.5, size=2), 0.5),
-                p0.bin_scores + rng.normal(scale=1.0, size=8),
-                p0.corrections + rng.normal(scale=0.2, size=(8, 2)),
-            )
-            batch.append((p, gt))
-        self._fd_check(batch, CFG, "l_center", "center")
-        self._fd_check(batch, CFG, "l_dim", "dims")
-        self._fd_check(batch, CFG, "l_bin", "bin_scores")
-        self._fd_check(batch, CFG, "l_correction", "corrections")
 
 
 def test_target_bin_nearest_center():

@@ -306,9 +306,7 @@ def enumerate_associations(detections, cloud):
 
 class TestAssociations:
     def _cloud(self, rng, labels):
-        return EllipsoidCloud(
-            tuple((l, sized_ellipsoid(rng)) for l in labels), allow_duplicate_labels=True
-        )
+        return EllipsoidCloud(tuple((l, sized_ellipsoid(rng)) for l in labels))
 
     def test_one_to_one(self, rng):
         cloud = self._cloud(rng, ["a"])
