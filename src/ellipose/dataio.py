@@ -434,7 +434,11 @@ def load_dataset(path) -> Dataset:
             for j, rec in enumerate(rd.get_list(rec_doc, vid, "predictions.records")):
                 record = f"predictions[{vid}][{j}]"
                 box = _parse_box(rec, rd, record)
-                pred = MultibinPrediction(**_parse_arrays(rec, rd, record, shapes, "prediction"))
+                parts = _parse_arrays(rec, rd, record, shapes, "prediction")
+                if not np.all(parts["dims"] > 0.0):
+                    rd.fail(f"bad prediction: dims must be positive, got {parts['dims'].tolist()}",
+                            record, "dims")
+                pred = MultibinPrediction(**parts)
                 rows.append(PredictionRecord(str(rd.get(rec, "label", record)), box, pred))
             records[vid] = rows
         predictions = PredictionSet(crop_size, cfg, records)

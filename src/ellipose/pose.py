@@ -5,7 +5,7 @@ depth initialization from the area ratio, then damped least squares on the
 conic residual), full two-pair pose (icosahedral rotation grid scored
 through the single-pair solver, then joint 6-dof refinement), local pose
 refinement over any number of pairs, and a seeded RANSAC over label-based
-association hypotheses.
+association hypotheses that solves each distinct minimal set once.
 
 All residuals are Frobenius differences of unit-normalized point conics.
 The damped least-squares solvers use the exact Jacobian of that conic with
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,12 +56,20 @@ _IOU_GRID = 128  # grid resolution of the consensus IoU
 
 @dataclass(frozen=True, eq=False)
 class Correspondence:
+    """A detected ellipse paired with an ellipsoid; carries the normalized
+    dual quadric ``Q`` and the pixel point conic ``M`` of the canonical
+    ellipse, so each solver call reuses them."""
+
     ellipse: Ellipse
     ellipsoid: Ellipsoid
     label: str
+    Q: np.ndarray = field(init=False, repr=False)
+    M: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "ellipse", canonicalize(self.ellipse))
+        object.__setattr__(self, "Q", ellipsoid_to_dual_quadric(self.ellipsoid).Q)
+        object.__setattr__(self, "M", ellipse_to_conic(self.ellipse).M)
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,9 +136,8 @@ class _PairData:
     )
 
     def __init__(self, corr: Correspondence, K: np.ndarray):
-        self.Qd = ellipsoid_to_dual_quadric(corr.ellipsoid).Q
-        M_pix = ellipse_to_conic(corr.ellipse).M
-        self.M_det = normalize_symmetric(K.T @ M_pix @ K)
+        self.Qd = corr.Q
+        self.M_det = normalize_symmetric(K.T @ corr.M @ K)
         self.center_w = corr.ellipsoid.center
         area = _conic_areas(self.M_det[None])[0]
         self.area_det = float(area) if area > 0.0 else None
@@ -228,7 +235,10 @@ def _conic_jacobian(R, t, pair: _PairData, dP):
     P = _projection_matrix(R, t)
     QPt = pair.Qd @ P.T
     C = P @ QPt
-    m, s = _unit_adjugate(C)
+    unit = _unit_adjugate(C)
+    if unit is None:  # rounding: the residual's C, summed in another order, passed
+        raise NoConvergence("projected conic degenerate to rounding at an accepted iterate")
+    m, s = unit
     (a, b, c), (_, d, e), (_, _, f) = C.tolist()
     L = np.array(  # d(m00, m01, m02, m11, m12, m22) / d(a, b, c, d, e, f)
         [
@@ -684,7 +694,8 @@ def _associations_with_indices(detections, cloud: EllipsoidCloud):
 def ransac_pose(detections, cloud: EllipsoidCloud, cam: CameraModel, opts: RansacOptions) -> PoseEstimate:
     """Seeded RANSAC over association hypotheses.
 
-    Minimal sets never reuse a detection or an object; hypotheses are scored
+    Minimal sets never reuse a detection or an object, and a minimal set
+    drawn again is solved only the first time; hypotheses are scored
     by the ellipse IoU between detections and reprojections, the best
     hypothesis by (inlier count, mean inlier IoU, draw order) is polished
     with :func:`refine_pose` on its inliers, and consensus is re-evaluated
@@ -699,11 +710,20 @@ def ransac_pose(detections, cloud: EllipsoidCloud, cam: CameraModel, opts: Ransa
     scoring = _Scoring(corrs, pairs, cam.K, opts.inlier_iou_threshold)
     rng = np.random.default_rng(np.random.SeedSequence(int(opts.seed)))
     best = None  # (count, score, -draw_idx, pose, inliers)
+    drawn = set()
 
     for draw_idx in range(opts.iterations):
+        # Every iteration draws, so the RNG stream is that of solving every
+        # draw.  Skipping a repeat leaves the result unchanged: the solvers
+        # are deterministic, so it yields the same hypotheses (or raises, or
+        # falls short of min_set, again), and each hypothesis's key has the
+        # same count and score as at the first occurrence with a smaller
+        # -draw_idx, so it is strictly below that first key, which best
+        # already holds or has beaten, and can never replace best.
         sample = _draw_minimal_set(rng, assoc, min_set)
-        if sample is None:
+        if sample is None or sample in drawn:
             continue
+        drawn.add(sample)
         try:
             if opts.mode == "orientation_known":
                 t = _position_from_pair_data(pairs[sample[0]], opts.rotation, 25)

@@ -167,7 +167,10 @@ class TestPoseCommand:
         for line in metrics.read_text().splitlines()[1:]:
             assert float(line.split(",")[4]) < 1e-4
 
-    def test_nan_prediction_is_parse_error(self, board, tmp_path, capsys):
+    @staticmethod
+    def _pose_with_bad_prediction(board, tmp_path, key, value):
+        """Exit code of ``pose --detections predictions`` on a dataset whose
+        one prediction record has ``key`` set to ``value``, and the path."""
         scene, views, dataset, dpath = board
         cfg = MultibinConfig(8, 0.1)
         pred = perfect_prediction(Ellipse((112.0, 112.0), (60.0, 30.0), 0.4), cfg)
@@ -176,7 +179,7 @@ class TestPoseCommand:
         dpath2 = tmp_path / "with_preds.json"
         dataio.save_dataset(ds, dpath2)
         doc = json.loads(dpath2.read_text())
-        doc["predictions"]["records"][views[0].view_id][0]["bin_scores"] = [math.nan] * 8
+        doc["predictions"]["records"][views[0].view_id][0][key] = value
         dpath2.write_text(json.dumps(doc))
         cloud_path = tmp_path / "cloud.json"
         dataio.save_cloud(cloud_of_scene(scene), cloud_path)
@@ -187,9 +190,19 @@ class TestPoseCommand:
                 "--detections", "predictions",
             ]
         )
+        return rc, dpath2
+
+    def test_nan_prediction_is_parse_error(self, board, tmp_path, capsys):
+        rc, path = self._pose_with_bad_prediction(board, tmp_path, "bin_scores", [math.nan] * 8)
         assert rc == 2
         err = capsys.readouterr().err
-        assert f"file={dpath2}" in err and "field=bin_scores" in err
+        assert f"file={path}" in err and "field=bin_scores" in err
+
+    def test_non_positive_dims_is_parse_error(self, board, tmp_path, capsys):
+        rc, path = self._pose_with_bad_prediction(board, tmp_path, "dims", [60.0, -1.0])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"file={path}" in err and "field=dims" in err
 
     def test_orientation_file_used(self, board, tmp_path):
         scene, views, dataset, dpath = board

@@ -200,8 +200,11 @@ class TestDatasetRoundTrip:
             ("predictions", "crop_size", 0),
             ("predictions", "crop_size", math.nan),
             ("predictions[v2][0]", "bin_scores", [math.nan] * 8),
+            ("predictions[v2][0]", "dims", [60, -1]),
+            ("predictions[v2][0]", "dims", [0, 5]),
         ],
-        ids=["short_bin_scores", "nan_center", "zero_crop_size", "nan_crop_size", "nan_bin_scores"],
+        ids=["short_bin_scores", "nan_center", "zero_crop_size", "nan_crop_size", "nan_bin_scores",
+             "negative_dims", "zero_dims"],
     )
     def test_bad_prediction_named(self, dataset, tmp_path, record, key, value):
         path = tmp_path / "d.json"

@@ -1,9 +1,11 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from conftest import grid_ellipse_iou, random_rotation, ransac_iterations
+from ellipose import pose as pose_module
 from ellipose.errors import (
     AmbiguousSolution,
     BehindCamera,
@@ -40,7 +42,9 @@ from ellipose.pose import (  # white-box kernels
     _associations_with_indices,
     _conic_jacobian,
     _consensus,
+    _draw_minimal_set,
     _pose_directions,
+    _position_from_pair_data,
     _projected_conic,
     _projected_conics,
 )
@@ -425,6 +429,147 @@ class TestRansac:
             _, pos = pose_errors(est.pose, pose)
             hits += pos < 1e-3
         assert hits >= 19
+
+
+def reference_ransac(detections, cloud, cam, opts):
+    """RANSAC that solves and scores every draw, repeats included, then
+    polishes the best hypothesis as :func:`ransac_pose` does.  Returns the
+    estimate and the list of draws."""
+    assoc = _associations_with_indices(detections, cloud)
+    corrs = [c for c, _, _ in assoc]
+    min_set = 1 if opts.mode == "orientation_known" else 2
+    pairs = [_PairData(c, cam.K) for c in corrs]
+    scoring = _Scoring(corrs, pairs, cam.K, opts.inlier_iou_threshold)
+    rng = np.random.default_rng(np.random.SeedSequence(int(opts.seed)))
+    best, draws = None, []
+    for draw_idx in range(opts.iterations):
+        sample = _draw_minimal_set(rng, assoc, min_set)
+        draws.append(sample)
+        if sample is None:
+            continue
+        try:
+            if min_set == 1:
+                t = _position_from_pair_data(pairs[sample[0]], opts.rotation, 25)
+                hypotheses = [Pose(opts.rotation, t)]
+            else:
+                hypotheses = [pose_from_two_pairs(corrs[sample[0]], corrs[sample[1]], cam)]
+        except AmbiguousSolution as exc:
+            hypotheses = list(exc.candidates)
+        except ElliposeError:
+            continue
+        for hyp in hypotheses:
+            inliers, score = _consensus(hyp, scoring)
+            key = (len(inliers), score, -draw_idx)
+            if len(inliers) >= min_set and (best is None or key > best[0]):
+                best = (key, hyp, inliers)
+    (_, score, _), pose, inliers = best
+    for _ in range(4):
+        rotation_fixed = not opts.refine_orientation or len(inliers) < 2
+        refined = refine_pose(pose, [corrs[i] for i in inliers], cam, rotation_fixed=rotation_fixed)
+        inliers2, score2 = _consensus(refined.pose, scoring)
+        if (len(inliers2), score2) < (len(inliers), score):
+            break
+        grew = len(inliers2) > len(inliers)
+        pose, inliers, score = refined.pose, inliers2, score2
+        if not grew:
+            break
+    return PoseEstimate(pose, inliers, score), draws
+
+
+def ransac_problem(rng, mode, seed):
+    """Board detections with box-like shape noise and, in orientation-known
+    mode, two swapped labels and a noisy rotation; 20 draws."""
+    cam = default_camera()
+    cloud = board_scene(rng, n=6 if mode == "orientation_known" else 4)
+    truth = camera_near(rng, (0, 0, 0), dist=1.8)
+    dets = []
+    for i, (label, E) in enumerate(cloud.entries):
+        e = project_ellipsoid(E, truth, cam)
+        e = Ellipse(e.center + rng.normal(scale=2.0, size=2), e.axes * rng.uniform(0.9, 1.1, 2),
+                    e.angle)
+        if mode == "orientation_known" and i < 2:
+            label = cloud.entries[1 - i][0]
+        dets.append((label, e))
+    rotation = perturb_orientation(truth.R, OrientationNoise(2.0 * DEG), rng)
+    opts = RansacOptions(mode=mode, iterations=20, inlier_iou_threshold=0.5, seed=seed,
+                         rotation=rotation if mode == "orientation_known" else None)
+    return dets, cloud, cam, opts
+
+
+@pytest.mark.parametrize("mode, seed", [("orientation_known", 2), ("full", 5)])
+def test_ransac_equals_solving_every_draw(rng, mode, seed):
+    dets, cloud, cam, opts = ransac_problem(rng, mode, seed)
+    want, draws = reference_ransac(dets, cloud, cam, opts)
+    assert len(set(draws)) < len(draws)  # the draws repeat
+    got = ransac_pose(dets, cloud, cam, opts)
+    assert got.pose.R.tobytes() == want.pose.R.tobytes()
+    assert got.pose.t.tobytes() == want.pose.t.tobytes()
+    assert got.inliers == want.inliers and got.score == want.score
+
+
+@pytest.mark.parametrize(
+    "mode, solver", [("orientation_known", "_position_from_pair_data"), ("full", "pose_from_two_pairs")]
+)
+def test_ransac_solves_each_distinct_draw_once(rng, monkeypatch, mode, solver):
+    dets, cloud, cam, opts = ransac_problem(rng, mode, seed=3)
+    min_set = 1 if mode == "orientation_known" else 2
+    draw_rng = np.random.default_rng(np.random.SeedSequence(opts.seed))
+    assoc = _associations_with_indices(dets, cloud)
+    draws = [_draw_minimal_set(draw_rng, assoc, min_set) for _ in range(opts.iterations)]
+    distinct = set(draws) - {None}
+    assert len(distinct) < opts.iterations
+    calls = []
+    wrapped = getattr(pose_module, solver)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return wrapped(*args, **kwargs)
+
+    monkeypatch.setattr(pose_module, solver, counting)
+    ransac_pose(dets, cloud, cam, opts)
+    assert len(calls) == len(distinct)
+
+
+@pytest.mark.parametrize("seed", [1, 8])
+def test_one_label_full_mode_contract(monkeypatch, seed):
+    # 4 detections x 4 objects of one label: 16 correspondences, 4 of them
+    # true; seed 1 reaches a projection degenerate to rounding in the
+    # two-pair refinement, seed 8 draws no all-true minimal set
+    rng = np.random.default_rng(seed)
+    objs = []
+    for i in range(4):
+        az = 0.5 * math.pi * i
+        center = np.array([0.25 * math.cos(az), 0.25 * math.sin(az), 0.05])
+        axes = np.sort(rng.uniform(0.04, 0.1, size=3))[::-1]
+        objs.append(("part", Ellipsoid(center, axes, random_rotation(rng))))
+    cloud = EllipsoidCloud(tuple(objs))
+    cam = default_camera()
+    truth = look_at((1.2, 0.9, 1.3), (0.0, 0.0, 0.0))
+    dets = [(label, project_ellipsoid(E, truth, cam)) for label, E in cloud.entries]
+    assert len(_associations_with_indices(dets, cloud)) == 16
+    sets = []
+    solve = pose_module.pose_from_two_pairs
+
+    def recording(c1, c2, cam):
+        sets.append((c1, c2))
+        return solve(c1, c2, cam)
+
+    monkeypatch.setattr(pose_module, "pose_from_two_pairs", recording)
+    start = time.perf_counter()
+    try:
+        est = ransac_pose(dets, cloud, cam, RansacOptions(mode="full", iterations=20, seed=seed))
+    except NoValidPose:
+        est = None
+    # about 3 s on a 2-core host; the bound leaves room for a slow one
+    assert time.perf_counter() - start < 60.0
+    assert sets
+    for c1, c2 in sets:
+        assert c1.ellipsoid is not c2.ellipsoid
+        assert not np.array_equal(c1.ellipse.center, c2.ellipse.center)
+    if est is not None:
+        rot, pos = pose_errors(est.pose, truth)
+        assert rot < 1e-8 and pos < 1e-8
+        assert est.inliers == (0, 5, 10, 15)
 
 
 def test_ransac_iterations_bound():
