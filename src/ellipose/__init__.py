@@ -67,7 +67,6 @@ from .pose import (
     RansacOptions,
     RefineResult,
     pose_from_two_pairs,
-    position_from_pair,
     ransac_pose,
     refine_pose,
 )

@@ -1,11 +1,13 @@
 """Camera pose recovery from ellipse-ellipsoid correspondences.
 
-Solvers: single-pair camera position given the orientation (closed-form
-depth initialization from the area ratio, then damped least squares on the
-conic residual), full two-pair pose (icosahedral rotation grid scored
-through the single-pair solver, then joint 6-dof refinement), local pose
-refinement over any number of pairs, and a seeded RANSAC over label-based
-association hypotheses that solves each distinct minimal set once.
+Solvers: closed-form camera placement from one pair under a known
+orientation (the ellipsoid center on the detection's back-projection ray at
+the area-equating depth), full two-pair pose (icosahedral rotation grid
+scored by that closed-form placement, then joint 6-dof refinement), local
+pose refinement over any number of pairs, and a seeded RANSAC over
+label-based association hypotheses that solves each distinct minimal set
+once.  With the orientation known, the only damped least-squares solve is
+the final polish of the best hypothesis on its inliers.
 
 All residuals are Frobenius differences of unit-normalized point conics.
 The damped least-squares solvers use the exact Jacobian of that conic with
@@ -25,7 +27,6 @@ import numpy as np
 
 from .errors import (
     AmbiguousSolution,
-    BehindCamera,
     DegenerateConfiguration,
     ElliposeError,
     NoConvergence,
@@ -402,7 +403,7 @@ def _levenberg_marquardt(fun, x0, jac, *, max_iter=50):
 
 
 # ---------------------------------------------------------------------------
-# Single-pair position
+# Pose directions and single-pair placement
 # ---------------------------------------------------------------------------
 
 
@@ -468,32 +469,6 @@ def _ray_placements(Rs, pair: _PairData):
     return lam0[:, None] * v - Rc, ok
 
 
-def position_from_pair(
-    corr: Correspondence, R, cam: CameraModel, *, max_iter: int = 50
-) -> np.ndarray:
-    """Camera translation from one pair under a known orientation.
-
-    The ellipsoid center is first placed on the back-projection ray of the
-    detected center at the area-equating depth, then the three position
-    coordinates are refined by damped least squares on the normalized-conic
-    residual (gradient norm below 1e-12 or ``max_iter`` iterations).
-    """
-    return _position_from_pair_data(_PairData(corr, cam.K), np.asarray(R, float), max_iter)
-
-
-def _position_from_pair_data(pair: _PairData, R, max_iter):
-    """:func:`position_from_pair` on a correspondence's prepared data."""
-    ts, ok = _ray_placements(R[None], pair)
-    if not ok[0]:
-        raise BehindCamera(
-            "detected ellipse size implies the object crosses the principal plane"
-        )
-    # a stalled refinement leaves the closed-form placement, which is the
-    # legitimate area/ray solution for detections no outline can match
-    _, (_, t) = _refine_raw(R, ts[0], (pair,), max_iter=max_iter, rotation_fixed=True)
-    return t
-
-
 # ---------------------------------------------------------------------------
 # Two-pair full pose
 # ---------------------------------------------------------------------------
@@ -551,11 +526,11 @@ def pose_from_two_pairs(
     """Full 6-dof pose from two correspondences.
 
     The rotation is searched over 42 icosahedral viewing directions times 8
-    rolls; each start is scored by solving the position on one pair and
-    measuring the conic residual on both, the best starts are polished by a
-    joint 6-dof damped least-squares refinement, and distinct minima with
-    costs within 1% of each other raise AmbiguousSolution carrying both
-    candidates.
+    rolls; each start is scored by placing the object on one pair's
+    back-projection ray at the area-equating depth and measuring the conic
+    residual on both, the best starts are polished by a joint 6-dof damped
+    least-squares refinement, and distinct minima with costs within 1% of
+    each other raise AmbiguousSolution carrying both candidates.
     """
     sep = float(np.linalg.norm(c1.ellipsoid.center - c2.ellipsoid.center))
     scale = max(c1.ellipsoid.max_axis, c2.ellipsoid.max_axis, 1e-12)
@@ -654,7 +629,6 @@ def refine_pose(
     correspondences,
     cam: CameraModel,
     *,
-    max_iter: int = 50,
     rotation_fixed: bool = False,
 ) -> RefineResult:
     """Local minimization of the summed conic residual from ``p0``.
@@ -667,9 +641,7 @@ def refine_pose(
         raise ValueError("refinement needs at least one correspondence")
     pairs = tuple(_PairData(c, cam.K) for c in correspondences)
     try:
-        res, (R, t) = _refine_raw(
-            p0.R, p0.t, pairs, max_iter=max_iter, rotation_fixed=rotation_fixed
-        )
+        res, (R, t) = _refine_raw(p0.R, p0.t, pairs, rotation_fixed=rotation_fixed)
     except NoConvergence:
         return RefineResult(p0, False, ())
     # no accepted step: return the input bit-for-bit
@@ -694,8 +666,12 @@ def _associations_with_indices(detections, cloud: EllipsoidCloud):
 def ransac_pose(detections, cloud: EllipsoidCloud, cam: CameraModel, opts: RansacOptions) -> PoseEstimate:
     """Seeded RANSAC over association hypotheses.
 
-    Minimal sets never reuse a detection or an object, and a minimal set
-    drawn again is solved only the first time; hypotheses are scored
+    With the orientation known, a hypothesis is the closed-form placement
+    of :func:`_ray_placements` on one correspondence (a draw whose
+    placement is invalid yields none); in full mode, the pose or the two
+    ambiguous candidates of :func:`pose_from_two_pairs` on two.  Minimal
+    sets never reuse a detection or an object, and a minimal set drawn
+    again is solved only the first time; hypotheses are scored
     by the ellipse IoU between detections and reprojections, the best
     hypothesis by (inlier count, mean inlier IoU, draw order) is polished
     with :func:`refine_pose` on its inliers, and consensus is re-evaluated
@@ -724,16 +700,16 @@ def ransac_pose(detections, cloud: EllipsoidCloud, cam: CameraModel, opts: Ransa
         if sample is None or sample in drawn:
             continue
         drawn.add(sample)
-        try:
-            if opts.mode == "orientation_known":
-                t = _position_from_pair_data(pairs[sample[0]], opts.rotation, 25)
-                hypotheses = [Pose(opts.rotation, t)]
-            else:
+        if opts.mode == "orientation_known":
+            ts, ok = _ray_placements(opts.rotation[None], pairs[sample[0]])
+            hypotheses = [Pose(opts.rotation, ts[0])] if ok[0] else []
+        else:
+            try:
                 hypotheses = [pose_from_two_pairs(corrs[sample[0]], corrs[sample[1]], cam)]
-        except AmbiguousSolution as exc:
-            hypotheses = list(exc.candidates)
-        except ElliposeError:
-            continue
+            except AmbiguousSolution as exc:
+                hypotheses = list(exc.candidates)
+            except ElliposeError:
+                continue
         for pose in hypotheses:
             inliers, score = _consensus(pose, scoring)
             if len(inliers) < min_set:

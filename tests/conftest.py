@@ -7,12 +7,14 @@ from ellipose.geometry import (
     Ellipse,
     Ellipsoid,
     FrameTransform,
+    Pose,
     bbox_of_ellipse,
     canonicalize,
     ellipse_to_conic,
     rot2d,
     rotation_z,
 )
+from ellipose.pose import _PairData, _ray_placements, refine_pose
 from ellipose.reconstruction import EllipsoidCloud
 from ellipose.simulator import SceneObject, SceneSpec
 
@@ -153,3 +155,11 @@ def ellipses_close(e1: Ellipse, e2: Ellipse, tol=1e-9) -> bool:
     """Same point set: compare normalized conic matrices."""
     d = np.linalg.norm(ellipse_to_conic(e1).M - ellipse_to_conic(e2).M)
     return d <= tol
+
+
+def placed_and_refined(corr, R, cam):
+    """Camera translation from one pair under a known orientation: the
+    closed-form ray placement, then a one-pair rotation-fixed refinement."""
+    ts, ok = _ray_placements(np.asarray(R, float)[None], _PairData(corr, cam.K))
+    assert ok[0], "the placement is invalid"
+    return refine_pose(Pose(R, ts[0]), [corr], cam, rotation_fixed=True).pose.t

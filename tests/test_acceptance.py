@@ -13,6 +13,7 @@ from conftest import (
     conic_distance,
     conic_residuals,
     ellipsoids_equivalent,
+    placed_and_refined,
     random_ellipse,
     random_ellipsoid,
     random_rotation,
@@ -40,7 +41,6 @@ from ellipose.pose import (
     Correspondence,
     RansacOptions,
     pose_from_two_pairs,
-    position_from_pair,
     ransac_pose,
 )
 from ellipose.reconstruction import CalibratedView, EllipsoidCloud, Observation, reconstruct_ellipsoid
@@ -184,7 +184,7 @@ def test_criterion_3_pose_round_trips():
         )
         pose = look_at(pos, E.center + rng.uniform(-0.1, 0.1, 3))
         ell = project_ellipsoid(E, pose, cam)
-        t = position_from_pair(Correspondence(ell, E, "x"), pose.R, cam)
+        t = placed_and_refined(Correspondence(ell, E, "x"), pose.R, cam)
         worst_pos = max(worst_pos, float(np.linalg.norm(t - pose.t)))
     assert worst_pos < 1e-6
 

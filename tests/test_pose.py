@@ -4,11 +4,10 @@ import time
 import numpy as np
 import pytest
 
-from conftest import grid_ellipse_iou, random_rotation, ransac_iterations
+from conftest import grid_ellipse_iou, placed_and_refined, random_rotation, ransac_iterations
 from ellipose import pose as pose_module
 from ellipose.errors import (
     AmbiguousSolution,
-    BehindCamera,
     DegenerateConfiguration,
     ElliposeError,
     NoValidPose,
@@ -30,7 +29,6 @@ from ellipose.pose import (
     PoseEstimate,
     RansacOptions,
     pose_from_two_pairs,
-    position_from_pair,
     ransac_pose,
     refine_pose,
 )
@@ -44,9 +42,9 @@ from ellipose.pose import (  # white-box kernels
     _consensus,
     _draw_minimal_set,
     _pose_directions,
-    _position_from_pair_data,
     _projected_conic,
     _projected_conics,
+    _ray_placements,
 )
 from ellipose.simulator import DEG, OrientationNoise, default_camera, look_at, perturb_orientation
 
@@ -74,7 +72,7 @@ class TestPositionFromPair:
             E = sized_ellipsoid(rng)
             pose = camera_near(rng, E.center + rng.uniform(-0.1, 0.1, 3))
             ell = project_ellipsoid(E, pose, cam)
-            t = position_from_pair(Correspondence(ell, E, "x"), pose.R, cam)
+            t = placed_and_refined(Correspondence(ell, E, "x"), pose.R, cam)
             assert np.linalg.norm(t - pose.t) < 1e-6
 
     def test_tangent_cone_depth(self):
@@ -83,7 +81,7 @@ class TestPositionFromPair:
         E = Ellipsoid((0, 0, 0), (0.3, 0.3, 0.3), np.eye(3))
         pose = Pose(np.eye(3), (0.0, 0.0, 2.5))
         ell = project_ellipsoid(E, pose, cam)
-        t = position_from_pair(Correspondence(ell, E, "s"), pose.R, cam)
+        t = placed_and_refined(Correspondence(ell, E, "s"), pose.R, cam)
         # from the projected circle radius (pixels): tan(alpha) = a / f
         alpha = math.atan2(ell.axes[0], 500.0)
         assert np.linalg.norm(t) == pytest.approx(0.3 / math.sin(alpha), abs=1e-6)
@@ -96,8 +94,12 @@ class TestPositionFromPair:
         # projection: the object would have to cross the principal plane
         ell = Ellipse((900.0, 700.0), (2500.0, 2200.0), 0.2)
         R = look_at((2.0, 0.0, 0.5), (8.0, 0.0, 0.0)).R  # pointing away
-        with pytest.raises(BehindCamera):
-            position_from_pair(Correspondence(ell, E, "x"), R, cam)
+        corr = Correspondence(ell, E, "x")
+        _, ok = _ray_placements(R[None], _PairData(corr, cam.K))
+        assert not ok[0]
+        cloud = EllipsoidCloud((("x", E),))
+        with pytest.raises(NoValidPose):
+            ransac_pose([("x", ell)], cloud, cam, RansacOptions(rotation=R))
 
 
 class TestConicKernels:
@@ -227,7 +229,7 @@ class TestRefinePose:
         cam, pose, corrs = self._scene(rng, n=4)
         R0 = rotation_z(2.0 * DEG) @ pose.R
         p0 = Pose(R0, pose.t + np.array([0.02, -0.01, 0.015]))
-        out = refine_pose(p0, corrs, cam, max_iter=100)
+        out = refine_pose(p0, corrs, cam)
         rot, pos = pose_errors(out.pose, pose)
         assert rot < 1e-5 and pos < 1e-5
 
@@ -449,8 +451,8 @@ def reference_ransac(detections, cloud, cam, opts):
             continue
         try:
             if min_set == 1:
-                t = _position_from_pair_data(pairs[sample[0]], opts.rotation, 25)
-                hypotheses = [Pose(opts.rotation, t)]
+                ts, ok = _ray_placements(opts.rotation[None], pairs[sample[0]])
+                hypotheses = [Pose(opts.rotation, ts[0])] if ok[0] else []
             else:
                 hypotheses = [pose_from_two_pairs(corrs[sample[0]], corrs[sample[1]], cam)]
         except AmbiguousSolution as exc:
@@ -508,7 +510,7 @@ def test_ransac_equals_solving_every_draw(rng, mode, seed):
 
 
 @pytest.mark.parametrize(
-    "mode, solver", [("orientation_known", "_position_from_pair_data"), ("full", "pose_from_two_pairs")]
+    "mode, solver", [("orientation_known", "_ray_placements"), ("full", "pose_from_two_pairs")]
 )
 def test_ransac_solves_each_distinct_draw_once(rng, monkeypatch, mode, solver):
     dets, cloud, cam, opts = ransac_problem(rng, mode, seed=3)

@@ -58,3 +58,24 @@ def test_sweep_runs_noise_free_detector_once(monkeypatch):
 
 def test_every_scenario_has_a_param_table():
     assert set(scenarios.SCENARIOS) == set(SCENARIO_PARAMS)
+
+
+def test_box_fitted_view_localises_with_orientation_known():
+    # view el06_az000 of the 25 x 10 board rig at 20 px box noise, seed 6:
+    # its 8 draws hit only 3 of the 6 correspondences, so a single-pair
+    # hypothesis from one of them must carry the others into consensus
+    scene = tless_like_board(6)
+    views = [v for v in sample_cameras(CameraRig(0.75, 25, 10)) if v.view_id == "el06_az000"]
+    detector = DetectorModel("inscribed_of_noisy_box", 20.0, seed=6)
+    _, results, failures = localize_views(
+        views,
+        lambda view: [(label, e) for label, e, _ in run_detector(detector, scene, view)],
+        cloud_of_scene(scene),
+        orientations=noisy_orientations(views, OrientationNoise(2.0 * DEG), 6),
+        iterations=8,
+        inlier_iou_threshold=0.35,
+        seed=6,
+    )
+    assert failures == {}
+    (result,) = results
+    assert result.n_inliers == 6 and result.position_error < 0.05
