@@ -398,11 +398,11 @@ def _dual_matrices(centers, shapes):
     return D
 
 
-_FULL = [0, 1, 2, 1, 3, 4, 2, 4, 5]  # upper-triangle index of each raveled 3x3 entry
-_UPPER = [0, 1, 2, 4, 5, 8]  # raveled 3x3 index of entries 00, 01, 02, 11, 12, 22
-# adjugate entry k is x[P[k]] * x[Q[k]] - x[R[k]] * x[S[k]] over the upper entries x
-_ADJ_P, _ADJ_Q = [3, 2, 1, 0, 1, 0], [5, 4, 4, 5, 2, 3]
-_ADJ_R, _ADJ_S = [4, 1, 2, 2, 0, 1], [4, 5, 3, 2, 4, 1]
+_FULL = np.array([0, 1, 2, 1, 3, 4, 2, 4, 5])  # upper-triangle index of each raveled 3x3 entry
+_UPPER = np.array([0, 1, 2, 4, 5, 8])  # raveled 3x3 index of entries 00, 01, 02, 11, 12, 22
+# adjugate entry k is x[P[k]] * x[Q[k]] - x[R[k]] * x[S[k]] over the upper entries x,
+# the rows of _ADJ being P, Q, R and S
+_ADJ = np.array([[3, 2, 1, 0, 1, 0], [5, 4, 4, 5, 2, 3], [4, 1, 2, 2, 0, 1], [4, 5, 3, 2, 4, 1]])
 
 
 def _adjugate(a, b, c, d, e, f):
@@ -412,31 +412,29 @@ def _adjugate(a, b, c, d, e, f):
             a * f - c * c, b * c - a * e, a * d - b * b)
 
 
-def _unit_point_conics(Cd, in_front):
-    """Point conics of a stack (n,3,3) of dual conics, and the mask of the
-    valid ones: ``in_front`` (the quadric center has positive depth) and
-    not degenerate; rows of invalid ones are NaN.
-
-    The adjugate is the inverse up to scale, so it is scaled to unit
-    Frobenius norm with the first entry of significant size positive (the
-    convention of :func:`normalize_symmetric`).  The pose solvers' rotation
-    search scores its whole start grid through this.
+def _unit_adjugates(Cd, in_front):
+    """Point conics of a stack (n,3,3) of dual conics as (x, u, s, valid):
+    the upper entries x (n,6) (00, 01, 02, 11, 12, 22) of each dual conic,
+    those u of its point conic (NaN where invalid), the signed scale s with
+    u = s adj(Cd), and the mask of ``in_front`` (the quadric center has
+    positive depth) and not degenerate.  The adjugate is the inverse up to
+    scale; it is scaled to unit Frobenius norm with the first entry of
+    significant size positive (the convention of :func:`normalize_symmetric`).
     """
-    x = Cd.reshape(-1, 9)[:, _UPPER]  # (a, b, c, d, e, f)
-    m = x[:, _ADJ_P] * x[:, _ADJ_Q] - x[:, _ADJ_R] * x[:, _ADJ_S]  # the terms of _adjugate
-    det = x[:, 0] * m[:, 0] + x[:, 1] * m[:, 1] + x[:, 2] * m[:, 2]
-    scale = np.abs(Cd.reshape(-1, 9)).max(axis=1)
+    C = Cd.reshape(-1, 9)
+    x = C[:, _UPPER]  # (a, b, c, d, e, f)
+    t = x[:, _ADJ]
+    m = t[:, 0] * t[:, 1] - t[:, 2] * t[:, 3]  # the terms of _adjugate
+    det = (x[:, :3] * m[:, :3]).sum(axis=1)
     sq = m * m
     norm = np.sqrt(sq[:, 0] + sq[:, 3] + sq[:, 5] + 2.0 * (sq[:, 1] + sq[:, 2] + sq[:, 4]))
     with np.errstate(all="ignore"):
-        valid = in_front & ~(
-            (scale <= 0.0) | (np.abs(det) < 1e-14 * scale**3) | (norm < 1e-300)
-        )
+        valid = in_front & (np.abs(det) >= 1e-14 * np.abs(C).max(axis=1) ** 3) & (norm >= 1e-300)
         s = 1.0 / norm
         first = np.argmax(np.abs(m) * s[:, None] > 1e-12, axis=1)
         s = np.where(m[np.arange(len(m)), first] < 0.0, -s, s)
         u = np.where(valid[:, None], m * s[:, None], np.nan)
-    return u[:, _FULL].reshape(-1, 3, 3), valid
+    return x, u, s, valid
 
 
 _NOT_AN_ELLIPSE = {
@@ -489,7 +487,8 @@ def _project_dual_quadrics(Q, Rt, K):
     would cancel (axes about 50 times less accurate with f = 500 px).
     """
     depth = np.einsum("ni,ni->n", Rt[:, 2], Q[:, :, 3]) / Q[:, 3, 3]
-    M, valid = _unit_point_conics(Rt @ Q @ Rt.transpose(0, 2, 1), depth > 0.0)
+    _, u, _, valid = _unit_adjugates(Rt @ Q @ Rt.transpose(0, 2, 1), depth > 0.0)
+    M = u[:, _FULL].reshape(-1, 3, 3)
     Kinv = np.linalg.inv(K)
     M = Kinv.transpose(0, 2, 1) @ M @ Kinv
     M[~valid] = np.diag([1.0, 1.0, -1.0])  # placeholder, keeps LAPACK finite

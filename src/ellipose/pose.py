@@ -9,18 +9,22 @@ label-based association hypotheses that solves each distinct minimal set
 once.  With the orientation known, the only damped least-squares solve is
 the final polish of the best hypothesis on its inliers.
 
-All residuals are Frobenius differences of unit-normalized point conics.
-The damped least-squares solvers use the exact Jacobian of that conic with
-respect to (axis-angle increment, translation), and the two-pair rotation
-search scores its whole start grid as array code.  RANSAC scores each
-hypothesis with one batched projection of every correspondence and one
-batched ellipse IoU.
+All residuals are Frobenius differences of unit-normalized point conics
+from one kernel over a stack of poses times pairs; their exact Jacobian in
+(axis-angle increment, translation) is taken from the very conic that gave
+the accepted residual.  One Levenberg-Marquardt advances n candidates in
+lockstep, each with its own damping, acceptance and stop, scoring all
+trials of a round in one kernel call: the two-pair solver refines its
+candidates together, and the polish is the one-candidate case.  RANSAC
+scores each hypothesis with one batched projection of every correspondence
+and one batched ellipse IoU.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,17 +41,16 @@ from .geometry import (
     Ellipse,
     Ellipsoid,
     Pose,
-    axis_angle_to_matrix,
     canonicalize,
     ellipse_to_conic,
     ellipsoid_to_dual_quadric,
     normalize_symmetric,
     rotation_z,
+    _ADJ,
     _FULL,
     _UPPER,
-    _adjugate,
     _project_dual_quadrics,
-    _unit_point_conics,
+    _unit_adjugates,
 )
 from .metrics import _ellipse_ious, rotation_distance
 from .reconstruction import EllipsoidCloud
@@ -140,7 +143,7 @@ class _PairData:
         self.Qd = corr.Q
         self.M_det = normalize_symmetric(K.T @ corr.M @ K)
         self.center_w = corr.ellipsoid.center
-        area = _conic_areas(self.M_det[None])[0]
+        area = _conic_outlines(self.M_det)[1]
         self.area_det = float(area) if area > 0.0 else None
         self.max_axis = corr.ellipsoid.max_axis
         self.axes = corr.ellipsoid.axes
@@ -152,254 +155,229 @@ class _PairData:
         self.major_norm = float(corr.ellipse.axes[0]) / f
 
 
-_UPPER_T = [0, 3, 6, 4, 7, 8]  # raveled index of the same entries of the transpose
-_FROBENIUS_WEIGHTS = np.array([1.0, 2.0, 2.0, 1.0, 2.0, 1.0])
+_UPPER_T = np.array([0, 3, 6, 4, 7, 8])  # raveled index of the same entries of the transpose
 
 
-def _unit_adjugate(Cd):
-    """Adjugate entries of the dual conic ``Cd`` and the signed scale ``s``
-    that makes them a unit-Frobenius point conic, or None when degenerate.
+# the raveled d adj(C) is G @ (x @ _D_ADJ).reshape(9, 9).T for dC = G + G^T
+# (G raveled) and x the upper entries of C: the product rule on the two terms
+# of each adjugate entry; _D_ADJ[a, i, j] is the coefficient of x_a G_j
+_D_ADJ = np.zeros((6, 6, 9))
+for _i, (_p, _q, _r, _s) in enumerate(_ADJ.T):
+    for _a, _b, _sign in ((_p, _q, 1.0), (_q, _p, 1.0), (_r, _s, -1.0), (_s, _r, -1.0)):
+        _D_ADJ[_a, _i, _UPPER[_b]] += _sign
+        _D_ADJ[_a, _i, _UPPER_T[_b]] += _sign
+_D_ADJ = _D_ADJ[:, _FULL].reshape(6, 81)
 
-    Hand-rolled (the adjugate is the inverse up to scale, which the
-    normalization absorbs): this sits inside every optimizer residual, so
-    LAPACK call overhead matters.  The sign makes the first entry of
-    significant size positive.
+
+def _stacked(pairs, *names):
+    """The named fields of the pairs, each stacked into one array."""
+    return tuple(np.stack([getattr(p, name) for p in pairs]) for name in names)
+
+
+def _project_pairs(Rs, ts, Qd, centers):
+    """The conic kernel: unit point conics N (n,k,3,3) in normalized image
+    coordinates of k dual quadrics Qd (k,4,4) centered at ``centers`` (k,3),
+    seen from n poses (Rs (n,3,3), ts (n,3)); the mask valid (n,k) of
+    centers in front of the camera with a non-degenerate conic (N is NaN
+    elsewhere); and the terms :func:`_conic_jacobians` differentiates, so a
+    Jacobian is always that of the very conic its residual came from."""
+    n, k = len(Rs), len(Qd)
+    P = np.concatenate([Rs, ts[:, :, None]], axis=2)[:, None]
+    QPt = Qd @ P.transpose(0, 1, 3, 2)  # (n,k,4,3)
+    depth = (Rs[:, None, None, 2] @ centers[:, :, None])[..., 0, 0] + ts[:, 2:]
+    x, u, s, valid = _unit_adjugates(P @ QPt, depth.ravel() > 0.0)
+    N = u[:, _FULL].reshape(n, k, 3, 3)
+    return N, valid.reshape(n, k), (QPt, x.reshape(n, k, 1, 6), N, s.reshape(n, k, 1, 1))
+
+
+def _conic_jacobians(terms, dP):
+    """Exact Jacobian (m, 9k, d) of the raveled unit conics of
+    :func:`_project_pairs` for the directions dP (m,d,3,4) of [R | t].
+
+    dC = G + G^T with G = dP Qd P^T, the adjugate entries m follow through
+    :data:`_D_ADJ`, and the unit normalization N = s m contributes
+    dN = s (dm - N <N, dm>).
     """
-    (a, b, c), (_, d, e), (_, _, f) = Cd.tolist()
-    m = _adjugate(a, b, c, d, e, f)
-    m00, m01, m02, m11, m12, m22 = m
-    det = a * m00 + b * m01 + c * m02
-    scale = max(abs(a), abs(b), abs(c), abs(d), abs(e), abs(f))
-    if scale <= 0.0 or abs(det) < 1e-14 * scale**3:
-        return None
-    norm = math.sqrt(
-        m00 * m00 + m11 * m11 + m22 * m22 + 2.0 * (m01 * m01 + m02 * m02 + m12 * m12)
-    )
-    if norm < 1e-300:
-        return None
-    s = 1.0 / norm
-    for v in m:
-        if abs(v) * s > 1e-12:
-            if v < 0.0:
-                s = -s
-            break
-    return m, s
+    QPt, x, N, s = terms
+    m, k = len(s), s.shape[1]
+    G = (dP[:, None] @ QPt[:, :, None]).reshape(m, k, -1, 9)
+    dm = G @ (x @ _D_ADJ).reshape(m, k, 9, 9).transpose(0, 1, 3, 2)
+    N = N.reshape(m, k, 9, 1)
+    dn = s * (dm - (dm @ N) * N.transpose(0, 1, 3, 2))
+    return dn.transpose(0, 1, 3, 2).reshape(m, 9 * k, -1)
 
 
-def _projection_matrix(R, t):
-    P = np.empty((3, 4))
-    P[:, :3] = R
-    P[:, 3] = t
-    return P
-
-
-def _projected_conic(R, t, pair: _PairData):
-    """Point conic of the pair's quadric in normalized image coordinates,
-    unit-Frobenius scaled, or None when the projection is invalid."""
-    depth = R[2] @ pair.center_w + t[2]
-    if depth <= 0.0:
-        return None
-    P = _projection_matrix(R, t)
-    unit = _unit_adjugate(P @ pair.Qd @ P.T)
-    if unit is None:
-        return None
-    (m00, m01, m02, m11, m12, m22), s = unit
-    return np.array(
-        [
-            [m00 * s, m01 * s, m02 * s],
-            [m01 * s, m11 * s, m12 * s],
-            [m02 * s, m12 * s, m22 * s],
-        ]
-    )
-
-
-def _projected_conics(Rs, ts, pair: _PairData):
-    """:func:`_projected_conic` over a stack of poses (Rs (n,3,3), ts (n,3)).
-
-    Returns (N, valid): the (n,3,3) unit point conics and the mask of poses
-    whose projection is valid; rows of invalid poses are NaN.
-    """
-    P = np.concatenate([Rs, ts[:, :, None]], axis=2)
-    in_front = Rs[:, 2] @ pair.center_w + ts[:, 2] > 0.0
-    return _unit_point_conics(np.einsum("nij,jk,nlk->nil", P, pair.Qd, P), in_front)
-
-
-def _conic_jacobian(R, t, pair: _PairData, dP):
-    """Exact Jacobian (9, k) of the raveled unit conic of
-    :func:`_projected_conic` at a valid pose, for the k directions
-    ``dP`` (k,3,4) of the projection matrix [R | t].
-
-    dC = G + G^T with G = dP Qd P^T; the adjugate entries m are quadratic
-    in C, so dm = L(C) dC; the unit normalization N = s m contributes
-    dN = s (dm - m <m, dm> / |m|^2), off-diagonal entries weighing 2.
-    """
-    P = _projection_matrix(R, t)
-    QPt = pair.Qd @ P.T
-    C = P @ QPt
-    unit = _unit_adjugate(C)
-    if unit is None:  # rounding: the residual's C, summed in another order, passed
-        raise NoConvergence("projected conic degenerate to rounding at an accepted iterate")
-    m, s = unit
-    (a, b, c), (_, d, e), (_, _, f) = C.tolist()
-    L = np.array(  # d(m00, m01, m02, m11, m12, m22) / d(a, b, c, d, e, f)
-        [
-            [0.0, 0.0, 0.0, f, -2.0 * e, d],
-            [0.0, -f, e, 0.0, c, -b],
-            [0.0, e, -d, -c, b, 0.0],
-            [f, 0.0, -2.0 * c, 0.0, 0.0, a],
-            [-e, c, b, 0.0, -a, 0.0],
-            [d, -2.0 * b, 0.0, a, 0.0, 0.0],
-        ]
-    )
-    G = (dP @ QPt).reshape(-1, 9)
-    dm = (G[:, _UPPER] + G[:, _UPPER_T]) @ L.T
-    m = np.array(m)
-    inner = dm @ (_FROBENIUS_WEIGHTS * m) * (s * s)
-    dn = s * (dm - inner[:, None] * m)
-    return dn[:, _FULL].T
-
-
-def _conic_areas(M):
-    """Areas enclosed by a stack (n,3,3) of point conics; NaN where a conic
-    is not a real ellipse."""
-    a, b, c = M[:, 0, 0], M[:, 0, 1], M[:, 0, 2]
-    d, e = M[:, 1, 1], M[:, 1, 2]
+def _conic_outlines(M, centers=np.zeros(2)):
+    """(center offset to ``centers`` (k,2), enclosed area) of point conics
+    M (..., k, 3, 3); the area is positive exactly for real ellipses."""
+    a, b, c = M[..., 0, 0], M[..., 0, 1], M[..., 0, 2]
+    d, e = M[..., 1, 1], M[..., 1, 2]
     with np.errstate(all="ignore"):
         det2 = a * d - b * b
         cx = (e * b - c * d) / det2
         cy = (b * c - a * e) / det2
-        k = c * cx + e * cy + M[:, 2, 2]  # conic value at the center
-        k = np.where(a + d < 0.0, -k, k)
-        return np.where((det2 > 0.0) & (k < 0.0), math.pi * (-k) / np.sqrt(det2), np.nan)
+        k = (c * cx + e * cy + M[..., 2, 2]) * np.sign(a + d)  # conic value at the center
+        dx, dy = cx - centers[..., 0], cy - centers[..., 1]
+        return np.sqrt(dx * dx + dy * dy), -math.pi * k / np.sqrt(det2)
 
 
-def _outline_geometry(M, pair):
-    """(center offset to the detection, enclosed area) of an ellipse-
-    signature conic in normalized image coordinates, or None."""
-    a, b, c = M[0, 0], M[0, 1], M[0, 2]
-    d, e = M[1, 1], M[1, 2]
-    det2 = a * d - b * b
-    if det2 <= 0.0:
-        return None
-    cx = (e * b - c * d) / det2
-    cy = (b * c - a * e) / det2
-    k = c * cx + e * cy + M[2, 2]  # conic value at the center
-    if k >= 0.0:
-        return None
-    dx = cx - pair.det_center_n[0]
-    dy = cy - pair.det_center_n[1]
-    return math.sqrt(dx * dx + dy * dy), math.pi * (-k) / math.sqrt(det2)
+def _tether_caps(N0, pairs, det_centers):
+    """Per-pair tethers (n,k,3) of guarded refinement: (center offset cap,
+    lowest area, highest area), sized from the start conics N0 so a valid
+    start always stays feasible.  NaN leaves a pair free: its start is
+    invalid or its detection has no area."""
+    off0, area0 = _conic_outlines(N0, det_centers)
+    area_det = np.array([np.nan if p.area_det is None else p.area_det for p in pairs])
+    ratio0 = np.where(area0 > 0.0, area0, np.nan) / area_det
+    major = np.array([p.major_norm for p in pairs])
+    caps = np.stack([np.maximum(np.maximum(0.75 * major, 1.3 * off0), 0.01),
+                     area_det * np.minimum(0.5, 0.5 * ratio0),
+                     area_det * np.maximum(2.0, 2.0 * ratio0)], axis=-1)
+    caps[np.isnan(ratio0)] = np.nan
+    return caps
 
 
-def _residual(R, t, pairs, caps=None):
-    """Stacked conic residual; ``caps`` (one entry per pair, None = free)
-    tethers each projected outline to its detection in center and area.
+def _within_caps(N, caps, det_centers):
+    """Whether every capped outline of N (m,k,3,3) keeps to its tether.
 
     The guarded form keeps local refinement on real-ellipse outlines near
     the detections: the raw algebraic metric admits hyperbola outlines and
     spurious minima with the object slid far off or away along the ray.
     """
-    chunks = []
-    for i, pair in enumerate(pairs):
-        M = _projected_conic(R, t, pair)
-        if M is None:
-            return None
-        if caps is not None and caps[i] is not None:
-            geo = _outline_geometry(M, pair)
-            if geo is None:
-                return None
-            off_cap, area_lo, area_hi = caps[i]
-            if geo[0] > off_cap or not area_lo <= geo[1] <= area_hi:
-                return None
-        chunks.append((M - pair.M_det).ravel())
-    return np.concatenate(chunks)
-
-
-def _tether_caps(R, t, pairs):
-    """Per-pair tether for guarded refinement, sized from the start point
-    so a valid start always stays feasible."""
-    caps = []
-    for pair in pairs:
-        M = _projected_conic(R, t, pair)
-        geo = None if M is None else _outline_geometry(M, pair)
-        if geo is None or pair.area_det is None:
-            caps.append(None)  # start invalid for this pair: leave it free
-            continue
-        off0, area0 = geo
-        ratio0 = area0 / pair.area_det
-        caps.append(
-            (
-                max(0.75 * pair.major_norm, 1.3 * off0, 0.01),
-                pair.area_det * min(0.5, 0.5 * ratio0),
-                pair.area_det * max(2.0, 2.0 * ratio0),
-            )
-        )
-    return caps
+    off, area = _conic_outlines(N, det_centers)
+    lo = caps[..., 1]
+    return (np.isnan(lo) | ((off <= caps[..., 0]) & (lo <= area) & (area <= caps[..., 2]))).all(1)
 
 
 _GRAD_TOL = 1e-12  # LM stops when the gradient norm falls below this
 _STEP_TOL = 1e-13  # ... or when a step is this small relative to 1 + |x|
 
 
-class _LMResult:
-    __slots__ = ("x", "costs", "converged")
-
-    def __init__(self, x, costs, converged):
-        self.x = x
-        self.costs = costs
-        self.converged = converged
+# per candidate: the final point x (n,d); costs, the initial cost and then
+# one per accepted step (empty for an invalid start); converged; why it
+# stopped; and its trials rejected as invalid and as uphill
+_LMResult = namedtuple("_LMResult", "x costs converged stop invalid uphill")
 
 
-def _levenberg_marquardt(fun, x0, jac, *, max_iter=50):
-    """Damped least squares on the residual ``fun`` with its exact Jacobian
-    ``jac`` (evaluated at accepted iterates only); cost is monotone
-    non-increasing because only strictly valid downhill steps are taken."""
-    x = np.array(x0, float)
-    r = fun(x)
-    if r is None:
-        raise NoConvergence("invalid starting point for refinement")
-    cost = float(r @ r)
-    costs = [cost]
-    lam = 1e-3
-    converged = False
-    grad_norm = math.inf
-    for _ in range(max_iter):
-        J = jac(x)
-        g = J.T @ r
-        grad_norm = float(np.linalg.norm(g))
-        if grad_norm < _GRAD_TOL:
-            converged = True
-            break
-        A = J.T @ J
-        D = np.diag(np.maximum(np.diag(A), 1e-12))
-        stepped = False
-        while lam < 1e12:
+def _damped_steps(M, g):
+    """Steps solving M delta = -g row by row, and the mask of singular
+    systems (their rows NaN); one singular system does not fail the
+    others."""
+    try:
+        return np.linalg.solve(M, -g[..., None])[..., 0], np.zeros(len(M), bool)
+    except np.linalg.LinAlgError:
+        delta, singular = np.full(g.shape, np.nan), np.zeros(len(M), bool)
+        for j in range(len(M)):
             try:
-                delta = np.linalg.solve(A + lam * D, -g)
+                delta[j] = np.linalg.solve(M[j], -g[j])
             except np.linalg.LinAlgError:
-                lam *= 10.0
+                singular[j] = True
+        return delta, singular
+
+
+def _row_norms(V):
+    return np.sqrt((V * V).sum(axis=1))
+
+
+def _levenberg_marquardt(fun, jac, x0, *, max_iter=50):
+    """Damped least squares for the n candidates x0 (n,d) in lockstep.
+
+    ``fun(idx, X)`` scores the points X (m,d) of the candidates ``idx`` (an
+    index of the n: an array, or a slice when it is all of them) as
+    (residuals (m,R), valid (m,), state), state a tuple of per-row arrays;
+    ``jac(idx, X, state)`` gives the exact Jacobians (m,R,d) from the state
+    of accepted points.  Each round, every searching candidate proposes one
+    trial, all trials are scored in one call and the accepted points get
+    their Jacobians in one more.  Damping (diagonal of J^T J floored at
+    1e-12), acceptance and stopping are per candidate, so each takes the
+    steps it would take alone.  Costs are monotone non-increasing: only
+    strictly valid downhill steps are taken.
+    """
+    x = np.array(x0, float)
+    n, d = x.shape
+    every, diagonal = np.arange(n), np.arange(d)
+
+    def rows(cands):  # the index of sorted candidates
+        return slice(None) if len(cands) == n else np.array(cands, int)
+
+    r, ok, state = fun(slice(None), x)
+    cost = (r * r).sum(axis=1).tolist()
+    costs = [[c] if v else [] for c, v in zip(cost, ok.tolist())]
+    stop = ["" if v else "invalid start" for v in ok.tolist()]
+    converged, invalid, uphill = [False] * n, [0] * n, [0] * n
+    lam, grad = [1e-3] * n, [0.0] * n
+    g, A, D = np.zeros((n, d)), np.zeros((n, d, d)), np.zeros((n, d, d))
+    searching = []  # candidates holding a damped system to solve
+    fresh = every[ok].tolist()
+    fresh_state = state if len(fresh) == n else tuple(v[ok] for v in state)
+    while True:
+        if fresh:  # new iterates: Jacobian, gradient and normal matrix
+            f = rows(fresh)
+            J = jac(f, x[f], fresh_state)
+            gf = (r[f, None] @ J)[:, 0]
+            Af = J.transpose(0, 2, 1) @ J
+            g[f], A[f] = gf, Af
+            D[every[f][:, None], diagonal, diagonal] = np.maximum(Af[:, diagonal, diagonal], 1e-12)
+            for i, gn in zip(fresh, _row_norms(gf).tolist()):
+                grad[i] = gn
+                if gn < _GRAD_TOL:
+                    converged[i], stop[i] = True, "gradient"
+                else:
+                    searching.append(i)
+        act = []
+        for i in searching:
+            if lam[i] < 1e12:
+                act.append(i)
+            else:  # no damping level yields a downhill step: treat a tiny
+                # gradient as a numerical stationary point
+                converged[i], stop[i] = grad[i] < 1e-6, "no descent"
+        if not act:
+            break
+        searching = sorted(act)
+        a = rows(searching)
+        lam_a = np.array([lam[i] for i in searching])
+        delta, singular = _damped_steps(A[a] + lam_a[:, None, None] * D[a], g[a])
+        while singular.any():  # a singular system raises the damping tenfold
+            for j in np.flatnonzero(singular).tolist():
+                lam[searching[j]] *= 10.0
+            lam_a = np.array([lam[i] for i in searching])
+            singular &= lam_a < 1e12
+            redo = every[a][singular]
+            delta[singular], singular[singular] = _damped_steps(
+                A[redo] + lam_a[singular, None, None] * D[redo], g[redo])
+        act = [i for i, damping in zip(searching, lam_a.tolist()) if damping < 1e12]
+        if len(act) < len(searching):
+            a, delta = rows(act), delta[lam_a < 1e12]
+            if not act:
+                fresh = []
                 continue
-            rt = fun(x + delta)
-            if rt is not None:
-                ct = float(rt @ rt)
-                if ct <= cost:
-                    x = x + delta
-                    r, cost = rt, ct
-                    costs.append(cost)
-                    lam = max(lam * 0.3, 1e-12)
-                    stepped = True
-                    if float(np.linalg.norm(delta)) < _STEP_TOL * (1.0 + float(np.linalg.norm(x))):
-                        converged = True
-                    break
-            lam *= 4.0
-        if not stepped:
-            # no damping level yields a downhill step: treat a tiny gradient
-            # as a numerical stationary point
-            converged = grad_norm < 1e-6
-            break
-        if converged:
-            break
-    return _LMResult(x, costs, converged)
+        X = x[a] + delta
+        rt, okt, st = fun(a, X)
+        small = (_row_norms(delta) < _STEP_TOL * (1.0 + _row_norms(X))).tolist()
+        acc = []
+        for j, (i, v, c) in enumerate(zip(act, okt.tolist(), (rt * rt).sum(axis=1).tolist())):
+            if not (v and c <= cost[i]):
+                lam[i] *= 4.0
+                uphill[i] += v
+                invalid[i] += not v
+                continue
+            acc.append(j)
+            cost[i] = c
+            costs[i].append(c)
+            lam[i] = max(lam[i] * 0.3, 1e-12)
+            searching.remove(i)
+            if small[j]:
+                converged[i], stop[i] = True, "step"
+            elif len(costs[i]) > max_iter:
+                stop[i] = "iteration cap"
+        if len(acc) == len(act):  # the common case needs no row selection
+            x[a], r[a] = X, rt
+        elif acc:
+            x[every[a][acc]], r[every[a][acc]] = X[acc], rt[acc]
+        go = [j for j in acc if not stop[act[j]]]
+        fresh = [act[j] for j in go]
+        fresh_state = st if len(go) == len(act) else tuple(v[go] for v in st)
+    return _LMResult(x, costs, np.array(converged), stop, np.array(invalid), np.array(uphill))
 
 
 # ---------------------------------------------------------------------------
@@ -410,34 +388,37 @@ def _levenberg_marquardt(fun, x0, jac, *, max_iter=50):
 # d[R | t] / dt_k: translation directions of the projection matrix
 _DP_TRANSLATION = np.zeros((3, 3, 4))
 _DP_TRANSLATION[[0, 1, 2], [0, 1, 2], 3] = 1.0
+_I3 = np.eye(3)
+_SKEW = np.cross(_I3[:, None], _I3).transpose(0, 2, 1).reshape(3, 9)  # raveled [v]x = v @ _SKEW
 
 
-def _skews(V):
-    """Cross-product matrices [v]x of the columns v of V (3, k), as (k, 3, 3)."""
-    S = np.zeros((V.shape[1], 3, 3))
-    S[:, 0, 1], S[:, 0, 2], S[:, 1, 2] = -V[2], V[1], -V[0]
-    return S - S.transpose(0, 2, 1)
+def _rotations(W):
+    """Rodrigues map of the rows of W (m,3) to rotations (m,3,3): below an
+    angle of about 1e-8 its first-order term, as :func:`axis_angle_to_matrix`
+    below 1e-12."""
+    theta = _row_norms(W)
+    theta = theta + (theta == 0.0)  # a zero rotation has K = 0
+    K = (W[:, None] @ _SKEW).reshape(-1, 3, 3)
+    sinc = (np.sin(theta) / theta)[:, None, None]
+    vers = ((1.0 - np.cos(theta)) / (theta * theta))[:, None, None]
+    return _I3 + sinc * K + vers * (K @ K)
 
 
-def _left_jacobian(w):
-    """SO(3) left Jacobian: exp([w + dw]x) = exp([J dw]x) exp([w]x) to first order."""
-    theta = float(np.linalg.norm(w))
-    W = _skews(w[:, None])[0]
-    if theta < 1e-8:
-        return np.eye(3) + 0.5 * W
-    return (
-        np.eye(3)
-        + ((1.0 - math.cos(theta)) / theta**2) * W
-        + ((theta - math.sin(theta)) / theta**3) * (W @ W)
-    )
-
-
-def _pose_directions(w, R):
-    """d[R | t] / d(w, t) for R = exp([w]x) R0 (the current rotation R):
-    dR/dw_k = [J_l(w) e_k]x R."""
-    dP = np.zeros((6, 3, 4))
-    dP[:3, :, :3] = _skews(_left_jacobian(w)) @ R
-    dP[3:] = _DP_TRANSLATION
+def _pose_directions(W, Rs):
+    """d[R | t] / d(w, t) (m,6,3,4) for R = exp([w]x) R0 at the current
+    rotations Rs: dR/dw_k = [J_l(w) e_k]x R, with the SO(3) left Jacobian
+    exp([w + dw]x) = exp([J_l dw]x) exp([w]x) to first order."""
+    m = len(W)
+    theta = _row_norms(W)
+    tiny = theta < 1e-8
+    th = np.where(tiny, 1.0, theta)
+    a = np.where(tiny, 0.5, (1.0 - np.cos(th)) / th**2)[:, None, None]
+    b = np.where(tiny, 0.0, (th - np.sin(th)) / th**3)[:, None, None]
+    S = (W[:, None] @ _SKEW).reshape(m, 3, 3)
+    Jl = _I3 + a * S + b * (S @ S)
+    dP = np.zeros((m, 6, 3, 4))
+    dP[:, :3, :, :3] = (Jl.transpose(0, 2, 1) @ _SKEW).reshape(m, 3, 3, 3) @ Rs[:, None]
+    dP[:, 3:] = _DP_TRANSLATION
     return dP
 
 
@@ -460,11 +441,12 @@ def _ray_placements(Rs, pair: _PairData):
     support_z = np.sqrt(np.sum((pair.axes * z_rows) ** 2, axis=1))
     lam_min = 1.05 * support_z / v[2]
     lam_ref = np.maximum(20.0 * pair.max_axis, 2.0 * lam_min)
-    M_ref, valid = _projected_conics(Rs, lam_ref[:, None] * v - Rc, pair)
-    area_ref = _conic_areas(M_ref)
+    N_ref, valid, _ = _project_pairs(Rs, lam_ref[:, None] * v - Rc, pair.Qd[None],
+                                     pair.center_w[None])
+    area_ref = _conic_outlines(N_ref[:, 0])[1]
     with np.errstate(invalid="ignore"):
         lam0 = lam_ref * np.sqrt(area_ref / pair.area_det)
-        ok = valid & (area_ref > 0.0) & (lam0 >= 0.5 * lam_min)
+        ok = valid[:, 0] & (area_ref > 0.0) & (lam0 >= 0.5 * lam_min)
     lam0 = np.maximum(lam0, lam_min)
     return lam0[:, None] * v - Rc, ok
 
@@ -542,15 +524,13 @@ def pose_from_two_pairs(
 
     # stage A: closed-form position from either pair, residual on both;
     # candidates in start order, anchor 0 before anchor 1, stably sorted
+    Qd, centers, M_det = _stacked(pairs, "Qd", "center_w", "M_det")
     costs, placements = [], []
     for anchor in pairs:
         ts, ok = _ray_placements(starts, anchor)
-        cost = np.zeros(len(starts))
-        for pair in pairs:
-            N, valid = _projected_conics(starts, ts, pair)
-            ok &= valid
-            cost += np.sum((N - pair.M_det) ** 2, axis=(1, 2))
-        costs.append(np.where(ok, cost, np.inf))
+        N, valid, _ = _project_pairs(starts, ts, Qd, centers)
+        r = (N - M_det).reshape(len(starts), -1)
+        costs.append(np.where(ok & valid.all(axis=1), (r * r).sum(axis=1), np.inf))
         placements.append(ts)
     costs = np.stack(costs, axis=1).ravel()
     placements = np.stack(placements, axis=1).reshape(-1, 3)
@@ -562,18 +542,14 @@ def pose_from_two_pairs(
     # stage B: short joint refinement to make the ranking trustworthy
     # (position-only polish is not discriminative enough: a wrong rotation
     # can reach a similar cost to a nearly-right one)
-    stage_b = []
-    for i in order[:_STAGE_B_KEEP]:
-        res, (R, t) = _refine_raw(starts[i // 2], placements[i], pairs, max_iter=8, guarded=False)
-        stage_b.append((res.costs[-1], R, t))
-    stage_b.sort(key=lambda s: s[0])
+    keep = order[:_STAGE_B_KEEP]
+    stage_b = _ranked(*_refine_raw(starts[keep // 2], placements[keep], pairs, max_iter=8,
+                                   guarded=False))
 
     # stage C: full joint 6-dof refinement of the leading candidates
-    candidates = []
-    for cost, R0, t0 in stage_b[:_STAGE_C_KEEP]:
-        res, (R, t) = _refine_raw(R0, t0, pairs, max_iter=60, guarded=False)
-        candidates.append((res.costs[-1], R, t))
-    candidates.sort(key=lambda s: s[0])
+    _, R0, t0 = zip(*stage_b[:_STAGE_C_KEEP])
+    candidates = _ranked(*_refine_raw(np.stack(R0), np.stack(t0), pairs, max_iter=60,
+                                      guarded=False))
 
     # cluster distinct poses, best first
     clusters = []
@@ -594,34 +570,50 @@ def pose_from_two_pairs(
     return Pose(best[1], best[2])
 
 
+def _ranked(res, poses):
+    """(final cost, R, t) of the refined candidates that started valid,
+    stably sorted by cost."""
+    ranked = sorted(
+        ((c[-1], R, t) for c, R, t in zip(res.costs, *poses) if c), key=lambda s: s[0]
+    )
+    if not ranked:
+        raise NoConvergence("no refinement start produced a valid projection")
+    return ranked
+
+
 def _refine_raw(R0, t0, pairs, *, max_iter=50, rotation_fixed=False, guarded=True):
-    """LM over the translation itself (``rotation_fixed``) or jointly over
-    (axis-angle increment, translation offset) from (R0, t0).
+    """Lockstep LM from the n poses (R0 (n,3,3), t0 (n,3)) over the
+    translation itself (``rotation_fixed``) or jointly over (axis-angle
+    increment, translation offset); ``guarded`` tethers every outline to
+    its detection (:func:`_within_caps`).
 
-    Returns the LM result and the pose (R, t) of its final iterate.
+    Returns the LM result and the poses (R, t) of its final iterates.
     """
-    caps = _tether_caps(R0, t0, pairs) if guarded else None
-    if rotation_fixed:
-        x0 = t0
+    Qd, centers, M_det, det_centers = _stacked(pairs, "Qd", "center_w", "M_det", "det_center_n")
+    if guarded:
+        caps = _tether_caps(_project_pairs(R0, t0, Qd, centers)[0], pairs, det_centers)
 
-        def pose_at(x):
-            return R0, x
-    else:
-        x0 = np.zeros(6)
+    def pose_at(idx, X):
+        if rotation_fixed:
+            return R0[idx], X
+        return _rotations(X[:, :3]) @ R0[idx], t0[idx] + X[:, 3:]
 
-        def pose_at(x):
-            return axis_angle_to_matrix(x[:3]) @ R0, t0 + x[3:]
+    def fun(idx, X):
+        R, t = pose_at(idx, X)
+        N, valid, terms = _project_pairs(R, t, Qd, centers)
+        ok = valid.all(axis=1)
+        if guarded:
+            ok &= _within_caps(N, caps[idx], det_centers)
+        return (N - M_det).reshape(len(X), -1), ok, (R, *terms)
 
-    def fun(x):
-        return _residual(*pose_at(x), pairs, caps)
+    def jac(idx, X, state):
+        R, *terms = state
+        dP = _DP_TRANSLATION[None] if rotation_fixed else _pose_directions(X[:, :3], R)
+        return _conic_jacobians(terms, dP)
 
-    def jac(x):
-        R, t = pose_at(x)
-        dP = _DP_TRANSLATION if rotation_fixed else _pose_directions(x[:3], R)
-        return np.concatenate([_conic_jacobian(R, t, p, dP) for p in pairs])
-
-    res = _levenberg_marquardt(fun, x0, jac, max_iter=max_iter)
-    return res, pose_at(res.x)
+    x0 = t0 if rotation_fixed else np.zeros((len(t0), 6))
+    res = _levenberg_marquardt(fun, jac, x0, max_iter=max_iter)
+    return res, pose_at(slice(None), res.x)
 
 
 def refine_pose(
@@ -640,13 +632,11 @@ def refine_pose(
     if not correspondences:
         raise ValueError("refinement needs at least one correspondence")
     pairs = tuple(_PairData(c, cam.K) for c in correspondences)
-    try:
-        res, (R, t) = _refine_raw(p0.R, p0.t, pairs, rotation_fixed=rotation_fixed)
-    except NoConvergence:
-        return RefineResult(p0, False, ())
-    # no accepted step: return the input bit-for-bit
-    pose = p0 if len(res.costs) == 1 else Pose(R, t)
-    return RefineResult(pose, res.converged, tuple(res.costs))
+    res, (R, t) = _refine_raw(p0.R[None], p0.t[None], pairs, rotation_fixed=rotation_fixed)
+    costs = res.costs[0]
+    # no accepted step (or an invalid start): return the input bit-for-bit
+    pose = p0 if len(costs) <= 1 else Pose(R[0], t[0])
+    return RefineResult(pose, bool(res.converged[0]), tuple(costs))
 
 
 # ---------------------------------------------------------------------------

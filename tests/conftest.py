@@ -13,8 +13,20 @@ from ellipose.geometry import (
     ellipse_to_conic,
     rot2d,
     rotation_z,
+    _adjugate,
 )
-from ellipose.pose import _PairData, _ray_placements, refine_pose
+from ellipose.pose import (
+    _DP_TRANSLATION,
+    _PairData,
+    _conic_jacobians,
+    _pose_directions,
+    _project_pairs,
+    _ray_placements,
+    _rotations,
+    _row_norms,
+    _stacked,
+    refine_pose,
+)
 from ellipose.reconstruction import EllipsoidCloud
 from ellipose.simulator import SceneObject, SceneSpec
 
@@ -163,3 +175,175 @@ def placed_and_refined(corr, R, cam):
     ts, ok = _ray_placements(np.asarray(R, float)[None], _PairData(corr, cam.K))
     assert ok[0], "the placement is invalid"
     return refine_pose(Pose(R, ts[0]), [corr], cam, rotation_fixed=True).pose.t
+
+
+# ---------------------------------------------------------------------------
+# References of the pose solver: the scalar conic projection, and the
+# one-candidate LM with per-pair tether tests
+# ---------------------------------------------------------------------------
+
+
+def _unit_adjugate(Cd):
+    """Adjugate entries of the dual conic ``Cd`` and the signed scale ``s``
+    that makes them a unit-Frobenius point conic, or None when degenerate;
+    the sign makes the first entry of significant size positive."""
+    (a, b, c), (_, d, e), (_, _, f) = Cd.tolist()
+    m = _adjugate(a, b, c, d, e, f)
+    m00, m01, m02, m11, m12, m22 = m
+    det = a * m00 + b * m01 + c * m02
+    scale = max(abs(a), abs(b), abs(c), abs(d), abs(e), abs(f))
+    if scale <= 0.0 or abs(det) < 1e-14 * scale**3:
+        return None
+    norm = math.sqrt(
+        m00 * m00 + m11 * m11 + m22 * m22 + 2.0 * (m01 * m01 + m02 * m02 + m12 * m12)
+    )
+    if norm < 1e-300:
+        return None
+    s = 1.0 / norm
+    for v in m:
+        if abs(v) * s > 1e-12:
+            if v < 0.0:
+                s = -s
+            break
+    return m, s
+
+
+def projected_conic(R, t, pair):
+    """Point conic of the pair's quadric in normalized image coordinates,
+    unit-Frobenius scaled, or None when the projection is invalid."""
+    if R[2] @ pair.center_w + t[2] <= 0.0:
+        return None
+    P = np.column_stack([R, t])
+    unit = _unit_adjugate(P @ pair.Qd @ P.T)
+    if unit is None:
+        return None
+    (m00, m01, m02, m11, m12, m22), s = unit
+    return s * np.array([[m00, m01, m02], [m01, m11, m12], [m02, m12, m22]])
+
+
+def _outline_geometry(M, pair):
+    """(center offset to the detection, enclosed area) of an ellipse
+    conic, or None."""
+    a, b, c, d, e = M[0, 0], M[0, 1], M[0, 2], M[1, 1], M[1, 2]
+    det2 = a * d - b * b
+    if det2 <= 0.0:
+        return None
+    cx = (e * b - c * d) / det2
+    cy = (b * c - a * e) / det2
+    k = c * cx + e * cy + M[2, 2]
+    if k >= 0.0:
+        return None
+    dx, dy = cx - pair.det_center_n[0], cy - pair.det_center_n[1]
+    return math.sqrt(dx * dx + dy * dy), math.pi * (-k) / math.sqrt(det2)
+
+
+def _tether_caps(conics, pairs):
+    caps = []
+    for M, pair in zip(conics, pairs):
+        geo = _outline_geometry(M, pair)
+        if geo is None or pair.area_det is None:
+            caps.append(None)  # start invalid for this pair: leave it free
+            continue
+        ratio0 = geo[1] / pair.area_det
+        caps.append((max(0.75 * pair.major_norm, 1.3 * geo[0], 0.01),
+                     pair.area_det * min(0.5, 0.5 * ratio0),
+                     pair.area_det * max(2.0, 2.0 * ratio0)))
+    return caps
+
+
+def reference_lm(fun, x0, jac, max_iter=50):
+    """One-candidate damped least squares: ``fun(x)`` is the residual or
+    None when invalid, ``jac(x)`` the Jacobian at an accepted point.
+    Returns (x, costs, converged); costs is empty for an invalid start.
+
+    Its sums are taken as the lockstep LM takes them over its rows, on a
+    leading axis of one, so that ties at convergence resolve alike."""
+
+    def norm(v):
+        return float(_row_norms(v[None])[0])
+
+    def sq(r):
+        return float((r[None] * r[None]).sum(axis=1)[0])
+
+    x = np.array(x0, float)
+    r = fun(x)
+    if r is None:
+        return x, [], False
+    cost = sq(r)
+    costs, lam, converged = [cost], 1e-3, False
+    for _ in range(max_iter):
+        J = jac(x)[None]
+        g = (r[None, None] @ J)[0, 0]
+        grad_norm = norm(g)
+        if grad_norm < 1e-12:
+            converged = True
+            break
+        A = (J.transpose(0, 2, 1) @ J)[0]
+        D = np.diag(np.maximum(np.diag(A), 1e-12))
+        stepped = False
+        while lam < 1e12:
+            try:
+                delta = np.linalg.solve(A + lam * D, -g)
+            except np.linalg.LinAlgError:
+                lam *= 10.0
+                continue
+            rt = fun(x + delta)
+            if rt is not None and sq(rt) <= cost:
+                x = x + delta
+                r, cost = rt, sq(rt)
+                costs.append(cost)
+                lam = max(lam * 0.3, 1e-12)
+                stepped = True
+                converged = norm(delta) < 1e-13 * (1.0 + norm(x))
+                break
+            lam *= 4.0
+        if not stepped:
+            converged = grad_norm < 1e-6
+            break
+        if converged:
+            break
+    return x, costs, converged
+
+
+def reference_refine(R0, t0, pairs, *, max_iter=50, rotation_fixed=False, guarded=True):
+    """:func:`reference_lm` from one pose over the translation or over
+    (axis-angle increment, translation offset), with the tether tests pair
+    by pair on conics of the pose module's kernel.  Returns (R, t, costs,
+    converged)."""
+
+    Qd, centers = _stacked(pairs, "Qd", "center_w")
+
+    def project(R, t):
+        N, valid, terms = _project_pairs(R[None], t[None], Qd, centers)
+        return N[0], valid[0].all(), terms
+
+    N0, valid0, _ = project(R0, t0)
+    caps = _tether_caps(N0, pairs) if guarded else [None] * len(pairs)
+
+    def pose_at(x):
+        if rotation_fixed:
+            return R0, x
+        return (_rotations(x[None, :3]) @ R0[None])[0], t0 + x[3:]
+
+    def fun(x):
+        N, valid, _ = project(*pose_at(x))
+        if not valid:
+            return None
+        for M, pair, cap in zip(N, pairs, caps):
+            if cap is not None:
+                geo = _outline_geometry(M, pair)
+                if geo is None or geo[0] > cap[0] or not cap[1] <= geo[1] <= cap[2]:
+                    return None
+        return (N - np.stack([p.M_det for p in pairs])).ravel()
+
+    def jac(x):
+        R, t = pose_at(x)
+        if rotation_fixed:
+            dP = _DP_TRANSLATION[None]
+        else:
+            dP = _pose_directions(x[None, :3], R[None])
+        return _conic_jacobians(project(R, t)[2], dP)[0]
+
+    x, costs, converged = reference_lm(
+        fun, t0 if rotation_fixed else np.zeros(6), jac, max_iter)
+    return (*pose_at(x), costs, converged)

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ellipose
 from ellipose import dataio
 from ellipose.cli import main
 from ellipose.dataio import Annotation, Dataset, PredictionRecord, PredictionSet
@@ -347,6 +352,27 @@ class TestPoseCommand:
             cells = line.split(",")
             assert float(cells[3]) < 0.01  # rotation error, degrees
             assert float(cells[4]) < 1e-3  # position error, world units
+
+    def test_full_mode_independent_of_blas_threads(self, board, tmp_path):
+        # batched linear algebra must not make the output depend on how
+        # many threads the BLAS runs
+        scene, views, dataset, dpath = board
+        cloud_path = tmp_path / "cloud.json"
+        dataio.save_cloud(cloud_of_scene(scene), cloud_path)
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=str(Path(ellipose.__file__).parents[1]))
+            out = tmp_path / f"poses_{threads}.json"
+            subprocess.run(
+                [sys.executable, "-m", "ellipose", "pose", "--dataset", str(dpath),
+                 "--cloud", str(cloud_path), "--out-poses", str(out),
+                 "--out-metrics", str(tmp_path / f"m_{threads}.csv"),
+                 "--mode", "full", "--seed", "6", "--iterations", "4"],
+                env=env, check=True, timeout=300,
+            )
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_missing_cloud_is_parse_error(self, board, tmp_path):
         scene, views, dataset, dpath = board

@@ -4,7 +4,15 @@ import time
 import numpy as np
 import pytest
 
-from conftest import grid_ellipse_iou, placed_and_refined, random_rotation, ransac_iterations
+from conftest import (
+    grid_ellipse_iou,
+    placed_and_refined,
+    projected_conic,
+    random_rotation,
+    ransac_iterations,
+    reference_lm,
+    reference_refine,
+)
 from ellipose import pose as pose_module
 from ellipose.errors import (
     AmbiguousSolution,
@@ -22,7 +30,7 @@ from ellipose.geometry import (
     project_ellipsoid,
     rotation_z,
 )
-from ellipose.metrics import pose_errors
+from ellipose.metrics import pose_errors, rotation_distance
 from ellipose.pose import (
     Correspondence,
     EllipsoidCloud,
@@ -38,13 +46,15 @@ from ellipose.pose import (  # white-box kernels
     _PairData,
     _Scoring,
     _associations_with_indices,
-    _conic_jacobian,
+    _conic_jacobians,
     _consensus,
     _draw_minimal_set,
+    _levenberg_marquardt,
     _pose_directions,
-    _projected_conic,
-    _projected_conics,
+    _project_pairs,
     _ray_placements,
+    _rotations,
+    _stacked,
 )
 from ellipose.simulator import DEG, OrientationNoise, default_camera, look_at, perturb_orientation
 
@@ -103,65 +113,100 @@ class TestPositionFromPair:
 
 
 class TestConicKernels:
-    def _pair(self, rng):
+    @staticmethod
+    def _stack(rng):
+        """Three pairs seen from a stack of eight poses: six near a common
+        view, one looking away (every pair behind the camera) and one with
+        the camera center on the first ellipsoid's surface (degenerate for
+        that pair)."""
         cam = default_camera()
-        E = sized_ellipsoid(rng)
-        pose = camera_near(rng, E.center + rng.uniform(-0.1, 0.1, 3))
-        pair = _PairData(Correspondence(project_ellipsoid(E, pose, cam), E, "x"), cam.K)
-        return pair, pose
+        objs = [sized_ellipsoid(rng, center_scale=0.3) for _ in range(3)]
+        poses = [camera_near(rng, (0.0, 0.0, 0.0), dist=2.0) for _ in range(6)]
+        pairs = tuple(
+            _PairData(Correspondence(project_ellipsoid(E, poses[0], cam), E, "x"), cam.K)
+            for E in objs
+        )
+        center = -poses[1].R.T @ poses[1].t
+        poses.append(look_at(center, 2.0 * center))
+        E = objs[0]
+        on_surface = E.center + E.rotation @ np.array([E.axes[0], 0.0, 0.0])
+        poses.append(look_at(on_surface, E.center + 0.05))
+        Rs = np.array([p.R for p in poses])
+        ts = np.array([p.t for p in poses])
+        assert (Rs[7, 2] @ E.center + ts[7, 2]) > 0.0  # in front: degenerate, not behind
+        return pairs, Rs, ts
 
     @staticmethod
-    def _central_difference(fun, x, h=1e-6):
+    def _central_difference(fun, X, h=1e-6):
         cols = []
-        for k in range(x.size):
-            step = np.zeros(x.size)
+        for k in range(X.shape[1]):
+            step = np.zeros(X.shape[1])
             step[k] = h
-            cols.append((fun(x + step) - fun(x - step)) / (2.0 * h))
-        return np.stack(cols, axis=1)
+            cols.append((fun(X + step) - fun(X - step)) / (2.0 * h))
+        return np.stack(cols, axis=-1)
+
+    @staticmethod
+    def _assert_matches(J, Jn, valid):
+        m, k = valid.shape
+        J = J.reshape(m, k, 9, -1)
+        for i, j in zip(*np.nonzero(valid)):
+            assert np.abs(J[i, j] - Jn[i, j]).max() <= 1e-6 * np.abs(Jn[i, j]).max()
+        assert np.isnan(J[~valid]).all()
 
     @pytest.mark.parametrize("w_scale", [0.2, 1e-10])
     def test_pose_jacobian_matches_central_differences(self, rng, w_scale):
         # w_scale 1e-10 exercises the small-angle branch of the left Jacobian
-        for _ in range(20):
-            pair, pose = self._pair(rng)
-            w = rng.normal(size=3)
-            w *= w_scale / np.linalg.norm(w)
-            x = np.concatenate([w, rng.normal(scale=0.02, size=3)])
+        for _ in range(4):
+            pairs, R0, t0 = self._stack(rng)
+            stacks = _stacked(pairs, "Qd", "center_w")
+            W = rng.normal(size=(len(R0), 3))
+            W *= w_scale / np.linalg.norm(W, axis=1, keepdims=True)
+            X = np.concatenate([W, rng.normal(scale=0.02, size=(len(R0), 3))], axis=1)
+            X[7] = 0.0  # keeps the camera center on the surface
 
-            def fun(x):
-                R = axis_angle_to_matrix(x[:3]) @ pose.R
-                return _projected_conic(R, pose.t + x[3:], pair).ravel()
+            def pose_at(X):
+                return np.einsum("mij,mjk->mik", _rotations(X[:, :3]), R0), t0 + X[:, 3:]
 
-            R = axis_angle_to_matrix(x[:3]) @ pose.R
-            J = _conic_jacobian(R, pose.t + x[3:], pair, _pose_directions(x[:3], R))
-            Jn = self._central_difference(fun, x)
-            assert J.shape == (9, 6)
-            assert np.abs(J - Jn).max() <= 1e-6 * np.abs(Jn).max()
+            def fun(X):
+                return _project_pairs(*pose_at(X), *stacks)[0].reshape(len(X), len(pairs), 9)
+
+            R, t = pose_at(X)
+            _, valid, terms = _project_pairs(R, t, *stacks)
+            J = _conic_jacobians(terms, _pose_directions(X[:, :3], R))
+            assert J.shape == (8, 27, 6)
+            assert not valid[6].any() and not valid[7, 0] and valid[:6].all()
+            self._assert_matches(J, self._central_difference(fun, X), valid)
 
     def test_translation_jacobian_matches_central_differences(self, rng):
-        for _ in range(20):
-            pair, pose = self._pair(rng)
-            t = pose.t + rng.normal(scale=0.02, size=3)
+        for _ in range(4):
+            pairs, R, t0 = self._stack(rng)
+            stacks = _stacked(pairs, "Qd", "center_w")
+            t = t0 + rng.normal(scale=0.02, size=t0.shape)
+            t[7] = t0[7]  # keeps the camera center on the surface
 
             def fun(t):
-                return _projected_conic(pose.R, t, pair).ravel()
+                return _project_pairs(R, t, *stacks)[0].reshape(len(t), len(pairs), 9)
 
-            J = _conic_jacobian(pose.R, t, pair, _DP_TRANSLATION)
-            Jn = self._central_difference(fun, t)
-            assert J.shape == (9, 3)
-            assert np.abs(J - Jn).max() <= 1e-6 * np.abs(Jn).max()
+            _, valid, terms = _project_pairs(R, t, *stacks)
+            J = _conic_jacobians(terms, np.broadcast_to(_DP_TRANSLATION, (len(t), 3, 3, 4)))
+            assert J.shape == (8, 27, 3)
+            assert not valid[6].any() and not valid[7, 0] and valid[:6].all()
+            self._assert_matches(J, self._central_difference(fun, t), valid)
 
     def test_batched_projection_matches_scalar(self, rng):
-        pair, pose = self._pair(rng)
+        cam = default_camera()
+        E = sized_ellipsoid(rng)
+        pose = camera_near(rng, E.center + rng.uniform(-0.1, 0.1, 3))
+        pair = _PairData(Correspondence(project_ellipsoid(E, pose, cam), E, "x"), cam.K)
         Rs = np.array([random_rotation(rng) for _ in range(300)])
         ts = rng.normal(scale=2.0, size=(300, 3))
         Rs[:100] = pose.R  # near the true pose: mostly valid
         ts[:100] = pose.t + rng.normal(scale=0.05, size=(100, 3))
-        N, valid = _projected_conics(Rs, ts, pair)
+        N, valid, _ = _project_pairs(Rs, ts, pair.Qd[None], pair.center_w[None])
         depth = Rs[:, 2] @ pair.center_w + ts[:, 2]
         assert (depth <= 0.0).sum() > 50 and valid.sum() > 100
-        for R, t, Ni, ok in zip(Rs, ts, N, valid):
-            M = _projected_conic(R, t, pair)
+        for R, t, Ni, ok in zip(Rs, ts, N[:, 0], valid[:, 0]):
+            M = projected_conic(R, t, pair)
             assert (M is not None) == ok
             if ok:
                 assert np.abs(M - Ni).max() <= 1e-12
@@ -205,6 +250,151 @@ class TestPoseFromTwoPairs:
         with pytest.raises(AmbiguousSolution) as ei:
             pose_from_two_pairs(c1, c2, cam)
         assert len(ei.value.candidates) == 2
+
+
+def noisy_two_pair_problem(rng):
+    """Two correspondences with box-like shape noise on the detections, so
+    the two-pair refinements take real steps."""
+    cam = default_camera()
+    E1, E2 = sized_ellipsoid(rng), sized_ellipsoid(rng)
+    while np.linalg.norm(E1.center - E2.center) < 0.3:
+        E2 = sized_ellipsoid(rng)
+    truth = camera_near(rng, 0.5 * (E1.center + E2.center), dist=2.2)
+    corrs = []
+    for label, E in (("a", E1), ("b", E2)):
+        e = project_ellipsoid(E, truth, cam)
+        e = Ellipse(e.center + rng.normal(scale=2.0, size=2),
+                    e.axes * rng.uniform(0.9, 1.1, 2), e.angle)
+        corrs.append(Correspondence(e, E, label))
+    return corrs, cam
+
+
+def reference_best_pose(stage_b_starts, pairs):
+    """Stages B and C and the clustering of :func:`pose_from_two_pairs`,
+    each candidate refined alone by the scalar reference LM."""
+    R0, t0 = stage_b_starts
+    stage_b = sorted(
+        ((costs[-1], R, t) for R, t, costs, _ in
+         (reference_refine(R, t, pairs, max_iter=8, guarded=False) for R, t in zip(R0, t0))),
+        key=lambda s: s[0])
+    stage_c = sorted(
+        ((costs[-1], R, t) for R, t, costs, _ in
+         (reference_refine(R, t, pairs, max_iter=60, guarded=False) for _, R, t in stage_b[:6])),
+        key=lambda s: s[0])
+    clusters = []
+    for cost, R, t in stage_c:
+        if all(rotation_distance(R, cR) + np.linalg.norm(t - ct) / (1.0 + np.linalg.norm(ct))
+               >= 0.05 for _, cR, ct in clusters):
+            clusters.append((cost, R, t))
+    assert len(clusters) == 1 or clusters[1][0] - clusters[0][0] > 0.01 * clusters[0][0] + 1e-10
+    return clusters[0][1], clusters[0][2]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_lockstep_lm_matches_one_candidate_reference(monkeypatch, seed):
+    # every stage-B and stage-C candidate of the lockstep LM takes the
+    # steps the one-candidate scalar reference takes from the same start
+    corrs, cam = noisy_two_pair_problem(np.random.default_rng(seed))
+    calls = []
+    refine = pose_module._refine_raw
+
+    def recording(R0, t0, pairs, **kwargs):
+        res, poses = refine(R0, t0, pairs, **kwargs)
+        calls.append((R0, t0, pairs, kwargs, res))
+        return res, poses
+
+    monkeypatch.setattr(pose_module, "_refine_raw", recording)
+    got = pose_from_two_pairs(*corrs, cam)
+    assert [c[3]["max_iter"] for c in calls] == [8, 60]
+    assert len(calls[0][0]) == 24 and len(calls[1][0]) == 6
+    steps = 0
+    for R0, t0, pairs, kwargs, res in calls:
+        for i in range(len(R0)):
+            _, _, costs, converged = reference_refine(R0[i], t0[i], pairs, **kwargs)
+            assert len(res.costs[i]) == len(costs)
+            assert res.costs[i][-1] == pytest.approx(costs[-1], rel=1e-9, abs=0.0)
+            assert res.converged[i] == converged
+            steps += len(costs) - 1
+    assert steps > 24  # the candidates move
+    R, t = reference_best_pose(calls[0][:2], calls[0][2])
+    assert np.abs(got.R - R).max() <= 1e-9 and np.abs(got.t - t).max() <= 1e-9
+
+
+@pytest.mark.parametrize("rotation_fixed", [False, True])
+def test_guarded_polish_matches_one_candidate_reference(rotation_fixed):
+    # the polish (n = 1, tethered) against the reference, which tests each
+    # tether pair by pair; noisy detections make the tethers reject trials
+    rng = np.random.default_rng(7)
+    cam = default_camera()
+    cloud = board_scene(rng)
+    invalid = 0
+    for _ in range(6):
+        truth = camera_near(rng, (0, 0, 0), dist=1.8)
+        corrs = []
+        for label, E in cloud.entries:
+            e = project_ellipsoid(E, truth, cam)
+            e = Ellipse(e.center + rng.normal(scale=6.0, size=2),
+                        e.axes * rng.uniform(0.7, 1.3, 2), e.angle)
+            corrs.append(Correspondence(e, E, label))
+        pairs = tuple(_PairData(c, cam.K) for c in corrs)
+        R0 = axis_angle_to_matrix(rng.normal(scale=0.03, size=3)) @ truth.R
+        t0 = truth.t + rng.normal(scale=0.03, size=3)
+        res, (R, t) = pose_module._refine_raw(R0[None], t0[None], pairs,
+                                             rotation_fixed=rotation_fixed)
+        R_ref, t_ref, costs, converged = reference_refine(R0, t0, pairs,
+                                                          rotation_fixed=rotation_fixed)
+        assert len(res.costs[0]) == len(costs) > 1 and res.converged[0] == converged
+        assert res.costs[0][-1] == pytest.approx(costs[-1], rel=1e-9, abs=0.0)
+        assert np.abs(R[0] - R_ref).max() <= 1e-9 and np.abs(t[0] - t_ref).max() <= 1e-9
+        invalid += res.invalid[0]
+    assert invalid > 0
+
+
+def test_lockstep_candidates_stop_alone(monkeypatch):
+    # Rosenbrock residuals from four starts.  Candidate 0's Jacobian is NaN
+    # and the solver stub reports its damped system singular at every
+    # damping; candidate 1's Jacobian has the wrong sign, so no damping
+    # level gives a downhill step.  Both stop on their own, and candidates
+    # 2 and 3 take the steps they take alone and under the reference LM.
+    solve = np.linalg.solve
+
+    def singular_on_nan(a, b):
+        if np.isnan(a).any():
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", singular_on_nan)
+
+    def residual(X):
+        return np.stack([X[:, 0] - 1.0, 10.0 * (X[:, 1] - X[:, 0] ** 2)], axis=1)
+
+    def fun(idx, X):
+        return residual(X), np.ones(len(X), bool), ()
+
+    def jac(idx, X, state, offset=0):
+        cands = np.arange(4)[idx] + offset
+        J = np.zeros((len(X), 2, 2))
+        J[:, 0, 0], J[:, 1, 0], J[:, 1, 1] = 1.0, -20.0 * X[:, 0], 10.0
+        J[cands == 0] = np.nan
+        J[cands == 1] *= -1.0
+        return J
+
+    x0 = np.array([[-1.2, 1.0], [0.5, -0.5], [-1.2, 1.0], [2.0, 2.5]])
+    res = _levenberg_marquardt(fun, jac, x0)
+    assert res.stop[:2] == ["no descent", "no descent"]
+    assert len(res.costs[0]) == len(res.costs[1]) == 1
+    assert res.invalid[0] == res.uphill[0] == 0  # never got a step to try
+    assert res.uphill[1] > 10 and not res.converged[:2].any()
+    for i in (2, 3):
+        alone = _levenberg_marquardt(fun, lambda idx, X, s: jac(slice(0, 1), X, s, i),
+                                     x0[i:i + 1])
+        assert alone.costs[0] == res.costs[i] and alone.stop[0] == res.stop[i]
+        assert alone.x[0].tobytes() == res.x[i].tobytes()
+        x, costs, converged = reference_lm(lambda x: residual(x[None])[0], x0[i],
+                                           lambda x: jac(slice(0, 1), x[None], (), i)[0])
+        assert len(costs) == len(res.costs[i]) > 5 and converged == res.converged[i]
+        assert np.abs(x - res.x[i]).max() <= 1e-9
+    assert res.converged[2:].all()
 
 
 class TestRefinePose:
@@ -257,7 +447,7 @@ def reference_consensus(pose, cam, corrs, pairs, threshold, outcomes):
     Kinv = np.linalg.inv(cam.K)
     inliers, total = [], 0.0
     for i, (corr, pair) in enumerate(zip(corrs, pairs)):
-        M = _projected_conic(pose.R, pose.t, pair)
+        M = projected_conic(pose.R, pose.t, pair)
         if M is None:
             outcomes["no conic"] += 1
             continue
@@ -535,8 +725,8 @@ def test_ransac_solves_each_distinct_draw_once(rng, monkeypatch, mode, solver):
 @pytest.mark.parametrize("seed", [1, 8])
 def test_one_label_full_mode_contract(monkeypatch, seed):
     # 4 detections x 4 objects of one label: 16 correspondences, 4 of them
-    # true; seed 1 reaches a projection degenerate to rounding in the
-    # two-pair refinement, seed 8 draws no all-true minimal set
+    # true; seed 1 draws a minimal set whose two-pair refinement once met a
+    # projection degenerate to rounding, seed 8 draws no all-true minimal set
     rng = np.random.default_rng(seed)
     objs = []
     for i in range(4):
