@@ -79,26 +79,6 @@ def rotation_z(angle: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def axis_angle_to_matrix(w: np.ndarray) -> np.ndarray:
-    """Rodrigues map: rotation vector (axis * angle) to a rotation matrix."""
-    w = np.asarray(w, dtype=float)
-    theta = float(np.linalg.norm(w))
-    if theta < 1e-12:
-        K = np.array(
-            [[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]]
-        )
-        return np.eye(3) + K  # first-order term is exact enough below 1e-12
-    axis = w / theta
-    K = np.array(
-        [
-            [0.0, -axis[2], axis[1]],
-            [axis[2], 0.0, -axis[0]],
-            [-axis[1], axis[0], 0.0],
-        ]
-    )
-    return np.eye(3) + math.sin(theta) * K + (1.0 - math.cos(theta)) * (K @ K)
-
-
 def wrap_angle_half_pi(theta: float) -> float:
     """Wrap an angle into (-pi/2, pi/2] modulo the pi-periodicity of ellipses."""
     t = (theta + 0.5 * math.pi) % math.pi - 0.5 * math.pi
@@ -405,13 +385,6 @@ _UPPER = np.array([0, 1, 2, 4, 5, 8])  # raveled 3x3 index of entries 00, 01, 02
 _ADJ = np.array([[3, 2, 1, 0, 1, 0], [5, 4, 4, 5, 2, 3], [4, 1, 2, 2, 0, 1], [4, 5, 3, 2, 4, 1]])
 
 
-def _adjugate(a, b, c, d, e, f):
-    """Upper-triangle entries (00, 01, 02, 11, 12, 22) of the adjugate of a
-    symmetric 3x3 matrix; works on scalars and on arrays alike."""
-    return (d * f - e * e, c * e - b * f, b * e - c * d,
-            a * f - c * c, b * c - a * e, a * d - b * b)
-
-
 def _unit_adjugates(Cd, in_front):
     """Point conics of a stack (n,3,3) of dual conics as (x, u, s, valid):
     the upper entries x (n,6) (00, 01, 02, 11, 12, 22) of each dual conic,
@@ -424,7 +397,7 @@ def _unit_adjugates(Cd, in_front):
     C = Cd.reshape(-1, 9)
     x = C[:, _UPPER]  # (a, b, c, d, e, f)
     t = x[:, _ADJ]
-    m = t[:, 0] * t[:, 1] - t[:, 2] * t[:, 3]  # the terms of _adjugate
+    m = t[:, 0] * t[:, 1] - t[:, 2] * t[:, 3]
     det = (x[:, :3] * m[:, :3]).sum(axis=1)
     sq = m * m
     norm = np.sqrt(sq[:, 0] + sq[:, 3] + sq[:, 5] + 2.0 * (sq[:, 1] + sq[:, 2] + sq[:, 4]))

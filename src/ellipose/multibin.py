@@ -87,14 +87,12 @@ def decode_prediction(
     return transform_ellipse(Ellipse(p.center, p.dims, theta), crop_T.inverse())
 
 
-def perfect_prediction(
-    gt: Ellipse, cfg: MultibinConfig, score_margin: float = 30.0
-) -> MultibinPrediction:
+def perfect_prediction(gt: Ellipse, cfg: MultibinConfig) -> MultibinPrediction:
     """Prediction that decodes exactly to ``gt`` (given in the crop frame):
     exact center/dims, exact per-bin corrections, a one-hot-ish score on the
-    nearest-center bin."""
+    nearest-center bin (every other bin 30 below it)."""
     gt = canonicalize(gt)
-    scores = np.full(cfg.n_bins, -score_margin)
+    scores = np.full(cfg.n_bins, -30.0)
     scores[target_bin(gt.angle, cfg)] = 0.0
     corr = np.zeros((cfg.n_bins, 2))
     for i in range(cfg.n_bins):

@@ -18,6 +18,14 @@ trials of a round in one kernel call: the two-pair solver refines its
 candidates together, and the polish is the one-candidate case.  RANSAC
 scores each hypothesis with one batched projection of every correspondence
 and one batched ellipse IoU.
+
+The LM takes any valid downhill step of the algebraic residual, which can
+reward a pose that slides an object off its detection or turns its outline
+into a hyperbola.  Such a pose loses that inlier under the ellipse IoU, so
+the consensus check after the polish, on the objective RANSAC ranks by, is
+the one guard a refined pose must pass.  A per-pair test inside the LM
+would reject trials that consensus keeps and stop the polish early, at
+times on a worse pose.
 """
 
 from __future__ import annotations
@@ -134,25 +142,19 @@ class _PairData:
     scaling.
     """
 
-    __slots__ = (
-        "Qd", "M_det", "center_w", "area_det", "max_axis",
-        "axes", "rot_w", "det_center_n", "ray_dir", "major_norm",
-    )
+    __slots__ = ("Qd", "M_det", "center_w", "area_det", "max_axis", "axes", "rot_w", "ray_dir")
 
     def __init__(self, corr: Correspondence, K: np.ndarray):
         self.Qd = corr.Q
         self.M_det = normalize_symmetric(K.T @ corr.M @ K)
         self.center_w = corr.ellipsoid.center
-        area = _conic_outlines(self.M_det)[1]
+        area = _conic_areas(self.M_det)
         self.area_det = float(area) if area > 0.0 else None
         self.max_axis = corr.ellipsoid.max_axis
         self.axes = corr.ellipsoid.axes
         self.rot_w = corr.ellipsoid.rotation
         h = np.linalg.solve(K, np.array([corr.ellipse.center[0], corr.ellipse.center[1], 1.0]))
-        self.det_center_n = h[:2] / h[2]
         self.ray_dir = h / np.linalg.norm(h)  # unit back-projection ray of the detected center
-        f = 0.5 * (K[0, 0] + K[1, 1])
-        self.major_norm = float(corr.ellipse.axes[0]) / f
 
 
 _UPPER_T = np.array([0, 3, 6, 4, 7, 8])  # raveled index of the same entries of the transpose
@@ -207,9 +209,9 @@ def _conic_jacobians(terms, dP):
     return dn.transpose(0, 1, 3, 2).reshape(m, 9 * k, -1)
 
 
-def _conic_outlines(M, centers=np.zeros(2)):
-    """(center offset to ``centers`` (k,2), enclosed area) of point conics
-    M (..., k, 3, 3); the area is positive exactly for real ellipses."""
+def _conic_areas(M):
+    """Enclosed areas of point conics M (..., 3, 3); positive exactly for
+    real ellipses."""
     a, b, c = M[..., 0, 0], M[..., 0, 1], M[..., 0, 2]
     d, e = M[..., 1, 1], M[..., 1, 2]
     with np.errstate(all="ignore"):
@@ -217,36 +219,7 @@ def _conic_outlines(M, centers=np.zeros(2)):
         cx = (e * b - c * d) / det2
         cy = (b * c - a * e) / det2
         k = (c * cx + e * cy + M[..., 2, 2]) * np.sign(a + d)  # conic value at the center
-        dx, dy = cx - centers[..., 0], cy - centers[..., 1]
-        return np.sqrt(dx * dx + dy * dy), -math.pi * k / np.sqrt(det2)
-
-
-def _tether_caps(N0, pairs, det_centers):
-    """Per-pair tethers (n,k,3) of guarded refinement: (center offset cap,
-    lowest area, highest area), sized from the start conics N0 so a valid
-    start always stays feasible.  NaN leaves a pair free: its start is
-    invalid or its detection has no area."""
-    off0, area0 = _conic_outlines(N0, det_centers)
-    area_det = np.array([np.nan if p.area_det is None else p.area_det for p in pairs])
-    ratio0 = np.where(area0 > 0.0, area0, np.nan) / area_det
-    major = np.array([p.major_norm for p in pairs])
-    caps = np.stack([np.maximum(np.maximum(0.75 * major, 1.3 * off0), 0.01),
-                     area_det * np.minimum(0.5, 0.5 * ratio0),
-                     area_det * np.maximum(2.0, 2.0 * ratio0)], axis=-1)
-    caps[np.isnan(ratio0)] = np.nan
-    return caps
-
-
-def _within_caps(N, caps, det_centers):
-    """Whether every capped outline of N (m,k,3,3) keeps to its tether.
-
-    The guarded form keeps local refinement on real-ellipse outlines near
-    the detections: the raw algebraic metric admits hyperbola outlines and
-    spurious minima with the object slid far off or away along the ray.
-    """
-    off, area = _conic_outlines(N, det_centers)
-    lo = caps[..., 1]
-    return (np.isnan(lo) | ((off <= caps[..., 0]) & (lo <= area) & (area <= caps[..., 2]))).all(1)
+        return -math.pi * k / np.sqrt(det2)
 
 
 _GRAD_TOL = 1e-12  # LM stops when the gradient norm falls below this
@@ -393,9 +366,9 @@ _SKEW = np.cross(_I3[:, None], _I3).transpose(0, 2, 1).reshape(3, 9)  # raveled 
 
 
 def _rotations(W):
-    """Rodrigues map of the rows of W (m,3) to rotations (m,3,3): below an
-    angle of about 1e-8 its first-order term, as :func:`axis_angle_to_matrix`
-    below 1e-12."""
+    """Rodrigues map of the rows of W (m,3) to rotations (m,3,3); below an
+    angle of about 1e-8, where the cosine rounds to 1, it is exactly its
+    first-order term I + [w]x."""
     theta = _row_norms(W)
     theta = theta + (theta == 0.0)  # a zero rotation has K = 0
     K = (W[:, None] @ _SKEW).reshape(-1, 3, 3)
@@ -443,7 +416,7 @@ def _ray_placements(Rs, pair: _PairData):
     lam_ref = np.maximum(20.0 * pair.max_axis, 2.0 * lam_min)
     N_ref, valid, _ = _project_pairs(Rs, lam_ref[:, None] * v - Rc, pair.Qd[None],
                                      pair.center_w[None])
-    area_ref = _conic_outlines(N_ref[:, 0])[1]
+    area_ref = _conic_areas(N_ref[:, 0])
     with np.errstate(invalid="ignore"):
         lam0 = lam_ref * np.sqrt(area_ref / pair.area_det)
         ok = valid[:, 0] & (area_ref > 0.0) & (lam0 >= 0.5 * lam_min)
@@ -543,13 +516,11 @@ def pose_from_two_pairs(
     # (position-only polish is not discriminative enough: a wrong rotation
     # can reach a similar cost to a nearly-right one)
     keep = order[:_STAGE_B_KEEP]
-    stage_b = _ranked(*_refine_raw(starts[keep // 2], placements[keep], pairs, max_iter=8,
-                                   guarded=False))
+    stage_b = _ranked(*_refine_raw(starts[keep // 2], placements[keep], pairs, max_iter=8))
 
     # stage C: full joint 6-dof refinement of the leading candidates
     _, R0, t0 = zip(*stage_b[:_STAGE_C_KEEP])
-    candidates = _ranked(*_refine_raw(np.stack(R0), np.stack(t0), pairs, max_iter=60,
-                                      guarded=False))
+    candidates = _ranked(*_refine_raw(np.stack(R0), np.stack(t0), pairs, max_iter=60))
 
     # cluster distinct poses, best first
     clusters = []
@@ -581,17 +552,14 @@ def _ranked(res, poses):
     return ranked
 
 
-def _refine_raw(R0, t0, pairs, *, max_iter=50, rotation_fixed=False, guarded=True):
+def _refine_raw(R0, t0, pairs, *, max_iter=50, rotation_fixed=False):
     """Lockstep LM from the n poses (R0 (n,3,3), t0 (n,3)) over the
     translation itself (``rotation_fixed``) or jointly over (axis-angle
-    increment, translation offset); ``guarded`` tethers every outline to
-    its detection (:func:`_within_caps`).
+    increment, translation offset).
 
     Returns the LM result and the poses (R, t) of its final iterates.
     """
-    Qd, centers, M_det, det_centers = _stacked(pairs, "Qd", "center_w", "M_det", "det_center_n")
-    if guarded:
-        caps = _tether_caps(_project_pairs(R0, t0, Qd, centers)[0], pairs, det_centers)
+    Qd, centers, M_det = _stacked(pairs, "Qd", "center_w", "M_det")
 
     def pose_at(idx, X):
         if rotation_fixed:
@@ -601,10 +569,7 @@ def _refine_raw(R0, t0, pairs, *, max_iter=50, rotation_fixed=False, guarded=Tru
     def fun(idx, X):
         R, t = pose_at(idx, X)
         N, valid, terms = _project_pairs(R, t, Qd, centers)
-        ok = valid.all(axis=1)
-        if guarded:
-            ok &= _within_caps(N, caps[idx], det_centers)
-        return (N - M_det).reshape(len(X), -1), ok, (R, *terms)
+        return (N - M_det).reshape(len(X), -1), valid.all(axis=1), (R, *terms)
 
     def jac(idx, X, state):
         R, *terms = state
@@ -716,6 +681,9 @@ def ransac_pose(detections, cloud: EllipsoidCloud, cam: CameraModel, opts: Ransa
     # refinement minimizes an algebraic cost whose optimum can drift
     # geometrically under detection shape mismatch, so a refined pose only
     # replaces the incumbent when it does not hurt the consensus objective.
+    # This is the only guard on the polish: a pose that slides an object
+    # off its detection, or whose outline turns into a hyperbola, loses
+    # that inlier here, so the LM needs no per-pair limits of its own.
     # A single inlier leaves the rotation free to spin while tracking its
     # pair, so orientation refinement needs at least two.
     for _ in range(4):

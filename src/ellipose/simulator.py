@@ -135,16 +135,16 @@ def default_camera() -> CameraModel:
     return CameraModel(K, (640.0, 480.0))
 
 
-def look_at(camera_pos, target, up=(0.0, 0.0, 1.0)) -> Pose:
+def look_at(camera_pos, target) -> Pose:
     """World-to-camera pose looking from ``camera_pos`` to ``target`` with
-    the world up-vector projected into the image vertical."""
+    the world up-vector (+z) projected into the image vertical."""
     camera_pos = np.asarray(camera_pos, float)
     f = np.asarray(target, float) - camera_pos
     nf = np.linalg.norm(f)
     if nf < 1e-12:
         raise ValueError("camera position coincides with the target")
     f = f / nf
-    x = np.cross(f, np.asarray(up, float))
+    x = np.cross(f, np.array([0.0, 0.0, 1.0]))
     if np.linalg.norm(x) < 1e-9:  # looking straight along up: pick any right
         x = np.cross(f, (0.0, 1.0, 0.0))
     x = x / np.linalg.norm(x)
@@ -228,10 +228,9 @@ def view_rng(seed: int, view_id: str, stream: int = 0) -> np.random.Generator:
     )
 
 
-def run_detector(model: DetectorModel, scene: SceneSpec, view: CalibratedView, rng=None):
+def run_detector(model: DetectorModel, scene: SceneSpec, view: CalibratedView):
     """(label, Ellipse, Box) detections under the given detector model."""
-    if rng is None:
-        rng = view_rng(model.seed, view.view_id)
+    rng = view_rng(model.seed, view.view_id)
     gt = render_detections(scene, view)
     if model.kind == "gt_projection":
         return gt
@@ -250,14 +249,19 @@ def run_detector(model: DetectorModel, scene: SceneSpec, view: CalibratedView, r
 # ---------------------------------------------------------------------------
 
 
-def min_enclosing_ellipse(points, tol: float = 1e-9) -> Ellipse:
+_MVEE_TOL = 1e-9  # duality gap at which the iteration stops
+_MVEE_MAX_ITER = 100000
+_MVEE_STALL_WINDOW = 500  # iterations without a 1% gap improvement before it stops
+
+
+def min_enclosing_ellipse(points) -> Ellipse:
     """Minimum-area ellipse containing all points.
 
     Runs the Khachiyan barycentric-coordinate iteration (with Wolfe-Atwood
     away steps) on the convex hull of the input, then rescales so the
     outermost point lies exactly on the boundary.  Containment therefore
     holds to floating precision; the area is optimal within the achieved
-    duality gap (``tol`` on regular inputs; on adversarial inputs with
+    duality gap (``_MVEE_TOL`` on regular inputs; on adversarial inputs with
     hundreds of near-support points the iteration stalls and the gap can
     stay near 1e-5, still far below any visible area excess).
     """
@@ -277,21 +281,21 @@ def min_enclosing_ellipse(points, tol: float = 1e-9) -> Ellipse:
             pts = pts[ConvexHull(pts).vertices]
         except QhullError as exc:
             raise DegeneratePointSet(str(exc)) from exc
-    center, A = _mvee(pts, tol)
+    center, A = _mvee(pts)
     lam, V = np.linalg.eigh(A)
     axes = 1.0 / np.sqrt(lam)  # ascending lam -> descending axes
     angle = math.atan2(V[1, 0], V[0, 0])
     return canonicalize(Ellipse(center, (axes[0], axes[1]), angle))
 
 
-def _mvee(pts: np.ndarray, tol: float, max_iter: int = 100000, stall_window: int = 500):
+def _mvee(pts: np.ndarray):
     n, d = pts.shape
     Q = np.column_stack([pts, np.ones(n)])
     u = np.full(n, 1.0 / n)
     dp1 = d + 1.0
     best_gap = math.inf
     since_improve = 0
-    for _ in range(max_iter):
+    for _ in range(_MVEE_MAX_ITER):
         X = Q.T @ (Q * u[:, None])
         try:
             Xinv = np.linalg.inv(X)
@@ -301,14 +305,14 @@ def _mvee(pts: np.ndarray, tol: float, max_iter: int = 100000, stall_window: int
         j_up = int(np.argmax(M))
         k_up = M[j_up]
         eps_up = k_up / dp1 - 1.0
-        if eps_up <= tol:
+        if eps_up <= _MVEE_TOL:
             break
         if eps_up < best_gap * 0.99:
             best_gap = eps_up
             since_improve = 0
         else:
             since_improve += 1
-            if since_improve >= stall_window:
+            if since_improve >= _MVEE_STALL_WINDOW:
                 break  # flat-valley stall; the final rescale keeps containment
         support = u > 1e-12
         m_low = np.where(support, M, np.inf)
@@ -379,9 +383,10 @@ def tless_like_board(n_objects: int = 6) -> SceneSpec:
     return SceneSpec(tuple(objects))
 
 
-def l_shaped_prism(arm: float = 2.0, thickness: float = 0.8, height: float = 0.8) -> np.ndarray:
+def l_shaped_prism() -> np.ndarray:
     """Vertices of an L-shaped prism centered near the origin; a convenient
     non-ellipsoidal object for reconstruction-consistency experiments."""
+    arm, thickness, height = 2.0, 0.8, 0.8
     foot = np.array(
         [
             [0.0, 0.0],

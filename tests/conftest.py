@@ -13,7 +13,6 @@ from ellipose.geometry import (
     ellipse_to_conic,
     rot2d,
     rotation_z,
-    _adjugate,
 )
 from ellipose.pose import (
     _DP_TRANSLATION,
@@ -34,6 +33,26 @@ from ellipose.simulator import SceneObject, SceneSpec
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def axis_angle_to_matrix(w) -> np.ndarray:
+    """Rodrigues map: rotation vector (axis * angle) to a rotation matrix."""
+    w = np.asarray(w, dtype=float)
+    theta = float(np.linalg.norm(w))
+    if theta < 1e-12:
+        K = np.array(
+            [[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]]
+        )
+        return np.eye(3) + K  # first-order term is exact enough below 1e-12
+    axis = w / theta
+    K = np.array(
+        [
+            [0.0, -axis[2], axis[1]],
+            [axis[2], 0.0, -axis[0]],
+            [-axis[1], axis[0], 0.0],
+        ]
+    )
+    return np.eye(3) + math.sin(theta) * K + (1.0 - math.cos(theta)) * (K @ K)
 
 
 def random_rotation(rng) -> np.ndarray:
@@ -178,9 +197,16 @@ def placed_and_refined(corr, R, cam):
 
 
 # ---------------------------------------------------------------------------
-# References of the pose solver: the scalar conic projection, and the
-# one-candidate LM with per-pair tether tests
+# References of the pose solver: the scalar conic projection and the
+# one-candidate LM
 # ---------------------------------------------------------------------------
+
+
+def _adjugate(a, b, c, d, e, f):
+    """Upper-triangle entries (00, 01, 02, 11, 12, 22) of the adjugate of a
+    symmetric 3x3 matrix."""
+    return (d * f - e * e, c * e - b * f, b * e - c * d,
+            a * f - c * c, b * c - a * e, a * d - b * b)
 
 
 def _unit_adjugate(Cd):
@@ -221,40 +247,11 @@ def projected_conic(R, t, pair):
     return s * np.array([[m00, m01, m02], [m01, m11, m12], [m02, m12, m22]])
 
 
-def _outline_geometry(M, pair):
-    """(center offset to the detection, enclosed area) of an ellipse
-    conic, or None."""
-    a, b, c, d, e = M[0, 0], M[0, 1], M[0, 2], M[1, 1], M[1, 2]
-    det2 = a * d - b * b
-    if det2 <= 0.0:
-        return None
-    cx = (e * b - c * d) / det2
-    cy = (b * c - a * e) / det2
-    k = c * cx + e * cy + M[2, 2]
-    if k >= 0.0:
-        return None
-    dx, dy = cx - pair.det_center_n[0], cy - pair.det_center_n[1]
-    return math.sqrt(dx * dx + dy * dy), math.pi * (-k) / math.sqrt(det2)
-
-
-def _tether_caps(conics, pairs):
-    caps = []
-    for M, pair in zip(conics, pairs):
-        geo = _outline_geometry(M, pair)
-        if geo is None or pair.area_det is None:
-            caps.append(None)  # start invalid for this pair: leave it free
-            continue
-        ratio0 = geo[1] / pair.area_det
-        caps.append((max(0.75 * pair.major_norm, 1.3 * geo[0], 0.01),
-                     pair.area_det * min(0.5, 0.5 * ratio0),
-                     pair.area_det * max(2.0, 2.0 * ratio0)))
-    return caps
-
-
 def reference_lm(fun, x0, jac, max_iter=50):
     """One-candidate damped least squares: ``fun(x)`` is the residual or
     None when invalid, ``jac(x)`` the Jacobian at an accepted point.
-    Returns (x, costs, converged); costs is empty for an invalid start.
+    Returns (x, costs, converged, uphill); costs is empty for an invalid
+    start, and uphill counts the valid trials rejected for raising the cost.
 
     Its sums are taken as the lockstep LM takes them over its rows, on a
     leading axis of one, so that ties at convergence resolve alike."""
@@ -268,9 +265,9 @@ def reference_lm(fun, x0, jac, max_iter=50):
     x = np.array(x0, float)
     r = fun(x)
     if r is None:
-        return x, [], False
+        return x, [], False, 0
     cost = sq(r)
-    costs, lam, converged = [cost], 1e-3, False
+    costs, lam, converged, uphill = [cost], 1e-3, False, 0
     for _ in range(max_iter):
         J = jac(x)[None]
         g = (r[None, None] @ J)[0, 0]
@@ -296,29 +293,26 @@ def reference_lm(fun, x0, jac, max_iter=50):
                 stepped = True
                 converged = norm(delta) < 1e-13 * (1.0 + norm(x))
                 break
+            uphill += rt is not None
             lam *= 4.0
         if not stepped:
             converged = grad_norm < 1e-6
             break
         if converged:
             break
-    return x, costs, converged
+    return x, costs, converged, uphill
 
 
-def reference_refine(R0, t0, pairs, *, max_iter=50, rotation_fixed=False, guarded=True):
+def reference_refine(R0, t0, pairs, *, max_iter=50, rotation_fixed=False):
     """:func:`reference_lm` from one pose over the translation or over
-    (axis-angle increment, translation offset), with the tether tests pair
-    by pair on conics of the pose module's kernel.  Returns (R, t, costs,
-    converged)."""
+    (axis-angle increment, translation offset), on conics of the pose
+    module's kernel.  Returns (R, t, costs, converged, uphill)."""
 
-    Qd, centers = _stacked(pairs, "Qd", "center_w")
+    Qd, centers, M_det = _stacked(pairs, "Qd", "center_w", "M_det")
 
     def project(R, t):
         N, valid, terms = _project_pairs(R[None], t[None], Qd, centers)
         return N[0], valid[0].all(), terms
-
-    N0, valid0, _ = project(R0, t0)
-    caps = _tether_caps(N0, pairs) if guarded else [None] * len(pairs)
 
     def pose_at(x):
         if rotation_fixed:
@@ -327,14 +321,7 @@ def reference_refine(R0, t0, pairs, *, max_iter=50, rotation_fixed=False, guarde
 
     def fun(x):
         N, valid, _ = project(*pose_at(x))
-        if not valid:
-            return None
-        for M, pair, cap in zip(N, pairs, caps):
-            if cap is not None:
-                geo = _outline_geometry(M, pair)
-                if geo is None or geo[0] > cap[0] or not cap[1] <= geo[1] <= cap[2]:
-                    return None
-        return (N - np.stack([p.M_det for p in pairs])).ravel()
+        return (N - M_det).ravel() if valid else None
 
     def jac(x):
         R, t = pose_at(x)
@@ -344,6 +331,6 @@ def reference_refine(R0, t0, pairs, *, max_iter=50, rotation_fixed=False, guarde
             dP = _pose_directions(x[None, :3], R[None])
         return _conic_jacobians(project(R, t)[2], dP)[0]
 
-    x, costs, converged = reference_lm(
+    x, costs, converged, uphill = reference_lm(
         fun, t0 if rotation_fixed else np.zeros(6), jac, max_iter)
-    return (*pose_at(x), costs, converged)
+    return (*pose_at(x), costs, converged, uphill)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    axis_angle_to_matrix,
     grid_ellipse_iou,
     placed_and_refined,
     projected_conic,
@@ -25,7 +26,6 @@ from ellipose.geometry import (
     Ellipse,
     Ellipsoid,
     Pose,
-    axis_angle_to_matrix,
     conic_to_ellipse,
     project_ellipsoid,
     rotation_z,
@@ -274,12 +274,12 @@ def reference_best_pose(stage_b_starts, pairs):
     each candidate refined alone by the scalar reference LM."""
     R0, t0 = stage_b_starts
     stage_b = sorted(
-        ((costs[-1], R, t) for R, t, costs, _ in
-         (reference_refine(R, t, pairs, max_iter=8, guarded=False) for R, t in zip(R0, t0))),
+        ((costs[-1], R, t) for R, t, costs, *_ in
+         (reference_refine(R, t, pairs, max_iter=8) for R, t in zip(R0, t0))),
         key=lambda s: s[0])
     stage_c = sorted(
-        ((costs[-1], R, t) for R, t, costs, _ in
-         (reference_refine(R, t, pairs, max_iter=60, guarded=False) for _, R, t in stage_b[:6])),
+        ((costs[-1], R, t) for R, t, costs, *_ in
+         (reference_refine(R, t, pairs, max_iter=60) for _, R, t in stage_b[:6])),
         key=lambda s: s[0])
     clusters = []
     for cost, R, t in stage_c:
@@ -310,7 +310,7 @@ def test_lockstep_lm_matches_one_candidate_reference(monkeypatch, seed):
     steps = 0
     for R0, t0, pairs, kwargs, res in calls:
         for i in range(len(R0)):
-            _, _, costs, converged = reference_refine(R0[i], t0[i], pairs, **kwargs)
+            _, _, costs, converged, _ = reference_refine(R0[i], t0[i], pairs, **kwargs)
             assert len(res.costs[i]) == len(costs)
             assert res.costs[i][-1] == pytest.approx(costs[-1], rel=1e-9, abs=0.0)
             assert res.converged[i] == converged
@@ -321,13 +321,13 @@ def test_lockstep_lm_matches_one_candidate_reference(monkeypatch, seed):
 
 
 @pytest.mark.parametrize("rotation_fixed", [False, True])
-def test_guarded_polish_matches_one_candidate_reference(rotation_fixed):
-    # the polish (n = 1, tethered) against the reference, which tests each
-    # tether pair by pair; noisy detections make the tethers reject trials
+def test_polish_matches_one_candidate_reference(rotation_fixed):
+    # the polish (n = 1) against the reference; noisy detections make both
+    # reject uphill trials
     rng = np.random.default_rng(7)
     cam = default_camera()
     cloud = board_scene(rng)
-    invalid = 0
+    uphill = 0
     for _ in range(6):
         truth = camera_near(rng, (0, 0, 0), dist=1.8)
         corrs = []
@@ -341,13 +341,14 @@ def test_guarded_polish_matches_one_candidate_reference(rotation_fixed):
         t0 = truth.t + rng.normal(scale=0.03, size=3)
         res, (R, t) = pose_module._refine_raw(R0[None], t0[None], pairs,
                                              rotation_fixed=rotation_fixed)
-        R_ref, t_ref, costs, converged = reference_refine(R0, t0, pairs,
-                                                          rotation_fixed=rotation_fixed)
+        R_ref, t_ref, costs, converged, uphill_ref = reference_refine(
+            R0, t0, pairs, rotation_fixed=rotation_fixed)
         assert len(res.costs[0]) == len(costs) > 1 and res.converged[0] == converged
         assert res.costs[0][-1] == pytest.approx(costs[-1], rel=1e-9, abs=0.0)
         assert np.abs(R[0] - R_ref).max() <= 1e-9 and np.abs(t[0] - t_ref).max() <= 1e-9
-        invalid += res.invalid[0]
-    assert invalid > 0
+        assert res.uphill[0] == uphill_ref
+        uphill += uphill_ref
+    assert uphill > 0
 
 
 def test_lockstep_candidates_stop_alone(monkeypatch):
@@ -390,8 +391,8 @@ def test_lockstep_candidates_stop_alone(monkeypatch):
                                      x0[i:i + 1])
         assert alone.costs[0] == res.costs[i] and alone.stop[0] == res.stop[i]
         assert alone.x[0].tobytes() == res.x[i].tobytes()
-        x, costs, converged = reference_lm(lambda x: residual(x[None])[0], x0[i],
-                                           lambda x: jac(slice(0, 1), x[None], (), i)[0])
+        x, costs, converged, _ = reference_lm(lambda x: residual(x[None])[0], x0[i],
+                                              lambda x: jac(slice(0, 1), x[None], (), i)[0])
         assert len(costs) == len(res.costs[i]) > 5 and converged == res.converged[i]
         assert np.abs(x - res.x[i]).max() <= 1e-9
     assert res.converged[2:].all()

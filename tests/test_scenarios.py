@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from ellipose import scenarios
 from ellipose.dataio import SCENARIO_PARAMS
@@ -60,22 +61,29 @@ def test_every_scenario_has_a_param_table():
     assert set(scenarios.SCENARIOS) == set(SCENARIO_PARAMS)
 
 
-def test_box_fitted_view_localises_with_orientation_known():
-    # view el06_az000 of the 25 x 10 board rig at 20 px box noise, seed 6:
+@pytest.mark.parametrize("view_id, px, seed, n_inliers", [
     # its 8 draws hit only 3 of the 6 correspondences, so a single-pair
     # hypothesis from one of them must carry the others into consensus
+    ("el06_az000", 20.0, 6, 6),
+    # per-pair outline limits inside the polish's LM left these two over
+    # 100 mm off; the consensus check alone keeps them within 50 mm
+    ("el03_az015", 10.0, 29, 6),
+    ("el03_az010", 10.0, 6, 5),
+])
+def test_box_fitted_view_localises_with_orientation_known(view_id, px, seed, n_inliers):
+    # one view of the 25 x 10 board rig under the criterion-6 protocol
     scene = tless_like_board(6)
-    views = [v for v in sample_cameras(CameraRig(0.75, 25, 10)) if v.view_id == "el06_az000"]
-    detector = DetectorModel("inscribed_of_noisy_box", 20.0, seed=6)
+    views = [v for v in sample_cameras(CameraRig(0.75, 25, 10)) if v.view_id == view_id]
+    detector = DetectorModel("inscribed_of_noisy_box", px, seed=seed)
     _, results, failures = localize_views(
         views,
         lambda view: [(label, e) for label, e, _ in run_detector(detector, scene, view)],
         cloud_of_scene(scene),
-        orientations=noisy_orientations(views, OrientationNoise(2.0 * DEG), 6),
+        orientations=noisy_orientations(views, OrientationNoise(2.0 * DEG), seed),
         iterations=8,
         inlier_iou_threshold=0.35,
-        seed=6,
+        seed=seed,
     )
     assert failures == {}
     (result,) = results
-    assert result.n_inliers == 6 and result.position_error < 0.05
+    assert result.n_inliers == n_inliers and result.position_error < 0.05
