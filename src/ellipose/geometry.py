@@ -28,7 +28,7 @@ CIRCLE_TIE_TOL = 1e-9
 
 _SIGN_TOL = 1e-12
 
-_TRIU: dict = {}  # matrix size -> its row-major upper-triangle indices
+_TRIU: dict = {}  # matrix size -> raveled indices of its upper triangle, row-major
 
 
 def _freeze(values, shape) -> np.ndarray:
@@ -42,26 +42,23 @@ def _freeze(values, shape) -> np.ndarray:
 
 
 def normalize_symmetric(M: np.ndarray) -> np.ndarray:
-    """Scale a symmetric matrix to unit Frobenius norm with the sign fixed
-    by the first non-zero upper-triangular entry (row-major scan)."""
-    M = 0.5 * (M + M.T)
-    n = np.linalg.norm(M)
-    if not np.isfinite(n) or n < 1e-300:
+    """Scale a symmetric matrix, or each of a stack (..., s, s), to unit
+    Frobenius norm with the sign fixed by the first non-zero upper-triangular
+    entry (row-major scan); the norm is a row-by-column matmul, one BLAS dot
+    per matrix, so a matrix comes out alike alone or stacked."""
+    M = 0.5 * (M + M.swapaxes(-1, -2))
+    size = M.shape[-1]
+    flat = M.reshape(-1, 1, size * size)
+    n = np.sqrt(flat @ flat.transpose(0, 2, 1))[:, 0]
+    if not 1e-300 <= n.min() <= n.max() < np.inf:  # NaN fails too
         raise ValueError("cannot normalize a zero matrix")
-    M = M / n
-    size = M.shape[0]
+    flat = flat[:, 0] / n
     if size not in _TRIU:
-        _TRIU[size] = np.triu_indices(size)
-    vals = M[_TRIU[size]]
-    nz = np.flatnonzero(np.abs(vals) > _SIGN_TOL)
-    if nz.size and vals[nz[0]] < 0:
-        M = -M
-    return M
-
-
-def rot2d(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s], [s, c]])
+        _TRIU[size] = np.flatnonzero(np.triu(np.ones((size, size))))
+    vals = flat[:, _TRIU[size]]
+    significant = np.abs(vals) > _SIGN_TOL
+    first = (vals * significant)[np.arange(len(vals)), significant.argmax(axis=1)]  # 0 if none
+    return (flat * np.where(first < 0.0, -1.0, 1.0)[:, None]).reshape(M.shape)
 
 
 def rotation_x(angle: float) -> np.ndarray:
@@ -278,14 +275,24 @@ def _check_rotation(R: np.ndarray) -> None:
 
 def ellipse_to_conic(e: Ellipse) -> Conic:
     """Point-conic matrix of an ellipse: boundary points satisfy x^T M x = 0."""
-    R = rot2d(e.angle)
-    A = R @ np.diag(1.0 / e.axes**2) @ R.T
-    c = e.center
-    M = np.empty((3, 3))
-    M[:2, :2] = A
-    M[:2, 2] = M[2, :2] = -A @ c
-    M[2, 2] = float(c @ A @ c) - 1.0
-    return Conic(M)
+    return Conic(_ellipse_conics(e.center[None], e.axes[None], np.array([e.angle]))[0])
+
+
+def _ellipse_conics(centers, axes, angles):
+    """Point conics (n,3,3), not normalized, of the ellipses with centers c
+    (n,2), semi-axes (n,2) and angles (n,): [[A, -A c], [-c^T A, c^T A c - 1]]
+    with A = R diag(a^-2, b^-2) R^T, R the rotation by the angle."""
+    n = len(centers)
+    cs = [(math.cos(a), math.sin(a)) for a in angles.tolist()]
+    R = np.array([((c, -s), (s, c)) for c, s in cs]).reshape(n, 2, 2)
+    A = (R * (1.0 / axes**2)[:, None]) @ R.transpose(0, 2, 1)  # R diag(a^-2, b^-2) R^T
+    c = centers[:, :, None]
+    M = np.empty((n, 3, 3))
+    M[:, :2, :2] = A
+    M[:, :2, 2:] = -A @ c
+    M[:, 2:, :2] = M[:, :2, 2:].transpose(0, 2, 1)
+    M[:, 2, 2] = (c.transpose(0, 2, 1) @ A @ c)[:, 0, 0] - 1.0
+    return M
 
 
 def conic_to_ellipse(C: Conic) -> Ellipse:
@@ -322,11 +329,18 @@ def canonicalize(e: Ellipse) -> Ellipse:
 
 def ellipsoid_to_dual_quadric(E: Ellipsoid) -> DualQuadric:
     """Q = Z diag(a^2, b^2, c^2, -1) Z^T with Z the rigid ellipsoid frame."""
-    Z = np.eye(4)
-    Z[:3, :3] = E.rotation
-    Z[:3, 3] = E.center
-    D = np.diag(np.append(E.axes**2, -1.0))
-    return DualQuadric(Z @ D @ Z.T)
+    return DualQuadric(_quadric_duals(E.center[None], E.axes[None], E.rotation[None])[0])
+
+
+def _quadric_duals(centers, axes, rotations):
+    """Dual quadrics Z diag(a^2, b^2, c^2, -1) Z^T (n,4,4), not normalized,
+    of the ellipsoids with centers (n,3), semi-axes (n,3) and rotations
+    (n,3,3); Z is the rigid ellipsoid frame."""
+    n = len(centers)
+    Z = np.zeros((n, 4, 4))
+    Z[:, :3, :3], Z[:, :3, 3], Z[:, 3, 3] = rotations, centers, 1.0
+    d = np.concatenate([axes**2, -np.ones((n, 1))], axis=1)
+    return (Z * d[:, None]) @ Z.transpose(0, 2, 1)  # Z diag(d) Z^T
 
 
 def dual_quadric_to_ellipsoid(Q: DualQuadric) -> Ellipsoid:

@@ -9,15 +9,18 @@ label-based association hypotheses that solves each distinct minimal set
 once.  With the orientation known, the only damped least-squares solve is
 the final polish of the best hypothesis on its inliers.
 
+Each solver call converts its correspondences once, into one table of
+stacked arrays (:func:`_pairs`): RANSAC builds it for its placements and
+consensus, and the two-pair solver and the refinement each build their own;
+a row depends on its correspondence alone, so the tables agree bit for bit.
 All residuals are Frobenius differences of unit-normalized point conics
 from one kernel over a stack of poses times pairs; their exact Jacobian in
 (axis-angle increment, translation) is taken from the very conic that gave
 the accepted residual.  One Levenberg-Marquardt advances n candidates in
 lockstep, each with its own damping, acceptance and stop, scoring all
 trials of a round in one kernel call: the two-pair solver refines its
-candidates together, and the polish is the one-candidate case.  RANSAC
-scores each hypothesis with one batched projection of every correspondence
-and one batched ellipse IoU.
+candidates together, and the polish is the one-candidate case.  Consensus
+is one batched projection of every row and one batched ellipse IoU.
 
 The LM takes any valid downhill step of the algebraic residual, which can
 reward a pose that slides an object off its detection or turns its outline
@@ -33,7 +36,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,14 +53,16 @@ from .geometry import (
     Ellipsoid,
     Pose,
     canonicalize,
-    ellipse_to_conic,
-    ellipsoid_to_dual_quadric,
     normalize_symmetric,
     rotation_z,
     _ADJ,
     _FULL,
     _UPPER,
+    _check_rotation,
+    _ellipse_conics,
+    _freeze,
     _project_dual_quadrics,
+    _quadric_duals,
     _unit_adjugates,
 )
 from .metrics import _ellipse_ious, rotation_distance
@@ -68,20 +73,16 @@ _IOU_GRID = 128  # grid resolution of the consensus IoU
 
 @dataclass(frozen=True, eq=False)
 class Correspondence:
-    """A detected ellipse paired with an ellipsoid; carries the normalized
-    dual quadric ``Q`` and the pixel point conic ``M`` of the canonical
-    ellipse, so each solver call reuses them."""
+    """A detected ellipse paired with an ellipsoid, the ellipse stored in
+    canonical form.  The solvers read it through the table of
+    :func:`_pairs`, which converts each correspondence once per call."""
 
     ellipse: Ellipse
     ellipsoid: Ellipsoid
     label: str
-    Q: np.ndarray = field(init=False, repr=False)
-    M: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "ellipse", canonicalize(self.ellipse))
-        object.__setattr__(self, "Q", ellipsoid_to_dual_quadric(self.ellipsoid).Q)
-        object.__setattr__(self, "M", ellipse_to_conic(self.ellipse).M)
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,14 +112,17 @@ class RansacOptions:
     def __post_init__(self):
         if self.mode not in ("orientation_known", "full"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+        it = self.iterations
+        if not isinstance(it, (int, np.integer)) or isinstance(it, bool) or it < 1:
+            raise ValueError(f"iterations must be an int >= 1, got {it!r}")
         if not 0.0 < self.inlier_iou_threshold < 1.0:
             raise ValueError("inlier threshold must be in (0, 1)")
         if self.mode == "orientation_known":
             if self.rotation is None:
                 raise ValueError("orientation_known mode needs a rotation")
-            object.__setattr__(self, "rotation", np.asarray(self.rotation, float))
+            rotation = _freeze(self.rotation, (3, 3))
+            _check_rotation(rotation)
+            object.__setattr__(self, "rotation", rotation)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,28 +137,35 @@ class RefineResult:
 # ---------------------------------------------------------------------------
 
 
-class _PairData:
-    """Pose-independent data of one correspondence.
+_Pairs = namedtuple(
+    "_Pairs", "Qd center_w axes rot_w max_axis M_det area_det ray_dir det_center det_axes det_angle"
+)
 
-    Residuals are evaluated on conics in intrinsics-normalized image
+
+def _pairs(correspondences, K) -> _Pairs:
+    """The table of the correspondences under the intrinsics K, one row each:
+    the ellipsoid's unit dual quadric Qd, center_w, axes, rotation rot_w and
+    max_axis; the detection's unit point conic M_det, its area area_det (not
+    > 0 where the conic is no real ellipse) and the unit back-projection ray
+    ray_dir of its center; and the detection's det_center, det_axes and
+    det_angle in pixels.  M_det and area_det are in intrinsics-normalized
     coordinates: pixel-frame conic entries span several orders of magnitude
-    and would numerically crush the shape information after unit-Frobenius
-    scaling.
+    and would crush the shape information after unit-Frobenius scaling.
+    Rows come from the stacked kernels of ``ellipsoid_to_dual_quadric`` and
+    ``ellipse_to_conic`` and depend on their own correspondence alone, so
+    the table of a subset is those rows of the full table, bit for bit.
     """
-
-    __slots__ = ("Qd", "M_det", "center_w", "area_det", "max_axis", "axes", "rot_w", "ray_dir")
-
-    def __init__(self, corr: Correspondence, K: np.ndarray):
-        self.Qd = corr.Q
-        self.M_det = normalize_symmetric(K.T @ corr.M @ K)
-        self.center_w = corr.ellipsoid.center
-        area = _conic_areas(self.M_det)
-        self.area_det = float(area) if area > 0.0 else None
-        self.max_axis = corr.ellipsoid.max_axis
-        self.axes = corr.ellipsoid.axes
-        self.rot_w = corr.ellipsoid.rotation
-        h = np.linalg.solve(K, np.array([corr.ellipse.center[0], corr.ellipse.center[1], 1.0]))
-        self.ray_dir = h / np.linalg.norm(h)  # unit back-projection ray of the detected center
+    center_w, axes, rot_w = (np.array([getattr(c.ellipsoid, name) for c in correspondences])
+                             for name in ("center", "axes", "rotation"))
+    det_center, det_axes, det_angle = (np.array([getattr(c.ellipse, name) for c in correspondences])
+                                       for name in ("center", "axes", "angle"))
+    M = normalize_symmetric(_ellipse_conics(det_center, det_axes, det_angle))
+    M_det = normalize_symmetric(K.T @ M @ K)
+    h = np.concatenate([det_center, np.ones((len(M), 1))], axis=1)[:, :, None]
+    h = np.linalg.solve(np.broadcast_to(K, (len(M), 3, 3)), h)[:, :, 0]
+    return _Pairs(normalize_symmetric(_quadric_duals(center_w, axes, rot_w)), center_w, axes,
+                  rot_w, axes.max(axis=1), M_det, _conic_areas(M_det),
+                  h / np.sqrt(h[:, None] @ h[:, :, None])[:, 0], det_center, det_axes, det_angle)
 
 
 _UPPER_T = np.array([0, 3, 6, 4, 7, 8])  # raveled index of the same entries of the transpose
@@ -169,11 +180,6 @@ for _i, (_p, _q, _r, _s) in enumerate(_ADJ.T):
         _D_ADJ[_a, _i, _UPPER[_b]] += _sign
         _D_ADJ[_a, _i, _UPPER_T[_b]] += _sign
 _D_ADJ = _D_ADJ[:, _FULL].reshape(6, 81)
-
-
-def _stacked(pairs, *names):
-    """The named fields of the pairs, each stacked into one array."""
-    return tuple(np.stack([getattr(p, name) for p in pairs]) for name in names)
 
 
 def _project_pairs(Rs, ts, Qd, centers):
@@ -395,30 +401,31 @@ def _pose_directions(W, Rs):
     return dP
 
 
-def _ray_placements(Rs, pair: _PairData):
+def _ray_placements(Rs, pairs: _Pairs, i):
     """Closed-form camera translations, one per rotation in Rs (n,3,3), that
-    put the ellipsoid center on the detection's back-projection ray at the
-    depth that equates projected and detected areas.
+    put the ellipsoid center of row i of the table on the detection's
+    back-projection ray at the depth that equates projected and detected
+    areas.
 
-    Returns (ts, ok); ``ok`` is False where the detected size would force
-    the ellipsoid across the principal plane or the reference projection
-    is invalid.
+    Returns (ts, ok); ``ok`` is False where the detection is not a real
+    ellipse, where the detected size would force the ellipsoid across the
+    principal plane, or where the reference projection is invalid.
     """
     n = len(Rs)
-    if pair.area_det is None:
+    if not pairs.area_det[i] > 0.0:
         return np.full((n, 3), np.nan), np.zeros(n, bool)
-    v = pair.ray_dir
-    Rc = Rs @ pair.center_w
+    v = pairs.ray_dir[i]
+    Rc = Rs @ pairs.center_w[i]
     # ellipsoid support along the camera z axis bounds the closest valid depth
-    z_rows = Rs[:, 2] @ pair.rot_w
-    support_z = np.sqrt(np.sum((pair.axes * z_rows) ** 2, axis=1))
+    z_rows = Rs[:, 2] @ pairs.rot_w[i]
+    support_z = np.sqrt(np.sum((pairs.axes[i] * z_rows) ** 2, axis=1))
     lam_min = 1.05 * support_z / v[2]
-    lam_ref = np.maximum(20.0 * pair.max_axis, 2.0 * lam_min)
-    N_ref, valid, _ = _project_pairs(Rs, lam_ref[:, None] * v - Rc, pair.Qd[None],
-                                     pair.center_w[None])
+    lam_ref = np.maximum(20.0 * pairs.max_axis[i], 2.0 * lam_min)
+    N_ref, valid, _ = _project_pairs(Rs, lam_ref[:, None] * v - Rc, pairs.Qd[i:i + 1],
+                                     pairs.center_w[i:i + 1])
     area_ref = _conic_areas(N_ref[:, 0])
     with np.errstate(invalid="ignore"):
-        lam0 = lam_ref * np.sqrt(area_ref / pair.area_det)
+        lam0 = lam_ref * np.sqrt(area_ref / pairs.area_det[i])
         ok = valid[:, 0] & (area_ref > 0.0) & (lam0 >= 0.5 * lam_min)
     lam0 = np.maximum(lam0, lam_min)
     return lam0[:, None] * v - Rc, ok
@@ -441,13 +448,9 @@ def _icosphere_directions() -> np.ndarray:
     d2 = np.sum((v[:, None, :] - v[None, :, :]) ** 2, axis=-1)
     d2[d2 < 1e-12] = np.inf
     dmin = d2.min()
-    mids = []
-    for i in range(len(v)):
-        for j in range(i + 1, len(v)):
-            if d2[i, j] < dmin * 1.001:
-                m = v[i] + v[j]
-                mids.append(m / np.linalg.norm(m))
-    return np.vstack([v, mids])
+    i, j = np.nonzero(np.triu(d2 < dmin * 1.001, 1))
+    mids = v[i] + v[j]
+    return np.vstack([v, mids / np.sqrt(mids[:, None] @ mids[:, :, None])[:, 0]])
 
 
 def _rotation_with_forward(u: np.ndarray) -> np.ndarray:
@@ -487,22 +490,20 @@ def pose_from_two_pairs(
     least-squares refinement, and distinct minima with costs within 1% of
     each other raise AmbiguousSolution carrying both candidates.
     """
-    sep = float(np.linalg.norm(c1.ellipsoid.center - c2.ellipsoid.center))
-    scale = max(c1.ellipsoid.max_axis, c2.ellipsoid.max_axis, 1e-12)
-    if sep < 1e-9 * max(scale, 1.0):
+    pairs = _pairs((c1, c2), cam.K)
+    sep = float(np.linalg.norm(pairs.center_w[0] - pairs.center_w[1]))
+    if sep < 1e-9 * max(float(pairs.max_axis.max()), 1.0):
         raise DegenerateConfiguration("ellipsoid centers coincide")
-    pairs = (_PairData(c1, cam.K), _PairData(c2, cam.K))
 
     starts = _rotation_starts()
 
     # stage A: closed-form position from either pair, residual on both;
     # candidates in start order, anchor 0 before anchor 1, stably sorted
-    Qd, centers, M_det = _stacked(pairs, "Qd", "center_w", "M_det")
     costs, placements = [], []
-    for anchor in pairs:
-        ts, ok = _ray_placements(starts, anchor)
-        N, valid, _ = _project_pairs(starts, ts, Qd, centers)
-        r = (N - M_det).reshape(len(starts), -1)
+    for anchor in (0, 1):
+        ts, ok = _ray_placements(starts, pairs, anchor)
+        N, valid, _ = _project_pairs(starts, ts, pairs.Qd, pairs.center_w)
+        r = (N - pairs.M_det).reshape(len(starts), -1)
         costs.append(np.where(ok & valid.all(axis=1), (r * r).sum(axis=1), np.inf))
         placements.append(ts)
     costs = np.stack(costs, axis=1).ravel()
@@ -525,12 +526,8 @@ def pose_from_two_pairs(
     # cluster distinct poses, best first
     clusters = []
     for cost, R, t in candidates:
-        for cc, cR, ct in clusters:
-            if rotation_distance(R, cR) + np.linalg.norm(t - ct) / (
-                1.0 + float(np.linalg.norm(ct))
-            ) < 0.05:
-                break
-        else:
+        if not any(rotation_distance(R, cR) + np.linalg.norm(t - ct) / (
+                1.0 + float(np.linalg.norm(ct))) < 0.05 for _, cR, ct in clusters):
             clusters.append((cost, R, t))
     best = clusters[0]
     if len(clusters) > 1 and clusters[1][0] - best[0] <= 0.01 * best[0] + 1e-10:
@@ -559,7 +556,7 @@ def _refine_raw(R0, t0, pairs, *, max_iter=50, rotation_fixed=False):
 
     Returns the LM result and the poses (R, t) of its final iterates.
     """
-    Qd, centers, M_det = _stacked(pairs, "Qd", "center_w", "M_det")
+    Qd, centers, M_det = pairs.Qd, pairs.center_w, pairs.M_det
 
     def pose_at(idx, X):
         if rotation_fixed:
@@ -596,8 +593,8 @@ def refine_pose(
     correspondences = list(correspondences)
     if not correspondences:
         raise ValueError("refinement needs at least one correspondence")
-    pairs = tuple(_PairData(c, cam.K) for c in correspondences)
-    res, (R, t) = _refine_raw(p0.R[None], p0.t[None], pairs, rotation_fixed=rotation_fixed)
+    res, (R, t) = _refine_raw(p0.R[None], p0.t[None], _pairs(correspondences, cam.K),
+                              rotation_fixed=rotation_fixed)
     costs = res.costs[0]
     # no accepted step (or an invalid start): return the input bit-for-bit
     pose = p0 if len(costs) <= 1 else Pose(R[0], t[0])
@@ -610,12 +607,9 @@ def refine_pose(
 
 
 def _associations_with_indices(detections, cloud: EllipsoidCloud):
-    out = []
-    for d_idx, (label, ellipse) in enumerate(detections):
-        for o_idx, (obj_label, ellipsoid) in enumerate(cloud.entries):
-            if label == obj_label:
-                out.append((Correspondence(ellipse, ellipsoid, label), d_idx, o_idx))
-    return out
+    return [(Correspondence(ellipse, ellipsoid, label), d_idx, o_idx)
+            for d_idx, (label, ellipse) in enumerate(detections)
+            for o_idx, (obj_label, ellipsoid) in enumerate(cloud.entries) if label == obj_label]
 
 
 def ransac_pose(detections, cloud: EllipsoidCloud, cam: CameraModel, opts: RansacOptions) -> PoseEstimate:
@@ -637,8 +631,7 @@ def ransac_pose(detections, cloud: EllipsoidCloud, cam: CameraModel, opts: Ransa
     min_set = 1 if opts.mode == "orientation_known" else 2
     if len(corrs) < min_set:
         raise NoValidPose(f"{len(corrs)} correspondences, need {min_set}")
-    pairs = [_PairData(c, cam.K) for c in corrs]
-    scoring = _Scoring(corrs, pairs, cam.K, opts.inlier_iou_threshold)
+    pairs = _pairs(corrs, cam.K)
     rng = np.random.default_rng(np.random.SeedSequence(int(opts.seed)))
     best = None  # (count, score, -draw_idx, pose, inliers)
     drawn = set()
@@ -656,7 +649,7 @@ def ransac_pose(detections, cloud: EllipsoidCloud, cam: CameraModel, opts: Ransa
             continue
         drawn.add(sample)
         if opts.mode == "orientation_known":
-            ts, ok = _ray_placements(opts.rotation[None], pairs[sample[0]])
+            ts, ok = _ray_placements(opts.rotation[None], pairs, sample[0])
             hypotheses = [Pose(opts.rotation, ts[0])] if ok[0] else []
         else:
             try:
@@ -666,7 +659,7 @@ def ransac_pose(detections, cloud: EllipsoidCloud, cam: CameraModel, opts: Ransa
             except ElliposeError:
                 continue
         for pose in hypotheses:
-            inliers, score = _consensus(pose, scoring)
+            inliers, score = _consensus(pose, pairs, cam.K, opts.inlier_iou_threshold)
             if len(inliers) < min_set:
                 continue
             key = (len(inliers), score, -draw_idx)
@@ -691,7 +684,7 @@ def ransac_pose(detections, cloud: EllipsoidCloud, cam: CameraModel, opts: Ransa
         refined = refine_pose(
             pose, [corrs[i] for i in inliers], cam, rotation_fixed=rotation_fixed
         )
-        inliers2, score2 = _consensus(refined.pose, scoring)
+        inliers2, score2 = _consensus(refined.pose, pairs, cam.K, opts.inlier_iou_threshold)
         if (len(inliers2), score2) < (len(inliers), score):
             break
         grew = len(inliers2) > len(inliers)
@@ -707,54 +700,34 @@ def _draw_minimal_set(rng, assoc, min_set):
         return (int(rng.integers(n)),)
     for _ in range(50):
         i, j = int(rng.integers(n)), int(rng.integers(n))
-        if i == j:
-            continue
-        _, di, oi = assoc[i]
-        _, dj, oj = assoc[j]
-        if di != dj and oi != oj:
+        if i != j and assoc[i][1] != assoc[j][1] and assoc[i][2] != assoc[j][2]:
             return (i, j)
     return None
 
 
-class _Scoring:
-    """Pose-independent consensus data of all correspondences: their dual
-    quadrics, the detected ellipses as arrays, the intrinsics and the
-    inlier threshold."""
+def _consensus(pose: Pose, pairs: _Pairs, K, threshold):
+    """Inlier indices and mean inlier IoU of a hypothesis over the rows of
+    the table.
 
-    __slots__ = ("Q", "K", "centers", "axes", "angles", "threshold")
-
-    def __init__(self, corrs, pairs, K, threshold):
-        n = len(pairs)
-        self.Q = np.stack([p.Qd for p in pairs])
-        self.K = np.broadcast_to(K, (n, 3, 3))
-        self.centers = np.stack([c.ellipse.center for c in corrs])
-        self.axes = np.stack([c.ellipse.axes for c in corrs])
-        self.angles = np.array([c.ellipse.angle for c in corrs])
-        self.threshold = threshold
-
-
-def _consensus(pose: Pose, scoring: _Scoring):
-    """Inlier indices and mean inlier IoU of a hypothesis.
-
-    All correspondences are projected in one kernel call; those whose
-    outline is invalid (behind the camera, degenerate, not an ellipse) are
-    skipped, and the rest are scored against their detections in one IoU
-    call.  Inliers are kept and summed in index order.
+    All rows are projected in one kernel call; those whose outline is
+    invalid (behind the camera, degenerate, not an ellipse) are skipped,
+    and the rest are scored against their detections in one IoU call.
+    Inliers, the rows with an IoU of at least ``threshold``, are kept and
+    summed in row order.
     """
-    n = len(scoring.Q)
-    centers, axes, angles, errors = _project_dual_quadrics(
-        scoring.Q, np.broadcast_to(pose.matrix, (n, 3, 4)), scoring.K
+    n = len(pairs.Qd)
+    centers, axes, angles, _ = _project_dual_quadrics(
+        pairs.Qd, np.broadcast_to(pose.matrix, (n, 3, 4)), np.broadcast_to(K, (n, 3, 3))
     )
-    valid = np.array([e is None for e in errors])
-    idx = np.flatnonzero(valid & (axes[:, 1] > 0.0) & np.isfinite(axes[:, 0]))
+    idx = np.flatnonzero((axes[:, 1] > 0.0) & np.isfinite(axes[:, 0]))  # NaN where invalid
     ious = _ellipse_ious(
         centers[idx], axes[idx], angles[idx],
-        scoring.centers[idx], scoring.axes[idx], scoring.angles[idx], _IOU_GRID,
+        pairs.det_center[idx], pairs.det_axes[idx], pairs.det_angle[idx], _IOU_GRID,
     )
     inliers = []
     total = 0.0
     for i, iou in zip(idx.tolist(), ious.tolist()):
-        if iou >= scoring.threshold:
+        if iou >= threshold:
             inliers.append(i)
             total += iou
     score = total / len(inliers) if inliers else 0.0

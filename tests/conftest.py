@@ -11,19 +11,17 @@ from ellipose.geometry import (
     bbox_of_ellipse,
     canonicalize,
     ellipse_to_conic,
-    rot2d,
     rotation_z,
 )
 from ellipose.pose import (
     _DP_TRANSLATION,
-    _PairData,
     _conic_jacobians,
+    _pairs,
     _pose_directions,
     _project_pairs,
     _ray_placements,
     _rotations,
     _row_norms,
-    _stacked,
     refine_pose,
 )
 from ellipose.reconstruction import EllipsoidCloud
@@ -33,6 +31,11 @@ from ellipose.simulator import SceneObject, SceneSpec
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def rot2d(angle: float) -> np.ndarray:
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s], [s, c]])
 
 
 def axis_angle_to_matrix(w) -> np.ndarray:
@@ -191,7 +194,7 @@ def ellipses_close(e1: Ellipse, e2: Ellipse, tol=1e-9) -> bool:
 def placed_and_refined(corr, R, cam):
     """Camera translation from one pair under a known orientation: the
     closed-form ray placement, then a one-pair rotation-fixed refinement."""
-    ts, ok = _ray_placements(np.asarray(R, float)[None], _PairData(corr, cam.K))
+    ts, ok = _ray_placements(np.asarray(R, float)[None], _pairs([corr], cam.K), 0)
     assert ok[0], "the placement is invalid"
     return refine_pose(Pose(R, ts[0]), [corr], cam, rotation_fixed=True).pose.t
 
@@ -234,13 +237,14 @@ def _unit_adjugate(Cd):
     return m, s
 
 
-def projected_conic(R, t, pair):
-    """Point conic of the pair's quadric in normalized image coordinates,
-    unit-Frobenius scaled, or None when the projection is invalid."""
-    if R[2] @ pair.center_w + t[2] <= 0.0:
+def projected_conic(R, t, pairs, i):
+    """Point conic of the quadric of row i of the table in normalized image
+    coordinates, unit-Frobenius scaled, or None when the projection is
+    invalid."""
+    if R[2] @ pairs.center_w[i] + t[2] <= 0.0:
         return None
     P = np.column_stack([R, t])
-    unit = _unit_adjugate(P @ pair.Qd @ P.T)
+    unit = _unit_adjugate(P @ pairs.Qd[i] @ P.T)
     if unit is None:
         return None
     (m00, m01, m02, m11, m12, m22), s = unit
@@ -306,9 +310,10 @@ def reference_lm(fun, x0, jac, max_iter=50):
 def reference_refine(R0, t0, pairs, *, max_iter=50, rotation_fixed=False):
     """:func:`reference_lm` from one pose over the translation or over
     (axis-angle increment, translation offset), on conics of the pose
-    module's kernel.  Returns (R, t, costs, converged, uphill)."""
+    module's kernel, over the rows of the table ``pairs``.  Returns (R, t,
+    costs, converged, uphill)."""
 
-    Qd, centers, M_det = _stacked(pairs, "Qd", "center_w", "M_det")
+    Qd, centers, M_det = pairs.Qd, pairs.center_w, pairs.M_det
 
     def project(R, t):
         N, valid, terms = _project_pairs(R[None], t[None], Qd, centers)

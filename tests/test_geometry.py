@@ -34,6 +34,7 @@ from ellipose.geometry import (
     ellipse_to_conic,
     ellipsoid_to_dual_quadric,
     inscribed_ellipse,
+    normalize_symmetric,
     project_ellipsoid,
     transform_conic,
     transform_ellipse,
@@ -42,6 +43,27 @@ from ellipose.geometry import (
     _project_dual_quadrics,
 )
 from ellipose.simulator import default_camera, look_at
+
+
+class TestNormalizeSymmetric:
+    def test_stack_equals_each_alone(self, rng):
+        # small and negative leading entries exercise the sign rule
+        S = rng.normal(size=(60, 4, 4))
+        S[::3, 0, :2] = 1e-13
+        S[1::3, 0, 0] = -1e-12
+        stacked = normalize_symmetric(S)
+        for X, got in zip(S, stacked):
+            alone = normalize_symmetric(X)
+            assert alone.shape == (4, 4) and alone.tobytes() == got.tobytes()
+            sym = 0.5 * (X + X.T)
+            upper = sym[np.triu_indices(4)]
+            sign = np.sign(upper[np.flatnonzero(np.abs(upper) > 1e-12 * np.linalg.norm(sym))[0]])
+            assert np.abs(got - sign * sym / np.linalg.norm(sym)).max() <= 1e-15
+        assert normalize_symmetric(S.reshape(3, 20, 4, 4)).tobytes() == stacked.tobytes()
+
+    def test_zero_matrix_in_a_stack_rejected(self):
+        with pytest.raises(ValueError):
+            normalize_symmetric(np.stack([np.eye(3), np.zeros((3, 3))]))
 
 
 class TestEllipseConic:

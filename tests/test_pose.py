@@ -9,10 +9,13 @@ from conftest import (
     grid_ellipse_iou,
     placed_and_refined,
     projected_conic,
+    random_ellipse,
+    random_ellipsoid,
     random_rotation,
     ransac_iterations,
     reference_lm,
     reference_refine,
+    rot2d,
 )
 from ellipose import pose as pose_module
 from ellipose.errors import (
@@ -27,6 +30,9 @@ from ellipose.geometry import (
     Ellipsoid,
     Pose,
     conic_to_ellipse,
+    ellipse_to_conic,
+    ellipsoid_to_dual_quadric,
+    normalize_symmetric,
     project_ellipsoid,
     rotation_z,
 )
@@ -43,18 +49,18 @@ from ellipose.pose import (
 from ellipose.pose import (  # white-box kernels
     _DP_TRANSLATION,
     _IOU_GRID,
-    _PairData,
-    _Scoring,
+    _Pairs,
     _associations_with_indices,
+    _conic_areas,
     _conic_jacobians,
     _consensus,
     _draw_minimal_set,
     _levenberg_marquardt,
+    _pairs,
     _pose_directions,
     _project_pairs,
     _ray_placements,
     _rotations,
-    _stacked,
 )
 from ellipose.simulator import DEG, OrientationNoise, default_camera, look_at, perturb_orientation
 
@@ -105,11 +111,95 @@ class TestPositionFromPair:
         ell = Ellipse((900.0, 700.0), (2500.0, 2200.0), 0.2)
         R = look_at((2.0, 0.0, 0.5), (8.0, 0.0, 0.0)).R  # pointing away
         corr = Correspondence(ell, E, "x")
-        _, ok = _ray_placements(R[None], _PairData(corr, cam.K))
+        _, ok = _ray_placements(R[None], _pairs([corr], cam.K), 0)
         assert not ok[0]
         cloud = EllipsoidCloud((("x", E),))
         with pytest.raises(NoValidPose):
             ransac_pose([("x", ell)], cloud, cam, RansacOptions(rotation=R))
+
+
+class TestPairsTable:
+    @staticmethod
+    def _problem(rng):
+        """Exact outlines of objects in front of a camera, and random
+        ellipses (circles among them) paired with random ellipsoids."""
+        cam = default_camera()
+        pose = camera_near(rng, (0.0, 0.0, 0.0), dist=2.0)
+        corrs = []
+        for i in range(12):
+            E = sized_ellipsoid(rng, center_scale=0.3)
+            corrs.append(Correspondence(project_ellipsoid(E, pose, cam), E, f"p{i}"))
+        for i in range(24):
+            e = random_ellipse(rng, center_scale=300.0)
+            if i % 4 == 0:
+                e = Ellipse(e.center, (e.axes[0], e.axes[0]), e.angle)
+            corrs.append(Correspondence(e, random_ellipsoid(rng), f"r{i}"))
+        return cam, corrs
+
+    @staticmethod
+    def _scalar_formulas(c, K):
+        """The dual quadric and the normalized detected conic, one matrix at a
+        time from the definitions."""
+
+        def unit(X):
+            X = X / np.linalg.norm(X)
+            upper = X[np.triu_indices(len(X))]
+            return X * np.sign(upper[np.flatnonzero(np.abs(upper) > 1e-12)[0]])
+
+        E, e = c.ellipsoid, c.ellipse
+        Z = np.eye(4)
+        Z[:3, :3], Z[:3, 3] = E.rotation, E.center
+        R = rot2d(e.angle)
+        A = R @ np.diag(1.0 / e.axes**2) @ R.T
+        M = np.empty((3, 3))
+        M[:2, :2], M[:2, 2], M[2, :2] = A, -A @ e.center, -A @ e.center
+        M[2, 2] = e.center @ A @ e.center - 1.0
+        return unit(Z @ np.diag([*E.axes**2, -1.0]) @ Z.T), unit(K.T @ unit(M) @ K)
+
+    def test_rows_equal_per_correspondence_formulas(self, rng):
+        cam, corrs = self._problem(rng)
+        pairs = _pairs(corrs, cam.K)
+        fx, fy = cam.K[0, 0], cam.K[1, 1]
+        for i, c in enumerate(corrs):
+            M = normalize_symmetric(cam.K.T @ ellipse_to_conic(c.ellipse).M @ cam.K)
+            h = np.linalg.solve(cam.K, np.array([*c.ellipse.center, 1.0]))
+            close = {
+                "Qd": ellipsoid_to_dual_quadric(c.ellipsoid).Q,
+                "M_det": M,
+                "ray_dir": h / np.linalg.norm(h),
+                "area_det": _conic_areas(M),
+            }
+            for name, want in close.items():
+                assert np.abs(getattr(pairs, name)[i] - want).max() <= 1e-15, name
+            Qd, M_det = self._scalar_formulas(c, cam.K)
+            assert np.abs(pairs.Qd[i] - Qd).max() <= 1e-15
+            assert np.abs(pairs.M_det[i] - M_det).max() <= 1e-15
+            a, b = c.ellipse.axes
+            assert pairs.area_det[i] == pytest.approx(math.pi * a * b / (fx * fy), rel=1e-9)
+            exact = {
+                "center_w": c.ellipsoid.center,
+                "axes": c.ellipsoid.axes,
+                "rot_w": c.ellipsoid.rotation,
+                "max_axis": c.ellipsoid.max_axis,
+                "det_center": c.ellipse.center,
+                "det_axes": c.ellipse.axes,
+                "det_angle": c.ellipse.angle,
+            }
+            for name, want in exact.items():
+                assert np.array_equal(getattr(pairs, name)[i], want), name
+            assert set(close) | set(exact) == set(_Pairs._fields)
+
+    def test_subset_table_is_rows_of_full_table(self, rng):
+        # ransac_pose scores with the table of all correspondences while the
+        # solvers build the table of their own
+        cam, corrs = self._problem(rng)
+        full = _pairs(corrs, cam.K)
+        subsets = [[3], [5, 0], [7, 7], list(range(len(corrs)))[::-3]]
+        subsets += [rng.choice(len(corrs), size=k).tolist() for k in (2, 6, 17)]
+        for idx in subsets:
+            sub = _pairs([corrs[i] for i in idx], cam.K)
+            for name, rows, got in zip(_Pairs._fields, full, sub):
+                assert rows[idx].shape == got.shape and rows[idx].tobytes() == got.tobytes(), name
 
 
 class TestConicKernels:
@@ -122,9 +212,8 @@ class TestConicKernels:
         cam = default_camera()
         objs = [sized_ellipsoid(rng, center_scale=0.3) for _ in range(3)]
         poses = [camera_near(rng, (0.0, 0.0, 0.0), dist=2.0) for _ in range(6)]
-        pairs = tuple(
-            _PairData(Correspondence(project_ellipsoid(E, poses[0], cam), E, "x"), cam.K)
-            for E in objs
+        pairs = _pairs(
+            [Correspondence(project_ellipsoid(E, poses[0], cam), E, "x") for E in objs], cam.K
         )
         center = -poses[1].R.T @ poses[1].t
         poses.append(look_at(center, 2.0 * center))
@@ -158,7 +247,7 @@ class TestConicKernels:
         # w_scale 1e-10 exercises the small-angle branch of the left Jacobian
         for _ in range(4):
             pairs, R0, t0 = self._stack(rng)
-            stacks = _stacked(pairs, "Qd", "center_w")
+            stacks = pairs.Qd, pairs.center_w
             W = rng.normal(size=(len(R0), 3))
             W *= w_scale / np.linalg.norm(W, axis=1, keepdims=True)
             X = np.concatenate([W, rng.normal(scale=0.02, size=(len(R0), 3))], axis=1)
@@ -168,7 +257,7 @@ class TestConicKernels:
                 return np.einsum("mij,mjk->mik", _rotations(X[:, :3]), R0), t0 + X[:, 3:]
 
             def fun(X):
-                return _project_pairs(*pose_at(X), *stacks)[0].reshape(len(X), len(pairs), 9)
+                return _project_pairs(*pose_at(X), *stacks)[0].reshape(len(X), len(pairs.Qd), 9)
 
             R, t = pose_at(X)
             _, valid, terms = _project_pairs(R, t, *stacks)
@@ -180,12 +269,12 @@ class TestConicKernels:
     def test_translation_jacobian_matches_central_differences(self, rng):
         for _ in range(4):
             pairs, R, t0 = self._stack(rng)
-            stacks = _stacked(pairs, "Qd", "center_w")
+            stacks = pairs.Qd, pairs.center_w
             t = t0 + rng.normal(scale=0.02, size=t0.shape)
             t[7] = t0[7]  # keeps the camera center on the surface
 
             def fun(t):
-                return _project_pairs(R, t, *stacks)[0].reshape(len(t), len(pairs), 9)
+                return _project_pairs(R, t, *stacks)[0].reshape(len(t), len(pairs.Qd), 9)
 
             _, valid, terms = _project_pairs(R, t, *stacks)
             J = _conic_jacobians(terms, np.broadcast_to(_DP_TRANSLATION, (len(t), 3, 3, 4)))
@@ -197,16 +286,16 @@ class TestConicKernels:
         cam = default_camera()
         E = sized_ellipsoid(rng)
         pose = camera_near(rng, E.center + rng.uniform(-0.1, 0.1, 3))
-        pair = _PairData(Correspondence(project_ellipsoid(E, pose, cam), E, "x"), cam.K)
+        pairs = _pairs([Correspondence(project_ellipsoid(E, pose, cam), E, "x")], cam.K)
         Rs = np.array([random_rotation(rng) for _ in range(300)])
         ts = rng.normal(scale=2.0, size=(300, 3))
         Rs[:100] = pose.R  # near the true pose: mostly valid
         ts[:100] = pose.t + rng.normal(scale=0.05, size=(100, 3))
-        N, valid, _ = _project_pairs(Rs, ts, pair.Qd[None], pair.center_w[None])
-        depth = Rs[:, 2] @ pair.center_w + ts[:, 2]
+        N, valid, _ = _project_pairs(Rs, ts, pairs.Qd, pairs.center_w)
+        depth = Rs[:, 2] @ pairs.center_w[0] + ts[:, 2]
         assert (depth <= 0.0).sum() > 50 and valid.sum() > 100
         for R, t, Ni, ok in zip(Rs, ts, N[:, 0], valid[:, 0]):
-            M = projected_conic(R, t, pair)
+            M = projected_conic(R, t, pairs, 0)
             assert (M is not None) == ok
             if ok:
                 assert np.abs(M - Ni).max() <= 1e-12
@@ -336,7 +425,7 @@ def test_polish_matches_one_candidate_reference(rotation_fixed):
             e = Ellipse(e.center + rng.normal(scale=6.0, size=2),
                         e.axes * rng.uniform(0.7, 1.3, 2), e.angle)
             corrs.append(Correspondence(e, E, label))
-        pairs = tuple(_PairData(c, cam.K) for c in corrs)
+        pairs = _pairs(corrs, cam.K)
         R0 = axis_angle_to_matrix(rng.normal(scale=0.03, size=3)) @ truth.R
         t0 = truth.t + rng.normal(scale=0.03, size=3)
         res, (R, t) = pose_module._refine_raw(R0[None], t0[None], pairs,
@@ -447,8 +536,8 @@ def reference_consensus(pose, cam, corrs, pairs, threshold, outcomes):
     the full grid IoU; ``outcomes`` counts what happened to each pair."""
     Kinv = np.linalg.inv(cam.K)
     inliers, total = [], 0.0
-    for i, (corr, pair) in enumerate(zip(corrs, pairs)):
-        M = projected_conic(pose.R, pose.t, pair)
+    for i, corr in enumerate(corrs):
+        M = projected_conic(pose.R, pose.t, pairs, i)
         if M is None:
             outcomes["no conic"] += 1
             continue
@@ -486,13 +575,12 @@ def test_consensus_equals_per_pair_reference(rng):
             det = Ellipse(det.center + rng.normal(scale=3.0, size=2),
                           det.axes * rng.uniform(0.8, 1.25, 2), det.angle)
             corrs.append(Correspondence(det, E, "x"))
-        pairs = [_PairData(c, cam.K) for c in corrs]
-        scoring = _Scoring(corrs, pairs, cam.K, 0.5)
+        pairs = _pairs(corrs, cam.K)
         for step in (0.0, 0.02, 0.3):
             w = rng.normal(scale=step, size=3)
             hyp = Pose(axis_angle_to_matrix(w) @ truth.R, truth.t + rng.normal(scale=step, size=3))
             want = reference_consensus(hyp, cam, corrs, pairs, 0.5, outcomes)
-            assert _consensus(hyp, scoring) == want
+            assert _consensus(hyp, pairs, cam.K, 0.5) == want
     assert min(outcomes.values()) > 0, outcomes
 
 
@@ -631,8 +719,8 @@ def reference_ransac(detections, cloud, cam, opts):
     assoc = _associations_with_indices(detections, cloud)
     corrs = [c for c, _, _ in assoc]
     min_set = 1 if opts.mode == "orientation_known" else 2
-    pairs = [_PairData(c, cam.K) for c in corrs]
-    scoring = _Scoring(corrs, pairs, cam.K, opts.inlier_iou_threshold)
+    pairs = _pairs(corrs, cam.K)
+    threshold = opts.inlier_iou_threshold
     rng = np.random.default_rng(np.random.SeedSequence(int(opts.seed)))
     best, draws = None, []
     for draw_idx in range(opts.iterations):
@@ -642,7 +730,7 @@ def reference_ransac(detections, cloud, cam, opts):
             continue
         try:
             if min_set == 1:
-                ts, ok = _ray_placements(opts.rotation[None], pairs[sample[0]])
+                ts, ok = _ray_placements(opts.rotation[None], pairs, sample[0])
                 hypotheses = [Pose(opts.rotation, ts[0])] if ok[0] else []
             else:
                 hypotheses = [pose_from_two_pairs(corrs[sample[0]], corrs[sample[1]], cam)]
@@ -651,7 +739,7 @@ def reference_ransac(detections, cloud, cam, opts):
         except ElliposeError:
             continue
         for hyp in hypotheses:
-            inliers, score = _consensus(hyp, scoring)
+            inliers, score = _consensus(hyp, pairs, cam.K, threshold)
             key = (len(inliers), score, -draw_idx)
             if len(inliers) >= min_set and (best is None or key > best[0]):
                 best = (key, hyp, inliers)
@@ -659,7 +747,7 @@ def reference_ransac(detections, cloud, cam, opts):
     for _ in range(4):
         rotation_fixed = not opts.refine_orientation or len(inliers) < 2
         refined = refine_pose(pose, [corrs[i] for i in inliers], cam, rotation_fixed=rotation_fixed)
-        inliers2, score2 = _consensus(refined.pose, scoring)
+        inliers2, score2 = _consensus(refined.pose, pairs, cam.K, threshold)
         if (len(inliers2), score2) < (len(inliers), score):
             break
         grew = len(inliers2) > len(inliers)
@@ -768,6 +856,19 @@ def test_one_label_full_mode_contract(monkeypatch, seed):
 def test_ransac_iterations_bound():
     assert ransac_iterations(1.0, 2) == 1
     assert ransac_iterations(0.5, 2, 0.99) == math.ceil(math.log(0.01) / math.log(0.75))
+
+
+def test_ransac_options_validates_rotation_and_iterations():
+    # a malformed rotation fails at construction, not deep inside the draws
+    for bad in (np.eye(2), 2.0 * np.eye(3), np.diag([1.0, 1.0, -1.0]), np.full((3, 3), np.nan)):
+        with pytest.raises(ValueError):
+            RansacOptions(rotation=bad)
+    for iterations in (2.5, 3.0, "3", True):
+        with pytest.raises(ValueError):
+            RansacOptions(rotation=np.eye(3), iterations=iterations)
+    opts = RansacOptions(rotation=np.eye(3).tolist(), iterations=np.int64(3))
+    assert opts.rotation.shape == (3, 3) and not opts.rotation.flags.writeable
+    assert RansacOptions(mode="full").rotation is None
 
 
 def test_pose_estimate_validation(rng):
