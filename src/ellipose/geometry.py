@@ -120,7 +120,11 @@ def _normalized(M, size: int, what: str) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.shape != (size, size):
         raise ValueError(f"{what} matrix must be {size}x{size}")
-    if not np.allclose(M, M.T, atol=1e-8 * max(1.0, float(np.abs(M).max()))):
+    scale = float(np.abs(M).max())
+    if not scale < np.inf:  # NaN fails too
+        raise ValueError(f"{what} matrix must be finite")
+    # np.allclose(M, M.T, atol=...) written out: the same test, without its overhead
+    if not (np.abs(M - M.T) <= 1e-8 * max(1.0, scale) + 1e-5 * np.abs(M.T)).all():
         raise ValueError(f"{what} matrix must be symmetric")
     M = normalize_symmetric(M)
     M.setflags(write=False)
@@ -155,14 +159,6 @@ class Ellipsoid:
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "rotation", rotation)
-
-    @property
-    def max_axis(self) -> float:
-        return float(self.axes.max())
-
-    def shape_matrix(self) -> np.ndarray:
-        """R diag(a^2, b^2, c^2) R^T; frame-free description of the shape."""
-        return self.rotation @ np.diag(self.axes**2) @ self.rotation.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,14 +329,16 @@ def ellipsoid_to_dual_quadric(E: Ellipsoid) -> DualQuadric:
 
 
 def _quadric_duals(centers, axes, rotations):
-    """Dual quadrics Z diag(a^2, b^2, c^2, -1) Z^T (n,4,4), not normalized,
-    of the ellipsoids with centers (n,3), semi-axes (n,3) and rotations
-    (n,3,3); Z is the rigid ellipsoid frame."""
-    n = len(centers)
-    Z = np.zeros((n, 4, 4))
-    Z[:, :3, :3], Z[:, :3, 3], Z[:, 3, 3] = rotations, centers, 1.0
-    d = np.concatenate([axes**2, -np.ones((n, 1))], axis=1)
-    return (Z * d[:, None]) @ Z.transpose(0, 2, 1)  # Z diag(d) Z^T
+    """Dual quadrics (d = 3) or dual conics (d = 2) Z diag(axes^2, -1) Z^T
+    (n,d+1,d+1), not normalized, of the ellipsoids or ellipses with centers
+    c (n,d), semi-axes (n,d) and rotations R (n,d,d); Z = [[R, c], [0, 1]] is
+    the rigid frame, and the product is [[R diag(axes^2) R^T - c c^T, -c],
+    [-c^T, -1]], the inverse of the point form."""
+    n, d = centers.shape
+    Z = np.zeros((n, d + 1, d + 1))
+    Z[:, :d, :d], Z[:, :d, d], Z[:, d, d] = rotations, centers, 1.0
+    diag = np.concatenate([axes**2, -np.ones((n, 1))], axis=1)
+    return (Z * diag[:, None]) @ Z.transpose(0, 2, 1)  # Z diag Z^T
 
 
 def dual_quadric_to_ellipsoid(Q: DualQuadric) -> Ellipsoid:
@@ -367,29 +365,19 @@ def project_ellipsoid(E: Ellipsoid, pose: Pose, cam: CameraModel) -> Ellipse:
     """Exact perspective outline of an ellipsoid, as a canonical ellipse.
 
     The dual quadric projects linearly: C* = P Q* P^T with P = K [R | t];
-    the returned ellipse is the point form of C*.  Raises BehindCamera when
-    the ellipsoid center has non-positive depth and NotAnEllipse when the
-    quadric crosses the principal plane (outline degenerates to a
-    hyperbola).
+    the returned ellipse is the point form of C*.  This is the 1 x 1 case of
+    :func:`_outlines`, on the conic of the kernel the pose solvers use.
+    Raises BehindCamera when the ellipsoid center has non-positive depth and
+    NotAnEllipse when the quadric crosses the principal plane (outline
+    degenerates to a hyperbola).
     """
-    Q = _dual_matrices(E.center[None], E.shape_matrix()[None])
-    centers, axes, angles, errors = _project_dual_quadrics(Q, pose.matrix[None], cam.K[None])
-    if errors[0] is not None:
-        raise errors[0]
-    return Ellipse(centers[0], axes[0], angles[0])
-
-
-def _dual_matrices(centers, shapes):
-    """Dual conics (d = 2) or dual quadrics (d = 3) [[S - c c^T, -c], [-c^T, -1]]
-    of the ellipses or ellipsoids with centers c (n,d) and shape matrices
-    S = R diag(axes^2) R^T (n,d,d); the inverse of the point form
-    [[A, -A c], [-c^T A, c^T A c - 1]] with A = S^-1."""
-    n, d = centers.shape
-    D = np.empty((n, d + 1, d + 1))
-    D[:, :d, :d] = shapes - centers[:, :, None] * centers[:, None, :]
-    D[:, :d, d] = D[:, d, :d] = -centers
-    D[:, d, d] = -1.0
-    return D
+    Qd = _quadric_duals(E.center[None], E.axes[None], E.rotation[None])
+    centers, axes, angles, code, depth = _outlines(
+        pose.R[None], pose.t[None], Qd, E.center[None], cam.K[None]
+    )
+    if code[0, 0]:
+        raise _outline_error(int(code[0, 0]), float(depth[0, 0]))
+    return Ellipse(centers[0, 0], axes[0, 0], angles[0, 0])
 
 
 _FULL = np.array([0, 1, 2, 1, 3, 4, 2, 4, 5])  # upper-triangle index of each raveled 3x3 entry
@@ -399,29 +387,40 @@ _UPPER = np.array([0, 1, 2, 4, 5, 8])  # raveled 3x3 index of entries 00, 01, 02
 _ADJ = np.array([[3, 2, 1, 0, 1, 0], [5, 4, 4, 5, 2, 3], [4, 1, 2, 2, 0, 1], [4, 5, 3, 2, 4, 1]])
 
 
-def _unit_adjugates(Cd, in_front):
-    """Point conics of a stack (n,3,3) of dual conics as (x, u, s, valid):
-    the upper entries x (n,6) (00, 01, 02, 11, 12, 22) of each dual conic,
-    those u of its point conic (NaN where invalid), the signed scale s with
-    u = s adj(Cd), and the mask of ``in_front`` (the quadric center has
-    positive depth) and not degenerate.  The adjugate is the inverse up to
-    scale; it is scaled to unit Frobenius norm with the first entry of
-    significant size positive (the convention of :func:`normalize_symmetric`).
+def _project_pairs(Rs, ts, Qd, centers):
+    """The conic-projection kernel, the one place that forms C* = P Q* P^T:
+    k dual quadrics Qd (k,4,4) centered at ``centers`` (k,3), seen from n
+    poses P = [R | t] (Rs (n,3,3), ts (n,3)).
+
+    Returns (N, depth, valid, terms): the unit point conics N (n,k,3,3) in
+    normalized image coordinates, NaN where invalid; the depths (n,k) of the
+    centers; the mask valid (n,k) of centers in front of the camera with a
+    non-degenerate conic; and the terms ``pose._conic_jacobians``
+    differentiates, so a Jacobian is always that of the very conic its
+    residual came from.  N is the adjugate of C*, its inverse up to scale,
+    scaled to unit Frobenius norm with the first entry of significant size
+    positive (the convention of :func:`normalize_symmetric`).
     """
-    C = Cd.reshape(-1, 9)
+    n, k = len(Rs), len(Qd)
+    P = np.concatenate([Rs, ts[:, :, None]], axis=2)[:, None]
+    QPt = Qd @ P.transpose(0, 1, 3, 2)  # (n,k,4,3)
+    depth = (Rs[:, None, None, 2] @ centers[:, :, None])[..., 0, 0] + ts[:, 2:]
+    C = (P @ QPt).reshape(-1, 9)
     x = C[:, _UPPER]  # (a, b, c, d, e, f)
     t = x[:, _ADJ]
-    m = t[:, 0] * t[:, 1] - t[:, 2] * t[:, 3]
+    m = t[:, 0] * t[:, 1] - t[:, 2] * t[:, 3]  # the upper entries of adj(C*)
     det = (x[:, :3] * m[:, :3]).sum(axis=1)
     sq = m * m
     norm = np.sqrt(sq[:, 0] + sq[:, 3] + sq[:, 5] + 2.0 * (sq[:, 1] + sq[:, 2] + sq[:, 4]))
     with np.errstate(all="ignore"):
-        valid = in_front & (np.abs(det) >= 1e-14 * np.abs(C).max(axis=1) ** 3) & (norm >= 1e-300)
+        valid = (depth.ravel() > 0.0) & (np.abs(det) >= 1e-14 * np.abs(C).max(axis=1) ** 3) \
+            & (norm >= 1e-300)
         s = 1.0 / norm
         first = np.argmax(np.abs(m) * s[:, None] > 1e-12, axis=1)
         s = np.where(m[np.arange(len(m)), first] < 0.0, -s, s)
         u = np.where(valid[:, None], m * s[:, None], np.nan)
-    return x, u, s, valid
+    N = u[:, _FULL].reshape(n, k, 3, 3)
+    return N, depth, valid.reshape(n, k), (QPt, x.reshape(n, k, 1, 6), N, s.reshape(n, k, 1, 1))
 
 
 _NOT_AN_ELLIPSE = {
@@ -430,6 +429,14 @@ _NOT_AN_ELLIPSE = {
     4: "conic is a hyperbola",
     5: "conic has no real bounded point set",
 }
+
+
+def _outline_error(code: int, depth: float):
+    """The error that an outline with the non-zero ``code`` of
+    :func:`_outlines` and center ``depth`` raises."""
+    if code == 1:
+        return BehindCamera(f"ellipsoid center depth {depth:.3g} <= 0")
+    return NotAnEllipse(_NOT_AN_ELLIPSE[code])
 
 
 def _ellipses_of_conics(M):
@@ -460,37 +467,35 @@ def _ellipses_of_conics(M):
     return centers, axes, angles, code
 
 
-def _project_dual_quadrics(Q, Rt, K):
-    """Outlines of a stack of dual quadrics Q (n,4,4) seen by cameras with
-    extrinsics [R | t] (n,3,4) and intrinsics K (n,3,3), with the tests of
-    :func:`_ellipses_of_conics`.
+def _outlines(Rs, ts, Qd, centers, K):
+    """Pixel outlines of the conics of :func:`_project_pairs` for n poses
+    times k quadrics, pose i seen with the intrinsics K[i] (K (n,3,3)), with
+    the tests of :func:`_ellipses_of_conics`.
 
-    Returns (centers (n,2), axes (n,2), angles (n,), errors): canonical
-    ellipse parameters, and per pair None or the BehindCamera/NotAnEllipse
-    that its projection raises (its parameters are then NaN).
+    Returns (centers (n,k,2), axes (n,k,2), angles (n,k), code (n,k), depth
+    (n,k)): canonical ellipse parameters, NaN where the code is not 0; the
+    code, 0 or 1 (center behind the camera), 2 (degenerate conic) or 3-5
+    (:data:`_NOT_AN_ELLIPSE`); and the center depths, from which
+    :func:`_outline_error` makes the error of a failed pair.
 
-    The adjugate is taken in intrinsics-normalized coordinates: pixel-frame
-    dual-conic entries span several orders of magnitude, and its products
-    would cancel (axes about 50 times less accurate with f = 500 px).
+    The adjugate is taken in intrinsics-normalized coordinates and only then
+    mapped to pixels: pixel-frame dual-conic entries span several orders of
+    magnitude, and its products would cancel (axes about 50 times less
+    accurate with f = 500 px).
     """
-    depth = np.einsum("ni,ni->n", Rt[:, 2], Q[:, :, 3]) / Q[:, 3, 3]
-    _, u, _, valid = _unit_adjugates(Rt @ Q @ Rt.transpose(0, 2, 1), depth > 0.0)
-    M = u[:, _FULL].reshape(-1, 3, 3)
-    Kinv = np.linalg.inv(K)
-    M = Kinv.transpose(0, 2, 1) @ M @ Kinv
-    M[~valid] = np.diag([1.0, 1.0, -1.0])  # placeholder, keeps LAPACK finite
-    centers, axes, angles, code = _ellipses_of_conics(M)
-    code[~valid] = 2
-    code[depth <= 0.0] = 1
-    ok = code == 0
-    centers[~ok] = axes[~ok] = angles[~ok] = np.nan
-    errors = [
-        None if c == 0
-        else BehindCamera(f"ellipsoid center depth {z:.3g} <= 0") if c == 1
-        else NotAnEllipse(_NOT_AN_ELLIPSE[c])
-        for c, z in zip(code.tolist(), depth.tolist())
-    ]
-    return centers, axes, angles, errors
+    N, depth, valid, _ = _project_pairs(Rs, ts, Qd, centers)
+    n, k = valid.shape
+    Kinv = np.linalg.inv(K)[:, None]
+    M = (Kinv.transpose(0, 1, 3, 2) @ N @ Kinv).reshape(-1, 3, 3)
+    invalid = ~valid.ravel()
+    M[invalid] = np.diag([1.0, 1.0, -1.0])  # placeholder, keeps LAPACK finite
+    out, axes, angles, code = _ellipses_of_conics(M)
+    code[invalid] = 2
+    code[depth.ravel() <= 0.0] = 1
+    failed = code != 0
+    out[failed] = axes[failed] = angles[failed] = np.nan
+    return (out.reshape(n, k, 2), axes.reshape(n, k, 2), angles.reshape(n, k),
+            code.reshape(n, k), depth)
 
 
 # ---------------------------------------------------------------------------

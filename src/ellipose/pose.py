@@ -13,14 +13,16 @@ Each solver call converts its correspondences once, into one table of
 stacked arrays (:func:`_pairs`): RANSAC builds it for its placements and
 consensus, and the two-pair solver and the refinement each build their own;
 a row depends on its correspondence alone, so the tables agree bit for bit.
-All residuals are Frobenius differences of unit-normalized point conics
-from one kernel over a stack of poses times pairs; their exact Jacobian in
-(axis-angle increment, translation) is taken from the very conic that gave
-the accepted residual.  One Levenberg-Marquardt advances n candidates in
-lockstep, each with its own damping, acceptance and stop, scoring all
-trials of a round in one kernel call: the two-pair solver refines its
-candidates together, and the polish is the one-candidate case.  Consensus
-is one batched projection of every row and one batched ellipse IoU.
+Every projection goes through the one conic-projection kernel of
+``geometry`` over a stack of poses times pairs.  All residuals are
+Frobenius differences of its unit-normalized point conics; their exact
+Jacobian in (axis-angle increment, translation) is taken from the very
+conic that gave the accepted residual.  One Levenberg-Marquardt advances n
+candidates in lockstep, each with its own damping, acceptance and stop,
+scoring all trials of a round in one kernel call: the two-pair solver
+refines its candidates together, and the polish is the one-candidate case.
+Consensus is one kernel call for the pose times every row, mapped to pixel
+outlines, and one batched ellipse IoU.
 
 The LM takes any valid downhill step of the algebraic residual, which can
 reward a pose that slides an object off its detection or turns its outline
@@ -61,9 +63,9 @@ from .geometry import (
     _check_rotation,
     _ellipse_conics,
     _freeze,
-    _project_dual_quadrics,
+    _outlines,
+    _project_pairs,
     _quadric_duals,
-    _unit_adjugates,
 )
 from .metrics import _ellipse_ious, rotation_distance
 from .reconstruction import EllipsoidCloud
@@ -182,25 +184,9 @@ for _i, (_p, _q, _r, _s) in enumerate(_ADJ.T):
 _D_ADJ = _D_ADJ[:, _FULL].reshape(6, 81)
 
 
-def _project_pairs(Rs, ts, Qd, centers):
-    """The conic kernel: unit point conics N (n,k,3,3) in normalized image
-    coordinates of k dual quadrics Qd (k,4,4) centered at ``centers`` (k,3),
-    seen from n poses (Rs (n,3,3), ts (n,3)); the mask valid (n,k) of
-    centers in front of the camera with a non-degenerate conic (N is NaN
-    elsewhere); and the terms :func:`_conic_jacobians` differentiates, so a
-    Jacobian is always that of the very conic its residual came from."""
-    n, k = len(Rs), len(Qd)
-    P = np.concatenate([Rs, ts[:, :, None]], axis=2)[:, None]
-    QPt = Qd @ P.transpose(0, 1, 3, 2)  # (n,k,4,3)
-    depth = (Rs[:, None, None, 2] @ centers[:, :, None])[..., 0, 0] + ts[:, 2:]
-    x, u, s, valid = _unit_adjugates(P @ QPt, depth.ravel() > 0.0)
-    N = u[:, _FULL].reshape(n, k, 3, 3)
-    return N, valid.reshape(n, k), (QPt, x.reshape(n, k, 1, 6), N, s.reshape(n, k, 1, 1))
-
-
 def _conic_jacobians(terms, dP):
-    """Exact Jacobian (m, 9k, d) of the raveled unit conics of
-    :func:`_project_pairs` for the directions dP (m,d,3,4) of [R | t].
+    """Exact Jacobian (m, 9k, d) of the raveled unit conics of the kernel
+    ``geometry._project_pairs`` for the directions dP (m,d,3,4) of [R | t].
 
     dC = G + G^T with G = dP Qd P^T, the adjugate entries m follow through
     :data:`_D_ADJ`, and the unit normalization N = s m contributes
@@ -421,8 +407,8 @@ def _ray_placements(Rs, pairs: _Pairs, i):
     support_z = np.sqrt(np.sum((pairs.axes[i] * z_rows) ** 2, axis=1))
     lam_min = 1.05 * support_z / v[2]
     lam_ref = np.maximum(20.0 * pairs.max_axis[i], 2.0 * lam_min)
-    N_ref, valid, _ = _project_pairs(Rs, lam_ref[:, None] * v - Rc, pairs.Qd[i:i + 1],
-                                     pairs.center_w[i:i + 1])
+    N_ref, _, valid, _ = _project_pairs(Rs, lam_ref[:, None] * v - Rc, pairs.Qd[i:i + 1],
+                                        pairs.center_w[i:i + 1])
     area_ref = _conic_areas(N_ref[:, 0])
     with np.errstate(invalid="ignore"):
         lam0 = lam_ref * np.sqrt(area_ref / pairs.area_det[i])
@@ -502,7 +488,7 @@ def pose_from_two_pairs(
     costs, placements = [], []
     for anchor in (0, 1):
         ts, ok = _ray_placements(starts, pairs, anchor)
-        N, valid, _ = _project_pairs(starts, ts, pairs.Qd, pairs.center_w)
+        N, _, valid, _ = _project_pairs(starts, ts, pairs.Qd, pairs.center_w)
         r = (N - pairs.M_det).reshape(len(starts), -1)
         costs.append(np.where(ok & valid.all(axis=1), (r * r).sum(axis=1), np.inf))
         placements.append(ts)
@@ -565,7 +551,7 @@ def _refine_raw(R0, t0, pairs, *, max_iter=50, rotation_fixed=False):
 
     def fun(idx, X):
         R, t = pose_at(idx, X)
-        N, valid, terms = _project_pairs(R, t, Qd, centers)
+        N, _, valid, terms = _project_pairs(R, t, Qd, centers)
         return (N - M_det).reshape(len(X), -1), valid.all(axis=1), (R, *terms)
 
     def jac(idx, X, state):
@@ -715,13 +701,12 @@ def _consensus(pose: Pose, pairs: _Pairs, K, threshold):
     Inliers, the rows with an IoU of at least ``threshold``, are kept and
     summed in row order.
     """
-    n = len(pairs.Qd)
-    centers, axes, angles, _ = _project_dual_quadrics(
-        pairs.Qd, np.broadcast_to(pose.matrix, (n, 3, 4)), np.broadcast_to(K, (n, 3, 3))
+    centers, axes, angles, code, _ = _outlines(
+        pose.R[None], pose.t[None], pairs.Qd, pairs.center_w, K[None]
     )
-    idx = np.flatnonzero((axes[:, 1] > 0.0) & np.isfinite(axes[:, 0]))  # NaN where invalid
+    idx = np.flatnonzero(code[0] == 0)
     ious = _ellipse_ious(
-        centers[idx], axes[idx], angles[idx],
+        centers[0, idx], axes[0, idx], angles[0, idx],
         pairs.det_center[idx], pairs.det_axes[idx], pairs.det_angle[idx], _IOU_GRID,
     )
     inliers = []

@@ -35,8 +35,9 @@ from .geometry import (
     canonicalize,
     dual_quadric_to_ellipsoid,
     inscribed_ellipse,
-    _dual_matrices,
-    _project_dual_quadrics,
+    _outline_error,
+    _outlines,
+    _quadric_duals,
 )
 
 MIN_VIEWS = 3
@@ -138,8 +139,7 @@ def reconstruct_ellipsoid(observations, views) -> Ellipsoid:
     angles = np.array([e.angle for e in ellipses])
     cos, sin = np.cos(angles), np.sin(angles)
     R = np.stack([np.stack([cos, -sin], 1), np.stack([sin, cos], 1)], 1)
-    shapes = np.einsum("nij,nj,nkj->nik", R, axes**2, R)
-    pixel_duals = _dual_matrices(np.array([e.center for e in ellipses]), shapes)
+    pixel_duals = _quadric_duals(np.array([e.center for e in ellipses]), axes, R)
     Kinv = np.linalg.inv(np.array([v.cam.K for v in seen_from]))
     duals = Kinv @ pixel_duals @ Kinv.transpose(0, 2, 1)
     return reconstruct_from_dual_conics(duals, [v.pose.matrix for v in seen_from])
@@ -176,7 +176,8 @@ def reconstruct_cloud(boxes_by_view, views, *, allow_partial: bool = False):
 
 
 def generate_annotations(cloud: EllipsoidCloud, views):
-    """Reproject the cloud into every view.
+    """Reproject the cloud into every view, in one kernel call for all
+    views times labels.
 
     Returns (annotations, skipped): annotations maps view_id -> list of
     (label, Ellipse, Box); objects behind the camera or without an elliptic
@@ -184,22 +185,19 @@ def generate_annotations(cloud: EllipsoidCloud, views):
     """
     views = list(views)
     ellipsoids = [E for _, E in cloud.entries]
-    Q = _dual_matrices(
-        np.array([E.center for E in ellipsoids]).reshape(-1, 3),
-        np.array([E.shape_matrix() for E in ellipsoids]).reshape(-1, 3, 3),
-    )
-    Rt = np.array([v.pose.matrix for v in views]).reshape(-1, 3, 4)
-    K = np.array([v.cam.K for v in views]).reshape(-1, 3, 3)
-    # one pair per (view, label), view-major like the returned rows
-    projected = zip(*_project_dual_quadrics(
-        np.tile(Q, (len(views), 1, 1)), np.repeat(Rt, len(Q), axis=0), np.repeat(K, len(Q), axis=0)
-    ))
+    centers = np.array([E.center for E in ellipsoids]).reshape(-1, 3)
+    Qd = _quadric_duals(centers, np.array([E.axes for E in ellipsoids]).reshape(-1, 3),
+                        np.array([E.rotation for E in ellipsoids]).reshape(-1, 3, 3))
+    outlines = _outlines(np.array([v.pose.R for v in views]).reshape(-1, 3, 3),
+                         np.array([v.pose.t for v in views]).reshape(-1, 3), Qd, centers,
+                         np.array([v.cam.K for v in views]).reshape(-1, 3, 3))
     annotations: dict = {}
     skipped: list = []
-    for v in views:
+    for v, *row in zip(views, *outlines):
         rows = []
-        for label, (center, axes, angle, exc) in zip(cloud.labels, projected):
-            if exc is not None:
+        for label, center, axes, angle, code, depth in zip(cloud.labels, *row):
+            if code:
+                exc = _outline_error(int(code), float(depth))
                 skipped.append((v.view_id, label, f"{type(exc).__name__}: {exc}"))
                 continue
             e = Ellipse(center, axes, angle)

@@ -116,8 +116,10 @@ class DetectorModel:
     def __post_init__(self):
         if self.kind not in DETECTOR_KINDS:
             raise ValueError(f"unknown detector kind {self.kind!r}")
-        if self.box_noise_half_range < 0:
-            raise ValueError("box noise half-range must be >= 0")
+        h = float(self.box_noise_half_range)
+        if not (math.isfinite(h) and h >= 0.0):
+            raise ValueError(f"box noise half-range must be finite and >= 0, got {h!r}")
+        object.__setattr__(self, "box_noise_half_range", h + 0.0)  # -0.0 is 0.0
 
 
 @dataclass(frozen=True)

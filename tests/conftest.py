@@ -12,13 +12,13 @@ from ellipose.geometry import (
     canonicalize,
     ellipse_to_conic,
     rotation_z,
+    _project_pairs,
 )
 from ellipose.pose import (
     _DP_TRANSLATION,
     _conic_jacobians,
     _pairs,
     _pose_directions,
-    _project_pairs,
     _ray_placements,
     _rotations,
     _row_norms,
@@ -175,12 +175,21 @@ def conic_residuals(e: Ellipse, M: np.ndarray, n=64) -> np.ndarray:
     return np.abs(np.einsum("ij,jk,ik->i", h, M, h))
 
 
+def max_axis(E: Ellipsoid) -> float:
+    return float(E.axes.max())
+
+
+def shape_matrix(E: Ellipsoid) -> np.ndarray:
+    """R diag(a^2, b^2, c^2) R^T; frame-free description of the shape."""
+    return E.rotation @ np.diag(E.axes**2) @ E.rotation.T
+
+
 def ellipsoids_equivalent(E1: Ellipsoid, E2: Ellipsoid, tol=1e-10) -> bool:
     """Same point set: compare centers and frame-free shape matrices."""
-    scale = max(E1.max_axis, E2.max_axis)
+    scale = max(max_axis(E1), max_axis(E2))
     return (
         np.linalg.norm(E1.center - E2.center) <= tol * max(1.0, scale)
-        and np.linalg.norm(E1.shape_matrix() - E2.shape_matrix())
+        and np.linalg.norm(shape_matrix(E1) - shape_matrix(E2))
         <= tol * max(1.0, scale**2)
     )
 
@@ -316,7 +325,7 @@ def reference_refine(R0, t0, pairs, *, max_iter=50, rotation_fixed=False):
     Qd, centers, M_det = pairs.Qd, pairs.center_w, pairs.M_det
 
     def project(R, t):
-        N, valid, terms = _project_pairs(R[None], t[None], Qd, centers)
+        N, _, valid, terms = _project_pairs(R[None], t[None], Qd, centers)
         return N[0], valid[0].all(), terms
 
     def pose_at(x):

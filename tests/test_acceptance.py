@@ -19,6 +19,7 @@ from conftest import (
     random_rotation,
     ransac_iterations,
     scene_from_cloud,
+    shape_matrix,
     stretched_cloud,
 )
 from ellipose.cli import main as cli_main
@@ -104,7 +105,7 @@ def test_criterion_1_geometry_round_trips():
         worst_q = max(
             worst_q,
             float(np.abs(back.center - E.center).max()),
-            float(np.linalg.norm(back.shape_matrix() - E.shape_matrix())),
+            float(np.linalg.norm(shape_matrix(back) - shape_matrix(E))),
         )
     assert worst_q < 1e-10
 

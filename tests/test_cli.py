@@ -335,6 +335,33 @@ class TestPoseCommand:
         assert len(pos_errs) == len(views)
         assert all(e < 0.5 for e in pos_errs)  # noisy baseline, coarse bound
 
+    @pytest.mark.parametrize("noise", ["inf", "nan", "1e400", "-0.0"])
+    def test_box_noise_must_be_finite(self, board, tmp_path, capsys, noise):
+        # a non-finite half-range exits 2 naming it, and -0.0 runs as 0.0
+        scene, views, dataset, dpath = board
+        cloud_path = tmp_path / "cloud.json"
+        dataio.save_cloud(cloud_of_scene(scene), cloud_path)
+
+        def run(value):
+            outputs = tmp_path / f"p_{value}.json", tmp_path / f"m_{value}.csv"
+            rc = main(
+                [
+                    "pose", "--dataset", str(dpath), "--cloud", str(cloud_path),
+                    "--out-poses", str(outputs[0]), "--out-metrics", str(outputs[1]),
+                    "--detections", "detector", "--detector-kind", "inscribed_of_noisy_box",
+                    "--box-noise", value, "--iou-threshold", "0.35",
+                    "--seed", "4", "--iterations", "4",
+                ]
+            )
+            return rc, [path.read_bytes() for path in outputs if path.exists()]
+
+        rc, outputs = run(noise)
+        if noise == "-0.0":
+            assert rc == 0 and run("0.0") == (0, outputs) and len(outputs) == 2
+        else:
+            assert rc == 2 and not outputs
+            assert "box noise half-range must be finite" in capsys.readouterr().err
+
     def test_full_mode(self, board, tmp_path):
         scene, views, dataset, dpath = board
         cloud_path = tmp_path / "cloud.json"
@@ -353,9 +380,11 @@ class TestPoseCommand:
             assert float(cells[3]) < 0.01  # rotation error, degrees
             assert float(cells[4]) < 1e-3  # position error, world units
 
-    def test_full_mode_independent_of_blas_threads(self, board, tmp_path):
+    @pytest.mark.parametrize("command", ["pose", "annotate"])
+    def test_full_mode_independent_of_blas_threads(self, board, tmp_path, command):
         # batched linear algebra must not make the output depend on how
-        # many threads the BLAS runs
+        # many threads the BLAS runs: the full-mode poses, and the
+        # annotations of one projection-kernel call over all views
         scene, views, dataset, dpath = board
         cloud_path = tmp_path / "cloud.json"
         dataio.save_cloud(cloud_of_scene(scene), cloud_path)
@@ -363,12 +392,15 @@ class TestPoseCommand:
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                        PYTHONPATH=str(Path(ellipose.__file__).parents[1]))
-            out = tmp_path / f"poses_{threads}.json"
+            out = tmp_path / f"{command}_{threads}.json"
+            args = {
+                "pose": ["--out-poses", str(out), "--out-metrics", str(tmp_path / f"m_{threads}.csv"),
+                         "--mode", "full", "--seed", "6", "--iterations", "4"],
+                "annotate": ["--out", str(out)],
+            }[command]
             subprocess.run(
-                [sys.executable, "-m", "ellipose", "pose", "--dataset", str(dpath),
-                 "--cloud", str(cloud_path), "--out-poses", str(out),
-                 "--out-metrics", str(tmp_path / f"m_{threads}.csv"),
-                 "--mode", "full", "--seed", "6", "--iterations", "4"],
+                [sys.executable, "-m", "ellipose", command, "--dataset", str(dpath),
+                 "--cloud", str(cloud_path), *args],
                 env=env, check=True, timeout=300,
             )
             outputs.append(out.read_bytes())

@@ -12,9 +12,11 @@ from conftest import (
     ellipse_contains,
     ellipses_close,
     ellipsoids_equivalent,
+    max_axis,
     random_ellipse,
     random_ellipsoid,
     random_rotation,
+    rot2d,
 )
 from ellipose.errors import BehindCamera, NotAnEllipse, NotAnEllipsoid, SingularTransform
 from ellipose.geometry import (
@@ -39,8 +41,9 @@ from ellipose.geometry import (
     transform_conic,
     transform_ellipse,
     wrap_angle_half_pi,
-    _dual_matrices,
-    _project_dual_quadrics,
+    _outline_error,
+    _outlines,
+    _quadric_duals,
 )
 from ellipose.simulator import default_camera, look_at
 
@@ -245,31 +248,59 @@ def _reference_outline(E, pose, cam):
     return center, np.sqrt(-k / lam), math.atan2(V[1, 0], V[0, 0])
 
 
+def _stacked_duals(ellipsoids):
+    """(dual quadrics, centers) of the ellipsoids, as the kernel takes them."""
+    centers = np.array([E.center for E in ellipsoids])
+    axes = np.array([E.axes for E in ellipsoids])
+    return _quadric_duals(centers, axes, np.array([E.rotation for E in ellipsoids])), centers
+
+
+def _dual_conic_reference(center, axes, angle):
+    """The closed form [[S - c c^T, -c], [-c^T, -1]], S = R diag(a^2, b^2) R^T."""
+    R = rot2d(angle)
+    D = np.empty((3, 3))
+    D[:2, :2] = R @ np.diag(np.square(axes)) @ R.T - np.outer(center, center)
+    D[:2, 2] = D[2, :2] = -np.asarray(center)
+    D[2, 2] = -1.0
+    return D
+
+
 class TestProjectionKernel:
-    def test_batch_matches_reference(self, rng):
-        cam = default_camera()
+    @staticmethod
+    def _cases(rng, kinds):
+        """(ellipsoid, pose) pairs: in front, center behind the camera, the
+        principal plane cutting the ellipsoid in front of or beside the
+        camera."""
         cases = []
-        for kind in ["front", "behind", "inside", "straddle"] * 30:
+        for kind in kinds:
             E = random_ellipsoid(rng)
             if kind == "front":
-                d = rng.uniform(2.0, 8.0) * E.max_axis
+                d = rng.uniform(2.0, 8.0) * max_axis(E)
             elif kind == "behind":
                 d = -rng.uniform(0.1, 5.0)
             else:  # center in front, but the principal plane cuts the ellipsoid
                 d = rng.uniform(0.05, 0.5) * E.axes.min()
             # camera-frame center: near the optical axis, or beside the camera
             # so that the camera center lies outside the ellipsoid
-            side = rng.uniform(1.5, 3.0) * E.max_axis if kind == "straddle" else 0.0
+            side = rng.uniform(1.5, 3.0) * max_axis(E) if kind == "straddle" else 0.0
             x_cam = np.array([side, 0.0, 0.0]) + np.array([*rng.uniform(-0.3, 0.3, 2) * abs(d), d])
             R = random_rotation(rng)
             cases.append((E, Pose(R, x_cam - R @ E.center)))
-        Q = _dual_matrices(
-            np.array([E.center for E, _ in cases]), np.array([E.shape_matrix() for E, _ in cases])
-        )
-        Rt = np.array([pose.matrix for _, pose in cases])
-        centers, axes, angles, errors = _project_dual_quadrics(Q, Rt, np.array([cam.K] * len(cases)))
+        return cases
+
+    def test_batch_matches_reference(self, rng):
+        cam = default_camera()
+        cases = self._cases(rng, ["front", "behind", "inside", "straddle"] * 30)
+        Qd, w_centers = _stacked_duals([E for E, _ in cases])
+        Rs = np.array([pose.R for _, pose in cases])
+        ts = np.array([pose.t for _, pose in cases])
+        # every pose sees every ellipsoid; case i is cell (i, i)
+        grid = _outlines(Rs, ts, Qd, w_centers, np.array([cam.K] * len(cases)))
+        diagonal = np.arange(len(cases))
+        centers, axes, angles, codes, depths = (a[diagonal, diagonal] for a in grid)
         kinds = set()
-        for (E, pose), c, ax, ang, exc in zip(cases, centers, axes, angles, errors):
+        for (E, pose), c, ax, ang, code, z in zip(cases, centers, axes, angles, codes, depths):
+            exc = _outline_error(int(code), float(z)) if code else None
             want = _reference_outline(E, pose, cam)
             if not isinstance(want, tuple):
                 kinds.add(want)
@@ -294,6 +325,33 @@ class TestProjectionKernel:
         assert kinds == {
             None, BehindCamera, "conic is a hyperbola", "conic has no real bounded point set"
         }
+
+    def test_grid_cell_equals_its_own_call(self, rng):
+        # consensus, annotations and project_ellipsoid run the same kernel on
+        # grids of different shapes: a cell must not depend on its neighbours
+        cases = self._cases(rng, ["front", "behind", "inside", "straddle", "front", "front"] * 2)
+        Qd, w_centers = _stacked_duals([E for E, _ in cases])
+        Rs = np.array([pose.R for _, pose in cases[:7]])
+        ts = np.array([pose.t for _, pose in cases[:7]])
+        K = np.array([default_camera().K * [[f], [f], [1.0]] for f in rng.uniform(0.5, 2.0, 7)])
+        grid = _outlines(Rs, ts, Qd, w_centers, K)
+        assert grid[3].shape == (7, 12) and {0, 1}.issubset(grid[3].ravel().tolist())
+        for i, j in np.ndindex(7, 12):
+            cell = _outlines(Rs[i:i + 1], ts[i:i + 1], Qd[j:j + 1], w_centers[j:j + 1], K[i:i + 1])
+            for got, alone in zip(grid, cell):
+                assert got[i, j].tobytes() == alone[0, 0].tobytes()
+
+    def test_plane_duals_match_closed_form(self, rng):
+        # _quadric_duals in the plane gives the dual conics reconstruction uses
+        n = 200
+        centers = rng.uniform(-50.0, 700.0, size=(n, 2))
+        axes = rng.uniform(0.5, 300.0, size=(n, 2))
+        angles = rng.uniform(-math.pi, math.pi, size=n)
+        got = _quadric_duals(centers, axes, np.array([rot2d(a) for a in angles]))
+        assert got.shape == (n, 3, 3)
+        for D, c, ax, a in zip(got, centers, axes, angles):
+            want = _dual_conic_reference(c, ax, a)
+            assert np.abs(D - want).max() <= 1e-15 * np.abs(want).max()
 
 
 class TestBoxes:
@@ -439,3 +497,33 @@ class TestValidation:
         Pose(R, (0, 0, 0))  # fine
         with pytest.raises(ValueError):
             Pose(R * 1.1, (0, 0, 0))
+
+    def test_symmetry_check_is_allclose(self, rng):
+        # the written-out test accepts exactly what np.allclose accepts
+        verdicts = set()
+        for scale in (1e-3, 1.0, 1e6):
+            for _ in range(200):
+                M = rng.normal(size=(3, 3)) * scale
+                M = M + M.T
+                M[0, 1] += rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-10, -3) * max(1.0, scale)
+                want = np.allclose(M, M.T, atol=1e-8 * max(1.0, float(np.abs(M).max())))
+                try:
+                    Conic(M)
+                    got = True
+                except ValueError:
+                    got = False
+                assert got == want
+                verdicts.add(got)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_conic_rejected(self, bad):
+        M = np.eye(3)
+        M[0, 1] = bad
+        with pytest.raises(ValueError):
+            Conic(M)
+        M[1, 0] = bad
+        with pytest.raises(ValueError):
+            DualQuadric(np.pad(M, ((0, 1), (0, 1))))
+        with pytest.raises(ValueError):
+            Conic(np.full((3, 3), bad))

@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     axis_angle_to_matrix,
     grid_ellipse_iou,
+    max_axis,
     placed_and_refined,
     projected_conic,
     random_ellipse,
@@ -35,6 +36,7 @@ from ellipose.geometry import (
     normalize_symmetric,
     project_ellipsoid,
     rotation_z,
+    _project_pairs,
 )
 from ellipose.metrics import pose_errors, rotation_distance
 from ellipose.pose import (
@@ -58,7 +60,6 @@ from ellipose.pose import (  # white-box kernels
     _levenberg_marquardt,
     _pairs,
     _pose_directions,
-    _project_pairs,
     _ray_placements,
     _rotations,
 )
@@ -180,7 +181,7 @@ class TestPairsTable:
                 "center_w": c.ellipsoid.center,
                 "axes": c.ellipsoid.axes,
                 "rot_w": c.ellipsoid.rotation,
-                "max_axis": c.ellipsoid.max_axis,
+                "max_axis": max_axis(c.ellipsoid),
                 "det_center": c.ellipse.center,
                 "det_axes": c.ellipse.axes,
                 "det_angle": c.ellipse.angle,
@@ -260,7 +261,7 @@ class TestConicKernels:
                 return _project_pairs(*pose_at(X), *stacks)[0].reshape(len(X), len(pairs.Qd), 9)
 
             R, t = pose_at(X)
-            _, valid, terms = _project_pairs(R, t, *stacks)
+            _, _, valid, terms = _project_pairs(R, t, *stacks)
             J = _conic_jacobians(terms, _pose_directions(X[:, :3], R))
             assert J.shape == (8, 27, 6)
             assert not valid[6].any() and not valid[7, 0] and valid[:6].all()
@@ -276,7 +277,7 @@ class TestConicKernels:
             def fun(t):
                 return _project_pairs(R, t, *stacks)[0].reshape(len(t), len(pairs.Qd), 9)
 
-            _, valid, terms = _project_pairs(R, t, *stacks)
+            _, _, valid, terms = _project_pairs(R, t, *stacks)
             J = _conic_jacobians(terms, np.broadcast_to(_DP_TRANSLATION, (len(t), 3, 3, 4)))
             assert J.shape == (8, 27, 3)
             assert not valid[6].any() and not valid[7, 0] and valid[:6].all()
@@ -291,7 +292,7 @@ class TestConicKernels:
         ts = rng.normal(scale=2.0, size=(300, 3))
         Rs[:100] = pose.R  # near the true pose: mostly valid
         ts[:100] = pose.t + rng.normal(scale=0.05, size=(100, 3))
-        N, valid, _ = _project_pairs(Rs, ts, pairs.Qd, pairs.center_w)
+        N, _, valid, _ = _project_pairs(Rs, ts, pairs.Qd, pairs.center_w)
         depth = Rs[:, 2] @ pairs.center_w[0] + ts[:, 2]
         assert (depth <= 0.0).sum() > 50 and valid.sum() > 100
         for R, t, Ni, ok in zip(Rs, ts, N[:, 0], valid[:, 0]):
