@@ -87,7 +87,6 @@ from .simulator import (
     default_camera,
     look_at,
     min_enclosing_ellipse,
-    perturb_box,
     perturb_orientation,
     render_detections,
     run_detector,

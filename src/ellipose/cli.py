@@ -174,8 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-poses", required=True)
     p.add_argument("--out-metrics", required=True)
     p.add_argument("--mode", choices=["orientation-known", "full"], default="orientation-known")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--iterations", type=int, default=8)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of --detections detector and of --mode full's RANSAC draws")
+    p.add_argument("--iterations", type=int, default=8, help="RANSAC draws, --mode full only")
     p.add_argument("--iou-threshold", type=float, default=0.75)
     p.add_argument("--orientation-file", default=None)
     p.add_argument(

@@ -278,7 +278,6 @@ SCENARIO_PARAMS = {
     "noise_sweep": {
         **_BOARD_PARAMS,
         "half_ranges": ScenarioParam(list, (0.0, 5.0, 10.0, 15.0, 20.0), 0.0),
-        "iterations": ScenarioParam(int, 8, 1),
         **_NOISE_PARAM,
     },
 }

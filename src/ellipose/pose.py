@@ -4,10 +4,10 @@ Solvers: closed-form camera placement from one pair under a known
 orientation (the ellipsoid center on the detection's back-projection ray at
 the area-equating depth), full two-pair pose (icosahedral rotation grid
 scored by that closed-form placement, then joint 6-dof refinement), local
-pose refinement over any number of pairs, and a seeded RANSAC over
-label-based association hypotheses that solves each distinct minimal set
-once.  With the orientation known, the only damped least-squares solve is
-the final polish of the best hypothesis on its inliers.
+pose refinement over any number of pairs, and RANSAC over label-based
+association hypotheses: each distinct seeded minimal set solved once in full
+mode, every correspondence placed once when the orientation is known, where
+the only damped least-squares solve is the final polish on the inliers.
 
 Each solver call converts its correspondences once, into one table of
 stacked arrays (:func:`_pairs`): RANSAC builds it for its placements and
@@ -102,7 +102,8 @@ class PoseEstimate:
 
 @dataclass(frozen=True, eq=False)
 class RansacOptions:
-    """mode 'orientation_known' requires ``rotation`` (world->camera R)."""
+    """mode 'orientation_known' requires ``rotation`` (world->camera R);
+    ``iterations`` and ``seed`` apply to mode 'full' only."""
 
     mode: str = "orientation_known"
     iterations: int = 20
@@ -599,18 +600,16 @@ def _associations_with_indices(detections, cloud: EllipsoidCloud):
 
 
 def ransac_pose(detections, cloud: EllipsoidCloud, cam: CameraModel, opts: RansacOptions) -> PoseEstimate:
-    """Seeded RANSAC over association hypotheses.
+    """RANSAC over association hypotheses.
 
-    With the orientation known, a hypothesis is the closed-form placement
-    of :func:`_ray_placements` on one correspondence (a draw whose
-    placement is invalid yields none); in full mode, the pose or the two
-    ambiguous candidates of :func:`pose_from_two_pairs` on two.  Minimal
-    sets never reuse a detection or an object, and a minimal set drawn
-    again is solved only the first time; hypotheses are scored
-    by the ellipse IoU between detections and reprojections, the best
-    hypothesis by (inlier count, mean inlier IoU, draw order) is polished
+    With the orientation known, every row of the correspondence table is
+    placed once, in order, by :func:`_ray_placements`; in full mode, each
+    distinct seeded draw of two correspondences that share no detection and
+    no object is solved by :func:`pose_from_two_pairs`.  Hypotheses are
+    scored by the ellipse IoU between detections and reprojections, the
+    best by (inlier count, mean inlier IoU, hypothesis order) is polished
     with :func:`refine_pose` on its inliers, and consensus is re-evaluated
-    on the refined pose.  Deterministic for fixed inputs and seed.
+    on the refined pose.  ``seed`` and ``iterations`` act on full mode only.
     """
     assoc = _associations_with_indices(detections, cloud)
     corrs = [c for c, _, _ in assoc]
@@ -618,37 +617,15 @@ def ransac_pose(detections, cloud: EllipsoidCloud, cam: CameraModel, opts: Ransa
     if len(corrs) < min_set:
         raise NoValidPose(f"{len(corrs)} correspondences, need {min_set}")
     pairs = _pairs(corrs, cam.K)
-    rng = np.random.default_rng(np.random.SeedSequence(int(opts.seed)))
-    best = None  # (count, score, -draw_idx, pose, inliers)
-    drawn = set()
-
-    for draw_idx in range(opts.iterations):
-        # Every iteration draws, so the RNG stream is that of solving every
-        # draw.  Skipping a repeat leaves the result unchanged: the solvers
-        # are deterministic, so it yields the same hypotheses (or raises, or
-        # falls short of min_set, again), and each hypothesis's key has the
-        # same count and score as at the first occurrence with a smaller
-        # -draw_idx, so it is strictly below that first key, which best
-        # already holds or has beaten, and can never replace best.
-        sample = _draw_minimal_set(rng, assoc, min_set)
-        if sample is None or sample in drawn:
-            continue
-        drawn.add(sample)
-        if opts.mode == "orientation_known":
-            ts, ok = _ray_placements(opts.rotation[None], pairs, sample[0])
-            hypotheses = [Pose(opts.rotation, ts[0])] if ok[0] else []
-        else:
-            try:
-                hypotheses = [pose_from_two_pairs(corrs[sample[0]], corrs[sample[1]], cam)]
-            except AmbiguousSolution as exc:
-                hypotheses = list(exc.candidates)
-            except ElliposeError:
-                continue
-        for pose in hypotheses:
+    hypotheses = (_placements(opts.rotation, pairs) if opts.mode == "orientation_known"
+                  else _two_pair_poses(assoc, cam, opts))
+    best = None  # (count, score, -index), pose, inliers
+    for index, poses in enumerate(hypotheses):
+        for pose in poses:
             inliers, score = _consensus(pose, pairs, cam.K, opts.inlier_iou_threshold)
             if len(inliers) < min_set:
                 continue
-            key = (len(inliers), score, -draw_idx)
+            key = (len(inliers), score, -index)
             if best is None or key > best[0]:
                 best = (key, pose, inliers)
     if best is None:
@@ -680,10 +657,37 @@ def ransac_pose(detections, cloud: EllipsoidCloud, cam: CameraModel, opts: Ransa
     return PoseEstimate(pose, inliers, score)
 
 
-def _draw_minimal_set(rng, assoc, min_set):
+def _placements(R, pairs: _Pairs):
+    """Orientation-known hypotheses: each row's ray placement at R, in order."""
+    for i in range(len(pairs.Qd)):
+        ts, ok = _ray_placements(R[None], pairs, i)
+        yield [Pose(R, ts[0])] if ok[0] else []
+
+
+def _two_pair_poses(assoc, cam, opts: RansacOptions):
+    """Full-mode hypotheses: per distinct seeded draw, in draw order, the
+    poses of :func:`pose_from_two_pairs`, where it does not fail.  A repeated
+    draw is not solved again: the solver is deterministic, so its poses
+    would score as at the first draw with a later index, strictly below a
+    key the best already holds or has beaten."""
+    rng = np.random.default_rng(np.random.SeedSequence(int(opts.seed)))
+    drawn = set()
+    for _ in range(opts.iterations):
+        sample = _draw_minimal_set(rng, assoc)
+        if sample is None or sample in drawn:
+            continue
+        drawn.add(sample)
+        try:
+            poses = [pose_from_two_pairs(assoc[sample[0]][0], assoc[sample[1]][0], cam)]
+        except AmbiguousSolution as exc:
+            poses = list(exc.candidates)
+        except ElliposeError:
+            continue
+        yield poses
+
+
+def _draw_minimal_set(rng, assoc):
     n = len(assoc)
-    if min_set == 1:
-        return (int(rng.integers(n)),)
     for _ in range(50):
         i, j = int(rng.integers(n)), int(rng.integers(n))
         if i != j and assoc[i][1] != assoc[j][1] and assoc[i][2] != assoc[j][2]:

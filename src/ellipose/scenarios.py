@@ -86,7 +86,8 @@ def localize_views(
 
     ``detections_of(view)`` gives the view's (label, Ellipse) detections;
     ``orientations`` maps view ids to the world->camera rotations that
-    orientation-known mode starts from (the ground truth when None).
+    orientation-known mode starts from (the ground truth when None);
+    ``iterations`` and ``seed`` set the draws of full mode only.
     Without ``eval_points`` the reprojection and ADD errors are NaN.
 
     Returns (estimates, results, failures): view_id -> PoseEstimate, the
@@ -134,7 +135,6 @@ def noise_sweep(
     detectors=("inscribed_of_noisy_box", "oracle_with_box_noise"),
     orientation_noise: OrientationNoise = OrientationNoise(2.0 * DEG),
     seed: int = 0,
-    iterations: int = 8,
     detection_scene: SceneSpec | None = None,
 ):
     """Median pose errors versus box-noise level, per detector model.
@@ -169,7 +169,6 @@ def noise_sweep(
                     cloud,
                     orientations=orients,
                     eval_points=eval_points,
-                    iterations=iterations,
                     inlier_iou_threshold=0.35,
                     seed=seed,
                 )
@@ -322,7 +321,6 @@ def _run_noise_sweep(params, out_dir: Path, seed: int) -> list:
         views,
         params["half_ranges"],
         seed=seed,
-        iterations=params["iterations"],
         orientation_noise=OrientationNoise(params["orientation_noise_deg"] * DEG),
     )
     p1 = out_dir / "dataset.json"

@@ -193,12 +193,10 @@ def render_detections(scene: SceneSpec, view: CalibratedView) -> list:
     ]
 
 
-def perturb_box(b: Box, half_range: float, rng) -> Box:
+def _perturb_box(b: Box, half_range: float, rng) -> Box:
     """Shift each of the four corner coordinates by an independent uniform
-    draw in [-half_range, half_range]; reordered to keep min < max, redrawn
-    (up to 10 times) when the result has zero area."""
-    if half_range < 0:
-        raise ValueError("half_range must be >= 0")
+    draw in [-half_range, half_range], checked by DetectorModel; reordered
+    to keep min < max, redrawn (up to 10 times) when it has zero area."""
     for _ in range(10):
         d = rng.uniform(-half_range, half_range, size=4)
         x0, y0 = b.min[0] + d[0], b.min[1] + d[1]
@@ -238,7 +236,7 @@ def run_detector(model: DetectorModel, scene: SceneSpec, view: CalibratedView):
         return gt
     out = []
     for label, ellipse, box in gt:
-        noisy = perturb_box(box, model.box_noise_half_range, rng)
+        noisy = _perturb_box(box, model.box_noise_half_range, rng)
         if model.kind == "inscribed_of_noisy_box":
             out.append((label, inscribed_ellipse(noisy), noisy))
         else:  # oracle_with_box_noise: ellipse unaffected by the crop shift

@@ -118,16 +118,6 @@ def conic_distance(C1, C2) -> float:
     return min(d, float(np.linalg.norm(C1.M + C2.M)))
 
 
-def ransac_iterations(inlier_fraction: float, minimal_set: int, confidence: float = 0.99) -> int:
-    """Draws needed to hit an all-inlier sample at the given confidence."""
-    if not 0.0 < inlier_fraction <= 1.0:
-        raise ValueError("inlier fraction must be in (0, 1]")
-    if inlier_fraction >= 1.0:
-        return 1
-    w = inlier_fraction**minimal_set
-    return max(1, math.ceil(math.log(1.0 - confidence) / math.log(1.0 - w)))
-
-
 def boundary_points(e: Ellipse, n: int = 64) -> np.ndarray:
     """(n, 2) points of the parametric boundary."""
     t = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)

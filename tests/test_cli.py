@@ -438,7 +438,7 @@ class TestSimulateCommand:
         spath = self._scenario(
             tmp_path,
             "noise_sweep",
-            {"n_azimuth": 4, "n_elevation": 1, "half_ranges": [0.0], "iterations": 4},
+            {"n_azimuth": 4, "n_elevation": 1, "half_ranges": [0.0]},
         )
         out = tmp_path / "out"
         assert main(["simulate", "--scenario", str(spath), "--out-dir", str(out)]) == 0
@@ -484,11 +484,13 @@ class TestSimulateCommand:
             ("fig3_demo", {"n_build": 2}, "params", "n_build"),
             ("fig3_demo", {"n_held": 0}, "params", "n_held"),
             ("fig3_demo", {"n_held": 1, "n_views": 3}, "params", "n_views"),
+            ("noise_sweep", {"iterations": 4}, "params", "iterations"),
             ("nope", {}, "<root>", "name"),
         ],
         ids=[
             "radius_null", "n_azimuth_null", "n_elevation_list", "half_ranges_number",
-            "n_azimuth_string", "n_build_2", "n_held_0", "unknown_param", "unknown_scenario",
+            "n_azimuth_string", "n_build_2", "n_held_0", "unknown_param",
+            "noise_sweep_iterations", "unknown_scenario",
         ],
     )
     def test_bad_param_named(self, tmp_path, capsys, name, params, record, field):
@@ -503,7 +505,7 @@ class TestSimulateCommand:
         spath = self._scenario(
             tmp_path,
             "noise_sweep",
-            {"n_azimuth": 3, "n_elevation": 1, "half_ranges": [0.0, 10.0], "iterations": 4},
+            {"n_azimuth": 3, "n_elevation": 1, "half_ranges": [0.0, 10.0]},
             seed=11,
         )
         out1, out2 = tmp_path / "o1", tmp_path / "o2"

@@ -13,7 +13,6 @@ from conftest import (
     random_ellipse,
     random_ellipsoid,
     random_rotation,
-    ransac_iterations,
     reference_lm,
     reference_refine,
     rot2d,
@@ -689,11 +688,9 @@ class TestRansac:
         assert a.inliers == b.inliers and a.score == b.score
 
     def test_consensus_with_half_outliers(self, rng):
-        # >= 50% inliers: coverage bound at 99% says 7 single-pair draws
+        # every row is placed, so the 3 true correspondences are hypotheses
         cam = default_camera()
         n_trials, hits = 20, 0
-        iters = ransac_iterations(0.5, 1, 0.99)
-        assert iters == 7
         for trial in range(n_trials):
             cloud = board_scene(rng)
             pose = camera_near(rng, (0, 0, 0), dist=1.8)
@@ -704,9 +701,7 @@ class TestRansac:
                     l = cloud.entries[(i + 1) % 6][0]
                 dets.append((l, e))
             est = ransac_pose(
-                dets, cloud, cam,
-                RansacOptions(mode="orientation_known", rotation=pose.R,
-                              iterations=2 * iters, seed=trial),
+                dets, cloud, cam, RansacOptions(mode="orientation_known", rotation=pose.R)
             )
             _, pos = pose_errors(est.pose, pose)
             hits += pos < 1e-3
@@ -714,19 +709,22 @@ class TestRansac:
 
 
 def reference_ransac(detections, cloud, cam, opts):
-    """RANSAC that solves and scores every draw, repeats included, then
-    polishes the best hypothesis as :func:`ransac_pose` does.  Returns the
-    estimate and the list of draws."""
+    """RANSAC that, with the orientation known, places and scores every row
+    in row order and, in full mode, solves and scores every draw, repeats
+    included; then it polishes the best hypothesis as :func:`ransac_pose`
+    does.  Returns the estimate and the list of minimal sets."""
     assoc = _associations_with_indices(detections, cloud)
     corrs = [c for c, _, _ in assoc]
     min_set = 1 if opts.mode == "orientation_known" else 2
     pairs = _pairs(corrs, cam.K)
     threshold = opts.inlier_iou_threshold
-    rng = np.random.default_rng(np.random.SeedSequence(int(opts.seed)))
-    best, draws = None, []
-    for draw_idx in range(opts.iterations):
-        sample = _draw_minimal_set(rng, assoc, min_set)
-        draws.append(sample)
+    if min_set == 1:
+        draws = [(i,) for i in range(len(corrs))]
+    else:
+        rng = np.random.default_rng(np.random.SeedSequence(int(opts.seed)))
+        draws = [_draw_minimal_set(rng, assoc) for _ in range(opts.iterations)]
+    best = None
+    for draw_idx, sample in enumerate(draws):
         if sample is None:
             continue
         try:
@@ -778,15 +776,30 @@ def ransac_problem(rng, mode, seed):
     return dets, cloud, cam, opts
 
 
-@pytest.mark.parametrize("mode, seed", [("orientation_known", 2), ("full", 5)])
-def test_ransac_equals_solving_every_draw(rng, mode, seed):
-    dets, cloud, cam, opts = ransac_problem(rng, mode, seed)
-    want, draws = reference_ransac(dets, cloud, cam, opts)
-    assert len(set(draws)) < len(draws)  # the draws repeat
-    got = ransac_pose(dets, cloud, cam, opts)
+def assert_same_estimate(got, want):
     assert got.pose.R.tobytes() == want.pose.R.tobytes()
     assert got.pose.t.tobytes() == want.pose.t.tobytes()
     assert got.inliers == want.inliers and got.score == want.score
+
+
+@pytest.mark.parametrize("mode, seed", [("orientation_known", 2), ("full", 5)])
+def test_ransac_equals_solving_every_draw(rng, mode, seed):
+    # with the orientation known, the reference's draws are the rows in order
+    dets, cloud, cam, opts = ransac_problem(rng, mode, seed)
+    want, draws = reference_ransac(dets, cloud, cam, opts)
+    if mode == "full":
+        assert len(set(draws)) < len(draws)  # the draws repeat
+    assert_same_estimate(ransac_pose(dets, cloud, cam, opts), want)
+
+
+def test_known_mode_ignores_seed_and_iterations(rng):
+    dets, cloud, cam, opts = ransac_problem(rng, "orientation_known", seed=2)
+    want = ransac_pose(dets, cloud, cam, opts)
+    for seed, iterations in ((0, 1), (7, 3), (2, 40)):
+        other = RansacOptions(mode=opts.mode, iterations=iterations, seed=seed,
+                              inlier_iou_threshold=opts.inlier_iou_threshold,
+                              rotation=opts.rotation)
+        assert_same_estimate(ransac_pose(dets, cloud, cam, other), want)
 
 
 @pytest.mark.parametrize(
@@ -794,12 +807,8 @@ def test_ransac_equals_solving_every_draw(rng, mode, seed):
 )
 def test_ransac_solves_each_distinct_draw_once(rng, monkeypatch, mode, solver):
     dets, cloud, cam, opts = ransac_problem(rng, mode, seed=3)
-    min_set = 1 if mode == "orientation_known" else 2
-    draw_rng = np.random.default_rng(np.random.SeedSequence(opts.seed))
-    assoc = _associations_with_indices(dets, cloud)
-    draws = [_draw_minimal_set(draw_rng, assoc, min_set) for _ in range(opts.iterations)]
+    _, draws = reference_ransac(dets, cloud, cam, opts)
     distinct = set(draws) - {None}
-    assert len(distinct) < opts.iterations
     calls = []
     wrapped = getattr(pose_module, solver)
 
@@ -810,6 +819,10 @@ def test_ransac_solves_each_distinct_draw_once(rng, monkeypatch, mode, solver):
     monkeypatch.setattr(pose_module, solver, counting)
     ransac_pose(dets, cloud, cam, opts)
     assert len(calls) == len(distinct)
+    if mode == "full":
+        assert len(distinct) < opts.iterations
+    else:  # once per row, in row order
+        assert [i for _, _, i in calls] == list(range(len(dets)))
 
 
 @pytest.mark.parametrize("seed", [1, 8])
@@ -852,11 +865,6 @@ def test_one_label_full_mode_contract(monkeypatch, seed):
         rot, pos = pose_errors(est.pose, truth)
         assert rot < 1e-8 and pos < 1e-8
         assert est.inliers == (0, 5, 10, 15)
-
-
-def test_ransac_iterations_bound():
-    assert ransac_iterations(1.0, 2) == 1
-    assert ransac_iterations(0.5, 2, 0.99) == math.ceil(math.log(0.01) / math.log(0.75))
 
 
 def test_ransac_options_validates_rotation_and_iterations():

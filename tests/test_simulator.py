@@ -26,7 +26,6 @@ from ellipose.simulator import (
     l_shaped_prism,
     look_at,
     min_enclosing_ellipse,
-    perturb_box,
     perturb_orientation,
     render_detections,
     run_detector,
@@ -35,6 +34,7 @@ from ellipose.simulator import (
     tless_like_board,
     view_rng,
 )
+from ellipose.simulator import _perturb_box  # white-box: DetectorModel checks its half-range
 
 
 class TestRig:
@@ -176,7 +176,7 @@ class TestRenderMatchesPerObjectProjection:
 class TestPerturbations:
     def test_box_identity_at_zero(self):
         b = Box((0, 0), (10, 20))
-        out = perturb_box(b, 0.0, np.random.default_rng(0))
+        out = _perturb_box(b, 0.0, np.random.default_rng(0))
         assert np.allclose(out.min, b.min) and np.allclose(out.max, b.max)
 
     def test_box_center_displacement_linear(self):
@@ -186,21 +186,21 @@ class TestPerturbations:
             rng = np.random.default_rng(42)
             d = []
             for _ in range(10000):
-                nb = perturb_box(b, h, rng)
+                nb = _perturb_box(b, h, rng)
                 d.append(np.linalg.norm(nb.center - b.center))
             means.append(np.mean(d))
         assert means[1] / means[0] == pytest.approx(2.0, rel=0.05)
 
     def test_box_reproducible(self):
         b = Box((0, 0), (10, 20))
-        a = perturb_box(b, 5.0, np.random.default_rng(7))
-        c = perturb_box(b, 5.0, np.random.default_rng(7))
+        a = _perturb_box(b, 5.0, np.random.default_rng(7))
+        c = _perturb_box(b, 5.0, np.random.default_rng(7))
         assert np.array_equal(a.min, c.min) and np.array_equal(a.max, c.max)
 
     def test_box_degenerate_raises(self):
         b = Box((0, 0), (1e-12, 1e-12))
         with pytest.raises(DegenerateBox):
-            perturb_box(b, 0.0, np.random.default_rng(0))
+            _perturb_box(b, 0.0, np.random.default_rng(0))
 
     def test_orientation_zero_noise(self, rng):
         R = np.eye(3)
