@@ -257,6 +257,12 @@ class FrameTransform:
         return FrameTransform(np.linalg.inv(self.H))
 
 
+def _check_int(name: str, value, least: int) -> None:
+    """An int option (bool excluded) must be at least ``least``."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
+        raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+
+
 def _check_rotation(R: np.ndarray) -> None:
     if np.linalg.norm(R.T @ R - np.eye(3)) > 1e-8:
         raise ValueError("matrix is not orthonormal")
@@ -390,7 +396,8 @@ _ADJ = np.array([[3, 2, 1, 0, 1, 0], [5, 4, 4, 5, 2, 3], [4, 1, 2, 2, 0, 1], [4,
 def _project_pairs(Rs, ts, Qd, centers):
     """The conic-projection kernel, the one place that forms C* = P Q* P^T:
     k dual quadrics Qd (k,4,4) centered at ``centers`` (k,3), seen from n
-    poses P = [R | t] (Rs (n,3,3), ts (n,3)).
+    poses P = [R | t] (Rs (n,3,3), ts (n,3)); or, per pose, its own k
+    quadrics (Qd (n,k,4,4), centers (n,k,3)).
 
     Returns (N, depth, valid, terms): the unit point conics N (n,k,3,3) in
     normalized image coordinates, NaN where invalid; the depths (n,k) of the
@@ -401,10 +408,10 @@ def _project_pairs(Rs, ts, Qd, centers):
     scaled to unit Frobenius norm with the first entry of significant size
     positive (the convention of :func:`normalize_symmetric`).
     """
-    n, k = len(Rs), len(Qd)
+    n, k = len(Rs), Qd.shape[-3]
     P = np.concatenate([Rs, ts[:, :, None]], axis=2)[:, None]
     QPt = Qd @ P.transpose(0, 1, 3, 2)  # (n,k,4,3)
-    depth = (Rs[:, None, None, 2] @ centers[:, :, None])[..., 0, 0] + ts[:, 2:]
+    depth = (Rs[:, None, None, 2] @ centers[..., None])[..., 0, 0] + ts[:, 2:]
     C = (P @ QPt).reshape(-1, 9)
     x = C[:, _UPPER]  # (a, b, c, d, e, f)
     t = x[:, _ADJ]

@@ -10,9 +10,9 @@ mode, every correspondence placed once when the orientation is known, where
 the only damped least-squares solve is the final polish on the inliers.
 
 Each solver call converts its correspondences once, into one table of
-stacked arrays (:func:`_pairs`): RANSAC builds it for its placements and
-consensus, and the two-pair solver and the refinement each build their own;
-a row depends on its correspondence alone, so the tables agree bit for bit.
+stacked arrays (:func:`_pairs`): RANSAC builds it for its placements, its
+two-pair solves and consensus, and its polish builds one of the inliers; a
+row depends on its correspondence alone, so the tables agree bit for bit.
 Every projection goes through the one conic-projection kernel of
 ``geometry`` over a stack of poses times pairs.  All residuals are
 Frobenius differences of its unit-normalized point conics; their exact
@@ -20,7 +20,8 @@ Jacobian in (axis-angle increment, translation) is taken from the very
 conic that gave the accepted residual.  One Levenberg-Marquardt advances n
 candidates in lockstep, each with its own damping, acceptance and stop,
 scoring all trials of a round in one kernel call: the two-pair solver
-refines its candidates together, and the polish is the one-candidate case.
+refines the candidates of all of a view's draws together, one LM per
+stage, and the polish is the one-candidate case.
 Consensus is one kernel call for the pose times every row, mapped to pixel
 outlines, and one batched ellipse IoU.
 
@@ -60,6 +61,7 @@ from .geometry import (
     _ADJ,
     _FULL,
     _UPPER,
+    _check_int,
     _check_rotation,
     _ellipse_conics,
     _freeze,
@@ -115,9 +117,8 @@ class RansacOptions:
     def __post_init__(self):
         if self.mode not in ("orientation_known", "full"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        it = self.iterations
-        if not isinstance(it, (int, np.integer)) or isinstance(it, bool) or it < 1:
-            raise ValueError(f"iterations must be an int >= 1, got {it!r}")
+        _check_int("iterations", self.iterations, 1)
+        _check_int("seed", self.seed, 0)
         if not 0.0 < self.inlier_iou_threshold < 1.0:
             raise ValueError("inlier threshold must be in (0, 1)")
         if self.mode == "orientation_known":
@@ -468,82 +469,117 @@ def _rotation_starts() -> np.ndarray:
 def pose_from_two_pairs(
     c1: Correspondence, c2: Correspondence, cam: CameraModel
 ) -> Pose:
-    """Full 6-dof pose from two correspondences.
+    """Full 6-dof pose from two correspondences: the one-draw case of
+    :func:`_two_pair_solutions`, whose error it raises."""
+    (solution,) = _two_pair_solutions(_pairs((c1, c2), cam.K), [(0, 1)])
+    if isinstance(solution, ElliposeError):
+        raise solution
+    return solution
+
+
+def _two_pair_solutions(pairs: _Pairs, draws):
+    """Full 6-dof poses of the draws (i, j), each two row indices of the
+    table ``pairs``, solved together: per draw, its Pose or the
+    ElliposeError it fails with.
 
     The rotation is searched over 42 icosahedral viewing directions times 8
-    rolls; each start is scored by placing the object on one pair's
-    back-projection ray at the area-equating depth and measuring the conic
-    residual on both, the best starts are polished by a joint 6-dof damped
-    least-squares refinement, and distinct minima with costs within 1% of
-    each other raise AmbiguousSolution carrying both candidates.
+    rolls (stage A, per draw); each start is scored by placing the object on
+    one pair's back-projection ray at the area-equating depth and measuring
+    the conic residual on both.  The best starts of every draw are polished
+    by a short joint 6-dof damped least-squares refinement (stage B), then
+    its leading candidates by a full one (stage C); each stage is one
+    lockstep LM over all draws, in which a candidate takes the steps it
+    takes alone, so a draw's result does not depend on the others.  Distinct
+    minima with costs within 1% of each other give AmbiguousSolution
+    carrying both candidates.
     """
-    pairs = _pairs((c1, c2), cam.K)
-    sep = float(np.linalg.norm(pairs.center_w[0] - pairs.center_w[1]))
-    if sep < 1e-9 * max(float(pairs.max_axis.max()), 1.0):
-        raise DegenerateConfiguration("ellipsoid centers coincide")
-
     starts = _rotation_starts()
-
-    # stage A: closed-form position from either pair, residual on both;
-    # candidates in start order, anchor 0 before anchor 1, stably sorted
-    costs, placements = [], []
-    for anchor in (0, 1):
-        ts, ok = _ray_placements(starts, pairs, anchor)
-        N, _, valid, _ = _project_pairs(starts, ts, pairs.Qd, pairs.center_w)
-        r = (N - pairs.M_det).reshape(len(starts), -1)
-        costs.append(np.where(ok & valid.all(axis=1), (r * r).sum(axis=1), np.inf))
-        placements.append(ts)
-    costs = np.stack(costs, axis=1).ravel()
-    placements = np.stack(placements, axis=1).reshape(-1, 3)
-    order = np.argsort(costs, kind="stable")
-    order = order[np.isfinite(costs[order])]
-    if not order.size:
-        raise NoConvergence("no rotation start produced a valid projection")
+    solutions = [None] * len(draws)
+    stage_b = {}  # draw index -> (R0, t0, rows) of its stage-B starts
+    for d, rows in enumerate(draws):
+        rows = list(rows)  # an index list (a tuple would index two axes)
+        sep = float(np.linalg.norm(pairs.center_w[rows[0]] - pairs.center_w[rows[1]]))
+        if sep < 1e-9 * max(float(pairs.max_axis[rows].max()), 1.0):
+            solutions[d] = DegenerateConfiguration("ellipsoid centers coincide")
+            continue
+        # stage A: closed-form position from either pair, residual on both;
+        # candidates in start order, anchor 0 before anchor 1, stably sorted
+        costs, placements = [], []
+        for anchor in rows:
+            ts, ok = _ray_placements(starts, pairs, anchor)
+            N, _, valid, _ = _project_pairs(starts, ts, pairs.Qd[rows], pairs.center_w[rows])
+            r = (N - pairs.M_det[rows]).reshape(len(starts), -1)
+            costs.append(np.where(ok & valid.all(axis=1), (r * r).sum(axis=1), np.inf))
+            placements.append(ts)
+        costs = np.stack(costs, axis=1).ravel()
+        placements = np.stack(placements, axis=1).reshape(-1, 3)
+        order = np.argsort(costs, kind="stable")
+        order = order[np.isfinite(costs[order])]
+        if not order.size:
+            solutions[d] = NoConvergence("no rotation start produced a valid projection")
+            continue
+        keep = order[:_STAGE_B_KEEP]
+        stage_b[d] = (starts[keep // 2], placements[keep], rows)
 
     # stage B: short joint refinement to make the ranking trustworthy
     # (position-only polish is not discriminative enough: a wrong rotation
     # can reach a similar cost to a nearly-right one)
-    keep = order[:_STAGE_B_KEEP]
-    stage_b = _ranked(*_refine_raw(starts[keep // 2], placements[keep], pairs, max_iter=8))
+    stage_c = {}
+    for d, ranked in _refined_draws(pairs, stage_b, solutions, max_iter=8).items():
+        _, R0, t0 = zip(*ranked[:_STAGE_C_KEEP])
+        stage_c[d] = (np.stack(R0), np.stack(t0), stage_b[d][2])
 
-    # stage C: full joint 6-dof refinement of the leading candidates
-    _, R0, t0 = zip(*stage_b[:_STAGE_C_KEEP])
-    candidates = _ranked(*_refine_raw(np.stack(R0), np.stack(t0), pairs, max_iter=60))
-
-    # cluster distinct poses, best first
-    clusters = []
-    for cost, R, t in candidates:
-        if not any(rotation_distance(R, cR) + np.linalg.norm(t - ct) / (
-                1.0 + float(np.linalg.norm(ct))) < 0.05 for _, cR, ct in clusters):
-            clusters.append((cost, R, t))
-    best = clusters[0]
-    if len(clusters) > 1 and clusters[1][0] - best[0] <= 0.01 * best[0] + 1e-10:
-        raise AmbiguousSolution(
-            "two distinct pose minima fit the pairs equally well",
-            candidates=(Pose(best[1], best[2]), Pose(clusters[1][1], clusters[1][2])),
-        )
-    return Pose(best[1], best[2])
-
-
-def _ranked(res, poses):
-    """(final cost, R, t) of the refined candidates that started valid,
-    stably sorted by cost."""
-    ranked = sorted(
-        ((c[-1], R, t) for c, R, t in zip(res.costs, *poses) if c), key=lambda s: s[0]
-    )
-    if not ranked:
-        raise NoConvergence("no refinement start produced a valid projection")
-    return ranked
+    # stage C: full joint 6-dof refinement of the leading candidates, then
+    # distinct poses clustered, best first
+    for d, candidates in _refined_draws(pairs, stage_c, solutions, max_iter=60).items():
+        clusters = []
+        for cost, R, t in candidates:
+            if not any(rotation_distance(R, cR) + np.linalg.norm(t - ct) / (
+                    1.0 + float(np.linalg.norm(ct))) < 0.05 for _, cR, ct in clusters):
+                clusters.append((cost, R, t))
+        best = clusters[0]
+        solutions[d] = Pose(best[1], best[2])
+        if len(clusters) > 1 and clusters[1][0] - best[0] <= 0.01 * best[0] + 1e-10:
+            solutions[d] = AmbiguousSolution(
+                "two distinct pose minima fit the pairs equally well",
+                candidates=(solutions[d], Pose(clusters[1][1], clusters[1][2])),
+            )
+    return solutions
 
 
-def _refine_raw(R0, t0, pairs, *, max_iter=50, rotation_fixed=False):
-    """Lockstep LM from the n poses (R0 (n,3,3), t0 (n,3)) over the
-    translation itself (``rotation_fixed``) or jointly over (axis-angle
-    increment, translation offset).
+def _refined_draws(pairs, starts, solutions, *, max_iter):
+    """One lockstep LM over the starts of every draw, ``starts`` mapping a
+    draw to (R0, t0, rows).  Returns, per draw, the (final cost, R, t) of
+    its candidates that started valid, stably sorted by cost; a draw with
+    none gets NoConvergence in ``solutions`` instead."""
+    if not starts:
+        return {}
+    R0 = np.concatenate([R for R, _, _ in starts.values()])
+    t0 = np.concatenate([t for _, t, _ in starts.values()])
+    rows = np.concatenate([np.broadcast_to(rows, (len(t), 2)) for _, t, rows in starts.values()])
+    res, (R, t) = _refine_raw(R0, t0, pairs, rows, max_iter=max_iter)
+    out, lo = {}, 0
+    for d, (_, t_d, _) in starts.items():
+        span = slice(lo, lo + len(t_d))
+        lo = span.stop
+        ranked = sorted(((c[-1], Ri, ti) for c, Ri, ti in zip(res.costs[span], R[span], t[span])
+                         if c), key=lambda s: s[0])
+        if ranked:
+            out[d] = ranked
+        else:
+            solutions[d] = NoConvergence("no refinement start produced a valid projection")
+    return out
+
+
+def _refine_raw(R0, t0, pairs, rows, *, max_iter=50, rotation_fixed=False):
+    """Lockstep LM from the n poses (R0 (n,3,3), t0 (n,3)), candidate i
+    fitting the table rows ``rows[i]`` (rows (n,k)), over the translation
+    itself (``rotation_fixed``) or jointly over (axis-angle increment,
+    translation offset).
 
     Returns the LM result and the poses (R, t) of its final iterates.
     """
-    Qd, centers, M_det = pairs.Qd, pairs.center_w, pairs.M_det
+    Qd, centers, M_det = pairs.Qd[rows], pairs.center_w[rows], pairs.M_det[rows]
 
     def pose_at(idx, X):
         if rotation_fixed:
@@ -552,8 +588,8 @@ def _refine_raw(R0, t0, pairs, *, max_iter=50, rotation_fixed=False):
 
     def fun(idx, X):
         R, t = pose_at(idx, X)
-        N, _, valid, terms = _project_pairs(R, t, Qd, centers)
-        return (N - M_det).reshape(len(X), -1), valid.all(axis=1), (R, *terms)
+        N, _, valid, terms = _project_pairs(R, t, Qd[idx], centers[idx])
+        return (N - M_det[idx]).reshape(len(X), -1), valid.all(axis=1), (R, *terms)
 
     def jac(idx, X, state):
         R, *terms = state
@@ -581,7 +617,7 @@ def refine_pose(
     if not correspondences:
         raise ValueError("refinement needs at least one correspondence")
     res, (R, t) = _refine_raw(p0.R[None], p0.t[None], _pairs(correspondences, cam.K),
-                              rotation_fixed=rotation_fixed)
+                              np.arange(len(correspondences))[None], rotation_fixed=rotation_fixed)
     costs = res.costs[0]
     # no accepted step (or an invalid start): return the input bit-for-bit
     pose = p0 if len(costs) <= 1 else Pose(R[0], t[0])
@@ -605,11 +641,12 @@ def ransac_pose(detections, cloud: EllipsoidCloud, cam: CameraModel, opts: Ransa
     With the orientation known, every row of the correspondence table is
     placed once, in order, by :func:`_ray_placements`; in full mode, each
     distinct seeded draw of two correspondences that share no detection and
-    no object is solved by :func:`pose_from_two_pairs`.  Hypotheses are
-    scored by the ellipse IoU between detections and reprojections, the
-    best by (inlier count, mean inlier IoU, hypothesis order) is polished
-    with :func:`refine_pose` on its inliers, and consensus is re-evaluated
-    on the refined pose.  ``seed`` and ``iterations`` act on full mode only.
+    no object is solved, all in one :func:`_two_pair_solutions` call.
+    Hypotheses are scored by the ellipse IoU between detections and
+    reprojections, the best by (inlier count, mean inlier IoU, hypothesis
+    order) is polished with :func:`refine_pose` on its inliers, and
+    consensus is re-evaluated on the refined pose.  ``seed`` and
+    ``iterations`` act on full mode only.
     """
     assoc = _associations_with_indices(detections, cloud)
     corrs = [c for c, _, _ in assoc]
@@ -618,7 +655,7 @@ def ransac_pose(detections, cloud: EllipsoidCloud, cam: CameraModel, opts: Ransa
         raise NoValidPose(f"{len(corrs)} correspondences, need {min_set}")
     pairs = _pairs(corrs, cam.K)
     hypotheses = (_placements(opts.rotation, pairs) if opts.mode == "orientation_known"
-                  else _two_pair_poses(assoc, cam, opts))
+                  else _two_pair_poses(assoc, pairs, opts))
     best = None  # (count, score, -index), pose, inliers
     for index, poses in enumerate(hypotheses):
         for pose in poses:
@@ -664,26 +701,22 @@ def _placements(R, pairs: _Pairs):
         yield [Pose(R, ts[0])] if ok[0] else []
 
 
-def _two_pair_poses(assoc, cam, opts: RansacOptions):
+def _two_pair_poses(assoc, pairs: _Pairs, opts: RansacOptions):
     """Full-mode hypotheses: per distinct seeded draw, in draw order, the
-    poses of :func:`pose_from_two_pairs`, where it does not fail.  A repeated
-    draw is not solved again: the solver is deterministic, so its poses
-    would score as at the first draw with a later index, strictly below a
-    key the best already holds or has beaten."""
+    poses :func:`_two_pair_solutions` finds for it, where it does not fail.
+    The draws come first, as the RNG stream never depends on a solve, and
+    are solved together.  A repeated draw is not solved again: the solver is
+    deterministic, so its poses would score as at the first draw with a
+    later index, strictly below a key the best already holds or has
+    beaten."""
     rng = np.random.default_rng(np.random.SeedSequence(int(opts.seed)))
-    drawn = set()
-    for _ in range(opts.iterations):
-        sample = _draw_minimal_set(rng, assoc)
-        if sample is None or sample in drawn:
-            continue
-        drawn.add(sample)
-        try:
-            poses = [pose_from_two_pairs(assoc[sample[0]][0], assoc[sample[1]][0], cam)]
-        except AmbiguousSolution as exc:
-            poses = list(exc.candidates)
-        except ElliposeError:
-            continue
-        yield poses
+    draws = [_draw_minimal_set(rng, assoc) for _ in range(opts.iterations)]
+    draws = list(dict.fromkeys(d for d in draws if d is not None))
+    for solution in _two_pair_solutions(pairs, draws):
+        if isinstance(solution, AmbiguousSolution):
+            yield list(solution.candidates)
+        elif not isinstance(solution, ElliposeError):
+            yield [solution]
 
 
 def _draw_minimal_set(rng, assoc):

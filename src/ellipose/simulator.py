@@ -27,6 +27,7 @@ from .geometry import (
     rotation_x,
     rotation_y,
     rotation_z,
+    _check_int,
 )
 from .reconstruction import CalibratedView, EllipsoidCloud, generate_annotations
 
@@ -120,6 +121,7 @@ class DetectorModel:
         if not (math.isfinite(h) and h >= 0.0):
             raise ValueError(f"box noise half-range must be finite and >= 0, got {h!r}")
         object.__setattr__(self, "box_noise_half_range", h + 0.0)  # -0.0 is 0.0
+        _check_int("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)

@@ -362,6 +362,23 @@ class TestPoseCommand:
             assert rc == 2 and not outputs
             assert "box noise half-range must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("detections", ["annotations", "detector"])
+    def test_negative_seed_exit_code(self, board, tmp_path, capsys, detections):
+        # a negative seed exits 2 naming it, before any view is solved
+        scene, views, dataset, dpath = board
+        cloud_path = tmp_path / "cloud.json"
+        dataio.save_cloud(cloud_of_scene(scene), cloud_path)
+        poses = tmp_path / "p.json"
+        rc = main(
+            [
+                "pose", "--dataset", str(dpath), "--cloud", str(cloud_path),
+                "--out-poses", str(poses), "--out-metrics", str(tmp_path / "m.csv"),
+                "--mode", "full", "--detections", detections, "--seed", "-1",
+            ]
+        )
+        assert rc == 2 and not poses.exists()
+        assert "seed must be an int >= 0, got -1" in capsys.readouterr().err
+
     def test_full_mode(self, board, tmp_path):
         scene, views, dataset, dpath = board
         cloud_path = tmp_path / "cloud.json"

@@ -387,8 +387,9 @@ def test_lockstep_lm_matches_one_candidate_reference(monkeypatch, seed):
     calls = []
     refine = pose_module._refine_raw
 
-    def recording(R0, t0, pairs, **kwargs):
-        res, poses = refine(R0, t0, pairs, **kwargs)
+    def recording(R0, t0, pairs, rows, **kwargs):
+        res, poses = refine(R0, t0, pairs, rows, **kwargs)
+        assert (rows == [0, 1]).all()  # the one draw fits both rows of its table
         calls.append((R0, t0, pairs, kwargs, res))
         return res, poses
 
@@ -407,6 +408,50 @@ def test_lockstep_lm_matches_one_candidate_reference(monkeypatch, seed):
     assert steps > 24  # the candidates move
     R, t = reference_best_pose(calls[0][:2], calls[0][2])
     assert np.abs(got.R - R).max() <= 1e-9 and np.abs(got.t - t).max() <= 1e-9
+
+
+def two_pair_outcome(solution):
+    """A two-pair solution, a pose or an ElliposeError, as bytes: its kind
+    and the poses it gives (an AmbiguousSolution's two candidates)."""
+    if isinstance(solution, AmbiguousSolution):
+        poses = solution.candidates
+    else:
+        poses = [] if isinstance(solution, ElliposeError) else [solution]
+    return type(solution).__name__, [(p.R.tobytes(), p.t.tobytes()) for p in poses]
+
+
+def test_two_pair_draws_solved_together_as_alone():
+    # one table of two noisy two-pair problems, the two-sphere problem and
+    # a row on the first object again; each draw's result is what solving
+    # its two correspondences alone gives, whatever the other draws
+    cam = default_camera()
+    corrs = []
+    for seed in (0, 2):
+        corrs += noisy_two_pair_problem(np.random.default_rng(seed))[0]
+    spheres = (Ellipsoid((0.4, 0.0, 0.0), (0.1, 0.1, 0.1), np.eye(3)),
+               Ellipsoid((-0.4, 0.0, 0.0), (0.15, 0.15, 0.15), np.eye(3)))
+    sphere_pose = look_at((1.2, 1.5, 1.0), (0.0, 0.0, 0.0))
+    corrs += [Correspondence(project_ellipsoid(E, sphere_pose, cam), E, label)
+              for label, E in zip("cd", spheres)]
+    corrs.append(Correspondence(corrs[1].ellipse, corrs[0].ellipsoid, "a"))
+    draws = [(0, 1), (4, 5), (2, 3), (0, 6), (1, 0), (3, 2), (5, 4)]
+    pairs = _pairs(corrs, cam.K)
+
+    def together(draws):
+        return [two_pair_outcome(s) for s in pose_module._two_pair_solutions(pairs, draws)]
+
+    alone = []
+    for i, j in draws:
+        try:
+            alone.append(two_pair_outcome(pose_from_two_pairs(corrs[i], corrs[j], cam)))
+        except ElliposeError as exc:
+            alone.append(two_pair_outcome(exc))
+    assert [kind for kind, _ in alone] == ["Pose", "AmbiguousSolution", "Pose",
+                                          "DegenerateConfiguration", "Pose", "Pose",
+                                          "AmbiguousSolution"]
+    assert together(draws) == alone
+    assert together(draws[::-1]) == alone[::-1]
+    assert together(draws[:3]) + together(draws[3:]) == alone
 
 
 @pytest.mark.parametrize("rotation_fixed", [False, True])
@@ -429,6 +474,7 @@ def test_polish_matches_one_candidate_reference(rotation_fixed):
         R0 = axis_angle_to_matrix(rng.normal(scale=0.03, size=3)) @ truth.R
         t0 = truth.t + rng.normal(scale=0.03, size=3)
         res, (R, t) = pose_module._refine_raw(R0[None], t0[None], pairs,
+                                             np.arange(len(corrs))[None],
                                              rotation_fixed=rotation_fixed)
         R_ref, t_ref, costs, converged, uphill_ref = reference_refine(
             R0, t0, pairs, rotation_fixed=rotation_fixed)
@@ -803,7 +849,7 @@ def test_known_mode_ignores_seed_and_iterations(rng):
 
 
 @pytest.mark.parametrize(
-    "mode, solver", [("orientation_known", "_ray_placements"), ("full", "pose_from_two_pairs")]
+    "mode, solver", [("orientation_known", "_ray_placements"), ("full", "_two_pair_solutions")]
 )
 def test_ransac_solves_each_distinct_draw_once(rng, monkeypatch, mode, solver):
     dets, cloud, cam, opts = ransac_problem(rng, mode, seed=3)
@@ -816,12 +862,24 @@ def test_ransac_solves_each_distinct_draw_once(rng, monkeypatch, mode, solver):
         calls.append(args)
         return wrapped(*args, **kwargs)
 
+    lm_runs = []
+    lm = pose_module._levenberg_marquardt
+
+    def recording(fun, jac, x0, **kwargs):
+        lm_runs.append(kwargs.get("max_iter"))
+        return lm(fun, jac, x0, **kwargs)
+
     monkeypatch.setattr(pose_module, solver, counting)
+    monkeypatch.setattr(pose_module, "_levenberg_marquardt", recording)
     ransac_pose(dets, cloud, cam, opts)
-    assert len(calls) == len(distinct)
-    if mode == "full":
-        assert len(distinct) < opts.iterations
+    if mode == "full":  # one call for the view, each distinct draw once
+        assert len(calls) == 1
+        solved = list(calls[0][1])
+        assert len(solved) == len(distinct) < opts.iterations and set(solved) == distinct
+        # one stage-B and one stage-C LM for all the draws, then the polish
+        assert lm_runs[:2] == [8, 60] and set(lm_runs[2:]) == {50}
     else:  # once per row, in row order
+        assert len(calls) == len(distinct)
         assert [i for _, _, i in calls] == list(range(len(dets)))
 
 
@@ -841,15 +899,16 @@ def test_one_label_full_mode_contract(monkeypatch, seed):
     cam = default_camera()
     truth = look_at((1.2, 0.9, 1.3), (0.0, 0.0, 0.0))
     dets = [(label, project_ellipsoid(E, truth, cam)) for label, E in cloud.entries]
-    assert len(_associations_with_indices(dets, cloud)) == 16
+    assoc = _associations_with_indices(dets, cloud)
+    assert len(assoc) == 16
     sets = []
-    solve = pose_module.pose_from_two_pairs
+    solve = pose_module._two_pair_solutions
 
-    def recording(c1, c2, cam):
-        sets.append((c1, c2))
-        return solve(c1, c2, cam)
+    def recording(pairs, draws):
+        sets.extend(draws)
+        return solve(pairs, draws)
 
-    monkeypatch.setattr(pose_module, "pose_from_two_pairs", recording)
+    monkeypatch.setattr(pose_module, "_two_pair_solutions", recording)
     start = time.perf_counter()
     try:
         est = ransac_pose(dets, cloud, cam, RansacOptions(mode="full", iterations=20, seed=seed))
@@ -858,9 +917,8 @@ def test_one_label_full_mode_contract(monkeypatch, seed):
     # about 3 s on a 2-core host; the bound leaves room for a slow one
     assert time.perf_counter() - start < 60.0
     assert sets
-    for c1, c2 in sets:
-        assert c1.ellipsoid is not c2.ellipsoid
-        assert not np.array_equal(c1.ellipse.center, c2.ellipse.center)
+    for i, j in sets:  # rows of the table: no shared detection or object
+        assert assoc[i][1] != assoc[j][1] and assoc[i][2] != assoc[j][2]
     if est is not None:
         rot, pos = pose_errors(est.pose, truth)
         assert rot < 1e-8 and pos < 1e-8
@@ -878,6 +936,17 @@ def test_ransac_options_validates_rotation_and_iterations():
     opts = RansacOptions(rotation=np.eye(3).tolist(), iterations=np.int64(3))
     assert opts.rotation.shape == (3, 3) and not opts.rotation.flags.writeable
     assert RansacOptions(mode="full").rotation is None
+
+
+def test_ransac_options_validates_seed():
+    # a negative seed fails at construction, not at the first full-mode
+    # draw; a float is not truncated
+    for mode in ("full", "orientation_known"):
+        for seed in (-1, 2.7, 3.0, "3", True, None):
+            with pytest.raises(ValueError, match="seed must be an int >= 0"):
+                RansacOptions(mode=mode, rotation=np.eye(3), seed=seed)
+    for seed in (0, 5, np.int64(3)):
+        assert RansacOptions(mode="full", seed=seed).seed == seed
 
 
 def test_pose_estimate_validation(rng):
