@@ -36,7 +36,6 @@ from .geometry import (
     Ellipsoid,
     FrameTransform,
     Pose,
-    bbox_of_ellipse,
     canonicalize,
     conic_to_ellipse,
     crop_transform,
@@ -74,6 +73,7 @@ from .reconstruction import (
     CalibratedView,
     EllipsoidCloud,
     Observation,
+    ViewAnnotations,
     generate_annotations,
     reconstruct_cloud,
     reconstruct_ellipsoid,

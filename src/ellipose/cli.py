@@ -10,7 +10,7 @@ import sys
 
 from . import dataio
 from .errors import ElliposeError, ParseError
-from .geometry import crop_transform, inscribed_ellipse
+from .geometry import crop_transform
 from .multibin import decode_prediction
 from .reconstruction import generate_annotations, reconstruct_cloud
 from .scenarios import localize_views, run_scenario
@@ -25,17 +25,12 @@ def _cmd_reconstruct(args) -> int:
     dataset = dataio.load_dataset(args.dataset)
     wanted = set(args.labels.split(",")) if args.labels else None
     boxes_by_view = {}
-    for vid, anns in dataset.annotations.items():
-        rows = [
-            (a.label, a.box)
-            for a in anns
-            if wanted is None or a.label in wanted
-        ]
-        if rows:
-            boxes_by_view[vid] = rows
-    cloud, failures = reconstruct_cloud(
-        boxes_by_view, dataset.views, allow_partial=args.allow_partial
-    )
+    for vid, ann in dataset.annotations.items():
+        keep = [i for i, label in enumerate(ann.labels) if wanted is None or label in wanted]
+        if keep:
+            boxes_by_view[vid] = ([ann.labels[i] for i in keep], ann.boxes[keep])
+    cloud, failures = reconstruct_cloud(boxes_by_view, dataset.views,
+                                        allow_partial=args.allow_partial)
     dataio.save_cloud(cloud, args.out)
     for label, exc in sorted(failures.items()):
         print(f"warning: skipped label {label!r}: {exc}", file=sys.stderr)
@@ -50,7 +45,7 @@ def _cmd_annotate(args) -> int:
     dataio.save_annotations(annotations, skipped, args.out)
     for vid, label, reason in skipped:
         print(f"note: skipped {label!r} in view {vid}: {reason}", file=sys.stderr)
-    n = sum(len(rows) for rows in annotations.values())
+    n = sum(len(a.labels) for a in annotations.values())
     print(f"wrote {args.out} ({n} annotations, {len(skipped)} skipped)")
     return EXIT_OK
 
@@ -71,15 +66,8 @@ def _detections_for_view(dataset, view, args, annotations_override):
             raise ParseError("dataset carries no scene for the detector", file=args.dataset)
         model = DetectorModel(args.detector_kind, args.box_noise, seed=args.seed)
         return [(label, e) for label, e, _ in run_detector(model, dataset.scene, view)]
-    if annotations_override is not None:
-        return [
-            (label, e) for label, e, _ in annotations_override.get(view.view_id, [])
-        ]
-    out = []
-    for a in dataset.annotations.get(view.view_id, []):
-        e = a.ellipse if a.ellipse is not None else inscribed_ellipse(a.box)
-        out.append((a.label, e))
-    return out
+    annotations = dataset.annotations if annotations_override is None else annotations_override
+    return annotations[view.view_id].detections() if view.view_id in annotations else []
 
 
 def _cmd_pose(args) -> int:

@@ -16,9 +16,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParseError, SchemaVersionMismatch
-from .geometry import Box, CameraModel, Ellipse, Ellipsoid, Pose, _check_rotation, _freeze
+from .geometry import Box, CameraModel, Ellipsoid, Pose, _check_rotation, _freeze
 from .multibin import MultibinConfig, MultibinPrediction
-from .reconstruction import CalibratedView, EllipsoidCloud
+from .reconstruction import CalibratedView, EllipsoidCloud, ViewAnnotations
 from .simulator import SceneObject, SceneSpec
 
 SCHEMA_VERSION = 1
@@ -26,12 +26,7 @@ SCHEMA_VERSION = 1
 # what numpy and float() raise on a value of the wrong type or size
 _BAD_VALUE = (ValueError, TypeError, OverflowError)
 
-
-@dataclass(frozen=True, eq=False)
-class Annotation:
-    label: str
-    box: Box
-    ellipse: Ellipse | None = None
+_PREDICTION_FIELDS = ("center", "dims", "bin_scores", "corrections")  # in file order
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,7 +48,7 @@ class PredictionSet:
 @dataclass(frozen=True, eq=False)
 class Dataset:
     views: list
-    annotations: dict = field(default_factory=dict)  # view_id -> [Annotation]
+    annotations: dict = field(default_factory=dict)  # view_id -> ViewAnnotations
     scene: SceneSpec | None = None
     predictions: PredictionSet | None = None
 
@@ -80,10 +75,6 @@ def _mat(a) -> list:
     return np.asarray(a, float).tolist()
 
 
-def _box_to_json(b: Box) -> list:
-    return [float(b.min[0]), float(b.min[1]), float(b.max[0]), float(b.max[1])]
-
-
 def _object_to_json(o: SceneObject) -> dict:
     E = o.ellipsoid
     rec = {"label": o.label, "center": _mat(E.center), "axes": _mat(E.axes),
@@ -93,11 +84,14 @@ def _object_to_json(o: SceneObject) -> dict:
     return rec
 
 
-def _annotation_to_json(label: str, box: Box, e: Ellipse | None) -> dict:
-    ellipse = None if e is None else {
-        "center": _mat(e.center), "axes": _mat(e.axes), "angle": float(e.angle)
-    }
-    return {"label": label, "box": _box_to_json(box), "ellipse": ellipse}
+def _annotations_to_json(a: ViewAnnotations) -> list:
+    """One view's records, a NaN ellipse row written as null."""
+    ellipses = zip(a.centers.tolist(), a.axes.tolist(), a.angles.tolist())
+    return [
+        {"label": label, "box": box, "ellipse": None if math.isnan(angle) else {
+            "center": center, "axes": axes, "angle": angle}}
+        for label, box, (center, axes, angle) in zip(a.labels, a.boxes.tolist(), ellipses)
+    ]
 
 
 def dataset_to_json(d: Dataset) -> dict:
@@ -113,10 +107,7 @@ def dataset_to_json(d: Dataset) -> dict:
             }
             for v in d.views
         ],
-        "annotations": {
-            vid: [_annotation_to_json(a.label, a.box, a.ellipse) for a in anns]
-            for vid, anns in d.annotations.items()
-        },
+        "annotations": {vid: _annotations_to_json(a) for vid, a in d.annotations.items()},
     }
     if d.scene is not None:
         out["scene"] = {"objects": [_object_to_json(o) for o in d.scene.objects]}
@@ -127,17 +118,9 @@ def dataset_to_json(d: Dataset) -> dict:
             "n_bins": int(p.config.n_bins),
             "overlap_fraction": float(p.config.overlap_fraction),
             "records": {
-                vid: [
-                    {
-                        "label": r.label,
-                        "box": _box_to_json(r.box),
-                        "center": _mat(r.prediction.center),
-                        "dims": _mat(r.prediction.dims),
-                        "bin_scores": _mat(r.prediction.bin_scores),
-                        "corrections": _mat(r.prediction.corrections),
-                    }
-                    for r in recs
-                ]
+                vid: [{"label": r.label, "box": r.box.min.tolist() + r.box.max.tolist(),
+                       **{k: _mat(getattr(r.prediction, k)) for k in _PREDICTION_FIELDS}}
+                      for r in recs]
                 for vid, recs in p.records.items()
             },
         }
@@ -190,15 +173,21 @@ class _Reader:
 def _number(value, kind):
     """``value`` as a finite ``kind`` (int or float), or None when it is not
     a JSON number of that kind (a boolean is not a number)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return None
     if kind is int:
-        return value if isinstance(value, int) else None
+        return value if type(value) is int else None
+    out = _floats([value], 1)
+    return out[0] if out else None
+
+
+def _floats(values, n: int):
+    """A list of n JSON numbers as finite floats, else None."""
+    if type(values) is not list or len(values) != n:
+        return None
     try:
-        value = float(value)
+        out = [float(v) for v in values if type(v) in (int, float)]  # not a bool
     except OverflowError:
         return None
-    return value if math.isfinite(value) else None
+    return out if len(out) == n and all(map(math.isfinite, out)) else None
 
 
 def _parse_arrays(rec, rd: _Reader, record, shapes: dict, what: str) -> dict:
@@ -329,60 +318,73 @@ def load_scenario(path) -> tuple:
 
 
 def _parse_view(rec, rd: _Reader, idx: int) -> CalibratedView:
-    """One calibrated view; each fault names the key it is in."""
+    """One calibrated view.  The value objects check and freeze its arrays;
+    where they fail, the arrays are parsed one by one to name the field."""
     record = f"views[{idx}]"
     vid = rd.get(rec, "view_id", record)
-    parts = _parse_arrays(
-        rec, rd, record, {"K": (3, 3), "image_size": (2,), "R": (3, 3), "t": (3,)}, "view"
-    )
+    cam = None
     try:
-        cam = CameraModel(parts["K"], parts["image_size"])
-    except ValueError as exc:  # a non-positive image size, or not intrinsics
-        key = "image_size" if min(parts["image_size"]) <= 0.0 else "K"
+        cam = CameraModel(rec["K"], rec["image_size"])
+        return CalibratedView(str(vid), cam, Pose(rec["R"], rec["t"]))
+    except (*_BAD_VALUE, KeyError) as exc:
+        shapes = {"K": (3, 3), "image_size": (2,), "R": (3, 3), "t": (3,)}
+        parts = _parse_arrays(rec, rd, record, shapes, "view")
+        # not a rotation, else a non-positive image size or not intrinsics
+        key = "R" if cam is not None else "image_size" if min(parts["image_size"]) <= 0.0 else "K"
         rd.fail(f"bad view: {exc}", record, key)
-    try:
-        pose = Pose(parts["R"], parts["t"])
-    except ValueError as exc:  # not a rotation
-        rd.fail(f"bad view: {exc}", record, "R")
-    return CalibratedView(str(vid), cam, pose)
 
 
-def _parse_box(rec, rd, record) -> Box:
+def _parse_box(rec, rd, record) -> list:
+    """The record's box, [x_min, y_min, x_max, y_max] in floats."""
     vals = rd.get(rec, "box", record)
-    try:
-        if len(vals) != 4:
-            raise ValueError(f"expected 4 values, got {len(vals)}")
-        return Box((vals[0], vals[1]), (vals[2], vals[3]))
-    except (*_BAD_VALUE, IndexError, KeyError) as exc:
-        rd.fail(f"bad box: {exc}", record, "box")
+    box = _floats(vals, 4)
+    if box is None:
+        rd.fail(f"bad box: expected 4 finite numbers, got {json.dumps(vals)}", record, "box")
+    if not (box[0] < box[2] and box[1] < box[3]):
+        rd.fail("bad box: min must be strictly below max", record, "box")
+    return box
 
 
-def _parse_annotation(rec, rd, record) -> Annotation:
-    """One labeled box with its ellipse (None when the record's is null),
-    as a dataset annotation or an annotations-file row."""
-    box = _parse_box(rec, rd, record)
-    raw = rd.get(rec, "ellipse", record)
-    ellipse = None
-    if raw is not None:
-        try:
-            if not isinstance(raw, dict) or not raw.keys() >= {"center", "axes", "angle"}:
-                raise ValueError("expected an object with center, axes and angle")
-            ellipse = Ellipse(raw["center"], raw["axes"], raw["angle"])
-        except _BAD_VALUE as exc:
-            rd.fail(f"bad ellipse: {exc}", record, "ellipse")
-    return Annotation(str(rd.get(rec, "label", record)), box, ellipse)
+def _parse_annotations(doc, rd, *, need_ellipse: bool) -> dict:
+    """view_id -> ViewAnnotations of a dataset (a null ellipse a NaN row) or
+    of an annotations file (``need_ellipse``).  Each record is checked in
+    Python floats, a fault naming it and its field, then all views' arrays
+    are built at once, each view holding its slice."""
+    ann_doc = rd.get_mapping(doc, "annotations", "<root>")
+    labels, boxes, ellipses, stops = [], [], [], []
+    for vid in ann_doc:
+        for j, rec in enumerate(rd.get_list(ann_doc, vid, "annotations")):
+            record = f"annotations[{vid}][{j}]"
+            boxes.append(_parse_box(rec, rd, record))
+            raw = rd.get(rec, "ellipse", record)
+            e = ((math.nan,) * 2, (math.nan,) * 2, math.nan)
+            if raw is not None:
+                e = (_floats(raw.get("center"), 2), _floats(raw.get("axes"), 2),
+                     _number(raw.get("angle"), float)) if isinstance(raw, dict) else (None,)
+                if None in e or min(e[1]) <= 0.0:
+                    rd.fail("bad ellipse: expected finite center[2] and angle and positive "
+                            f"axes[2], got {json.dumps(raw)}", record, "ellipse")
+            labels.append(str(rd.get(rec, "label", record)))
+            if need_ellipse and raw is None:
+                rd.fail("expected an ellipse, got null", record, "ellipse")
+            ellipses.append(e)
+        stops.append(len(labels))
+    a = ViewAnnotations(labels, boxes, *(zip(*ellipses) if ellipses else ((),) * 3))
+    fields = (a.labels, a.boxes, a.centers, a.axes, a.angles)
+    return {vid: ViewAnnotations(*(f[start:stop] for f in fields))
+            for vid, start, stop in zip(ann_doc, [0] + stops, stops)}
 
 
 def _parse_object(rec, rd, record) -> SceneObject:
     """One labeled ellipsoid, with optional model points, of a dataset scene
-    or a cloud file; each fault names the key it is in."""
-    parts = _parse_arrays(
-        rec, rd, record, {"center": (3,), "axes": (3,), "rotation": (3, 3)}, "ellipsoid"
-    )
+    or a cloud file; each fault names the key it is in, as in
+    :func:`_parse_view`."""
     try:
-        ellipsoid = Ellipsoid(**parts)
-    except ValueError as exc:  # a non-positive semi-axis or not a rotation
-        key = "axes" if min(parts["axes"]) <= 0.0 else "rotation"
+        ellipsoid = Ellipsoid(rec["center"], rec["axes"], rec["rotation"])
+    except (*_BAD_VALUE, KeyError) as exc:
+        shapes = {"center": (3,), "axes": (3,), "rotation": (3, 3)}
+        parts = _parse_arrays(rec, rd, record, shapes, "ellipsoid")
+        key = "axes" if min(parts["axes"]) <= 0.0 else "rotation"  # else not a rotation
         rd.fail(f"bad ellipsoid: {exc}", record, key)
     label = str(rd.get(rec, "label", record))
     try:
@@ -396,13 +398,7 @@ def load_dataset(path) -> Dataset:
     views = [
         _parse_view(rec, rd, i) for i, rec in enumerate(rd.get_list(doc, "views", "<root>"))
     ]
-    annotations = {}
-    ann_doc = rd.get_mapping(doc, "annotations", "<root>")
-    for vid in ann_doc:
-        annotations[vid] = [
-            _parse_annotation(rec, rd, f"annotations[{vid}][{j}]")
-            for j, rec in enumerate(rd.get_list(ann_doc, vid, "annotations"))
-        ]
+    annotations = _parse_annotations(doc, rd, need_ellipse=False)
     scene = None
     if doc.get("scene") is not None:
         objs = [
@@ -425,14 +421,14 @@ def load_dataset(path) -> Dataset:
         crop_size = rd.get_number(pdoc, "crop_size", "predictions")
         if crop_size <= 0.0:
             rd.fail(f"expected a positive number, got {crop_size!r}", "predictions", "crop_size")
-        shapes = {"center": (2,), "dims": (2,), "bin_scores": (n_bins,), "corrections": (n_bins, 2)}
+        shapes = dict(zip(_PREDICTION_FIELDS, [(2,), (2,), (n_bins,), (n_bins, 2)]))
         records = {}
         rec_doc = rd.get_mapping(pdoc, "records", "predictions")
         for vid in rec_doc:
             rows = []
             for j, rec in enumerate(rd.get_list(rec_doc, vid, "predictions.records")):
                 record = f"predictions[{vid}][{j}]"
-                box = _parse_box(rec, rd, record)
+                box = Box(*np.reshape(_parse_box(rec, rd, record), (2, 2)))
                 parts = _parse_arrays(rec, rd, record, shapes, "prediction")
                 if not np.all(parts["dims"] > 0.0):
                     rd.fail(f"bad prediction: dims must be positive, got {parts['dims'].tolist()}",
@@ -482,13 +478,11 @@ def load_cloud(path) -> EllipsoidCloud:
 
 
 def save_annotations(annotations: dict, skipped, path) -> None:
+    """``annotations`` maps view_id -> ViewAnnotations, every row with its ellipse."""
     _dump(
         {
             "schema_version": SCHEMA_VERSION,
-            "annotations": {
-                vid: [_annotation_to_json(label, box, e) for label, e, box in rows]
-                for vid, rows in annotations.items()
-            },
+            "annotations": {vid: _annotations_to_json(a) for vid, a in annotations.items()},
             "skipped": [list(s) for s in skipped],
         },
         path,
@@ -497,17 +491,7 @@ def save_annotations(annotations: dict, skipped, path) -> None:
 
 def load_annotations(path) -> tuple:
     doc, rd = _load_json(path)
-    out = {}
-    ann_doc = rd.get_mapping(doc, "annotations", "<root>")
-    for vid in ann_doc:
-        rows = []
-        for j, rec in enumerate(rd.get_list(ann_doc, vid, "annotations")):
-            record = f"annotations[{vid}][{j}]"
-            a = _parse_annotation(rec, rd, record)
-            if a.ellipse is None:
-                rd.fail("expected an ellipse, got null", record, "ellipse")
-            rows.append((a.label, a.ellipse, a.box))
-        out[vid] = rows
+    out = _parse_annotations(doc, rd, need_ellipse=True)
     skipped = rd.get_list(doc, "skipped", "<root>") if "skipped" in doc else []
     for j, note in enumerate(skipped):
         if not isinstance(note, list):

@@ -512,14 +512,21 @@ def _outlines(Rs, ts, Qd, centers, K):
 
 def inscribed_ellipse(b: Box) -> Ellipse:
     """Axis-aligned ellipse inscribed in a box (the detection baseline)."""
-    half = 0.5 * b.size
-    return canonicalize(Ellipse(b.center, half, 0.0))
+    centers, axes, angles = _inscribed_ellipses(np.concatenate([b.min, b.max])[None])
+    return Ellipse(centers[0], axes[0], angles[0])
 
 
-def bbox_of_ellipse(e: Ellipse) -> Box:
-    """Tight axis-aligned bounding box of an ellipse."""
-    half = np.array(_bbox_half(float(e.axes[0]), float(e.axes[1]), e.angle))
-    return Box(e.center - half, e.center + half)
+def _inscribed_ellipses(boxes):
+    """Ellipses (centers (n,2), axes (n,2), angles (n,)) inscribed in boxes
+    (n,4) (x_min, y_min, x_max, y_max), canonical as by :func:`canonicalize`:
+    a taller box swaps its axes at angle pi/2, and a circle takes angle 0."""
+    lo, hi = boxes[:, :2], boxes[:, 2:]
+    half = 0.5 * (hi - lo)
+    tall = half[:, 0] < half[:, 1]
+    axes = np.where(tall[:, None], half[:, ::-1], half)
+    angles = np.where(tall, 0.5 * math.pi, 0.0)
+    angles[np.abs(axes[:, 0] - axes[:, 1]) <= CIRCLE_TIE_TOL * axes[:, 0]] = 0.0
+    return 0.5 * (lo + hi), axes, angles
 
 
 def _bbox_half(a, b, angle):

@@ -77,7 +77,7 @@ def _ellipse_ious(c1, ax1, ang1, c2, ax2, ang2, grid):
     given as centers (n,2), semi-axes (n,2) and angles (n,).
 
     The cosines, sines and bounding boxes are taken per ellipse in Python
-    floats, with the arithmetic of :func:`bbox_of_ellipse`, and each cell
+    floats, with the arithmetic of :func:`_bbox_half`, and each cell
     is placed and tested with the grid's own expressions: the counts are
     then those of testing all cells.
     """

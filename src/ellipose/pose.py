@@ -11,8 +11,8 @@ the only damped least-squares solve is the final polish on the inliers.
 
 Each solver call converts its correspondences once, into one table of
 stacked arrays (:func:`_pairs`): RANSAC builds it for its placements, its
-two-pair solves and consensus, and its polish builds one of the inliers; a
-row depends on its correspondence alone, so the tables agree bit for bit.
+two-pair solves, consensus and the polish, which reads the inliers' rows;
+a row depends on its correspondence alone, so tables agree bit for bit.
 Every projection goes through the one conic-projection kernel of
 ``geometry`` over a stack of poses times pairs.  All residuals are
 Frobenius differences of its unit-normalized point conics; their exact
@@ -644,9 +644,9 @@ def ransac_pose(detections, cloud: EllipsoidCloud, cam: CameraModel, opts: Ransa
     no object is solved, all in one :func:`_two_pair_solutions` call.
     Hypotheses are scored by the ellipse IoU between detections and
     reprojections, the best by (inlier count, mean inlier IoU, hypothesis
-    order) is polished with :func:`refine_pose` on its inliers, and
-    consensus is re-evaluated on the refined pose.  ``seed`` and
-    ``iterations`` act on full mode only.
+    order) is polished on its inliers' rows of the table, as by
+    :func:`refine_pose`, and consensus is re-evaluated on the refined pose.
+    ``seed`` and ``iterations`` act on full mode only.
     """
     assoc = _associations_with_indices(detections, cloud)
     corrs = [c for c, _, _ in assoc]
@@ -681,14 +681,15 @@ def ransac_pose(detections, cloud: EllipsoidCloud, cam: CameraModel, opts: Ransa
     # pair, so orientation refinement needs at least two.
     for _ in range(4):
         rotation_fixed = not opts.refine_orientation or len(inliers) < 2
-        refined = refine_pose(
-            pose, [corrs[i] for i in inliers], cam, rotation_fixed=rotation_fixed
-        )
-        inliers2, score2 = _consensus(refined.pose, pairs, cam.K, opts.inlier_iou_threshold)
+        # refine_pose on the inliers' rows, which equal the rows of their own table
+        res, (R, t) = _refine_raw(pose.R[None], pose.t[None], pairs, np.array(inliers)[None],
+                                  rotation_fixed=rotation_fixed)
+        refined = pose if len(res.costs[0]) <= 1 else Pose(R[0], t[0])
+        inliers2, score2 = _consensus(refined, pairs, cam.K, opts.inlier_iou_threshold)
         if (len(inliers2), score2) < (len(inliers), score):
             break
         grew = len(inliers2) > len(inliers)
-        pose, inliers, score = refined.pose, inliers2, score2
+        pose, inliers, score = refined, inliers2, score2
         if not grew:
             break
     return PoseEstimate(pose, inliers, score)

@@ -15,6 +15,7 @@ intrinsics beforehand to keep the system well conditioned.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,16 +26,14 @@ from .errors import (
     InsufficientViews,
 )
 from .geometry import (
-    Box,
     CameraModel,
     DualQuadric,
     Ellipse,
     Ellipsoid,
     Pose,
-    bbox_of_ellipse,
-    canonicalize,
     dual_quadric_to_ellipsoid,
-    inscribed_ellipse,
+    _bbox_half,
+    _inscribed_ellipses,
     _outline_error,
     _outlines,
     _quadric_duals,
@@ -49,16 +48,12 @@ _QUAD_I, _QUAD_J = np.triu_indices(4)
 _CONIC_I, _CONIC_J = np.triu_indices(3)
 
 
-@dataclass(frozen=True, eq=False)
-class Observation:
+class Observation(NamedTuple):
     """One labeled ellipse detection in one view (image frame)."""
 
     label: str
     ellipse: Ellipse
     view_id: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "ellipse", canonicalize(self.ellipse))
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,6 +75,35 @@ class EllipsoidCloud:
     @property
     def labels(self) -> list:
         return [l for l, _ in self.entries]
+
+
+@dataclass(frozen=True, eq=False)
+class ViewAnnotations:
+    """One view's annotation records as read-only arrays, row i the i-th
+    record: ``labels`` (a tuple), ``boxes`` (n,4) as (x_min, y_min, x_max,
+    y_max), and the ellipse as ``centers`` (n,2), ``axes`` (n,2) and
+    ``angles`` (n,), NaN in a row whose record has none."""
+
+    labels: tuple
+    boxes: np.ndarray
+    centers: np.ndarray
+    axes: np.ndarray
+    angles: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "labels", tuple(self.labels))
+        shapes = {"boxes": (-1, 4), "centers": (-1, 2), "axes": (-1, 2), "angles": (-1,)}
+        for name, shape in shapes.items():
+            a = np.asarray(getattr(self, name), float).reshape(shape)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
+    def detections(self) -> list:
+        """(label, Ellipse) per row, inscribed in the row's box where it has none."""
+        centers, axes, angles = self.centers.copy(), self.axes.copy(), self.angles.copy()
+        boxed = np.isnan(angles)
+        centers[boxed], axes[boxed], angles[boxed] = _inscribed_ellipses(self.boxes[boxed])
+        return [(label, Ellipse(*e)) for label, *e in zip(self.labels, centers, axes, angles)]
 
 
 def reconstruct_from_dual_conics(duals, projections) -> Ellipsoid:
@@ -118,55 +142,29 @@ def reconstruct_from_dual_conics(duals, projections) -> Ellipsoid:
     return dual_quadric_to_ellipsoid(DualQuadric(Q))
 
 
-def reconstruct_ellipsoid(observations, views) -> Ellipsoid:
-    """Reconstruct one object from >= 3 observations of the same label."""
-    observations = list(observations)
-    labels = {o.label for o in observations}
-    if len(labels) > 1:
-        raise ValueError(f"observations mix labels: {sorted(labels)}")
-    by_id = {v.view_id: v for v in views}
-    seen = {o.view_id for o in observations}
-    if len(seen) < MIN_VIEWS:
-        raise InsufficientViews(
-            f"{len(seen)} distinct views, at least {MIN_VIEWS} required"
-        )
-    for o in observations:
-        if o.view_id not in by_id:
-            raise ValueError(f"observation references unknown view {o.view_id!r}")
-    seen_from = [by_id[o.view_id] for o in observations]
-    ellipses = [o.ellipse for o in observations]
-    axes = np.array([e.axes for e in ellipses])
-    angles = np.array([e.angle for e in ellipses])
-    cos, sin = np.cos(angles), np.sin(angles)
-    R = np.stack([np.stack([cos, -sin], 1), np.stack([sin, cos], 1)], 1)
-    pixel_duals = _quadric_duals(np.array([e.center for e in ellipses]), axes, R)
-    Kinv = np.linalg.inv(np.array([v.cam.K for v in seen_from]))
-    duals = Kinv @ pixel_duals @ Kinv.transpose(0, 2, 1)
-    return reconstruct_from_dual_conics(duals, [v.pose.matrix for v in seen_from])
-
-
-def reconstruct_cloud(boxes_by_view, views, *, allow_partial: bool = False):
-    """Ellipsoid cloud from hand-labeled boxes (ellipses inscribed in them).
-
-    ``boxes_by_view`` maps view_id -> list of (label, Box).  Returns
-    (cloud, failures) where failures maps label -> error; without
-    ``allow_partial`` the first per-label failure is raised with the label
-    attached.
-    """
-    if not boxes_by_view:
-        raise EmptyInput("no annotated views")
-    obs_by_label: dict = {}
-    for view_id, items in boxes_by_view.items():
-        for label, box in items:
-            obs = Observation(label, inscribed_ellipse(box), view_id)
-            obs_by_label.setdefault(label, []).append(obs)
-    if not obs_by_label:
-        raise EmptyInput("annotated views contain no boxes")
-    entries = []
-    failures: dict = {}
-    for label in sorted(obs_by_label):
+def _ellipsoids(labels, seen_from, centers, axes, angles, views, allow_partial: bool):
+    """(cloud, failures) of :func:`reconstruct_cloud` from labeled pixel
+    ellipses (centers (m,2), axes (m,2), angles (m,)), record i seen from the
+    view with id seen_from[i]: per label, one stacked solve of its records."""
+    index = {v.view_id: i for i, v in enumerate(views)}
+    view_of = np.array([index.get(view_id, -1) for view_id in seen_from], int)
+    if (view_of < 0).any():  # argmin: the first unknown one
+        raise ValueError(f"observation references unknown view {seen_from[view_of.argmin()]!r}")
+    Kinv = np.linalg.inv(np.array([v.cam.K for v in views]))
+    P = np.array([v.pose.matrix for v in views])
+    entries, failures = [], {}
+    for label in sorted(set(labels)):
+        rows = [i for i, other in enumerate(labels) if other == label]
+        at = view_of[rows]
+        n_views = len(set(at.tolist()))
         try:
-            entries.append((label, reconstruct_ellipsoid(obs_by_label[label], views)))
+            if n_views < MIN_VIEWS:
+                raise InsufficientViews(f"{n_views} distinct views, at least {MIN_VIEWS} required")
+            cos, sin = np.cos(angles[rows]), np.sin(angles[rows])
+            R = np.stack([np.stack([cos, -sin], 1), np.stack([sin, cos], 1)], 1)
+            duals = _quadric_duals(centers[rows], axes[rows], R)
+            duals = Kinv[at] @ duals @ Kinv[at].transpose(0, 2, 1)
+            entries.append((label, reconstruct_from_dual_conics(duals, P[at])))
         except ElliposeError as exc:
             wrapped = type(exc)(f"label {label!r}: {exc}")
             if not allow_partial:
@@ -175,32 +173,65 @@ def reconstruct_cloud(boxes_by_view, views, *, allow_partial: bool = False):
     return EllipsoidCloud(tuple(entries)), failures
 
 
+def reconstruct_ellipsoid(observations, views) -> Ellipsoid:
+    """Reconstruct one object from >= 3 observations of the same label."""
+    obs = list(observations)
+    labels = {o.label for o in obs}
+    if len(labels) != 1:
+        raise ValueError(f"expected observations of one label, got {sorted(labels)}")
+    params = (np.array([getattr(o.ellipse, k) for o in obs]) for k in ("center", "axes", "angle"))
+    cloud, _ = _ellipsoids([o.label for o in obs], [o.view_id for o in obs], *params,
+                           list(views), allow_partial=False)
+    return cloud.entries[0][1]
+
+
+def reconstruct_cloud(boxes_by_view, views, *, allow_partial: bool = False):
+    """Ellipsoid cloud from hand-labeled boxes (ellipses inscribed in them).
+
+    ``boxes_by_view`` maps view_id -> (labels, boxes (n,4) as (x_min, y_min,
+    x_max, y_max)).  Returns (cloud, failures) where failures maps label ->
+    error; without ``allow_partial`` the first per-label failure is raised
+    with the label attached.
+    """
+    labels, seen_from, boxes = [], [], []
+    for view_id, (view_labels, view_boxes) in boxes_by_view.items():
+        labels += view_labels
+        seen_from += [view_id] * len(view_labels)
+        boxes.append(np.asarray(view_boxes, float).reshape(-1, 4))
+    if not labels:
+        raise EmptyInput("no annotated boxes")
+    return _ellipsoids(labels, seen_from, *_inscribed_ellipses(np.concatenate(boxes)),
+                       list(views), allow_partial)
+
+
 def generate_annotations(cloud: EllipsoidCloud, views):
     """Reproject the cloud into every view, in one kernel call for all
     views times labels.
 
-    Returns (annotations, skipped): annotations maps view_id -> list of
-    (label, Ellipse, Box); objects behind the camera or without an elliptic
-    outline are skipped with a per-item note.
+    Returns (annotations, skipped): annotations maps view_id ->
+    :class:`ViewAnnotations` of the exact outlines and their tight boxes, in
+    cloud order; objects behind the camera or without an elliptic outline
+    are skipped with a per-item note.
     """
     views = list(views)
     ellipsoids = [E for _, E in cloud.entries]
     centers = np.array([E.center for E in ellipsoids]).reshape(-1, 3)
     Qd = _quadric_duals(centers, np.array([E.axes for E in ellipsoids]).reshape(-1, 3),
                         np.array([E.rotation for E in ellipsoids]).reshape(-1, 3, 3))
-    outlines = _outlines(np.array([v.pose.R for v in views]).reshape(-1, 3, 3),
-                         np.array([v.pose.t for v in views]).reshape(-1, 3), Qd, centers,
-                         np.array([v.cam.K for v in views]).reshape(-1, 3, 3))
-    annotations: dict = {}
-    skipped: list = []
-    for v, *row in zip(views, *outlines):
-        rows = []
-        for label, center, axes, angle, code, depth in zip(cloud.labels, *row):
-            if code:
-                exc = _outline_error(int(code), float(depth))
-                skipped.append((v.view_id, label, f"{type(exc).__name__}: {exc}"))
-                continue
-            e = Ellipse(center, axes, angle)
-            rows.append((label, e, bbox_of_ellipse(e)))
-        annotations[v.view_id] = rows
+    centers, axes, angles, code, depth = _outlines(
+        np.array([v.pose.R for v in views]).reshape(-1, 3, 3),
+        np.array([v.pose.t for v in views]).reshape(-1, 3), Qd, centers,
+        np.array([v.cam.K for v in views]).reshape(-1, 3, 3))
+    labels, skipped = cloud.labels, []
+    for v, k in zip(*np.nonzero(code)):
+        exc = _outline_error(int(code[v, k]), float(depth[v, k]))
+        skipped.append((views[v].view_id, labels[k], f"{type(exc).__name__}: {exc}"))
+    # each box half-extent in Python floats, as the IoU grid takes it
+    half = np.array([_bbox_half(a, b, t) for (a, b), t in zip(
+        axes.reshape(-1, 2).tolist(), angles.ravel().tolist())]).reshape(axes.shape)
+    boxes = np.concatenate([centers - half, centers + half], axis=-1)
+    annotations = {}
+    for view, ok, *row in zip(views, code == 0, boxes, centers, axes, angles):
+        annotations[view.view_id] = ViewAnnotations(
+            [label for label, keep in zip(labels, ok.tolist()) if keep], *(a[ok] for a in row))
     return annotations, skipped

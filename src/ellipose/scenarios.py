@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import SCENARIO_PARAMS, Annotation, Dataset, save_dataset, save_orientations, write_csv
+from .dataio import SCENARIO_PARAMS, Dataset, save_dataset, save_orientations, write_csv
 from .errors import ElliposeError
 from .geometry import Ellipsoid, project_ellipsoid, rotation_z
 from .metrics import add_error, ellipse_iou, pose_errors, reprojection_error
@@ -255,21 +255,12 @@ def reconstruction_consistency_experiment(*, n_build: int = 3, n_held: int = 8):
 # ---------------------------------------------------------------------------
 
 
-def _annotated_dataset(scene: SceneSpec, views) -> Dataset:
-    """The scene's views with the exact reprojection of every object."""
-    anns, _ = generate_annotations(cloud_of_scene(scene), views)
-    annotations = {
-        vid: [Annotation(label, box, e) for label, e, box in rows]
-        for vid, rows in anns.items()
-    }
-    return Dataset(views, annotations, scene)
-
-
 def _board_dataset(params, seed: int) -> tuple:
     scene = tless_like_board(params["n_objects"])
     rig = CameraRig(params["radius"], params["n_azimuth"], params["n_elevation"])
     views = sample_cameras(rig)
-    return scene, views, _annotated_dataset(scene, views)
+    annotations, _ = generate_annotations(cloud_of_scene(scene), views)  # exact outlines
+    return scene, views, Dataset(views, annotations, scene)
 
 
 def _run_tless_board(params, out_dir: Path, seed: int) -> list:
@@ -288,7 +279,7 @@ def _run_linemod_single(params, out_dir: Path, seed: int) -> list:
     )
     rig = CameraRig(params["radius"], params["n_azimuth"], params["n_elevation"])
     views = sample_cameras(rig)
-    dataset = _annotated_dataset(scene, views)
+    dataset = Dataset(views, generate_annotations(cloud_of_scene(scene), views)[0], scene)
     noise = OrientationNoise(params["orientation_noise_deg"] * DEG)
     orients = noisy_orientations(views, noise, seed)
     p1 = out_dir / "dataset.json"

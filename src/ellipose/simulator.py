@@ -186,13 +186,10 @@ def render_detections(scene: SceneSpec, view: CalibratedView) -> list:
     """Exact (label, Ellipse, Box) per object whose projected center lies
     inside the image, in scene order; objects behind the camera or with
     degenerate outlines are skipped."""
-    annotations, _ = generate_annotations(cloud_of_scene(scene), [view])
-    w, h = view.cam.image_size
-    return [
-        (label, e, box)
-        for label, e, box in annotations[view.view_id]
-        if 0.0 <= e.center[0] <= w and 0.0 <= e.center[1] <= h
-    ]
+    a = generate_annotations(cloud_of_scene(scene), [view])[0][view.view_id]
+    inside = ((a.centers >= 0.0) & (a.centers <= view.cam.image_size)).all(axis=1)
+    return [(a.labels[i], Ellipse(a.centers[i], a.axes[i], a.angles[i]),
+             Box(a.boxes[i, :2], a.boxes[i, 2:])) for i in np.flatnonzero(inside)]
 
 
 def _perturb_box(b: Box, half_range: float, rng) -> Box:

@@ -3,15 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from ellipose.errors import BehindCamera, NotAnEllipse
 from ellipose.geometry import (
+    Box,
     Ellipse,
     Ellipsoid,
     FrameTransform,
     Pose,
-    bbox_of_ellipse,
     canonicalize,
     ellipse_to_conic,
+    project_ellipsoid,
     rotation_z,
+    _bbox_half,
     _project_pairs,
 )
 from ellipose.pose import (
@@ -24,7 +27,12 @@ from ellipose.pose import (
     _row_norms,
     refine_pose,
 )
-from ellipose.reconstruction import EllipsoidCloud
+from ellipose.reconstruction import (
+    EllipsoidCloud,
+    Observation,
+    ViewAnnotations,
+    reconstruct_ellipsoid,
+)
 from ellipose.simulator import SceneObject, SceneSpec
 
 
@@ -84,6 +92,13 @@ def random_ellipsoid(rng, center_scale=2.0, min_ratio=1.0) -> Ellipsoid:
     axes = np.sort(rng.uniform(0.2, 1.0, size=3))[::-1]
     axes[0] *= min_ratio  # optionally force asphericity
     return Ellipsoid(center, axes, random_rotation(rng))
+
+
+def bbox_of_ellipse(e: Ellipse) -> Box:
+    """Tight axis-aligned bounding box of an ellipse, with the half-extents
+    of the IoU grid."""
+    half = np.array(_bbox_half(float(e.axes[0]), float(e.axes[1]), e.angle))
+    return Box(e.center - half, e.center + half)
 
 
 def grid_ellipse_iou(e1: Ellipse, e2: Ellipse, grid: int) -> float:
@@ -188,6 +203,65 @@ def ellipses_close(e1: Ellipse, e2: Ellipse, tol=1e-9) -> bool:
     """Same point set: compare normalized conic matrices."""
     d = np.linalg.norm(ellipse_to_conic(e1).M - ellipse_to_conic(e2).M)
     return d <= tol
+
+
+def view_annotations(rows) -> ViewAnnotations:
+    """A view's annotation arrays from (label, Box, Ellipse or None) rows."""
+    nan = (math.nan, math.nan)
+    return ViewAnnotations(
+        [label for label, _, _ in rows],
+        [[*b.min, *b.max] for _, b, _ in rows],
+        [nan if e is None else e.center for _, _, e in rows],
+        [nan if e is None else e.axes for _, _, e in rows],
+        [math.nan if e is None else e.angle for _, _, e in rows],
+    )
+
+
+def annotation_rows(a: ViewAnnotations) -> list:
+    """(label, Box, Ellipse or None) per row of a view's annotation arrays."""
+    return [
+        (label, Box(b[:2], b[2:]), None if math.isnan(t) else Ellipse(c, ax, t))
+        for label, b, c, ax, t in zip(a.labels, a.boxes, a.centers, a.axes, a.angles)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# References of the map path: one value object per record
+# ---------------------------------------------------------------------------
+
+
+def reference_inscribed(box: Box) -> Ellipse:
+    """The axis-aligned ellipse inscribed in a box, canonicalized."""
+    return canonicalize(Ellipse(box.center, 0.5 * box.size, 0.0))
+
+
+def reference_cloud(boxes_by_view, views) -> list:
+    """(label, Ellipsoid) per label in sorted order, each from the inscribed
+    ellipses of its boxes, one Box and one Observation per record."""
+    observations = {}
+    for vid, (labels, boxes) in boxes_by_view.items():
+        for label, b in zip(labels, boxes):
+            e = reference_inscribed(Box(b[:2], b[2:]))
+            observations.setdefault(label, []).append(Observation(label, e, vid))
+    return [(label, reconstruct_ellipsoid(observations[label], views))
+            for label in sorted(observations)]
+
+
+def reference_annotations(cloud: EllipsoidCloud, views) -> tuple:
+    """Per view, (label, Ellipse, Box) of each object's own projection and
+    its bbox_of_ellipse; and the (view_id, label, note) of each skipped one."""
+    annotations, skipped = {}, []
+    for v in views:
+        rows = []
+        for label, E in cloud.entries:
+            try:
+                e = project_ellipsoid(E, v.pose, v.cam)
+            except (BehindCamera, NotAnEllipse) as exc:
+                skipped.append((v.view_id, label, f"{type(exc).__name__}: {exc}"))
+                continue
+            rows.append((label, e, bbox_of_ellipse(e)))
+        annotations[v.view_id] = rows
+    return annotations, skipped
 
 
 def placed_and_refined(corr, R, cam):

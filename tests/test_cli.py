@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 
 import ellipose
+from conftest import bbox_of_ellipse
 from ellipose import dataio
 from ellipose.cli import main
-from ellipose.dataio import Annotation, Dataset, PredictionRecord, PredictionSet
+from ellipose.dataio import Dataset, PredictionRecord, PredictionSet
 from ellipose.geometry import (
     Box,
     Ellipse,
-    bbox_of_ellipse,
     crop_transform,
     project_ellipsoid,
     transform_ellipse,
@@ -30,11 +30,7 @@ from ellipose.simulator import CameraRig, sample_cameras, tless_like_board
 def board(tmp_path):
     scene = tless_like_board(4)
     views = sample_cameras(CameraRig(0.75, 5, 2))
-    anns, _ = generate_annotations(cloud_of_scene(scene), views)
-    annotations = {
-        vid: [Annotation(label, box, e) for label, e, box in rows]
-        for vid, rows in anns.items()
-    }
+    annotations, _ = generate_annotations(cloud_of_scene(scene), views)
     dataset = Dataset(views, annotations, scene)
     path = tmp_path / "dataset.json"
     dataio.save_dataset(dataset, path)
@@ -112,8 +108,8 @@ class TestAnnotateCommand:
         assert main(["annotate", "--dataset", str(dpath), "--cloud", str(cloud_path), "--out", str(out)]) == 0
         anns, skipped = dataio.load_annotations(out)
         assert set(anns) == {v.view_id for v in views}
-        for vid, rows in anns.items():
-            assert len(rows) == len(scene.objects)
+        for vid, a in anns.items():
+            assert len(a.labels) == len(scene.objects)
 
 
 class TestPoseCommand:

@@ -4,9 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_ellipse, random_ellipsoid
+from conftest import (
+    annotation_rows,
+    bbox_of_ellipse,
+    random_ellipse,
+    random_ellipsoid,
+    view_annotations,
+)
 from ellipose.dataio import (
-    Annotation,
     Dataset,
     PredictionRecord,
     PredictionSet,
@@ -23,7 +28,7 @@ from ellipose.dataio import (
     write_csv,
 )
 from ellipose.errors import ParseError, SchemaVersionMismatch
-from ellipose.geometry import Box, Ellipse, bbox_of_ellipse, Pose
+from ellipose.geometry import Box, Ellipse, Pose
 from ellipose.multibin import MultibinConfig, perfect_prediction
 from ellipose.pose import PoseEstimate
 from ellipose.reconstruction import CalibratedView, EllipsoidCloud
@@ -39,8 +44,8 @@ def dataset(rng):
     ]
     e = random_ellipse(rng)
     annotations = {
-        "v0": [Annotation("a", bbox_of_ellipse(e), e)],
-        "v1": [Annotation("a", Box((0, 0), (10, 10)), None)],
+        "v0": view_annotations([("a", bbox_of_ellipse(e), e)]),
+        "v1": view_annotations([("a", Box((0, 0), (10, 10)), None)]),
     }
     obj = SceneObject("a", random_ellipsoid(rng), model_points=rng.normal(size=(5, 3)))
     cfg = MultibinConfig(8, 0.1)
@@ -63,11 +68,11 @@ class TestDatasetRoundTrip:
             assert np.array_equal(a.cam.K, b.cam.K)
             assert np.array_equal(a.pose.R, b.pose.R)
             assert np.array_equal(a.pose.t, b.pose.t)
-        a0 = dataset.annotations["v0"][0]
-        b0 = back.annotations["v0"][0]
-        assert np.array_equal(a0.ellipse.center, b0.ellipse.center)
-        assert a0.ellipse.angle == b0.ellipse.angle
-        assert back.annotations["v1"][0].ellipse is None
+        a0 = dataset.annotations["v0"]
+        b0 = back.annotations["v0"]
+        assert np.array_equal(a0.centers, b0.centers)
+        assert np.array_equal(a0.angles, b0.angles)
+        assert np.isnan(back.annotations["v1"].angles[0])
         assert np.array_equal(
             dataset.scene.objects[0].model_points, back.scene.objects[0].model_points
         )
@@ -138,7 +143,7 @@ class TestDatasetRoundTrip:
             load = load_cloud
         else:
             e = random_ellipse(rng)
-            save_annotations({"v0": [("a", e, bbox_of_ellipse(e))]}, [], path)
+            save_annotations({"v0": view_annotations([("a", bbox_of_ellipse(e), e)])}, [], path)
             load = load_annotations
         doc = json.loads(path.read_text())
         parent = doc
@@ -307,7 +312,7 @@ class TestRecordSites:
         if kind == "cloud":
             save_cloud(EllipsoidCloud((("a", random_ellipsoid(rng)),)), path)
             return load_cloud
-        save_annotations({"v0": [("a", e, bbox_of_ellipse(e))]}, [], path)
+        save_annotations({"v0": view_annotations([("a", bbox_of_ellipse(e), e)])}, [], path)
         return load_annotations
 
     def _load_with(self, site, key, value, dataset, rng, tmp_path):
@@ -338,6 +343,71 @@ class TestRecordSites:
         assert err.field == "ellipse"
 
 
+class TestAnnotationArrays:
+    """A view's records are held as arrays; a null ellipse is a NaN row."""
+
+    @pytest.fixture
+    def four_views(self, rng):
+        cam = default_camera()
+        views = [
+            CalibratedView(f"v{k}", cam, look_at((1.0, k + 1.0, 1.5), (0, 0, 0))) for k in range(4)
+        ]
+        es = [random_ellipse(rng) for _ in range(3)]
+        rows = [("a", bbox_of_ellipse(es[0]), es[0]), ("b", Box((0, 0), (9, 7)), None),
+                ("c", bbox_of_ellipse(es[1]), es[1]), ("d", bbox_of_ellipse(es[2]), es[2])]
+        return Dataset(views, {"v1": view_annotations(rows[:1]), "v3": view_annotations(rows)})
+
+    def test_null_ellipse_mid_view_round_trips_as_null(self, four_views, tmp_path):
+        path = tmp_path / "d.json"
+        save_dataset(four_views, path)
+        text = path.read_text()
+        assert "NaN" not in text
+        assert [r["ellipse"] is None for r in json.loads(text)["annotations"]["v3"]] == [
+            False, True, False, False]
+        back = load_dataset(path)
+        got, want = back.annotations["v3"], four_views.annotations["v3"]
+        assert got.labels == want.labels == ("a", "b", "c", "d")
+        assert np.isnan(got.centers[1]).all() and np.isnan(got.axes[1]).all()
+        assert math.isnan(got.angles[1])
+        for name in ("boxes", "centers", "axes", "angles"):
+            assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True)
+        path2 = tmp_path / "d2.json"
+        save_dataset(back, path2)
+        assert path.read_bytes() == path2.read_bytes()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("box", [0.0, 0.0, 10.0]),
+            ("box", [0.0, 10.0, 10.0, 0.0]),
+            ("box", [0.0, 0.0, "x", 10.0]),
+            ("ellipse", {"center": [1.0, 2.0], "axes": [3.0, 0.0], "angle": 0.0}),
+            ("ellipse", {"center": [1.0], "axes": [3.0, 2.0], "angle": 0.0}),
+            ("ellipse", {"center": [1.0, 2.0], "axes": [3.0, 2.0], "angle": None}),
+        ],
+        ids=["box_short", "box_inverted", "box_string", "ellipse_zero_axis",
+             "ellipse_short_center", "ellipse_null_angle"],
+    )
+    @pytest.mark.parametrize("kind", ["dataset", "annotations"])
+    def test_bad_record_mid_view_named(self, four_views, tmp_path, kind, key, value):
+        path = tmp_path / f"{kind}.json"
+        if kind == "dataset":
+            save_dataset(four_views, path)
+            load = load_dataset
+        else:
+            full = view_annotations(
+                [row for row in annotation_rows(four_views.annotations["v3"]) if row[2]])
+            save_annotations({"v1": four_views.annotations["v1"], "v3": full}, [], path)
+            load = load_annotations
+        doc = json.loads(path.read_text())
+        doc["annotations"]["v3"][2][key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError) as ei:
+            load(path)
+        assert (ei.value.file, ei.value.record, ei.value.field) == (
+            str(path), "annotations[v3][2]", key)
+
+
 class TestOtherFiles:
     def test_cloud_round_trip(self, rng, tmp_path):
         cloud = EllipsoidCloud(tuple((f"o{i}", random_ellipsoid(rng)) for i in range(3)))
@@ -351,11 +421,11 @@ class TestOtherFiles:
 
     def test_annotations_round_trip(self, rng, tmp_path):
         e = random_ellipse(rng)
-        anns = {"v0": [("a", e, bbox_of_ellipse(e))]}
+        anns = {"v0": view_annotations([("a", bbox_of_ellipse(e), e)])}
         path = tmp_path / "a.json"
         save_annotations(anns, [("v1", "b", "BehindCamera")], path)
         back, skipped = load_annotations(path)
-        label, e2, box2 = back["v0"][0]
+        [(label, box2, e2)] = annotation_rows(back["v0"])
         assert label == "a"
         assert np.array_equal(e.center, e2.center)
         assert skipped == [("v1", "b", "BehindCamera")]

@@ -12,11 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_ellipse, random_ellipsoid
+from conftest import bbox_of_ellipse, random_ellipse, random_ellipsoid, view_annotations
 from ellipose import dataio
-from ellipose.dataio import Annotation, Dataset, PredictionRecord, PredictionSet
+from ellipose.dataio import Dataset, PredictionRecord, PredictionSet
 from ellipose.errors import ParseError
-from ellipose.geometry import Box, Ellipse, bbox_of_ellipse
+from ellipose.geometry import Box, Ellipse
 from ellipose.multibin import MultibinConfig, perfect_prediction
 from ellipose.reconstruction import CalibratedView, EllipsoidCloud
 from ellipose.simulator import SceneObject, SceneSpec, default_camera, look_at
@@ -41,7 +41,8 @@ def _valid_documents(directory) -> dict:
     cfg = MultibinConfig(3, 0.1)
     dataset = Dataset(
         views,
-        {"v0": [Annotation("a", bbox_of_ellipse(e), e), Annotation("b", Box((0, 0), (9, 7)))]},
+        {"v0": view_annotations([("a", bbox_of_ellipse(e), e),
+                                 ("b", Box((0, 0), (9, 7)), None)])},
         SceneSpec((SceneObject("a", random_ellipsoid(rng), rng.normal(size=(2, 3))),)),
         PredictionSet(64.0, cfg, {"v1": [PredictionRecord(
             "a", Box((5, 5), (50, 60)), perfect_prediction(Ellipse((32, 32), (20, 9), 0.4), cfg)
@@ -51,7 +52,8 @@ def _valid_documents(directory) -> dict:
         "dataset": lambda p: dataio.save_dataset(dataset, p),
         "cloud": lambda p: dataio.save_cloud(EllipsoidCloud((("a", random_ellipsoid(rng)),)), p),
         "annotations": lambda p: dataio.save_annotations(
-            {"v0": [("a", e, bbox_of_ellipse(e))]}, [("v1", "b", "BehindCamera")], p
+            {"v0": view_annotations([("a", bbox_of_ellipse(e), e)])},
+            [("v1", "b", "BehindCamera")], p,
         ),
         "orientations": lambda p: dataio.save_orientations({"v0": views[0].pose.R}, p),
         "scenario": lambda p: p.write_text(json.dumps({

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    bbox_of_ellipse,
     apply_transform,
     boundary_points,
     conic_residuals,
@@ -28,7 +29,6 @@ from ellipose.geometry import (
     Ellipsoid,
     FrameTransform,
     Pose,
-    bbox_of_ellipse,
     canonicalize,
     conic_to_ellipse,
     crop_transform,

@@ -3,16 +3,25 @@ import math
 import numpy as np
 import pytest
 
-from conftest import conic_distance, ellipsoids_equivalent, random_ellipsoid
+from conftest import (
+    annotation_rows,
+    bbox_of_ellipse,
+    conic_distance,
+    ellipsoids_equivalent,
+    random_ellipsoid,
+    reference_annotations,
+    reference_cloud,
+    reference_inscribed,
+)
 from ellipose.errors import DegenerateConfiguration, EmptyInput, InsufficientViews
 from ellipose.geometry import (
     Box,
     DualQuadric,
     Ellipsoid,
-    bbox_of_ellipse,
     dual_quadric_to_ellipsoid,
     ellipse_to_conic,
     project_ellipsoid,
+    _inscribed_ellipses,
 )
 from ellipose.metrics import ellipse_iou
 from ellipose.reconstruction import (
@@ -37,6 +46,13 @@ def ring_views(n, radius=5.0, target=(0, 0, 0), elevation=0.35, cam=None):
         )
         views.append(CalibratedView(f"v{k}", cam, look_at(pos, target)))
     return views
+
+
+def exact_boxes(objects, view):
+    """(labels, boxes (n,4)) of the tight boxes of the objects' outlines."""
+    boxes = [bbox_of_ellipse(project_ellipsoid(o.ellipsoid, view.pose, view.cam))
+             for o in objects]
+    return [o.label for o in objects], np.array([[*b.min, *b.max] for b in boxes])
 
 
 def exact_observations(E, label, views):
@@ -161,13 +177,7 @@ class TestReconstructCloud:
         scene = tless_like_board(6)
         views = ring_views(3, radius=0.75, target=(0, 0, 0), elevation=0.6)
         held = ring_views(7, radius=0.75, elevation=0.9)
-        boxes = {}
-        for v in views:
-            rows = []
-            for obj in scene.objects:
-                e = project_ellipsoid(obj.ellipsoid, v.pose, v.cam)
-                rows.append((obj.label, bbox_of_ellipse(e)))
-            boxes[v.view_id] = rows
+        boxes = {v.view_id: exact_boxes(scene.objects, v) for v in views}
         cloud, failures = reconstruct_cloud(boxes, views)
         assert not failures
         assert cloud.labels == [o.label for o in scene.objects]
@@ -183,15 +193,11 @@ class TestReconstructCloud:
     def test_label_with_two_views_fails_with_name(self):
         scene = tless_like_board(2)
         views = ring_views(3, radius=0.75, elevation=0.6)
-        boxes = {}
-        for i, v in enumerate(views):
-            rows = []
-            for j, obj in enumerate(scene.objects):
-                if j == 1 and i == 2:
-                    continue  # obj02 appears in only 2 views
-                e = project_ellipsoid(obj.ellipsoid, v.pose, v.cam)
-                rows.append((obj.label, bbox_of_ellipse(e)))
-            boxes[v.view_id] = rows
+        boxes = {
+            # obj02 appears in only 2 views
+            v.view_id: exact_boxes(scene.objects[:1] if i == 2 else scene.objects, v)
+            for i, v in enumerate(views)
+        }
         with pytest.raises(InsufficientViews, match="obj02"):
             reconstruct_cloud(boxes, views)
         cloud, failures = reconstruct_cloud(boxes, views, allow_partial=True)
@@ -211,7 +217,7 @@ class TestGenerateAnnotations:
         pose = look_at((0, 0, 3.0), (0, 0, 0))
         anns, skipped = generate_annotations(cloud, [CalibratedView("v0", cam, pose)])
         assert not skipped
-        label, e, box = anns["v0"][0]
+        [(label, box, e)] = annotation_rows(anns["v0"])
         assert label == "ball"
         assert np.allclose(e.center, (320.0, 240.0), atol=1e-6)
         assert np.allclose(box.center, (320.0, 240.0), atol=1e-6)
@@ -226,7 +232,7 @@ class TestGenerateAnnotations:
         cam = default_camera()
         view = CalibratedView("v0", cam, look_at((0, 0, 3.0), (0, 0, 0)))
         anns, skipped = generate_annotations(cloud, [view])
-        assert [l for l, _, _ in anns["v0"]] == ["front"]
+        assert anns["v0"].labels == ("front",)
         assert skipped == [("v0", "behind", "BehindCamera: ellipsoid center depth -6 <= 0")]
 
     def test_inscribed_reconstruction_not_fully_coherent(self):
@@ -235,20 +241,16 @@ class TestGenerateAnnotations:
         scene = tless_like_board(1)
         obj = scene.objects[0]
         views = ring_views(3, radius=0.75, elevation=0.7)
-        boxes = {
-            v.view_id: [
-                (obj.label, bbox_of_ellipse(project_ellipsoid(obj.ellipsoid, v.pose, v.cam)))
-            ]
-            for v in views
-        }
+        boxes = {v.view_id: exact_boxes([obj], v) for v in views}
         cloud, _ = reconstruct_cloud(boxes, views)
         anns, _ = generate_annotations(cloud, views)
         from ellipose.geometry import inscribed_ellipse
 
         ious = []
         for v in views:
-            _, e, _ = anns[v.view_id][0]
-            source = inscribed_ellipse(boxes[v.view_id][0][1])
+            [(_, _, e)] = annotation_rows(anns[v.view_id])
+            b = boxes[v.view_id][1][0]
+            source = inscribed_ellipse(Box(b[:2], b[2:]))
             ious.append(ellipse_iou(e, source))
         assert all(i < 0.9999 for i in ious)
         assert all(i > 0.5 for i in ious)
@@ -262,4 +264,64 @@ class TestGenerateAnnotations:
 
         for v in views:
             # annotations skip only behind/degenerate, not out-of-image
-            assert len(anns[v.view_id]) >= len(render_detections(scene, v))
+            assert len(anns[v.view_id].labels) >= len(render_detections(scene, v))
+
+
+class TestMapPathMatchesPerRecordFormulas:
+    """reconstruct_cloud and generate_annotations work on per-view arrays;
+    their outputs must equal, bit for bit, one value object per record:
+    inscribed ellipses canonicalized one Box at a time, reconstruct_ellipsoid
+    per label, and each object's own projection with bbox_of_ellipse."""
+
+    @pytest.fixture
+    def board(self):
+        scene = tless_like_board(6)
+        views = sample_cameras(CameraRig(0.75, 5, 2))
+        boxes = {v.view_id: exact_boxes(scene.objects, v) for v in views}
+        # the first view's boxes of obj01-obj03, each about its own centre:
+        # taller than wide, a square, and one whose height exceeds its width
+        # by less than the circle tie
+        _, b = boxes[views[0].view_id]
+        center, side = 0.5 * (b[:3, :2] + b[:3, 2:]), (b[:3, 2:] - b[:3, :2]).max(axis=1)
+        half = 0.5 * side[:, None] * [(0.9, 1.0), (1.0, 1.0), (1.0, 1.0 + 1e-10)]
+        b[:3] = np.concatenate([center - half, center + half], axis=1)
+        return scene, views, boxes
+
+    def test_inscribed_ellipses_tie_rules(self, board):
+        _, views, boxes = board
+        b = np.concatenate([rows for _, rows in boxes.values()])
+        centers, axes, angles = _inscribed_ellipses(b)
+        assert angles[0] == 0.5 * math.pi and angles[1] == angles[2] == 0.0
+        assert axes[2, 0] > axes[2, 1]
+        for row, c, a, t in zip(b, centers, axes, angles):
+            want = reference_inscribed(Box(row[:2], row[2:]))
+            assert np.array_equal(c, want.center) and np.array_equal(a, want.axes)
+            assert t == want.angle
+
+    def test_cloud_bit_identical(self, board):
+        _, views, boxes = board
+        cloud, failures = reconstruct_cloud(boxes, views)
+        assert not failures
+        want = reference_cloud(boxes, views)
+        assert cloud.labels == [label for label, _ in want]
+        for (_, got), (_, ref) in zip(cloud.entries, want):
+            for name in ("center", "axes", "rotation"):
+                assert np.array_equal(getattr(got, name), getattr(ref, name))
+
+    def test_annotations_bit_identical(self, board):
+        scene, views, boxes = board
+        cloud, _ = reconstruct_cloud(boxes, views)
+        # one object behind every camera, skipped with its note
+        behind = Ellipsoid((0.0, 0.0, 3.0), (0.05, 0.05, 0.05), np.eye(3))
+        cloud = EllipsoidCloud(cloud.entries + (("far", behind),))
+        anns, skipped = generate_annotations(cloud, views)
+        want, want_skipped = reference_annotations(cloud, views)
+        assert skipped == want_skipped and len(skipped) == len(views)
+        assert list(anns) == list(want)
+        for vid, rows in want.items():
+            got = annotation_rows(anns[vid])
+            assert [label for label, _, _ in got] == [label for label, _, _ in rows]
+            for (_, b1, e1), (_, e2, b2) in zip(got, rows):
+                assert np.array_equal(e1.center, e2.center)
+                assert np.array_equal(e1.axes, e2.axes) and e1.angle == e2.angle
+                assert np.array_equal(b1.min, b2.min) and np.array_equal(b1.max, b2.max)

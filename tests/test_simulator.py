@@ -3,13 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from conftest import boundary_points, ellipse_contains, random_ellipsoid, random_rotation
+from conftest import (
+    bbox_of_ellipse,
+    boundary_points,
+    ellipse_contains,
+    random_ellipsoid,
+    random_rotation,
+)
 from ellipose.errors import BehindCamera, DegenerateBox, DegeneratePointSet, NotAnEllipse
 from ellipose.geometry import (
     Box,
     Ellipse,
     Ellipsoid,
-    bbox_of_ellipse,
     ellipse_to_conic,
     project_ellipsoid,
 )
