@@ -61,13 +61,9 @@ from .multibin import (
     perfect_prediction,
 )
 from .pose import (
-    Correspondence,
     PoseEstimate,
     RansacOptions,
-    RefineResult,
-    pose_from_two_pairs,
     ransac_pose,
-    refine_pose,
 )
 from .reconstruction import (
     CalibratedView,

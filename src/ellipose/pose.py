@@ -1,18 +1,20 @@
-"""Camera pose recovery from ellipse-ellipsoid correspondences.
+"""Camera pose recovery from label-associated ellipse-ellipsoid pairs.
 
-Solvers: closed-form camera placement from one pair under a known
-orientation (the ellipsoid center on the detection's back-projection ray at
-the area-equating depth), full two-pair pose (icosahedral rotation grid
-scored by that closed-form placement, then joint 6-dof refinement), local
-pose refinement over any number of pairs, and RANSAC over label-based
-association hypotheses: each distinct seeded minimal set solved once in full
-mode, every correspondence placed once when the orientation is known, where
-the only damped least-squares solve is the final polish on the inliers.
+The one entry point is :func:`ransac_pose`, RANSAC over the associations of
+a view's detections with the cloud's ellipsoids of the same label.  With
+the orientation known, each association's hypothesis is the closed-form
+camera placement: the ellipsoid center on the detection's back-projection
+ray at the area-equating depth.  In full mode, each distinct seeded draw of
+two associations is solved for the full pose: an icosahedral rotation grid
+scored by that closed-form placement, then joint 6-dof refinement, all
+draws of a view together.  The best hypothesis is polished on its inliers,
+the only damped least-squares solve besides the two-pair refinement.
 
-Each solver call converts its correspondences once, into one table of
-stacked arrays (:func:`_pairs`): RANSAC builds it for its placements, its
-two-pair solves, consensus and the polish, which reads the inliers' rows;
-a row depends on its correspondence alone, so tables agree bit for bit.
+Each call converts its detections and ellipsoids once, into one table of
+stacked arrays (:func:`_pairs`), one row per association: the placements,
+the two-pair solves, consensus and the polish, which reads the inliers'
+rows, all read it.  A row depends on its own association alone, so a
+subset's table is those rows of the full table, bit for bit.
 Every projection goes through the one conic-projection kernel of
 ``geometry`` over a stack of poses times pairs.  All residuals are
 Frobenius differences of its unit-normalized point conics; their exact
@@ -52,8 +54,6 @@ from .errors import (
 )
 from .geometry import (
     CameraModel,
-    Ellipse,
-    Ellipsoid,
     Pose,
     canonicalize,
     normalize_symmetric,
@@ -73,20 +73,6 @@ from .metrics import _ellipse_ious, rotation_distance
 from .reconstruction import EllipsoidCloud
 
 _IOU_GRID = 128  # grid resolution of the consensus IoU
-
-
-@dataclass(frozen=True, eq=False)
-class Correspondence:
-    """A detected ellipse paired with an ellipsoid, the ellipse stored in
-    canonical form.  The solvers read it through the table of
-    :func:`_pairs`, which converts each correspondence once per call."""
-
-    ellipse: Ellipse
-    ellipsoid: Ellipsoid
-    label: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "ellipse", canonicalize(self.ellipse))
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,21 +105,18 @@ class RansacOptions:
             raise ValueError(f"unknown mode {self.mode!r}")
         _check_int("iterations", self.iterations, 1)
         _check_int("seed", self.seed, 0)
-        if not 0.0 < self.inlier_iou_threshold < 1.0:
-            raise ValueError("inlier threshold must be in (0, 1)")
+        threshold = self.inlier_iou_threshold
+        if not (isinstance(threshold, (int, float, np.integer, np.floating))
+                and 0.0 < threshold < 1.0):
+            raise ValueError(f"inlier threshold must be a number in (0, 1), got {threshold!r}")
+        if not isinstance(self.refine_orientation, (bool, np.bool_)):
+            raise ValueError(f"refine_orientation must be a bool, got {self.refine_orientation!r}")
         if self.mode == "orientation_known":
             if self.rotation is None:
                 raise ValueError("orientation_known mode needs a rotation")
             rotation = _freeze(self.rotation, (3, 3))
             _check_rotation(rotation)
             object.__setattr__(self, "rotation", rotation)
-
-
-@dataclass(frozen=True, eq=False)
-class RefineResult:
-    pose: Pose
-    converged: bool
-    costs: tuple  # initial cost followed by the cost after each accepted step
 
 
 # ---------------------------------------------------------------------------
@@ -146,30 +129,47 @@ _Pairs = namedtuple(
 )
 
 
-def _pairs(correspondences, K) -> _Pairs:
-    """The table of the correspondences under the intrinsics K, one row each:
-    the ellipsoid's unit dual quadric Qd, center_w, axes, rotation rot_w and
-    max_axis; the detection's unit point conic M_det, its area area_det (not
-    > 0 where the conic is no real ellipse) and the unit back-projection ray
-    ray_dir of its center; and the detection's det_center, det_axes and
-    det_angle in pixels.  M_det and area_det are in intrinsics-normalized
-    coordinates: pixel-frame conic entries span several orders of magnitude
-    and would crush the shape information after unit-Frobenius scaling.
-    Rows come from the stacked kernels of ``ellipsoid_to_dual_quadric`` and
-    ``ellipse_to_conic`` and depend on their own correspondence alone, so
-    the table of a subset is those rows of the full table, bit for bit.
+def _pairs(detections, cloud: EllipsoidCloud, K):
+    """The table of the (label, Ellipse) detections associated with the
+    cloud's ellipsoids of equal label under the intrinsics K, one row per
+    association, detection-major; and each row's detection index and object
+    index.  The table is None when no label matches.
+
+    A row holds the ellipsoid's unit dual quadric Qd, center_w, axes,
+    rotation rot_w and max_axis; the detection's unit point conic M_det, its
+    area area_det (not > 0 where the conic is no real ellipse) and the unit
+    back-projection ray ray_dir of its center; and the detection, each
+    canonicalized once, as det_center, det_axes and det_angle in pixels.
+    M_det and area_det are in intrinsics-normalized coordinates: pixel-frame
+    conic entries span several orders of magnitude and would crush the shape
+    information after unit-Frobenius scaling.  Rows come from the stacked
+    kernels of ``ellipsoid_to_dual_quadric`` and ``ellipse_to_conic`` and
+    depend on their own association alone, so the table of a subset is
+    those rows of the full table, bit for bit.
     """
-    center_w, axes, rot_w = (np.array([getattr(c.ellipsoid, name) for c in correspondences])
+    ellipses, det_idx, obj_idx = [], [], []
+    for d, (label, ellipse) in enumerate(detections):
+        objs = [o for o, (obj_label, _) in enumerate(cloud.entries) if obj_label == label]
+        if objs:
+            ellipses += [canonicalize(ellipse)] * len(objs)
+            det_idx += [d] * len(objs)
+            obj_idx += objs
+    det_idx, obj_idx = np.array(det_idx, int), np.array(obj_idx, int)
+    if not ellipses:
+        return None, det_idx, obj_idx
+    ellipsoids = [cloud.entries[o][1] for o in obj_idx.tolist()]
+    center_w, axes, rot_w = (np.array([getattr(E, name) for E in ellipsoids])
                              for name in ("center", "axes", "rotation"))
-    det_center, det_axes, det_angle = (np.array([getattr(c.ellipse, name) for c in correspondences])
+    det_center, det_axes, det_angle = (np.array([getattr(e, name) for e in ellipses])
                                        for name in ("center", "axes", "angle"))
     M = normalize_symmetric(_ellipse_conics(det_center, det_axes, det_angle))
     M_det = normalize_symmetric(K.T @ M @ K)
     h = np.concatenate([det_center, np.ones((len(M), 1))], axis=1)[:, :, None]
     h = np.linalg.solve(np.broadcast_to(K, (len(M), 3, 3)), h)[:, :, 0]
-    return _Pairs(normalize_symmetric(_quadric_duals(center_w, axes, rot_w)), center_w, axes,
-                  rot_w, axes.max(axis=1), M_det, _conic_areas(M_det),
-                  h / np.sqrt(h[:, None] @ h[:, :, None])[:, 0], det_center, det_axes, det_angle)
+    table = _Pairs(normalize_symmetric(_quadric_duals(center_w, axes, rot_w)), center_w, axes,
+                   rot_w, axes.max(axis=1), M_det, _conic_areas(M_det),
+                   h / np.sqrt(h[:, None] @ h[:, :, None])[:, 0], det_center, det_axes, det_angle)
+    return table, det_idx, obj_idx
 
 
 _UPPER_T = np.array([0, 3, 6, 4, 7, 8])  # raveled index of the same entries of the transpose
@@ -466,15 +466,11 @@ def _rotation_starts() -> np.ndarray:
     return starts
 
 
-def pose_from_two_pairs(
-    c1: Correspondence, c2: Correspondence, cam: CameraModel
-) -> Pose:
-    """Full 6-dof pose from two correspondences: the one-draw case of
-    :func:`_two_pair_solutions`, whose error it raises."""
-    (solution,) = _two_pair_solutions(_pairs((c1, c2), cam.K), [(0, 1)])
-    if isinstance(solution, ElliposeError):
-        raise solution
-    return solution
+def _same_pose(R, t, R0, t0) -> bool:
+    """Whether the pose (R, t) falls in the cluster of (R0, t0): rotation
+    distance plus translation distance relative to 1 + |t0| below 0.05."""
+    distance = np.linalg.norm(t - t0) / (1.0 + float(np.linalg.norm(t0)))
+    return rotation_distance(R, R0) + distance < 0.05
 
 
 def _two_pair_solutions(pairs: _Pairs, draws):
@@ -534,8 +530,7 @@ def _two_pair_solutions(pairs: _Pairs, draws):
     for d, candidates in _refined_draws(pairs, stage_c, solutions, max_iter=60).items():
         clusters = []
         for cost, R, t in candidates:
-            if not any(rotation_distance(R, cR) + np.linalg.norm(t - ct) / (
-                    1.0 + float(np.linalg.norm(ct))) < 0.05 for _, cR, ct in clusters):
+            if not any(_same_pose(R, t, cR, ct) for _, cR, ct in clusters):
                 clusters.append((cost, R, t))
         best = clusters[0]
         solutions[d] = Pose(best[1], best[2])
@@ -601,75 +596,52 @@ def _refine_raw(R0, t0, pairs, rows, *, max_iter=50, rotation_fixed=False):
     return res, pose_at(slice(None), res.x)
 
 
-def refine_pose(
-    p0: Pose,
-    correspondences,
-    cam: CameraModel,
-    *,
-    rotation_fixed: bool = False,
-) -> RefineResult:
-    """Local minimization of the summed conic residual from ``p0``.
-
-    Never raises on stagnation: the best iterate is returned with
-    ``converged`` False.  Cost history is monotone non-increasing.
-    """
-    correspondences = list(correspondences)
-    if not correspondences:
-        raise ValueError("refinement needs at least one correspondence")
-    res, (R, t) = _refine_raw(p0.R[None], p0.t[None], _pairs(correspondences, cam.K),
-                              np.arange(len(correspondences))[None], rotation_fixed=rotation_fixed)
-    costs = res.costs[0]
-    # no accepted step (or an invalid start): return the input bit-for-bit
-    pose = p0 if len(costs) <= 1 else Pose(R[0], t[0])
-    return RefineResult(pose, bool(res.converged[0]), tuple(costs))
-
-
 # ---------------------------------------------------------------------------
-# Associations and RANSAC
+# RANSAC
 # ---------------------------------------------------------------------------
-
-
-def _associations_with_indices(detections, cloud: EllipsoidCloud):
-    return [(Correspondence(ellipse, ellipsoid, label), d_idx, o_idx)
-            for d_idx, (label, ellipse) in enumerate(detections)
-            for o_idx, (obj_label, ellipsoid) in enumerate(cloud.entries) if label == obj_label]
 
 
 def ransac_pose(detections, cloud: EllipsoidCloud, cam: CameraModel, opts: RansacOptions) -> PoseEstimate:
-    """RANSAC over association hypotheses.
+    """Camera pose of a view from its (label, Ellipse) detections and the
+    labeled ellipsoids of ``cloud``, by RANSAC over the associations of
+    equal labels, the rows of the table of :func:`_pairs`.
 
-    With the orientation known, every row of the correspondence table is
-    placed once, in order, by :func:`_ray_placements`; in full mode, each
-    distinct seeded draw of two correspondences that share no detection and
-    no object is solved, all in one :func:`_two_pair_solutions` call.
-    Hypotheses are scored by the ellipse IoU between detections and
-    reprojections, the best by (inlier count, mean inlier IoU, hypothesis
-    order) is polished on its inliers' rows of the table, as by
-    :func:`refine_pose`, and consensus is re-evaluated on the refined pose.
-    ``seed`` and ``iterations`` act on full mode only.
+    With the orientation known, every row is placed once, in order, by
+    :func:`_ray_placements`; in full mode, each distinct seeded draw of two
+    rows that share no detection and no object is solved, all in one
+    :func:`_two_pair_solutions` call.  Hypotheses are scored by the ellipse
+    IoU between detections and reprojections.  The first with the most
+    inliers and then the highest mean inlier IoU is polished on its inliers'
+    rows by the one-candidate LM, and consensus is re-evaluated on the
+    refined pose.  A distinct pose (outside the cluster of
+    :func:`_same_pose`) that ties it on both raises AmbiguousSolution
+    carrying the two.  ``seed`` and ``iterations`` act on full mode only.
     """
-    assoc = _associations_with_indices(detections, cloud)
-    corrs = [c for c, _, _ in assoc]
+    pairs, det_idx, obj_idx = _pairs(detections, cloud, cam.K)
     min_set = 1 if opts.mode == "orientation_known" else 2
-    if len(corrs) < min_set:
-        raise NoValidPose(f"{len(corrs)} correspondences, need {min_set}")
-    pairs = _pairs(corrs, cam.K)
+    if len(det_idx) < min_set:
+        raise NoValidPose(f"{len(det_idx)} correspondences, need {min_set}")
     hypotheses = (_placements(opts.rotation, pairs) if opts.mode == "orientation_known"
-                  else _two_pair_poses(assoc, pairs, opts))
-    best = None  # (count, score, -index), pose, inliers
-    for index, poses in enumerate(hypotheses):
+                  else _two_pair_poses(pairs, det_idx, obj_idx, opts))
+    best = rival = None  # best: ((count, score), pose, inliers); rival: a pose tying it
+    for poses in hypotheses:
         for pose in poses:
             inliers, score = _consensus(pose, pairs, cam.K, opts.inlier_iou_threshold)
             if len(inliers) < min_set:
                 continue
-            key = (len(inliers), score, -index)
+            key = (len(inliers), score)
             if best is None or key > best[0]:
-                best = (key, pose, inliers)
+                best, rival = (key, pose, inliers), None
+            elif key == best[0] and rival is None and not _same_pose(
+                    pose.R, pose.t, best[1].R, best[1].t):
+                rival = pose
     if best is None:
         raise NoValidPose("no hypothesis reached the minimal inlier count")
+    if rival is not None:
+        raise AmbiguousSolution("two distinct poses tie on inlier count and mean IoU",
+                                candidates=(best[1], rival))
 
-    key, pose, inliers = best
-    score = key[1]
+    (_, score), pose, inliers = best
     # final polish, re-run while the consensus set keeps growing; the local
     # refinement minimizes an algebraic cost whose optimum can drift
     # geometrically under detection shape mismatch, so a refined pose only
@@ -681,7 +653,6 @@ def ransac_pose(detections, cloud: EllipsoidCloud, cam: CameraModel, opts: Ransa
     # pair, so orientation refinement needs at least two.
     for _ in range(4):
         rotation_fixed = not opts.refine_orientation or len(inliers) < 2
-        # refine_pose on the inliers' rows, which equal the rows of their own table
         res, (R, t) = _refine_raw(pose.R[None], pose.t[None], pairs, np.array(inliers)[None],
                                   rotation_fixed=rotation_fixed)
         refined = pose if len(res.costs[0]) <= 1 else Pose(R[0], t[0])
@@ -702,16 +673,15 @@ def _placements(R, pairs: _Pairs):
         yield [Pose(R, ts[0])] if ok[0] else []
 
 
-def _two_pair_poses(assoc, pairs: _Pairs, opts: RansacOptions):
+def _two_pair_poses(pairs: _Pairs, det_idx, obj_idx, opts: RansacOptions):
     """Full-mode hypotheses: per distinct seeded draw, in draw order, the
     poses :func:`_two_pair_solutions` finds for it, where it does not fail.
     The draws come first, as the RNG stream never depends on a solve, and
     are solved together.  A repeated draw is not solved again: the solver is
-    deterministic, so its poses would score as at the first draw with a
-    later index, strictly below a key the best already holds or has
-    beaten."""
+    deterministic, so its poses would be poses already scored, which can
+    neither beat the best nor become a new rival to it."""
     rng = np.random.default_rng(np.random.SeedSequence(int(opts.seed)))
-    draws = [_draw_minimal_set(rng, assoc) for _ in range(opts.iterations)]
+    draws = [_draw_minimal_set(rng, det_idx, obj_idx) for _ in range(opts.iterations)]
     draws = list(dict.fromkeys(d for d in draws if d is not None))
     for solution in _two_pair_solutions(pairs, draws):
         if isinstance(solution, AmbiguousSolution):
@@ -720,11 +690,13 @@ def _two_pair_poses(assoc, pairs: _Pairs, opts: RansacOptions):
             yield [solution]
 
 
-def _draw_minimal_set(rng, assoc):
-    n = len(assoc)
+def _draw_minimal_set(rng, det_idx, obj_idx):
+    """Two rows drawn at random that share no detection and no object, or
+    None when 50 tries find none."""
+    n = len(det_idx)
     for _ in range(50):
         i, j = int(rng.integers(n)), int(rng.integers(n))
-        if i != j and assoc[i][1] != assoc[j][1] and assoc[i][2] != assoc[j][2]:
+        if i != j and det_idx[i] != det_idx[j] and obj_idx[i] != obj_idx[j]:
             return (i, j)
     return None
 

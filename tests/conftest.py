@@ -1,9 +1,10 @@
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
 
-from ellipose.errors import BehindCamera, NotAnEllipse
+from ellipose.errors import BehindCamera, ElliposeError, NotAnEllipse
 from ellipose.geometry import (
     Box,
     Ellipse,
@@ -23,9 +24,10 @@ from ellipose.pose import (
     _pairs,
     _pose_directions,
     _ray_placements,
+    _refine_raw,
     _rotations,
     _row_norms,
-    refine_pose,
+    _two_pair_solutions,
 )
 from ellipose.reconstruction import (
     EllipsoidCloud,
@@ -264,12 +266,57 @@ def reference_annotations(cloud: EllipsoidCloud, views) -> tuple:
     return annotations, skipped
 
 
-def placed_and_refined(corr, R, cam):
+# ---------------------------------------------------------------------------
+# The pose solver's cores on hand-made pairs
+# ---------------------------------------------------------------------------
+
+
+PairRow = namedtuple("PairRow", "ellipse ellipsoid")
+
+
+def pair_row(ellipse: Ellipse, ellipsoid: Ellipsoid) -> PairRow:
+    """A detected ellipse, in canonical form, paired with an ellipsoid."""
+    return PairRow(canonicalize(ellipse), ellipsoid)
+
+
+def pairs_table(rows, K):
+    """The solver's table with one row per pair row, in order: each row a
+    detection and an object of a label of its own."""
+    table, _, _ = _pairs([(str(i), r.ellipse) for i, r in enumerate(rows)],
+                         EllipsoidCloud(tuple((str(i), r.ellipsoid) for i, r in enumerate(rows))),
+                         K)
+    return table
+
+
+def two_pair_pose(r1, r2, cam) -> Pose:
+    """Full 6-dof pose from two pair rows: the one-draw case of the
+    two-pair core, whose error it raises."""
+    (solution,) = _two_pair_solutions(pairs_table((r1, r2), cam.K), [(0, 1)])
+    if isinstance(solution, ElliposeError):
+        raise solution
+    return solution
+
+
+Polished = namedtuple("Polished", "pose converged costs")
+
+
+def polish(p0: Pose, rows, cam, *, rotation_fixed=False) -> Polished:
+    """The solver's one-candidate polish from ``p0`` over the pair rows:
+    the pose (``p0`` itself when no step was accepted), whether it
+    converged, and the costs (the initial one, then one per step)."""
+    res, (R, t) = _refine_raw(p0.R[None], p0.t[None], pairs_table(rows, cam.K),
+                              np.arange(len(rows))[None], rotation_fixed=rotation_fixed)
+    costs = res.costs[0]
+    return Polished(p0 if len(costs) <= 1 else Pose(R[0], t[0]), bool(res.converged[0]),
+                    tuple(costs))
+
+
+def placed_and_refined(row, R, cam):
     """Camera translation from one pair under a known orientation: the
-    closed-form ray placement, then a one-pair rotation-fixed refinement."""
-    ts, ok = _ray_placements(np.asarray(R, float)[None], _pairs([corr], cam.K), 0)
+    closed-form ray placement, then a one-pair rotation-fixed polish."""
+    ts, ok = _ray_placements(np.asarray(R, float)[None], pairs_table([row], cam.K), 0)
     assert ok[0], "the placement is invalid"
-    return refine_pose(Pose(R, ts[0]), [corr], cam, rotation_fixed=True).pose.t
+    return polish(Pose(R, ts[0]), [row], cam, rotation_fixed=True).pose.t
 
 
 # ---------------------------------------------------------------------------

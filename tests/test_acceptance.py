@@ -13,6 +13,7 @@ from conftest import (
     conic_distance,
     conic_residuals,
     ellipsoids_equivalent,
+    pair_row,
     placed_and_refined,
     random_ellipse,
     random_ellipsoid,
@@ -20,6 +21,7 @@ from conftest import (
     scene_from_cloud,
     shape_matrix,
     stretched_cloud,
+    two_pair_pose,
 )
 from ellipose.cli import main as cli_main
 from ellipose.errors import AmbiguousSolution
@@ -37,12 +39,7 @@ from ellipose.geometry import (
 )
 from ellipose.metrics import ellipse_iou, pose_errors
 from ellipose.multibin import MultibinConfig, decode_prediction, perfect_prediction
-from ellipose.pose import (
-    Correspondence,
-    RansacOptions,
-    pose_from_two_pairs,
-    ransac_pose,
-)
+from ellipose.pose import RansacOptions, ransac_pose
 from ellipose.reconstruction import CalibratedView, EllipsoidCloud, Observation, reconstruct_ellipsoid
 from ellipose.scenarios import (
     cloud_of_scene,
@@ -184,7 +181,7 @@ def test_criterion_3_pose_round_trips():
         )
         pose = look_at(pos, E.center + rng.uniform(-0.1, 0.1, 3))
         ell = project_ellipsoid(E, pose, cam)
-        t = placed_and_refined(Correspondence(ell, E, "x"), pose.R, cam)
+        t = placed_and_refined(pair_row(ell, E), pose.R, cam)
         worst_pos = max(worst_pos, float(np.linalg.norm(t - pose.t)))
     assert worst_pos < 1e-6
 
@@ -197,10 +194,10 @@ def test_criterion_3_pose_round_trips():
             [math.cos(el) * math.cos(az), math.cos(el) * math.sin(az), math.sin(el)]
         )
         pose = look_at(pos, mid)
-        c1 = Correspondence(project_ellipsoid(E1, pose, cam), E1, "a")
-        c2 = Correspondence(project_ellipsoid(E2, pose, cam), E2, "b")
+        c1 = pair_row(project_ellipsoid(E1, pose, cam), E1)
+        c2 = pair_row(project_ellipsoid(E2, pose, cam), E2)
         try:
-            est = pose_from_two_pairs(c1, c2, cam)
+            est = two_pair_pose(c1, c2, cam)
         except AmbiguousSolution as exc:
             est = min(exc.candidates, key=lambda p: pose_errors(p, pose)[0])
         rot, p = pose_errors(est, pose)

@@ -8,7 +8,10 @@ from conftest import (
     axis_angle_to_matrix,
     grid_ellipse_iou,
     max_axis,
+    pair_row,
+    pairs_table,
     placed_and_refined,
+    polish,
     projected_conic,
     random_ellipse,
     random_ellipsoid,
@@ -16,6 +19,7 @@ from conftest import (
     reference_lm,
     reference_refine,
     rot2d,
+    two_pair_pose,
 )
 from ellipose import pose as pose_module
 from ellipose.errors import (
@@ -39,19 +43,15 @@ from ellipose.geometry import (
 )
 from ellipose.metrics import pose_errors, rotation_distance
 from ellipose.pose import (
-    Correspondence,
     EllipsoidCloud,
     PoseEstimate,
     RansacOptions,
-    pose_from_two_pairs,
     ransac_pose,
-    refine_pose,
 )
 from ellipose.pose import (  # white-box kernels
     _DP_TRANSLATION,
     _IOU_GRID,
     _Pairs,
-    _associations_with_indices,
     _conic_areas,
     _conic_jacobians,
     _consensus,
@@ -88,7 +88,7 @@ class TestPositionFromPair:
             E = sized_ellipsoid(rng)
             pose = camera_near(rng, E.center + rng.uniform(-0.1, 0.1, 3))
             ell = project_ellipsoid(E, pose, cam)
-            t = placed_and_refined(Correspondence(ell, E, "x"), pose.R, cam)
+            t = placed_and_refined(pair_row(ell, E), pose.R, cam)
             assert np.linalg.norm(t - pose.t) < 1e-6
 
     def test_tangent_cone_depth(self):
@@ -97,7 +97,7 @@ class TestPositionFromPair:
         E = Ellipsoid((0, 0, 0), (0.3, 0.3, 0.3), np.eye(3))
         pose = Pose(np.eye(3), (0.0, 0.0, 2.5))
         ell = project_ellipsoid(E, pose, cam)
-        t = placed_and_refined(Correspondence(ell, E, "s"), pose.R, cam)
+        t = placed_and_refined(pair_row(ell, E), pose.R, cam)
         # from the projected circle radius (pixels): tan(alpha) = a / f
         alpha = math.atan2(ell.axes[0], 500.0)
         assert np.linalg.norm(t) == pytest.approx(0.3 / math.sin(alpha), abs=1e-6)
@@ -110,8 +110,8 @@ class TestPositionFromPair:
         # projection: the object would have to cross the principal plane
         ell = Ellipse((900.0, 700.0), (2500.0, 2200.0), 0.2)
         R = look_at((2.0, 0.0, 0.5), (8.0, 0.0, 0.0)).R  # pointing away
-        corr = Correspondence(ell, E, "x")
-        _, ok = _ray_placements(R[None], _pairs([corr], cam.K), 0)
+        corr = pair_row(ell, E)
+        _, ok = _ray_placements(R[None], pairs_table([corr], cam.K), 0)
         assert not ok[0]
         cloud = EllipsoidCloud((("x", E),))
         with pytest.raises(NoValidPose):
@@ -126,14 +126,14 @@ class TestPairsTable:
         cam = default_camera()
         pose = camera_near(rng, (0.0, 0.0, 0.0), dist=2.0)
         corrs = []
-        for i in range(12):
+        for _ in range(12):
             E = sized_ellipsoid(rng, center_scale=0.3)
-            corrs.append(Correspondence(project_ellipsoid(E, pose, cam), E, f"p{i}"))
+            corrs.append(pair_row(project_ellipsoid(E, pose, cam), E))
         for i in range(24):
             e = random_ellipse(rng, center_scale=300.0)
             if i % 4 == 0:
                 e = Ellipse(e.center, (e.axes[0], e.axes[0]), e.angle)
-            corrs.append(Correspondence(e, random_ellipsoid(rng), f"r{i}"))
+            corrs.append(pair_row(e, random_ellipsoid(rng)))
         return cam, corrs
 
     @staticmethod
@@ -158,7 +158,7 @@ class TestPairsTable:
 
     def test_rows_equal_per_correspondence_formulas(self, rng):
         cam, corrs = self._problem(rng)
-        pairs = _pairs(corrs, cam.K)
+        pairs = pairs_table(corrs, cam.K)
         fx, fy = cam.K[0, 0], cam.K[1, 1]
         for i, c in enumerate(corrs):
             M = normalize_symmetric(cam.K.T @ ellipse_to_conic(c.ellipse).M @ cam.K)
@@ -190,16 +190,38 @@ class TestPairsTable:
             assert set(close) | set(exact) == set(_Pairs._fields)
 
     def test_subset_table_is_rows_of_full_table(self, rng):
-        # ransac_pose scores with the table of all correspondences while the
-        # solvers build the table of their own
+        # the polish reads its inliers' rows of the view's table, which are
+        # the table those pairs would have alone
         cam, corrs = self._problem(rng)
-        full = _pairs(corrs, cam.K)
+        full = pairs_table(corrs, cam.K)
         subsets = [[3], [5, 0], [7, 7], list(range(len(corrs)))[::-3]]
         subsets += [rng.choice(len(corrs), size=k).tolist() for k in (2, 6, 17)]
         for idx in subsets:
-            sub = _pairs([corrs[i] for i in idx], cam.K)
+            sub = pairs_table([corrs[i] for i in idx], cam.K)
             for name, rows, got in zip(_Pairs._fields, full, sub):
                 assert rows[idx].shape == got.shape and rows[idx].tobytes() == got.tobytes(), name
+
+
+    def test_view_table_rows_are_its_associations(self, rng, monkeypatch):
+        # shared labels: each detection meets every object of its label,
+        # detection-major, and is canonicalized once however many it meets
+        cam = default_camera()
+        cloud = EllipsoidCloud(tuple((label, sized_ellipsoid(rng)) for label in "abac"))
+        dets = []
+        for label in "bada":
+            e = random_ellipse(rng, center_scale=300.0)
+            dets.append((label, Ellipse(e.center, e.axes[::-1], e.angle + 0.5)))  # not canonical
+        calls = []
+        canonicalize = pose_module.canonicalize
+        monkeypatch.setattr(pose_module, "canonicalize", lambda e: calls.append(e) or canonicalize(e))
+        table, det_idx, obj_idx = _pairs(dets, cloud, cam.K)
+        assert len(calls) == 3  # detections 0, 1 and 3
+        assert list(zip(det_idx.tolist(), obj_idx.tolist())) == [(0, 1), (1, 0), (1, 2),
+                                                                 (3, 0), (3, 2)]
+        rows = [pair_row(dets[d][1], cloud.entries[o][1]) for d, o in zip(det_idx, obj_idx)]
+        for name, got, want in zip(_Pairs._fields, table, pairs_table(rows, cam.K)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+        assert _pairs(dets, EllipsoidCloud((("c", cloud.entries[3][1]),)), cam.K)[0] is None
 
 
 class TestConicKernels:
@@ -212,8 +234,8 @@ class TestConicKernels:
         cam = default_camera()
         objs = [sized_ellipsoid(rng, center_scale=0.3) for _ in range(3)]
         poses = [camera_near(rng, (0.0, 0.0, 0.0), dist=2.0) for _ in range(6)]
-        pairs = _pairs(
-            [Correspondence(project_ellipsoid(E, poses[0], cam), E, "x") for E in objs], cam.K
+        pairs = pairs_table(
+            [pair_row(project_ellipsoid(E, poses[0], cam), E) for E in objs], cam.K
         )
         center = -poses[1].R.T @ poses[1].t
         poses.append(look_at(center, 2.0 * center))
@@ -286,7 +308,7 @@ class TestConicKernels:
         cam = default_camera()
         E = sized_ellipsoid(rng)
         pose = camera_near(rng, E.center + rng.uniform(-0.1, 0.1, 3))
-        pairs = _pairs([Correspondence(project_ellipsoid(E, pose, cam), E, "x")], cam.K)
+        pairs = pairs_table([pair_row(project_ellipsoid(E, pose, cam), E)], cam.K)
         Rs = np.array([random_rotation(rng) for _ in range(300)])
         ts = rng.normal(scale=2.0, size=(300, 3))
         Rs[:100] = pose.R  # near the true pose: mostly valid
@@ -312,9 +334,9 @@ class TestPoseFromTwoPairs:
             while np.linalg.norm(E1.center - E2.center) < 0.3:
                 E2 = sized_ellipsoid(rng)
             pose = camera_near(rng, 0.5 * (E1.center + E2.center), dist=2.2)
-            c1 = Correspondence(project_ellipsoid(E1, pose, cam), E1, "a")
-            c2 = Correspondence(project_ellipsoid(E2, pose, cam), E2, "b")
-            est = pose_from_two_pairs(c1, c2, cam)
+            c1 = pair_row(project_ellipsoid(E1, pose, cam), E1)
+            c2 = pair_row(project_ellipsoid(E2, pose, cam), E2)
+            est = two_pair_pose(c1, c2, cam)
             rot, pos = pose_errors(est, pose)
             assert rot < 1e-4 and pos < 1e-4
 
@@ -323,9 +345,9 @@ class TestPoseFromTwoPairs:
         E = sized_ellipsoid(rng)
         pose = camera_near(rng, E.center)
         ell = project_ellipsoid(E, pose, cam)
-        c = Correspondence(ell, E, "a")
+        c = pair_row(ell, E)
         with pytest.raises(DegenerateConfiguration):
-            pose_from_two_pairs(c, c, cam)
+            two_pair_pose(c, c, cam)
 
     def test_two_spheres_axially_ambiguous(self):
         # two spheres share a rotational symmetry about the line joining
@@ -334,10 +356,10 @@ class TestPoseFromTwoPairs:
         E1 = Ellipsoid((0.4, 0.0, 0.0), (0.1, 0.1, 0.1), np.eye(3))
         E2 = Ellipsoid((-0.4, 0.0, 0.0), (0.15, 0.15, 0.15), np.eye(3))
         pose = look_at((1.2, 1.5, 1.0), (0.0, 0.0, 0.0))
-        c1 = Correspondence(project_ellipsoid(E1, pose, cam), E1, "a")
-        c2 = Correspondence(project_ellipsoid(E2, pose, cam), E2, "b")
+        c1 = pair_row(project_ellipsoid(E1, pose, cam), E1)
+        c2 = pair_row(project_ellipsoid(E2, pose, cam), E2)
         with pytest.raises(AmbiguousSolution) as ei:
-            pose_from_two_pairs(c1, c2, cam)
+            two_pair_pose(c1, c2, cam)
         assert len(ei.value.candidates) == 2
 
 
@@ -350,16 +372,16 @@ def noisy_two_pair_problem(rng):
         E2 = sized_ellipsoid(rng)
     truth = camera_near(rng, 0.5 * (E1.center + E2.center), dist=2.2)
     corrs = []
-    for label, E in (("a", E1), ("b", E2)):
+    for E in (E1, E2):
         e = project_ellipsoid(E, truth, cam)
         e = Ellipse(e.center + rng.normal(scale=2.0, size=2),
                     e.axes * rng.uniform(0.9, 1.1, 2), e.angle)
-        corrs.append(Correspondence(e, E, label))
+        corrs.append(pair_row(e, E))
     return corrs, cam
 
 
 def reference_best_pose(stage_b_starts, pairs):
-    """Stages B and C and the clustering of :func:`pose_from_two_pairs`,
+    """Stages B and C and the clustering of the two-pair solver,
     each candidate refined alone by the scalar reference LM."""
     R0, t0 = stage_b_starts
     stage_b = sorted(
@@ -394,7 +416,7 @@ def test_lockstep_lm_matches_one_candidate_reference(monkeypatch, seed):
         return res, poses
 
     monkeypatch.setattr(pose_module, "_refine_raw", recording)
-    got = pose_from_two_pairs(*corrs, cam)
+    got = two_pair_pose(*corrs, cam)
     assert [c[3]["max_iter"] for c in calls] == [8, 60]
     assert len(calls[0][0]) == 24 and len(calls[1][0]) == 6
     steps = 0
@@ -431,11 +453,10 @@ def test_two_pair_draws_solved_together_as_alone():
     spheres = (Ellipsoid((0.4, 0.0, 0.0), (0.1, 0.1, 0.1), np.eye(3)),
                Ellipsoid((-0.4, 0.0, 0.0), (0.15, 0.15, 0.15), np.eye(3)))
     sphere_pose = look_at((1.2, 1.5, 1.0), (0.0, 0.0, 0.0))
-    corrs += [Correspondence(project_ellipsoid(E, sphere_pose, cam), E, label)
-              for label, E in zip("cd", spheres)]
-    corrs.append(Correspondence(corrs[1].ellipse, corrs[0].ellipsoid, "a"))
+    corrs += [pair_row(project_ellipsoid(E, sphere_pose, cam), E) for E in spheres]
+    corrs.append(pair_row(corrs[1].ellipse, corrs[0].ellipsoid))
     draws = [(0, 1), (4, 5), (2, 3), (0, 6), (1, 0), (3, 2), (5, 4)]
-    pairs = _pairs(corrs, cam.K)
+    pairs = pairs_table(corrs, cam.K)
 
     def together(draws):
         return [two_pair_outcome(s) for s in pose_module._two_pair_solutions(pairs, draws)]
@@ -443,7 +464,7 @@ def test_two_pair_draws_solved_together_as_alone():
     alone = []
     for i, j in draws:
         try:
-            alone.append(two_pair_outcome(pose_from_two_pairs(corrs[i], corrs[j], cam)))
+            alone.append(two_pair_outcome(two_pair_pose(corrs[i], corrs[j], cam)))
         except ElliposeError as exc:
             alone.append(two_pair_outcome(exc))
     assert [kind for kind, _ in alone] == ["Pose", "AmbiguousSolution", "Pose",
@@ -465,12 +486,12 @@ def test_polish_matches_one_candidate_reference(rotation_fixed):
     for _ in range(6):
         truth = camera_near(rng, (0, 0, 0), dist=1.8)
         corrs = []
-        for label, E in cloud.entries:
+        for _, E in cloud.entries:
             e = project_ellipsoid(E, truth, cam)
             e = Ellipse(e.center + rng.normal(scale=6.0, size=2),
                         e.axes * rng.uniform(0.7, 1.3, 2), e.angle)
-            corrs.append(Correspondence(e, E, label))
-        pairs = _pairs(corrs, cam.K)
+            corrs.append(pair_row(e, E))
+        pairs = pairs_table(corrs, cam.K)
         R0 = axis_angle_to_matrix(rng.normal(scale=0.03, size=3)) @ truth.R
         t0 = truth.t + rng.normal(scale=0.03, size=3)
         res, (R, t) = pose_module._refine_raw(R0[None], t0[None], pairs,
@@ -538,15 +559,12 @@ class TestRefinePose:
         cam = default_camera()
         objs = [sized_ellipsoid(rng, center_scale=0.4) for _ in range(n)]
         pose = camera_near(rng, (0.0, 0.0, 0.0), dist=2.0)
-        corrs = [
-            Correspondence(project_ellipsoid(E, pose, cam), E, f"o{i}")
-            for i, E in enumerate(objs)
-        ]
+        corrs = [pair_row(project_ellipsoid(E, pose, cam), E) for E in objs]
         return cam, pose, corrs
 
     def test_stationary_at_ground_truth(self, rng):
         cam, pose, corrs = self._scene(rng)
-        out = refine_pose(pose, corrs, cam)
+        out = polish(pose, corrs, cam)
         assert out.converged
         rot, pos = pose_errors(out.pose, pose)
         assert rot < 1e-10 and pos < 1e-10
@@ -555,26 +573,36 @@ class TestRefinePose:
         cam, pose, corrs = self._scene(rng, n=4)
         R0 = rotation_z(2.0 * DEG) @ pose.R
         p0 = Pose(R0, pose.t + np.array([0.02, -0.01, 0.015]))
-        out = refine_pose(p0, corrs, cam)
+        out = polish(p0, corrs, cam)
         rot, pos = pose_errors(out.pose, pose)
         assert rot < 1e-5 and pos < 1e-5
 
     def test_costs_monotone(self, rng):
         cam, pose, corrs = self._scene(rng, n=3)
         p0 = Pose(rotation_z(3.0 * DEG) @ pose.R, pose.t + 0.03)
-        out = refine_pose(p0, corrs, cam)
+        out = polish(p0, corrs, cam)
         assert all(a >= b for a, b in zip(out.costs, out.costs[1:]))
 
     def test_single_correspondence_cost_decreases(self, rng):
         cam, pose, corrs = self._scene(rng, n=1)
         p0 = Pose(rotation_z(2.0 * DEG) @ pose.R, pose.t + 0.02)
-        out = refine_pose(p0, corrs, cam)
+        out = polish(p0, corrs, cam)
         assert out.costs[-1] < out.costs[0]
 
-    def test_empty_rejected(self, rng):
-        cam, pose, _ = self._scene(rng, n=1)
-        with pytest.raises(ValueError):
-            refine_pose(pose, [], cam)
+    def test_empty_rejected(self, rng, monkeypatch):
+        # a view without a label-matched pair is refused before any LM,
+        # in both modes
+        cam, pose, corrs = self._scene(rng, n=1)
+        cloud = EllipsoidCloud((("o0", corrs[0].ellipsoid),))
+
+        def no_lm(*args, **kwargs):
+            raise AssertionError("the LM ran without a correspondence")
+
+        monkeypatch.setattr(pose_module, "_levenberg_marquardt", no_lm)
+        for dets in ([], [("other", corrs[0].ellipse)]):
+            for opts in (RansacOptions(rotation=pose.R), RansacOptions(mode="full")):
+                with pytest.raises(NoValidPose, match="0 correspondences"):
+                    ransac_pose(dets, cloud, cam, opts)
 
 
 def reference_consensus(pose, cam, corrs, pairs, threshold, outcomes):
@@ -620,8 +648,8 @@ def test_consensus_equals_per_pair_reference(rng):
                 det = Ellipse(rng.uniform(0, 600, 2), (30.0, 10.0), rng.uniform(-1, 1))
             det = Ellipse(det.center + rng.normal(scale=3.0, size=2),
                           det.axes * rng.uniform(0.8, 1.25, 2), det.angle)
-            corrs.append(Correspondence(det, E, "x"))
-        pairs = _pairs(corrs, cam.K)
+            corrs.append(pair_row(det, E))
+        pairs = pairs_table(corrs, cam.K)
         for step in (0.0, 0.02, 0.3):
             w = rng.normal(scale=step, size=3)
             hyp = Pose(axis_angle_to_matrix(w) @ truth.R, truth.t + rng.normal(scale=step, size=3))
@@ -631,8 +659,9 @@ def test_consensus_equals_per_pair_reference(rng):
 
 
 def enumerate_associations(detections, cloud):
-    """All label-compatible (detection, object) pairings."""
-    return [c for c, _, _ in _associations_with_indices(detections, cloud)]
+    """The (detection, object) index of every row of the solver's table."""
+    _, det_idx, obj_idx = _pairs(detections, cloud, default_camera().K)
+    return list(zip(det_idx.tolist(), obj_idx.tolist()))
 
 
 class TestAssociations:
@@ -648,7 +677,7 @@ class TestAssociations:
         cloud = self._cloud(rng, ["duck", "duck"])
         e = Ellipse((0, 0), (2, 1), 0.0)
         dets = [("duck", e), ("duck", e)]
-        assert len(enumerate_associations(dets, cloud)) == 4
+        assert enumerate_associations(dets, cloud) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_unknown_label_ignored(self, rng):
         cloud = self._cloud(rng, ["a"])
@@ -755,21 +784,25 @@ class TestRansac:
 
 
 def reference_ransac(detections, cloud, cam, opts):
-    """RANSAC that, with the orientation known, places and scores every row
-    in row order and, in full mode, solves and scores every draw, repeats
-    included; then it polishes the best hypothesis as :func:`ransac_pose`
-    does.  Returns the estimate and the list of minimal sets."""
-    assoc = _associations_with_indices(detections, cloud)
+    """RANSAC that pairs every detection with every object of its label,
+    detection-major, and, with the orientation known, places and scores
+    every row in row order and, in full mode, solves each draw alone and
+    scores every draw, repeats included; then it polishes the best
+    hypothesis as :func:`ransac_pose` does.  Returns the estimate and the
+    list of minimal sets."""
+    assoc = [(pair_row(e, E), d, o) for d, (label, e) in enumerate(detections)
+             for o, (obj_label, E) in enumerate(cloud.entries) if obj_label == label]
     corrs = [c for c, _, _ in assoc]
+    det_idx, obj_idx = (np.array([a[k] for a in assoc]) for k in (1, 2))
     min_set = 1 if opts.mode == "orientation_known" else 2
-    pairs = _pairs(corrs, cam.K)
+    pairs = pairs_table(corrs, cam.K)
     threshold = opts.inlier_iou_threshold
     if min_set == 1:
         draws = [(i,) for i in range(len(corrs))]
     else:
         rng = np.random.default_rng(np.random.SeedSequence(int(opts.seed)))
-        draws = [_draw_minimal_set(rng, assoc) for _ in range(opts.iterations)]
-    best = None
+        draws = [_draw_minimal_set(rng, det_idx, obj_idx) for _ in range(opts.iterations)]
+    best, scored = None, []
     for draw_idx, sample in enumerate(draws):
         if sample is None:
             continue
@@ -778,7 +811,7 @@ def reference_ransac(detections, cloud, cam, opts):
                 ts, ok = _ray_placements(opts.rotation[None], pairs, sample[0])
                 hypotheses = [Pose(opts.rotation, ts[0])] if ok[0] else []
             else:
-                hypotheses = [pose_from_two_pairs(corrs[sample[0]], corrs[sample[1]], cam)]
+                hypotheses = [two_pair_pose(corrs[sample[0]], corrs[sample[1]], cam)]
         except AmbiguousSolution as exc:
             hypotheses = list(exc.candidates)
         except ElliposeError:
@@ -786,12 +819,19 @@ def reference_ransac(detections, cloud, cam, opts):
         for hyp in hypotheses:
             inliers, score = _consensus(hyp, pairs, cam.K, threshold)
             key = (len(inliers), score, -draw_idx)
-            if len(inliers) >= min_set and (best is None or key > best[0]):
-                best = (key, hyp, inliers)
-    (_, score, _), pose, inliers = best
+            if len(inliers) >= min_set:
+                scored.append((key, hyp))
+                if best is None or key > best[0]:
+                    best = (key, hyp, inliers)
+    (count, score, _), pose, inliers = best
+    rivals = [h for (n, s, _), h in scored if (n, s) == (count, score) and not (
+        rotation_distance(h.R, pose.R) + np.linalg.norm(h.t - pose.t) / (
+            1.0 + np.linalg.norm(pose.t)) < 0.05)]
+    if rivals:
+        raise AmbiguousSolution("tie", candidates=(pose, rivals[0]))
     for _ in range(4):
         rotation_fixed = not opts.refine_orientation or len(inliers) < 2
-        refined = refine_pose(pose, [corrs[i] for i in inliers], cam, rotation_fixed=rotation_fixed)
+        refined = polish(pose, [corrs[i] for i in inliers], cam, rotation_fixed=rotation_fixed)
         inliers2, score2 = _consensus(refined.pose, pairs, cam.K, threshold)
         if (len(inliers2), score2) < (len(inliers), score):
             break
@@ -883,6 +923,27 @@ def test_ransac_solves_each_distinct_draw_once(rng, monkeypatch, mode, solver):
         assert [i for _, _, i in calls] == list(range(len(dets)))
 
 
+def test_full_mode_two_spheres_tie_is_ambiguous():
+    # two spheres fix the pose only up to the turn about the line through
+    # their centers: two distinct hypotheses tie on both inliers at IoU 1,
+    # and the solver names the tie instead of returning the first of them
+    cam = default_camera()
+    cloud = EllipsoidCloud((("a", Ellipsoid((0.4, 0.0, 0.0), (0.1, 0.1, 0.1), np.eye(3))),
+                            ("b", Ellipsoid((-0.4, 0.0, 0.0), (0.15, 0.15, 0.15), np.eye(3)))))
+    truth = look_at((1.2, 1.5, 1.0), (0.0, 0.0, 0.0))
+    dets = [(label, project_ellipsoid(E, truth, cam)) for label, E in cloud.entries]
+    opts = RansacOptions(mode="full", iterations=8, seed=0)
+    with pytest.raises(AmbiguousSolution) as got:
+        ransac_pose(dets, cloud, cam, opts)
+    with pytest.raises(AmbiguousSolution) as want:
+        reference_ransac(dets, cloud, cam, opts)
+    assert two_pair_outcome(got.value) == two_pair_outcome(want.value)
+    pairs, _, _ = _pairs(dets, cloud, cam.K)
+    a, b = got.value.candidates
+    assert _consensus(a, pairs, cam.K, 0.75) == _consensus(b, pairs, cam.K, 0.75) == ((0, 1), 1.0)
+    assert rotation_distance(a.R, b.R) > 0.05
+
+
 @pytest.mark.parametrize("seed", [1, 8])
 def test_one_label_full_mode_contract(monkeypatch, seed):
     # 4 detections x 4 objects of one label: 16 correspondences, 4 of them
@@ -899,8 +960,8 @@ def test_one_label_full_mode_contract(monkeypatch, seed):
     cam = default_camera()
     truth = look_at((1.2, 0.9, 1.3), (0.0, 0.0, 0.0))
     dets = [(label, project_ellipsoid(E, truth, cam)) for label, E in cloud.entries]
-    assoc = _associations_with_indices(dets, cloud)
-    assert len(assoc) == 16
+    _, det_idx, obj_idx = _pairs(dets, cloud, cam.K)
+    assert len(det_idx) == 16
     sets = []
     solve = pose_module._two_pair_solutions
 
@@ -918,7 +979,7 @@ def test_one_label_full_mode_contract(monkeypatch, seed):
     assert time.perf_counter() - start < 60.0
     assert sets
     for i, j in sets:  # rows of the table: no shared detection or object
-        assert assoc[i][1] != assoc[j][1] and assoc[i][2] != assoc[j][2]
+        assert det_idx[i] != det_idx[j] and obj_idx[i] != obj_idx[j]
     if est is not None:
         rot, pos = pose_errors(est.pose, truth)
         assert rot < 1e-8 and pos < 1e-8
@@ -936,6 +997,16 @@ def test_ransac_options_validates_rotation_and_iterations():
     opts = RansacOptions(rotation=np.eye(3).tolist(), iterations=np.int64(3))
     assert opts.rotation.shape == (3, 3) and not opts.rotation.flags.writeable
     assert RansacOptions(mode="full").rotation is None
+    # a threshold that is no number in (0, 1), and a refine_orientation
+    # that is no bool (the string "no" would act as True)
+    for threshold in ("0.5", None, 0.0, 1.0, np.nan, True):
+        with pytest.raises(ValueError, match="inlier threshold"):
+            RansacOptions(mode="full", inlier_iou_threshold=threshold)
+    for flag in ("no", 0, None):
+        with pytest.raises(ValueError, match="refine_orientation must be a bool"):
+            RansacOptions(mode="full", refine_orientation=flag)
+    assert RansacOptions(mode="full", inlier_iou_threshold=np.float32(0.5),
+                         refine_orientation=np.False_).refine_orientation == np.False_
 
 
 def test_ransac_options_validates_seed():
