@@ -109,14 +109,17 @@ def _ellipse_ious(c1, ax1, ang1, c2, ax2, ang2, grid):
         first = np.ceil(np.clip(mid - half_chord, -2.0, grid + 1.0))
         last = np.floor(np.clip(mid + half_chord, -2.0, grid + 1.0))
     # the chord is exact to far below a cell: the cells next to its ends
-    # decide, tested as the grid tests them
-    j = np.stack([first - 1.0, first, last, last + 1.0])
-    dx = x_lo + (j + 0.5) * x_w / grid - cx
-    u = (c * dx + s * dy) / a
-    v = (-s * dx + c * dy) / b
-    inside = (u * u + v * v <= 1.0) & (j >= 0.0) & (j < grid)
-    first = np.where(inside[0], first - 1.0, np.where(inside[1], first, first + 1.0))
-    last = np.where(inside[3], last + 1.0, np.where(inside[2], last, last - 1.0))
+    # decide, tested as the grid tests them, one candidate column at a time
+    # so that no temporary outgrows a (2n, grid) row block
+    def inside(j):
+        dx = x_lo + (j + 0.5) * x_w / grid - cx
+        u = (c * dx + s * dy) / a
+        v = (-s * dx + c * dy) / b
+        return (u * u + v * v <= 1.0) & (j >= 0.0) & (j < grid)
+
+    first = np.where(inside(first - 1.0), first - 1.0,
+                     np.where(inside(first), first, first + 1.0))
+    last = np.where(inside(last + 1.0), last + 1.0, np.where(inside(last), last, last - 1.0))
 
     count = np.maximum(last - first + 1.0, 0.0).sum(axis=1)
     inter = np.maximum(np.minimum(last[:n], last[n:]) - np.maximum(first[:n], first[n:]) + 1.0, 0.0)

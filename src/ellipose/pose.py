@@ -24,8 +24,10 @@ candidates in lockstep, each with its own damping, acceptance and stop,
 scoring all trials of a round in one kernel call: the two-pair solver
 refines the candidates of all of a view's draws together, one LM per
 stage, and the polish is the one-candidate case.
-Consensus is one kernel call for the pose times every row, mapped to pixel
-outlines, and one batched ellipse IoU.
+A view's hypotheses are scored together: with the orientation known, one
+placement call places every row, and consensus is one kernel call for
+every hypothesis pose times every row, mapped to pixel outlines, and one
+batched ellipse IoU over all the valid ones.
 
 The LM takes any valid downhill step of the algebraic residual, which can
 reward a pose that slides an object off its detection or turns its outline
@@ -390,33 +392,41 @@ def _pose_directions(W, Rs):
 
 
 def _ray_placements(Rs, pairs: _Pairs, i):
-    """Closed-form camera translations, one per rotation in Rs (n,3,3), that
-    put the ellipsoid center of row i of the table on the detection's
-    back-projection ray at the depth that equates projected and detected
-    areas.
+    """Closed-form camera translations that put the ellipsoid center of a
+    table row on the detection's back-projection ray at the depth that
+    equates projected and detected areas: row i at each rotation of Rs
+    (n,3,3), or, with i an index array (n,), each of its rows at the one
+    rotation Rs (1,3,3), with the arithmetic of its own scalar call.
 
     Returns (ts, ok); ``ok`` is False where the detection is not a real
-    ellipse, where the detected size would force the ellipsoid across the
-    principal plane, or where the reference projection is invalid.
+    ellipse (ts NaN there), where the detected size would force the
+    ellipsoid across the principal plane, or where the reference
+    projection is invalid.
     """
-    n = len(Rs)
-    if not pairs.area_det[i] > 0.0:
-        return np.full((n, 3), np.nan), np.zeros(n, bool)
-    v = pairs.ray_dir[i]
-    Rc = Rs @ pairs.center_w[i]
+    if np.ndim(i):
+        Rs = np.broadcast_to(Rs, (len(i), 3, 3))
+        Rc = (Rs @ pairs.center_w[i][:, :, None])[:, :, 0]
+        z_rows = (Rs[:, 2:] @ pairs.rot_w[i])[:, 0]
+        Qd, centers = pairs.Qd[i][:, None], pairs.center_w[i][:, None]
+    else:
+        Rc = Rs @ pairs.center_w[i]
+        z_rows = Rs[:, 2] @ pairs.rot_w[i]
+        Qd, centers = pairs.Qd[i:i + 1], pairs.center_w[i:i + 1]
+    area_det, v = pairs.area_det[i], pairs.ray_dir[i]
     # ellipsoid support along the camera z axis bounds the closest valid depth
-    z_rows = Rs[:, 2] @ pairs.rot_w[i]
-    support_z = np.sqrt(np.sum((pairs.axes[i] * z_rows) ** 2, axis=1))
-    lam_min = 1.05 * support_z / v[2]
+    support_z = np.sqrt(np.sum((pairs.axes[i] * z_rows) ** 2, axis=-1))
+    lam_min = 1.05 * support_z / v[..., 2]
     lam_ref = np.maximum(20.0 * pairs.max_axis[i], 2.0 * lam_min)
-    N_ref, _, valid, _ = _project_pairs(Rs, lam_ref[:, None] * v - Rc, pairs.Qd[i:i + 1],
-                                        pairs.center_w[i:i + 1])
+    N_ref, _, valid, _ = _project_pairs(Rs, lam_ref[:, None] * v - Rc, Qd, centers)
     area_ref = _conic_areas(N_ref[:, 0])
-    with np.errstate(invalid="ignore"):
-        lam0 = lam_ref * np.sqrt(area_ref / pairs.area_det[i])
-        ok = valid[:, 0] & (area_ref > 0.0) & (lam0 >= 0.5 * lam_min)
+    real = area_det > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam0 = lam_ref * np.sqrt(area_ref / area_det)
+        ok = valid[:, 0] & (area_ref > 0.0) & (lam0 >= 0.5 * lam_min) & real
     lam0 = np.maximum(lam0, lam_min)
-    return lam0[:, None] * v - Rc, ok
+    ts = lam0[:, None] * v - Rc
+    ts[~real] = np.nan
+    return ts, ok
 
 
 # ---------------------------------------------------------------------------
@@ -621,27 +631,33 @@ def ransac_pose(detections, cloud: EllipsoidCloud, cam: CameraModel, opts: Ransa
     min_set = 1 if opts.mode == "orientation_known" else 2
     if len(det_idx) < min_set:
         raise NoValidPose(f"{len(det_idx)} correspondences, need {min_set}")
-    hypotheses = (_placements(opts.rotation, pairs) if opts.mode == "orientation_known"
-                  else _two_pair_poses(pairs, det_idx, obj_idx, opts))
-    best = rival = None  # best: ((count, score), pose, inliers); rival: a pose tying it
-    for poses in hypotheses:
-        for pose in poses:
-            inliers, score = _consensus(pose, pairs, cam.K, opts.inlier_iou_threshold)
-            if len(inliers) < min_set:
-                continue
-            key = (len(inliers), score)
-            if best is None or key > best[0]:
-                best, rival = (key, pose, inliers), None
-            elif key == best[0] and rival is None and not _same_pose(
-                    pose.R, pose.t, best[1].R, best[1].t):
-                rival = pose
+    if opts.mode == "orientation_known":  # each row's ray placement, in order
+        ts, ok = _ray_placements(opts.rotation[None], pairs, np.arange(len(det_idx)))
+        ts = ts[ok]
+        Rs = np.broadcast_to(opts.rotation, (len(ts), 3, 3))
+    else:
+        poses = _two_pair_poses(pairs, det_idx, obj_idx, opts)
+        Rs = np.array([p.R for p in poses]).reshape(-1, 3, 3)
+        ts = np.array([p.t for p in poses]).reshape(-1, 3)
+    best = rival = None  # best: ((count, score), hypothesis, inliers); rival: one tying it
+    for h, (inliers, score) in enumerate(_consensus(Rs, ts, pairs, cam.K,
+                                                    opts.inlier_iou_threshold)):
+        if len(inliers) < min_set:
+            continue
+        key = (len(inliers), score)
+        if best is None or key > best[0]:
+            best, rival = (key, h, inliers), None
+        elif key == best[0] and rival is None and not _same_pose(
+                Rs[h], ts[h], Rs[best[1]], ts[best[1]]):
+            rival = h
     if best is None:
         raise NoValidPose("no hypothesis reached the minimal inlier count")
     if rival is not None:
         raise AmbiguousSolution("two distinct poses tie on inlier count and mean IoU",
-                                candidates=(best[1], rival))
+                                candidates=tuple(Pose(Rs[h], ts[h]) for h in (best[1], rival)))
 
-    (_, score), pose, inliers = best
+    (_, score), h, inliers = best
+    pose = Pose(Rs[h], ts[h])
     # final polish, re-run while the consensus set keeps growing; the local
     # refinement minimizes an algebraic cost whose optimum can drift
     # geometrically under detection shape mismatch, so a refined pose only
@@ -656,7 +672,8 @@ def ransac_pose(detections, cloud: EllipsoidCloud, cam: CameraModel, opts: Ransa
         res, (R, t) = _refine_raw(pose.R[None], pose.t[None], pairs, np.array(inliers)[None],
                                   rotation_fixed=rotation_fixed)
         refined = pose if len(res.costs[0]) <= 1 else Pose(R[0], t[0])
-        inliers2, score2 = _consensus(refined, pairs, cam.K, opts.inlier_iou_threshold)
+        ((inliers2, score2),) = _consensus(refined.R[None], refined.t[None], pairs, cam.K,
+                                           opts.inlier_iou_threshold)
         if (len(inliers2), score2) < (len(inliers), score):
             break
         grew = len(inliers2) > len(inliers)
@@ -666,16 +683,10 @@ def ransac_pose(detections, cloud: EllipsoidCloud, cam: CameraModel, opts: Ransa
     return PoseEstimate(pose, inliers, score)
 
 
-def _placements(R, pairs: _Pairs):
-    """Orientation-known hypotheses: each row's ray placement at R, in order."""
-    for i in range(len(pairs.Qd)):
-        ts, ok = _ray_placements(R[None], pairs, i)
-        yield [Pose(R, ts[0])] if ok[0] else []
-
-
 def _two_pair_poses(pairs: _Pairs, det_idx, obj_idx, opts: RansacOptions):
-    """Full-mode hypotheses: per distinct seeded draw, in draw order, the
-    poses :func:`_two_pair_solutions` finds for it, where it does not fail.
+    """Full-mode hypotheses: the list of the poses that
+    :func:`_two_pair_solutions` finds for each distinct seeded draw, in draw
+    order, where it does not fail.
     The draws come first, as the RNG stream never depends on a solve, and
     are solved together.  A repeated draw is not solved again: the solver is
     deterministic, so its poses would be poses already scored, which can
@@ -683,11 +694,13 @@ def _two_pair_poses(pairs: _Pairs, det_idx, obj_idx, opts: RansacOptions):
     rng = np.random.default_rng(np.random.SeedSequence(int(opts.seed)))
     draws = [_draw_minimal_set(rng, det_idx, obj_idx) for _ in range(opts.iterations)]
     draws = list(dict.fromkeys(d for d in draws if d is not None))
+    poses = []
     for solution in _two_pair_solutions(pairs, draws):
         if isinstance(solution, AmbiguousSolution):
-            yield list(solution.candidates)
+            poses += solution.candidates
         elif not isinstance(solution, ElliposeError):
-            yield [solution]
+            poses.append(solution)
+    return poses
 
 
 def _draw_minimal_set(rng, det_idx, obj_idx):
@@ -701,29 +714,28 @@ def _draw_minimal_set(rng, det_idx, obj_idx):
     return None
 
 
-def _consensus(pose: Pose, pairs: _Pairs, K, threshold):
-    """Inlier indices and mean inlier IoU of a hypothesis over the rows of
-    the table.
+def _consensus(Rs, ts, pairs: _Pairs, K, threshold):
+    """Inlier rows and mean inlier IoU of each of the n hypotheses (Rs
+    (n,3,3), ts (n,3)) over the rows of the table: a list of n (inliers,
+    score).
 
-    All rows are projected in one kernel call; those whose outline is
-    invalid (behind the camera, degenerate, not an ellipse) are skipped,
-    and the rest are scored against their detections in one IoU call.
-    Inliers, the rows with an IoU of at least ``threshold``, are kept and
-    summed in row order.
+    All poses times all rows are projected in one kernel call; outlines
+    that are invalid (behind the camera, degenerate, not an ellipse) are
+    skipped, and the rest are scored against their detections in one IoU
+    call.  A pose's inliers, the rows with an IoU of at least
+    ``threshold``, are kept and summed in row order.
     """
-    centers, axes, angles, code, _ = _outlines(
-        pose.R[None], pose.t[None], pairs.Qd, pairs.center_w, K[None]
-    )
-    idx = np.flatnonzero(code[0] == 0)
+    centers, axes, angles, code, _ = _outlines(Rs, ts, pairs.Qd, pairs.center_w, K[None])
+    hyp, idx = np.nonzero(code == 0)  # pose-major, rows in order
     ious = _ellipse_ious(
-        centers[0, idx], axes[0, idx], angles[0, idx],
+        centers[hyp, idx], axes[hyp, idx], angles[hyp, idx],
         pairs.det_center[idx], pairs.det_axes[idx], pairs.det_angle[idx], _IOU_GRID,
     )
-    inliers = []
-    total = 0.0
-    for i, iou in zip(idx.tolist(), ious.tolist()):
+    inliers = [[] for _ in range(len(ts))]
+    totals = [0.0] * len(ts)
+    for h, i, iou in zip(hyp.tolist(), idx.tolist(), ious.tolist()):
         if iou >= threshold:
-            inliers.append(i)
-            total += iou
-    score = total / len(inliers) if inliers else 0.0
-    return tuple(inliers), score
+            inliers[h].append(i)
+            totals[h] += iou
+    return [(tuple(rows), total / len(rows) if rows else 0.0)
+            for rows, total in zip(inliers, totals)]

@@ -156,6 +156,44 @@ class TestEllipseIoUKernel:
         assert _ellipse_ious(*side(0), *side(1), grid).tolist() == want
         assert 0.0 < min(w for w in want if w > 0.0) and max(want) == 1.0
 
+    def test_mixed_random_batch_equals_grid_reference(self, rng):
+        # 360 seeded pairs in one call, a quarter each: tiny ellipses (from a
+        # thousandth of a pixel to a few pixels, beside partners up to 100
+        # times larger), near-circular ones (axes within 1e-9 of each other,
+        # at any angle), disjoint ones and overlapping ones of all sizes
+        cases = []
+        for k in range(360):
+            e1 = _random_pair_ellipse(rng)
+            if k % 4 == 0:
+                b = 10.0 ** rng.uniform(-3.0, 0.5)
+                e1 = Ellipse(e1.center, (b * rng.uniform(1.0, 3.0), b), e1.angle)
+                scale = b * 10.0 ** rng.uniform(0.0, 2.0)
+                e2 = Ellipse(e1.center + rng.normal(size=2) * scale,
+                             (scale * rng.uniform(1.0, 2.0), scale), rng.uniform(-1.5, 1.5))
+            elif k % 4 == 1:
+                r = 10.0 ** rng.uniform(-1.0, 2.0)
+                e1 = Ellipse(e1.center, (r * (1.0 + rng.uniform(0.0, 1e-9)), r),
+                             rng.uniform(-1.5, 1.5))
+                e2 = Ellipse(e1.center + rng.normal(size=2) * r, (r * rng.uniform(0.5, 1.5),) * 2,
+                             rng.uniform(-1.5, 1.5))
+            elif k % 4 == 2:
+                e2 = _random_pair_ellipse(rng)
+                gap = e1.axes[0] + e2.axes[0] + rng.uniform(0.0, 10.0)
+                direction = rng.normal(size=2)
+                e2 = Ellipse(e1.center + gap * direction / np.linalg.norm(direction), e2.axes,
+                             e2.angle)
+            else:
+                e2 = Ellipse(e1.center + rng.normal(size=2) * e1.axes[0],
+                             e1.axes * rng.uniform(0.5, 2.0, 2), rng.uniform(-1.5, 1.5))
+            cases.append((e1, e2))
+        want = [grid_ellipse_iou(a, b, 128) for a, b in cases]
+        got = _ellipse_ious(*(np.array([getattr(p[s], f) for p in cases])
+                              for s in (0, 1) for f in ("center", "axes", "angle")), 128)
+        assert got.tolist() == want
+        assert want[2::4] == [0.0] * 90  # disjoint
+        assert min(want[0::4]) == 0.0 < max(want[0::4]) < 1.0  # tiny: some miss every cell
+        assert sum(0.0 < w < 1.0 for w in want[1::4] + want[3::4]) >= 90  # partial overlaps
+
     def test_empty_batch(self):
         none = np.zeros((0, 2))
         assert _ellipse_ious(none, none, np.zeros(0), none, none, np.zeros(0), 128).shape == (0,)

@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -650,12 +651,66 @@ def test_consensus_equals_per_pair_reference(rng):
                           det.axes * rng.uniform(0.8, 1.25, 2), det.angle)
             corrs.append(pair_row(det, E))
         pairs = pairs_table(corrs, cam.K)
+        hyps = []
         for step in (0.0, 0.02, 0.3):
             w = rng.normal(scale=step, size=3)
-            hyp = Pose(axis_angle_to_matrix(w) @ truth.R, truth.t + rng.normal(scale=step, size=3))
-            want = reference_consensus(hyp, cam, corrs, pairs, 0.5, outcomes)
-            assert _consensus(hyp, pairs, cam.K, 0.5) == want
+            hyps.append(Pose(axis_angle_to_matrix(w) @ truth.R,
+                             truth.t + rng.normal(scale=step, size=3)))
+        want = [reference_consensus(hyp, cam, corrs, pairs, 0.5, outcomes) for hyp in hyps]
+        got = _consensus(np.stack([h.R for h in hyps]), np.stack([h.t for h in hyps]), pairs,
+                         cam.K, 0.5)
+        assert got == want
     assert min(outcomes.values()) > 0, outcomes
+
+
+def test_stacked_consensus_equals_scoring_each_pose(rng):
+    # a stack of poses near the truth, poses facing away from every object
+    # (each outline invalid) and far ones, interleaved; each pose's inliers
+    # and score are those of scoring it alone, to the last bit
+    cam = default_camera()
+    cloud = board_scene(rng)
+    truth = camera_near(rng, (0, 0, 0), dist=1.8)
+    pairs, _, _ = _pairs([(l, project_ellipsoid(E, truth, cam)) for l, E in cloud.entries],
+                         cloud, cam.K)
+    away = look_at(-truth.camera_center, -2.0 * truth.camera_center)
+    poses = []
+    for k in range(9):
+        if k % 3 == 1:
+            poses.append(away)
+        else:
+            step = 0.01 if k % 3 == 0 else 0.2
+            poses.append(Pose(axis_angle_to_matrix(rng.normal(scale=step, size=3)) @ truth.R,
+                              truth.t + rng.normal(scale=step, size=3)))
+    Rs, ts = np.stack([p.R for p in poses]), np.stack([p.t for p in poses])
+    got = _consensus(Rs, ts, pairs, cam.K, 0.5)
+    alone = [_consensus(R[None], t[None], pairs, cam.K, 0.5) for R, t in zip(Rs, ts)]
+    assert [[g] for g in got] == alone
+    assert got[1] == got[4] == ((), 0.0) and len(got[0][0]) == 6
+    assert _consensus(Rs[:0], ts[:0], pairs, cam.K, 0.5) == []
+
+
+def test_ray_placements_of_rows_equal_each_row_alone(rng):
+    # rows of real detections, one whose conic is not a real ellipse (NaN
+    # area) and one of zero area: one call for all rows at one rotation
+    # equals the scalar call per row, NaN placements and flags included
+    cam = default_camera()
+    cloud = board_scene(rng)
+    truth = camera_near(rng, (0, 0, 0), dist=1.8)
+    dets = [(l, project_ellipsoid(E, truth, cam)) for l, E in cloud.entries]
+    pairs, _, _ = _pairs(dets + dets[:2], cloud, cam.K)
+    area = pairs.area_det.copy()
+    area[[2, 6]] = np.nan, 0.0
+    pairs = pairs._replace(area_det=area)
+    R = perturb_orientation(truth.R, OrientationNoise(2.0 * DEG), rng)
+    rows = np.arange(len(area))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ts, ok = _ray_placements(R[None], pairs, rows)
+        alone = [_ray_placements(R[None], pairs, i) for i in rows.tolist()]
+    assert ts.tobytes() == np.concatenate([t for t, _ in alone]).tobytes()
+    assert ok.tolist() == [bool(o[0]) for _, o in alone]
+    assert ok.tolist() == [i not in (2, 6) for i in rows.tolist()]
+    assert np.isnan(ts[[2, 6]]).all() and np.isfinite(ts[ok]).all()
 
 
 def enumerate_associations(detections, cloud):
@@ -786,9 +841,9 @@ class TestRansac:
 def reference_ransac(detections, cloud, cam, opts):
     """RANSAC that pairs every detection with every object of its label,
     detection-major, and, with the orientation known, places and scores
-    every row in row order and, in full mode, solves each draw alone and
-    scores every draw, repeats included; then it polishes the best
-    hypothesis as :func:`ransac_pose` does.  Returns the estimate and the
+    every row alone, in row order, and, in full mode, solves each draw alone
+    and scores every hypothesis alone, repeats included; then it polishes
+    the best hypothesis as :func:`ransac_pose` does.  Returns the estimate and the
     list of minimal sets."""
     assoc = [(pair_row(e, E), d, o) for d, (label, e) in enumerate(detections)
              for o, (obj_label, E) in enumerate(cloud.entries) if obj_label == label]
@@ -817,7 +872,7 @@ def reference_ransac(detections, cloud, cam, opts):
         except ElliposeError:
             continue
         for hyp in hypotheses:
-            inliers, score = _consensus(hyp, pairs, cam.K, threshold)
+            ((inliers, score),) = _consensus(hyp.R[None], hyp.t[None], pairs, cam.K, threshold)
             key = (len(inliers), score, -draw_idx)
             if len(inliers) >= min_set:
                 scored.append((key, hyp))
@@ -832,7 +887,8 @@ def reference_ransac(detections, cloud, cam, opts):
     for _ in range(4):
         rotation_fixed = not opts.refine_orientation or len(inliers) < 2
         refined = polish(pose, [corrs[i] for i in inliers], cam, rotation_fixed=rotation_fixed)
-        inliers2, score2 = _consensus(refined.pose, pairs, cam.K, threshold)
+        ((inliers2, score2),) = _consensus(refined.pose.R[None], refined.pose.t[None], pairs,
+                                           cam.K, threshold)
         if (len(inliers2), score2) < (len(inliers), score):
             break
         grew = len(inliers2) > len(inliers)
@@ -918,9 +974,9 @@ def test_ransac_solves_each_distinct_draw_once(rng, monkeypatch, mode, solver):
         assert len(solved) == len(distinct) < opts.iterations and set(solved) == distinct
         # one stage-B and one stage-C LM for all the draws, then the polish
         assert lm_runs[:2] == [8, 60] and set(lm_runs[2:]) == {50}
-    else:  # once per row, in row order
-        assert len(calls) == len(distinct)
-        assert [i for _, _, i in calls] == list(range(len(dets)))
+    else:  # one call for the view, every row in row order
+        assert len(calls) == 1
+        assert calls[0][2].tolist() == sorted(i for i, in distinct) == list(range(len(dets)))
 
 
 def test_full_mode_two_spheres_tie_is_ambiguous():
@@ -940,7 +996,8 @@ def test_full_mode_two_spheres_tie_is_ambiguous():
     assert two_pair_outcome(got.value) == two_pair_outcome(want.value)
     pairs, _, _ = _pairs(dets, cloud, cam.K)
     a, b = got.value.candidates
-    assert _consensus(a, pairs, cam.K, 0.75) == _consensus(b, pairs, cam.K, 0.75) == ((0, 1), 1.0)
+    got = _consensus(np.stack([a.R, b.R]), np.stack([a.t, b.t]), pairs, cam.K, 0.75)
+    assert got == [((0, 1), 1.0)] * 2
     assert rotation_distance(a.R, b.R) > 0.05
 
 
