@@ -30,21 +30,14 @@ from .errors import (
 from .geometry import (
     Box,
     CameraModel,
-    Conic,
-    DualQuadric,
     Ellipse,
     Ellipsoid,
     FrameTransform,
     Pose,
     canonicalize,
-    conic_to_ellipse,
     crop_transform,
-    dual_quadric_to_ellipsoid,
-    ellipse_to_conic,
-    ellipsoid_to_dual_quadric,
     inscribed_ellipse,
     project_ellipsoid,
-    transform_conic,
     transform_ellipse,
     wrap_angle_half_pi,
 )
@@ -84,7 +77,6 @@ from .simulator import (
     look_at,
     min_enclosing_ellipse,
     perturb_orientation,
-    render_detections,
     run_detector,
     sample_cameras,
     sample_ellipsoid_surface,

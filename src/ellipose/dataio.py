@@ -149,6 +149,9 @@ class _Reader:
     def get_list(self, obj, key, record):
         return self._get_typed(obj, key, record, list, "a list")
 
+    def get_str(self, obj, key, record):
+        return self._get_typed(obj, key, record, str, "a string")
+
     def get_number(self, obj, key, record, kind=float):
         value = self.get(obj, key, record)
         number = _number(value, kind)
@@ -321,11 +324,11 @@ def _parse_view(rec, rd: _Reader, idx: int) -> CalibratedView:
     """One calibrated view.  The value objects check and freeze its arrays;
     where they fail, the arrays are parsed one by one to name the field."""
     record = f"views[{idx}]"
-    vid = rd.get(rec, "view_id", record)
+    vid = rd.get_str(rec, "view_id", record)
     cam = None
     try:
         cam = CameraModel(rec["K"], rec["image_size"])
-        return CalibratedView(str(vid), cam, Pose(rec["R"], rec["t"]))
+        return CalibratedView(vid, cam, Pose(rec["R"], rec["t"]))
     except (*_BAD_VALUE, KeyError) as exc:
         shapes = {"K": (3, 3), "image_size": (2,), "R": (3, 3), "t": (3,)}
         parts = _parse_arrays(rec, rd, record, shapes, "view")
@@ -364,7 +367,7 @@ def _parse_annotations(doc, rd, *, need_ellipse: bool) -> dict:
                 if None in e or min(e[1]) <= 0.0:
                     rd.fail("bad ellipse: expected finite center[2] and angle and positive "
                             f"axes[2], got {json.dumps(raw)}", record, "ellipse")
-            labels.append(str(rd.get(rec, "label", record)))
+            labels.append(rd.get_str(rec, "label", record))
             if need_ellipse and raw is None:
                 rd.fail("expected an ellipse, got null", record, "ellipse")
             ellipses.append(e)
@@ -386,7 +389,7 @@ def _parse_object(rec, rd, record) -> SceneObject:
         parts = _parse_arrays(rec, rd, record, shapes, "ellipsoid")
         key = "axes" if min(parts["axes"]) <= 0.0 else "rotation"  # else not a rotation
         rd.fail(f"bad ellipsoid: {exc}", record, key)
-    label = str(rd.get(rec, "label", record))
+    label = rd.get_str(rec, "label", record)
     try:
         return SceneObject(label, ellipsoid, rec.get("model_points"))
     except _BAD_VALUE as exc:
@@ -434,7 +437,7 @@ def load_dataset(path) -> Dataset:
                     rd.fail(f"bad prediction: dims must be positive, got {parts['dims'].tolist()}",
                             record, "dims")
                 pred = MultibinPrediction(**parts)
-                rows.append(PredictionRecord(str(rd.get(rec, "label", record)), box, pred))
+                rows.append(PredictionRecord(rd.get_str(rec, "label", record), box, pred))
             records[vid] = rows
         predictions = PredictionSet(crop_size, cfg, records)
     try:

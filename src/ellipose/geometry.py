@@ -1,8 +1,10 @@
 """Exact algebra of ellipses, conics, ellipsoids, dual quadrics and their
 perspective projection, plus the image/crop frame transforms.
 
-All types are immutable value objects and every operation is a pure
-function, so everything here is safe to share across threads.
+Ellipses, ellipsoids, cameras, poses, boxes and frame transforms are
+immutable value objects; conics and dual quadrics are plain arrays, stacked
+(n, 3, 3) and (n, 4, 4) in the kernels.  Every operation is a pure function,
+so everything here is safe to share across threads.
 
 Conventions:
   * a point conic M satisfies x^T M x = 0 for homogeneous boundary points;
@@ -51,7 +53,7 @@ def normalize_symmetric(M: np.ndarray) -> np.ndarray:
     flat = M.reshape(-1, 1, size * size)
     n = np.sqrt(flat @ flat.transpose(0, 2, 1))[:, 0]
     if not 1e-300 <= n.min() <= n.max() < np.inf:  # NaN fails too
-        raise ValueError("cannot normalize a zero matrix")
+        raise ValueError("cannot normalize a zero or non-finite matrix")
     flat = flat[:, 0] / n
     if size not in _TRIU:
         _TRIU[size] = np.flatnonzero(np.triu(np.ones((size, size))))
@@ -114,33 +116,6 @@ class Ellipse:
         object.__setattr__(self, "angle", angle)
 
 
-def _normalized(M, size: int, what: str) -> np.ndarray:
-    """``M`` checked to be a symmetric ``size`` x ``size`` matrix, then
-    normalized by :func:`normalize_symmetric` and frozen."""
-    M = np.asarray(M, dtype=float)
-    if M.shape != (size, size):
-        raise ValueError(f"{what} matrix must be {size}x{size}")
-    scale = float(np.abs(M).max())
-    if not scale < np.inf:  # NaN fails too
-        raise ValueError(f"{what} matrix must be finite")
-    # np.allclose(M, M.T, atol=...) written out: the same test, without its overhead
-    if not (np.abs(M - M.T) <= 1e-8 * max(1.0, scale) + 1e-5 * np.abs(M.T)).all():
-        raise ValueError(f"{what} matrix must be symmetric")
-    M = normalize_symmetric(M)
-    M.setflags(write=False)
-    return M
-
-
-@dataclass(frozen=True, eq=False)
-class Conic:
-    """Homogeneous 3x3 symmetric point-conic matrix, stored normalized."""
-
-    M: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "M", _normalized(self.M, 3, "conic"))
-
-
 @dataclass(frozen=True, eq=False)
 class Ellipsoid:
     """Ellipsoid as (center, semi-axis lengths, world-frame rotation)."""
@@ -159,16 +134,6 @@ class Ellipsoid:
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "rotation", rotation)
-
-
-@dataclass(frozen=True, eq=False)
-class DualQuadric:
-    """Homogeneous 4x4 symmetric dual-quadric matrix, stored normalized."""
-
-    Q: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "Q", _normalized(self.Q, 4, "dual quadric"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,11 +240,6 @@ def _check_rotation(R: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 
 
-def ellipse_to_conic(e: Ellipse) -> Conic:
-    """Point-conic matrix of an ellipse: boundary points satisfy x^T M x = 0."""
-    return Conic(_ellipse_conics(e.center[None], e.axes[None], np.array([e.angle]))[0])
-
-
 def _ellipse_conics(centers, axes, angles):
     """Point conics (n,3,3), not normalized, of the ellipses with centers c
     (n,2), semi-axes (n,2) and angles (n,): [[A, -A c], [-c^T A, c^T A c - 1]]
@@ -295,19 +255,6 @@ def _ellipse_conics(centers, axes, angles):
     M[:, 2:, :2] = M[:, :2, 2:].transpose(0, 2, 1)
     M[:, 2, 2] = (c.transpose(0, 2, 1) @ A @ c)[:, 0, 0] - 1.0
     return M
-
-
-def conic_to_ellipse(C: Conic) -> Ellipse:
-    """Canonical ellipse of a point conic.
-
-    Raises NotAnEllipse when the signature is hyperbolic, parabolic or
-    degenerate (the usual symptom of a bad homography transfer or of a
-    quadric crossing the principal plane).
-    """
-    centers, axes, angles, code = _ellipses_of_conics(np.array(C.M)[None])
-    if code[0]:
-        raise NotAnEllipse(_NOT_AN_ELLIPSE[int(code[0])])
-    return Ellipse(centers[0], axes[0], angles[0])
 
 
 def canonicalize(e: Ellipse) -> Ellipse:
@@ -329,11 +276,6 @@ def canonicalize(e: Ellipse) -> Ellipse:
 # ---------------------------------------------------------------------------
 
 
-def ellipsoid_to_dual_quadric(E: Ellipsoid) -> DualQuadric:
-    """Q = Z diag(a^2, b^2, c^2, -1) Z^T with Z the rigid ellipsoid frame."""
-    return DualQuadric(_quadric_duals(E.center[None], E.axes[None], E.rotation[None])[0])
-
-
 def _quadric_duals(centers, axes, rotations):
     """Dual quadrics (d = 3) or dual conics (d = 2) Z diag(axes^2, -1) Z^T
     (n,d+1,d+1), not normalized, of the ellipsoids or ellipses with centers
@@ -347,10 +289,11 @@ def _quadric_duals(centers, axes, rotations):
     return (Z * diag[:, None]) @ Z.transpose(0, 2, 1)  # Z diag Z^T
 
 
-def dual_quadric_to_ellipsoid(Q: DualQuadric) -> Ellipsoid:
-    """Decompose a dual quadric; raises NotAnEllipsoid on a bad signature."""
-    q = Q.Q
-    if abs(q[3, 3]) < 1e-12:  # Q is unit-Frobenius normalized
+def _ellipsoid_of_dual(Q) -> Ellipsoid:
+    """The ellipsoid of a symmetric 4x4 dual quadric of any nonzero scale;
+    raises NotAnEllipsoid on a center at infinity or a bad signature."""
+    q = normalize_symmetric(Q)
+    if abs(q[3, 3]) < 1e-12:  # q is unit-Frobenius normalized
         raise NotAnEllipsoid("quadric center is at infinity")
     q = q / q[3, 3]
     center = q[:3, 3].copy()
@@ -537,15 +480,18 @@ def _bbox_half(a, b, angle):
     return math.sqrt(a2 * c2 + b2 * s2), math.sqrt(a2 * s2 + b2 * c2)
 
 
-def transform_conic(C: Conic, T: FrameTransform) -> Conic:
-    """Push a point conic through a homography: C' = H^-T C H^-1."""
-    Hinv = np.linalg.inv(T.H)  # FrameTransform has checked that H is invertible
-    return Conic(Hinv.T @ C.M @ Hinv)
-
-
 def transform_ellipse(e: Ellipse, T: FrameTransform) -> Ellipse:
-    """Map an ellipse through a homography, returning the canonical result."""
-    return conic_to_ellipse(transform_conic(ellipse_to_conic(e), T))
+    """Map an ellipse through a homography, returning the canonical result:
+    its unit point conic M goes to H^-T M H^-1.  Raises NotAnEllipse when
+    the image is no ellipse, as when H sends the ellipse across the line at
+    infinity."""
+    M = normalize_symmetric(_ellipse_conics(e.center[None], e.axes[None], np.array([e.angle]))[0])
+    Hinv = np.linalg.inv(T.H)  # FrameTransform has checked that H is invertible
+    M = normalize_symmetric(Hinv.T @ M @ Hinv)
+    centers, axes, angles, code = _ellipses_of_conics(M[None])
+    if code[0]:
+        raise NotAnEllipse(_NOT_AN_ELLIPSE[int(code[0])])
+    return Ellipse(centers[0], axes[0], angles[0])
 
 
 def crop_transform(b: Box, out_size: float) -> FrameTransform:

@@ -145,9 +145,9 @@ def _pairs(detections, cloud: EllipsoidCloud, K):
     M_det and area_det are in intrinsics-normalized coordinates: pixel-frame
     conic entries span several orders of magnitude and would crush the shape
     information after unit-Frobenius scaling.  Rows come from the stacked
-    kernels of ``ellipsoid_to_dual_quadric`` and ``ellipse_to_conic`` and
-    depend on their own association alone, so the table of a subset is
-    those rows of the full table, bit for bit.
+    kernels ``_quadric_duals`` and ``_ellipse_conics`` and depend on their
+    own association alone, so the table of a subset is those rows of the
+    full table, bit for bit.
     """
     ellipses, det_idx, obj_idx = [], [], []
     for d, (label, ellipse) in enumerate(detections):

@@ -27,12 +27,11 @@ from .errors import (
 )
 from .geometry import (
     CameraModel,
-    DualQuadric,
     Ellipse,
     Ellipsoid,
     Pose,
-    dual_quadric_to_ellipsoid,
     _bbox_half,
+    _ellipsoid_of_dual,
     _inscribed_ellipses,
     _outline_error,
     _outlines,
@@ -139,7 +138,7 @@ def reconstruct_from_dual_conics(duals, projections) -> Ellipsoid:
         )
     Q = np.empty((4, 4))
     Q[_QUAD_I, _QUAD_J] = Q[_QUAD_J, _QUAD_I] = vt[-1]
-    return dual_quadric_to_ellipsoid(DualQuadric(Q))
+    return _ellipsoid_of_dual(Q)
 
 
 def _ellipsoids(labels, seen_from, centers, axes, angles, views, allow_partial: bool):

@@ -182,16 +182,6 @@ def cloud_of_scene(scene: SceneSpec) -> EllipsoidCloud:
     return EllipsoidCloud(tuple((o.label, o.ellipsoid) for o in scene.objects))
 
 
-def render_detections(scene: SceneSpec, view: CalibratedView) -> list:
-    """Exact (label, Ellipse, Box) per object whose projected center lies
-    inside the image, in scene order; objects behind the camera or with
-    degenerate outlines are skipped."""
-    a = generate_annotations(cloud_of_scene(scene), [view])[0][view.view_id]
-    inside = ((a.centers >= 0.0) & (a.centers <= view.cam.image_size)).all(axis=1)
-    return [(a.labels[i], Ellipse(a.centers[i], a.axes[i], a.angles[i]),
-             Box(a.boxes[i, :2], a.boxes[i, 2:])) for i in np.flatnonzero(inside)]
-
-
 def _perturb_box(b: Box, half_range: float, rng) -> Box:
     """Shift each of the four corner coordinates by an independent uniform
     draw in [-half_range, half_range], checked by DetectorModel; reordered
@@ -228,9 +218,16 @@ def view_rng(seed: int, view_id: str, stream: int = 0) -> np.random.Generator:
 
 
 def run_detector(model: DetectorModel, scene: SceneSpec, view: CalibratedView):
-    """(label, Ellipse, Box) detections under the given detector model."""
+    """(label, Ellipse, Box) detections under the given detector model, one
+    per object whose exact outline has its center inside the image, in
+    scene order; objects behind the camera or with degenerate outlines are
+    skipped.  The gt_projection kind returns the exact outlines and their
+    tight boxes."""
     rng = view_rng(model.seed, view.view_id)
-    gt = render_detections(scene, view)
+    a = generate_annotations(cloud_of_scene(scene), [view])[0][view.view_id]
+    inside = ((a.centers >= 0.0) & (a.centers <= view.cam.image_size)).all(axis=1)
+    gt = [(a.labels[i], Ellipse(a.centers[i], a.axes[i], a.angles[i]),
+           Box(a.boxes[i, :2], a.boxes[i, 2:])) for i in np.flatnonzero(inside)]
     if model.kind == "gt_projection":
         return gt
     out = []

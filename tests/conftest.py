@@ -12,10 +12,11 @@ from ellipose.geometry import (
     FrameTransform,
     Pose,
     canonicalize,
-    ellipse_to_conic,
+    normalize_symmetric,
     project_ellipsoid,
     rotation_z,
     _bbox_half,
+    _ellipse_conics,
     _project_pairs,
 )
 from ellipose.pose import (
@@ -129,10 +130,12 @@ def _inside_grid(e: Ellipse, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return u * u + v * v <= 1.0
 
 
-def conic_distance(C1, C2) -> float:
-    """Frobenius distance between normalized conics, sign-ambiguity safe."""
-    d = float(np.linalg.norm(C1.M - C2.M))
-    return min(d, float(np.linalg.norm(C1.M + C2.M)))
+def conic_distance(e1: Ellipse, e2: Ellipse) -> float:
+    """Frobenius distance between the unit point conics of two ellipses;
+    both have a positive [0, 0] entry, so their signs agree."""
+    centers, axes = np.array([e1.center, e2.center]), np.array([e1.axes, e2.axes])
+    M = normalize_symmetric(_ellipse_conics(centers, axes, np.array([e1.angle, e2.angle])))
+    return float(np.linalg.norm(M[0] - M[1]))
 
 
 def boundary_points(e: Ellipse, n: int = 64) -> np.ndarray:
@@ -203,8 +206,7 @@ def ellipsoids_equivalent(E1: Ellipsoid, E2: Ellipsoid, tol=1e-10) -> bool:
 
 def ellipses_close(e1: Ellipse, e2: Ellipse, tol=1e-9) -> bool:
     """Same point set: compare normalized conic matrices."""
-    d = np.linalg.norm(ellipse_to_conic(e1).M - ellipse_to_conic(e2).M)
-    return d <= tol
+    return conic_distance(e1, e2) <= tol
 
 
 def view_annotations(rows) -> ViewAnnotations:

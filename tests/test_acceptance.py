@@ -29,13 +29,14 @@ from ellipose.geometry import (
     Ellipse,
     Ellipsoid,
     Pose,
-    conic_to_ellipse,
-    ellipse_to_conic,
-    dual_quadric_to_ellipsoid,
-    ellipsoid_to_dual_quadric,
+    normalize_symmetric,
     project_ellipsoid,
     wrap_angle_half_pi,
     FrameTransform,
+    _ellipse_conics,
+    _ellipses_of_conics,
+    _ellipsoid_of_dual,
+    _quadric_duals,
 )
 from ellipose.metrics import ellipse_iou, pose_errors
 from ellipose.multibin import MultibinConfig, decode_prediction, perfect_prediction
@@ -83,21 +84,26 @@ def ring_views(n, radius, target=(0.0, 0.0, 0.0), elevation=0.5, phase=0.0, cam=
 def test_criterion_1_geometry_round_trips():
     start = time.time()
     rng = np.random.default_rng(101)
-    worst_e = 0.0
-    for _ in range(10000):
-        e = random_ellipse(rng)
-        back = conic_to_ellipse(ellipse_to_conic(e))
-        worst_e = max(
-            worst_e,
-            float(np.abs(back.center - e.center).max()) / max(1.0, abs(e.center).max()),
-            float(np.abs(back.axes - e.axes).max() / e.axes[0]),
-            abs(wrap_angle_half_pi(back.angle - e.angle)),
-        )
+    # ellipse -> unit point conic -> ellipse, through the stacked kernels
+    ellipses = [random_ellipse(rng) for _ in range(10000)]
+    centers, axes, angles = (np.array([getattr(e, k) for e in ellipses])
+                             for k in ("center", "axes", "angle"))
+    back_c, back_ax, back_an, code = _ellipses_of_conics(
+        normalize_symmetric(_ellipse_conics(centers, axes, angles))
+    )
+    assert not code.any()
+    scale = np.maximum(1.0, np.abs(centers).max(axis=1))
+    worst_e = max(
+        float((np.abs(back_c - centers).max(axis=1) / scale).max()),
+        float((np.abs(back_ax - axes).max(axis=1) / axes[:, 0]).max()),
+        max(abs(wrap_angle_half_pi(b - a)) for a, b in zip(angles.tolist(), back_an.tolist())),
+    )
     assert worst_e < 1e-10
+    # ellipsoid -> dual quadric -> ellipsoid
     worst_q = 0.0
     for _ in range(10000):
         E = random_ellipsoid(rng)
-        back = dual_quadric_to_ellipsoid(ellipsoid_to_dual_quadric(E))
+        back = _ellipsoid_of_dual(_quadric_duals(E.center[None], E.axes[None], E.rotation[None])[0])
         worst_q = max(
             worst_q,
             float(np.abs(back.center - E.center).max()),
@@ -147,8 +153,8 @@ def test_criterion_2_reconstruction():
             float(np.abs(np.sort(out.axes) - np.sort(E.axes)).max()),
         )
         for v in held:
-            got = ellipse_to_conic(project_ellipsoid(out, v.pose, v.cam))
-            want = ellipse_to_conic(project_ellipsoid(E, v.pose, v.cam))
+            got = project_ellipsoid(out, v.pose, v.cam)
+            want = project_ellipsoid(E, v.pose, v.cam)
             worst_reproj = max(worst_reproj, conic_distance(got, want))
     elapsed = time.time() - start
     _report(

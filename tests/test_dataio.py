@@ -207,9 +207,10 @@ class TestDatasetRoundTrip:
             ("predictions[v2][0]", "bin_scores", [math.nan] * 8),
             ("predictions[v2][0]", "dims", [60, -1]),
             ("predictions[v2][0]", "dims", [0, 5]),
+            ("predictions[v2][0]", "label", 7),
         ],
         ids=["short_bin_scores", "nan_center", "zero_crop_size", "nan_crop_size", "nan_bin_scores",
-             "negative_dims", "zero_dims"],
+             "negative_dims", "zero_dims", "label_not_a_string"],
     )
     def test_bad_prediction_named(self, dataset, tmp_path, record, key, value):
         path = tmp_path / "d.json"
@@ -236,9 +237,10 @@ class TestDatasetRoundTrip:
             ("image_size", [640.0, math.inf]),
             ("R", [[1.0, 0, 0], [0, 1, 0], [0, 0, -1]]),
             ("t", [0.0, "x", 1.0]),
+            ("view_id", None),
         ],
         ids=["K_not_intrinsics", "K_shape", "negative_image_size", "inf_image_size",
-             "R_reflection", "t_non_numeric"],
+             "R_reflection", "t_non_numeric", "view_id_null"],
     )
     def test_bad_view_named(self, dataset, tmp_path, key, value):
         path = tmp_path / "d.json"
@@ -287,6 +289,7 @@ _OBJECT_FAULTS = {
     "negative_axis": ("axes", [0.1, -0.2, 0.3]),
     "not_a_rotation": ("rotation", [[1, 0, 0], [0, 1, 0], [0, 0, 2]]),
     "non_numeric_rotation": ("rotation", [["x", 0, 0], [0, 1, 0], [0, 0, 1]]),
+    "label_not_a_string": ("label", ["a"]),
 }
 _ANNOTATION_FAULTS = {
     "negative_ellipse_axis": ("ellipse", {"center": [1.0, 2.0], "axes": [-3.0, 2.0], "angle": 0.0}),
@@ -295,6 +298,7 @@ _ANNOTATION_FAULTS = {
     "box_three_values": ("box", [0.0, 0.0, 10.0]),
     "box_five_values": ("box", [0.0, 0.0, 10.0, 10.0, 5.0]),
     "box_inverted": ("box", [10.0, 0.0, 0.0, 10.0]),
+    "label_not_a_string": ("label", 7),
 }
 _RECORD_CASES = [
     (site, fault)

@@ -30,17 +30,16 @@ from ellipose.errors import (
     NoValidPose,
 )
 from ellipose.geometry import (
-    Conic,
     Ellipse,
     Ellipsoid,
     Pose,
-    conic_to_ellipse,
-    ellipse_to_conic,
-    ellipsoid_to_dual_quadric,
     normalize_symmetric,
     project_ellipsoid,
     rotation_z,
+    _ellipse_conics,
+    _ellipses_of_conics,
     _project_pairs,
+    _quadric_duals,
 )
 from ellipose.metrics import pose_errors, rotation_distance
 from ellipose.pose import (
@@ -162,10 +161,13 @@ class TestPairsTable:
         pairs = pairs_table(corrs, cam.K)
         fx, fy = cam.K[0, 0], cam.K[1, 1]
         for i, c in enumerate(corrs):
-            M = normalize_symmetric(cam.K.T @ ellipse_to_conic(c.ellipse).M @ cam.K)
+            e, E = c.ellipse, c.ellipsoid
+            conic = _ellipse_conics(e.center[None], e.axes[None], np.array([e.angle]))[0]
+            dual = _quadric_duals(E.center[None], E.axes[None], E.rotation[None])[0]
+            M = normalize_symmetric(cam.K.T @ normalize_symmetric(conic) @ cam.K)
             h = np.linalg.solve(cam.K, np.array([*c.ellipse.center, 1.0]))
             close = {
-                "Qd": ellipsoid_to_dual_quadric(c.ellipsoid).Q,
+                "Qd": normalize_symmetric(dual),
                 "M_det": M,
                 "ray_dir": h / np.linalg.norm(h),
                 "area_det": _conic_areas(M),
@@ -607,8 +609,8 @@ class TestRefinePose:
 
 
 def reference_consensus(pose, cam, corrs, pairs, threshold, outcomes):
-    """Per-pair consensus: scalar projection, Conic, conic_to_ellipse and
-    the full grid IoU; ``outcomes`` counts what happened to each pair."""
+    """Per-pair consensus: scalar projection, the unit pixel conic's ellipse
+    and the full grid IoU; ``outcomes`` counts what happened to each pair."""
     Kinv = np.linalg.inv(cam.K)
     inliers, total = [], 0.0
     for i, corr in enumerate(corrs):
@@ -616,11 +618,12 @@ def reference_consensus(pose, cam, corrs, pairs, threshold, outcomes):
         if M is None:
             outcomes["no conic"] += 1
             continue
-        try:
-            proj = conic_to_ellipse(Conic(Kinv.T @ M @ Kinv))
-        except ElliposeError:
+        M = normalize_symmetric(Kinv.T @ M @ Kinv)
+        centers, axes, angles, code = _ellipses_of_conics(M[None])
+        if code[0]:
             outcomes["not an ellipse"] += 1
             continue
+        proj = Ellipse(centers[0], axes[0], angles[0])
         iou = grid_ellipse_iou(corr.ellipse, proj, _IOU_GRID)
         if iou >= threshold:
             outcomes["inlier"] += 1

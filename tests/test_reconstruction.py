@@ -16,11 +16,11 @@ from conftest import (
 from ellipose.errors import DegenerateConfiguration, EmptyInput, InsufficientViews
 from ellipose.geometry import (
     Box,
-    DualQuadric,
     Ellipsoid,
-    dual_quadric_to_ellipsoid,
-    ellipse_to_conic,
+    normalize_symmetric,
     project_ellipsoid,
+    _ellipse_conics,
+    _ellipsoid_of_dual,
     _inscribed_ellipses,
 )
 from ellipose.metrics import ellipse_iou
@@ -33,7 +33,16 @@ from ellipose.reconstruction import (
     reconstruct_ellipsoid,
     reconstruct_from_dual_conics,
 )
-from ellipose.simulator import CameraRig, DEG, default_camera, look_at, sample_cameras, tless_like_board
+from ellipose.simulator import (
+    CameraRig,
+    DEG,
+    DetectorModel,
+    default_camera,
+    look_at,
+    run_detector,
+    sample_cameras,
+    tless_like_board,
+)
 
 
 def ring_views(n, radius=5.0, target=(0, 0, 0), elevation=0.35, cam=None):
@@ -66,7 +75,9 @@ def exact_duals(E, views):
     duals, projections = [], []
     for v in views:
         Kinv = np.linalg.inv(v.cam.K)
-        M = ellipse_to_conic(project_ellipsoid(E, v.pose, v.cam)).M
+        e = project_ellipsoid(E, v.pose, v.cam)
+        M = _ellipse_conics(e.center[None], e.axes[None], np.array([e.angle]))[0]
+        M = normalize_symmetric(M)  # the unit point conic
         duals.append(Kinv @ np.linalg.inv(M) @ Kinv.T)
         projections.append(v.pose.matrix)
     return duals, projections
@@ -111,8 +122,8 @@ class TestReconstructEllipsoid:
             out = reconstruct_ellipsoid(exact_observations(E, "x", views), views)
             assert ellipsoids_equivalent(E, out, tol=1e-7)
             for v in held:
-                got = ellipse_to_conic(project_ellipsoid(out, v.pose, v.cam))
-                want = ellipse_to_conic(project_ellipsoid(E, v.pose, v.cam))
+                got = project_ellipsoid(out, v.pose, v.cam)
+                want = project_ellipsoid(E, v.pose, v.cam)
                 assert conic_distance(got, want) < 1e-6
 
     def test_two_views_insufficient(self):
@@ -147,7 +158,7 @@ class TestReconstructEllipsoid:
             views = ring_views(int(rng.integers(3, 9)), radius=6.0, elevation=rng.uniform(0.2, 0.8))
             duals, projections = exact_duals(E, views)
             got = reconstruct_from_dual_conics(duals, projections)
-            want = dual_quadric_to_ellipsoid(DualQuadric(unreduced_solve(duals, projections)))
+            want = _ellipsoid_of_dual(unreduced_solve(duals, projections))
             assert ellipsoids_equivalent(got, want, tol=1e-12)
 
     @staticmethod
@@ -260,11 +271,10 @@ class TestGenerateAnnotations:
         cloud = EllipsoidCloud(tuple((o.label, o.ellipsoid) for o in scene.objects))
         views = sample_cameras(CameraRig(0.75, 12, 4))
         anns, skipped = generate_annotations(cloud, views)
-        from ellipose.simulator import render_detections
-
         for v in views:
             # annotations skip only behind/degenerate, not out-of-image
-            assert len(anns[v.view_id].labels) >= len(render_detections(scene, v))
+            detections = run_detector(DetectorModel("gt_projection"), scene, v)
+            assert len(anns[v.view_id].labels) >= len(detections)
 
 
 class TestMapPathMatchesPerRecordFormulas:

@@ -7,6 +7,7 @@ from conftest import (
     bbox_of_ellipse,
     boundary_points,
     ellipse_contains,
+    ellipses_close,
     random_ellipsoid,
     random_rotation,
 )
@@ -15,11 +16,10 @@ from ellipose.geometry import (
     Box,
     Ellipse,
     Ellipsoid,
-    ellipse_to_conic,
     project_ellipsoid,
 )
 from ellipose.metrics import ellipse_iou
-from ellipose.reconstruction import CalibratedView
+from ellipose.reconstruction import CalibratedView, generate_annotations
 from ellipose.simulator import (
     DEG,
     CameraRig,
@@ -31,8 +31,8 @@ from ellipose.simulator import (
     l_shaped_prism,
     look_at,
     min_enclosing_ellipse,
+    cloud_of_scene,
     perturb_orientation,
-    render_detections,
     run_detector,
     sample_cameras,
     sample_ellipsoid_surface,
@@ -40,6 +40,8 @@ from ellipose.simulator import (
     view_rng,
 )
 from ellipose.simulator import _perturb_box  # white-box: DetectorModel checks its half-range
+
+GT = DetectorModel("gt_projection")  # the exact outlines of the in-image objects
 
 
 class TestRig:
@@ -78,7 +80,7 @@ class TestRender:
         scene = SceneSpec((SceneObject("ball", Ellipsoid((0, 0, 0), (0.3, 0.3, 0.3), np.eye(3))),))
         rig = CameraRig(3.0, 1, 1, elevation_range=(90 * DEG - 1e-9, 90 * DEG - 1e-9))
         view = sample_cameras(rig)[0]
-        dets = render_detections(scene, view)
+        dets = run_detector(GT, scene, view)
         assert len(dets) == 1
         _, e, _ = dets[0]
         assert np.allclose(e.center, (320.0, 240.0), atol=1e-6)
@@ -93,7 +95,7 @@ class TestRender:
         )
         rig = CameraRig(3.0, 1, 1, elevation_range=(80 * DEG, 80 * DEG))
         view = sample_cameras(rig)[0]
-        labels = [l for l, _, _ in render_detections(scene, view)]
+        labels = [l for l, _, _ in run_detector(GT, scene, view)]
         assert labels == ["front"]
 
     def test_counts_match_visibility_oracle(self):
@@ -101,7 +103,7 @@ class TestRender:
         rig = CameraRig(0.75, 10, 5)
         total = 0
         for view in sample_cameras(rig):
-            dets = render_detections(scene, view)
+            dets = run_detector(GT, scene, view)
             w, h = view.cam.image_size
             expected = 0
             for obj in scene.objects:
@@ -146,7 +148,7 @@ def _assert_identical_detections(got, want):
 
 
 class TestRenderMatchesPerObjectProjection:
-    """render_detections projects the scene in one batched call; its output
+    """The gt_projection detector projects the scene in one batched call; its output
     must equal projecting each object on its own, bit for bit."""
 
     def test_board_rig(self):
@@ -154,7 +156,7 @@ class TestRenderMatchesPerObjectProjection:
         n = 0
         for view in sample_cameras(CameraRig(0.75, 10, 5)):
             want = _per_object_detections(scene, view)
-            _assert_identical_detections(render_detections(scene, view), want)
+            _assert_identical_detections(run_detector(GT, scene, view), want)
             n += len(want)
         assert n > 200
 
@@ -175,7 +177,7 @@ class TestRenderMatchesPerObjectProjection:
         view = CalibratedView("v", default_camera(), look_at((0.0, 0.0, 3.0), (0.0, 0.0, 0.0)))
         want = _per_object_detections(scene, view)
         assert [label for label, _, _ in want] == ["front", "twin", "twin"]
-        _assert_identical_detections(render_detections(scene, view), want)
+        _assert_identical_detections(run_detector(GT, scene, view), want)
 
 
 class TestPerturbations:
@@ -234,13 +236,25 @@ class TestDetectors:
         return scene, sample_cameras(rig)[5]
 
     def test_gt_projection_equals_render(self):
-        scene, view = self._one_view()
-        gt = render_detections(scene, view)
-        det = run_detector(DetectorModel("gt_projection"), scene, view)
-        assert len(gt) == len(det)
-        for (l1, e1, b1), (l2, e2, b2) in zip(gt, det):
-            assert l1 == l2
-            assert np.allclose(ellipse_to_conic(e1).M, ellipse_to_conic(e2).M)
+        # the exact detections are the view's annotation render, in order,
+        # less the rows whose center lies outside the image; a close rig
+        # leaves some objects out
+        scene = tless_like_board(6)
+        n_out = 0
+        for view in sample_cameras(CameraRig(0.3, 8, 3)):
+            a = generate_annotations(cloud_of_scene(scene), [view])[0][view.view_id]
+            det = iter(run_detector(GT, scene, view))
+            rows = zip(a.labels, a.boxes, a.centers, a.axes, a.angles)
+            for label, box, center, axes, angle in rows:
+                if not ((center >= 0.0) & (center <= view.cam.image_size)).all():
+                    n_out += 1
+                    continue
+                l2, e2, b2 = next(det)
+                assert l2 == label and e2.angle == angle
+                assert np.array_equal(e2.center, center) and np.array_equal(e2.axes, axes)
+                assert np.array_equal(np.concatenate([b2.min, b2.max]), box)
+            assert next(det, None) is None
+        assert n_out > 0
 
     def test_oracle_at_zero_noise_equals_gt(self):
         scene, view = self._one_view()
@@ -248,7 +262,7 @@ class TestDetectors:
         b = run_detector(DetectorModel("gt_projection"), scene, view)
         for (l1, e1, b1), (l2, e2, b2) in zip(a, b):
             assert l1 == l2
-            assert np.allclose(ellipse_to_conic(e1).M, ellipse_to_conic(e2).M)
+            assert ellipses_close(e1, e2, tol=1e-12)
             assert np.allclose(b1.min, b2.min) and np.allclose(b1.max, b2.max)
 
     def test_inscribed_at_zero_noise(self):
@@ -256,7 +270,7 @@ class TestDetectors:
         from ellipose.geometry import inscribed_ellipse
 
         det = run_detector(DetectorModel("inscribed_of_noisy_box", 0.0), scene, view)
-        gt = render_detections(scene, view)
+        gt = run_detector(GT, scene, view)
         for (label, e, box), (_, ge, gbox) in zip(det, gt):
             expect = inscribed_ellipse(gbox)
             assert np.allclose(e.center, expect.center, atol=1e-9)
@@ -270,7 +284,7 @@ class TestDetectors:
         for kind in ious:
             model = DetectorModel(kind, 20.0, seed=11)
             for view in views:
-                gt = {l: e for l, e, _ in render_detections(scene, view)}
+                gt = {l: e for l, e, _ in run_detector(GT, scene, view)}
                 for label, e, _ in run_detector(model, scene, view):
                     ious[kind].append(ellipse_iou(e, gt[label], grid=128))
         assert np.mean(ious["inscribed_of_noisy_box"]) < np.mean(ious["oracle_with_box_noise"])
