@@ -28,7 +28,6 @@ from .errors import (
     SingularTransform,
 )
 from .geometry import (
-    Box,
     CameraModel,
     Ellipse,
     Ellipsoid,
@@ -36,7 +35,6 @@ from .geometry import (
     Pose,
     canonicalize,
     crop_transform,
-    inscribed_ellipse,
     project_ellipsoid,
     transform_ellipse,
     wrap_angle_half_pi,

@@ -50,24 +50,25 @@ def _cmd_annotate(args) -> int:
     return EXIT_OK
 
 
-def _detections_for_view(dataset, view, args, annotations_override):
-    """(label, Ellipse) detections according to --detections."""
+def _detection_source(dataset, args, annotations_override):
+    """view -> (label, Ellipse) detections according to --detections; the
+    source is checked, and its detector built, once before any view."""
     if args.detections == "predictions":
         pred = dataset.predictions
         if pred is None:
             raise ParseError("dataset carries no predictions", file=args.dataset)
-        out = []
-        for rec in pred.records.get(view.view_id, []):
-            T = crop_transform(rec.box, pred.crop_size)
-            out.append((rec.label, decode_prediction(rec.prediction, pred.config, T)))
-        return out
+        return lambda view: [
+            (rec.label, decode_prediction(rec.prediction, pred.config,
+                                          crop_transform(rec.box, pred.crop_size)))
+            for rec in pred.records.get(view.view_id, [])
+        ]
     if args.detections == "detector":
         if dataset.scene is None:
             raise ParseError("dataset carries no scene for the detector", file=args.dataset)
         model = DetectorModel(args.detector_kind, args.box_noise, seed=args.seed)
-        return [(label, e) for label, e, _ in run_detector(model, dataset.scene, view)]
+        return lambda view: [(label, e) for label, e, _ in run_detector(model, dataset.scene, view)]
     annotations = dataset.annotations if annotations_override is None else annotations_override
-    return annotations[view.view_id].detections() if view.view_id in annotations else []
+    return lambda view: annotations[view.view_id].detections() if view.view_id in annotations else []
 
 
 def _cmd_pose(args) -> int:
@@ -87,7 +88,7 @@ def _cmd_pose(args) -> int:
         annotations_override, _ = dataio.load_annotations(args.annotations_file)
     poses, results, failures = localize_views(
         dataset.views,
-        lambda view: _detections_for_view(dataset, view, args, annotations_override),
+        _detection_source(dataset, args, annotations_override),
         cloud,
         orientations=orientations,
         eval_points=(

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParseError, SchemaVersionMismatch
-from .geometry import Box, CameraModel, Ellipsoid, Pose, _check_rotation, _freeze
+from .geometry import CameraModel, Ellipsoid, Pose, _check_rotation, _freeze
 from .multibin import MultibinConfig, MultibinPrediction
 from .reconstruction import CalibratedView, EllipsoidCloud, ViewAnnotations
 from .simulator import SceneObject, SceneSpec
@@ -32,7 +32,7 @@ _PREDICTION_FIELDS = ("center", "dims", "bin_scores", "corrections")  # in file 
 @dataclass(frozen=True, eq=False)
 class PredictionRecord:
     label: str
-    box: Box
+    box: np.ndarray  # read-only [x_min, y_min, x_max, y_max]
     prediction: MultibinPrediction
 
 
@@ -118,7 +118,7 @@ def dataset_to_json(d: Dataset) -> dict:
             "n_bins": int(p.config.n_bins),
             "overlap_fraction": float(p.config.overlap_fraction),
             "records": {
-                vid: [{"label": r.label, "box": r.box.min.tolist() + r.box.max.tolist(),
+                vid: [{"label": r.label, "box": _mat(r.box),
                        **{k: _mat(getattr(r.prediction, k)) for k in _PREDICTION_FIELDS}}
                       for r in recs]
                 for vid, recs in p.records.items()
@@ -431,7 +431,7 @@ def load_dataset(path) -> Dataset:
             rows = []
             for j, rec in enumerate(rd.get_list(rec_doc, vid, "predictions.records")):
                 record = f"predictions[{vid}][{j}]"
-                box = Box(*np.reshape(_parse_box(rec, rd, record), (2, 2)))
+                box = _freeze(_parse_box(rec, rd, record), (4,))
                 parts = _parse_arrays(rec, rd, record, shapes, "prediction")
                 if not np.all(parts["dims"] > 0.0):
                     rd.fail(f"bad prediction: dims must be positive, got {parts['dims'].tolist()}",

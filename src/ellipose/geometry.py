@@ -1,10 +1,11 @@
 """Exact algebra of ellipses, conics, ellipsoids, dual quadrics and their
 perspective projection, plus the image/crop frame transforms.
 
-Ellipses, ellipsoids, cameras, poses, boxes and frame transforms are
-immutable value objects; conics and dual quadrics are plain arrays, stacked
-(n, 3, 3) and (n, 4, 4) in the kernels.  Every operation is a pure function,
-so everything here is safe to share across threads.
+Ellipses, ellipsoids, cameras, poses and frame transforms are immutable
+value objects; conics and dual quadrics are plain arrays, stacked (n, 3, 3)
+and (n, 4, 4) in the kernels, and a box is a row [x_min, y_min, x_max,
+y_max], stacked (n, 4).  Every operation is a pure function, so everything
+here is safe to share across threads.
 
 Conventions:
   * a point conic M satisfies x^T M x = 0 for homogeneous boundary points;
@@ -179,30 +180,6 @@ class Pose:
     @property
     def camera_center(self) -> np.ndarray:
         return -self.R.T @ self.t
-
-
-@dataclass(frozen=True, eq=False)
-class Box:
-    """Axis-aligned pixel box with min < max componentwise."""
-
-    min: np.ndarray
-    max: np.ndarray
-
-    def __post_init__(self):
-        lo = _freeze(self.min, (2,))
-        hi = _freeze(self.max, (2,))
-        if not np.all(lo < hi):
-            raise ValueError("box min must be strictly below max")
-        object.__setattr__(self, "min", lo)
-        object.__setattr__(self, "max", hi)
-
-    @property
-    def center(self) -> np.ndarray:
-        return 0.5 * (self.min + self.max)
-
-    @property
-    def size(self) -> np.ndarray:
-        return self.max - self.min
 
 
 @dataclass(frozen=True, eq=False)
@@ -453,16 +430,11 @@ def _outlines(Rs, ts, Qd, centers, K):
 # ---------------------------------------------------------------------------
 
 
-def inscribed_ellipse(b: Box) -> Ellipse:
-    """Axis-aligned ellipse inscribed in a box (the detection baseline)."""
-    centers, axes, angles = _inscribed_ellipses(np.concatenate([b.min, b.max])[None])
-    return Ellipse(centers[0], axes[0], angles[0])
-
-
 def _inscribed_ellipses(boxes):
-    """Ellipses (centers (n,2), axes (n,2), angles (n,)) inscribed in boxes
-    (n,4) (x_min, y_min, x_max, y_max), canonical as by :func:`canonicalize`:
-    a taller box swaps its axes at angle pi/2, and a circle takes angle 0."""
+    """Axis-aligned ellipses (centers (n,2), axes (n,2), angles (n,))
+    inscribed in boxes (n,4), the box-fitting baseline, canonical as by
+    :func:`canonicalize`: a taller box swaps its axes at angle pi/2, and a
+    circle takes angle 0."""
     lo, hi = boxes[:, :2], boxes[:, 2:]
     half = 0.5 * (hi - lo)
     tall = half[:, 0] < half[:, 1]
@@ -494,18 +466,23 @@ def transform_ellipse(e: Ellipse, T: FrameTransform) -> Ellipse:
     return Ellipse(centers[0], axes[0], angles[0])
 
 
-def crop_transform(b: Box, out_size: float) -> FrameTransform:
-    """Similarity mapping the square completion of a box onto [0, out_size]^2.
+def crop_transform(box, out_size: float) -> FrameTransform:
+    """Similarity mapping the square completion of a box [x_min, y_min,
+    x_max, y_max] onto [0, out_size]^2.
 
     The shorter box side is expanded symmetrically about the box center, so
     aspect ratio is preserved; the transform goes image -> crop and its
     inverse is obtained with ``.inverse()``.
     """
+    box = _freeze(box, (4,))
+    lo, hi = box[:2], box[2:]
+    if not np.all(lo < hi):
+        raise ValueError("box min must be strictly below max")
     if out_size <= 0:
         raise ValueError("out_size must be positive")
-    side = float(b.size.max())
+    side = float((hi - lo).max())
     s = out_size / side
-    cx, cy = b.center
+    cx, cy = 0.5 * (lo + hi)
     H = np.array(
         [
             [s, 0.0, 0.5 * out_size - s * cx],

@@ -69,7 +69,11 @@ class EllipsoidCloud:
     entries: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple((str(l), e) for l, e in self.entries))
+        entries = tuple((l, e) for l, e in self.entries)
+        for label, _ in entries:
+            if not isinstance(label, str):
+                raise ValueError(f"cloud labels must be strings, got {label!r}")
+        object.__setattr__(self, "entries", entries)
 
     @property
     def labels(self) -> list:

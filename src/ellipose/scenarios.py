@@ -153,7 +153,6 @@ def noise_sweep(
     orients = noisy_orientations(views, orientation_noise, seed)
     det_scene = detection_scene if detection_scene is not None else scene
     cloud = cloud_of_scene(det_scene)
-    eval_points = scene.evaluation_points(200)
     summaries = {}
     rows = []
     for half_range in half_ranges:
@@ -168,7 +167,6 @@ def noise_sweep(
                     ],
                     cloud,
                     orientations=orients,
-                    eval_points=eval_points,
                     inlier_iou_threshold=0.35,
                     seed=seed,
                 )
@@ -255,7 +253,7 @@ def reconstruction_consistency_experiment(*, n_build: int = 3, n_held: int = 8):
 # ---------------------------------------------------------------------------
 
 
-def _board_dataset(params, seed: int) -> tuple:
+def _board_dataset(params) -> tuple:
     scene = tless_like_board(params["n_objects"])
     rig = CameraRig(params["radius"], params["n_azimuth"], params["n_elevation"])
     views = sample_cameras(rig)
@@ -264,7 +262,7 @@ def _board_dataset(params, seed: int) -> tuple:
 
 
 def _run_tless_board(params, out_dir: Path, seed: int) -> list:
-    _, _, dataset = _board_dataset(params, seed)
+    _, _, dataset = _board_dataset(params)
     path = out_dir / "dataset.json"
     save_dataset(dataset, path)
     return [path]
@@ -306,7 +304,7 @@ def _run_fig3_demo(params, out_dir: Path, seed: int) -> list:
 
 
 def _run_noise_sweep(params, out_dir: Path, seed: int) -> list:
-    scene, views, dataset = _board_dataset(params, seed)
+    scene, views, dataset = _board_dataset(params)
     rows = noise_sweep(
         scene,
         views,

@@ -17,17 +17,16 @@ import numpy as np
 
 from .errors import DegenerateBox, DegeneratePointSet
 from .geometry import (
-    Box,
     CameraModel,
     Ellipse,
     Ellipsoid,
     Pose,
     canonicalize,
-    inscribed_ellipse,
     rotation_x,
     rotation_y,
     rotation_z,
     _check_int,
+    _inscribed_ellipses,
 )
 from .reconstruction import CalibratedView, EllipsoidCloud, generate_annotations
 
@@ -182,18 +181,18 @@ def cloud_of_scene(scene: SceneSpec) -> EllipsoidCloud:
     return EllipsoidCloud(tuple((o.label, o.ellipsoid) for o in scene.objects))
 
 
-def _perturb_box(b: Box, half_range: float, rng) -> Box:
-    """Shift each of the four corner coordinates by an independent uniform
-    draw in [-half_range, half_range], checked by DetectorModel; reordered
-    to keep min < max, redrawn (up to 10 times) when it has zero area."""
+def _perturb_box(box, half_range: float, rng) -> np.ndarray:
+    """Shift each of the four coordinates of a box [x_min, y_min, x_max,
+    y_max] by an independent uniform draw in [-half_range, half_range],
+    checked by DetectorModel; reordered to keep min < max, redrawn (up to 10
+    times) when it has zero area.  Returns a read-only row."""
     for _ in range(10):
-        d = rng.uniform(-half_range, half_range, size=4)
-        x0, y0 = b.min[0] + d[0], b.min[1] + d[1]
-        x1, y1 = b.max[0] + d[2], b.max[1] + d[3]
-        lo = (min(x0, x1), min(y0, y1))
-        hi = (max(x0, x1), max(y0, y1))
+        p = box + rng.uniform(-half_range, half_range, size=4)
+        lo, hi = np.minimum(p[:2], p[2:]), np.maximum(p[:2], p[2:])
         if hi[0] - lo[0] > 1e-9 and hi[1] - lo[1] > 1e-9:
-            return Box(lo, hi)
+            out = np.concatenate([lo, hi])
+            out.setflags(write=False)
+            return out
     raise DegenerateBox("box perturbation kept collapsing to zero area")
 
 
@@ -218,26 +217,23 @@ def view_rng(seed: int, view_id: str, stream: int = 0) -> np.random.Generator:
 
 
 def run_detector(model: DetectorModel, scene: SceneSpec, view: CalibratedView):
-    """(label, Ellipse, Box) detections under the given detector model, one
-    per object whose exact outline has its center inside the image, in
+    """(label, Ellipse, box row) detections under the given detector model,
+    one per object whose exact outline has its center inside the image, in
     scene order; objects behind the camera or with degenerate outlines are
     skipped.  The gt_projection kind returns the exact outlines and their
     tight boxes."""
-    rng = view_rng(model.seed, view.view_id)
     a = generate_annotations(cloud_of_scene(scene), [view])[0][view.view_id]
-    inside = ((a.centers >= 0.0) & (a.centers <= view.cam.image_size)).all(axis=1)
-    gt = [(a.labels[i], Ellipse(a.centers[i], a.axes[i], a.angles[i]),
-           Box(a.boxes[i, :2], a.boxes[i, 2:])) for i in np.flatnonzero(inside)]
-    if model.kind == "gt_projection":
-        return gt
-    out = []
-    for label, ellipse, box in gt:
-        noisy = _perturb_box(box, model.box_noise_half_range, rng)
-        if model.kind == "inscribed_of_noisy_box":
-            out.append((label, inscribed_ellipse(noisy), noisy))
-        else:  # oracle_with_box_noise: ellipse unaffected by the crop shift
-            out.append((label, ellipse, noisy))
-    return out
+    rows = np.flatnonzero(((a.centers >= 0.0) & (a.centers <= view.cam.image_size)).all(axis=1))
+    boxes = [a.boxes[i] for i in rows]
+    if model.kind != "gt_projection":
+        rng = view_rng(model.seed, view.view_id)
+        boxes = [_perturb_box(b, model.box_noise_half_range, rng) for b in boxes]
+    if model.kind == "inscribed_of_noisy_box":
+        centers, axes, angles = _inscribed_ellipses(np.reshape(boxes, (-1, 4)))
+    else:  # exact outlines; the oracle's is unaffected by the crop shift
+        centers, axes, angles = a.centers[rows], a.axes[rows], a.angles[rows]
+    return [(a.labels[i], Ellipse(c, ax, t), b)
+            for i, c, ax, t, b in zip(rows, centers, axes, angles, boxes)]
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ import pytest
 
 from ellipose.errors import BehindCamera, ElliposeError, NotAnEllipse
 from ellipose.geometry import (
-    Box,
     Ellipse,
     Ellipsoid,
     FrameTransform,
@@ -97,19 +96,19 @@ def random_ellipsoid(rng, center_scale=2.0, min_ratio=1.0) -> Ellipsoid:
     return Ellipsoid(center, axes, random_rotation(rng))
 
 
-def bbox_of_ellipse(e: Ellipse) -> Box:
-    """Tight axis-aligned bounding box of an ellipse, with the half-extents
-    of the IoU grid."""
+def bbox_of_ellipse(e: Ellipse) -> np.ndarray:
+    """Tight axis-aligned bounding box [x_min, y_min, x_max, y_max] of an
+    ellipse, with the half-extents of the IoU grid."""
     half = np.array(_bbox_half(float(e.axes[0]), float(e.axes[1]), e.angle))
-    return Box(e.center - half, e.center + half)
+    return np.concatenate([e.center - half, e.center + half])
 
 
 def grid_ellipse_iou(e1: Ellipse, e2: Ellipse, grid: int) -> float:
     """Reference IoU: tests every one of the grid x grid cell centers over
     the union of the two bounding boxes."""
     b1, b2 = bbox_of_ellipse(e1), bbox_of_ellipse(e2)
-    lo = np.minimum(b1.min, b2.min)
-    hi = np.maximum(b1.max, b2.max)
+    lo = np.minimum(b1[:2], b2[:2])
+    hi = np.maximum(b1[2:], b2[2:])
     xs = lo[0] + (np.arange(grid) + 0.5) * (hi[0] - lo[0]) / grid
     ys = lo[1] + (np.arange(grid) + 0.5) * (hi[1] - lo[1]) / grid
     in1 = _inside_grid(e1, xs, ys)
@@ -210,11 +209,11 @@ def ellipses_close(e1: Ellipse, e2: Ellipse, tol=1e-9) -> bool:
 
 
 def view_annotations(rows) -> ViewAnnotations:
-    """A view's annotation arrays from (label, Box, Ellipse or None) rows."""
+    """A view's annotation arrays from (label, box row, Ellipse or None) rows."""
     nan = (math.nan, math.nan)
     return ViewAnnotations(
         [label for label, _, _ in rows],
-        [[*b.min, *b.max] for _, b, _ in rows],
+        [b for _, b, _ in rows],
         [nan if e is None else e.center for _, _, e in rows],
         [nan if e is None else e.axes for _, _, e in rows],
         [math.nan if e is None else e.angle for _, _, e in rows],
@@ -222,9 +221,9 @@ def view_annotations(rows) -> ViewAnnotations:
 
 
 def annotation_rows(a: ViewAnnotations) -> list:
-    """(label, Box, Ellipse or None) per row of a view's annotation arrays."""
+    """(label, box row, Ellipse or None) per row of a view's annotation arrays."""
     return [
-        (label, Box(b[:2], b[2:]), None if math.isnan(t) else Ellipse(c, ax, t))
+        (label, b, None if math.isnan(t) else Ellipse(c, ax, t))
         for label, b, c, ax, t in zip(a.labels, a.boxes, a.centers, a.axes, a.angles)
     ]
 
@@ -234,25 +233,26 @@ def annotation_rows(a: ViewAnnotations) -> list:
 # ---------------------------------------------------------------------------
 
 
-def reference_inscribed(box: Box) -> Ellipse:
-    """The axis-aligned ellipse inscribed in a box, canonicalized."""
-    return canonicalize(Ellipse(box.center, 0.5 * box.size, 0.0))
+def reference_inscribed(box) -> Ellipse:
+    """The axis-aligned ellipse inscribed in a box row, canonicalized."""
+    lo, hi = np.asarray(box[:2], float), np.asarray(box[2:], float)
+    return canonicalize(Ellipse(0.5 * (lo + hi), 0.5 * (hi - lo), 0.0))
 
 
 def reference_cloud(boxes_by_view, views) -> list:
     """(label, Ellipsoid) per label in sorted order, each from the inscribed
-    ellipses of its boxes, one Box and one Observation per record."""
+    ellipses of its boxes, one Ellipse and one Observation per record."""
     observations = {}
     for vid, (labels, boxes) in boxes_by_view.items():
         for label, b in zip(labels, boxes):
-            e = reference_inscribed(Box(b[:2], b[2:]))
+            e = reference_inscribed(b)
             observations.setdefault(label, []).append(Observation(label, e, vid))
     return [(label, reconstruct_ellipsoid(observations[label], views))
             for label in sorted(observations)]
 
 
 def reference_annotations(cloud: EllipsoidCloud, views) -> tuple:
-    """Per view, (label, Ellipse, Box) of each object's own projection and
+    """Per view, (label, Ellipse, box row) of each object's own projection and
     its bbox_of_ellipse; and the (view_id, label, note) of each skipped one."""
     annotations, skipped = {}, []
     for v in views:

@@ -14,7 +14,6 @@ from ellipose import dataio
 from ellipose.cli import main
 from ellipose.dataio import Dataset, PredictionRecord, PredictionSet
 from ellipose.geometry import (
-    Box,
     Ellipse,
     crop_transform,
     project_ellipsoid,
@@ -175,7 +174,7 @@ class TestPoseCommand:
         scene, views, dataset, dpath = board
         cfg = MultibinConfig(8, 0.1)
         pred = perfect_prediction(Ellipse((112.0, 112.0), (60.0, 30.0), 0.4), cfg)
-        records = {views[0].view_id: [PredictionRecord("obj01", Box((5, 5), (50, 60)), pred)]}
+        records = {views[0].view_id: [PredictionRecord("obj01", np.array([5.0, 5.0, 50.0, 60.0]), pred)]}
         ds = Dataset(views, dataset.annotations, scene, PredictionSet(224.0, cfg, records))
         dpath2 = tmp_path / "with_preds.json"
         dataio.save_dataset(ds, dpath2)
@@ -418,6 +417,82 @@ class TestPoseCommand:
             )
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("source, message", [
+        (["--detections", "predictions"], "dataset carries no predictions"),
+        (["--detections", "detector", "--detector-kind", "bogus"], "unknown detector kind 'bogus'"),
+    ])
+    def test_detection_source_checked_without_views(self, board, tmp_path, capsys,
+                                                    source, message):
+        # the source is checked once before any view, so a dataset with no
+        # views still exits 2 rather than 3 ("no view produced a pose")
+        scene, views, dataset, dpath = board
+        doc = json.loads(dpath.read_text())
+        doc["views"], doc["annotations"] = [], {}
+        dpath.write_text(json.dumps(doc))
+        cloud_path = tmp_path / "cloud.json"
+        dataio.save_cloud(cloud_of_scene(scene), cloud_path)
+        poses = tmp_path / "p.json"
+        rc = main(
+            [
+                "pose", "--dataset", str(dpath), "--cloud", str(cloud_path),
+                "--out-poses", str(poses), "--out-metrics", str(tmp_path / "m.csv"), *source,
+            ]
+        )
+        assert rc == 2 and not poses.exists()
+        err = capsys.readouterr().err
+        assert message in err
+        if source[1] == "predictions":
+            assert f"file={dpath}" in err
+
+    def test_every_view_fails(self, board, tmp_path, capsys):
+        # full mode needs two correspondences; a cloud of obj01 alone gives one
+        scene, views, dataset, dpath = board
+        cloud_path = tmp_path / "cloud.json"
+        assert main(["reconstruct", "--dataset", str(dpath), "--out", str(cloud_path),
+                     "--labels", "obj01"]) == 0
+        poses = tmp_path / "p.json"
+        rc = main(
+            [
+                "pose", "--dataset", str(dpath), "--cloud", str(cloud_path),
+                "--out-poses", str(poses), "--out-metrics", str(tmp_path / "m.csv"),
+                "--mode", "full", "--iterations", "4",
+            ]
+        )
+        assert rc == 3
+        doc = json.loads(poses.read_text())
+        assert doc["poses"] == {}
+        assert sorted(doc["failures"]) == sorted(v.view_id for v in views)
+        assert all(r.startswith("NoValidPose: ") for r in doc["failures"].values())
+        warnings = [l for l in capsys.readouterr().err.splitlines() if l.startswith("warning:")]
+        assert sorted(warnings) == sorted(
+            f"warning: no pose for view {vid}: {r}" for vid, r in doc["failures"].items())
+        assert len(warnings) == len(views)
+
+    def test_some_views_fail(self, board, tmp_path, capsys):
+        # views without annotations fail alone; the others still get a pose
+        scene, views, dataset, dpath = board
+        failing = sorted(v.view_id for v in views[::3])
+        doc = json.loads(dpath.read_text())
+        for vid in failing:
+            doc["annotations"][vid] = []
+        dpath.write_text(json.dumps(doc))
+        cloud_path = tmp_path / "cloud.json"
+        dataio.save_cloud(cloud_of_scene(scene), cloud_path)
+        poses = tmp_path / "p.json"
+        rc = main(
+            [
+                "pose", "--dataset", str(dpath), "--cloud", str(cloud_path),
+                "--out-poses", str(poses), "--out-metrics", str(tmp_path / "m.csv"),
+            ]
+        )
+        assert rc == 0
+        doc = json.loads(poses.read_text())
+        assert sorted(doc["failures"]) == failing
+        assert sorted(doc["poses"]) == sorted(set(v.view_id for v in views) - set(failing))
+        assert all(r.startswith("NoValidPose: ") for r in doc["failures"].values())
+        err = capsys.readouterr().err
+        assert err.count("warning: no pose for view") == len(failing)
 
     def test_missing_cloud_is_parse_error(self, board, tmp_path):
         scene, views, dataset, dpath = board

@@ -28,7 +28,7 @@ from ellipose.dataio import (
     write_csv,
 )
 from ellipose.errors import ParseError, SchemaVersionMismatch
-from ellipose.geometry import Box, Ellipse, Pose
+from ellipose.geometry import Ellipse, Pose
 from ellipose.multibin import MultibinConfig, perfect_prediction
 from ellipose.pose import PoseEstimate
 from ellipose.reconstruction import CalibratedView, EllipsoidCloud
@@ -45,7 +45,7 @@ def dataset(rng):
     e = random_ellipse(rng)
     annotations = {
         "v0": view_annotations([("a", bbox_of_ellipse(e), e)]),
-        "v1": view_annotations([("a", Box((0, 0), (10, 10)), None)]),
+        "v1": view_annotations([("a", (0, 0, 10, 10), None)]),
     }
     obj = SceneObject("a", random_ellipsoid(rng), model_points=rng.normal(size=(5, 3)))
     cfg = MultibinConfig(8, 0.1)
@@ -53,7 +53,7 @@ def dataset(rng):
     preds = PredictionSet(
         224.0,
         cfg,
-        {"v2": [PredictionRecord("a", Box((5, 5), (50, 60)), perfect_prediction(gt_crop, cfg))]},
+        {"v2": [PredictionRecord("a", np.array([5.0, 5.0, 50.0, 60.0]), perfect_prediction(gt_crop, cfg))]},
     )
     return Dataset(views, annotations, SceneSpec((obj,)), preds)
 
@@ -357,7 +357,7 @@ class TestAnnotationArrays:
             CalibratedView(f"v{k}", cam, look_at((1.0, k + 1.0, 1.5), (0, 0, 0))) for k in range(4)
         ]
         es = [random_ellipse(rng) for _ in range(3)]
-        rows = [("a", bbox_of_ellipse(es[0]), es[0]), ("b", Box((0, 0), (9, 7)), None),
+        rows = [("a", bbox_of_ellipse(es[0]), es[0]), ("b", (0, 0, 9, 7), None),
                 ("c", bbox_of_ellipse(es[1]), es[1]), ("d", bbox_of_ellipse(es[2]), es[2])]
         return Dataset(views, {"v1": view_annotations(rows[:1]), "v3": view_annotations(rows)})
 

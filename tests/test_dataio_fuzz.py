@@ -16,7 +16,7 @@ from conftest import bbox_of_ellipse, random_ellipse, random_ellipsoid, view_ann
 from ellipose import dataio
 from ellipose.dataio import Dataset, PredictionRecord, PredictionSet
 from ellipose.errors import ParseError
-from ellipose.geometry import Box, Ellipse
+from ellipose.geometry import Ellipse
 from ellipose.multibin import MultibinConfig, perfect_prediction
 from ellipose.reconstruction import CalibratedView, EllipsoidCloud
 from ellipose.simulator import SceneObject, SceneSpec, default_camera, look_at
@@ -42,10 +42,10 @@ def _valid_documents(directory) -> dict:
     dataset = Dataset(
         views,
         {"v0": view_annotations([("a", bbox_of_ellipse(e), e),
-                                 ("b", Box((0, 0), (9, 7)), None)])},
+                                 ("b", (0, 0, 9, 7), None)])},
         SceneSpec((SceneObject("a", random_ellipsoid(rng), rng.normal(size=(2, 3))),)),
         PredictionSet(64.0, cfg, {"v1": [PredictionRecord(
-            "a", Box((5, 5), (50, 60)), perfect_prediction(Ellipse((32, 32), (20, 9), 0.4), cfg)
+            "a", np.array([5.0, 5.0, 50.0, 60.0]), perfect_prediction(Ellipse((32, 32), (20, 9), 0.4), cfg)
         )]}),
     )
     writers = {

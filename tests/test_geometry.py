@@ -21,7 +21,6 @@ from conftest import (
 )
 from ellipose.errors import BehindCamera, NotAnEllipse, NotAnEllipsoid, SingularTransform
 from ellipose.geometry import (
-    Box,
     CameraModel,
     Ellipse,
     Ellipsoid,
@@ -29,7 +28,6 @@ from ellipose.geometry import (
     Pose,
     canonicalize,
     crop_transform,
-    inscribed_ellipse,
     normalize_symmetric,
     project_ellipsoid,
     transform_ellipse,
@@ -37,6 +35,7 @@ from ellipose.geometry import (
     _ellipse_conics,
     _ellipses_of_conics,
     _ellipsoid_of_dual,
+    _inscribed_ellipses,
     _outline_error,
     _outlines,
     _quadric_duals,
@@ -375,47 +374,51 @@ class TestProjectionKernel:
             assert np.abs(D - want).max() <= 1e-15 * np.abs(want).max()
 
 
+def inscribed(box) -> Ellipse:
+    """The ellipse inscribed in one box row, through the stacked kernel."""
+    centers, axes, angles = _inscribed_ellipses(np.array([box], float))
+    return Ellipse(centers[0], axes[0], angles[0])
+
+
 class TestBoxes:
     def test_inscribed_simple(self):
-        e = inscribed_ellipse(Box((0, 0), (4, 2)))
+        e = inscribed((0, 0, 4, 2))
         assert np.allclose(e.center, (2, 1))
         assert np.allclose(e.axes, (2, 1))
         assert e.angle == 0.0
 
     def test_inscribed_square_is_circle(self):
-        e = inscribed_ellipse(Box((0, 0), (3, 3)))
+        e = inscribed((0, 0, 3, 3))
         assert e.axes[0] == pytest.approx(e.axes[1])
         assert e.angle == 0.0
 
     def test_inscribed_tall_box(self):
-        e = inscribed_ellipse(Box((-1, -3), (1, 3)))
+        e = inscribed((-1, -3, 1, 3))
         assert np.allclose(e.axes, (3, 1))
         assert abs(e.angle - math.pi / 2) < 1e-15
 
     def test_bbox_axis_aligned(self):
         b = bbox_of_ellipse(Ellipse((0, 0), (2, 1), 0.0))
-        assert np.allclose(b.min, (-2, -1)) and np.allclose(b.max, (2, 1))
+        assert np.allclose(b, (-2, -1, 2, 1))
 
     def test_bbox_tilted_against_sampling_oracle(self):
         e = Ellipse((0, 0), (2, 1), math.pi / 4)
         b = bbox_of_ellipse(e)
         pts = boundary_points(e, 200000)
-        assert b.max[0] == pytest.approx(np.abs(pts[:, 0]).max(), abs=1e-6)
-        assert b.max[1] == pytest.approx(np.abs(pts[:, 1]).max(), abs=1e-6)
-        assert b.max[0] == pytest.approx(math.sqrt(2.5), abs=1e-12)
-        assert b.max[1] == pytest.approx(math.sqrt(2.5), abs=1e-12)
+        assert b[2] == pytest.approx(np.abs(pts[:, 0]).max(), abs=1e-6)
+        assert b[3] == pytest.approx(np.abs(pts[:, 1]).max(), abs=1e-6)
+        assert b[2] == pytest.approx(math.sqrt(2.5), abs=1e-12)
+        assert b[3] == pytest.approx(math.sqrt(2.5), abs=1e-12)
 
     def test_bbox_circle(self):
         b = bbox_of_ellipse(Ellipse((5, 5), (2, 2), 1.3))
-        assert np.allclose(b.size, (4, 4))
+        assert np.allclose(b[2:] - b[:2], (4, 4))
 
     def test_bbox_of_inscribed_is_identity(self, rng):
         for _ in range(100):
             lo = rng.uniform(-50, 50, size=2)
-            b = Box(lo, lo + rng.uniform(0.5, 40.0, size=2))
-            b2 = bbox_of_ellipse(inscribed_ellipse(b))
-            assert np.allclose(b2.min, b.min, atol=1e-12)
-            assert np.allclose(b2.max, b.max, atol=1e-12)
+            b = np.concatenate([lo, lo + rng.uniform(0.5, 40.0, size=2)])
+            assert np.allclose(bbox_of_ellipse(inscribed(b)), b, atol=1e-12)
 
 
 class TestTransformConic:
@@ -473,17 +476,17 @@ class TestTransformConic:
 
 class TestCropTransform:
     def test_identity_case(self):
-        T = crop_transform(Box((0, 0), (10, 10)), 10.0)
+        T = crop_transform((0, 0, 10, 10), 10.0)
         assert np.allclose(T.H, np.eye(3), atol=1e-12)
 
     def test_wide_box_completion(self):
-        T = crop_transform(Box((0, 0), (20, 10)), 20.0)
+        T = crop_transform((0, 0, 20, 10), 20.0)
         # square completion is (0,-5)-(20,15), scale 1
         assert np.allclose(apply_transform(T, np.array([0.0, -5.0])), (0.0, 0.0), atol=1e-12)
         assert np.allclose(apply_transform(T, np.array([20.0, 15.0])), (20.0, 20.0), atol=1e-12)
 
     def test_scale_and_center(self):
-        T = crop_transform(Box((0, 0), (4, 2)), 64.0)
+        T = crop_transform((0, 0, 4, 2), 64.0)
         assert T.H[0, 0] == pytest.approx(16.0)
         assert np.allclose(apply_transform(T, np.array([2.0, 1.0])), (32.0, 32.0), atol=1e-12)
 
@@ -508,8 +511,16 @@ class TestValidation:
             Ellipse((0, 0), (1.0, -1.0), 0.0)
 
     def test_box_ordering(self):
-        with pytest.raises(ValueError):
-            Box((1, 1), (0, 2))
+        # crop_transform is where a library caller's box enters
+        for box, message in [
+            ((1, 1, 0, 2), "box min must be strictly below max"),
+            ((0, 1, 1, 1), "box min must be strictly below max"),
+            ((0, 0, math.inf, 2), "values must be finite"),
+            ((0, math.nan, 1, 2), "values must be finite"),
+            ((0, 0, 1), "expected shape"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                crop_transform(box, 64.0)
 
     def test_camera_checks(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,6 @@ import pytest
 
 from ellipose.errors import InvalidDims
 from ellipose.geometry import (
-    Box,
     Ellipse,
     FrameTransform,
     canonicalize,
@@ -46,7 +45,7 @@ class TestDecode:
         assert abs(wrap_angle_half_pi(out.angle - CFG.bin_center(0))) < 1e-12
 
     def test_crop_scaling(self):
-        T = crop_transform(Box((0, 0), (4, 2)), 64.0)  # uniform scale 16
+        T = crop_transform((0, 0, 4, 2), 64.0)  # uniform scale 16
         gt_crop = canonicalize(Ellipse((32.0, 32.0), (16.0, 8.0), 0.4))
         p = perfect_prediction(gt_crop, CFG)
         out = decode_prediction(p, CFG, T)

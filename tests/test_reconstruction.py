@@ -15,7 +15,6 @@ from conftest import (
 )
 from ellipose.errors import DegenerateConfiguration, EmptyInput, InsufficientViews
 from ellipose.geometry import (
-    Box,
     Ellipsoid,
     normalize_symmetric,
     project_ellipsoid,
@@ -61,7 +60,7 @@ def exact_boxes(objects, view):
     """(labels, boxes (n,4)) of the tight boxes of the objects' outlines."""
     boxes = [bbox_of_ellipse(project_ellipsoid(o.ellipsoid, view.pose, view.cam))
              for o in objects]
-    return [o.label for o in objects], np.array([[*b.min, *b.max] for b in boxes])
+    return [o.label for o in objects], np.array(boxes)
 
 
 def exact_observations(E, label, views):
@@ -220,6 +219,15 @@ class TestReconstructCloud:
             reconstruct_cloud({}, [])
 
 
+class TestEllipsoidCloud:
+    @pytest.mark.parametrize("label", [7, None, ("a",), b"a"])
+    def test_label_not_a_string_rejected(self, label):
+        # a label 7 coerced to "7" would match no detection labeled 7
+        ball = Ellipsoid((0, 0, 0), (0.3, 0.3, 0.3), np.eye(3))
+        with pytest.raises(ValueError, match="cloud labels must be strings, got"):
+            EllipsoidCloud((("a", ball), (label, ball)))
+
+
 class TestGenerateAnnotations:
     def test_sphere_centered_annotation(self):
         E = Ellipsoid((0, 0, 0), (0.3, 0.3, 0.3), np.eye(3))
@@ -231,7 +239,7 @@ class TestGenerateAnnotations:
         [(label, box, e)] = annotation_rows(anns["v0"])
         assert label == "ball"
         assert np.allclose(e.center, (320.0, 240.0), atol=1e-6)
-        assert np.allclose(box.center, (320.0, 240.0), atol=1e-6)
+        assert np.allclose(0.5 * (box[:2] + box[2:]), (320.0, 240.0), atol=1e-6)
 
     def test_behind_camera_skipped(self):
         cloud = EllipsoidCloud(
@@ -255,13 +263,10 @@ class TestGenerateAnnotations:
         boxes = {v.view_id: exact_boxes([obj], v) for v in views}
         cloud, _ = reconstruct_cloud(boxes, views)
         anns, _ = generate_annotations(cloud, views)
-        from ellipose.geometry import inscribed_ellipse
-
         ious = []
         for v in views:
             [(_, _, e)] = annotation_rows(anns[v.view_id])
-            b = boxes[v.view_id][1][0]
-            source = inscribed_ellipse(Box(b[:2], b[2:]))
+            source = reference_inscribed(boxes[v.view_id][1][0])
             ious.append(ellipse_iou(e, source))
         assert all(i < 0.9999 for i in ious)
         assert all(i > 0.5 for i in ious)
@@ -280,7 +285,7 @@ class TestGenerateAnnotations:
 class TestMapPathMatchesPerRecordFormulas:
     """reconstruct_cloud and generate_annotations work on per-view arrays;
     their outputs must equal, bit for bit, one value object per record:
-    inscribed ellipses canonicalized one Box at a time, reconstruct_ellipsoid
+    inscribed ellipses canonicalized one box at a time, reconstruct_ellipsoid
     per label, and each object's own projection with bbox_of_ellipse."""
 
     @pytest.fixture
@@ -304,7 +309,7 @@ class TestMapPathMatchesPerRecordFormulas:
         assert angles[0] == 0.5 * math.pi and angles[1] == angles[2] == 0.0
         assert axes[2, 0] > axes[2, 1]
         for row, c, a, t in zip(b, centers, axes, angles):
-            want = reference_inscribed(Box(row[:2], row[2:]))
+            want = reference_inscribed(row)
             assert np.array_equal(c, want.center) and np.array_equal(a, want.axes)
             assert t == want.angle
 
@@ -334,4 +339,4 @@ class TestMapPathMatchesPerRecordFormulas:
             for (_, b1, e1), (_, e2, b2) in zip(got, rows):
                 assert np.array_equal(e1.center, e2.center)
                 assert np.array_equal(e1.axes, e2.axes) and e1.angle == e2.angle
-                assert np.array_equal(b1.min, b2.min) and np.array_equal(b1.max, b2.max)
+                assert np.array_equal(b1, b2)

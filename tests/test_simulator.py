@@ -10,10 +10,10 @@ from conftest import (
     ellipses_close,
     random_ellipsoid,
     random_rotation,
+    reference_inscribed,
 )
 from ellipose.errors import BehindCamera, DegenerateBox, DegeneratePointSet, NotAnEllipse
 from ellipose.geometry import (
-    Box,
     Ellipse,
     Ellipsoid,
     project_ellipsoid,
@@ -144,7 +144,7 @@ def _assert_identical_detections(got, want):
         assert np.array_equal(e1.center, e2.center)
         assert np.array_equal(e1.axes, e2.axes)
         assert e1.angle == e2.angle
-        assert np.array_equal(b1.min, b2.min) and np.array_equal(b1.max, b2.max)
+        assert np.array_equal(b1, b2)
 
 
 class TestRenderMatchesPerObjectProjection:
@@ -182,30 +182,30 @@ class TestRenderMatchesPerObjectProjection:
 
 class TestPerturbations:
     def test_box_identity_at_zero(self):
-        b = Box((0, 0), (10, 20))
+        b = np.array([0.0, 0.0, 10.0, 20.0])
         out = _perturb_box(b, 0.0, np.random.default_rng(0))
-        assert np.allclose(out.min, b.min) and np.allclose(out.max, b.max)
+        assert np.array_equal(out, b) and not out.flags.writeable
 
     def test_box_center_displacement_linear(self):
-        b = Box((0, 0), (100, 100))
+        b = np.array([0.0, 0.0, 100.0, 100.0])
         means = []
         for h in (5.0, 10.0):
             rng = np.random.default_rng(42)
             d = []
             for _ in range(10000):
                 nb = _perturb_box(b, h, rng)
-                d.append(np.linalg.norm(nb.center - b.center))
+                d.append(np.linalg.norm(0.5 * (nb[:2] + nb[2:]) - 50.0))
             means.append(np.mean(d))
         assert means[1] / means[0] == pytest.approx(2.0, rel=0.05)
 
     def test_box_reproducible(self):
-        b = Box((0, 0), (10, 20))
+        b = np.array([0.0, 0.0, 10.0, 20.0])
         a = _perturb_box(b, 5.0, np.random.default_rng(7))
         c = _perturb_box(b, 5.0, np.random.default_rng(7))
-        assert np.array_equal(a.min, c.min) and np.array_equal(a.max, c.max)
+        assert np.array_equal(a, c)
 
     def test_box_degenerate_raises(self):
-        b = Box((0, 0), (1e-12, 1e-12))
+        b = np.array([0.0, 0.0, 1e-12, 1e-12])
         with pytest.raises(DegenerateBox):
             _perturb_box(b, 0.0, np.random.default_rng(0))
 
@@ -252,9 +252,16 @@ class TestDetectors:
                 l2, e2, b2 = next(det)
                 assert l2 == label and e2.angle == angle
                 assert np.array_equal(e2.center, center) and np.array_equal(e2.axes, axes)
-                assert np.array_equal(np.concatenate([b2.min, b2.max]), box)
+                assert np.array_equal(b2, box)
             assert next(det, None) is None
         assert n_out > 0
+
+    @pytest.mark.parametrize("kind", ["gt_projection", "inscribed_of_noisy_box",
+                                      "oracle_with_box_noise"])
+    def test_no_object_in_image(self, kind):
+        # the camera looks away from the board: every object is behind it
+        view = CalibratedView("v", default_camera(), look_at((0.0, 0.0, 1.0), (0.0, 0.0, 2.0)))
+        assert run_detector(DetectorModel(kind, 5.0), tless_like_board(6), view) == []
 
     def test_oracle_at_zero_noise_equals_gt(self):
         scene, view = self._one_view()
@@ -263,16 +270,14 @@ class TestDetectors:
         for (l1, e1, b1), (l2, e2, b2) in zip(a, b):
             assert l1 == l2
             assert ellipses_close(e1, e2, tol=1e-12)
-            assert np.allclose(b1.min, b2.min) and np.allclose(b1.max, b2.max)
+            assert np.allclose(b1, b2)
 
     def test_inscribed_at_zero_noise(self):
         scene, view = self._one_view()
-        from ellipose.geometry import inscribed_ellipse
-
         det = run_detector(DetectorModel("inscribed_of_noisy_box", 0.0), scene, view)
         gt = run_detector(GT, scene, view)
         for (label, e, box), (_, ge, gbox) in zip(det, gt):
-            expect = inscribed_ellipse(gbox)
+            expect = reference_inscribed(gbox)
             assert np.allclose(e.center, expect.center, atol=1e-9)
             assert np.allclose(e.axes, expect.axes, rtol=1e-9)
 
