@@ -1,8 +1,16 @@
 """File formats: JSON for structured records (datasets, clouds,
 annotations, orientations, poses) and CSV for metric tables.
 
-JSON floats round-trip losslessly (repr emits the shortest exact decimal),
-and writers are deterministic byte-for-byte for identical inputs.
+Writers emit each JSON file as one compact line through the C encoder;
+files in the older indented layout load the same.  JSON floats round-trip
+losslessly (repr emits the shortest exact decimal), and writers are
+deterministic byte-for-byte for identical inputs.
+
+This module is where file input is checked.  A reader checks a file's
+views, annotation records and orientations all at once, on stacked arrays,
+and builds the value objects from the checked arrays without checking them
+again; only when a bulk check fails does it walk the records one by one, to
+name the file, record and field of the first fault.
 """
 
 from __future__ import annotations
@@ -10,13 +18,23 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ParseError, SchemaVersionMismatch
-from .geometry import CameraModel, Ellipsoid, Pose, _check_rotation, _freeze
+from .geometry import (
+    _NOT_A_CAMERA,
+    _NOT_A_ROTATION,
+    CameraModel,
+    Ellipsoid,
+    Pose,
+    _check_cameras,
+    _check_rotation,
+    _freeze,
+)
 from .multibin import MultibinConfig, MultibinPrediction
 from .reconstruction import CalibratedView, EllipsoidCloud, ViewAnnotations
 from .simulator import SceneObject, SceneSpec
@@ -27,6 +45,7 @@ SCHEMA_VERSION = 1
 _BAD_VALUE = (ValueError, TypeError, OverflowError)
 
 _PREDICTION_FIELDS = ("center", "dims", "bin_scores", "corrections")  # in file order
+_VIEW_SHAPES = {"K": (3, 3), "image_size": (2,), "R": (3, 3), "t": (3,)}  # in walk order
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,19 +197,52 @@ def _number(value, kind):
     a JSON number of that kind (a boolean is not a number)."""
     if kind is int:
         return value if type(value) is int else None
-    out = _floats([value], 1)
-    return out[0] if out else None
+    out = _number_rows([value], 0)
+    return None if out is None else float(out[0])
 
 
-def _floats(values, n: int):
-    """A list of n JSON numbers as finite floats, else None."""
-    if type(values) is not list or len(values) != n:
+def _number_rows(values: list, n: int):
+    """``values``, each a list of ``n`` JSON numbers (with ``n`` 0, each a
+    number), as one finite float array (len(values), n) or (len(values),),
+    else None; a boolean is not a number."""
+    if n:
+        if not (set(map(type, values)) <= {list} and set(map(len, values)) <= {n}):
+            return None
+        flat = chain.from_iterable(values)
+    else:
+        flat = values
+    if not set(map(type, flat)) <= {int, float}:
         return None
     try:
-        out = [float(v) for v in values if type(v) in (int, float)]  # not a bool
-    except OverflowError:
+        out = np.array(values, float)
+    except OverflowError:  # an int beyond float range
         return None
-    return out if len(out) == n and all(map(math.isfinite, out)) else None
+    out = out.reshape(-1, n) if n else out
+    return out if np.isfinite(out).all() else None
+
+
+def _boxes(values: list):
+    """``values``, JSON boxes, as float rows (n, 4) [x_min, y_min, x_max,
+    y_max] with each min strictly below its max, else None."""
+    out = _number_rows(values, 4)
+    return out if out is not None and (out[:, :2] < out[:, 2:]).all() else None
+
+
+def _ellipses(values: list):
+    """(centers (k, 2), axes (k, 2), angles (k,)) of the k non-null
+    ``values``, JSON ellipses each null or an object with a finite
+    ``center`` [2] and ``angle`` and positive ``axes`` [2], else None."""
+    shown = [e for e in values if e is not None]
+    if not set(map(type, shown)) <= {dict}:
+        return None
+    try:
+        parts = [_number_rows([e[key] for e in shown], n)
+                 for key, n in (("center", 2), ("axes", 2), ("angle", 0))]
+    except KeyError:
+        return None
+    if any(p is None for p in parts) or not (parts[1] > 0.0).all():
+        return None
+    return parts
 
 
 def _parse_arrays(rec, rd: _Reader, record, shapes: dict, what: str) -> dict:
@@ -203,6 +255,21 @@ def _parse_arrays(rec, rd: _Reader, record, shapes: dict, what: str) -> dict:
         except _BAD_VALUE as exc:
             rd.fail(f"bad {what}: {exc}", record, key)
     return out
+
+
+def _frozen_stack(values: list, shape) -> np.ndarray:
+    """``values`` as one read-only finite float array (len(values), *shape);
+    raises as :func:`geometry._freeze`."""
+    return _freeze(values if values else np.empty((0, *shape)), (len(values), *shape))
+
+
+def _prechecked(cls, **values):
+    """A value object of ``cls`` holding ``values`` as given, without its
+    ``__post_init__``: the caller has frozen them and checked them by the
+    rules of ``cls``."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(values)
+    return obj
 
 
 def _check_schema(doc, rd: _Reader):
@@ -320,62 +387,94 @@ def load_scenario(path) -> tuple:
     return name, params, seed
 
 
-def _parse_view(rec, rd: _Reader, idx: int) -> CalibratedView:
-    """One calibrated view.  The value objects check and freeze its arrays;
-    where they fail, the arrays are parsed one by one to name the field."""
-    record = f"views[{idx}]"
-    vid = rd.get_str(rec, "view_id", record)
-    cam = None
+def _parse_views(doc, rd: _Reader) -> list:
+    """The calibrated views.  All views' arrays are stacked and checked at
+    once for shape, finiteness and the camera and rotation rules; on any
+    fault the records are walked, :func:`_parse_view` naming the first."""
+    recs = rd.get_list(doc, "views", "<root>")
     try:
-        cam = CameraModel(rec["K"], rec["image_size"])
-        return CalibratedView(vid, cam, Pose(rec["R"], rec["t"]))
-    except (*_BAD_VALUE, KeyError) as exc:
-        shapes = {"K": (3, 3), "image_size": (2,), "R": (3, 3), "t": (3,)}
-        parts = _parse_arrays(rec, rd, record, shapes, "view")
-        # not a rotation, else a non-positive image size or not intrinsics
-        key = "R" if cam is not None else "image_size" if min(parts["image_size"]) <= 0.0 else "K"
-        rd.fail(f"bad view: {exc}", record, key)
+        ids = [rec["view_id"] for rec in recs]
+        K, size, R, t = (_frozen_stack([rec[key] for rec in recs], shape)
+                         for key, shape in _VIEW_SHAPES.items())
+    except (*_BAD_VALUE, KeyError):
+        ids = None
+    if ids is None or not set(map(type, ids)) <= {str} \
+            or _check_cameras(K, size) is not None or _check_rotation(R) is not None:
+        for i, rec in enumerate(recs):
+            _parse_view(rec, rd, i)
+        rd.fail("bad views", "<root>", "views")  # unreached: the walk finds it
+    return [CalibratedView(vid, _prechecked(CameraModel, K=K[i], image_size=size[i]),
+                           _prechecked(Pose, R=R[i], t=t[i])) for i, vid in enumerate(ids)]
 
 
-def _parse_box(rec, rd, record) -> list:
-    """The record's box, [x_min, y_min, x_max, y_max] in floats."""
+def _parse_view(rec, rd: _Reader, idx: int) -> None:
+    """Raise the fault of one view record, if it has one: in order, its
+    ``view_id``, the shape and finiteness of each array of
+    :data:`_VIEW_SHAPES`, the camera rules (naming ``image_size`` where it
+    is not positive, else ``K``) and the rotation rule (naming ``R``)."""
+    record = f"views[{idx}]"
+    rd.get_str(rec, "view_id", record)
+    parts = _parse_arrays(rec, rd, record, _VIEW_SHAPES, "view")
+    if _check_cameras(parts["K"][None], parts["image_size"][None]) is not None:
+        key = "image_size" if min(parts["image_size"]) <= 0.0 else "K"
+        rd.fail(f"bad view: {_NOT_A_CAMERA}", record, key)
+    if _check_rotation(parts["R"][None]) is not None:
+        rd.fail(f"bad view: {_NOT_A_ROTATION}", record, "R")
+
+
+def _parse_box(rec, rd, record) -> np.ndarray:
+    """The record's box as a float row [x_min, y_min, x_max, y_max]."""
     vals = rd.get(rec, "box", record)
-    box = _floats(vals, 4)
+    box = _boxes([vals])
     if box is None:
-        rd.fail(f"bad box: expected 4 finite numbers, got {json.dumps(vals)}", record, "box")
-    if not (box[0] < box[2] and box[1] < box[3]):
-        rd.fail("bad box: min must be strictly below max", record, "box")
-    return box
+        rd.fail("bad box: expected 4 finite numbers, each min strictly below its max, "
+                f"got {json.dumps(vals)}", record, "box")
+    return box[0]
 
 
 def _parse_annotations(doc, rd, *, need_ellipse: bool) -> dict:
     """view_id -> ViewAnnotations of a dataset (a null ellipse a NaN row) or
-    of an annotations file (``need_ellipse``).  Each record is checked in
-    Python floats, a fault naming it and its field, then all views' arrays
-    are built at once, each view holding its slice."""
+    of an annotations file (``need_ellipse``).  All records are checked
+    together, boxes and ellipses each by one call of the check that the
+    record walk makes on one record; on any fault the records are walked,
+    :func:`_parse_annotation` naming the first.  Each view holds its slice
+    of the arrays."""
     ann_doc = rd.get_mapping(doc, "annotations", "<root>")
-    labels, boxes, ellipses, stops = [], [], [], []
-    for vid in ann_doc:
-        for j, rec in enumerate(rd.get_list(ann_doc, vid, "annotations")):
-            record = f"annotations[{vid}][{j}]"
-            boxes.append(_parse_box(rec, rd, record))
-            raw = rd.get(rec, "ellipse", record)
-            e = ((math.nan,) * 2, (math.nan,) * 2, math.nan)
-            if raw is not None:
-                e = (_floats(raw.get("center"), 2), _floats(raw.get("axes"), 2),
-                     _number(raw.get("angle"), float)) if isinstance(raw, dict) else (None,)
-                if None in e or min(e[1]) <= 0.0:
-                    rd.fail("bad ellipse: expected finite center[2] and angle and positive "
-                            f"axes[2], got {json.dumps(raw)}", record, "ellipse")
-            labels.append(rd.get_str(rec, "label", record))
-            if need_ellipse and raw is None:
-                rd.fail("expected an ellipse, got null", record, "ellipse")
-            ellipses.append(e)
-        stops.append(len(labels))
-    a = ViewAnnotations(labels, boxes, *(zip(*ellipses) if ellipses else ((),) * 3))
-    fields = (a.labels, a.boxes, a.centers, a.axes, a.angles)
+    rows = list(ann_doc.values())
+    try:
+        recs = [rec for view in rows for rec in view]
+        labels, boxes, raw = ([rec[key] for rec in recs] for key in ("label", "box", "ellipse"))
+    except (TypeError, KeyError):  # a view not a list, or a record not an object with them
+        recs = None
+    if recs is None or not set(map(type, rows)) <= {list} or not set(map(type, labels)) <= {str} \
+            or (need_ellipse and None in raw) \
+            or (boxes := _boxes(boxes)) is None or (ellipses := _ellipses(raw)) is None:
+        for vid in ann_doc:
+            for j, rec in enumerate(rd.get_list(ann_doc, vid, "annotations")):
+                _parse_annotation(rec, rd, f"annotations[{vid}][{j}]", need_ellipse)
+        rd.fail("bad annotations", "<root>", "annotations")  # unreached: the walk finds it
+    fields = [tuple(labels), boxes]
+    shown = np.array([e is not None for e in raw], bool)
+    for values, shape in zip(ellipses, ((2,), (2,), ())):
+        fields.append(np.full((len(recs), *shape), math.nan))
+        fields[-1][shown] = values
+    stops = list(accumulate(map(len, rows)))
     return {vid: ViewAnnotations(*(f[start:stop] for f in fields))
             for vid, start, stop in zip(ann_doc, [0] + stops, stops)}
+
+
+def _parse_annotation(rec, rd, record, need_ellipse) -> None:
+    """Raise the fault of one annotation record, if it has one: in order,
+    its box, its ellipse, its label, then a null ellipse where
+    ``need_ellipse``."""
+    _parse_box(rec, rd, record)
+    raw = rd.get(rec, "ellipse", record)
+    if _ellipses([raw]) is None:
+        rd.fail("bad ellipse: expected null or finite center[2] and angle and positive "
+                f"axes[2], got {json.dumps(raw)}", record, "ellipse")
+    rd.get_str(rec, "label", record)
+    if need_ellipse and raw is None:
+        rd.fail("expected an ellipse, got null", record, "ellipse")
 
 
 def _parse_object(rec, rd, record) -> SceneObject:
@@ -398,9 +497,7 @@ def _parse_object(rec, rd, record) -> SceneObject:
 
 def load_dataset(path) -> Dataset:
     doc, rd = _load_json(path)
-    views = [
-        _parse_view(rec, rd, i) for i, rec in enumerate(rd.get_list(doc, "views", "<root>"))
-    ]
+    views = _parse_views(doc, rd)
     annotations = _parse_annotations(doc, rd, need_ellipse=False)
     scene = None
     if doc.get("scene") is not None:
@@ -436,7 +533,7 @@ def load_dataset(path) -> Dataset:
                 if not np.all(parts["dims"] > 0.0):
                     rd.fail(f"bad prediction: dims must be positive, got {parts['dims'].tolist()}",
                             record, "dims")
-                pred = MultibinPrediction(**parts)
+                pred = _prechecked(MultibinPrediction, **parts)
                 rows.append(PredictionRecord(rd.get_str(rec, "label", record), box, pred))
             records[vid] = rows
         predictions = PredictionSet(crop_size, cfg, records)
@@ -452,7 +549,7 @@ def save_dataset(d: Dataset, path) -> None:
 
 def _dump(doc, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
+        fh.write(json.dumps(doc))  # one line, through the C encoder
         fh.write("\n")
 
 
@@ -513,16 +610,24 @@ def save_orientations(orientations: dict, path) -> None:
 
 
 def load_orientations(path) -> dict:
+    """view_id -> rotation, all checked in one stacked call; on a fault the
+    rotations are walked to name the first bad ``orientations[<vid>]``."""
     doc, rd = _load_json(path)
-    out = {}
-    for vid, R in rd.get_mapping(doc, "orientations", "<root>").items():
-        try:
-            R = _freeze(R, (3, 3))
-            _check_rotation(R)
-        except _BAD_VALUE as exc:
-            rd.fail(f"bad orientation: {exc}", f"orientations[{vid}]")
-        out[vid] = R
-    return out
+    raw = rd.get_mapping(doc, "orientations", "<root>")
+    try:
+        R = _frozen_stack(list(raw.values()), (3, 3))
+    except _BAD_VALUE:
+        R = None
+    if R is None or _check_rotation(R) is not None:
+        for vid, values in raw.items():
+            try:
+                bad = _check_rotation(_freeze(values, (3, 3))[None]) is not None
+            except _BAD_VALUE as exc:
+                rd.fail(f"bad orientation: {exc}", f"orientations[{vid}]")
+            if bad:
+                rd.fail(f"bad orientation: {_NOT_A_ROTATION}", f"orientations[{vid}]")
+        rd.fail("bad orientations", "<root>", "orientations")  # unreached: the walk finds it
+    return dict(zip(raw, R))
 
 
 def save_poses(poses: dict, failures: dict, path) -> None:

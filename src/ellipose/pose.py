@@ -62,6 +62,7 @@ from .geometry import (
     rotation_z,
     _ADJ,
     _FULL,
+    _NOT_A_ROTATION,
     _UPPER,
     _check_int,
     _check_rotation,
@@ -117,7 +118,8 @@ class RansacOptions:
             if self.rotation is None:
                 raise ValueError("orientation_known mode needs a rotation")
             rotation = _freeze(self.rotation, (3, 3))
-            _check_rotation(rotation)
+            if _check_rotation(rotation[None]) is not None:
+                raise ValueError(_NOT_A_ROTATION)
             object.__setattr__(self, "rotation", rotation)
 
 

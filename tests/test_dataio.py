@@ -1,16 +1,24 @@
+import contextlib
+import dataclasses
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     annotation_rows,
     bbox_of_ellipse,
     random_ellipse,
     random_ellipsoid,
+    random_rotation,
     view_annotations,
 )
+from ellipose import dataio
+from ellipose.cli import main
 from ellipose.dataio import (
     Dataset,
     PredictionRecord,
@@ -28,10 +36,11 @@ from ellipose.dataio import (
     write_csv,
 )
 from ellipose.errors import ParseError, SchemaVersionMismatch
-from ellipose.geometry import Ellipse, Pose
+from ellipose.geometry import CameraModel, Ellipse, Pose
 from ellipose.multibin import MultibinConfig, perfect_prediction
 from ellipose.pose import PoseEstimate
-from ellipose.reconstruction import CalibratedView, EllipsoidCloud
+from ellipose.reconstruction import CalibratedView, EllipsoidCloud, ViewAnnotations
+from ellipose.scenarios import run_scenario
 from ellipose.simulator import SceneObject, SceneSpec, default_camera, look_at
 
 
@@ -494,3 +503,240 @@ class TestOtherFiles:
         text = p1.read_text().splitlines()
         assert text[0] == "view_id,n,score[ratio],err[px]"
         assert repr(math.pi) in text[2]
+
+
+# ---------------------------------------------------------------------------
+# Bulk checks: the values of a record-by-record parse, and its faults
+# ---------------------------------------------------------------------------
+
+
+def _leaves(x) -> list:
+    """Every array (dtype, shape and bytes) and scalar of a loaded value, in order."""
+    if isinstance(x, np.ndarray):
+        return [(x.dtype.str, x.shape, x.tobytes())]
+    if dataclasses.is_dataclass(x):
+        return _leaves([getattr(x, f.name) for f in dataclasses.fields(x)])
+    if isinstance(x, dict):
+        return _leaves(list(x.items()))
+    if isinstance(x, (list, tuple)):
+        return [leaf for item in x for leaf in _leaves(item)]
+    return [repr(x)]
+
+
+def _write_indented(doc, path):
+    """``doc`` in the indented layout that writers used before the compact one."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+
+
+def _reference_dataset(doc) -> Dataset:
+    """A dataset document parsed one record at a time: each view through the
+    value objects, each annotation value through float()."""
+    views = [CalibratedView(v["view_id"], CameraModel(v["K"], v["image_size"]), Pose(v["R"], v["t"]))
+             for v in doc["views"]]
+    nan = [math.nan, math.nan]
+    annotations = {
+        vid: ViewAnnotations(
+            [r["label"] for r in recs],
+            np.array([[float(x) for x in r["box"]] for r in recs]).reshape(-1, 4),
+            [nan if r["ellipse"] is None else [float(x) for x in r["ellipse"]["center"]] for r in recs],
+            [nan if r["ellipse"] is None else [float(x) for x in r["ellipse"]["axes"]] for r in recs],
+            [math.nan if r["ellipse"] is None else float(r["ellipse"]["angle"]) for r in recs],
+        )
+        for vid, recs in doc["annotations"].items()
+    }
+    return Dataset(views, annotations)
+
+
+# JSON numbers as a file may hold them: ints, and floats with any last bits
+_COORD = st.one_of(st.integers(-5000, 5000), st.floats(-5000.0, 5000.0))
+_SPAN = st.one_of(st.integers(1, 800), st.floats(1.0, 800.0))
+
+
+@st.composite
+def _annotation_records(draw):
+    records = []
+    for _ in range(draw(st.integers(0, 3))):
+        x, y, w, h = draw(_COORD), draw(_COORD), draw(_SPAN), draw(_SPAN)
+        ellipse = draw(st.none() | st.fixed_dictionaries({
+            "center": st.lists(_COORD, min_size=2, max_size=2),
+            "axes": st.lists(_SPAN, min_size=2, max_size=2),
+            "angle": st.one_of(st.integers(-3, 3), st.floats(-3.0, 3.0)),
+        }))
+        records.append({"label": draw(st.text(max_size=3)), "box": [x, y, x + w, y + h],
+                        "ellipse": ellipse})
+    return records
+
+
+@st.composite
+def _dataset_documents(draw):
+    """A valid dataset document of 1-4 views with ints and floats mixed."""
+    views = []
+    for k in range(draw(st.integers(1, 4))):
+        f = draw(st.lists(_SPAN, min_size=2, max_size=2))
+        c = draw(st.lists(_COORD, min_size=3, max_size=3))
+        zero = draw(st.sampled_from([0, 0.0, -0.0]))
+        R = random_rotation(np.random.default_rng(draw(st.integers(0, 2**32 - 1)))).tolist()
+        views.append({
+            "view_id": f"v{k}",
+            "K": [[f[0], c[0], c[1]], [zero, f[1], c[2]], [zero, 0, draw(st.sampled_from([1, 1.0]))]],
+            "image_size": draw(st.lists(_SPAN, min_size=2, max_size=2)),
+            "R": draw(st.sampled_from([R, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]])),
+            "t": draw(st.lists(_COORD, min_size=3, max_size=3)),
+        })
+    annotations = {v["view_id"]: draw(_annotation_records())
+                   for v in views if draw(st.booleans())}
+    return {"schema_version": SCHEMA_VERSION, "views": views, "annotations": annotations}
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("bulk")
+
+
+class TestBulkParse:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(doc=_dataset_documents())
+    def test_bulk_equals_record_parse(self, scratch, doc):
+        # the bulk path gives the arrays and view ids of a record-by-record
+        # parse, bit for bit, in the compact and the indented layout; the
+        # walk that names faults finds none in any record
+        compact, indented = scratch / "compact.json", scratch / "indented.json"
+        compact.write_text(json.dumps(doc) + "\n")
+        _write_indented(doc, indented)
+        want = _leaves(_reference_dataset(doc))
+        for path in (compact, indented):
+            got = load_dataset(path)
+            assert [v.view_id for v in got.views] == [v["view_id"] for v in doc["views"]]
+            assert _leaves(got) == want
+            assert not got.views[0].pose.R.flags.writeable
+        rd = dataio._Reader(str(compact))
+        for i, rec in enumerate(doc["views"]):
+            dataio._parse_view(rec, rd, i)
+        for vid, recs in doc["annotations"].items():
+            for j, rec in enumerate(recs):
+                dataio._parse_annotation(rec, rd, f"annotations[{vid}][{j}]", need_ellipse=False)
+
+    def test_indented_layout_loads_bit_equal(self, dataset, rng, tmp_path):
+        # every writer emits one line; a file in the older indented layout
+        # loads to the same values
+        e = random_ellipse(rng)
+        writers = {
+            load_dataset: lambda p: save_dataset(dataset, p),
+            load_cloud: lambda p: save_cloud(
+                EllipsoidCloud(tuple((f"o{i}", random_ellipsoid(rng)) for i in range(3))), p),
+            load_annotations: lambda p: save_annotations(
+                {"v0": view_annotations([("a", bbox_of_ellipse(e), e)]), "v1": view_annotations([])},
+                [("v2", "b", "BehindCamera")], p),
+            load_orientations: lambda p: save_orientations(
+                {v.view_id: v.pose.R for v in dataset.views}, p),
+        }
+        for load, write in writers.items():
+            compact, indented = tmp_path / "compact.json", tmp_path / "indented.json"
+            write(compact)
+            text = compact.read_text()
+            assert text.endswith("}\n") and text.count("\n") == 1
+            _write_indented(json.loads(text), indented)
+            assert _leaves(load(indented)) == _leaves(load(compact))
+
+    @pytest.mark.parametrize(
+        "faults, named",
+        [
+            ({0: ("R", [[1.0, 0, 0], [0, 1, 0], [0, 0, -1]]), 2: ("t", [0.0, "x", 1.0])}, (0, "R")),
+            ({0: ("t", [0.0, "x", 1.0]), 2: ("R", [[1.0, 0, 0], [0, 1, 0], [0, 0, -1]])}, (0, "t")),
+            ({1: ("image_size", [640, 0]), 2: ("K", [[500.0, 0, 320], [0, 500, 240]])},
+             (1, "image_size")),
+            ({1: ("view_id", 3), 2: ("R", [[2.0, 0, 0], [0, 1, 0], [0, 0, 1]])}, (1, "view_id")),
+        ],
+        ids=["rule_before_conversion", "conversion_before_rule", "size_before_shape", "id_before_R"],
+    )
+    def test_first_bad_view_named(self, dataset, tmp_path, faults, named):
+        path = tmp_path / "d.json"
+        save_dataset(dataset, path)
+        doc = json.loads(path.read_text())
+        for i, (key, value) in faults.items():
+            doc["views"][i][key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError) as ei:
+            load_dataset(path)
+        assert (ei.value.file, ei.value.record, ei.value.field) == (
+            str(path), f"views[{named[0]}]", named[1])
+
+    @pytest.mark.parametrize(
+        "entries, named",
+        [
+            ([None, "x", "reflection"], "v1"),
+            ([None, "reflection", "x"], "v1"),
+            ([None, None, "scaled"], "v2"),
+        ],
+        ids=["conversion_first", "rotation_first", "last"],
+    )
+    def test_first_bad_orientation_named(self, rng, tmp_path, entries, named):
+        bad = {"x": [["x", 0, 0], [0, 1, 0], [0, 0, 1]],
+               "reflection": [[1, 0, 0], [0, 1, 0], [0, 0, -1]],
+               "scaled": [[1.1, 0, 0], [0, 1.1, 0], [0, 0, 1.1]]}
+        path = tmp_path / "o.json"
+        save_orientations({f"v{k}": random_rotation(rng) for k in range(3)}, path)
+        doc = json.loads(path.read_text())
+        for k, fault in enumerate(entries):
+            if fault is not None:
+                doc["orientations"][f"v{k}"] = bad[fault]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError) as ei:
+            load_orientations(path)
+        assert (ei.value.file, ei.value.record) == (str(path), f"orientations[{named}]")
+
+
+@pytest.fixture(scope="module")
+def board_document(tmp_path_factory):
+    """The directory and text of the 250-view tless_board dataset."""
+    directory = tmp_path_factory.mktemp("board")
+    run_scenario("tless_board", {}, directory, 0)
+    return directory, (directory / "dataset.json").read_text()
+
+
+# fault -> (where it is planted, the field it names)
+_BOARD_FAULTS = {
+    "bool_in_box": ("box", "box"),
+    "huge_int_in_box": ("box", "box"),
+    "huge_int_in_ellipse": ("ellipse", "ellipse"),
+    "huge_int_in_t": ("t", "t"),
+    "R_not_a_rotation": ("R", "R"),
+    "label_not_a_string": ("label", "label"),
+}
+
+
+@settings(max_examples=36, deadline=None, derandomize=True)
+@given(fault=st.sampled_from(sorted(_BOARD_FAULTS)), view=st.integers(0, 249),
+       row=st.integers(0, 5), pos=st.integers(0, 3))
+def test_board_fault_exits_2_named(board_document, fault, view, row, pos):
+    # one fault at a random record of the full board dataset: the CLI exits
+    # 2 naming the file, the record and the field
+    directory, text = board_document
+    doc = json.loads(text)
+    place, field_name = _BOARD_FAULTS[fault]
+    if place in ("t", "R"):
+        view = 200 if place == "R" else view
+        rec, record = doc["views"][view], f"views[{view}]"
+        if place == "t":
+            rec["t"][pos % 3] = 10**400
+        else:
+            rec["R"] = (2.0 * np.array(rec["R"]) if pos % 2 else -np.array(rec["R"])).tolist()
+    else:
+        vid = doc["views"][view]["view_id"]
+        rec, record = doc["annotations"][vid][row], f"annotations[{vid}][{row}]"
+        if place == "box":  # a box that would be valid if a boolean were a number
+            rec["box"] = [0.0, 0.0, 10.0, 10.0]
+            rec["box"][pos] = True if fault == "bool_in_box" else 10**400
+        elif place == "ellipse":
+            rec["ellipse"][["center", "axes"][pos % 2]][pos // 2] = 10**400
+        else:
+            rec["label"] = [7, None, ["obj01"], 1.5][pos]
+    path = directory / "faulty.json"
+    path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(["reconstruct", "--dataset", str(path), "--out", str(directory / "cloud.json")])
+    assert rc == 2
+    assert f"file={path} | record={record} | field={field_name}" in err.getvalue()

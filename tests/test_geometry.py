@@ -32,6 +32,7 @@ from ellipose.geometry import (
     project_ellipsoid,
     transform_ellipse,
     wrap_angle_half_pi,
+    _check_rotation,
     _ellipse_conics,
     _ellipses_of_conics,
     _ellipsoid_of_dual,
@@ -541,6 +542,31 @@ class TestValidation:
         Pose(R, (0, 0, 0))  # fine
         with pytest.raises(ValueError):
             Pose(R * 1.1, (0, 0, 0))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        scales=st.lists(st.sampled_from([0.0, 1e-12, 1e-10, 3e-9, 6e-9, 1e-8, 3e-8, 1e-6]),
+                        min_size=1, max_size=8),
+        flips=st.lists(st.booleans(), min_size=8, max_size=8),
+    )
+    def test_rotation_verdict_alone_or_stacked(self, seed, scales, flips):
+        # rotations perturbed around the 1e-8 tolerance, some reflected: each
+        # matrix gets the same verdict alone, in the stack and by the
+        # norm-and-determinant rule written out per matrix
+        rng = np.random.default_rng(seed)
+        Rs = np.stack([random_rotation(rng) + s * rng.normal(size=(3, 3)) for s in scales])
+        Rs[np.array(flips[:len(scales)]), :, 2] *= -1.0
+        alone = [_check_rotation(R[None]) is not None for R in Rs]
+        assert alone == [np.linalg.norm(R.T @ R - np.eye(3)) > 1e-8 or np.linalg.det(R) < 0.0
+                         for R in Rs]
+        assert _check_rotation(Rs) == (alone.index(True) if True in alone else None)
+        for R, bad in zip(Rs, alone):
+            if bad:
+                with pytest.raises(ValueError, match="not a rotation"):
+                    Pose(R, (0, 0, 0))
+            else:
+                Pose(R, (0, 0, 0))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_conic_rejected(self, bad):
