@@ -6,11 +6,11 @@ files in the older indented layout load the same.  JSON floats round-trip
 losslessly (repr emits the shortest exact decimal), and writers are
 deterministic byte-for-byte for identical inputs.
 
-This module is where file input is checked.  A reader checks a file's
-views, annotation records and orientations all at once, on stacked arrays,
-and builds the value objects from the checked arrays without checking them
-again; only when a bulk check fails does it walk the records one by one, to
-name the file, record and field of the first fault.
+This module is where file input is checked.  A reader checks each field
+of all of a file's records at once, by one number rule (a boolean or a
+string is not a number), and builds the value objects from the checked
+arrays without checking them again.  A fault names the file, the first bad
+record in file order and the field of its first failing check.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import accumulate, chain, pairwise
 from pathlib import Path
 from typing import NamedTuple
 
@@ -33,7 +33,6 @@ from .geometry import (
     Pose,
     _check_cameras,
     _check_rotation,
-    _freeze,
 )
 from .multibin import MultibinConfig, MultibinPrediction
 from .reconstruction import CalibratedView, EllipsoidCloud, ViewAnnotations
@@ -41,11 +40,8 @@ from .simulator import SceneObject, SceneSpec
 
 SCHEMA_VERSION = 1
 
-# what numpy and float() raise on a value of the wrong type or size
-_BAD_VALUE = (ValueError, TypeError, OverflowError)
-
 _PREDICTION_FIELDS = ("center", "dims", "bin_scores", "corrections")  # in file order
-_VIEW_SHAPES = {"K": (3, 3), "image_size": (2,), "R": (3, 3), "t": (3,)}  # in walk order
+_VIEW_SHAPES = {"K": (3, 3), "image_size": (2,), "R": (3, 3), "t": (3,)}  # in check order
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,9 +164,6 @@ class _Reader:
     def get_list(self, obj, key, record):
         return self._get_typed(obj, key, record, list, "a list")
 
-    def get_str(self, obj, key, record):
-        return self._get_typed(obj, key, record, str, "a string")
-
     def get_number(self, obj, key, record, kind=float):
         value = self.get(obj, key, record)
         number = _number(value, kind)
@@ -182,10 +175,7 @@ class _Reader:
     def _get_typed(self, obj, key, record, kind, name):
         value = self.get(obj, key, record)
         if not isinstance(value, kind):
-            raise ParseError(
-                f"expected {name}, got {type(value).__name__}",
-                file=self.file, record=record, field=key,
-            )
+            self.fail(f"expected {name}, got {type(value).__name__}", record, key)
         return value
 
     def fail(self, message, record, fld=None):
@@ -197,70 +187,136 @@ def _number(value, kind):
     a JSON number of that kind (a boolean is not a number)."""
     if kind is int:
         return value if type(value) is int else None
-    out = _number_rows([value], 0)
+    out = _number_rows([value], ())
     return None if out is None else float(out[0])
 
 
-def _number_rows(values: list, n: int):
-    """``values``, each a list of ``n`` JSON numbers (with ``n`` 0, each a
-    number), as one finite float array (len(values), n) or (len(values),),
-    else None; a boolean is not a number."""
-    if n:
-        if not (set(map(type, values)) <= {list} and set(map(len, values)) <= {n}):
+def _number_rows(values: list, shape: tuple):
+    """``values``, each finite JSON numbers in lists nested to ``shape``, as
+    one float array (len(values), *shape), else None; a boolean or a string
+    is not a number."""
+    flat = values
+    for n in shape:
+        if not (set(map(type, flat)) <= {list} and set(map(len, flat)) <= {n}):
             return None
-        flat = chain.from_iterable(values)
-    else:
-        flat = values
+        flat = list(chain.from_iterable(flat))
     if not set(map(type, flat)) <= {int, float}:
         return None
     try:
-        out = np.array(values, float)
+        out = np.array(values, float).reshape(len(values), *shape)
     except OverflowError:  # an int beyond float range
         return None
-    out = out.reshape(-1, n) if n else out
     return out if np.isfinite(out).all() else None
 
 
-def _boxes(values: list):
-    """``values``, JSON boxes, as float rows (n, 4) [x_min, y_min, x_max,
-    y_max] with each min strictly below its max, else None."""
-    out = _number_rows(values, 4)
-    return out if out is not None and (out[:, :2] < out[:, 2:]).all() else None
+def _numbers(values: list, shape: tuple) -> tuple:
+    """``values`` as one read-only float array (len(values), *shape), a NaN
+    row for each value that is not finite JSON numbers of ``shape``, and the
+    mask of those values.  The values are checked stacked, and each alone
+    only when that fails."""
+    out, bad = _number_rows(values, shape), np.zeros(len(values), bool)
+    if out is None:
+        rows = [_number_rows([v], shape) for v in values]
+        bad = np.array([r is None for r in rows], bool)
+        out = np.array([np.full(shape, math.nan) if r is None else r[0] for r in rows])
+        out = out.reshape(len(values), *shape)
+    out.setflags(write=False)
+    return out, bad
 
 
-def _ellipses(values: list):
-    """(centers (k, 2), axes (k, 2), angles (k,)) of the k non-null
-    ``values``, JSON ellipses each null or an object with a finite
-    ``center`` [2] and ``angle`` and positive ``axes`` [2], else None."""
-    shown = [e for e in values if e is not None]
-    if not set(map(type, shown)) <= {dict}:
-        return None
-    try:
-        parts = [_number_rows([e[key] for e in shown], n)
-                 for key, n in (("center", 2), ("axes", 2), ("angle", 0))]
-    except KeyError:
-        return None
-    if any(p is None for p in parts) or not (parts[1] > 0.0).all():
-        return None
-    return parts
+def _lists(values: list, shape: tuple, length=None) -> tuple:
+    """``values``, each a list of ``length`` (None: one or more) items of
+    ``shape``, as slices of one :func:`_numbers` array of all the items,
+    and the mask of the values that are not."""
+    lists = [v if type(v) is list else [] for v in values]
+    items, bad_items = _numbers(list(chain.from_iterable(lists)), shape)
+    spans = list(pairwise([0, *accumulate(map(len, lists))]))
+    bad = [type(v) is not list or (len(v) != length if length else not v) or bad_items[a:b].any()
+           for v, (a, b) in zip(values, spans)]
+    return [items[a:b] for a, b in spans], np.array(bad, bool)
 
 
-def _parse_arrays(rec, rd: _Reader, record, shapes: dict, what: str) -> dict:
-    """The finite arrays of ``rec`` under the keys of ``shapes``, each of its
-    shape; a fault names the key it is in."""
-    out = {}
-    for key, shape in shapes.items():
+def _strings(values: list) -> tuple:
+    """``values``, and the mask of those that are not strings."""
+    return values, np.array([type(v) is not str for v in values], bool)
+
+
+def _boxes(values: list) -> tuple:
+    """``values``, JSON boxes, as read-only float rows (n, 4) [x_min, y_min,
+    x_max, y_max], and the mask of the boxes that are not 4 finite numbers
+    with each min strictly below its max."""
+    rows, bad = _numbers(values, (4,))
+    return rows, bad | ~(rows[:, :2] < rows[:, 2:]).all(axis=1)
+
+
+def _ellipses(values: list) -> tuple:
+    """[centers (n, 2), axes (n, 2), angles (n,)] of ``values``, JSON
+    ellipses, NaN in a null one's row, and the mask of those neither null
+    nor with a finite ``center`` [2] and ``angle`` and positive ``axes`` [2]."""
+    shown = np.array([e is not None for e in values], bool)
+    kept = [e if type(e) is dict else {} for e in values if e is not None]
+    parts = [_numbers([e.get(key) for e in kept], shape)
+             for key, shape in (("center", (2,)), ("axes", (2,)), ("angle", ()))]
+    bad = np.zeros(len(values), bool)
+    bad[shown] = np.any([b for _, b in parts], axis=0) | ~(parts[1][0] > 0.0).all(axis=1)
+    out = [np.full((len(values), *part.shape[1:]), math.nan) for part, _ in parts]
+    for full, (part, _) in zip(out, parts):
+        full[shown] = part
+    return out, bad
+
+
+_BAD_BOX = "bad box: expected 4 finite numbers, each min strictly below its max"
+
+
+class _Checks(list):
+    """The checks of a list of records, in the order in which a record's
+    fault is named: each (field, message, mask of the records failing it)."""
+
+    def __init__(self, recs: list):
+        super().__init__()
+        self.recs = recs
+
+    def field(self, key: str, message: str, parse, *args):
+        """The ``key`` values of the records as ``parse(values, *args)``
+        gives them, with the mask of the bad ones (a missing value is None);
+        adds the checks that the field is there, then that it is not bad."""
         try:
-            out[key] = _freeze(rd.get(rec, key, record), shape)
-        except _BAD_VALUE as exc:
-            rd.fail(f"bad {what}: {exc}", record, key)
-    return out
+            values, missing = [rec[key] for rec in self.recs], np.zeros(len(self.recs), bool)
+        except (KeyError, TypeError):  # a record not an object, or without the key
+            missing = np.array([type(rec) is not dict or key not in rec for rec in self.recs], bool)
+            values = [None if m else rec[key] for rec, m in zip(self.recs, missing)]
+        out, bad = parse(values, *args)
+        self += [(key, "missing field", missing), (key, message, bad)]
+        return out
 
 
-def _frozen_stack(values: list, shape) -> np.ndarray:
-    """``values`` as one read-only finite float array (len(values), *shape);
-    raises as :func:`geometry._freeze`."""
-    return _freeze(values if values else np.empty((0, *shape)), (len(values), *shape))
+def _first_fault(rd: _Reader, names: list, checks: list, then=None) -> None:
+    """Raise the fault of the first record in file order that fails one of
+    ``checks``, naming ``names[i]`` and the field of the first check it
+    fails; else ``then``, a (message, record, field), if given."""
+    bad = np.array([mask for *_, mask in checks], bool)
+    if bad.any():
+        i = int(bad.any(axis=0).argmax())
+        fld, message, _ = checks[int(bad[:, i].argmax())]
+        rd.fail(message, names[i], fld)
+    if then is not None:
+        rd.fail(*then)
+
+
+def _grouped(groups: dict, known, record: str, prefix: str) -> tuple:
+    """The records of ``groups`` (view id -> list) up to the first group that
+    is not a list or, given ``known`` view ids, not one: each group's (view
+    id, start, stop), the records, their names ``<prefix>[<vid>][<j>]``, and
+    that group's fault (message, ``record``, view id) or None."""
+    spans, recs, names = [], [], []
+    for vid, group in groups.items():
+        if type(group) is not list or known is not None and vid not in known:
+            what = "a list" if type(group) is not list else "the id of a view of the dataset"
+            return spans, recs, names, (f"expected {what}", record, vid)
+        spans.append((vid, len(recs), len(recs) + len(group)))
+        recs += group
+        names += [f"{prefix}[{vid}][{j}]" for j in range(len(group))]
+    return spans, recs, names, None
 
 
 def _prechecked(cls, **values):
@@ -270,15 +326,6 @@ def _prechecked(cls, **values):
     obj = object.__new__(cls)
     obj.__dict__.update(values)
     return obj
-
-
-def _check_schema(doc, rd: _Reader):
-    version = rd.get(doc, "schema_version", record="<root>")
-    if version != SCHEMA_VERSION:
-        raise SchemaVersionMismatch(
-            f"schema_version {version!r}, this build reads {SCHEMA_VERSION}",
-            file=rd.file, record="<root>", field="schema_version",
-        )
 
 
 def _load_json(path) -> tuple:
@@ -293,7 +340,12 @@ def _load_json(path) -> tuple:
         raise ParseError(f"cannot read: {exc.strerror}", file=str(path)) from exc
     if not isinstance(doc, dict):
         rd.fail(f"expected a JSON object, got {type(doc).__name__}", "<root>")
-    _check_schema(doc, rd)
+    version = rd.get(doc, "schema_version", record="<root>")
+    if version != SCHEMA_VERSION:
+        raise SchemaVersionMismatch(
+            f"schema_version {version!r}, this build reads {SCHEMA_VERSION}",
+            file=rd.file, record="<root>", field="schema_version",
+        )
     return doc, rd
 
 
@@ -388,159 +440,117 @@ def load_scenario(path) -> tuple:
 
 
 def _parse_views(doc, rd: _Reader) -> list:
-    """The calibrated views.  All views' arrays are stacked and checked at
-    once for shape, finiteness and the camera and rotation rules; on any
-    fault the records are walked, :func:`_parse_view` naming the first."""
+    """The calibrated views.  Checks, in order: ``view_id`` (missing, not a
+    string, a repeat), the arrays of :data:`_VIEW_SHAPES`, the camera rules
+    (naming ``image_size`` where it is not positive, else ``K``) and the
+    rotation rule (naming ``R``)."""
     recs = rd.get_list(doc, "views", "<root>")
-    try:
-        ids = [rec["view_id"] for rec in recs]
-        K, size, R, t = (_frozen_stack([rec[key] for rec in recs], shape)
-                         for key, shape in _VIEW_SHAPES.items())
-    except (*_BAD_VALUE, KeyError):
-        ids = None
-    if ids is None or not set(map(type, ids)) <= {str} \
-            or _check_cameras(K, size) is not None or _check_rotation(R) is not None:
-        for i, rec in enumerate(recs):
-            _parse_view(rec, rd, i)
-        rd.fail("bad views", "<root>", "views")  # unreached: the walk finds it
+    checks = _Checks(recs)
+    ids = checks.field("view_id", "expected a string", _strings)
+    first = {}  # view id -> index of its first view
+    checks.append(("view_id", "repeats the view id of an earlier view",
+                   [type(v) is str and first.setdefault(v, i) != i for i, v in enumerate(ids)]))
+    K, size, R, t = [checks.field(key, f"bad view: expected finite numbers of shape {shape}",
+                                  _numbers, shape) for key, shape in _VIEW_SHAPES.items()]
+    camera = _check_cameras(K, size)
+    checks += [("image_size", f"bad view: {_NOT_A_CAMERA}", camera & (size <= 0.0).any(axis=1)),
+               ("K", f"bad view: {_NOT_A_CAMERA}", camera),
+               ("R", f"bad view: {_NOT_A_ROTATION}", _check_rotation(R))]
+    _first_fault(rd, [f"views[{i}]" for i in range(len(recs))], checks)
     return [CalibratedView(vid, _prechecked(CameraModel, K=K[i], image_size=size[i]),
                            _prechecked(Pose, R=R[i], t=t[i])) for i, vid in enumerate(ids)]
 
 
-def _parse_view(rec, rd: _Reader, idx: int) -> None:
-    """Raise the fault of one view record, if it has one: in order, its
-    ``view_id``, the shape and finiteness of each array of
-    :data:`_VIEW_SHAPES`, the camera rules (naming ``image_size`` where it
-    is not positive, else ``K``) and the rotation rule (naming ``R``)."""
-    record = f"views[{idx}]"
-    rd.get_str(rec, "view_id", record)
-    parts = _parse_arrays(rec, rd, record, _VIEW_SHAPES, "view")
-    if _check_cameras(parts["K"][None], parts["image_size"][None]) is not None:
-        key = "image_size" if min(parts["image_size"]) <= 0.0 else "K"
-        rd.fail(f"bad view: {_NOT_A_CAMERA}", record, key)
-    if _check_rotation(parts["R"][None]) is not None:
-        rd.fail(f"bad view: {_NOT_A_ROTATION}", record, "R")
+def _parse_annotations(doc, rd, *, need_ellipse: bool, known=None) -> dict:
+    """view_id -> ViewAnnotations, each a slice of the arrays, of a dataset
+    (a null ellipse a NaN row; ``known`` its view ids) or of an annotations
+    file (``need_ellipse``).  Checks, in order: ``box``, ``ellipse``,
+    ``label``, then a null ellipse where ``need_ellipse``."""
+    spans, recs, names, fault = _grouped(
+        rd.get_mapping(doc, "annotations", "<root>"), known, "annotations", "annotations")
+    checks = _Checks(recs)
+    boxes = checks.field("box", _BAD_BOX, _boxes)
+    ellipses = checks.field("ellipse", "bad ellipse: expected null or finite center[2] and angle "
+                            "and positive axes[2]", _ellipses)
+    labels = checks.field("label", "expected a string", _strings)
+    if need_ellipse:
+        checks.append(("ellipse", "expected an ellipse, got null", np.isnan(ellipses[2])))
+    _first_fault(rd, names, checks, fault)
+    fields = (tuple(labels), boxes, *ellipses)
+    return {vid: ViewAnnotations(*(f[start:stop] for f in fields)) for vid, start, stop in spans}
 
 
-def _parse_box(rec, rd, record) -> np.ndarray:
-    """The record's box as a float row [x_min, y_min, x_max, y_max]."""
-    vals = rd.get(rec, "box", record)
-    box = _boxes([vals])
-    if box is None:
-        rd.fail("bad box: expected 4 finite numbers, each min strictly below its max, "
-                f"got {json.dumps(vals)}", record, "box")
-    return box[0]
+def _parse_objects(recs: list, rd, prefix: str) -> list:
+    """The SceneObjects of ``recs``, named ``<prefix>[<j>]``.  Checks, in
+    order: ``center``, ``axes``, ``rotation``, positive axes, the rotation
+    rule, ``label``, the optional ``model_points``."""
+    checks = _Checks(recs)
+    center, axes, rotation = [
+        checks.field(key, f"bad ellipsoid: expected finite numbers of shape {shape}",
+                     _numbers, shape)
+        for key, shape in (("center", (3,)), ("axes", (3,)), ("rotation", (3, 3)))]
+    checks += [("axes", "bad ellipsoid: semi-axes must be positive", ~(axes > 0.0).all(axis=1)),
+               ("rotation", f"bad ellipsoid: {_NOT_A_ROTATION}", _check_rotation(rotation))]
+    labels = checks.field("label", "expected a string", _strings)
+    # absent or null: no model points
+    points = [rec.get("model_points") if type(rec) is dict else None for rec in recs]
+    rows, bad = _lists(points, (3,))
+    checks.append(("model_points", "bad model points: expected a non-empty list of finite "
+                   "[x, y, z]", bad & np.array([p is not None for p in points], bool)))
+    _first_fault(rd, [f"{prefix}[{j}]" for j in range(len(recs))], checks)
+    return [_prechecked(SceneObject, label=label,
+                        ellipsoid=_prechecked(Ellipsoid, center=center[i], axes=axes[i],
+                                              rotation=rotation[i]),
+                        model_points=None if points[i] is None else rows[i])
+            for i, label in enumerate(labels)]
 
 
-def _parse_annotations(doc, rd, *, need_ellipse: bool) -> dict:
-    """view_id -> ViewAnnotations of a dataset (a null ellipse a NaN row) or
-    of an annotations file (``need_ellipse``).  All records are checked
-    together, boxes and ellipses each by one call of the check that the
-    record walk makes on one record; on any fault the records are walked,
-    :func:`_parse_annotation` naming the first.  Each view holds its slice
-    of the arrays."""
-    ann_doc = rd.get_mapping(doc, "annotations", "<root>")
-    rows = list(ann_doc.values())
+def _parse_predictions(pdoc, rd, known) -> PredictionSet:
+    """A dataset's prediction records.  Checks, in order: ``box``, the arrays
+    of :data:`_PREDICTION_FIELDS`, positive ``dims``, ``label``."""
+    n_bins = rd.get_number(pdoc, "n_bins", "predictions", int)
+    overlap = rd.get_number(pdoc, "overlap_fraction", "predictions")
     try:
-        recs = [rec for view in rows for rec in view]
-        labels, boxes, raw = ([rec[key] for rec in recs] for key in ("label", "box", "ellipse"))
-    except (TypeError, KeyError):  # a view not a list, or a record not an object with them
-        recs = None
-    if recs is None or not set(map(type, rows)) <= {list} or not set(map(type, labels)) <= {str} \
-            or (need_ellipse and None in raw) \
-            or (boxes := _boxes(boxes)) is None or (ellipses := _ellipses(raw)) is None:
-        for vid in ann_doc:
-            for j, rec in enumerate(rd.get_list(ann_doc, vid, "annotations")):
-                _parse_annotation(rec, rd, f"annotations[{vid}][{j}]", need_ellipse)
-        rd.fail("bad annotations", "<root>", "annotations")  # unreached: the walk finds it
-    fields = [tuple(labels), boxes]
-    shown = np.array([e is not None for e in raw], bool)
-    for values, shape in zip(ellipses, ((2,), (2,), ())):
-        fields.append(np.full((len(recs), *shape), math.nan))
-        fields[-1][shown] = values
-    stops = list(accumulate(map(len, rows)))
-    return {vid: ViewAnnotations(*(f[start:stop] for f in fields))
-            for vid, start, stop in zip(ann_doc, [0] + stops, stops)}
-
-
-def _parse_annotation(rec, rd, record, need_ellipse) -> None:
-    """Raise the fault of one annotation record, if it has one: in order,
-    its box, its ellipse, its label, then a null ellipse where
-    ``need_ellipse``."""
-    _parse_box(rec, rd, record)
-    raw = rd.get(rec, "ellipse", record)
-    if _ellipses([raw]) is None:
-        rd.fail("bad ellipse: expected null or finite center[2] and angle and positive "
-                f"axes[2], got {json.dumps(raw)}", record, "ellipse")
-    rd.get_str(rec, "label", record)
-    if need_ellipse and raw is None:
-        rd.fail("expected an ellipse, got null", record, "ellipse")
-
-
-def _parse_object(rec, rd, record) -> SceneObject:
-    """One labeled ellipsoid, with optional model points, of a dataset scene
-    or a cloud file; each fault names the key it is in, as in
-    :func:`_parse_view`."""
-    try:
-        ellipsoid = Ellipsoid(rec["center"], rec["axes"], rec["rotation"])
-    except (*_BAD_VALUE, KeyError) as exc:
-        shapes = {"center": (3,), "axes": (3,), "rotation": (3, 3)}
-        parts = _parse_arrays(rec, rd, record, shapes, "ellipsoid")
-        key = "axes" if min(parts["axes"]) <= 0.0 else "rotation"  # else not a rotation
-        rd.fail(f"bad ellipsoid: {exc}", record, key)
-    label = rd.get_str(rec, "label", record)
-    try:
-        return SceneObject(label, ellipsoid, rec.get("model_points"))
-    except _BAD_VALUE as exc:
-        rd.fail(f"bad model points: {exc}", record, "model_points")
+        cfg = MultibinConfig(n_bins, overlap)
+    except ValueError as exc:
+        rd.fail(f"bad multibin configuration: {exc}", "predictions")
+    crop_size = rd.get_number(pdoc, "crop_size", "predictions")
+    if crop_size <= 0.0:
+        rd.fail(f"expected a positive number, got {crop_size!r}", "predictions", "crop_size")
+    spans, recs, names, fault = _grouped(
+        rd.get_mapping(pdoc, "records", "predictions"), known, "predictions.records", "predictions")
+    checks = _Checks(recs)
+    boxes = checks.field("box", _BAD_BOX, _boxes)
+    center, dims = [checks.field(key, "bad prediction: expected finite numbers of shape (2,)",
+                                 _numbers, (2,)) for key in ("center", "dims")]
+    scores, corrections = [
+        checks.field(key, f"bad prediction: expected {n_bins} entries, each finite numbers of "
+                     f"shape {shape}", _lists, shape, n_bins)
+        for key, shape in (("bin_scores", ()), ("corrections", (2,)))]
+    checks.append(("dims", "bad prediction: dims must be positive", ~(dims > 0.0).all(axis=1)))
+    labels = checks.field("label", "expected a string", _strings)
+    _first_fault(rd, names, checks, fault)
+    preds = [PredictionRecord(label, boxes[i], _prechecked(
+        MultibinPrediction, center=center[i], dims=dims[i], bin_scores=scores[i],
+        corrections=corrections[i])) for i, label in enumerate(labels)]
+    return PredictionSet(crop_size, cfg, {vid: preds[start:stop] for vid, start, stop in spans})
 
 
 def load_dataset(path) -> Dataset:
     doc, rd = _load_json(path)
     views = _parse_views(doc, rd)
-    annotations = _parse_annotations(doc, rd, need_ellipse=False)
+    known = {v.view_id for v in views}
+    annotations = _parse_annotations(doc, rd, need_ellipse=False, known=known)
     scene = None
     if doc.get("scene") is not None:
-        objs = [
-            _parse_object(rec, rd, f"scene.objects[{j}]")
-            for j, rec in enumerate(rd.get_list(doc["scene"], "objects", "scene"))
-        ]
-        try:
-            scene = SceneSpec(tuple(objs))
-        except ValueError as exc:  # no objects
-            rd.fail(f"bad scene: {exc}", "scene", "objects")
-    predictions = None
-    if doc.get("predictions") is not None:
-        pdoc = doc["predictions"]
-        n_bins = rd.get_number(pdoc, "n_bins", "predictions", int)
-        overlap = rd.get_number(pdoc, "overlap_fraction", "predictions")
-        try:
-            cfg = MultibinConfig(n_bins, overlap)
-        except ValueError as exc:
-            rd.fail(f"bad multibin configuration: {exc}", "predictions")
-        crop_size = rd.get_number(pdoc, "crop_size", "predictions")
-        if crop_size <= 0.0:
-            rd.fail(f"expected a positive number, got {crop_size!r}", "predictions", "crop_size")
-        shapes = dict(zip(_PREDICTION_FIELDS, [(2,), (2,), (n_bins,), (n_bins, 2)]))
-        records = {}
-        rec_doc = rd.get_mapping(pdoc, "records", "predictions")
-        for vid in rec_doc:
-            rows = []
-            for j, rec in enumerate(rd.get_list(rec_doc, vid, "predictions.records")):
-                record = f"predictions[{vid}][{j}]"
-                box = _freeze(_parse_box(rec, rd, record), (4,))
-                parts = _parse_arrays(rec, rd, record, shapes, "prediction")
-                if not np.all(parts["dims"] > 0.0):
-                    rd.fail(f"bad prediction: dims must be positive, got {parts['dims'].tolist()}",
-                            record, "dims")
-                pred = _prechecked(MultibinPrediction, **parts)
-                rows.append(PredictionRecord(rd.get_str(rec, "label", record), box, pred))
-            records[vid] = rows
-        predictions = PredictionSet(crop_size, cfg, records)
-    try:
-        return Dataset(views, annotations, scene, predictions)
-    except ValueError as exc:
-        rd.fail(str(exc), "<root>")
+        objs = _parse_objects(rd.get_list(doc["scene"], "objects", "scene"), rd, "scene.objects")
+        if not objs:
+            rd.fail("bad scene: a scene needs at least one object", "scene", "objects")
+        scene = SceneSpec(tuple(objs))
+    pdoc = doc.get("predictions")
+    predictions = None if pdoc is None else _parse_predictions(pdoc, rd, known)
+    return _prechecked(Dataset, views=views, annotations=annotations, scene=scene,
+                       predictions=predictions)
 
 
 def save_dataset(d: Dataset, path) -> None:
@@ -570,10 +580,7 @@ def save_cloud(cloud: EllipsoidCloud, path) -> None:
 
 def load_cloud(path) -> EllipsoidCloud:
     doc, rd = _load_json(path)
-    objs = [
-        _parse_object(rec, rd, f"objects[{j}]")
-        for j, rec in enumerate(rd.get_list(doc, "objects", "<root>"))
-    ]
+    objs = _parse_objects(rd.get_list(doc, "objects", "<root>"), rd, "objects")
     return EllipsoidCloud(tuple((o.label, o.ellipsoid) for o in objs))
 
 
@@ -593,9 +600,8 @@ def load_annotations(path) -> tuple:
     doc, rd = _load_json(path)
     out = _parse_annotations(doc, rd, need_ellipse=True)
     skipped = rd.get_list(doc, "skipped", "<root>") if "skipped" in doc else []
-    for j, note in enumerate(skipped):
-        if not isinstance(note, list):
-            rd.fail(f"expected a list, got {type(note).__name__}", f"skipped[{j}]", "skipped")
+    _first_fault(rd, [f"skipped[{j}]" for j in range(len(skipped))],
+                 [("skipped", "expected a list", [type(note) is not list for note in skipped])])
     return out, [tuple(note) for note in skipped]
 
 
@@ -610,23 +616,14 @@ def save_orientations(orientations: dict, path) -> None:
 
 
 def load_orientations(path) -> dict:
-    """view_id -> rotation, all checked in one stacked call; on a fault the
-    rotations are walked to name the first bad ``orientations[<vid>]``."""
+    """view_id -> rotation, all checked at once; a fault names the first bad
+    ``orientations[<vid>]``."""
     doc, rd = _load_json(path)
     raw = rd.get_mapping(doc, "orientations", "<root>")
-    try:
-        R = _frozen_stack(list(raw.values()), (3, 3))
-    except _BAD_VALUE:
-        R = None
-    if R is None or _check_rotation(R) is not None:
-        for vid, values in raw.items():
-            try:
-                bad = _check_rotation(_freeze(values, (3, 3))[None]) is not None
-            except _BAD_VALUE as exc:
-                rd.fail(f"bad orientation: {exc}", f"orientations[{vid}]")
-            if bad:
-                rd.fail(f"bad orientation: {_NOT_A_ROTATION}", f"orientations[{vid}]")
-        rd.fail("bad orientations", "<root>", "orientations")  # unreached: the walk finds it
+    R, bad = _numbers(list(raw.values()), (3, 3))
+    _first_fault(rd, [f"orientations[{vid}]" for vid in raw], [
+        (None, "bad orientation: expected finite JSON numbers of shape (3, 3)", bad),
+        (None, f"bad orientation: {_NOT_A_ROTATION}", _check_rotation(R))])
     return dict(zip(raw, R))
 
 

@@ -131,7 +131,7 @@ class Ellipsoid:
         rotation = _freeze(self.rotation, (3, 3))
         if not np.all(axes > 0.0):
             raise ValueError("ellipsoid semi-axes must be positive")
-        if _check_rotation(rotation[None]) is not None:
+        if _check_rotation(rotation[None])[0]:
             raise ValueError(_NOT_A_ROTATION)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "axes", axes)
@@ -148,7 +148,7 @@ class CameraModel:
     def __post_init__(self):
         K = _freeze(self.K, (3, 3))
         size = _freeze(self.image_size, (2,))
-        if _check_cameras(K[None], size[None]) is not None:
+        if _check_cameras(K[None], size[None])[0]:
             raise ValueError(_NOT_A_CAMERA)
         object.__setattr__(self, "K", K)
         object.__setattr__(self, "image_size", size)
@@ -164,7 +164,7 @@ class Pose:
     def __post_init__(self):
         R = _freeze(self.R, (3, 3))
         t = _freeze(self.t, (3,))
-        if _check_rotation(R[None]) is not None:
+        if _check_rotation(R[None])[0]:
             raise ValueError(_NOT_A_ROTATION)
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "t", t)
@@ -206,28 +206,28 @@ _NOT_A_CAMERA = ("not a pinhole camera: K must be upper-triangular with K[2,2] =
                  "positive focal lengths, and the image size positive")
 
 
-def _check_cameras(K: np.ndarray, size: np.ndarray) -> int | None:
-    """Index of the first camera of the finite stacks K (n, 3, 3) and image
-    sizes (n, 2) that breaks a rule of :class:`CameraModel`, else None: K
-    upper-triangular within 1e-12 with K[2,2] = 1, positive focal lengths
-    and a positive image size."""
+def _check_cameras(K: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """Mask of the cameras of the stacks K (n, 3, 3) and image sizes (n, 2)
+    that break a rule of :class:`CameraModel`: K upper-triangular within
+    1e-12 with K[2,2] = 1, positive focal lengths and a positive image
+    size.  A camera holding a NaN breaks no rule."""
     off = np.abs(K.reshape(-1, 9)[:, [8, 3, 6, 7]] - (1.0, 0.0, 0.0, 0.0))  # K22-1, K10, K20, K21
-    bad = (off > 1e-12).any(axis=1) | (K[:, 0, 0] <= 0.0) | (K[:, 1, 1] <= 0.0) \
+    return (off > 1e-12).any(axis=1) | (K[:, 0, 0] <= 0.0) | (K[:, 1, 1] <= 0.0) \
         | (size <= 0.0).any(axis=1)
-    return int(bad.argmax()) if bad.any() else None
 
 
 _NOT_A_ROTATION = "matrix is not a rotation (orthonormal with determinant +1)"
 
 
-def _check_rotation(R: np.ndarray) -> int | None:
-    """Index of the first matrix of the finite stack R (n, 3, 3) that is not
-    a rotation, else None: R^T R must lie within 1e-8 of I in Frobenius
-    norm and det R must not be negative.  Each matrix gets its own BLAS
-    products, so it gets the same verdict alone or stacked."""
-    E = (R.transpose(0, 2, 1) @ R - np.eye(3)).reshape(-1, 1, 9)
-    bad = (np.sqrt(E @ E.transpose(0, 2, 1))[:, 0, 0] > 1e-8) | (np.linalg.det(R) < 0.0)
-    return int(bad.argmax()) if bad.any() else None
+def _check_rotation(R: np.ndarray) -> np.ndarray:
+    """Mask of the matrices of the stack R (n, 3, 3) that are not rotations:
+    R^T R must lie within 1e-8 of I in Frobenius norm and det R must not be
+    negative.  A matrix whose R^T R overflows or holds a NaN is not a
+    rotation.  Each matrix gets its own BLAS products, so it gets the same
+    verdict alone or stacked."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        E = (R.transpose(0, 2, 1) @ R - np.eye(3)).reshape(-1, 1, 9)
+        return ~(np.sqrt(E @ E.transpose(0, 2, 1))[:, 0, 0] <= 1e-8) | (np.linalg.det(R) < 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -118,7 +118,7 @@ class RansacOptions:
             if self.rotation is None:
                 raise ValueError("orientation_known mode needs a rotation")
             rotation = _freeze(self.rotation, (3, 3))
-            if _check_rotation(rotation[None]) is not None:
+            if _check_rotation(rotation[None])[0]:
                 raise ValueError(_NOT_A_ROTATION)
             object.__setattr__(self, "rotation", rotation)
 

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from conftest import (
     random_rotation,
     view_annotations,
 )
-from ellipose import dataio
 from ellipose.cli import main
 from ellipose.dataio import (
     Dataset,
@@ -600,8 +600,7 @@ class TestBulkParse:
     @given(doc=_dataset_documents())
     def test_bulk_equals_record_parse(self, scratch, doc):
         # the bulk path gives the arrays and view ids of a record-by-record
-        # parse, bit for bit, in the compact and the indented layout; the
-        # walk that names faults finds none in any record
+        # parse, bit for bit, in the compact and the indented layout
         compact, indented = scratch / "compact.json", scratch / "indented.json"
         compact.write_text(json.dumps(doc) + "\n")
         _write_indented(doc, indented)
@@ -611,12 +610,6 @@ class TestBulkParse:
             assert [v.view_id for v in got.views] == [v["view_id"] for v in doc["views"]]
             assert _leaves(got) == want
             assert not got.views[0].pose.R.flags.writeable
-        rd = dataio._Reader(str(compact))
-        for i, rec in enumerate(doc["views"]):
-            dataio._parse_view(rec, rd, i)
-        for vid, recs in doc["annotations"].items():
-            for j, rec in enumerate(recs):
-                dataio._parse_annotation(rec, rd, f"annotations[{vid}][{j}]", need_ellipse=False)
 
     def test_indented_layout_loads_bit_equal(self, dataset, rng, tmp_path):
         # every writer emits one line; a file in the older indented layout
@@ -686,6 +679,127 @@ class TestBulkParse:
         with pytest.raises(ParseError) as ei:
             load_orientations(path)
         assert (ei.value.file, ei.value.record) == (str(path), f"orientations[{named}]")
+
+
+# a rotation holding 0.5 at [0][0] and 1 at [2][2]
+_R60 = [[0.5, -math.sqrt(0.75), 0.0], [math.sqrt(0.75), 0.5, 0.0], [0.0, 0.0, 1.0]]
+
+# case -> (file, keys to a numeric field, record, field, the entry to plant
+# at, which holds any number; None: the field is set to _R60)
+_NUMBER_FIELDS = {
+    "view_K": ("dataset", ("views", 1, "K"), "views[1]", "K", (0, 1)),  # the skew
+    "view_image_size": ("dataset", ("views", 1, "image_size"), "views[1]", "image_size", (0,)),
+    "view_t": ("dataset", ("views", 1, "t"), "views[1]", "t", (2,)),
+    "orientation": ("orientations", ("orientations", "v1"), "orientations[v1]", None, None),
+    "scene_center": ("dataset", ("scene", "objects", 0, "center"), "scene.objects[0]", "center",
+                     (0,)),
+    "scene_axes": ("dataset", ("scene", "objects", 0, "axes"), "scene.objects[0]", "axes", (0,)),
+    "scene_rotation": ("dataset", ("scene", "objects", 0, "rotation"), "scene.objects[0]",
+                       "rotation", None),
+    "cloud_center": ("cloud", ("objects", 0, "center"), "objects[0]", "center", (0,)),
+    "cloud_axes": ("cloud", ("objects", 0, "axes"), "objects[0]", "axes", (0,)),
+    "cloud_rotation": ("cloud", ("objects", 0, "rotation"), "objects[0]", "rotation", None),
+    "model_points": ("dataset", ("scene", "objects", 0, "model_points"), "scene.objects[0]",
+                     "model_points", (0, 0)),
+    "prediction_center": ("dataset", ("predictions", "records", "v2", 0, "center"),
+                          "predictions[v2][0]", "center", (0,)),
+    "prediction_dims": ("dataset", ("predictions", "records", "v2", 0, "dims"),
+                        "predictions[v2][0]", "dims", (0,)),
+    "prediction_bin_scores": ("dataset", ("predictions", "records", "v2", 0, "bin_scores"),
+                              "predictions[v2][0]", "bin_scores", (0,)),
+}
+_FILE_LOADERS = {"dataset": load_dataset, "cloud": load_cloud, "orientations": load_orientations}
+
+
+def _write_inputs(dataset, directory) -> dict:
+    """The dataset, its scene's cloud and its views' orientations, written
+    to ``directory``: file kind -> path."""
+    paths = {kind: directory / f"{kind}.json" for kind in _FILE_LOADERS}
+    save_dataset(dataset, paths["dataset"])
+    save_cloud(EllipsoidCloud(tuple((o.label, o.ellipsoid) for o in dataset.scene.objects)),
+               paths["cloud"])
+    save_orientations({v.view_id: v.pose.R for v in dataset.views}, paths["orientations"])
+    return paths
+
+
+def _plant(path, keys, index, value):
+    """Rewrite the file at ``path`` with ``value`` at entry ``index`` of the
+    field at ``keys``; with no index, the field is first set to _R60 and
+    ``value`` goes where it holds 0.5 (for 0.5 or "0.5"), else 1."""
+    doc = json.loads(path.read_text())
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    if index is None:
+        parent[keys[-1]] = [row[:] for row in _R60]
+        index = (0, 0) if value in (0.5, "0.5") else (2, 2)
+    entry = parent[keys[-1]]
+    for i in index[:-1]:
+        entry = entry[i]
+    entry[index[-1]] = value
+    path.write_text(json.dumps(doc))
+
+
+def _fault_line(path, record, field_name) -> str:
+    named = f"file={path} | record={record}"
+    return named + (f" | field={field_name}\n" if field_name else "\n")
+
+
+class TestNumberRule:
+    """Every record kind takes the same JSON numbers: a boolean or a string
+    is not one, wherever it stands."""
+
+    @pytest.mark.parametrize("value", ["0.5", True], ids=["string", "bool"])
+    @pytest.mark.parametrize("case", sorted(_NUMBER_FIELDS))
+    def test_bool_or_string_exits_2_named(self, dataset, tmp_path, capsys, case, value):
+        kind, keys, record, field_name, index = _NUMBER_FIELDS[case]
+        paths = _write_inputs(dataset, tmp_path)
+        # the same file with the number itself in place loads
+        _plant(paths[kind], keys, index, float(value))
+        _FILE_LOADERS[kind](paths[kind])
+        _plant(paths[kind], keys, index, value)
+        rc = main(["pose", "--dataset", str(paths["dataset"]), "--cloud", str(paths["cloud"]),
+                   "--orientation-file", str(paths["orientations"]),
+                   "--out-poses", str(tmp_path / "p.json"),
+                   "--out-metrics", str(tmp_path / "m.csv")])
+        assert rc == 2
+        assert _fault_line(paths[kind], record, field_name) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["orientation", "view_R", "scene_rotation", "cloud_rotation"])
+    def test_huge_rotation_entry_named_without_warning(self, dataset, tmp_path, case):
+        # R^T R of a rotation holding 1e308 overflows: not a rotation, and
+        # no RuntimeWarning on the way
+        kind, keys, record, field_name, _ = _NUMBER_FIELDS.get(
+            case, ("dataset", ("views", 1, "R"), "views[1]", "R", None))
+        paths = _write_inputs(dataset, tmp_path)
+        _plant(paths[kind], keys, None, 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError) as ei:
+                _FILE_LOADERS[kind](paths[kind])
+        assert (ei.value.file, ei.value.record, ei.value.field) == (
+            str(paths[kind]), record, field_name)
+
+    @pytest.mark.parametrize(
+        "fault, record, field_name",
+        [("repeated_view_id", "views[2]", "view_id"),
+         ("annotations_of_unknown_view", "annotations", "nope"),
+         ("predictions_of_unknown_view", "predictions.records", "nope")],
+    )
+    def test_dataset_level_fault_named(self, dataset, tmp_path, fault, record, field_name):
+        path = tmp_path / "d.json"
+        save_dataset(dataset, path)
+        doc = json.loads(path.read_text())
+        if fault == "repeated_view_id":
+            doc["views"][2]["view_id"] = doc["views"][0]["view_id"]
+        elif fault == "annotations_of_unknown_view":
+            doc["annotations"]["nope"] = []
+        else:
+            doc["predictions"]["records"]["nope"] = []
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError) as ei:
+            load_dataset(path)
+        assert (ei.value.file, ei.value.record, ei.value.field) == (str(path), record, field_name)
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,7 @@
 """Loader fuzz test: a valid document of each file kind, mutated by type
 swaps, deleted keys, NaN/inf, huge integers and wrong shapes or lengths,
 either loads or raises a ParseError (SchemaVersionMismatch is one) naming
-the file."""
+the file, and, for one mutation at or below a record, that record."""
 
 import copy
 import json
@@ -94,6 +94,29 @@ _VALUES = st.one_of(
 )
 _MUTATIONS = ("replace", "delete", "wrap", "truncate", "extend", "nan", "inf")
 
+# file kind -> (the keys to a record, None for any, and how a fault names it)
+_RECORDS = {
+    "dataset": [(("views", None), "views[{1}]"),
+                (("annotations", None, None), "annotations[{1}][{2}]"),
+                (("scene", "objects", None), "scene.objects[{2}]"),
+                (("predictions", "records", None, None), "predictions[{2}][{3}]")],
+    "cloud": [(("objects", None), "objects[{1}]")],
+    "annotations": [(("annotations", None, None), "annotations[{1}][{2}]")],
+    "orientations": [(("orientations", None), "orientations[{1}]")],
+}
+
+
+def _record_at(kind, path, mutation):
+    """The name of the record that ``mutation`` at ``path`` changes, or None
+    when the path lies above every record, the mutation deletes the record,
+    or it touches a view id (which other records refer to)."""
+    for keys, name in _RECORDS.get(kind, ()):
+        if len(path) >= len(keys) and all(k in (None, p) for k, p in zip(keys, path)):
+            if "view_id" in path or (mutation == "delete" and len(path) == len(keys)):
+                return None
+            return name.format(*path)
+    return None
+
 
 def _mutate(doc, path, mutation, data):
     """``doc`` with ``mutation`` applied at ``path``."""
@@ -128,13 +151,17 @@ def test_mutated_document_loads_or_names_the_file(documents, data):
     directory, docs = documents
     kind = data.draw(st.sampled_from(sorted(docs)), label="kind")
     doc = copy.deepcopy(docs[kind])
-    for _ in range(data.draw(st.integers(1, 3), label="n_mutations")):
+    n_mutations = data.draw(st.integers(1, 3), label="n_mutations")
+    for _ in range(n_mutations):
         path = data.draw(st.sampled_from(list(_paths(doc))), label="path")
-        doc = _mutate(doc, path, data.draw(st.sampled_from(_MUTATIONS), label="mutation"), data)
+        mutation = data.draw(st.sampled_from(_MUTATIONS), label="mutation")
+        doc = _mutate(doc, path, mutation, data)
     target = directory / f"mutated_{kind}.json"
     target.write_text(json.dumps(doc))
     try:
-        with np.errstate(over="ignore"):  # huge mutated values overflow numeric checks
-            LOADERS[kind](target)
+        LOADERS[kind](target)
     except ParseError as exc:
         assert exc.file == str(target)
+        record = _record_at(kind, path, mutation) if n_mutations == 1 else None
+        if record is not None:
+            assert exc.record == record

@@ -557,10 +557,10 @@ class TestValidation:
         rng = np.random.default_rng(seed)
         Rs = np.stack([random_rotation(rng) + s * rng.normal(size=(3, 3)) for s in scales])
         Rs[np.array(flips[:len(scales)]), :, 2] *= -1.0
-        alone = [_check_rotation(R[None]) is not None for R in Rs]
+        alone = [bool(_check_rotation(R[None])[0]) for R in Rs]
         assert alone == [np.linalg.norm(R.T @ R - np.eye(3)) > 1e-8 or np.linalg.det(R) < 0.0
                          for R in Rs]
-        assert _check_rotation(Rs) == (alone.index(True) if True in alone else None)
+        assert _check_rotation(Rs).tolist() == alone
         for R, bad in zip(Rs, alone):
             if bad:
                 with pytest.raises(ValueError, match="not a rotation"):
