@@ -81,7 +81,7 @@ def _cmd_pose(args) -> int:
             if view.view_id not in orientations:
                 raise ParseError(
                     "no orientation for view", file=args.orientation_file,
-                    record=view.view_id,
+                    record=f"orientations[{view.view_id}]",
                 )
     annotations_override = None
     if args.annotations_file:

@@ -23,7 +23,12 @@ conic that gave the accepted residual.  One Levenberg-Marquardt advances n
 candidates in lockstep, each with its own damping, acceptance and stop,
 scoring all trials of a round in one kernel call: the two-pair solver
 refines the candidates of all of a view's draws together, one LM per
-stage, and the polish is the one-candidate case.
+stage, and the polish is the one-candidate case.  A candidate stops when
+its gradient vanishes, when an accepted step lowers its cost by no more
+than 1e-12 of it (MINPACK's relative-reduction test: a fit whose residual
+is not zero at its minimum ends there, not after steps that only trade
+rounding noise), when no damping gives a downhill step, or at its
+iteration cap.
 A view's hypotheses are scored together: with the orientation known, one
 placement call places every row, and consensus is one kernel call for
 every hypothesis pose times every row, mapped to pixel outlines, and one
@@ -221,7 +226,7 @@ def _conic_areas(M):
 
 
 _GRAD_TOL = 1e-12  # LM stops when the gradient norm falls below this
-_STEP_TOL = 1e-13  # ... or when a step is this small relative to 1 + |x|
+_COST_TOL = 1e-12  # ... or when an accepted step lowers the cost by at most this share
 
 
 # per candidate: the final point x (n,d); costs, the initial cost and then
@@ -263,6 +268,13 @@ def _levenberg_marquardt(fun, jac, x0, *, max_iter=50):
     1e-12), acceptance and stopping are per candidate, so each takes the
     steps it would take alone.  Costs are monotone non-increasing: only
     strictly valid downhill steps are taken.
+
+    A candidate stops, with its reason in ``stop``: converged at a gradient
+    norm under ``_GRAD_TOL`` ("gradient") or after an accepted step from
+    cost c_old to c with c_old - c <= ``_COST_TOL`` * c_old ("cost"); when
+    no damping level gives a valid downhill step ("no descent", converged
+    only at a gradient norm under 1e-6); after ``max_iter`` accepted steps
+    ("iteration cap"); or at an invalid start.
     """
     x = np.array(x0, float)
     n, d = x.shape
@@ -324,7 +336,6 @@ def _levenberg_marquardt(fun, jac, x0, *, max_iter=50):
                 continue
         X = x[a] + delta
         rt, okt, st = fun(a, X)
-        small = (_row_norms(delta) < _STEP_TOL * (1.0 + _row_norms(X))).tolist()
         acc = []
         for j, (i, v, c) in enumerate(zip(act, okt.tolist(), (rt * rt).sum(axis=1).tolist())):
             if not (v and c <= cost[i]):
@@ -333,12 +344,12 @@ def _levenberg_marquardt(fun, jac, x0, *, max_iter=50):
                 invalid[i] += not v
                 continue
             acc.append(j)
-            cost[i] = c
+            c_old, cost[i] = cost[i], c
             costs[i].append(c)
             lam[i] = max(lam[i] * 0.3, 1e-12)
             searching.remove(i)
-            if small[j]:
-                converged[i], stop[i] = True, "step"
+            if c_old - c <= _COST_TOL * c_old:
+                converged[i], stop[i] = True, "cost"
             elif len(costs[i]) > max_iter:
                 stop[i] = "iteration cap"
         if len(acc) == len(act):  # the common case needs no row selection

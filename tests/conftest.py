@@ -413,11 +413,11 @@ def reference_lm(fun, x0, jac, max_iter=50):
             rt = fun(x + delta)
             if rt is not None and sq(rt) <= cost:
                 x = x + delta
-                r, cost = rt, sq(rt)
+                r, cost, c_old = rt, sq(rt), cost
                 costs.append(cost)
                 lam = max(lam * 0.3, 1e-12)
                 stepped = True
-                converged = norm(delta) < 1e-13 * (1.0 + norm(x))
+                converged = c_old - cost <= 1e-12 * c_old
                 break
             uphill += rt is not None
             lam *= 4.0

@@ -244,7 +244,7 @@ class TestPoseCommand:
         )
         assert rc == 2
         err = capsys.readouterr().err
-        assert f"file={opath}" in err and f"record={views[3].view_id}" in err
+        assert f"file={opath} | record=orientations[{views[3].view_id}]\n" in err
 
     def test_bad_skipped_in_annotations_file_is_parse_error(self, board, tmp_path, capsys):
         scene, views, dataset, dpath = board

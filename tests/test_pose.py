@@ -62,7 +62,19 @@ from ellipose.pose import (  # white-box kernels
     _ray_placements,
     _rotations,
 )
-from ellipose.simulator import DEG, OrientationNoise, default_camera, look_at, perturb_orientation
+from ellipose.simulator import (
+    DEG,
+    CameraRig,
+    DetectorModel,
+    OrientationNoise,
+    cloud_of_scene,
+    default_camera,
+    look_at,
+    perturb_orientation,
+    run_detector,
+    sample_cameras,
+    tless_like_board,
+)
 
 
 def sized_ellipsoid(rng, center_scale=0.5, lo=0.05, hi=0.12):
@@ -478,14 +490,30 @@ def test_two_pair_draws_solved_together_as_alone():
     assert together(draws[:3]) + together(draws[3:]) == alone
 
 
+def box_fitted_board_polish(view_index):
+    """(pairs, R0, t0): the inscribed ellipses of 10 px noisy boxes (seed 17)
+    of one view of the benchmark's 25 x 10 board rig, and a start near its
+    true pose drawn from the view index."""
+    scene = tless_like_board(6)
+    view = sample_cameras(CameraRig(0.75, 25, 10))[view_index]
+    ellipsoids = dict(cloud_of_scene(scene).entries)
+    dets = run_detector(DetectorModel("inscribed_of_noisy_box", 10.0, seed=17), scene, view)
+    pairs = pairs_table([pair_row(e, ellipsoids[label]) for label, e, _ in dets], view.cam.K)
+    rng = np.random.default_rng(view_index)
+    R0 = axis_angle_to_matrix(rng.normal(scale=0.02, size=3)) @ view.pose.R
+    return pairs, R0, view.pose.t + rng.normal(scale=0.01, size=3)
+
+
 @pytest.mark.parametrize("rotation_fixed", [False, True])
 def test_polish_matches_one_candidate_reference(rotation_fixed):
-    # the polish (n = 1) against the reference; noisy detections make both
-    # reject uphill trials
+    # the polish (n = 1) against the reference, on six problems with noisy
+    # detections and one box-fitted board view whose residual is not zero
+    # at its minimum, so that both reject uphill trials that are not
+    # rounding noise before the relative-cost stop
     rng = np.random.default_rng(7)
     cam = default_camera()
     cloud = board_scene(rng)
-    uphill = 0
+    problems = []
     for _ in range(6):
         truth = camera_near(rng, (0, 0, 0), dist=1.8)
         corrs = []
@@ -494,11 +522,15 @@ def test_polish_matches_one_candidate_reference(rotation_fixed):
             e = Ellipse(e.center + rng.normal(scale=6.0, size=2),
                         e.axes * rng.uniform(0.7, 1.3, 2), e.angle)
             corrs.append(pair_row(e, E))
-        pairs = pairs_table(corrs, cam.K)
         R0 = axis_angle_to_matrix(rng.normal(scale=0.03, size=3)) @ truth.R
-        t0 = truth.t + rng.normal(scale=0.03, size=3)
+        problems.append((pairs_table(corrs, cam.K), R0, truth.t + rng.normal(scale=0.03, size=3)))
+    # el02_az010 for the 6-dof polish, el04_az000 for the translation-only
+    # one: each rejects a few valid uphill trials before it stops on the cost
+    problems.append(box_fitted_board_polish(100 if rotation_fixed else 60))
+    uphill = 0
+    for pairs, R0, t0 in problems:
         res, (R, t) = pose_module._refine_raw(R0[None], t0[None], pairs,
-                                             np.arange(len(corrs))[None],
+                                             np.arange(len(pairs.M_det))[None],
                                              rotation_fixed=rotation_fixed)
         R_ref, t_ref, costs, converged, uphill_ref = reference_refine(
             R0, t0, pairs, rotation_fixed=rotation_fixed)
@@ -550,11 +582,33 @@ def test_lockstep_candidates_stop_alone(monkeypatch):
                                      x0[i:i + 1])
         assert alone.costs[0] == res.costs[i] and alone.stop[0] == res.stop[i]
         assert alone.x[0].tobytes() == res.x[i].tobytes()
-        x, costs, converged, _ = reference_lm(lambda x: residual(x[None])[0], x0[i],
-                                              lambda x: jac(slice(0, 1), x[None], (), i)[0])
+        x, costs, converged, uphill = reference_lm(lambda x: residual(x[None])[0], x0[i],
+                                                   lambda x: jac(slice(0, 1), x[None], (), i)[0])
         assert len(costs) == len(res.costs[i]) > 5 and converged == res.converged[i]
         assert np.abs(x - res.x[i]).max() <= 1e-9
+        assert res.uphill[i] == uphill
+    assert res.uphill[2] > 0  # the Rosenbrock valley from (-1.2, 1) rejects trials
     assert res.converged[2:].all()
+
+
+def test_step_that_gains_at_most_1e_12_of_the_cost_stops_its_candidate():
+    # residuals (x, 1): the cost x^2 + 1 is not zero at its minimum.  From
+    # x = 1e-7 the first accepted step lowers the cost by no more than 1e-12
+    # of it, so that candidate stops there; from x = 1 it lowers it by more,
+    # so the other candidate of the same call goes on, until its own step
+    # gains at most that share
+    def fun(idx, X):
+        return np.stack([X[:, 0], np.ones(len(X))], axis=1), np.ones(len(X), bool), ()
+
+    def jac(idx, X, state):
+        return np.broadcast_to([[1.0], [0.0]], (len(X), 2, 1))
+
+    res = _levenberg_marquardt(fun, jac, np.array([[1e-7], [1.0]]))
+    assert res.stop == ["cost", "cost"] and res.converged.all()
+    assert len(res.costs[0]) == 2 and len(res.costs[1]) > 2
+    for costs in res.costs:
+        gains = [(c_old - c) / c_old for c_old, c in zip(costs, costs[1:])]
+        assert gains[-1] <= 1e-12 < min(gains[:-1], default=1.0)
 
 
 class TestRefinePose:
