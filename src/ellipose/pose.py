@@ -25,9 +25,9 @@ scoring all trials of a round in one kernel call: the two-pair solver
 refines the candidates of all of a view's draws together, one LM per
 stage, and the polish is the one-candidate case.  A candidate stops when
 its gradient vanishes, when an accepted step lowers its cost by no more
-than 1e-12 of it (MINPACK's relative-reduction test: a fit whose residual
-is not zero at its minimum ends there, not after steps that only trade
-rounding noise), when no damping gives a downhill step, or at its
+than 1e-12 of it (a test on the actual reduction alone: a fit whose
+residual is not zero at its minimum ends there, not after steps that only
+trade rounding noise), when no damping gives a downhill step, or at its
 iteration cap.
 A view's hypotheses are scored together: with the orientation known, one
 placement call places every row, and consensus is one kernel call for
@@ -271,7 +271,9 @@ def _levenberg_marquardt(fun, jac, x0, *, max_iter=50):
 
     A candidate stops, with its reason in ``stop``: converged at a gradient
     norm under ``_GRAD_TOL`` ("gradient") or after an accepted step from
-    cost c_old to c with c_old - c <= ``_COST_TOL`` * c_old ("cost"); when
+    cost c_old to c with c_old - c <= ``_COST_TOL`` * c_old ("cost", a test
+    on the actual reduction only, unlike MINPACK's ftol stop, which also
+    bounds the reduction the linear model predicted); when
     no damping level gives a valid downhill step ("no descent", converged
     only at a gradient norm under 1e-6); after ``max_iter`` accepted steps
     ("iteration cap"); or at an invalid start.

@@ -1,9 +1,10 @@
 """Digest of one benchmark localisation round, per workload and seed.
 
-    python3 tools/round_digest.py --workload localize_known --seed 17 --seed 29
+    python3 tools/round_digest.py --seed 17 --seed 29
 
 Run from the repository root.  For each seed, the operations of the
-benchmark's workload are built as ``bench/workload.py`` builds them and run
+benchmark's two localisation workloads, ``localize_known`` and
+``localize_full``, are built as ``bench/workload.py`` builds them and run
 once, in order, with one BLAS thread.  One line is printed per workload and
 seed::
 
@@ -56,11 +57,9 @@ def round_digest(name, seed):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--workload", action="append", choices=("localize_known", "localize_full"),
-                    help="repeat for several (default: both)")
     ap.add_argument("--seed", type=int, action="append", help="repeat for several (default: 17)")
     args = ap.parse_args()
-    for name in args.workload or ("localize_known", "localize_full"):
+    for name in ("localize_known", "localize_full"):
         for seed in args.seed or (17,):
             print(f"{name} seed {seed} {round_digest(name, seed)}", flush=True)
 
