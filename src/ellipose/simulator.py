@@ -9,6 +9,7 @@ sub-seeded per view so parallel and serial runs agree.
 
 from __future__ import annotations
 
+import itertools
 import math
 import zlib
 from dataclasses import dataclass
@@ -237,35 +238,40 @@ def run_detector(model: DetectorModel, scene: SceneSpec, view: CalibratedView):
 
 
 # ---------------------------------------------------------------------------
-# Minimum-area enclosing ellipse (Khachiyan iteration with away steps)
+# Minimum-area enclosing ellipse (active-set Newton on the dual weights)
 # ---------------------------------------------------------------------------
 
 
-_MVEE_TOL = 1e-9  # duality gap at which the iteration stops
-_MVEE_MAX_ITER = 100000
-_MVEE_STALL_WINDOW = 100  # iterations without a 1% gap improvement before it stops
+_MVEE_TOL = 1e-9  # the loop stops once max_i q_i^T X(u)^-1 q_i <= 3 (1 + _MVEE_TOL)
+_EPS = float(np.finfo(float).eps)
 
 
 def min_enclosing_ellipse(points) -> Ellipse:
     """Minimum-area ellipse containing all points.
 
-    Runs the Khachiyan barycentric-coordinate iteration (with Wolfe-Atwood
-    away steps) on the convex hull of the input, then rescales so the
-    outermost point lies exactly on the boundary.  What the stop
-    guarantees: containment is exact to floating precision whenever it
-    stops; the area is optimal only within the duality gap reached, that is
-    ``_MVEE_TOL`` or the gap at which ``_MVEE_STALL_WINDOW`` (100)
-    iterations in a row failed to improve the best gap by 1%.  Hulls of
-    silhouettes with hundreds of near-support points end on that stall
-    rule, near a gap of 1e-4, not on ``_MVEE_TOL``.
+    Finds the dual weights u (:func:`_mvee`) of the points, or of their
+    convex hull above 16 points, in coordinates centred on their mean and
+    whitened by their singular value decomposition, then rescales the
+    ellipse so the outermost point lies exactly on the boundary.  What the
+    stop guarantees: with q_i = (p_i, 1) and X(u) = sum_i u_i q_i q_i^T,
+    every point has q_i^T X(u)^-1 q_i <= 3 (1 + 1e-9), so the area exceeds
+    the minimum by a factor of at most 1 + 1.5e-9 (Khachiyan's bound);
+    containment is exact to floating precision.  There is no iteration cap
+    and no stall rule.
+
+    Raises ValueError naming the rows of non-finite points, and
+    DegeneratePointSet for fewer than 3 points or collinear ones.
     """
     pts = np.atleast_2d(np.asarray(points, float))
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must be (N, 2)")
+    if not np.isfinite(pts).all():
+        bad = np.flatnonzero(~np.isfinite(pts).all(axis=1)).tolist()
+        raise ValueError(f"points must be finite; rows {bad} are not")
     if len(pts) < 3:
         raise DegeneratePointSet("need at least 3 points")
-    centered = pts - pts.mean(axis=0)
-    sv = np.linalg.svd(centered, compute_uv=False)
+    mean = pts.mean(axis=0)
+    U, sv, Vt = np.linalg.svd(pts - mean, full_matrices=False)
     if sv[-1] <= 1e-12 * max(sv[0], 1.0):
         raise DegeneratePointSet("points are collinear")
     if len(pts) > 16:
@@ -275,67 +281,134 @@ def min_enclosing_ellipse(points) -> Ellipse:
             pts = pts[ConvexHull(pts).vertices]
         except QhullError as exc:
             raise DegeneratePointSet(str(exc)) from exc
-    center, A = _mvee(pts)
-    lam, V = np.linalg.eigh(A)
-    axes = 1.0 / np.sqrt(lam)  # ascending lam -> descending axes
-    angle = math.atan2(V[1, 0], V[0, 0])
-    return canonicalize(Ellipse(center, (axes[0], axes[1]), angle))
-
-
-def _mvee(pts: np.ndarray):
-    n, d = pts.shape
-    Q = np.column_stack([pts, np.ones(n)])
-    u = np.full(n, 1.0 / n)
-    dp1 = d + 1.0
-    best_gap = math.inf
-    since_improve = 0
-    for _ in range(_MVEE_MAX_ITER):
-        X = Q.T @ (Q * u[:, None])
-        try:
-            Xinv = np.linalg.inv(X)
-        except np.linalg.LinAlgError as exc:
-            raise DegeneratePointSet("weighted scatter is singular") from exc
-        M = np.einsum("ij,jk,ik->i", Q, Xinv, Q)
-        j_up = int(np.argmax(M))
-        k_up = M[j_up]
-        eps_up = k_up / dp1 - 1.0
-        if eps_up <= _MVEE_TOL:
-            break
-        if eps_up < best_gap * 0.99:
-            best_gap = eps_up
-            since_improve = 0
-        else:
-            since_improve += 1
-            if since_improve >= _MVEE_STALL_WINDOW:
-                break  # flat-valley stall; the final rescale keeps containment
-        support = u > 1e-12
-        m_low = np.where(support, M, np.inf)
-        j_dn = int(np.argmin(m_low))
-        k_dn = m_low[j_dn]
-        eps_dn = 1.0 - k_dn / dp1
-        if eps_up >= eps_dn:
-            step = (k_up - dp1) / (dp1 * (k_up - 1.0))
-            u *= 1.0 - step
-            u[j_up] += step
-        else:
-            step = min(
-                (dp1 - k_dn) / (dp1 * max(k_dn - 1.0, 1e-300)),
-                u[j_dn] / max(1.0 - u[j_dn], 1e-300),
-            )
-            u *= 1.0 + step
-            u[j_dn] -= step
-        np.clip(u, 0.0, None, out=u)
-        u /= u.sum()
-    center = pts.T @ u
-    cov = pts.T @ (pts * u[:, None]) - np.outer(center, center)
-    A = np.linalg.inv(cov) / d
-    A = 0.5 * (A + A.T)
+        mean = pts.mean(axis=0)
+        U, sv, Vt = np.linalg.svd(pts - mean, full_matrices=False)
+    # whitened points: pts = mean + P T, with P the left singular vectors
+    # scaled to unit extent, on which X(u) is as well conditioned as it gets
+    umax = float(np.abs(U).max())
+    P = U / umax
+    T = (umax * sv)[:, None] * Vt
+    u = _mvee(P)
+    c = u @ P
+    D = P - c
+    # the optimum is (y - c)^T cov^-1 (y - c) <= 2 in whitened coordinates y
+    (sxx, sxy), (_, syy) = ((D.T * u) @ D).tolist()
+    det = sxx * syy - sxy * sxy
     # exact containment: scale so the farthest point sits on the boundary
-    diff = pts - center
-    vmax = float(np.einsum("ij,jk,ik->i", diff, A, diff).max())
-    if vmax > 1.0:
-        A = A / vmax
-    return center, A
+    dx, dy = D[:, 0], D[:, 1]
+    vmax = float((dx * (syy * dx - 2.0 * sxy * dy) + sxx * dy * dy).max()) / (2.0 * det)
+    vmax = max(vmax, 1.0)
+    # the ellipse is c T + z L T over the unit disc, with L^T L = 2 vmax cov:
+    # its semi-axes are the singular values of L T, its major axis the first
+    # right singular vector
+    l11 = math.sqrt(sxx)
+    L = math.sqrt(2.0 * vmax) * np.array([[l11, sxy / l11], [0.0, math.sqrt(det) / l11]])
+    _, axes, W = np.linalg.svd(L @ T)
+    angle = math.atan2(W[0, 1], W[0, 0])
+    return canonicalize(Ellipse(mean + c @ T, axes, angle))
+
+
+def _mvee(P: np.ndarray) -> np.ndarray:
+    """Dual weights u (n,) of the minimum-area ellipse of the points P (n,2),
+    not collinear, best whitened as :func:`min_enclosing_ellipse` gives them.
+
+    The weights maximise log det X(u), X(u) = sum_i u_i q_i q_i^T with q_i =
+    (p_i, 1), over the simplex; at the optimum every q_i^T X^-1 q_i is at
+    most 3, with equality where u_i > 0.  An active-set method on the
+    support S (Sun & Freund, Oper. Res. 2004): it starts from the largest
+    triangle, brings the most violated point in by one Khachiyan step, and
+    otherwise takes a Newton step on the face sum(u_S) = 1, cut where a
+    weight reaches zero (that point leaves S) and halved until log det X(u)
+    rises.  Every step raises it; the loop ends once no point exceeds
+    3 (1 + _MVEE_TOL).
+    """
+    n = len(P)
+    Q = np.column_stack([P, np.ones(n)])
+    S = _largest_triangle(P)
+    u = [1.0 / 3.0] * 3
+    QS = Q[S]
+    bound = 3.0 * (1.0 + _MVEE_TOL)
+    while True:
+        Xinv = _inv3((QS.T * u) @ QS)
+        QX = Q @ Xinv
+        w = (QX * Q).sum(axis=1).tolist()  # q_i^T X^-1 q_i: the gradient of log det X
+        wj = max(w)
+        if wj <= bound:
+            break
+        j = w.index(wj)
+        if j not in S:
+            step = (wj - 3.0) / (3.0 * (wj - 1.0))
+            u = [ui * (1.0 - step) for ui in u] + [step]
+            S.append(j)
+            QS = Q[S]
+            continue
+        # Newton step d on the face: (W o W) d + mu 1 = w_S - 3, sum(d) = 0,
+        # W = Q_S X^-1 Q_S^T.  Its diagonal is raised by m ulps: where the
+        # points of S lie on one conic, W o W is singular, and the step then
+        # runs along its null space to a zero weight
+        m = len(S)
+        W = QX[S] @ QS.T
+        K = np.ones((m + 1, m + 1))
+        K[m, m] = 0.0
+        np.multiply(W, W, out=K[:m, :m])
+        K.reshape(-1)[: m * (m + 2) : m + 2] *= 1.0 + m * _EPS
+        g = [w[s] - 3.0 for s in S]
+        d = np.linalg.solve(K, g + [0.0])[:m]
+        # det X(u + t d) / det X(u) = det(I + t M) = 1 + c1 t + c2 t^2 + c3 t^3;
+        # c1 = tr M = g^T d as sum(d) = 0, which keeps it exact where d runs
+        # along the null space and M is rounding noise
+        (a, b, c), (e, f, h), (p, q, r) = (Xinv @ ((QS.T * d) @ QS)).tolist()
+        d = d.tolist()
+        c1 = sum(gi * di for gi, di in zip(g, d))
+        c2 = a * f - b * e + a * r - c * p + f * r - h * q
+        c3 = a * (f * r - h * q) - b * (e * r - h * p) + c * (e * q - f * p)
+        t, zeroed = 1.0, -1  # the longest step up to 1 that keeps u >= 0
+        for idx, (ui, di) in enumerate(zip(u, d)):
+            if ui < -t * di:
+                t, zeroed = -ui / di, idx
+        while not t * (c1 + t * (c2 + t * c3)) > 0.0:
+            if t == 0.0:
+                raise DegeneratePointSet("no Newton step raises log det X(u)")
+            t, zeroed = 0.5 * t, -1
+        u = [ui + t * di for ui, di in zip(u, d)]
+        if zeroed >= 0:
+            u[zeroed] = 0.0
+        if min(u) <= 0.0:
+            S = [s for s, ui in zip(S, u) if ui > 0.0]
+            u = [ui for ui in u if ui > 0.0]
+            total = sum(u)
+            u = [ui / total for ui in u]
+            QS = Q[S]
+    out = np.zeros(n)
+    out[S] = u
+    return out
+
+
+# the 560 index triples of 16 points; the 8 directions of _largest_triangle
+_TRIPLES = np.array(list(itertools.combinations(range(16), 3)))
+_DIRECTIONS = np.array([[f(k * (math.pi / 8.0)) for k in range(8)] for f in (math.cos, math.sin)])
+
+
+def _largest_triangle(P: np.ndarray) -> list:
+    """Indices of the largest triangle among the points of P (n,2) that are
+    extreme along 8 directions; a point extreme in several counts in each,
+    and its repeats span no area."""
+    proj = P @ _DIRECTIONS
+    cand = np.concatenate([proj.argmin(axis=0), proj.argmax(axis=0)])
+    x, y = P[cand, 0][_TRIPLES], P[cand, 1][_TRIPLES]
+    x, y = x[:, 1:] - x[:, :1], y[:, 1:] - y[:, :1]
+    best = int(np.abs(x[:, 0] * y[:, 1] - y[:, 0] * x[:, 1]).argmax())
+    return cand[_TRIPLES[best]].tolist()
+
+
+def _inv3(X: np.ndarray) -> np.ndarray:
+    """Inverse of a symmetric positive definite 3x3 matrix by its cofactors."""
+    (a, b, c), (_, d, e), (_, _, f) = X.tolist()
+    A, B, C = d * f - e * e, c * e - b * f, b * e - c * d
+    s = 1.0 / (a * A + b * B + c * C)
+    D, E, F = (a * f - c * c) * s, (b * c - a * e) * s, (a * d - b * b) * s
+    A, B, C = A * s, B * s, C * s
+    return np.array([[A, B, C], [B, D, E], [C, E, F]])
 
 
 def sample_ellipsoid_surface(E: Ellipsoid, n: int) -> np.ndarray:

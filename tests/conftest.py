@@ -461,3 +461,49 @@ def reference_refine(R0, t0, pairs, *, max_iter=50, rotation_fixed=False):
     x, costs, converged, uphill = reference_lm(
         fun, t0 if rotation_fixed else np.zeros(6), jac, max_iter)
     return (*pose_at(x), costs, converged, uphill)
+
+
+def reference_mvee_area(points, tol=1e-9) -> float:
+    """Area of the minimum-area ellipse of ``points`` by the slow reference:
+    Khachiyan's barycentric iteration with Wolfe-Atwood away steps on every
+    point, run until max_i q_i^T X(u)^-1 q_i <= 3 (1 + tol), with no cap
+    and no stall rule, then rescaled to contain every point."""
+    pts = np.asarray(points, float)
+    n, d = pts.shape
+    Q = np.column_stack([pts, np.ones(n)])
+    u = np.full(n, 1.0 / n)
+    dp1 = d + 1.0
+    while True:
+        M = np.einsum("ij,jk,ik->i", Q, np.linalg.inv(Q.T @ (Q * u[:, None])), Q)
+        j_up = int(np.argmax(M))
+        k_up = M[j_up]
+        if k_up / dp1 - 1.0 <= tol:
+            break
+        m_low = np.where(u > 1e-12, M, np.inf)
+        j_dn = int(np.argmin(m_low))
+        k_dn = m_low[j_dn]
+        if k_up / dp1 - 1.0 >= 1.0 - k_dn / dp1:
+            step = (k_up - dp1) / (dp1 * (k_up - 1.0))
+            u *= 1.0 - step
+            u[j_up] += step
+        else:
+            step = min(
+                (dp1 - k_dn) / (dp1 * max(k_dn - 1.0, 1e-300)),
+                u[j_dn] / max(1.0 - u[j_dn], 1e-300),
+            )
+            u *= 1.0 + step
+            u[j_dn] -= step
+        np.clip(u, 0.0, None, out=u)
+        u /= u.sum()
+    diff = pts - pts.T @ u
+    A = np.linalg.inv(diff.T @ (diff * u[:, None])) / d
+    vmax = max(1.0, float(np.einsum("ij,jk,ik->i", diff, A, diff).max()))
+    return math.pi * vmax / math.sqrt(np.linalg.det(A))
+
+
+def mvee_optimality(P, u) -> float:
+    """max_i q_i^T X(u)^-1 q_i / 3 - 1 over the points P (n,2) with q_i =
+    (p_i, 1) and X(u) = sum_i u_i q_i q_i^T: the bound the MVEE stops on."""
+    Q = np.column_stack([P, np.ones(len(P))])
+    w = np.einsum("ij,jk,ik->i", Q, np.linalg.inv(Q.T @ (Q * u[:, None])), Q)
+    return float(w.max()) / 3.0 - 1.0

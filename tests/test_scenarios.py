@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ellipose
 from ellipose import scenarios
 from ellipose.dataio import SCENARIO_PARAMS
 from ellipose.scenarios import cloud_of_scene, localize_views, noise_sweep, noisy_orientations
@@ -85,3 +91,19 @@ def test_box_fitted_view_localises_with_orientation_known(view_id, px, seed, n_i
     assert failures == {}
     (result,) = results
     assert result.n_inliers == n_inliers and result.position_error < 0.05
+
+
+def test_fig3_demo_imports_no_scipy(tmp_path):
+    # its point sets have at most 16 points, which need no convex hull; an
+    # import of scipy.spatial would add about 30 MB to the process
+    code = (
+        "import sys\n"
+        "from ellipose.scenarios import run_scenario\n"
+        f"run_scenario('fig3_demo', {{}}, {str(tmp_path)!r}, 17)\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(ellipose.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert (tmp_path / "fig3_ious.csv").exists()
+    assert run.stdout.strip() == "[]"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,9 +9,12 @@ from conftest import (
     boundary_points,
     ellipse_contains,
     ellipses_close,
+    mvee_optimality,
     random_ellipsoid,
     random_rotation,
     reference_inscribed,
+    reference_mvee_area,
+    rot2d,
 )
 from ellipose.errors import BehindCamera, DegenerateBox, DegeneratePointSet, NotAnEllipse
 from ellipose.geometry import (
@@ -40,6 +44,7 @@ from ellipose.simulator import (
     view_rng,
 )
 from ellipose.simulator import _perturb_box  # white-box: DetectorModel checks its half-range
+from ellipose.simulator import _mvee  # white-box: the weights the MVEE stops on
 
 GT = DetectorModel("gt_projection")  # the exact outlines of the in-image objects
 
@@ -332,6 +337,62 @@ class TestMinEnclosingEllipse:
         pts = np.stack([np.linspace(0, 1, 50), np.linspace(0, 2, 50)], axis=1)
         with pytest.raises(DegeneratePointSet):
             min_enclosing_ellipse(pts)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_named(self, bad):
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 2.0]])
+        pts[3, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a named error, not a numpy warning
+            with pytest.raises(ValueError, match=r"finite; rows \[3\]"):
+                min_enclosing_ellipse(pts)
+
+    def test_offset_square_exact(self):
+        pts = 1e6 + np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], float)
+        e = min_enclosing_ellipse(pts)
+        assert e.center.tolist() == [1e6, 1e6]
+        assert e.axes == pytest.approx([math.sqrt(2.0)] * 2, rel=1e-12)
+
+    def test_circle_points_unit_radius(self):
+        theta = 2.0 * math.pi * np.arange(17) / 17
+        pts = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        e = min_enclosing_ellipse(pts)
+        assert np.abs(e.center).max() < 1e-9
+        assert e.axes == pytest.approx([1.0, 1.0], rel=2e-9)
+        assert mvee_optimality(pts, _mvee(pts)) <= 1e-9
+
+    def test_weights_meet_the_bound(self, rng):
+        sets = [rng.normal(size=(n, 2)) * rng.uniform(0.1, 10.0, 2) for n in range(3, 17)]
+        for n in (3, 4, 5, 6, 12, 16, 40):  # regular polygons: many points on one conic
+            theta = 2.0 * math.pi * np.arange(n) / n
+            sets.append(np.stack([np.cos(theta), np.sin(theta)], axis=1))
+        sets.append(boundary_points(Ellipse((0.3, -0.2), (1.0, 0.4), 0.7), 300))
+        sets.append(l_shaped_prism()[:, :2] @ rot2d(0.4).T * (1.0, 0.3))
+        for pts in sets:
+            P = (pts - pts.mean(axis=0)) / np.abs(pts - pts.mean(axis=0)).max()
+            u = _mvee(P)
+            assert u.min() >= 0.0 and u.sum() == pytest.approx(1.0, abs=1e-14)
+            # the bound, to the rounding of recomputing it
+            assert mvee_optimality(P, u) <= 1e-9 + 1e-13
+
+    def test_area_matches_slow_reference(self):
+        rng = np.random.default_rng(4242)
+        for _ in range(200):
+            n = int(rng.integers(3, 21))
+            pts = rng.normal(size=(n, 2)) * rng.uniform(0.1, 10.0, 2) + rng.uniform(-50, 50, 2)
+            e = min_enclosing_ellipse(pts)
+            # both stop on the same bound, so both areas lie within a factor
+            # 1 + 1.5e-9 above the minimum
+            assert math.pi * e.axes[0] * e.axes[1] == pytest.approx(
+                reference_mvee_area(pts), rel=2e-9
+            )
+            assert ellipse_contains(e, pts, slack=1e-12).all()
+
+    def test_thin_sets_contained(self):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            pts = rng.normal(size=(8, 2)) * (1.0, 1e-5) @ rot2d(1.0).T + (3.0, -2.0)
+            assert ellipse_contains(min_enclosing_ellipse(pts), pts, slack=1e-9).all()
 
 
 class TestSurfaceSampling:
