@@ -409,28 +409,21 @@ def _pose_directions(W, Rs):
 def _ray_placements(Rs, pairs: _Pairs, i):
     """Closed-form camera translations that put the ellipsoid center of a
     table row on the detection's back-projection ray at the depth that
-    equates projected and detected areas: row i at each rotation of Rs
-    (n,3,3), or, with i an index array (n,), each of its rows at the one
-    rotation Rs (1,3,3), with the arithmetic of its own scalar call.
+    equates projected and detected areas: row i[k] of the index array i
+    (n,) at the rotation Rs[k] (Rs (n,3,3)).
 
     Returns (ts, ok); ``ok`` is False where the detection is not a real
     ellipse (ts NaN there), where the detected size would force the
     ellipsoid across the principal plane, or where the reference
     projection is invalid.
     """
-    if np.ndim(i):
-        Rs = np.broadcast_to(Rs, (len(i), 3, 3))
-        Rc = (Rs @ pairs.center_w[i][:, :, None])[:, :, 0]
-        z_rows = (Rs[:, 2:] @ pairs.rot_w[i])[:, 0]
-        Qd, centers = pairs.Qd[i][:, None], pairs.center_w[i][:, None]
-    else:
-        Rc = Rs @ pairs.center_w[i]
-        z_rows = Rs[:, 2] @ pairs.rot_w[i]
-        Qd, centers = pairs.Qd[i:i + 1], pairs.center_w[i:i + 1]
+    Rc = (Rs @ pairs.center_w[i][:, :, None])[:, :, 0]
+    z_rows = (Rs[:, 2:] @ pairs.rot_w[i])[:, 0]
+    Qd, centers = pairs.Qd[i][:, None], pairs.center_w[i][:, None]
     area_det, v = pairs.area_det[i], pairs.ray_dir[i]
     # ellipsoid support along the camera z axis bounds the closest valid depth
     support_z = np.sqrt(np.sum((pairs.axes[i] * z_rows) ** 2, axis=-1))
-    lam_min = 1.05 * support_z / v[..., 2]
+    lam_min = 1.05 * support_z / v[:, 2]
     lam_ref = np.maximum(20.0 * pairs.max_axis[i], 2.0 * lam_min)
     N_ref, _, valid, _ = _project_pairs(Rs, lam_ref[:, None] * v - Rc, Qd, centers)
     area_ref = _conic_areas(N_ref[:, 0])
@@ -525,22 +518,18 @@ def _two_pair_solutions(pairs: _Pairs, draws):
             continue
         # stage A: closed-form position from either pair, residual on both;
         # candidates in start order, anchor 0 before anchor 1, stably sorted
-        costs, placements = [], []
-        for anchor in rows:
-            ts, ok = _ray_placements(starts, pairs, anchor)
-            N, _, valid, _ = _project_pairs(starts, ts, pairs.Qd[rows], pairs.center_w[rows])
-            r = (N - pairs.M_det[rows]).reshape(len(starts), -1)
-            costs.append(np.where(ok & valid.all(axis=1), (r * r).sum(axis=1), np.inf))
-            placements.append(ts)
-        costs = np.stack(costs, axis=1).ravel()
-        placements = np.stack(placements, axis=1).reshape(-1, 3)
+        Rs = np.repeat(starts, 2, axis=0)
+        ts, ok = _ray_placements(Rs, pairs, np.tile(rows, len(starts)))
+        N, _, valid, _ = _project_pairs(Rs, ts, pairs.Qd[rows], pairs.center_w[rows])
+        r = (N - pairs.M_det[rows]).reshape(len(Rs), -1)
+        costs = np.where(ok & valid.all(axis=1), (r * r).sum(axis=1), np.inf)
         order = np.argsort(costs, kind="stable")
         order = order[np.isfinite(costs[order])]
         if not order.size:
             solutions[d] = NoConvergence("no rotation start produced a valid projection")
             continue
         keep = order[:_STAGE_B_KEEP]
-        stage_b[d] = (starts[keep // 2], placements[keep], rows)
+        stage_b[d] = (Rs[keep], ts[keep], rows)
 
     # stage B: short joint refinement to make the ranking trustworthy
     # (position-only polish is not discriminative enough: a wrong rotation
@@ -647,9 +636,10 @@ def ransac_pose(detections, cloud: EllipsoidCloud, cam: CameraModel, opts: Ransa
     if len(det_idx) < min_set:
         raise NoValidPose(f"{len(det_idx)} correspondences, need {min_set}")
     if opts.mode == "orientation_known":  # each row's ray placement, in order
-        ts, ok = _ray_placements(opts.rotation[None], pairs, np.arange(len(det_idx)))
+        Rs = np.broadcast_to(opts.rotation, (len(det_idx), 3, 3))
+        ts, ok = _ray_placements(Rs, pairs, np.arange(len(det_idx)))
         ts = ts[ok]
-        Rs = np.broadcast_to(opts.rotation, (len(ts), 3, 3))
+        Rs = Rs[:len(ts)]
     else:
         poses = _two_pair_poses(pairs, det_idx, obj_idx, opts)
         Rs = np.array([p.R for p in poses]).reshape(-1, 3, 3)

@@ -316,7 +316,7 @@ def polish(p0: Pose, rows, cam, *, rotation_fixed=False) -> Polished:
 def placed_and_refined(row, R, cam):
     """Camera translation from one pair under a known orientation: the
     closed-form ray placement, then a one-pair rotation-fixed polish."""
-    ts, ok = _ray_placements(np.asarray(R, float)[None], pairs_table([row], cam.K), 0)
+    ts, ok = _ray_placements(np.asarray(R, float)[None], pairs_table([row], cam.K), [0])
     assert ok[0], "the placement is invalid"
     return polish(Pose(R, ts[0]), [row], cam, rotation_fixed=True).pose.t
 

@@ -123,7 +123,7 @@ class TestPositionFromPair:
         ell = Ellipse((900.0, 700.0), (2500.0, 2200.0), 0.2)
         R = look_at((2.0, 0.0, 0.5), (8.0, 0.0, 0.0)).R  # pointing away
         corr = pair_row(ell, E)
-        _, ok = _ray_placements(R[None], pairs_table([corr], cam.K), 0)
+        _, ok = _ray_placements(R[None], pairs_table([corr], cam.K), [0])
         assert not ok[0]
         cloud = EllipsoidCloud((("x", E),))
         with pytest.raises(NoValidPose):
@@ -749,7 +749,7 @@ def test_stacked_consensus_equals_scoring_each_pose(rng):
 def test_ray_placements_of_rows_equal_each_row_alone(rng):
     # rows of real detections, one whose conic is not a real ellipse (NaN
     # area) and one of zero area: one call for all rows at one rotation
-    # equals the scalar call per row, NaN placements and flags included
+    # equals the one-row call per row, NaN placements and flags included
     cam = default_camera()
     cloud = board_scene(rng)
     truth = camera_near(rng, (0, 0, 0), dist=1.8)
@@ -762,8 +762,8 @@ def test_ray_placements_of_rows_equal_each_row_alone(rng):
     rows = np.arange(len(area))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ts, ok = _ray_placements(R[None], pairs, rows)
-        alone = [_ray_placements(R[None], pairs, i) for i in rows.tolist()]
+        ts, ok = _ray_placements(np.broadcast_to(R, (len(rows), 3, 3)), pairs, rows)
+        alone = [_ray_placements(R[None], pairs, [i]) for i in rows.tolist()]
     assert ts.tobytes() == np.concatenate([t for t, _ in alone]).tobytes()
     assert ok.tolist() == [bool(o[0]) for _, o in alone]
     assert ok.tolist() == [i not in (2, 6) for i in rows.tolist()]
@@ -920,7 +920,7 @@ def reference_ransac(detections, cloud, cam, opts):
             continue
         try:
             if min_set == 1:
-                ts, ok = _ray_placements(opts.rotation[None], pairs, sample[0])
+                ts, ok = _ray_placements(opts.rotation[None], pairs, list(sample))
                 hypotheses = [Pose(opts.rotation, ts[0])] if ok[0] else []
             else:
                 hypotheses = [two_pair_pose(corrs[sample[0]], corrs[sample[1]], cam)]
