@@ -4,11 +4,13 @@ The one entry point is :func:`ransac_pose`, RANSAC over the associations of
 a view's detections with the cloud's ellipsoids of the same label.  With
 the orientation known, each association's hypothesis is the closed-form
 camera placement: the ellipsoid center on the detection's back-projection
-ray at the area-equating depth.  In full mode, each distinct seeded draw of
-two associations is solved for the full pose: an icosahedral rotation grid
-scored by that closed-form placement, then joint 6-dof refinement, all
-draws of a view together.  The best hypothesis is polished on its inliers,
-the only damped least-squares solve besides the two-pair refinement.
+ray at the area-equating depth.  In full mode, each distinct seeded draw
+of an unordered pair of associations that share no detection and no object
+is solved once for the full pose: an icosahedral rotation grid scored by
+that closed-form placement (both rows at every start, in one call), then
+joint 6-dof refinement, all draws of a view together.  The best hypothesis is
+polished on its inliers, the only damped least-squares solve besides the
+two-pair refinement.
 
 Each call converts its detections and ellipsoids once, into one table of
 stacked arrays (:func:`_pairs`), one row per association: the placements,
@@ -621,9 +623,10 @@ def ransac_pose(detections, cloud: EllipsoidCloud, cam: CameraModel, opts: Ransa
     equal labels, the rows of the table of :func:`_pairs`.
 
     With the orientation known, every row is placed once, in order, by
-    :func:`_ray_placements`; in full mode, each distinct seeded draw of two
-    rows that share no detection and no object is solved, all in one
-    :func:`_two_pair_solutions` call.  Hypotheses are scored by the ellipse
+    :func:`_ray_placements`; in full mode, each distinct seeded draw of an
+    unordered pair of rows that share no detection and no object is solved
+    once, all in one :func:`_two_pair_solutions` call.  A view with no such
+    pair raises NoValidPose.  Hypotheses are scored by the ellipse
     IoU between detections and reprojections.  The first with the most
     inliers and then the highest mean inlier IoU is polished on its inliers'
     rows by the one-candidate LM, and consensus is re-evaluated on the
@@ -639,7 +642,7 @@ def ransac_pose(detections, cloud: EllipsoidCloud, cam: CameraModel, opts: Ransa
         Rs = np.broadcast_to(opts.rotation, (len(det_idx), 3, 3))
         ts, ok = _ray_placements(Rs, pairs, np.arange(len(det_idx)))
         ts = ts[ok]
-        Rs = Rs[:len(ts)]
+        Rs = Rs[:len(ts)]  # the one rotation, viewed once per kept row
     else:
         poses = _two_pair_poses(pairs, det_idx, obj_idx, opts)
         Rs = np.array([p.R for p in poses]).reshape(-1, 3, 3)
@@ -690,15 +693,20 @@ def ransac_pose(detections, cloud: EllipsoidCloud, cam: CameraModel, opts: Ransa
 
 def _two_pair_poses(pairs: _Pairs, det_idx, obj_idx, opts: RansacOptions):
     """Full-mode hypotheses: the list of the poses that
-    :func:`_two_pair_solutions` finds for each distinct seeded draw, in draw
-    order, where it does not fail.
-    The draws come first, as the RNG stream never depends on a solve, and
-    are solved together.  A repeated draw is not solved again: the solver is
-    deterministic, so its poses would be poses already scored, which can
-    neither beat the best nor become a new rival to it."""
+    :func:`_two_pair_solutions` finds for the seeded draws, in order of
+    first draw, where it does not fail.  A draw is an unordered pair of
+    rows that share no detection and no object, uniform over all such
+    pairs.  The draws come first, as the RNG stream never depends on a
+    solve, and each distinct one is solved once, all together: the solver
+    is deterministic, so a repeat would give poses already scored, which
+    can neither beat the best nor become a new rival to it."""
+    i, j = np.triu_indices(len(det_idx), 1)
+    admissible = np.flatnonzero((det_idx[i] != det_idx[j]) & (obj_idx[i] != obj_idx[j]))
+    if not admissible.size:
+        raise NoValidPose("no two correspondences differ in both detection and object")
     rng = np.random.default_rng(np.random.SeedSequence(int(opts.seed)))
-    draws = [_draw_minimal_set(rng, det_idx, obj_idx) for _ in range(opts.iterations)]
-    draws = list(dict.fromkeys(d for d in draws if d is not None))
+    drawn = admissible[rng.integers(admissible.size, size=opts.iterations)]
+    draws = list(dict.fromkeys(zip(i[drawn].tolist(), j[drawn].tolist())))
     poses = []
     for solution in _two_pair_solutions(pairs, draws):
         if isinstance(solution, AmbiguousSolution):
@@ -706,17 +714,6 @@ def _two_pair_poses(pairs: _Pairs, det_idx, obj_idx, opts: RansacOptions):
         elif not isinstance(solution, ElliposeError):
             poses.append(solution)
     return poses
-
-
-def _draw_minimal_set(rng, det_idx, obj_idx):
-    """Two rows drawn at random that share no detection and no object, or
-    None when 50 tries find none."""
-    n = len(det_idx)
-    for _ in range(50):
-        i, j = int(rng.integers(n)), int(rng.integers(n))
-        if i != j and det_idx[i] != det_idx[j] and obj_idx[i] != obj_idx[j]:
-            return (i, j)
-    return None
 
 
 def _consensus(Rs, ts, pairs: _Pairs, K, threshold):
