@@ -510,6 +510,7 @@ def _two_pair_solutions(pairs: _Pairs, draws):
     carrying both candidates.
     """
     starts = _rotation_starts()
+    Rs = np.repeat(starts, 2, axis=0)  # each start once per anchor of a draw
     solutions = [None] * len(draws)
     stage_b = {}  # draw index -> (R0, t0, rows) of its stage-B starts
     for d, rows in enumerate(draws):
@@ -520,7 +521,6 @@ def _two_pair_solutions(pairs: _Pairs, draws):
             continue
         # stage A: closed-form position from either pair, residual on both;
         # candidates in start order, anchor 0 before anchor 1, stably sorted
-        Rs = np.repeat(starts, 2, axis=0)
         ts, ok = _ray_placements(Rs, pairs, np.tile(rows, len(starts)))
         N, _, valid, _ = _project_pairs(Rs, ts, pairs.Qd[rows], pairs.center_w[rows])
         r = (N - pairs.M_det[rows]).reshape(len(Rs), -1)
