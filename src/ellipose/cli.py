@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 parse/usage error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import dataio
@@ -137,7 +138,9 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The ``ellipose`` argument parser, built once: parsing leaves it as is."""
     ap = argparse.ArgumentParser(
         prog="ellipose",
         description="Object-based camera pose estimation from ellipse-ellipsoid geometry",

@@ -1,5 +1,8 @@
 """Pose evaluation metrics: rotation/position error, reprojection error,
-ADD and a deterministic ellipse IoU."""
+ADD and a deterministic ellipse IoU.  The IoU has one kernel over stacks
+of point conics, :func:`_conic_ious`, which scores RANSAC consensus on the
+projection kernel's conics and, through conics of canonical ellipses,
+:func:`ellipse_iou` and the fig3 experiment."""
 
 from __future__ import annotations
 
@@ -8,7 +11,7 @@ import math
 import numpy as np
 
 from .errors import BehindCamera, EmptyPointSet
-from .geometry import CameraModel, Ellipse, Pose, _bbox_half
+from .geometry import CameraModel, Ellipse, Pose, _UPPER, _ellipse_conics
 
 
 def rotation_distance(R1: np.ndarray, R2: np.ndarray) -> float:
@@ -55,75 +58,46 @@ def add_error(est: Pose, gt: Pose, points3d) -> float:
 
 
 def ellipse_iou(e1: Ellipse, e2: Ellipse, grid: int = 512) -> float:
-    """Deterministic grid estimate of the intersection-over-union.
+    """Deterministic intersection-over-union: exact chords summed over
+    ``grid`` rows (:func:`_conic_ious`).  Identical ellipses give exactly 1
+    and disjoint ones 0.  The error against the true IoU comes from the rows
+    that cut the outlines' tips; it falls as grid^-1.5 and stays below 2e-3
+    at 128 rows on 10,000 seeded pairs of axis ratio up to 10."""
+    # centered on e1: a far center rounds a conic's constant term
+    M = _ellipse_conics(np.array([e1.center, e2.center]) - e1.center,
+                        np.array([e1.axes, e2.axes]), np.array([e1.angle, e2.angle]))
+    return float(_conic_ious(M[:1], M[1:], grid)[0])
 
-    Counts the ``grid`` x ``grid`` cell centers over the union of the two
-    bounding boxes that fall inside each ellipse.  The inside cells of one
-    grid row form a span, found in closed form and settled by the exact
-    inside test of its end cells, so the counts, and the IoU, equal a test
-    of every cell while memory stays O(grid).  The absolute error against
-    the true IoU is O(perimeter * cell / area), about 0.5% at the default
-    resolution for moderately eccentric ellipses.
+
+def _conic_ious(M1, M2, rows):
+    """IoUs (n,) of n pairs of real-ellipse point conics M1, M2 (n,3,3), at
+    any scale, in a common frame.
+
+    A conic scaled to A > 0, with det2 = AC - B^2 and k its value at its
+    center, spans sqrt(-kA / det2) above and below its center, and at
+    height dy from it has the exact chord of midpoint xc - (B/A) dy and
+    half-width sqrt(max(-kA - det2 dy^2, 0)) / A.  Both areas and the
+    overlap are these chords summed at the midpoints of ``rows`` equal rows
+    over the pair's union y-range: bit-identical conics give exactly 1 and
+    no IoU exceeds 1.  An upper-triangular camera matrix maps rows to rows
+    and scales all chords alike, so it changes an IoU only by rounding.
     """
-    iou = _ellipse_ious(
-        e1.center[None], e1.axes[None], np.array([e1.angle]),
-        e2.center[None], e2.axes[None], np.array([e2.angle]), grid,
-    )
-    return float(iou[0])
-
-
-def _ellipse_ious(c1, ax1, ang1, c2, ax2, ang2, grid):
-    """IoUs (n,) on :func:`ellipse_iou`'s grid of n ellipse pairs, each side
-    given as centers (n,2), semi-axes (n,2) and angles (n,).
-
-    The cosines, sines and bounding boxes are taken per ellipse in Python
-    floats, with the arithmetic of :func:`_bbox_half`, and each cell
-    is placed and tested with the grid's own expressions: the counts are
-    then those of testing all cells.
-    """
-    n = len(c1)
-    if n == 0:
-        return np.zeros(0)
-    centers = np.concatenate([c1, c2])  # both sides as one stack of 2n ellipses
-    axes = np.concatenate([ax1, ax2])
-    angles = np.concatenate([ang1, ang2]).tolist()
-    c = np.array([math.cos(t) for t in angles])[:, None]
-    s = np.array([math.sin(t) for t in angles])[:, None]
-    half = np.array([_bbox_half(a, b, t) for (a, b), t in zip(axes.tolist(), angles)])
-    lo = np.minimum(centers[:n] - half[:n], centers[n:] - half[n:])
-    width = np.maximum(centers[:n] + half[:n], centers[n:] + half[n:]) - lo
-    lo, width = np.concatenate([lo, lo]), np.concatenate([width, width])
-    x_lo, x_w = lo[:, 0:1], width[:, 0:1]
-    ys = lo[:, 1:2] + (np.arange(grid) + 0.5) * width[:, 1:2] / grid  # (2n, grid) row centers
-    cx, cy = centers[:, 0:1], centers[:, 1:2]
-    a, b = axes[:, 0:1], axes[:, 1:2]
-    dy = ys - cy
-
-    # each row's inside chord in closed form: p dx^2 + 2 q dx dy + r dy^2 <= 1
-    # with p r - q^2 = 1 / (a b)^2, in column units
-    ia2, ib2 = 1.0 / (a * a), 1.0 / (b * b)
-    p = c * c * ia2 + s * s * ib2
-    mid = (cx - x_lo - c * s * (ia2 - ib2) * dy / p) * grid / x_w - 0.5
-    half_chord = np.sqrt(np.maximum(p - dy * dy * (ia2 * ib2), 0.0)) / p * grid / x_w
-    with np.errstate(invalid="ignore"):
-        first = np.ceil(np.clip(mid - half_chord, -2.0, grid + 1.0))
-        last = np.floor(np.clip(mid + half_chord, -2.0, grid + 1.0))
-    # the chord is exact to far below a cell: the cells next to its ends
-    # decide, tested as the grid tests them, one candidate column at a time
-    # so that no temporary outgrows a (2n, grid) row block
-    def inside(j):
-        dx = x_lo + (j + 0.5) * x_w / grid - cx
-        u = (c * dx + s * dy) / a
-        v = (-s * dx + c * dy) / b
-        return (u * u + v * v <= 1.0) & (j >= 0.0) & (j < grid)
-
-    first = np.where(inside(first - 1.0), first - 1.0,
-                     np.where(inside(first), first, first + 1.0))
-    last = np.where(inside(last + 1.0), last + 1.0, np.where(inside(last), last, last - 1.0))
-
-    count = np.maximum(last - first + 1.0, 0.0).sum(axis=1)
-    inter = np.maximum(np.minimum(last[:n], last[n:]) - np.maximum(first[:n], first[n:]) + 1.0, 0.0)
+    n = len(M1)
+    x = np.concatenate([M1, M2]).reshape(-1, 9)[:, _UPPER]  # both sides, 2n conics
+    a, b, c, d, e, f = (x * np.sign(x[:, :1])).T[:, :, None]  # entries 00 01 02 11 12 22
+    det2 = a * d - b * b
+    cx, cy = (e * b - c * d) / det2, (b * c - a * e) / det2
+    ka = -(c * cx + e * cy + f) * a  # -k A, positive for a real ellipse
+    half_y = np.sqrt(ka / det2)
+    lo = np.minimum(cy[:n] - half_y[:n], cy[n:] - half_y[n:])
+    hi = np.maximum(cy[:n] + half_y[:n], cy[n:] + half_y[n:])
+    dy = np.tile(lo + (np.arange(rows) + 0.5) * ((hi - lo) / rows), (2, 1)) - cy  # (2n, rows)
+    mid = cx - b / a * dy
+    half = np.sqrt(np.maximum(ka - det2 * dy * dy, 0.0)) / a
+    left, right = mid - half, mid + half
+    width = (right - left).sum(axis=1)
+    inter = np.maximum(np.minimum(right[:n], right[n:]) - np.maximum(left[:n], left[n:]), 0.0)
     inter = inter.sum(axis=1)
-    union = count[:n] + count[n:] - inter
+    union = width[:n] + width[n:] - inter
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(union > 0.0, inter / union, 0.0)

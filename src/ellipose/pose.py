@@ -33,8 +33,8 @@ trade rounding noise), when no damping gives a downhill step, or at its
 iteration cap.
 A view's hypotheses are scored together: with the orientation known, one
 placement call places every row, and consensus is one kernel call for
-every hypothesis pose times every row, mapped to pixel outlines, and one
-batched ellipse IoU over all the valid ones.
+every hypothesis pose times every row and one batched ellipse IoU of its
+conics against the detected ones, in normalized coordinates throughout.
 
 The LM takes any valid downhill step of the algebraic residual, which can
 reward a pose that slides an object off its detection or turns its outline
@@ -75,14 +75,13 @@ from .geometry import (
     _check_rotation,
     _ellipse_conics,
     _freeze,
-    _outlines,
     _project_pairs,
     _quadric_duals,
 )
-from .metrics import _ellipse_ious, rotation_distance
+from .metrics import _conic_ious, rotation_distance
 from .reconstruction import EllipsoidCloud
 
-_IOU_GRID = 128  # grid resolution of the consensus IoU
+_IOU_ROWS = 128  # row count of the consensus IoU
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,9 +134,7 @@ class RansacOptions:
 # ---------------------------------------------------------------------------
 
 
-_Pairs = namedtuple(
-    "_Pairs", "Qd center_w axes rot_w max_axis M_det area_det ray_dir det_center det_axes det_angle"
-)
+_Pairs = namedtuple("_Pairs", "Qd center_w axes rot_w max_axis M_det area_det ray_dir")
 
 
 def _pairs(detections, cloud: EllipsoidCloud, K):
@@ -147,13 +144,13 @@ def _pairs(detections, cloud: EllipsoidCloud, K):
     index.  The table is None when no label matches.
 
     A row holds the ellipsoid's unit dual quadric Qd, center_w, axes,
-    rotation rot_w and max_axis; the detection's unit point conic M_det, its
-    area area_det (not > 0 where the conic is no real ellipse) and the unit
-    back-projection ray ray_dir of its center; and the detection, each
-    canonicalized once, as det_center, det_axes and det_angle in pixels.
-    M_det and area_det are in intrinsics-normalized coordinates: pixel-frame
-    conic entries span several orders of magnitude and would crush the shape
-    information after unit-Frobenius scaling.  Rows come from the stacked
+    rotation rot_w and max_axis; and the detection's unit point conic M_det,
+    its area area_det (not > 0 where the conic is no real ellipse) and the
+    unit back-projection ray ray_dir of its center, from the detection
+    canonicalized once.  M_det and area_det are in intrinsics-normalized
+    coordinates: pixel-frame conic entries span several orders of magnitude
+    and would crush the shape information after unit-Frobenius scaling.
+    Rows come from the stacked
     kernels ``_quadric_duals`` and ``_ellipse_conics`` and depend on their
     own association alone, so the table of a subset is those rows of the
     full table, bit for bit.
@@ -179,7 +176,7 @@ def _pairs(detections, cloud: EllipsoidCloud, K):
     h = np.linalg.solve(np.broadcast_to(K, (len(M), 3, 3)), h)[:, :, 0]
     table = _Pairs(normalize_symmetric(_quadric_duals(center_w, axes, rot_w)), center_w, axes,
                    rot_w, axes.max(axis=1), M_det, _conic_areas(M_det),
-                   h / np.sqrt(h[:, None] @ h[:, :, None])[:, 0], det_center, det_axes, det_angle)
+                   h / np.sqrt(h[:, None] @ h[:, :, None])[:, 0])
     return table, det_idx, obj_idx
 
 
@@ -627,12 +624,11 @@ def ransac_pose(detections, cloud: EllipsoidCloud, cam: CameraModel, opts: Ransa
     unordered pair of rows that share no detection and no object is solved
     once, all in one :func:`_two_pair_solutions` call.  A view with no such
     pair raises NoValidPose.  Hypotheses are scored by the ellipse
-    IoU between detections and reprojections.  The first with the most
-    inliers and then the highest mean inlier IoU is polished on its inliers'
-    rows by the one-candidate LM, and consensus is re-evaluated on the
-    refined pose.  A distinct pose (outside the cluster of
-    :func:`_same_pose`) that ties it on both raises AmbiguousSolution
-    carrying the two.  ``seed`` and ``iterations`` act on full mode only.
+    IoU between detections and reprojections.  The first ranked highest by
+    :func:`_below` is polished on its inliers' rows by the one-candidate
+    LM, and the refined pose replaces it unless it ranks below it.  A
+    distinct pose (outside the cluster of :func:`_same_pose`) that ties it
+    raises AmbiguousSolution carrying the two.  ``seed`` and ``iterations`` act on full mode only.
     """
     pairs, det_idx, obj_idx = _pairs(detections, cloud, cam.K)
     min_set = 1 if opts.mode == "orientation_known" else 2
@@ -648,14 +644,13 @@ def ransac_pose(detections, cloud: EllipsoidCloud, cam: CameraModel, opts: Ransa
         Rs = np.array([p.R for p in poses]).reshape(-1, 3, 3)
         ts = np.array([p.t for p in poses]).reshape(-1, 3)
     best = rival = None  # best: ((count, score), hypothesis, inliers); rival: one tying it
-    for h, (inliers, score) in enumerate(_consensus(Rs, ts, pairs, cam.K,
-                                                    opts.inlier_iou_threshold)):
+    for h, (inliers, score) in enumerate(_consensus(Rs, ts, pairs, opts.inlier_iou_threshold)):
         if len(inliers) < min_set:
             continue
         key = (len(inliers), score)
-        if best is None or key > best[0]:
+        if best is None or _below(best[0], key):
             best, rival = (key, h, inliers), None
-        elif key == best[0] and rival is None and not _same_pose(
+        elif not _below(key, best[0]) and rival is None and not _same_pose(
                 Rs[h], ts[h], Rs[best[1]], ts[best[1]]):
             rival = h
     if best is None:
@@ -680,15 +675,23 @@ def ransac_pose(detections, cloud: EllipsoidCloud, cam: CameraModel, opts: Ransa
         res, (R, t) = _refine_raw(pose.R[None], pose.t[None], pairs, np.array(inliers)[None],
                                   rotation_fixed=rotation_fixed)
         refined = pose if len(res.costs[0]) <= 1 else Pose(R[0], t[0])
-        ((inliers2, score2),) = _consensus(refined.R[None], refined.t[None], pairs, cam.K,
+        ((inliers2, score2),) = _consensus(refined.R[None], refined.t[None], pairs,
                                            opts.inlier_iou_threshold)
-        if (len(inliers2), score2) < (len(inliers), score):
+        if _below((len(inliers2), score2), (len(inliers), score)):
             break
         grew = len(inliers2) > len(inliers)
         pose, inliers, score = refined, inliers2, score2
         if not grew:
             break
     return PoseEstimate(pose, inliers, score)
+
+
+def _below(key, other):
+    """Whether the consensus key (inlier count, mean inlier IoU) ranks
+    below ``other``: by count, then by mean IoU, where mean IoUs within 1e-9
+    tie, far above the rounding spread of one geometry and far below the
+    IoU's error."""
+    return key[0] < other[0] or (key[0] == other[0] and key[1] < other[1] - 1e-9)
 
 
 def _two_pair_poses(pairs: _Pairs, det_idx, obj_idx, opts: RansacOptions):
@@ -700,13 +703,13 @@ def _two_pair_poses(pairs: _Pairs, det_idx, obj_idx, opts: RansacOptions):
     solve, and each distinct one is solved once, all together: the solver
     is deterministic, so a repeat would give poses already scored, which
     can neither beat the best nor become a new rival to it."""
-    i, j = np.triu_indices(len(det_idx), 1)
-    admissible = np.flatnonzero((det_idx[i] != det_idx[j]) & (obj_idx[i] != obj_idx[j]))
-    if not admissible.size:
+    count = _admissible_counts(det_idx, obj_idx)
+    if not count[-1]:
         raise NoValidPose("no two correspondences differ in both detection and object")
     rng = np.random.default_rng(np.random.SeedSequence(int(opts.seed)))
-    drawn = admissible[rng.integers(admissible.size, size=opts.iterations)]
-    draws = list(dict.fromkeys(zip(i[drawn].tolist(), j[drawn].tolist())))
+    drawn = rng.integers(count[-1], size=opts.iterations)
+    draws = list(dict.fromkeys(_admissible_pair(det_idx, obj_idx, count, k)
+                               for k in drawn.tolist()))
     poses = []
     for solution in _two_pair_solutions(pairs, draws):
         if isinstance(solution, AmbiguousSolution):
@@ -716,23 +719,42 @@ def _two_pair_poses(pairs: _Pairs, det_idx, obj_idx, opts: RansacOptions):
     return poses
 
 
-def _consensus(Rs, ts, pairs: _Pairs, K, threshold):
+def _admissible_counts(det_idx, obj_idx):
+    """Cumulative counts (n,) of the admissible pairs (i < j) of n >= 1
+    distinct (detection, object) rows, those that share neither: entry i
+    counts the pairs whose first row is at most i."""
+    n = len(det_idx)
+    later = n - 1 - np.arange(n)  # later rows, less those sharing a detection or object
+    for x in (det_idx, obj_idx):
+        order = np.argsort(x, kind="stable")  # equal values in row order
+        later[order] -= np.searchsorted(x[order], x[order], side="right") - np.arange(n) - 1
+    return np.cumsum(later)
+
+
+def _admissible_pair(det_idx, obj_idx, count, k):
+    """The k-th admissible pair (i, j) in ``np.triu_indices`` order, from
+    the counts of :func:`_admissible_counts`, with no list of the pairs."""
+    i = int(np.searchsorted(count, k, side="right"))
+    skip = k - (int(count[i - 1]) if i else 0)
+    later = (det_idx[i + 1:] != det_idx[i]) & (obj_idx[i + 1:] != obj_idx[i])
+    return i, i + 1 + int(np.flatnonzero(later)[skip])
+
+
+def _consensus(Rs, ts, pairs: _Pairs, threshold):
     """Inlier rows and mean inlier IoU of each of the n hypotheses (Rs
     (n,3,3), ts (n,3)) over the rows of the table: a list of n (inliers,
     score).
 
-    All poses times all rows are projected in one kernel call; outlines
-    that are invalid (behind the camera, degenerate, not an ellipse) are
-    skipped, and the rest are scored against their detections in one IoU
-    call.  A pose's inliers, the rows with an IoU of at least
-    ``threshold``, are kept and summed in row order.
+    All poses times all rows are projected in one kernel call; conics that
+    are invalid or no real ellipse are skipped, and the rest are scored
+    against M_det in one IoU call, in normalized coordinates: the pixel
+    IoUs up to rounding (:func:`metrics._conic_ious`).  A pose's inliers,
+    the rows with an IoU of at least ``threshold``, are kept and summed in
+    row order.
     """
-    centers, axes, angles, code, _ = _outlines(Rs, ts, pairs.Qd, pairs.center_w, K[None])
-    hyp, idx = np.nonzero(code == 0)  # pose-major, rows in order
-    ious = _ellipse_ious(
-        centers[hyp, idx], axes[hyp, idx], angles[hyp, idx],
-        pairs.det_center[idx], pairs.det_axes[idx], pairs.det_angle[idx], _IOU_GRID,
-    )
+    N, _, valid, _ = _project_pairs(Rs, ts, pairs.Qd, pairs.center_w)
+    hyp, idx = np.nonzero(valid & (_conic_areas(N) > 0.0))  # pose-major, rows in order
+    ious = _conic_ious(N[hyp, idx], pairs.M_det[idx], _IOU_ROWS)
     inliers = [[] for _ in range(len(ts))]
     totals = [0.0] * len(ts)
     for h, i, iou in zip(hyp.tolist(), idx.tolist(), ious.tolist()):

@@ -18,12 +18,13 @@ from .geometry import (
     Ellipsoid,
     project_ellipsoid,
     rotation_z,
+    _ellipse_conics,
     _outline_error,
     _outlines,
     _quadric_duals,
 )
 # ellipse_iou stays bound here: the benchmark's trace wraps it by this name
-from .metrics import add_error, ellipse_iou, pose_errors, reprojection_error, _ellipse_ious
+from .metrics import add_error, ellipse_iou, pose_errors, reprojection_error, _conic_ious
 from .pose import RansacOptions, ransac_pose
 from .reconstruction import (
     CalibratedView,
@@ -248,20 +249,19 @@ def reconstruction_consistency_experiment(*, n_build: int = 3, n_held: int = 8):
     ts = np.array([v.pose.t for v in held])
     Ks = np.array([v.cam.K for v in held])
 
-    def outlines(E):
+    def outlines(E):  # pixel conics of the canonical outlines
         Qd = _quadric_duals(E.center[None], E.axes[None], E.rotation[None])
         centers, axes, angles, code, depth = _outlines(Rs, ts, Qd, E.center[None], Ks)
         if code.any():
             i = int(np.flatnonzero(code[:, 0])[0])
             raise _outline_error(int(code[i, 0]), float(depth[i, 0]))
-        return centers[:, 0], axes[:, 0], angles[:, 0]
+        return _ellipse_conics(centers[:, 0], axes[:, 0], angles[:, 0])
 
     mins = [min_enclosing_ellipse(project_pts(v)) for v in held]
-    iou_min = _ellipse_ious(
-        np.array([e.center for e in mins]), np.array([e.axes for e in mins]),
-        np.array([e.angle for e in mins]), *outlines(E_min), 512,
-    )
-    iou_gt = _ellipse_ious(*outlines(E_gt), *outlines(E_rec), 512)
+    M_min = _ellipse_conics(np.array([e.center for e in mins]), np.array([e.axes for e in mins]),
+                            np.array([e.angle for e in mins]))
+    iou_min = _conic_ious(M_min, outlines(E_min), 512)
+    iou_gt = _conic_ious(outlines(E_gt), outlines(E_rec), 512)
     rows = [(v.view_id, a, b) for v, a, b in zip(held, iou_min.tolist(), iou_gt.tolist())]
     mean_min = float(np.mean([r[1] for r in rows]))
     mean_gt = float(np.mean([r[2] for r in rows]))

@@ -120,6 +120,32 @@ def grid_ellipse_iou(e1: Ellipse, e2: Ellipse, grid: int) -> float:
     return inter / union
 
 
+def row_ellipse_iou(e1: Ellipse, e2: Ellipse, rows: int) -> float:
+    """Reference of the row-sum IoU ``metrics._conic_ious``: the same sums
+    of chord lengths and overlaps at ``rows`` row midpoints over the union
+    y-range, each chord taken from the center, semi-axes and angle, not
+    from a conic."""
+    def chords(e, ys):
+        a, b = float(e.axes[0]), float(e.axes[1])
+        c, s = math.cos(e.angle), math.sin(e.angle)
+        # p dx^2 + 2 q dx dy + r dy^2 = 1 in the offsets from the center,
+        # with p r - q^2 = 1 / (a b)^2
+        p = c * c / (a * a) + s * s / (b * b)
+        q = c * s * (1.0 / (a * a) - 1.0 / (b * b))
+        dy = ys - e.center[1]
+        mid = e.center[0] - q / p * dy
+        half = np.sqrt(np.maximum(p - dy * dy / (a * b) ** 2, 0.0)) / p
+        return mid - half, mid + half
+
+    lo = min(e.center[1] - _bbox_half(*e.axes.tolist(), e.angle)[1] for e in (e1, e2))
+    hi = max(e.center[1] + _bbox_half(*e.axes.tolist(), e.angle)[1] for e in (e1, e2))
+    ys = lo + (np.arange(rows) + 0.5) * ((hi - lo) / rows)
+    (l1, r1), (l2, r2) = chords(e1, ys), chords(e2, ys)
+    inter = np.maximum(np.minimum(r1, r2) - np.maximum(l1, l2), 0.0).sum()
+    union = (r1 - l1).sum() + (r2 - l2).sum() - inter
+    return float(inter / union) if union > 0.0 else 0.0
+
+
 def _inside_grid(e: Ellipse, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     c, s = math.cos(e.angle), math.sin(e.angle)
     dx = xs[None, :] - e.center[0]

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import grid_ellipse_iou, random_rotation
+from conftest import grid_ellipse_iou, random_rotation, row_ellipse_iou
 from ellipose.errors import BehindCamera, EmptyPointSet
-from ellipose.geometry import Ellipse, Pose, rotation_z
+from ellipose.geometry import Ellipse, Pose, rotation_z, _ellipse_conics
 from ellipose.metrics import (
-    _ellipse_ious,
+    _conic_ious,
     add_error,
     ellipse_iou,
     pose_errors,
@@ -76,7 +76,7 @@ class TestAdd:
 class TestEllipseIoU:
     def test_identical(self):
         e = Ellipse((10, 20), (5, 2), 0.7)
-        assert ellipse_iou(e, e) == pytest.approx(1.0, abs=0.005)
+        assert ellipse_iou(e, e) == 1.0
 
     def test_disjoint(self):
         a = Ellipse((0, 0), (1, 1), 0.0)
@@ -86,7 +86,7 @@ class TestEllipseIoU:
     def test_concentric_circles(self):
         a = Ellipse((0, 0), (1, 1), 0.0)
         b = Ellipse((0, 0), (2, 2), 0.0)
-        assert ellipse_iou(a, b) == pytest.approx(0.25, abs=0.01)
+        assert ellipse_iou(a, b) == pytest.approx(0.25, abs=1e-3)
 
     def test_symmetry(self, rng):
         for _ in range(10):
@@ -103,11 +103,14 @@ def _random_pair_ellipse(rng):
 
 
 def _iou_cases(rng, n_random, grid):
-    """Seeded random pairs, half of them overlapping, plus the special cases.
+    """Seeded random pairs, half of them overlapping, after 20 boundary
+    cases and 8 special ones.
 
-    In the boundary cases a circle of radius grid/2 puts the cell centers on
-    half-integers, and a Pythagorean-triple outline passes exactly through
-    some of them, where rounding decides the inside test.
+    In the boundary cases a circle of radius grid/2 puts the cell centers,
+    and the row midpoints, on half-integers, and a Pythagorean-triple
+    outline passes exactly through some of them: rounding decides the
+    inside test of a cell there, and the chord of a row that touches an
+    outline's top or bottom.
     """
     big = Ellipse((0, 0), (grid / 2, grid / 2), 0.0)
     cases = [(Ellipse((0.5 + dx, 0.5), (a, b), angle), big)
@@ -137,26 +140,51 @@ def _iou_cases(rng, n_random, grid):
     return cases
 
 
+def _near_pair(rng):
+    """An ellipse and a partner moved, stretched and turned a little from it,
+    as a reprojection is from its detection."""
+    e1 = _random_pair_ellipse(rng)
+    return e1, Ellipse(e1.center + rng.normal(size=2) * e1.axes[1],
+                       e1.axes * rng.uniform(0.7, 1.3, 2), e1.angle + rng.normal(scale=0.2))
+
+
+def _pair_conics(cases):
+    """The conics of the pairs, each pair in a frame centered on its first
+    ellipse, as :func:`ellipse_iou` builds them."""
+    origin = np.array([a.center for a, _ in cases])
+
+    def side(k):
+        return _ellipse_conics(np.array([p[k].center for p in cases]) - origin,
+                               np.array([p[k].axes for p in cases]),
+                               np.array([p[k].angle for p in cases]))
+
+    return side(0), side(1)
+
+
+def _lens_iou(d):
+    """Exact IoU of two unit circles whose centers are d apart."""
+    lens = 2.0 * math.acos(d / 2.0) - 0.5 * d * math.sqrt(4.0 - d * d)
+    return lens / (2.0 * math.pi - lens)
+
+
 class TestEllipseIoUKernel:
-    """The row-span kernel counts exactly the cells the full grid test counts."""
+    """The conic kernel sums the chords that the per-ellipse reference sums,
+    and its error against a fine reference stays below the grid's."""
 
-    @pytest.mark.parametrize("grid, n_random", [(128, 400), (512, 60), (5, 200)])
-    def test_equals_grid_reference(self, rng, grid, n_random):
-        cases = _iou_cases(rng, n_random, grid)
-        want = [grid_ellipse_iou(a, b, grid) for a, b in cases]
-        assert [ellipse_iou(a, b, grid) for a, b in cases] == want
+    @pytest.mark.parametrize("rows, n_random", [(128, 400), (512, 60), (5, 200)])
+    def test_equals_row_reference(self, rng, rows, n_random):
+        # the first 20 cases put a row midpoint on an outline's top or
+        # bottom, where the chord is the square root of a rounding-level
+        # value: there two exact computations agree to about sqrt(eps)
+        cases = _iou_cases(rng, n_random, rows)
+        want = np.array([row_ellipse_iou(a, b, rows) for a, b in cases])
+        for got in (np.array([ellipse_iou(a, b, rows) for a, b in cases]),
+                    _conic_ious(*_pair_conics(cases), rows)):
+            assert np.abs(got - want)[20:].max() <= 1e-12
+            assert np.abs(got - want)[:20].max() <= 1e-9
+        assert 0.0 < min(w for w in want if w > 0.0) and max(got) == 1.0
 
-        def side(k):
-            return (
-                np.array([p[k].center for p in cases]),
-                np.array([p[k].axes for p in cases]),
-                np.array([p[k].angle for p in cases]),
-            )
-
-        assert _ellipse_ious(*side(0), *side(1), grid).tolist() == want
-        assert 0.0 < min(w for w in want if w > 0.0) and max(want) == 1.0
-
-    def test_mixed_random_batch_equals_grid_reference(self, rng):
+    def test_mixed_random_batch_equals_row_reference(self, rng):
         # 360 seeded pairs in one call, a quarter each: tiny ellipses (from a
         # thousandth of a pixel to a few pixels, beside partners up to 100
         # times larger), near-circular ones (axes within 1e-9 of each other,
@@ -186,17 +214,87 @@ class TestEllipseIoUKernel:
                 e2 = Ellipse(e1.center + rng.normal(size=2) * e1.axes[0],
                              e1.axes * rng.uniform(0.5, 2.0, 2), rng.uniform(-1.5, 1.5))
             cases.append((e1, e2))
-        want = [grid_ellipse_iou(a, b, 128) for a, b in cases]
-        got = _ellipse_ious(*(np.array([getattr(p[s], f) for p in cases])
-                              for s in (0, 1) for f in ("center", "axes", "angle")), 128)
-        assert got.tolist() == want
-        assert want[2::4] == [0.0] * 90  # disjoint
-        assert min(want[0::4]) == 0.0 < max(want[0::4]) < 1.0  # tiny: some miss every cell
-        assert sum(0.0 < w < 1.0 for w in want[1::4] + want[3::4]) >= 90  # partial overlaps
+        want = np.array([row_ellipse_iou(a, b, 128) for a, b in cases])
+        got = _conic_ious(*_pair_conics(cases), 128)
+        assert np.abs(got - want).max() <= 1e-12
+        assert got[2::4].tolist() == [0.0] * 90  # disjoint
+        assert 0.0 < max(got[0::4]) < 1.0  # tiny
+        assert sum(0.0 < w < 1.0 for w in got[1::4].tolist() + got[3::4].tolist()) >= 90
+
+    def test_error_below_the_grid(self):
+        # 10,000 seeded near pairs of axis ratio up to 10, the consensus
+        # regime; the truth is the reference at 4096 rows, whose own error,
+        # falling as rows^-1.5, is about 1e-5 at most; the next test ties
+        # it to the full 4096 x 4096 grid
+        rng = np.random.default_rng(30)
+        cases = [_near_pair(rng) for _ in range(10_000)]
+        truth = np.array([row_ellipse_iou(a, b, 4096) for a, b in cases])
+        err = np.abs(_conic_ious(*_pair_conics(cases), 128) - truth)
+        err_grid = np.abs(np.array([grid_ellipse_iou(a, b, 128) for a, b in cases]) - truth)
+        assert err.max() <= 2e-3
+        assert err.max() <= err_grid.max() and err.mean() <= err_grid.mean()
+
+    def test_fine_reference_agrees_with_fine_grid(self):
+        # the first pairs of test_error_below_the_grid against the full
+        # 4096 x 4096 grid, whose cell is 1/32 of the 128 grid's
+        rng = np.random.default_rng(30)
+        for a, b in [_near_pair(rng) for _ in range(3)]:
+            assert row_ellipse_iou(a, b, 4096) == pytest.approx(grid_ellipse_iou(a, b, 4096),
+                                                                abs=1e-4)
+
+    def test_edge_cases(self):
+        e = Ellipse((10, 20), (5, 2), 0.7)
+        assert ellipse_iou(e, e, 128) == 1.0
+        assert ellipse_iou(Ellipse((0, 0), (1, 1), 0.0), Ellipse((10, 0), (1, 1), 0.0)) == 0.0
+        circles = (Ellipse((0, 0), (1, 1), 0.0), Ellipse((0, 0), (2, 2), 0.0))
+        assert ellipse_iou(*circles, 128) == pytest.approx(0.25, abs=1e-3)
+        # nested: the IoU is the ratio of the areas
+        outer, inner = Ellipse((3, -2), (4, 2), 0.3), Ellipse((3.5, -2), (1.5, 0.5), -0.4)
+        assert ellipse_iou(outer, inner, 128) == pytest.approx(0.75 / 8.0, abs=1e-3)
+        # tangent from outside (no overlap) and from inside (area ratio)
+        assert ellipse_iou(Ellipse((0, 0), (2, 1), 0.0), Ellipse((4, 0), (2, 1), 0.0)) == 0.0
+        assert ellipse_iou(Ellipse((0, 0), (2, 2), 0.0), Ellipse((1, 0), (1, 1), 0.0),
+                           128) == pytest.approx(0.25, abs=1e-3)
+        # eccentricity 1e4: two copies shifted along the major axis are two
+        # unit circles 0.5 apart under an affine map, which keeps the IoU
+        a = np.array([math.cos(0.3), math.sin(0.3)])
+        long1 = Ellipse((5, 7), (1e4, 1.0), 0.3)
+        long2 = Ellipse(long1.center + 5e3 * a, (1e4, 1.0), 0.3)
+        assert ellipse_iou(long1, long2, 128) == pytest.approx(_lens_iou(0.5), abs=1e-3)
+        # sub-row ellipses: one inside a partner 1e4 times wider, which no
+        # row may cut; two far apart, which no row cuts
+        big, tiny = Ellipse((0, 0), (10, 10), 0.0), Ellipse((0.3, 0.2), (2e-3, 1e-3), 0.4)
+        assert ellipse_iou(big, tiny, 128) == pytest.approx(2e-8, abs=1e-7)
+        dots = (Ellipse((0, 0), (2e-3, 1e-3), 0.4), Ellipse((0, 1), (2e-3, 1e-3), 0.4))
+        assert ellipse_iou(*dots, 2) == 0.0
+
+    def test_normalized_frame_equals_pixel_frame(self, rng):
+        # consensus scores conics in intrinsics-normalized coordinates; an
+        # upper-triangular K maps them to pixels row to row.  Detection-sized
+        # pairs, each in a pixel frame centered on its first ellipse, so that
+        # neither conic rounds its constant term at a far center
+        cases = []
+        for _ in range(300):
+            b = rng.uniform(5.0, 50.0)
+            e1 = Ellipse(rng.uniform(50.0, 450.0, 2), (b * rng.uniform(1.0, 4.0), b),
+                         rng.uniform(-1.5, 1.5))
+            cases.append((e1, Ellipse(e1.center + rng.normal(size=2) * b,
+                                      e1.axes * rng.uniform(0.7, 1.3, 2),
+                                      e1.angle + rng.normal(scale=0.2))))
+        M1, M2 = _pair_conics(cases)
+        pixel = _conic_ious(M1, M2, 128)
+        for skew in (0.0, 3.0):
+            K = np.tile([[520.0, skew, 318.0], [0.0, 490.0, 245.0], [0.0, 0.0, 1.0]],
+                        (len(cases), 1, 1))
+            K[:, :2, 2] -= [a.center for a, _ in cases]  # from that pixel frame
+            Kt = K.transpose(0, 2, 1)
+            normalized = _conic_ious(Kt @ M1 @ K, Kt @ M2 @ K, 128)
+            assert np.abs(normalized - pixel).max() <= 1e-12
+        assert np.count_nonzero((0.0 < pixel) & (pixel < 1.0)) >= 250
 
     def test_empty_batch(self):
-        none = np.zeros((0, 2))
-        assert _ellipse_ious(none, none, np.zeros(0), none, none, np.zeros(0), 128).shape == (0,)
+        none = np.zeros((0, 3, 3))
+        assert _conic_ious(none, none, 128).shape == (0,)
 
 
 class TestRigidInvariance:

@@ -7,7 +7,6 @@ import pytest
 
 from conftest import (
     axis_angle_to_matrix,
-    grid_ellipse_iou,
     max_axis,
     pair_row,
     pairs_table,
@@ -20,6 +19,7 @@ from conftest import (
     reference_lm,
     reference_refine,
     rot2d,
+    row_ellipse_iou,
     two_pair_pose,
 )
 from ellipose import pose as pose_module
@@ -50,8 +50,11 @@ from ellipose.pose import (
 )
 from ellipose.pose import (  # white-box kernels
     _DP_TRANSLATION,
-    _IOU_GRID,
+    _IOU_ROWS,
     _Pairs,
+    _admissible_counts,
+    _admissible_pair,
+    _below,
     _conic_areas,
     _conic_jacobians,
     _consensus,
@@ -195,9 +198,6 @@ class TestPairsTable:
                 "axes": c.ellipsoid.axes,
                 "rot_w": c.ellipsoid.rotation,
                 "max_axis": max_axis(c.ellipsoid),
-                "det_center": c.ellipse.center,
-                "det_axes": c.ellipse.axes,
-                "det_angle": c.ellipse.angle,
             }
             for name, want in exact.items():
                 assert np.array_equal(getattr(pairs, name)[i], want), name
@@ -663,7 +663,8 @@ class TestRefinePose:
 
 def reference_consensus(pose, cam, corrs, pairs, threshold, outcomes):
     """Per-pair consensus: scalar projection, the unit pixel conic's ellipse
-    and the full grid IoU; ``outcomes`` counts what happened to each pair."""
+    and the row-sum IoU from the two ellipses' centers, axes and angles;
+    ``outcomes`` counts what happened to each pair."""
     Kinv = np.linalg.inv(cam.K)
     inliers, total = [], 0.0
     for i, corr in enumerate(corrs):
@@ -677,7 +678,7 @@ def reference_consensus(pose, cam, corrs, pairs, threshold, outcomes):
             outcomes["not an ellipse"] += 1
             continue
         proj = Ellipse(centers[0], axes[0], angles[0])
-        iou = grid_ellipse_iou(corr.ellipse, proj, _IOU_GRID)
+        iou = row_ellipse_iou(proj, corr.ellipse, _IOU_ROWS)
         if iou >= threshold:
             outcomes["inlier"] += 1
             inliers.append(i)
@@ -714,8 +715,10 @@ def test_consensus_equals_per_pair_reference(rng):
                              truth.t + rng.normal(scale=step, size=3)))
         want = [reference_consensus(hyp, cam, corrs, pairs, 0.5, outcomes) for hyp in hyps]
         got = _consensus(np.stack([h.R for h in hyps]), np.stack([h.t for h in hyps]), pairs,
-                         cam.K, 0.5)
-        assert got == want
+                         0.5)
+        assert [inliers for inliers, _ in got] == [inliers for inliers, _ in want]
+        assert [score for _, score in got] == pytest.approx([score for _, score in want],
+                                                            abs=1e-12)
     assert min(outcomes.values()) > 0, outcomes
 
 
@@ -738,11 +741,11 @@ def test_stacked_consensus_equals_scoring_each_pose(rng):
             poses.append(Pose(axis_angle_to_matrix(rng.normal(scale=step, size=3)) @ truth.R,
                               truth.t + rng.normal(scale=step, size=3)))
     Rs, ts = np.stack([p.R for p in poses]), np.stack([p.t for p in poses])
-    got = _consensus(Rs, ts, pairs, cam.K, 0.5)
-    alone = [_consensus(R[None], t[None], pairs, cam.K, 0.5) for R, t in zip(Rs, ts)]
+    got = _consensus(Rs, ts, pairs, 0.5)
+    alone = [_consensus(R[None], t[None], pairs, 0.5) for R, t in zip(Rs, ts)]
     assert [[g] for g in got] == alone
     assert got[1] == got[4] == ((), 0.0) and len(got[0][0]) == 6
-    assert _consensus(Rs[:0], ts[:0], pairs, cam.K, 0.5) == []
+    assert _consensus(Rs[:0], ts[:0], pairs, 0.5) == []
 
 
 def test_ray_placements_of_rows_equal_each_row_alone(rng):
@@ -899,8 +902,12 @@ def reference_ransac(detections, cloud, cam, opts):
     detection-major, and, with the orientation known, places and scores
     every row alone, in row order, and, in full mode, solves each draw alone
     and scores every hypothesis alone, repeats included; then it polishes
-    the best hypothesis as :func:`ransac_pose` does.  Returns the estimate and the
-    list of minimal sets."""
+    the best hypothesis as :func:`ransac_pose` does.  Keys (inlier count,
+    mean IoU) rank by count, then by mean IoU, where mean IoUs within 1e-9
+    tie.  Returns the estimate and the list of minimal sets."""
+    def above(key, other):
+        return key[0] > other[0] or (key[0] == other[0] and key[1] > other[1] + 1e-9)
+
     assoc = [(pair_row(e, E), d, o) for d, (label, e) in enumerate(detections)
              for o, (obj_label, E) in enumerate(cloud.entries) if obj_label == label]
     corrs = [c for c, _, _ in assoc]
@@ -916,7 +923,7 @@ def reference_ransac(detections, cloud, cam, opts):
         rng = np.random.default_rng(np.random.SeedSequence(int(opts.seed)))
         draws = [admissible[k] for k in rng.integers(len(admissible), size=opts.iterations)]
     best, scored = None, []
-    for draw_idx, sample in enumerate(draws):
+    for sample in draws:
         try:
             if min_set == 1:
                 ts, ok = _ray_placements(opts.rotation[None], pairs, list(sample))
@@ -928,14 +935,14 @@ def reference_ransac(detections, cloud, cam, opts):
         except ElliposeError:
             continue
         for hyp in hypotheses:
-            ((inliers, score),) = _consensus(hyp.R[None], hyp.t[None], pairs, cam.K, threshold)
-            key = (len(inliers), score, -draw_idx)
+            ((inliers, score),) = _consensus(hyp.R[None], hyp.t[None], pairs, threshold)
+            key = (len(inliers), score)
             if len(inliers) >= min_set:
                 scored.append((key, hyp))
-                if best is None or key > best[0]:
+                if best is None or above(key, best[0]):  # the first of equal keys stays
                     best = (key, hyp, inliers)
-    (count, score, _), pose, inliers = best
-    rivals = [h for (n, s, _), h in scored if (n, s) == (count, score) and not (
+    (count, score), pose, inliers = best
+    rivals = [h for k, h in scored if not above(k, best[0]) and not above(best[0], k) and not (
         rotation_distance(h.R, pose.R) + np.linalg.norm(h.t - pose.t) / (
             1.0 + np.linalg.norm(pose.t)) < 0.05)]
     if rivals:
@@ -944,8 +951,8 @@ def reference_ransac(detections, cloud, cam, opts):
         rotation_fixed = not opts.refine_orientation or len(inliers) < 2
         refined = polish(pose, [corrs[i] for i in inliers], cam, rotation_fixed=rotation_fixed)
         ((inliers2, score2),) = _consensus(refined.pose.R[None], refined.pose.t[None], pairs,
-                                           cam.K, threshold)
-        if (len(inliers2), score2) < (len(inliers), score):
+                                           threshold)
+        if above((len(inliers), score), (len(inliers2), score2)):
             break
         grew = len(inliers2) > len(inliers)
         pose, inliers, score = refined.pose, inliers2, score2
@@ -1036,6 +1043,42 @@ def test_ransac_solves_each_distinct_draw_once(rng, monkeypatch, mode, solver):
         assert calls[0][2].tolist() == sorted(i for i, in distinct) == list(range(len(dets)))
 
 
+def test_consensus_keys_tie_within_1e_9():
+    # RANSAC's ranking and the polish guard: inlier count first, then mean
+    # IoU, where mean IoUs within 1e-9 tie
+    assert not _below((3, 0.8), (3, 0.8 + 1e-12)) and not _below((3, 0.8 + 1e-12), (3, 0.8))
+    assert _below((3, 0.8), (3, 0.8 + 1e-6)) and not _below((3, 0.8 + 1e-6), (3, 0.8))
+    assert _below((3, 0.9), (4, 0.5)) and not _below((4, 0.5), (3, 0.9))
+
+
+def test_admissible_pair_by_arithmetic_equals_the_listing():
+    # full mode draws the k-th admissible pair, in np.triu_indices order,
+    # from per-row counts instead of listing the pairs.  Layouts as _pairs
+    # builds them, each detection with every object of its label: one label
+    # per object, one label for all (4 x 4 and 40 x 40), a detection whose
+    # rows all share it, and seeded mixes of three labels
+    rng = np.random.default_rng(68)
+    layouts = [(range(6), range(6)), ([0] * 4, [0] * 4), ([0] * 40, [0] * 40), ([0], [0] * 5)]
+    layouts += [(rng.integers(3, size=rng.integers(1, 10)), rng.integers(3, size=rng.integers(1, 8)))
+                for _ in range(30)]
+    seen = 0
+    for det_labels, obj_labels in layouts:
+        rows = [(d, o) for d, label in enumerate(det_labels)
+                for o, obj_label in enumerate(obj_labels) if obj_label == label]
+        if not rows:
+            continue
+        det_idx, obj_idx = (np.array([r[k] for r in rows], int) for k in (0, 1))
+        i, j = np.triu_indices(len(rows), 1)
+        listing = np.flatnonzero((det_idx[i] != det_idx[j]) & (obj_idx[i] != obj_idx[j]))
+        count = _admissible_counts(det_idx, obj_idx)
+        assert count[-1] == listing.size
+        ks = range(listing.size) if listing.size < 5000 else rng.integers(listing.size, size=500)
+        for k in ks:
+            assert _admissible_pair(det_idx, obj_idx, count, k) == (i[listing[k]], j[listing[k]])
+        seen += listing.size > 0
+    assert seen >= 20
+
+
 def test_full_mode_two_spheres_tie_is_ambiguous():
     # two spheres fix the pose only up to the turn about the line through
     # their centers: two distinct hypotheses tie on both inliers at IoU 1,
@@ -1053,8 +1096,9 @@ def test_full_mode_two_spheres_tie_is_ambiguous():
     assert two_pair_outcome(got.value) == two_pair_outcome(want.value)
     pairs, _, _ = _pairs(dets, cloud, cam.K)
     a, b = got.value.candidates
-    got = _consensus(np.stack([a.R, b.R]), np.stack([a.t, b.t]), pairs, cam.K, 0.75)
-    assert got == [((0, 1), 1.0)] * 2
+    got = _consensus(np.stack([a.R, b.R]), np.stack([a.t, b.t]), pairs, 0.75)
+    assert [inliers for inliers, _ in got] == [(0, 1)] * 2
+    assert [score for _, score in got] == pytest.approx([1.0] * 2, abs=1e-9)
     assert rotation_distance(a.R, b.R) > 0.05
 
 

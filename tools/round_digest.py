@@ -6,17 +6,21 @@ Run from the repository root.  For each seed, the operations of the
 benchmark's two localisation workloads, ``localize_known`` and
 ``localize_full``, are built as ``bench/workload.py`` builds them and run
 once, in order, with one BLAS thread.  One line is printed per workload and
-seed::
+seed, and a second that leaves the scores out::
 
     localize_known seed 17 <sha256 hex>
+    localize_known seed 17 poses <sha256 hex>
 
-The recipe: one sha256 over the round's operations in order; for each
-operation that returns a pose estimate, the bytes of ``pose.R`` (float64,
-C order, native byte order), then the bytes of ``pose.t``, then
+The recipe of the first: one sha256 over the round's operations in order;
+for each operation that returns a pose estimate, the bytes of ``pose.R``
+(float64, C order, native byte order), then the bytes of ``pose.t``, then
 ``repr(inliers)`` encoded as UTF-8, then the bytes of
 ``numpy.float64(score)``; for an operation that raises an ``ElliposeError``,
-its class name encoded as UTF-8.  Two trees, or two processes, gave the same
-outputs for a round exactly when their digests are equal.
+its class name encoded as UTF-8.  The second is the same sha256 without the
+score bytes.  Two trees, or two processes, gave the same outputs for a round
+exactly when their first digests are equal, and the same poses and inlier
+sets when their second are: a change that moves only scores changes the
+first line alone.
 """
 
 import os
@@ -38,21 +42,24 @@ import ellipose  # noqa: E402
 import workload  # noqa: E402
 
 
-def round_digest(name, seed):
-    """sha256 hex digest of one round of workload ``name`` at ``seed``."""
+def round_digests(name, seed):
+    """sha256 hex digests of one round of workload ``name`` at ``seed``:
+    over everything, and over everything but the scores."""
     w = workload.make(name, seed)
-    h = hashlib.sha256()
+    full, poses = hashlib.sha256(), hashlib.sha256()
     for index, op in enumerate(w.ops):
         try:
             est = w.run(op, index)
         except ellipose.ElliposeError as exc:
-            h.update(type(exc).__name__.encode())
+            for h in (full, poses):
+                h.update(type(exc).__name__.encode())
             continue
-        h.update(np.ascontiguousarray(est.pose.R, np.float64).tobytes())
-        h.update(np.ascontiguousarray(est.pose.t, np.float64).tobytes())
-        h.update(repr(est.inliers).encode())
-        h.update(np.float64(est.score).tobytes())
-    return h.hexdigest()
+        for h in (full, poses):
+            h.update(np.ascontiguousarray(est.pose.R, np.float64).tobytes())
+            h.update(np.ascontiguousarray(est.pose.t, np.float64).tobytes())
+            h.update(repr(est.inliers).encode())
+        full.update(np.float64(est.score).tobytes())
+    return full.hexdigest(), poses.hexdigest()
 
 
 def main():
@@ -61,7 +68,9 @@ def main():
     args = ap.parse_args()
     for name in ("localize_known", "localize_full"):
         for seed in args.seed or (17,):
-            print(f"{name} seed {seed} {round_digest(name, seed)}", flush=True)
+            full, poses = round_digests(name, seed)
+            print(f"{name} seed {seed} {full}", flush=True)
+            print(f"{name} seed {seed} poses {poses}", flush=True)
 
 
 if __name__ == "__main__":
