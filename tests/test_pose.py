@@ -1059,8 +1059,8 @@ def test_admissible_pair_by_arithmetic_equals_the_listing():
     # rows all share it, and seeded mixes of three labels
     rng = np.random.default_rng(68)
     layouts = [(range(6), range(6)), ([0] * 4, [0] * 4), ([0] * 40, [0] * 40), ([0], [0] * 5)]
-    layouts += [(rng.integers(3, size=rng.integers(1, 10)), rng.integers(3, size=rng.integers(1, 8)))
-                for _ in range(30)]
+    layouts += [(rng.integers(3, size=rng.integers(1, 10)),
+                 rng.integers(3, size=rng.integers(1, 8))) for _ in range(30)]
     seen = 0
     for det_labels, obj_labels in layouts:
         rows = [(d, o) for d, label in enumerate(det_labels)
