@@ -5,17 +5,21 @@ a view's detections with the cloud's ellipsoids of the same label.  With
 the orientation known, each association's hypothesis is the closed-form
 camera placement: the ellipsoid center on the detection's back-projection
 ray at the area-equating depth.  In full mode, each distinct seeded draw
-of an unordered pair of associations that share no detection and no object
-is solved once for the full pose: an icosahedral rotation grid scored by
-that closed-form placement (both rows at every start, in one call), then
-joint 6-dof refinement, all draws of a view together.  The best hypothesis is
-polished on its inliers, the only damped least-squares solve besides the
-two-pair refinement.
+of a triple of associations with three distinct detections and three
+distinct objects is solved once, in closed form: P3P puts the three
+ellipsoid centers on the back-projection rays of the detection centers,
+all draws of a view in one vectorized call.  A view with no such triple
+draws pairs of associations that share no detection and no object
+instead, each solved for the full pose by an icosahedral rotation grid
+scored by the closed-form placement (both rows at every start, in one
+call), then joint 6-dof refinement, all draws of a view together.  The
+best hypothesis is polished on its inliers, the only damped least-squares
+solve besides the two-pair refinement.
 
 Each call converts its detections and ellipsoids once, into one table of
 stacked arrays (:func:`_pairs`), one row per association: the placements,
-the two-pair solves, consensus and the polish, which reads the inliers'
-rows, all read it.  A row depends on its own association alone, so a
+P3P, the two-pair solves, consensus and the polish, which reads the
+inliers' rows, all read it.  A row depends on its own association alone, so a
 subset's table is those rows of the full table, bit for bit.
 Every projection goes through the one conic-projection kernel of
 ``geometry`` over a stack of poses times pairs.  All residuals are
@@ -437,6 +441,81 @@ def _ray_placements(Rs, pairs: _Pairs, i):
 
 
 # ---------------------------------------------------------------------------
+# Three-row full pose
+# ---------------------------------------------------------------------------
+
+
+def _dot(x, y):
+    """Row-wise dot products of (..., 3) arrays, summed in a fixed order."""
+    return x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1] + x[..., 2] * y[..., 2]
+
+
+def _p3p(pairs: _Pairs, triples):
+    """Camera poses that put the ellipsoid centers of each triple of table
+    rows (triples (m,3)) on their detections' back-projection rays, all
+    triples in one pass.
+
+    Grunert's solution as reviewed by Haralick et al. (IJCV 1994): with the
+    depths s2 = u s1 and s3 = v s1 along the unit rays, v is a real root of
+    a quartic, an eigenvalue of its companion matrix; u follows linearly
+    and s1 from the distance of the first and third centers.  One Newton
+    step on the three center distances refines the depths, and the rotation
+    aligns the three centers with their points on the rays (SVD, with the
+    determinant's sign fixed).  Collinear centers, coincident rays and a
+    vanishing leading coefficient give no solution.
+
+    Returns (Rs (h,3,3), ts (h,3), of (h,)): every solution with positive
+    depths, triple by triple in the eigenvalue order, and the index of the
+    triple of each.
+    """
+    j, P = pairs.ray_dir[triples], pairs.center_w[triples]
+    first, second = [1, 0, 0], [2, 2, 1]  # sides a, b, c: the rows (2, 3), (1, 3), (1, 2)
+    D = P[:, first] - P[:, second]
+    d2, cos = _dot(D, D), _dot(j[:, first], j[:, second])
+    (a2, b2, c2), (ca, cb, cg) = d2.T, cos.T
+    normal = np.cross(D[:, 1], D[:, 2])
+    with np.errstate(all="ignore"):
+        p, q, r, e = (a2 - c2) / b2, (a2 + c2) / b2, c2 / b2, a2 / b2
+        coef = np.stack([
+            (p - 1.0) * (p - 1.0) - 4.0 * r * ca * ca,
+            4.0 * (p * (1.0 - p) * cb - (1.0 - q) * ca * cg + 2.0 * r * ca * ca * cb),
+            2.0 * (p * p - 1.0 + 2.0 * p * p * cb * cb + 2.0 * (1.0 - r) * ca * ca
+                   - 4.0 * q * ca * cb * cg + 2.0 * (1.0 - e) * cg * cg),
+            4.0 * (-p * (1.0 + p) * cb + 2.0 * e * cg * cg * cb - (1.0 - q) * ca * cg),
+            (1.0 + p) * (1.0 + p) - 4.0 * e * cg * cg,
+        ], axis=1)
+        top = -coef[:, 1:] / coef[:, :1]  # the companion matrix's first row
+        ok = ((_dot(normal, normal) > 1e-20 * b2 * c2) & (cos.max(axis=1) < 1.0 - 1e-12)
+              & np.isfinite(top).all(axis=1))
+    companion = np.zeros((len(ok), 4, 4))
+    companion[:, 0] = np.where(ok[:, None], top, 0.0)
+    companion[:, [1, 2, 3], [0, 1, 2]] = 1.0
+    w = np.linalg.eigvals(companion)
+    v = w.real
+    with np.errstate(all="ignore"):
+        u = ((p[:, None] - 1.0) * v * v - 2.0 * p[:, None] * cb[:, None] * v + 1.0 + p[:, None]) \
+            / (2.0 * (cg[:, None] - v * ca[:, None]))
+        s1 = np.sqrt(b2[:, None] / (1.0 + v * v - 2.0 * v * cb[:, None]))
+    of, root = np.nonzero(ok[:, None] & (w.imag == 0.0) & np.isfinite(u * s1))
+    s = s1[of, root, None] * np.stack([np.ones(len(of)), u[of, root], v[of, root]], axis=1)
+    # Newton on |s_k j_k - s_l j_l|^2 = |P_k - P_l|^2 over the three pairs (k, l)
+    x, y, cos = s[:, first], s[:, second], cos[of]
+    J = np.zeros((len(s), 3, 3))
+    J[:, [0, 1, 2], first] = 2.0 * (x - y * cos)
+    J[:, [0, 1, 2], second] = 2.0 * (y - x * cos)
+    step, _ = _damped_steps(J, x * x + y * y - 2.0 * x * y * cos - d2[of])
+    s = s + step
+    positive = (s > 0.0).all(axis=1)  # False where a singular step left NaN
+    of, s = of[positive], s[positive]
+    X, P = s[:, :, None] * j[of], P[of]
+    X_mean, P_mean = X.mean(axis=1), P.mean(axis=1)
+    U, _, Vt = np.linalg.svd((P - P_mean[:, None]).transpose(0, 2, 1) @ (X - X_mean[:, None]))
+    Vt[:, 2] *= np.sign(np.linalg.det(U @ Vt))[:, None]  # a rotation, not a reflection
+    Rs = Vt.transpose(0, 2, 1) @ U.transpose(0, 2, 1)
+    return Rs, X_mean - (Rs @ P_mean[:, :, None])[:, :, 0], of
+
+
+# ---------------------------------------------------------------------------
 # Two-pair full pose
 # ---------------------------------------------------------------------------
 
@@ -620,10 +699,13 @@ def ransac_pose(detections, cloud: EllipsoidCloud, cam: CameraModel, opts: Ransa
     equal labels, the rows of the table of :func:`_pairs`.
 
     With the orientation known, every row is placed once, in order, by
-    :func:`_ray_placements`; in full mode, each distinct seeded draw of an
-    unordered pair of rows that share no detection and no object is solved
-    once, all in one :func:`_two_pair_solutions` call.  A view with no such
-    pair raises NoValidPose.  Hypotheses are scored by the ellipse
+    :func:`_ray_placements`; in full mode, each distinct seeded draw of a
+    triple of rows with three distinct detections and three distinct
+    objects is solved once, all in one :func:`_p3p` call.  A view with no
+    such triple draws unordered pairs of rows that share no detection and
+    no object instead, solved in one :func:`_two_pair_solutions` call, and
+    a view with no such pair either raises NoValidPose.  A full-mode pose
+    needs at least two inliers.  Hypotheses are scored by the ellipse
     IoU between detections and reprojections.  The first ranked highest by
     :func:`_below` is polished on its inliers' rows by the one-candidate
     LM, and the refined pose replaces it unless it ranks below it.  A
@@ -640,9 +722,7 @@ def ransac_pose(detections, cloud: EllipsoidCloud, cam: CameraModel, opts: Ransa
         ts = ts[ok]
         Rs = Rs[:len(ts)]  # the one rotation, viewed once per kept row
     else:
-        poses = _two_pair_poses(pairs, det_idx, obj_idx, opts)
-        Rs = np.array([p.R for p in poses]).reshape(-1, 3, 3)
-        ts = np.array([p.t for p in poses]).reshape(-1, 3)
+        Rs, ts = _full_mode_hypotheses(pairs, det_idx, obj_idx, opts)
     best = rival = None  # best: ((count, score), hypothesis, inliers); rival: one tying it
     for h, (inliers, score) in enumerate(_consensus(Rs, ts, pairs, opts.inlier_iou_threshold)):
         if len(inliers) < min_set:
@@ -670,7 +750,7 @@ def ransac_pose(detections, cloud: EllipsoidCloud, cam: CameraModel, opts: Ransa
     # that inlier here, so the LM needs no per-pair limits of its own.
     # A single inlier leaves the rotation free to spin while tracking its
     # pair, so orientation refinement needs at least two.
-    for _ in range(4):
+    for _ in range(2):
         rotation_fixed = not opts.refine_orientation or len(inliers) < 2
         res, (R, t) = _refine_raw(pose.R[None], pose.t[None], pairs, np.array(inliers)[None],
                                   rotation_fixed=rotation_fixed)
@@ -694,22 +774,44 @@ def _below(key, other):
     return key[0] < other[0] or (key[0] == other[0] and key[1] < other[1] - 1e-9)
 
 
+def _full_mode_hypotheses(pairs: _Pairs, det_idx, obj_idx, opts: RansacOptions):
+    """Full-mode hypotheses (Rs (h,3,3), ts (h,3)) of the seeded draws, in
+    order of first draw.  A draw is an unordered triple of rows with three
+    distinct detections and three distinct objects, uniform over all such
+    triples, and every solution of every distinct draw comes from one
+    :func:`_p3p` call.  A view with no such triple takes the hypotheses of
+    :func:`_two_pair_poses` instead."""
+    count = _triple_counts(det_idx, obj_idx)
+    if count[-1]:
+        triples = _seeded_draws(count[-1], opts,
+                                lambda k: _admissible_triple(det_idx, obj_idx, count, k))
+        Rs, ts, _ = _p3p(pairs, np.array(triples))
+        return Rs, ts
+    poses = _two_pair_poses(pairs, det_idx, obj_idx, opts)
+    return (np.array([p.R for p in poses]).reshape(-1, 3, 3),
+            np.array([p.t for p in poses]).reshape(-1, 3))
+
+
+def _seeded_draws(total, opts: RansacOptions, nth):
+    """The minimal sets ``nth(k)`` of the distinct k among
+    ``opts.iterations`` seeded draws uniform below ``total``, in order of
+    first draw.  The draws come first, as the RNG stream never depends on a
+    solve, and each distinct one is solved once: the solvers are
+    deterministic, so a repeat would give poses already scored, which can
+    neither beat the best nor become a new rival to it."""
+    rng = np.random.default_rng(np.random.SeedSequence(int(opts.seed)))
+    return [nth(k) for k in dict.fromkeys(rng.integers(total, size=opts.iterations).tolist())]
+
+
 def _two_pair_poses(pairs: _Pairs, det_idx, obj_idx, opts: RansacOptions):
-    """Full-mode hypotheses: the list of the poses that
-    :func:`_two_pair_solutions` finds for the seeded draws, in order of
-    first draw, where it does not fail.  A draw is an unordered pair of
-    rows that share no detection and no object, uniform over all such
-    pairs.  The draws come first, as the RNG stream never depends on a
-    solve, and each distinct one is solved once, all together: the solver
-    is deterministic, so a repeat would give poses already scored, which
-    can neither beat the best nor become a new rival to it."""
+    """The list of the poses that :func:`_two_pair_solutions` finds for the
+    seeded draws, in order of first draw, where it does not fail.  A draw
+    is an unordered pair of rows that share no detection and no object,
+    uniform over all such pairs."""
     count = _admissible_counts(det_idx, obj_idx)
     if not count[-1]:
         raise NoValidPose("no two correspondences differ in both detection and object")
-    rng = np.random.default_rng(np.random.SeedSequence(int(opts.seed)))
-    drawn = rng.integers(count[-1], size=opts.iterations)
-    draws = list(dict.fromkeys(_admissible_pair(det_idx, obj_idx, count, k)
-                               for k in drawn.tolist()))
+    draws = _seeded_draws(count[-1], opts, lambda k: _admissible_pair(det_idx, obj_idx, count, k))
     poses = []
     for solution in _two_pair_solutions(pairs, draws):
         if isinstance(solution, AmbiguousSolution):
@@ -731,13 +833,43 @@ def _admissible_counts(det_idx, obj_idx):
     return np.cumsum(later)
 
 
+def _later_rows(det_idx, obj_idx, i):
+    """The rows after row i that share neither its detection nor its object."""
+    return i + 1 + np.flatnonzero((det_idx[i + 1:] != det_idx[i]) & (obj_idx[i + 1:] != obj_idx[i]))
+
+
 def _admissible_pair(det_idx, obj_idx, count, k):
     """The k-th admissible pair (i, j) in ``np.triu_indices`` order, from
     the counts of :func:`_admissible_counts`, with no list of the pairs."""
     i = int(np.searchsorted(count, k, side="right"))
-    skip = k - (int(count[i - 1]) if i else 0)
-    later = (det_idx[i + 1:] != det_idx[i]) & (obj_idx[i + 1:] != obj_idx[i])
-    return i, i + 1 + int(np.flatnonzero(later)[skip])
+    return i, int(_later_rows(det_idx, obj_idx, i)[k - (int(count[i - 1]) if i else 0)])
+
+
+def _triple_counts(det_idx, obj_idx):
+    """Cumulative counts (n,) of the admissible triples (i < j < k) of n >= 1
+    distinct (detection, object) rows, those of three distinct detections
+    and three distinct objects: entry i counts the triples whose first row
+    is at most i.  The triples that start at row i are the admissible pairs
+    of its admissible later rows, so this takes O(n^2) time and O(n)
+    memory."""
+    per = [0] * len(det_idx)
+    for i in range(len(det_idx)):
+        later = _later_rows(det_idx, obj_idx, i)
+        if later.size:
+            per[i] = int(_admissible_counts(det_idx[later], obj_idx[later])[-1])
+    return np.cumsum(per)
+
+
+def _admissible_triple(det_idx, obj_idx, count, k):
+    """The k-th admissible triple (i, j, l) in ``itertools.combinations``
+    order, from the counts of :func:`_triple_counts`, with no list of the
+    triples: the pair of the block of first row i comes from
+    :func:`_admissible_pair` on the admissible later rows of i."""
+    i = int(np.searchsorted(count, k, side="right"))
+    later = _later_rows(det_idx, obj_idx, i)
+    d, o = det_idx[later], obj_idx[later]
+    j, l = _admissible_pair(d, o, _admissible_counts(d, o), k - (int(count[i - 1]) if i else 0))
+    return i, int(later[j]), int(later[l])
 
 
 def _consensus(Rs, ts, pairs: _Pairs, threshold):

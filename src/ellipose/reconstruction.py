@@ -229,7 +229,8 @@ def generate_annotations(cloud: EllipsoidCloud, views):
     for v, k in zip(*np.nonzero(code)):
         exc = _outline_error(int(code[v, k]), float(depth[v, k]))
         skipped.append((views[v].view_id, labels[k], f"{type(exc).__name__}: {exc}"))
-    # each box half-extent in Python floats, as the IoU grid takes it
+    # each box half-extent in Python floats, whose powers can differ from
+    # numpy's in the last bit: it keeps annotations.json byte-identical
     half = np.array([_bbox_half(a, b, t) for (a, b), t in zip(
         axes.reshape(-1, 2).tolist(), angles.ravel().tolist())]).reshape(axes.shape)
     boxes = np.concatenate([centers - half, centers + half], axis=-1)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 import warnings
@@ -54,15 +55,18 @@ from ellipose.pose import (  # white-box kernels
     _Pairs,
     _admissible_counts,
     _admissible_pair,
+    _admissible_triple,
     _below,
     _conic_areas,
     _conic_jacobians,
     _consensus,
     _levenberg_marquardt,
+    _p3p,
     _pairs,
     _pose_directions,
     _ray_placements,
     _rotations,
+    _triple_counts,
 )
 from ellipose.simulator import (
     DEG,
@@ -897,14 +901,68 @@ class TestRansac:
         assert hits >= 19
 
 
+def scalar_p3p(rays, centers):
+    """The poses putting each of three world points ``centers`` (3,3) on
+    its unit ray ``rays`` (3,3) at positive depth, for one triple alone:
+    Grunert's quartic in v = s3/s1 by ``np.roots``, u = s2/s1 and s1 from
+    each real root, one Newton step on the three distances, and the Kabsch
+    rotation with the reflection fixed.  Empty for collinear points or
+    coincident rays."""
+    def dot(x, y):
+        return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
+
+    (a2, b2, c2), (ca, cb, cg) = zip(*[
+        (dot(centers[k] - centers[l], centers[k] - centers[l]), dot(rays[k], rays[l]))
+        for k, l in ((1, 2), (0, 2), (0, 1))])
+    normal = np.cross(centers[0] - centers[2], centers[0] - centers[1])
+    if not (dot(normal, normal) > 1e-20 * b2 * c2 and max(ca, cb, cg) < 1.0 - 1e-12):
+        return []
+    p, q, r, e = (a2 - c2) / b2, (a2 + c2) / b2, c2 / b2, a2 / b2
+    roots = np.roots([
+        (p - 1.0) * (p - 1.0) - 4.0 * r * ca * ca,
+        4.0 * (p * (1.0 - p) * cb - (1.0 - q) * ca * cg + 2.0 * r * ca * ca * cb),
+        2.0 * (p * p - 1.0 + 2.0 * p * p * cb * cb + 2.0 * (1.0 - r) * ca * ca
+               - 4.0 * q * ca * cb * cg + 2.0 * (1.0 - e) * cg * cg),
+        4.0 * (-p * (1.0 + p) * cb + 2.0 * e * cg * cg * cb - (1.0 - q) * ca * cg),
+        (1.0 + p) * (1.0 + p) - 4.0 * e * cg * cg,
+    ])
+    poses = []
+    for v in roots[roots.imag == 0.0].real:
+        u = ((p - 1.0) * v * v - 2.0 * p * cb * v + 1.0 + p) / (2.0 * (cg - v * ca))
+        s1 = np.sqrt(b2 / (1.0 + v * v - 2.0 * v * cb))
+        s = s1 * np.array([1.0, u, v])
+        J, F = np.zeros((3, 3)), np.zeros(3)  # Newton on the three distances
+        for row, (k, l, cos, d2) in enumerate(((1, 2, ca, a2), (0, 2, cb, b2), (0, 1, cg, c2))):
+            J[row, k], J[row, l] = 2.0 * (s[k] - s[l] * cos), 2.0 * (s[l] - s[k] * cos)
+            F[row] = s[k] * s[k] + s[l] * s[l] - 2.0 * s[k] * s[l] * cos - d2
+        s = s + np.linalg.solve(J[None], -F[None, :, None])[0, :, 0]
+        if not (s > 0.0).all():
+            continue
+        X = s[:, None] * rays
+        U, _, Vt = np.linalg.svd((centers - centers.mean(axis=0)).T @ (X - X.mean(axis=0)))
+        Vt[2] *= np.sign(np.linalg.det(U @ Vt))
+        R = Vt.T @ U.T
+        poses.append(Pose(R, X.mean(axis=0) - (R @ centers.mean(axis=0)[:, None])[:, 0]))
+    return poses
+
+
+def admissible_triples(det_idx, obj_idx):
+    """The triples of rows with three distinct detections and three distinct
+    objects, in ``itertools.combinations`` order."""
+    return [rows for rows in itertools.combinations(range(len(det_idx)), 3)
+            if len(set(det_idx[list(rows)])) == len(set(obj_idx[list(rows)])) == 3]
+
+
 def reference_ransac(detections, cloud, cam, opts):
     """RANSAC that pairs every detection with every object of its label,
     detection-major, and, with the orientation known, places and scores
     every row alone, in row order, and, in full mode, solves each draw alone
     and scores every hypothesis alone, repeats included; then it polishes
-    the best hypothesis as :func:`ransac_pose` does.  Keys (inlier count,
-    mean IoU) rank by count, then by mean IoU, where mean IoUs within 1e-9
-    tie.  Returns the estimate and the list of minimal sets."""
+    the best hypothesis as :func:`ransac_pose` does.  A full-mode draw is a
+    triple of rows solved by :func:`scalar_p3p`, or, in a view with no
+    admissible triple, a pair solved by the two-pair core.  Keys (inlier
+    count, mean IoU) rank by count, then by mean IoU, where mean IoUs within
+    1e-9 tie.  Returns the estimate and the list of minimal sets."""
     def above(key, other):
         return key[0] > other[0] or (key[0] == other[0] and key[1] > other[1] + 1e-9)
 
@@ -917,9 +975,11 @@ def reference_ransac(detections, cloud, cam, opts):
     threshold = opts.inlier_iou_threshold
     if min_set == 1:
         draws = [(i,) for i in range(len(corrs))]
-    else:  # uniform over the unordered pairs of rows sharing no detection or object
-        admissible = [(i, j) for i in range(len(corrs)) for j in range(i + 1, len(corrs))
-                      if det_idx[i] != det_idx[j] and obj_idx[i] != obj_idx[j]]
+    else:  # uniform over the admissible triples, else the unordered pairs of
+        # rows sharing no detection or object
+        admissible = admissible_triples(det_idx, obj_idx) or [
+            (i, j) for i in range(len(corrs)) for j in range(i + 1, len(corrs))
+            if det_idx[i] != det_idx[j] and obj_idx[i] != obj_idx[j]]
         rng = np.random.default_rng(np.random.SeedSequence(int(opts.seed)))
         draws = [admissible[k] for k in rng.integers(len(admissible), size=opts.iterations)]
     best, scored = None, []
@@ -928,6 +988,9 @@ def reference_ransac(detections, cloud, cam, opts):
             if min_set == 1:
                 ts, ok = _ray_placements(opts.rotation[None], pairs, list(sample))
                 hypotheses = [Pose(opts.rotation, ts[0])] if ok[0] else []
+            elif len(sample) == 3:
+                rows = list(sample)
+                hypotheses = scalar_p3p(pairs.ray_dir[rows], pairs.center_w[rows])
             else:
                 hypotheses = [two_pair_pose(corrs[sample[0]], corrs[sample[1]], cam)]
         except AmbiguousSolution as exc:
@@ -1008,7 +1071,7 @@ def test_known_mode_ignores_seed_and_iterations(rng):
 
 
 @pytest.mark.parametrize(
-    "mode, solver", [("orientation_known", "_ray_placements"), ("full", "_two_pair_solutions")]
+    "mode, solver", [("orientation_known", "_ray_placements"), ("full", "_p3p")]
 )
 def test_ransac_solves_each_distinct_draw_once(rng, monkeypatch, mode, solver):
     dets, cloud, cam, opts = ransac_problem(rng, mode, seed=3)
@@ -1030,14 +1093,15 @@ def test_ransac_solves_each_distinct_draw_once(rng, monkeypatch, mode, solver):
 
     monkeypatch.setattr(pose_module, solver, counting)
     monkeypatch.setattr(pose_module, "_levenberg_marquardt", recording)
+    monkeypatch.setattr(pose_module, "_two_pair_solutions", None)  # every view has a triple
     ransac_pose(dets, cloud, cam, opts)
-    if mode == "full":  # one call for the view, each distinct draw once
+    if mode == "full":  # one call for the view, each distinct draw once, in order of first draw
         assert len(calls) == 1
-        solved = list(calls[0][1])
-        assert len(solved) == len(distinct) < opts.iterations and set(solved) == distinct
-        assert len({frozenset(rows) for rows in solved}) == len(solved)  # nor as (j, i)
-        # one stage-B and one stage-C LM for all the draws, then the polish
-        assert lm_runs[:2] == [8, 60] and set(lm_runs[2:]) == {50}
+        solved = [tuple(rows) for rows in calls[0][1].tolist()]
+        assert len(solved) == len(distinct) < opts.iterations
+        assert solved == list(dict.fromkeys(draws))
+        assert len({frozenset(rows) for rows in solved}) == len(solved)  # nor reordered
+        assert lm_runs and set(lm_runs) == {50}  # no LM but the polish
     else:  # one call for the view, every row in row order
         assert len(calls) == 1
         assert calls[0][2].tolist() == sorted(i for i, in distinct) == list(range(len(dets)))
@@ -1079,6 +1143,111 @@ def test_admissible_pair_by_arithmetic_equals_the_listing():
     assert seen >= 20
 
 
+def test_admissible_triple_by_arithmetic_equals_the_listing():
+    # full mode draws the k-th admissible triple, in itertools.combinations
+    # order, from per-row counts instead of listing the triples.  Layouts as
+    # _pairs builds them: one label per object, one label for all (4 x 4
+    # and 12 x 12), views of fewer than three rows, views with rows but no
+    # admissible triple, and seeded mixes of three labels
+    rng = np.random.default_rng(69)
+    layouts = [(range(6), range(6)), ([0] * 4, [0] * 4), ([0] * 12, [0] * 12), ([0], [0]),
+               (range(2), range(2)), ([0] * 2, [0] * 5), ([0] * 5, [0] * 2), ([0, 0, 1], [0, 1])]
+    layouts += [(rng.integers(3, size=rng.integers(1, 9)),
+                 rng.integers(3, size=rng.integers(1, 7))) for _ in range(60)]
+    seen = empty = 0
+    for det_labels, obj_labels in layouts:
+        rows = [(d, o) for d, label in enumerate(det_labels)
+                for o, obj_label in enumerate(obj_labels) if obj_label == label]
+        if not rows:
+            continue
+        det_idx, obj_idx = (np.array([r[k] for r in rows], int) for k in (0, 1))
+        listing = admissible_triples(det_idx, obj_idx)
+        count = _triple_counts(det_idx, obj_idx)
+        assert len(count) == len(rows) and count[-1] == len(listing)
+        ks = range(len(listing)) if len(listing) < 2000 else rng.integers(len(listing), size=300)
+        for k in ks:
+            assert _admissible_triple(det_idx, obj_idx, count, int(k)) == listing[k]
+        seen += len(listing) > 0
+        empty += not listing
+    assert seen >= 20 and empty >= 20
+
+
+def p3p_problem(rng, m):
+    """m seeded triples of world points in front of random cameras: the
+    table (unit rays and centers only, rows 3k to 3k + 2 the k-th triple)
+    and the true rotations and translations."""
+    R = np.array([random_rotation(rng) for _ in range(m)])
+    t = rng.normal(size=(m, 3))
+    X = np.concatenate([rng.uniform(-1.0, 1.0, (m, 3, 2)), rng.uniform(1.0, 5.0, (m, 3, 1))], axis=2)
+    centers = (X - t[:, None]) @ R  # R^T (X - t), row by row
+    rays = X / np.linalg.norm(X, axis=2, keepdims=True)
+    table = _Pairs(None, centers.reshape(-1, 3), None, None, None, None, None, rays.reshape(-1, 3))
+    return table, R, t
+
+
+def test_p3p_finds_the_truth_with_every_center_on_its_ray():
+    # one call for 1200 triples: the true pose is among each triple's
+    # solutions to 1e-9 in at least 99% of them; every solution is a
+    # rotation that puts each center on its ray at positive depth; and each
+    # triple's solutions are those of the one-triple reference, bit for bit
+    m = 1200
+    table, R, t = p3p_problem(np.random.default_rng(70), m)
+    Rs, ts, of = _p3p(table, np.arange(3 * m).reshape(m, 3))
+    assert np.all(np.diff(of) >= 0) and len(of) <= 4 * m
+    error = np.maximum(np.abs(Rs - R[of]).max(axis=(1, 2)), np.abs(ts - t[of]).max(axis=1))
+    best = np.full(m, np.inf)
+    np.minimum.at(best, of, error)
+    assert np.mean(best < 1e-9) >= 0.99
+    assert np.abs(Rs @ Rs.transpose(0, 2, 1) - np.eye(3)).max() < 1e-12
+    assert np.abs(np.linalg.det(Rs) - 1.0).max() < 1e-12
+    X = Rs[:, None] @ table.center_w.reshape(m, 3, 3, 1)[of] + ts[:, None, :, None]
+    rays = table.ray_dir.reshape(m, 3, 3)[of]
+    depth = (rays[..., None, :] @ X)[..., 0, 0]
+    assert depth.min() > 0.0
+    off = np.linalg.norm(X[..., 0] - depth[..., None] * rays, axis=2)
+    assert off.max() < 1e-8 * depth.max()
+    for k in range(0, m, 6):
+        rows = np.arange(3 * k, 3 * k + 3)
+        want = scalar_p3p(table.ray_dir[rows], table.center_w[rows])
+        got = np.flatnonzero(of == k)
+        assert len(got) == len(want)
+        for h, pose in zip(got, want):
+            assert Rs[h].tobytes() == pose.R.tobytes() and ts[h].tobytes() == pose.t.tobytes()
+
+
+def test_p3p_degenerate_triples_give_no_solution():
+    # collinear or coincident centers, and coincident rays, give no pose and
+    # no floating-point warning; the good triple between them still solves
+    table, _, _ = p3p_problem(np.random.default_rng(71), 1)
+    centers, rays = table.center_w, table.ray_dir
+    collinear = np.array([centers[0], centers[1], 2.0 * centers[1] - centers[0]])
+    coincident = np.array([centers[0], centers[0], centers[2]])
+    cases = [(collinear, rays), (coincident, rays), (centers, rays[[0, 0, 2]]),
+             (centers, rays[[0, 1, 1]]), (centers, rays)]
+    table = table._replace(center_w=np.concatenate([c for c, _ in cases]),
+                           ray_dir=np.concatenate([r for _, r in cases]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        Rs, ts, of = _p3p(table, np.arange(15).reshape(5, 3))
+        assert len(of) and set(of.tolist()) == {4}
+        for rows in np.arange(12).reshape(4, 3):
+            assert not scalar_p3p(table.ray_dir[rows], table.center_w[rows])
+        Rs, ts, of = _p3p(table, np.zeros((0, 3), int))
+    assert Rs.shape == (0, 3, 3) and ts.shape == (0, 3) and of.shape == (0,)
+    # a view of three objects on a line has a triple, but no P3P pose:
+    # full mode names the failure
+    cam = default_camera()
+    truth = look_at((1.2, 0.9, 1.3), (0.0, 0.0, 0.0))
+    cloud = EllipsoidCloud(tuple((f"o{i}", Ellipsoid((0.2 * i, 0.0, 0.0), (0.05, 0.04, 0.03),
+                                                      random_rotation(np.random.default_rng(i))))
+                                 for i in range(3)))
+    dets = [(label, project_ellipsoid(E, truth, cam)) for label, E in cloud.entries]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NoValidPose, match="no hypothesis reached the minimal inlier count"):
+            ransac_pose(dets, cloud, cam, RansacOptions(mode="full"))
+
+
 def test_full_mode_two_spheres_tie_is_ambiguous():
     # two spheres fix the pose only up to the turn about the line through
     # their centers: two distinct hypotheses tie on both inliers at IoU 1,
@@ -1105,11 +1274,10 @@ def test_full_mode_two_spheres_tie_is_ambiguous():
 @pytest.mark.parametrize("seed", [1, 8])
 def test_one_label_full_mode_contract(monkeypatch, seed):
     # 4 detections x 4 objects of one label: 16 correspondences, the true
-    # ones rows 0, 5, 10 and 15.  Scene 1, drawn with seed 7, reaches the
-    # rows 3 and 14, whose two-pair refinement once met a projection
-    # degenerate to rounding and now finds two equally good minima, and an
-    # all-true minimal set; scene 8, drawn with its own seed, reaches no
-    # all-true minimal set
+    # ones rows 0, 5, 10 and 15, and 96 admissible triples.  Every drawn
+    # triple has three distinct detections and three distinct objects;
+    # scene 1, drawn with seed 7, and scene 8, drawn with its own seed, each
+    # reach an all-true triple, whose P3P solution is the exact pose
     draw_seed = {1: 7, 8: 8}[seed]
     rng = np.random.default_rng(seed)
     objs = []
@@ -1123,48 +1291,39 @@ def test_one_label_full_mode_contract(monkeypatch, seed):
     truth = look_at((1.2, 0.9, 1.3), (0.0, 0.0, 0.0))
     dets = [(label, project_ellipsoid(E, truth, cam)) for label, E in cloud.entries]
     _, det_idx, obj_idx = _pairs(dets, cloud, cam.K)
-    assert len(det_idx) == 16
-    solved = {}
-    solve = pose_module._two_pair_solutions
+    assert len(det_idx) == 16 and len(admissible_triples(det_idx, obj_idx)) == 96
+    solved = []
+    solve = pose_module._p3p
 
-    def recording(pairs, draws):
-        solutions = solve(pairs, draws)
-        solved.update(zip(draws, solutions))
-        return solutions
+    def recording(pairs, triples):
+        solved.extend(tuple(rows) for rows in triples.tolist())
+        return solve(pairs, triples)
 
-    monkeypatch.setattr(pose_module, "_two_pair_solutions", recording)
+    monkeypatch.setattr(pose_module, "_p3p", recording)
     start = time.perf_counter()
-    try:
-        est = ransac_pose(dets, cloud, cam,
-                          RansacOptions(mode="full", iterations=20, seed=draw_seed))
-    except NoValidPose:
-        est = None
-    # under 0.3 s on a 2-core host; the bound leaves room for a slow one
+    est = ransac_pose(dets, cloud, cam, RansacOptions(mode="full", iterations=20, seed=draw_seed))
+    # under 0.05 s on a 2-core host; the bound leaves room for a slow one
     assert time.perf_counter() - start < 60.0
     assert solved
-    for i, j in solved:  # rows of the table: no shared detection or object
-        assert det_idx[i] != det_idx[j] and obj_idx[i] != obj_idx[j]
-    all_true = [rows for rows in solved if set(rows) <= {0, 5, 10, 15}]
-    if seed == 1:
-        assert isinstance(solved.get((3, 14)), AmbiguousSolution) and all_true
-        assert est is not None
-        rot, pos = pose_errors(est.pose, truth)
-        assert rot < 1e-8 and pos < 1e-8
-        assert est.inliers == (0, 5, 10, 15)
-    else:
-        assert not all_true and est is None
+    for rows in solved:  # rows of the table: no shared detection or object
+        assert len(set(det_idx[list(rows)])) == len(set(obj_idx[list(rows)])) == 3
+    assert [rows for rows in solved if set(rows) <= {0, 5, 10, 15}]
+    rot, pos = pose_errors(est.pose, truth)
+    assert rot < 1e-8 and pos < 1e-8
+    assert est.inliers == (0, 5, 10, 15)
 
 
 def test_full_mode_without_an_admissible_pair_is_named(monkeypatch):
     # two detections of one label and one object of it, or one detection
     # and two objects: every two rows share the object or the detection,
-    # so no minimal set exists and nothing is solved
+    # so no minimal set exists and nothing is solved, by P3P or in pairs
     cam = default_camera()
     truth = look_at((1.2, 0.9, 1.3), (0.0, 0.0, 0.0))
     E = Ellipsoid((0.0, 0.0, 0.0), (0.12, 0.08, 0.05), np.eye(3))
     e = project_ellipsoid(E, truth, cam)
     shifted = Ellipse(e.center + 40.0, e.axes, e.angle)
     monkeypatch.setattr(pose_module, "_two_pair_solutions", None)
+    monkeypatch.setattr(pose_module, "_p3p", None)
     for dets, objects in (([("x", e), ("x", shifted)], [E]),
                           ([("x", e)], [E, Ellipsoid((0.3, 0.0, 0.0), E.axes, np.eye(3))])):
         cloud = EllipsoidCloud(tuple(("x", obj) for obj in objects))

@@ -93,6 +93,29 @@ def test_box_fitted_view_localises_with_orientation_known(view_id, px, seed, n_i
     assert result.n_inliers == n_inliers and result.position_error < 0.05
 
 
+def test_box_fitted_view_localises_in_full_mode():
+    # one view of the 25 x 10 board rig with box-fitted detections at 10 px,
+    # no orientation given: the two-pair solver returned a 2-inlier pose
+    # about 130 degrees and 0.9 m off here; P3P on the detection centres
+    # finds the pose that all six detections agree with
+    scene = tless_like_board(6)
+    views = [v for v in sample_cameras(CameraRig(0.75, 25, 10)) if v.view_id == "el08_az010"]
+    detector = DetectorModel("inscribed_of_noisy_box", 10.0, seed=17)
+    _, results, failures = localize_views(
+        views,
+        lambda view: [(label, e) for label, e, _ in run_detector(detector, scene, view)],
+        cloud_of_scene(scene),
+        mode="full",
+        iterations=8,
+        inlier_iou_threshold=0.35,
+        seed=17,
+    )
+    assert failures == {}
+    (result,) = results
+    assert result.n_inliers == 6
+    assert result.rotation_error < 10.0 * DEG and result.position_error < 0.1
+
+
 def test_fig3_demo_imports_no_scipy(tmp_path):
     # its point sets have at most 16 points, which need no convex hull; an
     # import of scipy.spatial would add about 30 MB to the process
