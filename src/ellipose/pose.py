@@ -8,11 +8,12 @@ ray at the area-equating depth.  In full mode, each distinct seeded draw
 of a triple of associations with three distinct detections and three
 distinct objects is solved once, in closed form: P3P puts the three
 ellipsoid centers on the back-projection rays of the detection centers,
-all draws of a view in one vectorized call.  A view with no such triple
-draws pairs of associations that share no detection and no object
-instead, each solved for the full pose by an icosahedral rotation grid
-scored by the closed-form placement (both rows at every start, in one
-call), then joint 6-dof refinement, all draws of a view together.  The
+all draws of a view in one vectorized call.  A view with no such triple,
+or whose triples give no pose with two inliers (its object centers on one
+line, say), draws pairs of associations that share no detection and no
+object instead, each solved for the full pose by an icosahedral rotation
+grid scored by the closed-form placement (both rows at every start, in
+one call), then joint 6-dof refinement, all draws of a view together.  The
 best hypothesis is polished on its inliers, the only damped least-squares
 solve besides the two-pair refinement.
 
@@ -457,12 +458,14 @@ def _p3p(pairs: _Pairs, triples):
 
     Grunert's solution as reviewed by Haralick et al. (IJCV 1994): with the
     depths s2 = u s1 and s3 = v s1 along the unit rays, v is a real root of
-    a quartic, an eigenvalue of its companion matrix; u follows linearly
-    and s1 from the distance of the first and third centers.  One Newton
-    step on the three center distances refines the depths, and the rotation
-    aligns the three centers with their points on the rays (SVD, with the
-    determinant's sign fixed).  Collinear centers, coincident rays and a
-    vanishing leading coefficient give no solution.
+    a quartic, an eigenvalue of its companion matrix (a near-real pair of
+    them, near a double root, counts once); u follows linearly and s1 from
+    the distance of the first and third centers.  One Newton step on the
+    three center distances refines the depths where it does not raise
+    their residual, and the rotation aligns the three centers with their
+    points on the rays (SVD, with the determinant's sign fixed).  Collinear
+    centers, coincident rays and a vanishing leading coefficient give no
+    solution.
 
     Returns (Rs (h,3,3), ts (h,3), of (h,)): every solution with positive
     depths, triple by triple in the eigenvalue order, and the index of the
@@ -492,20 +495,34 @@ def _p3p(pairs: _Pairs, triples):
     companion[:, [1, 2, 3], [0, 1, 2]] = 1.0
     w = np.linalg.eigvals(companion)
     v = w.real
+    # a real root of a real matrix has imaginary part 0; near a double root
+    # rounding can split it into a conjugate pair, kept once (imag >= 0) by
+    # its real part, for the Newton step and the depth test to judge
+    real = (w.imag >= 0.0) & (w.imag <= 1e-6 * (1.0 + np.abs(w)))
     with np.errstate(all="ignore"):
         u = ((p[:, None] - 1.0) * v * v - 2.0 * p[:, None] * cb[:, None] * v + 1.0 + p[:, None]) \
             / (2.0 * (cg[:, None] - v * ca[:, None]))
         s1 = np.sqrt(b2[:, None] / (1.0 + v * v - 2.0 * v * cb[:, None]))
-    of, root = np.nonzero(ok[:, None] & (w.imag == 0.0) & np.isfinite(u * s1))
+    of, root = np.nonzero(ok[:, None] & real & np.isfinite(u * s1))
     s = s1[of, root, None] * np.stack([np.ones(len(of)), u[of, root], v[of, root]], axis=1)
-    # Newton on |s_k j_k - s_l j_l|^2 = |P_k - P_l|^2 over the three pairs (k, l)
-    x, y, cos = s[:, first], s[:, second], cos[of]
+    # one Newton step on |s_k j_k - s_l j_l|^2 = |P_k - P_l|^2 over the
+    # three pairs (k, l), kept only where it does not raise the residual:
+    # at a double root its Jacobian is singular, and the step can run off
+    cos, d2 = cos[of], d2[of]
+
+    def gaps(s):
+        x, y = s[:, first], s[:, second]
+        return x, y, x * x + y * y - 2.0 * x * y * cos - d2
+
+    x, y, F = gaps(s)
     J = np.zeros((len(s), 3, 3))
     J[:, [0, 1, 2], first] = 2.0 * (x - y * cos)
     J[:, [0, 1, 2], second] = 2.0 * (y - x * cos)
-    step, _ = _damped_steps(J, x * x + y * y - 2.0 * x * y * cos - d2[of])
-    s = s + step
-    positive = (s > 0.0).all(axis=1)  # False where a singular step left NaN
+    step, _ = _damped_steps(J, F)
+    with np.errstate(all="ignore"):  # a step off to overflow is not kept
+        kept = np.abs(gaps(s + step)[2]).sum(axis=1) <= np.abs(F).sum(axis=1)  # False on NaN
+    s = np.where(kept[:, None], s + step, s)
+    positive = (s > 0.0).all(axis=1)
     of, s = of[positive], s[positive]
     X, P = s[:, :, None] * j[of], P[of]
     X_mean, P_mean = X.mean(axis=1), P.mean(axis=1)
@@ -702,11 +719,12 @@ def ransac_pose(detections, cloud: EllipsoidCloud, cam: CameraModel, opts: Ransa
     :func:`_ray_placements`; in full mode, each distinct seeded draw of a
     triple of rows with three distinct detections and three distinct
     objects is solved once, all in one :func:`_p3p` call.  A view with no
-    such triple draws unordered pairs of rows that share no detection and
-    no object instead, solved in one :func:`_two_pair_solutions` call, and
-    a view with no such pair either raises NoValidPose.  A full-mode pose
-    needs at least two inliers.  Hypotheses are scored by the ellipse
-    IoU between detections and reprojections.  The first ranked highest by
+    such triple, or whose triples give no pose with two inliers, draws
+    unordered pairs of rows that share no detection and no object instead,
+    solved in one :func:`_two_pair_solutions` call, and a view with no such
+    pair either raises NoValidPose.  A full-mode pose needs at least two
+    inliers.  Hypotheses are scored by the ellipse IoU between detections
+    and reprojections.  The first ranked highest by
     :func:`_below` is polished on its inliers' rows by the one-candidate
     LM, and the refined pose replaces it unless it ranks below it.  A
     distinct pose (outside the cluster of :func:`_same_pose`) that ties it
@@ -720,20 +738,14 @@ def ransac_pose(detections, cloud: EllipsoidCloud, cam: CameraModel, opts: Ransa
         Rs = np.broadcast_to(opts.rotation, (len(det_idx), 3, 3))
         ts, ok = _ray_placements(Rs, pairs, np.arange(len(det_idx)))
         ts = ts[ok]
-        Rs = Rs[:len(ts)]  # the one rotation, viewed once per kept row
+        hypotheses = [(Rs[:len(ts)], ts)]  # the one rotation, viewed once per kept row
     else:
-        Rs, ts = _full_mode_hypotheses(pairs, det_idx, obj_idx, opts)
-    best = rival = None  # best: ((count, score), hypothesis, inliers); rival: one tying it
-    for h, (inliers, score) in enumerate(_consensus(Rs, ts, pairs, opts.inlier_iou_threshold)):
-        if len(inliers) < min_set:
-            continue
-        key = (len(inliers), score)
-        if best is None or _below(best[0], key):
-            best, rival = (key, h, inliers), None
-        elif not _below(key, best[0]) and rival is None and not _same_pose(
-                Rs[h], ts[h], Rs[best[1]], ts[best[1]]):
-            rival = h
-    if best is None:
+        hypotheses = _full_mode_hypotheses(pairs, det_idx, obj_idx, opts)
+    for Rs, ts in hypotheses:
+        best, rival = _ranked(Rs, ts, pairs, opts.inlier_iou_threshold, min_set)
+        if best is not None:
+            break
+    else:
         raise NoValidPose("no hypothesis reached the minimal inlier count")
     if rival is not None:
         raise AmbiguousSolution("two distinct poses tie on inlier count and mean IoU",
@@ -750,7 +762,7 @@ def ransac_pose(detections, cloud: EllipsoidCloud, cam: CameraModel, opts: Ransa
     # that inlier here, so the LM needs no per-pair limits of its own.
     # A single inlier leaves the rotation free to spin while tracking its
     # pair, so orientation refinement needs at least two.
-    for _ in range(2):
+    for _ in range(4):
         rotation_fixed = not opts.refine_orientation or len(inliers) < 2
         res, (R, t) = _refine_raw(pose.R[None], pose.t[None], pairs, np.array(inliers)[None],
                                   rotation_fixed=rotation_fixed)
@@ -774,22 +786,43 @@ def _below(key, other):
     return key[0] < other[0] or (key[0] == other[0] and key[1] < other[1] - 1e-9)
 
 
+def _ranked(Rs, ts, pairs: _Pairs, threshold, min_set):
+    """The best of the hypotheses (Rs (h,3,3), ts (h,3)) with at least
+    ``min_set`` inliers, ((count, score), h, inliers), the first of those
+    ranked highest by :func:`_below`, and the index of the first distinct
+    one tying it (or None); (None, None) when no hypothesis has enough."""
+    best = rival = None
+    for h, (inliers, score) in enumerate(_consensus(Rs, ts, pairs, threshold)):
+        if len(inliers) < min_set:
+            continue
+        key = (len(inliers), score)
+        if best is None or _below(best[0], key):
+            best, rival = (key, h, inliers), None
+        elif not _below(key, best[0]) and rival is None and not _same_pose(
+                Rs[h], ts[h], Rs[best[1]], ts[best[1]]):
+            rival = h
+    return best, rival
+
+
 def _full_mode_hypotheses(pairs: _Pairs, det_idx, obj_idx, opts: RansacOptions):
-    """Full-mode hypotheses (Rs (h,3,3), ts (h,3)) of the seeded draws, in
-    order of first draw.  A draw is an unordered triple of rows with three
-    distinct detections and three distinct objects, uniform over all such
-    triples, and every solution of every distinct draw comes from one
-    :func:`_p3p` call.  A view with no such triple takes the hypotheses of
-    :func:`_two_pair_poses` instead."""
+    """The full-mode hypothesis sets (Rs (h,3,3), ts (h,3)) of the seeded
+    draws, in order of first draw, each set solved only when the one before
+    it gave no pose with two inliers.  First the triples: a draw is an
+    unordered triple of rows with three distinct detections and three
+    distinct objects, uniform over all such triples, and every solution of
+    every distinct draw comes from one :func:`_p3p` call.  A view with no
+    such triple, or whose drawn triples give no pose (its object centers
+    on one line, say), then takes the hypotheses of
+    :func:`_two_pair_poses`."""
     count = _triple_counts(det_idx, obj_idx)
     if count[-1]:
         triples = _seeded_draws(count[-1], opts,
                                 lambda k: _admissible_triple(det_idx, obj_idx, count, k))
         Rs, ts, _ = _p3p(pairs, np.array(triples))
-        return Rs, ts
+        yield Rs, ts
     poses = _two_pair_poses(pairs, det_idx, obj_idx, opts)
-    return (np.array([p.R for p in poses]).reshape(-1, 3, 3),
-            np.array([p.t for p in poses]).reshape(-1, 3))
+    yield (np.array([p.R for p in poses]).reshape(-1, 3, 3),
+           np.array([p.t for p in poses]).reshape(-1, 3))
 
 
 def _seeded_draws(total, opts: RansacOptions, nth):
