@@ -11,11 +11,13 @@ ellipsoid centers on the back-projection rays of the detection centers,
 all draws of a view in one vectorized call.  A view with no such triple,
 or whose triples give no pose with two inliers (its object centers on one
 line, say), draws pairs of associations that share no detection and no
-object instead, each solved for the full pose by an icosahedral rotation
-grid scored by the closed-form placement (both rows at every start, in
-one call), then joint 6-dof refinement, all draws of a view together.  The
-best hypothesis is polished on its inliers, the only damped least-squares
-solve besides the two-pair refinement.
+object instead.  With both ellipsoid centers on their rays, such a pair
+leaves the pose free only by the turn about the line through the two
+centers: each is solved by scanning that turn, scoring every start by the
+closed-form placement (both rows at every start, in one call), then by
+joint 6-dof refinement of the best starts, all draws of a view together.
+The best hypothesis is polished on its inliers, the only damped
+least-squares solve besides the two-pair refinement.
 
 Each call converts its detections and ellipsoids once, into one table of
 stacked arrays (:func:`_pairs`), one row per association: the placements,
@@ -29,8 +31,8 @@ Jacobian in (axis-angle increment, translation) is taken from the very
 conic that gave the accepted residual.  One Levenberg-Marquardt advances n
 candidates in lockstep, each with its own damping, acceptance and stop,
 scoring all trials of a round in one kernel call: the two-pair solver
-refines the candidates of all of a view's draws together, one LM per
-stage, and the polish is the one-candidate case.  A candidate stops when
+refines the candidates of all of a view's draws together in one LM, and
+the polish is the one-candidate case.  A candidate stops when
 its gradient vanishes, when an accepted step lowers its cost by no more
 than 1e-12 of it (a test on the actual reduction alone: a fit whose
 residual is not zero at its minimum ends there, not after steps that only
@@ -52,7 +54,6 @@ times on a worse pose.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -71,7 +72,6 @@ from .geometry import (
     Pose,
     canonicalize,
     normalize_symmetric,
-    rotation_z,
     _ADJ,
     _FULL,
     _NOT_A_ROTATION,
@@ -537,46 +537,52 @@ def _p3p(pairs: _Pairs, triples):
 # ---------------------------------------------------------------------------
 
 
-def _icosphere_directions() -> np.ndarray:
-    """42 near-uniform directions: icosahedron vertices plus edge midpoints."""
-    phi = (1.0 + math.sqrt(5.0)) / 2.0
-    v = []
-    for a in (-1.0, 1.0):
-        for b in (-phi, phi):
-            v += [(a, b, 0.0), (0.0, a, b), (b, 0.0, a)]
-    v = np.array(v)
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    d2 = np.sum((v[:, None, :] - v[None, :, :]) ** 2, axis=-1)
-    d2[d2 < 1e-12] = np.inf
-    dmin = d2.min()
-    i, j = np.nonzero(np.triu(d2 < dmin * 1.001, 1))
-    mids = v[i] + v[j]
-    return np.vstack([v, mids / np.sqrt(mids[:, None] @ mids[:, :, None])[:, 0]])
+_TURNS = 48  # turns scanned about the line through a draw's two centers
+_LM_STARTS = 12  # the best scanned starts of a draw that the LM refines
+_TURN_ANGLES = 2.0 * math.pi / _TURNS * np.arange(_TURNS)
 
 
-def _rotation_with_forward(u: np.ndarray) -> np.ndarray:
-    """World->camera rotation whose optical axis is the world direction u."""
-    h = np.array([0.0, 0.0, 1.0]) if abs(u[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
-    x = np.cross(h, u)
-    x /= np.linalg.norm(x)
-    y = np.cross(u, x)
-    return np.stack([x, y, u])
+def _turn_starts(pairs: _Pairs, rows):
+    """The scanned rotations (m,3,3) of the draw of table rows ``rows`` and
+    the anchor row of each (m,).
+
+    Each row in turn is the anchor: its center goes on its detection ray at
+    the depth where a sphere of its axes' geometric-mean radius fills the
+    detected area, and the other center on its own ray at the centers'
+    world distance, once per positive root (at the ray's closest point
+    where it passes farther off).  The least rotation that turns
+    the world center-to-center direction onto the camera one is then turned
+    about that line in ``_TURNS`` equal steps.
+    """
+    Rs, anchors = [], []
+    for a, b in (rows, rows[::-1]):
+        v, w, area = pairs.ray_dir[a], pairs.ray_dir[b], float(pairs.area_det[a])
+        if not area > 0.0:  # no real ellipse: no depth
+            continue
+        s = float(np.prod(pairs.axes[a])) ** (1.0 / 3.0) * math.sqrt(math.pi / area) / v[2] ** 1.5
+        d_w = pairs.center_w[b] - pairs.center_w[a]
+        dist = float(np.linalg.norm(d_w))
+        p = s * float(v @ w)  # |depth w - s v| = dist: depth = p +- sqrt(disc)
+        disc = max(p * p - s * s + dist * dist, 0.0)  # out of reach: the closest point
+        for depth in sorted({p - math.sqrt(disc), p + math.sqrt(disc)}):
+            if depth > 0.0:
+                d_c = depth * w - s * v
+                Rs.append(_turned(d_w / dist, d_c / np.linalg.norm(d_c)))
+                anchors += [a] * _TURNS
+    return np.concatenate(Rs) if Rs else np.zeros((0, 3, 3)), np.array(anchors, int)
 
 
-_N_ROLLS = 8
-_STAGE_B_KEEP = 24
-_STAGE_C_KEEP = 6
-
-
-@functools.lru_cache(maxsize=1)
-def _rotation_starts() -> np.ndarray:
-    """The (336, 3, 3) rotation grid: each viewing direction times 8 rolls."""
-    rolls = [rotation_z(2.0 * math.pi * k / _N_ROLLS) for k in range(_N_ROLLS)]
-    starts = np.array(
-        [roll @ _rotation_with_forward(u) for u in _icosphere_directions() for roll in rolls]
-    )
-    starts.setflags(write=False)
-    return starts
+def _turned(a, b):
+    """The rotations (_TURNS,3,3) that take the unit vector a to the unit
+    vector b: the least one, then turned about b by ``_TURN_ANGLES``.  The
+    least rotation is the reflection across the plane normal to a + b
+    (taking a to -b) followed by the one normal to b; for opposite vectors,
+    the first plane is any that holds a."""
+    m = a + b
+    if m @ m < 1e-20:
+        m = np.cross(a, _I3[np.argmin(np.abs(a))])
+    R0 = (_I3 - 2.0 * np.outer(b, b)) @ (_I3 - 2.0 * np.outer(m, m) / (m @ m))
+    return _rotations(_TURN_ANGLES[:, None] * b) @ R0
 
 
 def _same_pose(R, t, R0, t0) -> bool:
@@ -591,56 +597,55 @@ def _two_pair_solutions(pairs: _Pairs, draws):
     table ``pairs``, solved together: per draw, its Pose or the
     ElliposeError it fails with.
 
-    The rotation is searched over 42 icosahedral viewing directions times 8
-    rolls (stage A, per draw); each start is scored by placing the object on
-    one pair's back-projection ray at the area-equating depth and measuring
-    the conic residual on both.  The best starts of every draw are polished
-    by a short joint 6-dof damped least-squares refinement (stage B), then
-    its leading candidates by a full one (stage C); each stage is one
-    lockstep LM over all draws, in which a candidate takes the steps it
-    takes alone, so a draw's result does not depend on the others.  Distinct
-    minima with costs within 1% of each other give AmbiguousSolution
-    carrying both candidates.
+    With both ellipsoid centers on their back-projection rays, the pose is
+    free only by the turn about the line through the two centers, so each
+    draw's rotation is scanned over that turn (:func:`_turn_starts`).  Each
+    start is scored by placing its anchor on its ray at the area-equating
+    depth and measuring the conic residual on both rows, all starts of a
+    draw in one call.  The best ``_LM_STARTS`` starts of every draw are
+    refined by one joint 6-dof lockstep LM over all draws, in which a
+    candidate takes the steps it takes alone, so a draw's result does not
+    depend on the others.  Distinct minima with costs within 1% of each
+    other give AmbiguousSolution carrying both candidates.
     """
-    starts = _rotation_starts()
-    Rs = np.repeat(starts, 2, axis=0)  # each start once per anchor of a draw
     solutions = [None] * len(draws)
-    stage_b = {}  # draw index -> (R0, t0, rows) of its stage-B starts
+    R0, t0, fits, spans = [], [], [], {}  # spans: draw index -> its LM candidates
     for d, rows in enumerate(draws):
         rows = list(rows)  # an index list (a tuple would index two axes)
         sep = float(np.linalg.norm(pairs.center_w[rows[0]] - pairs.center_w[rows[1]]))
         if sep < 1e-9 * max(float(pairs.max_axis[rows].max()), 1.0):
             solutions[d] = DegenerateConfiguration("ellipsoid centers coincide")
             continue
-        # stage A: closed-form position from either pair, residual on both;
-        # candidates in start order, anchor 0 before anchor 1, stably sorted
-        ts, ok = _ray_placements(Rs, pairs, np.tile(rows, len(starts)))
+        Rs, anchors = _turn_starts(pairs, rows)
+        ts, ok = _ray_placements(Rs, pairs, anchors)
         N, _, valid, _ = _project_pairs(Rs, ts, pairs.Qd[rows], pairs.center_w[rows])
-        r = (N - pairs.M_det[rows]).reshape(len(Rs), -1)
+        r = (N - pairs.M_det[rows]).reshape(len(Rs), 18)  # both rows' conic entries
         costs = np.where(ok & valid.all(axis=1), (r * r).sum(axis=1), np.inf)
         order = np.argsort(costs, kind="stable")
-        order = order[np.isfinite(costs[order])]
-        if not order.size:
-            solutions[d] = NoConvergence("no rotation start produced a valid projection")
+        keep = order[np.isfinite(costs[order])][:_LM_STARTS]
+        if not keep.size:
+            solutions[d] = NoConvergence("no turn start produced a valid projection")
             continue
-        keep = order[:_STAGE_B_KEEP]
-        stage_b[d] = (Rs[keep], ts[keep], rows)
-
-    # stage B: short joint refinement to make the ranking trustworthy
-    # (position-only polish is not discriminative enough: a wrong rotation
-    # can reach a similar cost to a nearly-right one)
-    stage_c = {}
-    for d, ranked in _refined_draws(pairs, stage_b, solutions, max_iter=8).items():
-        _, R0, t0 = zip(*ranked[:_STAGE_C_KEEP])
-        stage_c[d] = (np.stack(R0), np.stack(t0), stage_b[d][2])
-
-    # stage C: full joint 6-dof refinement of the leading candidates, then
-    # distinct poses clustered, best first
-    for d, candidates in _refined_draws(pairs, stage_c, solutions, max_iter=60).items():
+        spans[d] = slice(len(fits), len(fits) + len(keep))
+        R0.append(Rs[keep])
+        t0.append(ts[keep])
+        fits += [rows] * len(keep)
+    if not spans:
+        return solutions
+    # joint 6-dof refinement of the kept starts, then distinct poses
+    # clustered, best first
+    res, (R, t) = _refine_raw(np.concatenate(R0), np.concatenate(t0), pairs, np.array(fits),
+                              max_iter=60)
+    for d, span in spans.items():
+        candidates = sorted(((c[-1], Ri, ti) for c, Ri, ti in zip(res.costs[span], R[span], t[span])
+                             if c), key=lambda s: s[0])
+        if not candidates:
+            solutions[d] = NoConvergence("no refinement start produced a valid projection")
+            continue
         clusters = []
-        for cost, R, t in candidates:
-            if not any(_same_pose(R, t, cR, ct) for _, cR, ct in clusters):
-                clusters.append((cost, R, t))
+        for cost, Ri, ti in candidates:
+            if not any(_same_pose(Ri, ti, cR, ct) for _, cR, ct in clusters):
+                clusters.append((cost, Ri, ti))
         best = clusters[0]
         solutions[d] = Pose(best[1], best[2])
         if len(clusters) > 1 and clusters[1][0] - best[0] <= 0.01 * best[0] + 1e-10:
@@ -649,30 +654,6 @@ def _two_pair_solutions(pairs: _Pairs, draws):
                 candidates=(solutions[d], Pose(clusters[1][1], clusters[1][2])),
             )
     return solutions
-
-
-def _refined_draws(pairs, starts, solutions, *, max_iter):
-    """One lockstep LM over the starts of every draw, ``starts`` mapping a
-    draw to (R0, t0, rows).  Returns, per draw, the (final cost, R, t) of
-    its candidates that started valid, stably sorted by cost; a draw with
-    none gets NoConvergence in ``solutions`` instead."""
-    if not starts:
-        return {}
-    R0 = np.concatenate([R for R, _, _ in starts.values()])
-    t0 = np.concatenate([t for _, t, _ in starts.values()])
-    rows = np.concatenate([np.broadcast_to(rows, (len(t), 2)) for _, t, rows in starts.values()])
-    res, (R, t) = _refine_raw(R0, t0, pairs, rows, max_iter=max_iter)
-    out, lo = {}, 0
-    for d, (_, t_d, _) in starts.items():
-        span = slice(lo, lo + len(t_d))
-        lo = span.stop
-        ranked = sorted(((c[-1], Ri, ti) for c, Ri, ti in zip(res.costs[span], R[span], t[span])
-                         if c), key=lambda s: s[0])
-        if ranked:
-            out[d] = ranked
-        else:
-            solutions[d] = NoConvergence("no refinement start produced a valid projection")
-    return out
 
 
 def _refine_raw(R0, t0, pairs, rows, *, max_iter=50, rotation_fixed=False):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import ellipose
-from ellipose import scenarios
+from ellipose import pose, scenarios
 from ellipose.dataio import SCENARIO_PARAMS
 from ellipose.scenarios import cloud_of_scene, localize_views, noise_sweep, noisy_orientations
 from ellipose.simulator import (
@@ -114,6 +114,32 @@ def test_box_fitted_view_localises_in_full_mode():
     (result,) = results
     assert result.n_inliers == 6
     assert result.rotation_error < 10.0 * DEG and result.position_error < 0.1
+
+
+def test_two_object_board_localises_in_full_mode_through_the_pair_fallback(monkeypatch):
+    # every 5th view of the 25 x 10 board rig, two objects and exact
+    # outlines: no view has a triple, so each takes one two-pair draw, and
+    # every pose comes back exact
+    draws = []
+    solve = pose._two_pair_solutions
+
+    def counting(pairs, ds):
+        draws.extend(ds)
+        return solve(pairs, ds)
+
+    monkeypatch.setattr(pose, "_two_pair_solutions", counting)
+    scene = tless_like_board(2)
+    views = sample_cameras(CameraRig(0.75, 25, 10))[::5]
+    detector = DetectorModel("gt_projection")
+    _, results, failures = localize_views(
+        views,
+        lambda view: [(label, e) for label, e, _ in run_detector(detector, scene, view)],
+        cloud_of_scene(scene),
+        mode="full",
+        iterations=8,
+    )
+    assert failures == {} and len(results) == 50 and len(draws) == 50
+    assert max(max(r.rotation_error, r.position_error) for r in results) < 1e-6
 
 
 def test_fig3_demo_imports_no_scipy(tmp_path):
