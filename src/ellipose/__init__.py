@@ -19,7 +19,6 @@ from .errors import (
     EmptyPointSet,
     InsufficientViews,
     InvalidDims,
-    NoConvergence,
     NotAnEllipse,
     NotAnEllipsoid,
     NoValidPose,

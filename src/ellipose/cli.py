@@ -185,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--keep-orientation",
         action="store_true",
-        help="never refine the provided orientation",
+        help="never refine the provided orientation (--mode orientation-known only)",
     )
     p.set_defaults(fn=_cmd_pose)
 

@@ -33,15 +33,11 @@ class DegenerateConfiguration(ElliposeError):
     """Input geometry leaves the problem rank-deficient or ill-posed."""
 
 
-class NoConvergence(ElliposeError):
-    """Iterative solver failed to make progress."""
-
-
 class AmbiguousSolution(ElliposeError):
     """Several solutions fit the data equally well.
 
-    ``candidates`` holds the competing poses so the caller (typically a
-    RANSAC loop) can disambiguate by consensus.
+    Raised by ``pose.ransac_pose`` when two distinct hypotheses tie on the
+    consensus key; ``candidates`` holds the two poses.
     """
 
     def __init__(self, message, candidates=()):

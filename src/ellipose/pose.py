@@ -16,8 +16,12 @@ leaves the pose free only by the turn about the line through the two
 centers: each is solved by scanning that turn, scoring every start by the
 closed-form placement (both rows at every start, in one call), then by
 joint 6-dof refinement of the best starts, all draws of a view together.
-The best hypothesis is polished on its inliers, the only damped
-least-squares solve besides the two-pair refinement.
+Both minimal solvers return the stacked poses of all their draws and the
+draw of each, every solution of a draw that passes their tests (for the
+pairs, the best distinct minimum and the next within 1% of its cost); a
+draw that gives no pose is absent.  The best hypothesis is polished on its
+inliers, the only damped least-squares solve besides the two-pair
+refinement.
 
 Each call converts its detections and ellipsoids once, into one table of
 stacked arrays (:func:`_pairs`), one row per association: the placements,
@@ -60,13 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AmbiguousSolution,
-    DegenerateConfiguration,
-    ElliposeError,
-    NoConvergence,
-    NoValidPose,
-)
+from .errors import AmbiguousSolution, NoValidPose
 from .geometry import (
     CameraModel,
     Pose,
@@ -105,7 +103,9 @@ class PoseEstimate:
 @dataclass(frozen=True, eq=False)
 class RansacOptions:
     """mode 'orientation_known' requires ``rotation`` (world->camera R);
-    ``iterations`` and ``seed`` apply to mode 'full' only."""
+    ``iterations`` and ``seed`` apply to mode 'full' only, and
+    ``refine_orientation`` (False: the polish keeps that rotation) to mode
+    'orientation_known' only."""
 
     mode: str = "orientation_known"
     iterations: int = 20
@@ -593,9 +593,8 @@ def _same_pose(R, t, R0, t0) -> bool:
 
 
 def _two_pair_solutions(pairs: _Pairs, draws):
-    """Full 6-dof poses of the draws (i, j), each two row indices of the
-    table ``pairs``, solved together: per draw, its Pose or the
-    ElliposeError it fails with.
+    """Camera poses that fit the two table rows of each draw (draws (m,2)),
+    all draws solved together.
 
     With both ellipsoid centers on their back-projection rays, the pose is
     free only by the turn about the line through the two centers, so each
@@ -605,16 +604,18 @@ def _two_pair_solutions(pairs: _Pairs, draws):
     draw in one call.  The best ``_LM_STARTS`` starts of every draw are
     refined by one joint 6-dof lockstep LM over all draws, in which a
     candidate takes the steps it takes alone, so a draw's result does not
-    depend on the others.  Distinct minima with costs within 1% of each
-    other give AmbiguousSolution carrying both candidates.
+    depend on the others.  The refined poses of a draw are clustered by
+    :func:`_same_pose`, best first.  A draw whose centers coincide, or with
+    no valid start or refinement, gives no pose.
+
+    Returns (Rs (h,3,3), ts (h,3), of (h,)): per draw, in draw order, its
+    best distinct minimum and then the next one when its cost is within 1%
+    of the best; and the index of the draw of each.
     """
-    solutions = [None] * len(draws)
     R0, t0, fits, spans = [], [], [], {}  # spans: draw index -> its LM candidates
-    for d, rows in enumerate(draws):
-        rows = list(rows)  # an index list (a tuple would index two axes)
+    for d, rows in enumerate(draws.tolist()):
         sep = float(np.linalg.norm(pairs.center_w[rows[0]] - pairs.center_w[rows[1]]))
-        if sep < 1e-9 * max(float(pairs.max_axis[rows].max()), 1.0):
-            solutions[d] = DegenerateConfiguration("ellipsoid centers coincide")
+        if sep < 1e-9 * max(float(pairs.max_axis[rows].max()), 1.0):  # coincident centers
             continue
         Rs, anchors = _turn_starts(pairs, rows)
         ts, ok = _ray_placements(Rs, pairs, anchors)
@@ -623,37 +624,28 @@ def _two_pair_solutions(pairs: _Pairs, draws):
         costs = np.where(ok & valid.all(axis=1), (r * r).sum(axis=1), np.inf)
         order = np.argsort(costs, kind="stable")
         keep = order[np.isfinite(costs[order])][:_LM_STARTS]
-        if not keep.size:
-            solutions[d] = NoConvergence("no turn start produced a valid projection")
-            continue
-        spans[d] = slice(len(fits), len(fits) + len(keep))
-        R0.append(Rs[keep])
-        t0.append(ts[keep])
-        fits += [rows] * len(keep)
+        if keep.size:
+            spans[d] = slice(len(fits), len(fits) + len(keep))
+            R0.append(Rs[keep])
+            t0.append(ts[keep])
+            fits += [rows] * len(keep)
     if not spans:
-        return solutions
-    # joint 6-dof refinement of the kept starts, then distinct poses
-    # clustered, best first
+        return np.zeros((0, 3, 3)), np.zeros((0, 3)), np.zeros(0, int)
+    # joint 6-dof refinement of the kept starts, then each draw's distinct
+    # poses clustered, best first
     res, (R, t) = _refine_raw(np.concatenate(R0), np.concatenate(t0), pairs, np.array(fits),
                               max_iter=60)
+    kept = []  # (candidate, draw) of each pose returned
     for d, span in spans.items():
-        candidates = sorted(((c[-1], Ri, ti) for c, Ri, ti in zip(res.costs[span], R[span], t[span])
-                             if c), key=lambda s: s[0])
-        if not candidates:
-            solutions[d] = NoConvergence("no refinement start produced a valid projection")
-            continue
         clusters = []
-        for cost, Ri, ti in candidates:
-            if not any(_same_pose(Ri, ti, cR, ct) for _, cR, ct in clusters):
-                clusters.append((cost, Ri, ti))
-        best = clusters[0]
-        solutions[d] = Pose(best[1], best[2])
-        if len(clusters) > 1 and clusters[1][0] - best[0] <= 0.01 * best[0] + 1e-10:
-            solutions[d] = AmbiguousSolution(
-                "two distinct pose minima fit the pairs equally well",
-                candidates=(solutions[d], Pose(clusters[1][1], clusters[1][2])),
-            )
-    return solutions
+        for cost, h in sorted((res.costs[h][-1], h) for h in range(span.start, span.stop)
+                              if res.costs[h]):
+            if not any(_same_pose(R[h], t[h], R[k], t[k]) for _, k in clusters):
+                clusters.append((cost, h))
+        kept += [(h, d) for cost, h in clusters[:2]
+                 if cost - clusters[0][0] <= 0.01 * clusters[0][0] + 1e-10]
+    index, of = np.array(kept, int).reshape(-1, 2).T
+    return R[index], t[index], of
 
 
 def _refine_raw(R0, t0, pairs, rows, *, max_iter=50, rotation_fixed=False):
@@ -709,7 +701,9 @@ def ransac_pose(detections, cloud: EllipsoidCloud, cam: CameraModel, opts: Ransa
     :func:`_below` is polished on its inliers' rows by the one-candidate
     LM, and the refined pose replaces it unless it ranks below it.  A
     distinct pose (outside the cluster of :func:`_same_pose`) that ties it
-    raises AmbiguousSolution carrying the two.  ``seed`` and ``iterations`` act on full mode only.
+    raises AmbiguousSolution carrying the two.  ``seed`` and ``iterations``
+    act on full mode only, ``refine_orientation`` on orientation-known mode
+    only.
     """
     pairs, det_idx, obj_idx = _pairs(detections, cloud, cam.K)
     min_set = 1 if opts.mode == "orientation_known" else 2
@@ -744,7 +738,8 @@ def ransac_pose(detections, cloud: EllipsoidCloud, cam: CameraModel, opts: Ransa
     # A single inlier leaves the rotation free to spin while tracking its
     # pair, so orientation refinement needs at least two.
     for _ in range(4):
-        rotation_fixed = not opts.refine_orientation or len(inliers) < 2
+        rotation_fixed = len(inliers) < 2 or (opts.mode == "orientation_known"
+                                              and not opts.refine_orientation)
         res, (R, t) = _refine_raw(pose.R[None], pose.t[None], pairs, np.array(inliers)[None],
                                   rotation_fixed=rotation_fixed)
         refined = pose if len(res.costs[0]) <= 1 else Pose(R[0], t[0])
@@ -787,52 +782,38 @@ def _ranked(Rs, ts, pairs: _Pairs, threshold, min_set):
 
 def _full_mode_hypotheses(pairs: _Pairs, det_idx, obj_idx, opts: RansacOptions):
     """The full-mode hypothesis sets (Rs (h,3,3), ts (h,3)) of the seeded
-    draws, in order of first draw, each set solved only when the one before
-    it gave no pose with two inliers.  First the triples: a draw is an
-    unordered triple of rows with three distinct detections and three
-    distinct objects, uniform over all such triples, and every solution of
-    every distinct draw comes from one :func:`_p3p` call.  A view with no
-    such triple, or whose drawn triples give no pose (its object centers
-    on one line, say), then takes the hypotheses of
-    :func:`_two_pair_poses`."""
-    count = _triple_counts(det_idx, obj_idx)
-    if count[-1]:
-        triples = _seeded_draws(count[-1], opts,
-                                lambda k: _admissible_triple(det_idx, obj_idx, count, k))
-        Rs, ts, _ = _p3p(pairs, np.array(triples))
-        yield Rs, ts
-    poses = _two_pair_poses(pairs, det_idx, obj_idx, opts)
-    yield (np.array([p.R for p in poses]).reshape(-1, 3, 3),
-           np.array([p.t for p in poses]).reshape(-1, 3))
-
-
-def _seeded_draws(total, opts: RansacOptions, nth):
-    """The minimal sets ``nth(k)`` of the distinct k among
-    ``opts.iterations`` seeded draws uniform below ``total``, in order of
-    first draw.  The draws come first, as the RNG stream never depends on a
-    solve, and each distinct one is solved once: the solvers are
-    deterministic, so a repeat would give poses already scored, which can
-    neither beat the best nor become a new rival to it."""
-    rng = np.random.default_rng(np.random.SeedSequence(int(opts.seed)))
-    return [nth(k) for k in dict.fromkeys(rng.integers(total, size=opts.iterations).tolist())]
-
-
-def _two_pair_poses(pairs: _Pairs, det_idx, obj_idx, opts: RansacOptions):
-    """The list of the poses that :func:`_two_pair_solutions` finds for the
-    seeded draws, in order of first draw, where it does not fail.  A draw
-    is an unordered pair of rows that share no detection and no object,
-    uniform over all such pairs."""
-    count = _admissible_counts(det_idx, obj_idx)
-    if not count[-1]:
+    draws of :func:`_seeded_draws`, each set solved only when the one
+    before it gave no pose with two inliers.  First the triples, every
+    solution of every distinct draw from one :func:`_p3p` call.  A view
+    with no admissible triple, or whose drawn triples give no pose (its
+    object centers on one line, say), then takes those of the pairs, from
+    one :func:`_two_pair_solutions` call."""
+    triples = _seeded_draws(det_idx, obj_idx, 3, opts)
+    if triples is not None:
+        yield _p3p(pairs, triples)[:2]
+    draws = _seeded_draws(det_idx, obj_idx, 2, opts)
+    if draws is None:
         raise NoValidPose("no two correspondences differ in both detection and object")
-    draws = _seeded_draws(count[-1], opts, lambda k: _admissible_pair(det_idx, obj_idx, count, k))
-    poses = []
-    for solution in _two_pair_solutions(pairs, draws):
-        if isinstance(solution, AmbiguousSolution):
-            poses += solution.candidates
-        elif not isinstance(solution, ElliposeError):
-            poses.append(solution)
-    return poses
+    yield _two_pair_solutions(pairs, draws)[:2]
+
+
+def _seeded_draws(det_idx, obj_idx, size, opts: RansacOptions):
+    """The distinct admissible sets of ``size`` rows (2 or 3) among
+    ``opts.iterations`` seeded draws, as an array (m, size) in order of
+    first draw; None when there is no admissible set.  A set is admissible
+    when its rows have distinct detections and distinct objects, and the
+    draws are uniform over such sets.  The draws come first, as the RNG
+    stream never depends on a solve, and each distinct one is solved once:
+    the solvers are deterministic, so a repeat would give poses already
+    scored, which can neither beat the best nor become a new rival to it."""
+    counts, nth = ((_admissible_counts, _admissible_pair) if size == 2
+                   else (_triple_counts, _admissible_triple))
+    count = counts(det_idx, obj_idx)
+    if not count[-1]:
+        return None
+    rng = np.random.default_rng(np.random.SeedSequence(int(opts.seed)))
+    ks = dict.fromkeys(rng.integers(count[-1], size=opts.iterations).tolist())
+    return np.array([nth(det_idx, obj_idx, count, k) for k in ks])
 
 
 def _admissible_counts(det_idx, obj_idx):

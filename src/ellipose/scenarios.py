@@ -144,7 +144,6 @@ def noise_sweep(
     detectors=("inscribed_of_noisy_box", "oracle_with_box_noise"),
     orientation_noise: OrientationNoise = OrientationNoise(2.0 * DEG),
     seed: int = 0,
-    detection_scene: SceneSpec | None = None,
 ):
     """Median pose errors versus box-noise level, per detector model.
 
@@ -153,15 +152,14 @@ def noise_sweep(
     experiment is to measure how far they drag the pose, not to gate them
     out.  A detector whose ellipses do not depend on the box noise is
     localised once, and its row values are repeated at every level.
-    The detectors see ``detection_scene`` (``scene`` when None), and the
-    pose is solved against its ellipsoids.
+    The detectors see ``scene``, and the pose is solved against its
+    ellipsoids.
 
     Returns rows of dicts with keys: half_range_px, detector, n_views,
     n_failures, median_position_error, median_rotation_error.
     """
     orients = noisy_orientations(views, orientation_noise, seed)
-    det_scene = detection_scene if detection_scene is not None else scene
-    cloud = cloud_of_scene(det_scene)
+    cloud = cloud_of_scene(scene)
     summaries = {}
     rows = []
     for half_range in half_ranges:
@@ -172,7 +170,7 @@ def noise_sweep(
                 _, results, failures = localize_views(
                     views,
                     lambda view: [
-                        (label, e) for label, e, _ in run_detector(detector, det_scene, view)
+                        (label, e) for label, e, _ in run_detector(detector, scene, view)
                     ],
                     cloud,
                     orientations=orients,

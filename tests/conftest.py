@@ -4,7 +4,7 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
-from ellipose.errors import BehindCamera, ElliposeError, NotAnEllipse
+from ellipose.errors import BehindCamera, NotAnEllipse
 from ellipose.geometry import (
     Ellipse,
     Ellipsoid,
@@ -316,13 +316,12 @@ def pairs_table(rows, K):
     return table
 
 
-def two_pair_pose(r1, r2, cam) -> Pose:
-    """Full 6-dof pose from two pair rows: the one-draw case of the
-    two-pair core, whose error it raises."""
-    (solution,) = _two_pair_solutions(pairs_table((r1, r2), cam.K), [(0, 1)])
-    if isinstance(solution, ElliposeError):
-        raise solution
-    return solution
+def two_pair_poses(r1, r2, cam) -> list:
+    """Full 6-dof poses from two pair rows: the one-draw case of the
+    two-pair core, none where it finds no pose."""
+    Rs, ts, of = _two_pair_solutions(pairs_table((r1, r2), cam.K), np.array([(0, 1)]))
+    assert (of == 0).all()
+    return [Pose(R, t) for R, t in zip(Rs, ts)]
 
 
 Polished = namedtuple("Polished", "pose converged costs")

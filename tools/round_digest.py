@@ -1,11 +1,17 @@
-"""Digest of one benchmark localisation round, per workload and seed.
+"""Digest of one localisation round, per recipe and seed.
 
     python3 tools/round_digest.py --seed 17 --seed 29
 
-Run from the repository root.  For each seed, the operations of the
+Run from the repository root.  Three recipes are run once per seed, in
+order, with one BLAS thread.  The first two are the operations of the
 benchmark's two localisation workloads, ``localize_known`` and
-``localize_full``, are built as ``bench/workload.py`` builds them and run
-once, in order, with one BLAS thread.  One line is printed per workload and
+``localize_full``, built as ``bench/workload.py`` builds them.  The third,
+``two_object_full``, reaches the two-pair solver, which the others never
+do: every 5th view of the benchmark's 25 x 10 board rig on the two-object
+board ``tless_like_board(2)``, which has no triple of objects, localised in
+full mode with 8 draws, an inlier IoU of 0.35 and the seed, first from the
+exact outlines and then from the inscribed ellipses of 5 px noisy boxes
+with the detector seeded by the seed.  One line is printed per recipe and
 seed, and a second that leaves the scores out::
 
     localize_known seed 17 <sha256 hex>
@@ -29,6 +35,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"  # set before numpy loads its BLAS
 
 import argparse  # noqa: E402
+import functools  # noqa: E402
 import hashlib  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -40,16 +47,37 @@ import numpy as np  # noqa: E402
 
 import ellipose  # noqa: E402
 import workload  # noqa: E402
+from ellipose import scenarios, simulator  # noqa: E402
+
+RECIPES = ("localize_known", "localize_full", "two_object_full")
+
+
+def operations(name, seed):
+    """One round of recipe ``name`` at ``seed``: one callable per operation,
+    in order, each returning a pose estimate or raising."""
+    if name != "two_object_full":
+        w = workload.make(name, seed)
+        return [functools.partial(w.run, op, index) for index, op in enumerate(w.ops)]
+    scene = simulator.tless_like_board(2)
+    cloud = scenarios.cloud_of_scene(scene)
+    views = simulator.sample_cameras(simulator.CameraRig(0.75, 25, 10))[::5]
+    opts = ellipose.RansacOptions(mode="full", iterations=8, inlier_iou_threshold=0.35, seed=seed)
+    ops = []
+    for kind, level in (("gt_projection", 0.0), ("inscribed_of_noisy_box", 5.0)):
+        model = simulator.DetectorModel(kind, level, seed=seed)
+        for view in views:
+            dets = [(label, e) for label, e, _ in simulator.run_detector(model, scene, view)]
+            ops.append(functools.partial(ellipose.ransac_pose, dets, cloud, view.cam, opts))
+    return ops
 
 
 def round_digests(name, seed):
-    """sha256 hex digests of one round of workload ``name`` at ``seed``:
+    """sha256 hex digests of one round of recipe ``name`` at ``seed``:
     over everything, and over everything but the scores."""
-    w = workload.make(name, seed)
     full, poses = hashlib.sha256(), hashlib.sha256()
-    for index, op in enumerate(w.ops):
+    for op in operations(name, seed):
         try:
-            est = w.run(op, index)
+            est = op()
         except ellipose.ElliposeError as exc:
             for h in (full, poses):
                 h.update(type(exc).__name__.encode())
@@ -66,7 +94,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seed", type=int, action="append", help="repeat for several (default: 17)")
     args = ap.parse_args()
-    for name in ("localize_known", "localize_full"):
+    for name in RECIPES:
         for seed in args.seed or (17,):
             full, poses = round_digests(name, seed)
             print(f"{name} seed {seed} {full}", flush=True)
