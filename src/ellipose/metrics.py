@@ -13,6 +13,8 @@ import numpy as np
 from .errors import BehindCamera, EmptyPointSet
 from .geometry import CameraModel, Ellipse, Pose, _UPPER, _ellipse_conics
 
+_IOU_BYTES = 96 * 1024  # the largest temporary of _conic_ious, under 128 KiB
+
 
 def rotation_distance(R1: np.ndarray, R2: np.ndarray) -> float:
     """Geodesic angle between two rotations, stable near 0 and pi.
@@ -80,9 +82,16 @@ def _conic_ious(M1, M2, rows):
     overlap are these chords summed at the midpoints of ``rows`` equal rows
     over the pair's union y-range: bit-identical conics give exactly 1 and
     no IoU exceeds 1.  An upper-triangular camera matrix maps rows to rows
-    and scales all chords alike, so it changes an IoU only by rounding.
+    and scales all chords alike, so it changes an IoU only by rounding.  The
+    pairs go in blocks of ``_IOU_BYTES // (16 rows)``, so that every (2 block,
+    rows) float64 temporary stays under glibc's 128 KiB mmap threshold, above
+    which each call would map and fault its pages in afresh.  An IoU depends
+    on its own pair alone, so the blocks change no bit.
     """
-    n = len(M1)
+    n, block = len(M1), max(1, _IOU_BYTES // (16 * rows))
+    if n > block:
+        return np.concatenate([_conic_ious(M1[s:s + block], M2[s:s + block], rows)
+                               for s in range(0, n, block)])
     x = np.concatenate([M1, M2]).reshape(-1, 9)[:, _UPPER]  # both sides, 2n conics
     a, b, c, d, e, f = (x * np.sign(x[:, :1])).T[:, :, None]  # entries 00 01 02 11 12 22
     det2 = a * d - b * b

@@ -16,6 +16,8 @@ leaves the pose free only by the turn about the line through the two
 centers: each is solved by scanning that turn, scoring every start by the
 closed-form placement (both rows at every start, in one call), then by
 joint 6-dof refinement of the best starts, all draws of a view together.
+A seeded draw of either size is a number below the count of admissible
+sets, and all of a view's are mapped to their sets at once by arithmetic.
 Both minimal solvers return the stacked poses of all their draws and the
 draw of each, every solution of a draw that passes their tests (for the
 pairs, the best distinct minimum and the next within 1% of its cost); a
@@ -799,72 +801,60 @@ def _full_mode_hypotheses(pairs: _Pairs, det_idx, obj_idx, opts: RansacOptions):
 
 def _seeded_draws(det_idx, obj_idx, size, opts: RansacOptions):
     """The distinct admissible sets of ``size`` rows (2 or 3) among
-    ``opts.iterations`` seeded draws, as an array (m, size) in order of
-    first draw; None when there is no admissible set.  A set is admissible
-    when its rows have distinct detections and distinct objects, and the
-    draws are uniform over such sets.  The draws come first, as the RNG
-    stream never depends on a solve, and each distinct one is solved once:
-    the solvers are deterministic, so a repeat would give poses already
-    scored, which can neither beat the best nor become a new rival to it."""
-    counts, nth = ((_admissible_counts, _admissible_pair) if size == 2
-                   else (_triple_counts, _admissible_triple))
-    count = counts(det_idx, obj_idx)
-    if not count[-1]:
+    ``opts.iterations`` seeded draws uniform over them, as an array (m,
+    size) in order of first draw; None when there is none.  Each is solved
+    once: the solvers are deterministic, so a repeat would give poses
+    already scored, which can neither beat the best nor rival it."""
+    total, nth = _admissible_sets(det_idx, obj_idx, size)
+    if not total:
         return None
     rng = np.random.default_rng(np.random.SeedSequence(int(opts.seed)))
-    ks = dict.fromkeys(rng.integers(count[-1], size=opts.iterations).tolist())
-    return np.array([nth(det_idx, obj_idx, count, k) for k in ks])
+    return nth(np.array(list(dict.fromkeys(rng.integers(total, size=opts.iterations).tolist()))))
 
 
-def _admissible_counts(det_idx, obj_idx):
-    """Cumulative counts (n,) of the admissible pairs (i < j) of n >= 1
-    distinct (detection, object) rows, those that share neither: entry i
-    counts the pairs whose first row is at most i."""
-    n = len(det_idx)
-    later = n - 1 - np.arange(n)  # later rows, less those sharing a detection or object
-    for x in (det_idx, obj_idx):
-        order = np.argsort(x, kind="stable")  # equal values in row order
-        later[order] -= np.searchsorted(x[order], x[order], side="right") - np.arange(n) - 1
-    return np.cumsum(later)
+def _admissible_sets(d, o, size):
+    """The count of the admissible sets of ``size`` rows (2 or 3) of n >= 1
+    distinct rows of detections d and objects o (n,), those of distinct
+    detections and distinct objects, and the map of ks (m,) to the k-th
+    sets (m, size) in ``itertools.combinations`` order.  All is counted by
+    inclusion-exclusion from the rows after each row of each detection and
+    object, (n, D) and (n, O), with no list of the sets: a row's admissible
+    later rows, and their pairs less those within one detection or object.
+    A k's first row i comes from the counts per first row, a triple's second
+    row from the pairs that start at each admissible later row of i, and
+    the last row is the remaining k-th admissible later row of those chosen."""
+    n, rows = len(d), np.arange(len(d))
+    table = np.full((d.max() + 1, o.max() + 1), -1)
+    table[d, o] = rows  # the row of each (detection, object), -1 for none
+    one_d, one_o = np.eye(d.max() + 1, dtype=int)[d], np.eye(o.max() + 1, dtype=int)[o]
+    after_d, after_o = (one[::-1].cumsum(0)[::-1] - one for one in (one_d, one_o))  # (n, D), (n, O)
+    later = n - 1 - rows - after_d[rows, d] - after_o[rows, o]
+    per = later
+    if size == 3:
+        by_d = after_d - (table[:, o].T > rows[:, None])
+        by_o = after_o - (table[d] > rows[:, None])
+        by_d[rows, d] = by_o[rows, o] = 0
+        per = (later * (later - 1) - (by_d * (by_d - 1)).sum(1) - (by_o * (by_o - 1)).sum(1)) // 2
 
+    def nth(ks):
+        cum = np.cumsum(per)
+        i = np.searchsorted(cum, ks, side="right")
+        k = ks - cum[i] + per[i]
+        i_d, i_o = d[i, None], o[i, None]
+        ok = (rows > i[:, None]) & (d != i_d) & (o != i_o)  # (m, n): admissible later rows of i
+        chosen = [i]
+        if size == 3:
+            starts = ok * (later - after_d[rows, i_d] - after_o[rows, i_o]
+                           + (table[i_d, o] > rows) + (table[d, i_o] > rows))
+            cum = np.cumsum(starts, axis=1)
+            j = (cum <= k[:, None]).sum(1)
+            k = k - (cum - starts)[np.arange(len(ks)), j]
+            ok &= (rows > j[:, None]) & (d != d[j, None]) & (o != o[j, None])
+            chosen.append(j)
+        chosen.append((np.cumsum(ok, axis=1) <= k[:, None]).sum(1))
+        return np.stack(chosen, axis=1)
 
-def _later_rows(det_idx, obj_idx, i):
-    """The rows after row i that share neither its detection nor its object."""
-    return i + 1 + np.flatnonzero((det_idx[i + 1:] != det_idx[i]) & (obj_idx[i + 1:] != obj_idx[i]))
-
-
-def _admissible_pair(det_idx, obj_idx, count, k):
-    """The k-th admissible pair (i, j) in ``np.triu_indices`` order, from
-    the counts of :func:`_admissible_counts`, with no list of the pairs."""
-    i = int(np.searchsorted(count, k, side="right"))
-    return i, int(_later_rows(det_idx, obj_idx, i)[k - (int(count[i - 1]) if i else 0)])
-
-
-def _triple_counts(det_idx, obj_idx):
-    """Cumulative counts (n,) of the admissible triples (i < j < k) of n >= 1
-    distinct (detection, object) rows, those of three distinct detections
-    and three distinct objects: entry i counts the triples whose first row
-    is at most i.  The triples that start at row i are the admissible pairs
-    of its admissible later rows, so this takes O(n^2) time and O(n)
-    memory."""
-    per = [0] * len(det_idx)
-    for i in range(len(det_idx)):
-        later = _later_rows(det_idx, obj_idx, i)
-        if later.size:
-            per[i] = int(_admissible_counts(det_idx[later], obj_idx[later])[-1])
-    return np.cumsum(per)
-
-
-def _admissible_triple(det_idx, obj_idx, count, k):
-    """The k-th admissible triple (i, j, l) in ``itertools.combinations``
-    order, from the counts of :func:`_triple_counts`, with no list of the
-    triples: the pair of the block of first row i comes from
-    :func:`_admissible_pair` on the admissible later rows of i."""
-    i = int(np.searchsorted(count, k, side="right"))
-    later = _later_rows(det_idx, obj_idx, i)
-    d, o = det_idx[later], obj_idx[later]
-    j, l = _admissible_pair(d, o, _admissible_counts(d, o), k - (int(count[i - 1]) if i else 0))
-    return i, int(later[j]), int(later[l])
+    return per.sum(), nth
 
 
 def _consensus(Rs, ts, pairs: _Pairs, threshold):

@@ -296,6 +296,19 @@ class TestEllipseIoUKernel:
         none = np.zeros((0, 3, 3))
         assert _conic_ious(none, none, 128).shape == (0,)
 
+    @pytest.mark.parametrize("rows", [128, 512])
+    def test_blocks_give_the_ious_of_one_pair_a_call(self, rng, rows):
+        # the kernel scores its pairs in blocks sized to keep its
+        # temporaries below glibc's mmap threshold (48 pairs at 128 rows,
+        # 12 at 512); an IoU depends on its own pair alone, so any count of
+        # pairs, on and across every block boundary, gives bit for bit the
+        # IoUs of one pair a call
+        M1, M2 = _pair_conics([_near_pair(rng) for _ in range(200)])
+        alone = np.array([_conic_ious(M1[k:k + 1], M2[k:k + 1], rows)[0] for k in range(200)])
+        for n in (1, 47, 48, 49, 200):
+            assert _conic_ious(M1[:n], M2[:n], rows).tobytes() == alone[:n].tobytes()
+        assert np.count_nonzero((0.0 < alone) & (alone < 1.0)) >= 150
+
 
 class TestRigidInvariance:
     def test_common_rigid_transform(self, rng):

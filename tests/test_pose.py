@@ -1,7 +1,12 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,9 +53,7 @@ from ellipose.pose import (  # white-box kernels
     _DP_TRANSLATION,
     _IOU_ROWS,
     _Pairs,
-    _admissible_counts,
-    _admissible_pair,
-    _admissible_triple,
+    _admissible_sets,
     _below,
     _conic_areas,
     _conic_jacobians,
@@ -61,7 +64,6 @@ from ellipose.pose import (  # white-box kernels
     _pose_directions,
     _ray_placements,
     _rotations,
-    _triple_counts,
 )
 from ellipose.simulator import (
     DEG,
@@ -748,6 +750,38 @@ def test_stacked_consensus_equals_scoring_each_pose(rng):
     assert _consensus(Rs[:0], ts[:0], pairs, 0.5) == []
 
 
+def test_full_mode_consensus_takes_no_page_faults():
+    # the benchmark's first localize_full view at seed 17 (oracle outlines
+    # at 10 px, 8 draws) gives 16 P3P hypotheses over 6 rows, 96 IoU pairs
+    # a consensus call.  The IoU's temporaries stay below glibc's mmap
+    # threshold, so a warmed call faults no page in, where one (192, 128)
+    # block takes 160 minor faults a call.  A fresh interpreter, as no
+    # earlier test may have raised the threshold
+    pytest.importorskip("resource")
+    code = textwrap.dedent("""
+        import resource
+        from ellipose import pose, scenarios, simulator
+        scene = simulator.tless_like_board(6)
+        view = simulator.sample_cameras(simulator.CameraRig(0.75, 25, 10))[0]
+        model = simulator.DetectorModel("oracle_with_box_noise", 10.0, seed=17)
+        dets = [(label, e) for label, e, _ in simulator.run_detector(model, scene, view)]
+        opts = pose.RansacOptions(mode="full", iterations=8, inlier_iou_threshold=0.35, seed=17)
+        pairs, det_idx, obj_idx = pose._pairs(dets, scenarios.cloud_of_scene(scene), view.cam.K)
+        Rs, ts = next(pose._full_mode_hypotheses(pairs, det_idx, obj_idx, opts))
+        pose._consensus(Rs, ts, pairs, 0.35)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(20):
+            pose._consensus(Rs, ts, pairs, 0.35)
+        print(len(ts), len(det_idx), (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(pose_module.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    hypotheses, rows, faults = run.stdout.split()
+    assert (int(hypotheses), int(rows)) == (16, 6)
+    assert float(faults) < 5.0
+
+
 def test_ray_placements_of_rows_equal_each_row_alone(rng):
     # rows of real detections, one whose conic is not a real ellipse (NaN
     # area) and one of zero area: one call for all rows at one rotation
@@ -1128,59 +1162,71 @@ def test_consensus_keys_tie_within_1e_9():
 
 
 def test_admissible_pair_by_arithmetic_equals_the_listing():
-    # full mode draws the k-th admissible pair, in np.triu_indices order,
-    # from per-row counts instead of listing the pairs.  Layouts as _pairs
-    # builds them, each detection with every object of its label: one label
-    # per object, one label for all (4 x 4 and 40 x 40), a detection whose
-    # rows all share it, and seeded mixes of three labels
+    # full mode maps its drawn ks to the k-th admissible pairs, in
+    # np.triu_indices order, from per-row counts, all ks in one pass,
+    # instead of listing the pairs.  Layouts as _pairs builds them, each
+    # detection with every object of its label: one label per object, one
+    # label for all (4 x 4 and 40 x 40, 1,600 rows), a detection whose rows
+    # all share it, and seeded mixes of three labels, in row order and
+    # shuffled with their indices spread out
     rng = np.random.default_rng(68)
     layouts = [(range(6), range(6)), ([0] * 4, [0] * 4), ([0] * 40, [0] * 40), ([0], [0] * 5)]
     layouts += [(rng.integers(3, size=rng.integers(1, 10)),
                  rng.integers(3, size=rng.integers(1, 8))) for _ in range(30)]
     seen = 0
-    for det_labels, obj_labels in layouts:
+    for n_layout, (det_labels, obj_labels) in enumerate(layouts):
         rows = [(d, o) for d, label in enumerate(det_labels)
                 for o, obj_label in enumerate(obj_labels) if obj_label == label]
         if not rows:
             continue
         det_idx, obj_idx = (np.array([r[k] for r in rows], int) for k in (0, 1))
+        if n_layout >= 4 and n_layout % 2:
+            order = rng.permutation(len(rows))
+            det_idx, obj_idx = 3 * det_idx[order] + 2, 5 * obj_idx[order]
         i, j = np.triu_indices(len(rows), 1)
         listing = np.flatnonzero((det_idx[i] != det_idx[j]) & (obj_idx[i] != obj_idx[j]))
-        count = _admissible_counts(det_idx, obj_idx)
-        assert count[-1] == listing.size
-        ks = range(listing.size) if listing.size < 5000 else rng.integers(listing.size, size=500)
-        for k in ks:
-            assert _admissible_pair(det_idx, obj_idx, count, k) == (i[listing[k]], j[listing[k]])
-        seen += listing.size > 0
+        total, nth = _admissible_sets(det_idx, obj_idx, 2)
+        assert total == listing.size
+        if not total:
+            continue
+        ks = np.arange(total) if total < 5000 else rng.integers(total, size=500)
+        assert nth(ks).tolist() == np.stack([i[listing[ks]], j[listing[ks]]], axis=1).tolist()
+        seen += 1
     assert seen >= 20
 
 
 def test_admissible_triple_by_arithmetic_equals_the_listing():
-    # full mode draws the k-th admissible triple, in itertools.combinations
-    # order, from per-row counts instead of listing the triples.  Layouts as
-    # _pairs builds them: one label per object, one label for all (4 x 4
-    # and 12 x 12), views of fewer than three rows, views with rows but no
-    # admissible triple, and seeded mixes of three labels
+    # full mode maps its drawn ks to the k-th admissible triples, in
+    # itertools.combinations order, from per-row counts, all ks in one
+    # pass, instead of listing the triples.  Layouts as _pairs builds them:
+    # one label per object, one label for all (4 x 4 and 12 x 12), views of
+    # fewer than three rows, views with rows but no admissible triple, and
+    # seeded mixes of three labels, in row order and shuffled with their
+    # indices spread out
     rng = np.random.default_rng(69)
     layouts = [(range(6), range(6)), ([0] * 4, [0] * 4), ([0] * 12, [0] * 12), ([0], [0]),
                (range(2), range(2)), ([0] * 2, [0] * 5), ([0] * 5, [0] * 2), ([0, 0, 1], [0, 1])]
     layouts += [(rng.integers(3, size=rng.integers(1, 9)),
                  rng.integers(3, size=rng.integers(1, 7))) for _ in range(60)]
     seen = empty = 0
-    for det_labels, obj_labels in layouts:
+    for n_layout, (det_labels, obj_labels) in enumerate(layouts):
         rows = [(d, o) for d, label in enumerate(det_labels)
                 for o, obj_label in enumerate(obj_labels) if obj_label == label]
         if not rows:
             continue
         det_idx, obj_idx = (np.array([r[k] for r in rows], int) for k in (0, 1))
+        if n_layout >= 8 and n_layout % 2:
+            order = rng.permutation(len(rows))
+            det_idx, obj_idx = 3 * det_idx[order] + 2, 5 * obj_idx[order]
         listing = admissible_triples(det_idx, obj_idx)
-        count = _triple_counts(det_idx, obj_idx)
-        assert len(count) == len(rows) and count[-1] == len(listing)
-        ks = range(len(listing)) if len(listing) < 2000 else rng.integers(len(listing), size=300)
-        for k in ks:
-            assert _admissible_triple(det_idx, obj_idx, count, int(k)) == listing[k]
-        seen += len(listing) > 0
+        total, nth = _admissible_sets(det_idx, obj_idx, 3)
+        assert total == len(listing)
         empty += not listing
+        if not total:
+            continue
+        ks = np.arange(total) if total < 2000 else rng.integers(total, size=500)
+        assert nth(ks).tolist() == [list(listing[k]) for k in ks]
+        seen += 1
     assert seen >= 20 and empty >= 20
 
 
