@@ -11,8 +11,9 @@ Conventions:
   * a point conic M satisfies x^T M x = 0 for homogeneous boundary points;
   * matrices defined up to scale are stored with unit Frobenius norm and
     the first non-zero upper-triangular entry positive;
-  * ellipse angles are measured from the horizontal image axis to the
-    major axis and live in (-pi/2, pi/2];
+  * ellipse angles go from the horizontal image axis to the major axis; a
+    canonical ellipse, made only by the kernel :func:`_canonical`, has
+    a >= b and its angle in (-pi/2, pi/2], or 0 for a circle;
   * a world point X maps to the camera frame as R @ X + t.
 """
 
@@ -79,12 +80,15 @@ def rotation_z(angle: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
+def _wrap(t):
+    """Angles t, a float or an array, wrapped into (-pi/2, pi/2] as an array."""
+    t = (t + 0.5 * math.pi) % math.pi - 0.5 * math.pi
+    return np.where(t <= -0.5 * math.pi, 0.5 * math.pi, t)
+
+
 def wrap_angle_half_pi(theta: float) -> float:
     """Wrap an angle into (-pi/2, pi/2] modulo the pi-periodicity of ellipses."""
-    t = (theta + 0.5 * math.pi) % math.pi - 0.5 * math.pi
-    if t <= -0.5 * math.pi:
-        t = 0.5 * math.pi
-    return t
+    return float(_wrap(theta))
 
 
 # ---------------------------------------------------------------------------
@@ -252,18 +256,21 @@ def _ellipse_conics(centers, axes, angles):
     return M
 
 
+def _canonical(centers, axes, angles):
+    """Canonical (centers, axes, angles) of ellipses with centers (n,2),
+    semi-axes (n,2) and angles (n,): where a < b the axes swap and the angle
+    turns by pi/2; angles wrap into (-pi/2, pi/2], and a circle's is 0."""
+    swap = axes[:, 0] < axes[:, 1]
+    axes = np.where(swap[:, None], axes[:, ::-1], axes)
+    angles = _wrap(np.where(swap, angles + 0.5 * math.pi, angles))
+    angles[np.abs(axes[:, 0] - axes[:, 1]) <= CIRCLE_TIE_TOL * axes[:, 0]] = 0.0
+    return centers, axes, angles
+
+
 def canonicalize(e: Ellipse) -> Ellipse:
-    """Unique representative: a >= b, angle in (-pi/2, pi/2], circles at 0."""
-    a, b = float(e.axes[0]), float(e.axes[1])
-    angle = e.angle
-    if a < b:
-        a, b = b, a
-        angle += 0.5 * math.pi
-    if abs(a - b) <= CIRCLE_TIE_TOL * a:
-        angle = 0.0
-    else:
-        angle = wrap_angle_half_pi(angle)
-    return Ellipse(e.center, (a, b), angle)
+    """Unique representative, a >= b, angle in (-pi/2, pi/2], circles at 0."""
+    _, axes, angles = _canonical(e.center[None], e.axes[None], np.array([e.angle]))
+    return Ellipse(e.center, axes[0], angles[0])
 
 
 # ---------------------------------------------------------------------------
@@ -405,11 +412,8 @@ def _ellipses_of_conics(M):
     code[hyperbola] = 4
     code[parabolic] = 3
     with np.errstate(divide="ignore", invalid="ignore"):
-        axes = np.sqrt(-k[:, None] / lam)  # ascending lam -> axes already sorted a >= b
-    angles = (np.arctan2(V[:, 1, 0], V[:, 0, 0]) + 0.5 * math.pi) % math.pi - 0.5 * math.pi
-    angles[angles <= -0.5 * math.pi] = 0.5 * math.pi
-    angles[np.abs(axes[:, 0] - axes[:, 1]) <= CIRCLE_TIE_TOL * axes[:, 0]] = 0.0
-    return centers, axes, angles, code
+        axes = np.sqrt(-k[:, None] / lam)  # ascending lam: a >= b, a along V[:, :, 0]
+    return (*_canonical(centers, axes, np.arctan2(V[:, 1, 0], V[:, 0, 0])), code)
 
 
 def _outlines(Rs, ts, Qd, centers, K):
@@ -449,17 +453,10 @@ def _outlines(Rs, ts, Qd, centers, K):
 
 
 def _inscribed_ellipses(boxes):
-    """Axis-aligned ellipses (centers (n,2), axes (n,2), angles (n,))
-    inscribed in boxes (n,4), the box-fitting baseline, canonical as by
-    :func:`canonicalize`: a taller box swaps its axes at angle pi/2, and a
-    circle takes angle 0."""
+    """Canonical axis-aligned ellipses (centers, axes, angles) inscribed in
+    boxes (n,4), the box-fitting baseline: a taller box's at angle pi/2."""
     lo, hi = boxes[:, :2], boxes[:, 2:]
-    half = 0.5 * (hi - lo)
-    tall = half[:, 0] < half[:, 1]
-    axes = np.where(tall[:, None], half[:, ::-1], half)
-    angles = np.where(tall, 0.5 * math.pi, 0.0)
-    angles[np.abs(axes[:, 0] - axes[:, 1]) <= CIRCLE_TIE_TOL * axes[:, 0]] = 0.0
-    return 0.5 * (lo + hi), axes, angles
+    return _canonical(0.5 * (lo + hi), 0.5 * (hi - lo), np.zeros(len(boxes)))
 
 
 def _bbox_half(a, b, angle):

@@ -18,6 +18,7 @@ from .errors import InvalidDims
 from .geometry import (
     Ellipse,
     FrameTransform,
+    _check_int,
     _freeze,
     canonicalize,
     transform_ellipse,
@@ -34,8 +35,7 @@ class MultibinConfig:
     overlap_fraction: float = 0.1
 
     def __post_init__(self):
-        if self.n_bins < 2:
-            raise ValueError("n_bins must be >= 2")
+        _check_int("n_bins", self.n_bins, 2)
         if not 0.0 <= self.overlap_fraction < 0.5:
             raise ValueError("overlap_fraction must be in [0, 0.5)")
 

@@ -26,10 +26,11 @@ inliers, the only damped least-squares solve besides the two-pair
 refinement.
 
 Each call converts its detections and ellipsoids once, into one table of
-stacked arrays (:func:`_pairs`), one row per association: the placements,
-P3P, the two-pair solves, consensus and the polish, which reads the
-inliers' rows, all read it.  A row depends on its own association alone, so a
-subset's table is those rows of the full table, bit for bit.
+stacked arrays (:func:`_pairs`), one row per association, gathered with
+no object per detection: the placements, P3P, the two-pair solves,
+consensus and the polish, which reads the inliers' rows, all read it.  A
+row depends on its own association alone, so a subset's table is those
+rows of the full table, bit for bit.
 Every projection goes through the one conic-projection kernel of
 ``geometry`` over a stack of poses times pairs.  All residuals are
 Frobenius differences of its unit-normalized point conics; their exact
@@ -70,12 +71,12 @@ from .errors import AmbiguousSolution, NoValidPose
 from .geometry import (
     CameraModel,
     Pose,
-    canonicalize,
     normalize_symmetric,
     _ADJ,
     _FULL,
     _NOT_A_ROTATION,
     _UPPER,
+    _canonical,
     _check_int,
     _check_rotation,
     _ellipse_conics,
@@ -153,30 +154,28 @@ def _pairs(detections, cloud: EllipsoidCloud, K):
     A row holds the ellipsoid's unit dual quadric Qd, center_w, axes,
     rotation rot_w and max_axis; and the detection's unit point conic M_det,
     its area area_det (not > 0 where the conic is no real ellipse) and the
-    unit back-projection ray ray_dir of its center, from the detection
-    canonicalized once.  M_det and area_det are in intrinsics-normalized
-    coordinates: pixel-frame conic entries span several orders of magnitude
-    and would crush the shape information after unit-Frobenius scaling.
-    Rows come from the stacked
-    kernels ``_quadric_duals`` and ``_ellipse_conics`` and depend on their
-    own association alone, so the table of a subset is those rows of the
-    full table, bit for bit.
+    unit back-projection ray ray_dir of its center.  M_det and area_det are
+    in intrinsics-normalized coordinates: pixel-frame conic entries span
+    several orders of magnitude and would crush the shape information after
+    unit-Frobenius scaling.  Detections and objects are stacked once, the
+    detections canonicalized in one kernel call, and the rows gathered by
+    index through the stacked kernels ``_quadric_duals`` and
+    ``_ellipse_conics``.  A row depends on its own association alone, so
+    the table of a subset is those rows of the full table, bit for bit.
     """
-    ellipses, det_idx, obj_idx = [], [], []
-    for d, (label, ellipse) in enumerate(detections):
-        objs = [o for o, (obj_label, _) in enumerate(cloud.entries) if obj_label == label]
-        if objs:
-            ellipses += [canonicalize(ellipse)] * len(objs)
-            det_idx += [d] * len(objs)
-            obj_idx += objs
-    det_idx, obj_idx = np.array(det_idx, int), np.array(obj_idx, int)
-    if not ellipses:
+    objects = {}  # label -> the cloud's object indices, ascending
+    for o, (label, _) in enumerate(cloud.entries):
+        objects.setdefault(label, []).append(o)
+    matches = [objects.get(label, []) for label, _ in detections]
+    det_idx = np.repeat(np.arange(len(matches)), [len(m) for m in matches])
+    obj_idx = np.array([o for m in matches for o in m], int)
+    if not len(obj_idx):
         return None, det_idx, obj_idx
-    ellipsoids = [cloud.entries[o][1] for o in obj_idx.tolist()]
-    center_w, axes, rot_w = (np.array([getattr(E, name) for E in ellipsoids])
+    stacked = (np.array([getattr(e, name) for _, e in detections])
+               for name in ("center", "axes", "angle"))
+    det_center, det_axes, det_angle = (rows[det_idx] for rows in _canonical(*stacked))
+    center_w, axes, rot_w = (np.array([getattr(E, name) for _, E in cloud.entries])[obj_idx]
                              for name in ("center", "axes", "rotation"))
-    det_center, det_axes, det_angle = (np.array([getattr(e, name) for e in ellipses])
-                                       for name in ("center", "axes", "angle"))
     M = normalize_symmetric(_ellipse_conics(det_center, det_axes, det_angle))
     M_det = normalize_symmetric(K.T @ M @ K)
     h = np.concatenate([det_center, np.ones((len(M), 1))], axis=1)[:, :, None]

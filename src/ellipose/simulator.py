@@ -129,8 +129,9 @@ class OrientationNoise:
     max_abs_per_euler_axis: float = 2.0 * DEG
 
     def __post_init__(self):
-        if self.max_abs_per_euler_axis < 0:
-            raise ValueError("noise bound must be >= 0")
+        m = self.max_abs_per_euler_axis
+        if not (math.isfinite(m) and m >= 0.0):
+            raise ValueError(f"noise bound must be finite and >= 0, got {m!r}")
 
 
 def default_camera() -> CameraModel:

@@ -6,6 +6,7 @@ import pytest
 
 from ellipose.errors import BehindCamera, NotAnEllipse
 from ellipose.geometry import (
+    CIRCLE_TIE_TOL,
     Ellipse,
     Ellipsoid,
     FrameTransform,
@@ -259,10 +260,29 @@ def annotation_rows(a: ViewAnnotations) -> list:
 # ---------------------------------------------------------------------------
 
 
+def reference_canonicalize(e: Ellipse) -> Ellipse:
+    """The canonical form of one ellipse in scalar Python floats: a >= b,
+    the angle turned by pi/2 where the axes swap, circles (a and b within
+    CIRCLE_TIE_TOL of a) at angle 0, other angles wrapped into
+    (-pi/2, pi/2]."""
+    a, b = float(e.axes[0]), float(e.axes[1])
+    angle = e.angle
+    if a < b:
+        a, b = b, a
+        angle += 0.5 * math.pi
+    if abs(a - b) <= CIRCLE_TIE_TOL * a:
+        angle = 0.0
+    else:
+        angle = (angle + 0.5 * math.pi) % math.pi - 0.5 * math.pi
+        if angle <= -0.5 * math.pi:
+            angle = 0.5 * math.pi
+    return Ellipse(e.center, (a, b), angle)
+
+
 def reference_inscribed(box) -> Ellipse:
     """The axis-aligned ellipse inscribed in a box row, canonicalized."""
     lo, hi = np.asarray(box[:2], float), np.asarray(box[2:], float)
-    return canonicalize(Ellipse(0.5 * (lo + hi), 0.5 * (hi - lo), 0.0))
+    return reference_canonicalize(Ellipse(0.5 * (lo + hi), 0.5 * (hi - lo), 0.0))
 
 
 def reference_cloud(boxes_by_view, views) -> list:

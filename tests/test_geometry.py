@@ -17,6 +17,8 @@ from conftest import (
     random_ellipse,
     random_ellipsoid,
     random_rotation,
+    reference_canonicalize,
+    reference_inscribed,
     rot2d,
 )
 from ellipose.errors import BehindCamera, NotAnEllipse, NotAnEllipsoid, SingularTransform
@@ -32,6 +34,7 @@ from ellipose.geometry import (
     project_ellipsoid,
     transform_ellipse,
     wrap_angle_half_pi,
+    _canonical,
     _check_rotation,
     _ellipse_conics,
     _ellipses_of_conics,
@@ -155,6 +158,51 @@ class TestCanonicalize:
             assert c.axes[0] >= c.axes[1]
             assert ellipses_close(e, c, tol=1e-10)
             assert ellipses_close(c, canonicalize(c), tol=1e-14)
+
+    @staticmethod
+    def _cases(rng):
+        """Seeded ellipses, then the edge cases of the rule: a < b, exact
+        circles, relative axis gaps just inside, just outside and exactly at
+        CIRCLE_TIE_TOL either way round, and angles at +-pi/2, +-pi, -0.0
+        and up to 1e4 rad in size."""
+        n = 2000
+        centers = rng.uniform(-500.0, 500.0, size=(n, 2))
+        axes = rng.uniform(0.5, 80.0, size=(n, 2))
+        angles = rng.uniform(-20.0, 20.0, size=n)
+        angles[::5] = rng.uniform(-1e4, 1e4, size=len(angles[::5]))
+        edge_angles = [0.0, -0.0, 0.5 * math.pi, -0.5 * math.pi, math.pi, -math.pi,
+                       1.5 * math.pi, 0.7, -1e4, 1e4]
+        edge_axes = [(2.0, 1.0), (1.0, 2.0), (3.0, 3.0)]
+        for a in (1.0, 7.3, 250.0):
+            for gap in (1.0 - 1e-6, 1.0 + 1e-6):  # just inside, just outside
+                b = a - gap * 1e-9 * a
+                edge_axes += [(a, b), (b, a)]
+        a = 1e9 * 2.0**-22  # a gap of exactly the tolerance, a tie
+        assert abs(a - (a - 2.0**-22)) == 1e-9 * a
+        edge_axes += [(a, a - 2.0**-22), (a - 2.0**-22, a)]
+        rows = [(c, ab, t) for ab in edge_axes for t in edge_angles
+                for c in [rng.uniform(-500.0, 500.0, size=2)]]
+        return (np.concatenate([centers, [c for c, _, _ in rows]]),
+                np.concatenate([axes, [ab for _, ab, _ in rows]]),
+                np.concatenate([angles, [t for _, _, t in rows]]))
+
+    def test_kernel_bit_equal_to_reference(self, rng):
+        # the array kernel, and canonicalize its one-row case, against the
+        # scalar rule byte for byte
+        centers, axes, angles = self._cases(rng)
+        got = _canonical(centers, axes, angles)
+        ties = gaps = 0
+        for i, e in enumerate(Ellipse(*row) for row in zip(centers, axes, angles)):
+            want = reference_canonicalize(e)
+            one = canonicalize(e)
+            for c, ax, t in ((got[0][i], got[1][i], got[2][i]), (one.center, one.axes, one.angle)):
+                assert c.tobytes() == want.center.tobytes()
+                assert ax.tobytes() == want.axes.tobytes()
+                assert np.float64(t).tobytes() == np.float64(want.angle).tobytes(), (e, t, want)
+            near = 0.0 < abs(want.axes[0] - want.axes[1]) <= 2e-9 * want.axes[0]
+            ties += near and want.angle == 0.0
+            gaps += near and want.angle != 0.0
+        assert ties > 0 and gaps > 0  # both sides of the tie tolerance reached
 
 
 def dual_of(E: Ellipsoid) -> np.ndarray:
@@ -397,6 +445,19 @@ class TestBoxes:
         e = inscribed((-1, -3, 1, 3))
         assert np.allclose(e.axes, (3, 1))
         assert abs(e.angle - math.pi / 2) < 1e-15
+
+    def test_inscribed_bit_equal_to_reference(self, rng):
+        lo = rng.uniform(-300.0, 300.0, size=(300, 2))
+        sides = rng.uniform(0.5, 120.0, size=(300, 2))
+        sides[::3, 1] = sides[::3, 0]  # squares among tall and wide boxes
+        boxes = np.concatenate([lo, lo + sides], axis=1)
+        centers, axes, angles = _inscribed_ellipses(boxes)
+        for i, box in enumerate(boxes):
+            want = reference_inscribed(box)
+            assert centers[i].tobytes() == want.center.tobytes()
+            assert axes[i].tobytes() == want.axes.tobytes()
+            assert np.float64(angles[i]).tobytes() == np.float64(want.angle).tobytes()
+        assert set(angles.tolist()) == {0.0, 0.5 * math.pi}
 
     def test_bbox_axis_aligned(self):
         b = bbox_of_ellipse(Ellipse((0, 0), (2, 1), 0.0))

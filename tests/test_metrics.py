@@ -78,6 +78,12 @@ class TestEllipseIoU:
         e = Ellipse((10, 20), (5, 2), 0.7)
         assert ellipse_iou(e, e) == 1.0
 
+    @pytest.mark.parametrize("grid", [0, -3, 2.5, True, "8"])
+    def test_grid_must_be_a_positive_int(self, grid):
+        e = Ellipse((10, 20), (5, 2), 0.7)
+        with pytest.raises(ValueError, match="grid must be an int >= 1"):
+            ellipse_iou(e, e, grid=grid)
+
     def test_disjoint(self):
         a = Ellipse((0, 0), (1, 1), 0.0)
         b = Ellipse((10, 0), (1, 1), 0.0)

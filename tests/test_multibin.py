@@ -67,6 +67,12 @@ class TestDecode:
         assert abs(wrap_angle_half_pi(a.angle - b.angle)) < 1e-12
 
 
+@pytest.mark.parametrize("n_bins", [1, 2.5, 8.0, True, "8"])
+def test_config_bin_count_must_be_an_int_of_at_least_two(n_bins):
+    with pytest.raises(ValueError, match="n_bins must be an int >= 2"):
+        MultibinConfig(n_bins=n_bins)
+
+
 def test_target_bin_nearest_center():
     assert target_bin(CFG.bin_center(5), CFG) == 5
     # exact boundary between 3 and 4: lowest index wins

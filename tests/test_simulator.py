@@ -219,6 +219,11 @@ class TestPerturbations:
         out = perturb_orientation(R, OrientationNoise(0.0), np.random.default_rng(1))
         assert np.allclose(out, R)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-3])
+    def test_orientation_bound_finite_and_non_negative(self, bad):
+        with pytest.raises(ValueError, match="noise bound must be finite and >= 0"):
+            OrientationNoise(bad)
+
     def test_orientation_bound(self):
         rng = np.random.default_rng(3)
         noise = OrientationNoise(2.0 * DEG)
