@@ -33,6 +33,7 @@ from .geometry import (
     Pose,
     _check_cameras,
     _check_rotation,
+    _prechecked,
 )
 from .multibin import MultibinConfig, MultibinPrediction
 from .reconstruction import CalibratedView, EllipsoidCloud, ViewAnnotations
@@ -251,8 +252,9 @@ def _boxes(values: list) -> tuple:
 
 def _ellipses(values: list) -> tuple:
     """[centers (n, 2), axes (n, 2), angles (n,)] of ``values``, JSON
-    ellipses, NaN in a null one's row, and the mask of those neither null
-    nor with a finite ``center`` [2] and ``angle`` and positive ``axes`` [2]."""
+    ellipses, read-only, NaN in a null one's row, and the mask of those
+    neither null nor with a finite ``center`` [2] and ``angle`` and positive
+    ``axes`` [2]."""
     shown = np.array([e is not None for e in values], bool)
     kept = [e if type(e) is dict else {} for e in values if e is not None]
     parts = [_numbers([e.get(key) for e in kept], shape)
@@ -262,6 +264,7 @@ def _ellipses(values: list) -> tuple:
     out = [np.full((len(values), *part.shape[1:]), math.nan) for part, _ in parts]
     for full, (part, _) in zip(out, parts):
         full[shown] = part
+        full.setflags(write=False)
     return out, bad
 
 
@@ -290,15 +293,16 @@ class _Checks(list):
         return out
 
 
-def _first_fault(rd: _Reader, names: list, checks: list, then=None) -> None:
+def _first_fault(rd: _Reader, name, checks: list, then=None) -> None:
     """Raise the fault of the first record in file order that fails one of
-    ``checks``, naming ``names[i]`` and the field of the first check it
-    fails; else ``then``, a (message, record, field), if given."""
+    ``checks``, naming it ``name(i)``, i its index, and the field of the
+    first check it fails; else ``then``, a (message, record, field), if
+    given."""
     bad = np.array([mask for *_, mask in checks], bool)
     if bad.any():
         i = int(bad.any(axis=0).argmax())
         fld, message, _ = checks[int(bad[:, i].argmax())]
-        rd.fail(message, names[i], fld)
+        rd.fail(message, name(i), fld)
     if then is not None:
         rd.fail(*then)
 
@@ -306,26 +310,22 @@ def _first_fault(rd: _Reader, names: list, checks: list, then=None) -> None:
 def _grouped(groups: dict, known, record: str, prefix: str) -> tuple:
     """The records of ``groups`` (view id -> list) up to the first group that
     is not a list or, given ``known`` view ids, not one: each group's (view
-    id, start, stop), the records, their names ``<prefix>[<vid>][<j>]``, and
-    that group's fault (message, ``record``, view id) or None."""
-    spans, recs, names = [], [], []
+    id, start, stop), the records, the function that names record i
+    ``<prefix>[<vid>][<j>]``, and that group's fault (message, ``record``,
+    view id) or None."""
+    spans, recs = [], []
+
+    def name(i):
+        vid, start = next((vid, start) for vid, start, stop in spans if start <= i < stop)
+        return f"{prefix}[{vid}][{i - start}]"
+
     for vid, group in groups.items():
         if type(group) is not list or known is not None and vid not in known:
             what = "a list" if type(group) is not list else "the id of a view of the dataset"
-            return spans, recs, names, (f"expected {what}", record, vid)
+            return spans, recs, name, (f"expected {what}", record, vid)
         spans.append((vid, len(recs), len(recs) + len(group)))
         recs += group
-        names += [f"{prefix}[{vid}][{j}]" for j in range(len(group))]
-    return spans, recs, names, None
-
-
-def _prechecked(cls, **values):
-    """A value object of ``cls`` holding ``values`` as given, without its
-    ``__post_init__``: the caller has frozen them and checked them by the
-    rules of ``cls``."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(values)
-    return obj
+    return spans, recs, name, None
 
 
 def _load_json(path) -> tuple:
@@ -456,7 +456,7 @@ def _parse_views(doc, rd: _Reader) -> list:
     checks += [("image_size", f"bad view: {_NOT_A_CAMERA}", camera & (size <= 0.0).any(axis=1)),
                ("K", f"bad view: {_NOT_A_CAMERA}", camera),
                ("R", f"bad view: {_NOT_A_ROTATION}", _check_rotation(R))]
-    _first_fault(rd, [f"views[{i}]" for i in range(len(recs))], checks)
+    _first_fault(rd, "views[{}]".format, checks)
     return [CalibratedView(vid, _prechecked(CameraModel, K=K[i], image_size=size[i]),
                            _prechecked(Pose, R=R[i], t=t[i])) for i, vid in enumerate(ids)]
 
@@ -466,7 +466,7 @@ def _parse_annotations(doc, rd, *, need_ellipse: bool, known=None) -> dict:
     (a null ellipse a NaN row; ``known`` its view ids) or of an annotations
     file (``need_ellipse``).  Checks, in order: ``box``, ``ellipse``,
     ``label``, then a null ellipse where ``need_ellipse``."""
-    spans, recs, names, fault = _grouped(
+    spans, recs, name, fault = _grouped(
         rd.get_mapping(doc, "annotations", "<root>"), known, "annotations", "annotations")
     checks = _Checks(recs)
     boxes = checks.field("box", _BAD_BOX, _boxes)
@@ -475,9 +475,12 @@ def _parse_annotations(doc, rd, *, need_ellipse: bool, known=None) -> dict:
     labels = checks.field("label", "expected a string", _strings)
     if need_ellipse:
         checks.append(("ellipse", "expected an ellipse, got null", np.isnan(ellipses[2])))
-    _first_fault(rd, names, checks, fault)
-    fields = (tuple(labels), boxes, *ellipses)
-    return {vid: ViewAnnotations(*(f[start:stop] for f in fields)) for vid, start, stop in spans}
+    _first_fault(rd, name, checks, fault)
+    labels, (centers, axes, angles) = tuple(labels), ellipses
+    return {vid: _prechecked(ViewAnnotations, labels=labels[start:stop], boxes=boxes[start:stop],
+                             centers=centers[start:stop], axes=axes[start:stop],
+                             angles=angles[start:stop])
+            for vid, start, stop in spans}
 
 
 def _parse_objects(recs: list, rd, prefix: str) -> list:
@@ -497,7 +500,7 @@ def _parse_objects(recs: list, rd, prefix: str) -> list:
     rows, bad = _lists(points, (3,))
     checks.append(("model_points", "bad model points: expected a non-empty list of finite "
                    "[x, y, z]", bad & np.array([p is not None for p in points], bool)))
-    _first_fault(rd, [f"{prefix}[{j}]" for j in range(len(recs))], checks)
+    _first_fault(rd, f"{prefix}[{{}}]".format, checks)
     return [_prechecked(SceneObject, label=label,
                         ellipsoid=_prechecked(Ellipsoid, center=center[i], axes=axes[i],
                                               rotation=rotation[i]),
@@ -517,7 +520,7 @@ def _parse_predictions(pdoc, rd, known) -> PredictionSet:
     crop_size = rd.get_number(pdoc, "crop_size", "predictions")
     if crop_size <= 0.0:
         rd.fail(f"expected a positive number, got {crop_size!r}", "predictions", "crop_size")
-    spans, recs, names, fault = _grouped(
+    spans, recs, name, fault = _grouped(
         rd.get_mapping(pdoc, "records", "predictions"), known, "predictions.records", "predictions")
     checks = _Checks(recs)
     boxes = checks.field("box", _BAD_BOX, _boxes)
@@ -529,7 +532,7 @@ def _parse_predictions(pdoc, rd, known) -> PredictionSet:
         for key, shape in (("bin_scores", ()), ("corrections", (2,)))]
     checks.append(("dims", "bad prediction: dims must be positive", ~(dims > 0.0).all(axis=1)))
     labels = checks.field("label", "expected a string", _strings)
-    _first_fault(rd, names, checks, fault)
+    _first_fault(rd, name, checks, fault)
     preds = [PredictionRecord(label, boxes[i], _prechecked(
         MultibinPrediction, center=center[i], dims=dims[i], bin_scores=scores[i],
         corrections=corrections[i])) for i, label in enumerate(labels)]
@@ -600,7 +603,7 @@ def load_annotations(path) -> tuple:
     doc, rd = _load_json(path)
     out = _parse_annotations(doc, rd, need_ellipse=True)
     skipped = rd.get_list(doc, "skipped", "<root>") if "skipped" in doc else []
-    _first_fault(rd, [f"skipped[{j}]" for j in range(len(skipped))],
+    _first_fault(rd, "skipped[{}]".format,
                  [("skipped", "expected a list", [type(note) is not list for note in skipped])])
     return out, [tuple(note) for note in skipped]
 
@@ -621,7 +624,7 @@ def load_orientations(path) -> dict:
     doc, rd = _load_json(path)
     raw = rd.get_mapping(doc, "orientations", "<root>")
     R, bad = _numbers(list(raw.values()), (3, 3))
-    _first_fault(rd, [f"orientations[{vid}]" for vid in raw], [
+    _first_fault(rd, lambda i: f"orientations[{list(raw)[i]}]", [
         (None, "bad orientation: expected finite JSON numbers of shape (3, 3)", bad),
         (None, f"bad orientation: {_NOT_A_ROTATION}", _check_rotation(R))])
     return dict(zip(raw, R))

@@ -45,6 +45,15 @@ def _freeze(values, shape) -> np.ndarray:
     return a
 
 
+def _prechecked(cls, **values):
+    """A value object of ``cls`` holding ``values`` as given, without its
+    ``__post_init__``: the caller has frozen them and checked them by the
+    rules of ``cls``."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(values)
+    return obj
+
+
 def normalize_symmetric(M: np.ndarray) -> np.ndarray:
     """Scale a symmetric matrix, or each of a stack (..., s, s), to unit
     Frobenius norm with the sign fixed by the first non-zero upper-triangular

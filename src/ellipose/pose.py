@@ -25,17 +25,19 @@ draw that gives no pose is absent.  The best hypothesis is polished on its
 inliers, the only damped least-squares solve besides the two-pair
 refinement.
 
-Each call converts its detections and ellipsoids once, into one table of
-stacked arrays (:func:`_pairs`), one row per association, gathered with
-no object per detection: the placements, P3P, the two-pair solves,
-consensus and the polish, which reads the inliers' rows, all read it.  A
-row depends on its own association alone, so a subset's table is those
-rows of the full table, bit for bit.
+Each call converts its detections once, into one table of stacked arrays
+(:func:`_pairs`), one row per association, gathered with no object per
+detection: the placements, P3P, the two-pair solves, consensus and the
+polish, which reads the inliers' rows, all read it.  The cloud side of
+the table is gathered from stacks built once per cloud.  A row depends on
+its own association alone, so a subset's table is those rows of the full
+table, bit for bit.
 Every projection goes through the one conic-projection kernel of
 ``geometry`` over a stack of poses times pairs.  All residuals are
 Frobenius differences of its unit-normalized point conics; their exact
 Jacobian in (axis-angle increment, translation) is taken from the very
-conic that gave the accepted residual.  One Levenberg-Marquardt advances n
+conic that gave the accepted residual, and from the Rodrigues terms of
+that trial, mapped once per trial.  One Levenberg-Marquardt advances n
 candidates in lockstep, each with its own damping, acceptance and stop,
 scoring all trials of a round in one kernel call: the two-pair solver
 refines the candidates of all of a view's draws together in one LM, and
@@ -82,7 +84,6 @@ from .geometry import (
     _ellipse_conics,
     _freeze,
     _project_pairs,
-    _quadric_duals,
 )
 from .metrics import _conic_ious, rotation_distance
 from .reconstruction import EllipsoidCloud
@@ -157,16 +158,15 @@ def _pairs(detections, cloud: EllipsoidCloud, K):
     unit back-projection ray ray_dir of its center.  M_det and area_det are
     in intrinsics-normalized coordinates: pixel-frame conic entries span
     several orders of magnitude and would crush the shape information after
-    unit-Frobenius scaling.  Detections and objects are stacked once, the
-    detections canonicalized in one kernel call, and the rows gathered by
-    index through the stacked kernels ``_quadric_duals`` and
-    ``_ellipse_conics``.  A row depends on its own association alone, so
-    the table of a subset is those rows of the full table, bit for bit.
+    unit-Frobenius scaling.  The objects' rows are gathered by index from
+    the cloud's stacks, built once per cloud; the detections are stacked
+    once, canonicalized in one kernel call and gathered by index through
+    the stacked kernel ``_ellipse_conics``.  A row depends on its own
+    association alone, so the table of a subset is those rows of the full
+    table, bit for bit.
     """
-    objects = {}  # label -> the cloud's object indices, ascending
-    for o, (label, _) in enumerate(cloud.entries):
-        objects.setdefault(label, []).append(o)
-    matches = [objects.get(label, []) for label, _ in detections]
+    objects = cloud._objects
+    matches = [objects.get(label, ()) for label, _ in detections]
     det_idx = np.repeat(np.arange(len(matches)), [len(m) for m in matches])
     obj_idx = np.array([o for m in matches for o in m], int)
     if not len(obj_idx):
@@ -174,14 +174,12 @@ def _pairs(detections, cloud: EllipsoidCloud, K):
     stacked = (np.array([getattr(e, name) for _, e in detections])
                for name in ("center", "axes", "angle"))
     det_center, det_axes, det_angle = (rows[det_idx] for rows in _canonical(*stacked))
-    center_w, axes, rot_w = (np.array([getattr(E, name) for _, E in cloud.entries])[obj_idx]
-                             for name in ("center", "axes", "rotation"))
+    center_w, axes, rot_w, Qd = (rows[obj_idx] for rows in cloud._stacked)
     M = normalize_symmetric(_ellipse_conics(det_center, det_axes, det_angle))
     M_det = normalize_symmetric(K.T @ M @ K)
     h = np.concatenate([det_center, np.ones((len(M), 1))], axis=1)[:, :, None]
     h = np.linalg.solve(np.broadcast_to(K, (len(M), 3, 3)), h)[:, :, 0]
-    table = _Pairs(normalize_symmetric(_quadric_duals(center_w, axes, rot_w)), center_w, axes,
-                   rot_w, axes.max(axis=1), M_det, _conic_areas(M_det),
+    table = _Pairs(Qd, center_w, axes, rot_w, axes.max(axis=1), M_det, _conic_areas(M_det),
                    h / np.sqrt(h[:, None] @ h[:, :, None])[:, 0])
     return table, det_idx, obj_idx
 
@@ -242,10 +240,10 @@ _LMResult = namedtuple("_LMResult", "x costs converged stop invalid uphill")
 
 def _damped_steps(M, g):
     """Steps solving M delta = -g row by row, and the mask of singular
-    systems (their rows NaN); one singular system does not fail the
-    others."""
+    systems (their rows NaN), None when every system solves; one singular
+    system does not fail the others."""
     try:
-        return np.linalg.solve(M, -g[..., None])[..., 0], np.zeros(len(M), bool)
+        return np.linalg.solve(M, -g[..., None])[..., 0], None
     except np.linalg.LinAlgError:
         delta, singular = np.full(g.shape, np.nan), np.zeros(len(M), bool)
         for j in range(len(M)):
@@ -285,29 +283,33 @@ def _levenberg_marquardt(fun, jac, x0, *, max_iter=50):
     """
     x = np.array(x0, float)
     n, d = x.shape
-    every, diagonal = np.arange(n), np.arange(d)
 
-    def rows(cands):  # the index of sorted candidates
+    def rows(cands):  # the index of sorted candidates: a slice when it is all of them
         return slice(None) if len(cands) == n else np.array(cands, int)
 
+    def damped(idx):  # the damped normal matrices A + lam diag(D) of the candidates idx
+        M = A[idx] + 0.0  # a new array also where A[idx] is a view
+        M.reshape(-1, d * d)[:, ::d + 1] += lam[idx, None] * D[idx]  # the diagonals
+        return M
+
     r, ok, state = fun(slice(None), x)
+    valid = ok.tolist()
     cost = (r * r).sum(axis=1).tolist()
-    costs = [[c] if v else [] for c, v in zip(cost, ok.tolist())]
-    stop = ["" if v else "invalid start" for v in ok.tolist()]
-    converged, invalid, uphill = [False] * n, [0] * n, [0] * n
-    lam, grad = [1e-3] * n, [0.0] * n
-    g, A, D = np.zeros((n, d)), np.zeros((n, d, d)), np.zeros((n, d, d))
+    costs = [[c] if v else [] for c, v in zip(cost, valid)]
+    stop = ["" if v else "invalid start" for v in valid]
+    converged, invalid, uphill, grad = [False] * n, [0] * n, [0] * n, [0.0] * n
+    lam = np.full(n, 1e-3)
+    g, A, D = np.zeros((n, d)), np.zeros((n, d, d)), np.zeros((n, d))  # D: damping diagonals
     searching = []  # candidates holding a damped system to solve
-    fresh = every[ok].tolist()
+    fresh = [i for i, v in enumerate(valid) if v]
     fresh_state = state if len(fresh) == n else tuple(v[ok] for v in state)
     while True:
-        if fresh:  # new iterates: Jacobian, gradient and normal matrix
+        if fresh:  # new iterates: Jacobian, gradient, normal matrix and damping diagonal
             f = rows(fresh)
             J = jac(f, x[f], fresh_state)
-            gf = (r[f, None] @ J)[:, 0]
-            Af = J.transpose(0, 2, 1) @ J
-            g[f], A[f] = gf, Af
-            D[every[f][:, None], diagonal, diagonal] = np.maximum(Af[:, diagonal, diagonal], 1e-12)
+            g[f] = gf = (r[f, None] @ J)[:, 0]
+            A[f] = Af = J.transpose(0, 2, 1) @ J
+            D[f] = np.maximum(Af.diagonal(0, 1, 2), 1e-12)
             for i, gn in zip(fresh, _row_norms(gf).tolist()):
                 grad[i] = gn
                 if gn < _GRAD_TOL:
@@ -323,24 +325,24 @@ def _levenberg_marquardt(fun, jac, x0, *, max_iter=50):
                 converged[i], stop[i] = grad[i] < 1e-6, "no descent"
         if not act:
             break
-        searching = sorted(act)
-        a = rows(searching)
-        lam_a = np.array([lam[i] for i in searching])
-        delta, singular = _damped_steps(A[a] + lam_a[:, None, None] * D[a], g[a])
-        while singular.any():  # a singular system raises the damping tenfold
-            for j in np.flatnonzero(singular).tolist():
-                lam[searching[j]] *= 10.0
-            lam_a = np.array([lam[i] for i in searching])
-            singular &= lam_a < 1e12
-            redo = every[a][singular]
-            delta[singular], singular[singular] = _damped_steps(
-                A[redo] + lam_a[singular, None, None] * D[redo], g[redo])
-        act = [i for i, damping in zip(searching, lam_a.tolist()) if damping < 1e12]
-        if len(act) < len(searching):
-            a, delta = rows(act), delta[lam_a < 1e12]
+        act.sort()
+        searching = act[:]  # less those accepted below
+        a = rows(act)
+        delta, singular = _damped_steps(damped(a), g[a])
+        if singular is not None:  # a singular system raises the damping tenfold, up to 1e12
+            cands = np.array(act)
+            while singular.any():
+                lam[cands[singular]] *= 10.0
+                singular &= lam[cands] < 1e12
+                redo = cands[singular]
+                delta[singular], again = _damped_steps(damped(redo), g[redo])
+                singular[singular] = False if again is None else again
+            kept = lam[cands] < 1e12
+            act = cands[kept].tolist()
             if not act:
                 fresh = []
                 continue
+            a, delta = rows(act), delta[kept]
         X = x[a] + delta
         rt, okt, st = fun(a, X)
         acc = []
@@ -362,7 +364,8 @@ def _levenberg_marquardt(fun, jac, x0, *, max_iter=50):
         if len(acc) == len(act):  # the common case needs no row selection
             x[a], r[a] = X, rt
         elif acc:
-            x[every[a][acc]], r[every[a][acc]] = X[acc], rt[acc]
+            moved = [act[j] for j in acc]
+            x[moved], r[moved] = X[acc], rt[acc]
         go = [j for j in acc if not stop[act[j]]]
         fresh = [act[j] for j in go]
         fresh_state = st if len(go) == len(act) else tuple(v[go] for v in st)
@@ -381,30 +384,33 @@ _I3 = np.eye(3)
 _SKEW = np.cross(_I3[:, None], _I3).transpose(0, 2, 1).reshape(3, 9)  # raveled [v]x = v @ _SKEW
 
 
-def _rotations(W):
-    """Rodrigues map of the rows of W (m,3) to rotations (m,3,3); below an
-    angle of about 1e-8, where the cosine rounds to 1, it is exactly its
-    first-order term I + [w]x."""
-    theta = _row_norms(W)
-    theta = theta + (theta == 0.0)  # a zero rotation has K = 0
-    K = (W[:, None] @ _SKEW).reshape(-1, 3, 3)
-    sinc = (np.sin(theta) / theta)[:, None, None]
-    vers = ((1.0 - np.cos(theta)) / (theta * theta))[:, None, None]
-    return _I3 + sinc * K + vers * (K @ K)
-
-
-def _pose_directions(W, Rs):
-    """d[R | t] / d(w, t) (m,6,3,4) for R = exp([w]x) R0 at the current
-    rotations Rs: dR/dw_k = [J_l(w) e_k]x R, with the SO(3) left Jacobian
-    exp([w + dw]x) = exp([J_l dw]x) exp([w]x) to first order."""
-    m = len(W)
+def _rodrigues(W):
+    """Rodrigues map of the rows of W (m,3) to rotations (m,3,3), and the
+    terms (S, S2, a, b) of its SO(3) left Jacobian J_l = I + a S + b S2, S =
+    [w]x and S2 = S @ S, a and b (m,1,1).  Below an angle of 1e-8, where
+    the cosine rounds to 1, the rotation is exactly its first-order term
+    I + [w]x and (a, b) are their limits (1/2, 0)."""
     theta = _row_norms(W)
     tiny = theta < 1e-8
-    th = np.where(tiny, 1.0, theta)
-    a = np.where(tiny, 0.5, (1.0 - np.cos(th)) / th**2)[:, None, None]
-    b = np.where(tiny, 0.0, (th - np.sin(th)) / th**3)[:, None, None]
-    S = (W[:, None] @ _SKEW).reshape(m, 3, 3)
-    Jl = _I3 + a * S + b * (S @ S)
+    theta = theta + (theta == 0.0)  # a zero rotation has S = 0
+    sin = np.sin(theta)
+    a = (1.0 - np.cos(theta)) / (theta * theta)
+    S = (W[:, None] @ _SKEW).reshape(-1, 3, 3)
+    S2 = S @ S
+    R = _I3 + (sin / theta)[:, None, None] * S + a[:, None, None] * S2
+    odd = theta - sin  # b = odd / theta**3
+    if tiny.any():  # the limits, also where theta**3 would underflow
+        a, odd, theta = np.where(tiny, 0.5, a), np.where(tiny, 0.0, odd), np.where(tiny, 1.0, theta)
+    return R, S, S2, a[:, None, None], (odd / theta**3)[:, None, None]
+
+
+def _pose_directions(Rs, S, S2, a, b):
+    """d[R | t] / d(w, t) (m,6,3,4) for R = exp([w]x) R0 at the current
+    rotations Rs, from the left-Jacobian terms of :func:`_rodrigues` at w:
+    dR/dw_k = [J_l(w) e_k]x R, with the SO(3) left Jacobian
+    exp([w + dw]x) = exp([J_l dw]x) exp([w]x) to first order."""
+    m = len(Rs)
+    Jl = _I3 + a * S + b * S2
     dP = np.zeros((m, 6, 3, 4))
     dP[:, :3, :, :3] = (Jl.transpose(0, 2, 1) @ _SKEW).reshape(m, 3, 3, 3) @ Rs[:, None]
     dP[:, 3:] = _DP_TRANSLATION
@@ -583,7 +589,7 @@ def _turned(a, b):
     if m @ m < 1e-20:
         m = np.cross(a, _I3[np.argmin(np.abs(a))])
     R0 = (_I3 - 2.0 * np.outer(b, b)) @ (_I3 - 2.0 * np.outer(m, m) / (m @ m))
-    return _rotations(_TURN_ANGLES[:, None] * b) @ R0
+    return _rodrigues(_TURN_ANGLES[:, None] * b)[0] @ R0
 
 
 def _same_pose(R, t, R0, t0) -> bool:
@@ -659,24 +665,25 @@ def _refine_raw(R0, t0, pairs, rows, *, max_iter=50, rotation_fixed=False):
     """
     Qd, centers, M_det = pairs.Qd[rows], pairs.center_w[rows], pairs.M_det[rows]
 
-    def pose_at(idx, X):
+    def pose_at(idx, X):  # the poses of X, and the left-Jacobian terms of their turns
         if rotation_fixed:
-            return R0[idx], X
-        return _rotations(X[:, :3]) @ R0[idx], t0[idx] + X[:, 3:]
+            return R0[idx], X, ()
+        turn, *left = _rodrigues(X[:, :3])
+        R = turn @ R0[idx]
+        return R, t0[idx] + X[:, 3:], (R, *left)
 
     def fun(idx, X):
-        R, t = pose_at(idx, X)
+        R, t, left = pose_at(idx, X)
         N, _, valid, terms = _project_pairs(R, t, Qd[idx], centers[idx])
-        return (N - M_det[idx]).reshape(len(X), -1), valid.all(axis=1), (R, *terms)
+        return (N - M_det[idx]).reshape(len(X), -1), valid.all(axis=1), (*terms, *left)
 
-    def jac(idx, X, state):
-        R, *terms = state
-        dP = _DP_TRANSLATION[None] if rotation_fixed else _pose_directions(X[:, :3], R)
-        return _conic_jacobians(terms, dP)
+    def jac(idx, X, state):  # the Jacobian terms of the trial that was accepted at X
+        dP = _DP_TRANSLATION[None] if rotation_fixed else _pose_directions(*state[4:])
+        return _conic_jacobians(state[:4], dP)
 
     x0 = t0 if rotation_fixed else np.zeros((len(t0), 6))
     res = _levenberg_marquardt(fun, jac, x0, max_iter=max_iter)
-    return res, pose_at(slice(None), res.x)
+    return res, pose_at(slice(None), res.x)[:2]
 
 
 # ---------------------------------------------------------------------------

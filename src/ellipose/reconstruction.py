@@ -15,6 +15,7 @@ intrinsics beforehand to keep the system well conditioned.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -30,11 +31,13 @@ from .geometry import (
     Ellipse,
     Ellipsoid,
     Pose,
+    normalize_symmetric,
     _bbox_half,
     _ellipsoid_of_dual,
     _inscribed_ellipses,
     _outline_error,
     _outlines,
+    _prechecked,
     _quadric_duals,
 )
 
@@ -78,6 +81,28 @@ class EllipsoidCloud:
     @property
     def labels(self) -> list:
         return [l for l, _ in self.entries]
+
+    @cached_property
+    def _objects(self) -> dict:
+        """label -> the indices of its objects, ascending."""
+        objects = {}
+        for o, (label, _) in enumerate(self.entries):
+            objects.setdefault(label, []).append(o)
+        return objects
+
+    @cached_property
+    def _stacked(self) -> tuple:
+        """The objects' centers (m,3), axes (m,3), rotations (m,3,3) and
+        unit dual quadrics (m,4,4) as read-only arrays, row o the o-th
+        entry's; built on first use, as a cloud made for one view may never
+        need them."""
+        center, axes, rotation = (np.array([getattr(E, name) for _, E in self.entries])
+                                  for name in ("center", "axes", "rotation"))
+        stacked = (center, axes, rotation,
+                   normalize_symmetric(_quadric_duals(center, axes, rotation)))
+        for a in stacked:
+            a.setflags(write=False)
+        return stacked
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,8 +259,16 @@ def generate_annotations(cloud: EllipsoidCloud, views):
     half = np.array([_bbox_half(a, b, t) for (a, b), t in zip(
         axes.reshape(-1, 2).tolist(), angles.ravel().tolist())]).reshape(axes.shape)
     boxes = np.concatenate([centers - half, centers + half], axis=-1)
-    annotations = {}
-    for view, ok, *row in zip(views, code == 0, boxes, centers, axes, angles):
-        annotations[view.view_id] = ViewAnnotations(
-            [label for label, keep in zip(labels, ok.tolist()) if keep], *(a[ok] for a in row))
+    kept = code == 0
+    boxes, centers, axes, angles = (a[kept] for a in (boxes, centers, axes, angles))  # view-major
+    for a in (boxes, centers, axes, angles):
+        a.setflags(write=False)
+    annotations, start = {}, 0
+    for view, ok in zip(views, kept.tolist()):
+        view_labels = tuple(label for label, keep in zip(labels, ok) if keep)
+        at = slice(start, start + len(view_labels))
+        annotations[view.view_id] = _prechecked(
+            ViewAnnotations, labels=view_labels, boxes=boxes[at], centers=centers[at],
+            axes=axes[at], angles=angles[at])
+        start = at.stop
     return annotations, skipped

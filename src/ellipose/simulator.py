@@ -149,13 +149,20 @@ def look_at(camera_pos, target) -> Pose:
     if nf < 1e-12:
         raise ValueError("camera position coincides with the target")
     f = f / nf
-    x = np.cross(f, np.array([0.0, 0.0, 1.0]))
+    x = _cross(f, (0.0, 0.0, 1.0))
     if np.linalg.norm(x) < 1e-9:  # looking straight along up: pick any right
-        x = np.cross(f, (0.0, 1.0, 0.0))
+        x = _cross(f, (0.0, 1.0, 0.0))
     x = x / np.linalg.norm(x)
-    y = np.cross(f, x)
+    y = _cross(f, x)
     R = np.stack([x, y, f])
     return Pose(R, -R @ camera_pos)
+
+
+def _cross(a, b) -> np.ndarray:
+    """a x b of two 3-vectors by np.cross's own arithmetic, a1 b2 - a2 b1
+    and its cyclic shifts, without its per-call array handling."""
+    (a0, a1, a2), (b0, b1, b2) = a, b
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
 def sample_cameras(rig: CameraRig) -> list:

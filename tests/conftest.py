@@ -20,13 +20,15 @@ from ellipose.geometry import (
     _project_pairs,
 )
 from ellipose.pose import (
+    _COST_TOL,
     _DP_TRANSLATION,
+    _GRAD_TOL,
+    _LMResult,
+    _SKEW,
     _conic_jacobians,
     _pairs,
-    _pose_directions,
     _ray_placements,
     _refine_raw,
-    _rotations,
     _row_norms,
     _two_pair_solutions,
 )
@@ -489,7 +491,7 @@ def reference_refine(R0, t0, pairs, *, max_iter=50, rotation_fixed=False):
     def pose_at(x):
         if rotation_fixed:
             return R0, x
-        return (_rotations(x[None, :3]) @ R0[None])[0], t0 + x[3:]
+        return (reference_rotations(x[None, :3]) @ R0[None])[0], t0 + x[3:]
 
     def fun(x):
         N, valid, _ = project(*pose_at(x))
@@ -500,12 +502,148 @@ def reference_refine(R0, t0, pairs, *, max_iter=50, rotation_fixed=False):
         if rotation_fixed:
             dP = _DP_TRANSLATION[None]
         else:
-            dP = _pose_directions(x[None, :3], R[None])
+            dP = reference_pose_directions(x[None, :3], R[None])
         return _conic_jacobians(project(R, t)[2], dP)[0]
 
     x, costs, converged, uphill = reference_lm(
         fun, t0 if rotation_fixed else np.zeros(6), jac, max_iter)
     return (*pose_at(x), costs, converged, uphill)
+
+
+# ---------------------------------------------------------------------------
+# Per-call references of the pose module's kernels, which must match them bit
+# for bit: the Rodrigues map and the pose directions each computed from w
+# alone, and the lockstep LM with full damping matrices and a list of
+# dampings
+# ---------------------------------------------------------------------------
+
+
+def reference_rotations(W):
+    """Rodrigues map of the rows of W (m,3) to rotations (m,3,3)."""
+    theta = _row_norms(W)
+    theta = theta + (theta == 0.0)  # a zero rotation has K = 0
+    K = (W[:, None] @ _SKEW).reshape(-1, 3, 3)
+    sinc = (np.sin(theta) / theta)[:, None, None]
+    vers = ((1.0 - np.cos(theta)) / (theta * theta))[:, None, None]
+    return np.eye(3) + sinc * K + vers * (K @ K)
+
+
+def reference_pose_directions(W, Rs):
+    """d[R | t] / d(w, t) (m,6,3,4) for R = exp([w]x) R0 at the rotations
+    Rs, the left Jacobian computed from W."""
+    m = len(W)
+    theta = _row_norms(W)
+    tiny = theta < 1e-8
+    th = np.where(tiny, 1.0, theta)
+    a = np.where(tiny, 0.5, (1.0 - np.cos(th)) / th**2)[:, None, None]
+    b = np.where(tiny, 0.0, (th - np.sin(th)) / th**3)[:, None, None]
+    S = (W[:, None] @ _SKEW).reshape(m, 3, 3)
+    Jl = np.eye(3) + a * S + b * (S @ S)
+    dP = np.zeros((m, 6, 3, 4))
+    dP[:, :3, :, :3] = (Jl.transpose(0, 2, 1) @ _SKEW).reshape(m, 3, 3, 3) @ Rs[:, None]
+    dP[:, 3:] = _DP_TRANSLATION
+    return dP
+
+
+def _reference_damped_steps(M, g):
+    try:
+        return np.linalg.solve(M, -g[..., None])[..., 0], np.zeros(len(M), bool)
+    except np.linalg.LinAlgError:
+        delta, singular = np.full(g.shape, np.nan), np.zeros(len(M), bool)
+        for j in range(len(M)):
+            try:
+                delta[j] = np.linalg.solve(M[j], -g[j])
+            except np.linalg.LinAlgError:
+                singular[j] = True
+        return delta, singular
+
+
+def reference_lockstep_lm(fun, jac, x0, *, max_iter=50):
+    """The lockstep LM of the pose module, with the damping diagonals kept
+    as full (n,d,d) matrices and the dampings as a list."""
+    x = np.array(x0, float)
+    n, d = x.shape
+    every, diagonal = np.arange(n), np.arange(d)
+
+    def rows(cands):
+        return slice(None) if len(cands) == n else np.array(cands, int)
+
+    r, ok, state = fun(slice(None), x)
+    cost = (r * r).sum(axis=1).tolist()
+    costs = [[c] if v else [] for c, v in zip(cost, ok.tolist())]
+    stop = ["" if v else "invalid start" for v in ok.tolist()]
+    converged, invalid, uphill = [False] * n, [0] * n, [0] * n
+    lam, grad = [1e-3] * n, [0.0] * n
+    g, A, D = np.zeros((n, d)), np.zeros((n, d, d)), np.zeros((n, d, d))
+    searching = []
+    fresh = every[ok].tolist()
+    fresh_state = state if len(fresh) == n else tuple(v[ok] for v in state)
+    while True:
+        if fresh:
+            f = rows(fresh)
+            J = jac(f, x[f], fresh_state)
+            gf = (r[f, None] @ J)[:, 0]
+            Af = J.transpose(0, 2, 1) @ J
+            g[f], A[f] = gf, Af
+            D[every[f][:, None], diagonal, diagonal] = np.maximum(Af[:, diagonal, diagonal], 1e-12)
+            for i, gn in zip(fresh, _row_norms(gf).tolist()):
+                grad[i] = gn
+                if gn < _GRAD_TOL:
+                    converged[i], stop[i] = True, "gradient"
+                else:
+                    searching.append(i)
+        act = []
+        for i in searching:
+            if lam[i] < 1e12:
+                act.append(i)
+            else:
+                converged[i], stop[i] = grad[i] < 1e-6, "no descent"
+        if not act:
+            break
+        searching = sorted(act)
+        a = rows(searching)
+        lam_a = np.array([lam[i] for i in searching])
+        delta, singular = _reference_damped_steps(A[a] + lam_a[:, None, None] * D[a], g[a])
+        while singular.any():
+            for j in np.flatnonzero(singular).tolist():
+                lam[searching[j]] *= 10.0
+            lam_a = np.array([lam[i] for i in searching])
+            singular &= lam_a < 1e12
+            redo = every[a][singular]
+            delta[singular], singular[singular] = _reference_damped_steps(
+                A[redo] + lam_a[singular, None, None] * D[redo], g[redo])
+        act = [i for i, damping in zip(searching, lam_a.tolist()) if damping < 1e12]
+        if len(act) < len(searching):
+            a, delta = rows(act), delta[lam_a < 1e12]
+            if not act:
+                fresh = []
+                continue
+        X = x[a] + delta
+        rt, okt, st = fun(a, X)
+        acc = []
+        for j, (i, v, c) in enumerate(zip(act, okt.tolist(), (rt * rt).sum(axis=1).tolist())):
+            if not (v and c <= cost[i]):
+                lam[i] *= 4.0
+                uphill[i] += v
+                invalid[i] += not v
+                continue
+            acc.append(j)
+            c_old, cost[i] = cost[i], c
+            costs[i].append(c)
+            lam[i] = max(lam[i] * 0.3, 1e-12)
+            searching.remove(i)
+            if c_old - c <= _COST_TOL * c_old:
+                converged[i], stop[i] = True, "cost"
+            elif len(costs[i]) > max_iter:
+                stop[i] = "iteration cap"
+        if len(acc) == len(act):
+            x[a], r[a] = X, rt
+        elif acc:
+            x[every[a][acc]], r[every[a][acc]] = X[acc], rt[acc]
+        go = [j for j in acc if not stop[act[j]]]
+        fresh = [act[j] for j in go]
+        fresh_state = st if len(go) == len(act) else tuple(v[go] for v in st)
+    return _LMResult(x, costs, np.array(converged), stop, np.array(invalid), np.array(uphill))
 
 
 def reference_mvee_area(points, tol=1e-9) -> float:

@@ -610,6 +610,8 @@ class TestBulkParse:
             assert [v.view_id for v in got.views] == [v["view_id"] for v in doc["views"]]
             assert _leaves(got) == want
             assert not got.views[0].pose.R.flags.writeable
+            assert not any(a.flags.writeable for ann in got.annotations.values()
+                           for a in (ann.boxes, ann.centers, ann.axes, ann.angles))
 
     def test_indented_layout_loads_bit_equal(self, dataset, rng, tmp_path):
         # every writer emits one line; a file in the older indented layout

@@ -23,7 +23,10 @@ from conftest import (
     random_ellipsoid,
     random_rotation,
     reference_lm,
+    reference_lockstep_lm,
+    reference_pose_directions,
     reference_refine,
+    reference_rotations,
     rot2d,
     row_ellipse_iou,
     two_pair_poses,
@@ -53,6 +56,7 @@ from ellipose.pose import (
 from ellipose.pose import (  # white-box kernels
     _DP_TRANSLATION,
     _IOU_ROWS,
+    _LMResult,
     _Pairs,
     _admissible_sets,
     _below,
@@ -64,7 +68,7 @@ from ellipose.pose import (  # white-box kernels
     _pairs,
     _pose_directions,
     _ray_placements,
-    _rotations,
+    _rodrigues,
 )
 from ellipose.simulator import (
     DEG,
@@ -241,6 +245,32 @@ class TestPairsTable:
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
         assert _pairs(dets, EllipsoidCloud((("c", cloud.entries[3][1]),)), cam.K)[0] is None
 
+    def test_cloud_stacks_are_read_only_entry_values_gathered_as_per_call_stacks(self, rng):
+        # built once per cloud on first use: every entry's values, read-only;
+        # the objects' rows of the shared-label table equal those stacked and
+        # normalized from the cloud's entries in the call
+        cam = default_camera()
+        cloud = EllipsoidCloud(tuple((label, sized_ellipsoid(rng)) for label in "abac"))
+        dets = [(label, random_ellipse(rng, center_scale=300.0)) for label in "bada"]
+        assert "_stacked" not in vars(cloud)
+        table, det_idx, obj_idx = _pairs(dets, cloud, cam.K)
+        assert list(zip(det_idx.tolist(), obj_idx.tolist())) == [(0, 1), (1, 0), (1, 2),
+                                                                 (3, 0), (3, 2)]
+        stacked = cloud._stacked
+        assert _pairs(dets, cloud, cam.K)[0].Qd.tobytes() == table.Qd.tobytes()
+        assert cloud._stacked is stacked
+        for o, (_, E) in enumerate(cloud.entries):
+            Qd = normalize_symmetric(_quadric_duals(E.center[None], E.axes[None], E.rotation[None]))
+            for rows, want in zip(stacked, (E.center, E.axes, E.rotation, Qd[0])):
+                assert not rows.flags.writeable and rows[o].tobytes() == want.tobytes()
+        center_w, axes, rot_w = (np.array([getattr(E, name) for _, E in cloud.entries])[obj_idx]
+                                 for name in ("center", "axes", "rotation"))
+        want = {"Qd": normalize_symmetric(_quadric_duals(center_w, axes, rot_w)),
+                "center_w": center_w, "axes": axes, "rot_w": rot_w, "max_axis": axes.max(axis=1)}
+        for name, rows in want.items():
+            got = getattr(table, name)
+            assert got.shape == rows.shape and got.tobytes() == rows.tobytes(), name
+
 
 class TestConicKernels:
     @staticmethod
@@ -294,17 +324,32 @@ class TestConicKernels:
             X[7] = 0.0  # keeps the camera center on the surface
 
             def pose_at(X):
-                return np.einsum("mij,mjk->mik", _rotations(X[:, :3]), R0), t0 + X[:, 3:]
+                return np.einsum("mij,mjk->mik", _rodrigues(X[:, :3])[0], R0), t0 + X[:, 3:]
 
             def fun(X):
                 return _project_pairs(*pose_at(X), *stacks)[0].reshape(len(X), len(pairs.Qd), 9)
 
             R, t = pose_at(X)
             _, _, valid, terms = _project_pairs(R, t, *stacks)
-            J = _conic_jacobians(terms, _pose_directions(X[:, :3], R))
+            J = _conic_jacobians(terms, _pose_directions(R, *_rodrigues(X[:, :3])[1:]))
             assert J.shape == (8, 27, 6)
             assert not valid[6].any() and not valid[7, 0] and valid[:6].all()
             self._assert_matches(J, self._central_difference(fun, X), valid)
+
+    def test_rodrigues_terms_give_the_per_call_rotations_and_directions(self, rng):
+        # angles 0, below 1e-8 (1e-200 has a cube that underflows) and above,
+        # on seeded axes: the rotations, and the pose directions from the
+        # carried left-Jacobian terms, equal those computed from w alone bit
+        # for bit; below 1e-8 the terms are their limits a = 1/2, b = 0
+        angles = np.array([0.0, 1e-200, 1e-12, 9.9e-9, 1e-8, 1e-5, 0.3, 2.0, 3.1])
+        axes = rng.normal(size=(len(angles), 3))
+        W = angles[:, None] * axes / np.linalg.norm(axes, axis=1, keepdims=True)
+        Rs = np.array([random_rotation(rng) for _ in angles])
+        R, S, S2, a, b = _rodrigues(W)
+        assert R.tobytes() == reference_rotations(W).tobytes()
+        assert _pose_directions(Rs, S, S2, a, b).tobytes() == reference_pose_directions(W, Rs).tobytes()
+        tiny = angles < 1e-8
+        assert (a[tiny] == 0.5).all() and (b[tiny] == 0.0).all()
 
     def test_translation_jacobian_matches_central_differences(self, rng):
         for _ in range(4):
@@ -593,6 +638,54 @@ def test_lockstep_candidates_stop_alone(monkeypatch):
         assert res.uphill[i] == uphill
     assert res.uphill[2] > 0  # the Rosenbrock valley from (-1.2, 1) rejects trials
     assert res.converged[2:].all()
+
+
+@pytest.mark.parametrize("n", [1, 12])
+def test_lockstep_lm_matches_its_per_call_reference(monkeypatch, n):
+    # Rosenbrock residuals with a third term, valid for -0.5 < x1 < 4.2 and
+    # with a NaN Jacobian beyond x0 = 2.8; the solver stub reports a system
+    # singular where it is not finite or its two columns correlate by 0.99
+    # or more, so a small damping is raised until the system solves.  The
+    # LM's result equals that of the reference bit for bit, and the
+    # problem takes singular, invalid and uphill trials
+    solve, singular = np.linalg.solve, []
+
+    def near_singular(M, b):
+        with np.errstate(all="ignore"):
+            bad = ~np.isfinite(M).all(axis=(-2, -1)) | (
+                M[..., 0, 1] ** 2 >= 0.99 * M[..., 0, 0] * M[..., 1, 1])
+        singular.append(bool(bad.any()))
+        if singular[-1]:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(M, b)
+
+    monkeypatch.setattr(np.linalg, "solve", near_singular)
+
+    def fun(idx, X):
+        r = np.stack([X[:, 0] - 1.0, 10.0 * (X[:, 1] - X[:, 0] ** 2), 0.1 * X[:, 0] * X[:, 1]],
+                     axis=1)
+        return r, (X[:, 1] > -0.5) & (X[:, 1] < 4.2), (X,)
+
+    def jac(idx, X, state):
+        (at,) = state
+        J = np.zeros((len(X), 3, 2))
+        J[:, 0, 0], J[:, 1, 0], J[:, 1, 1] = 1.0, -20.0 * at[:, 0], 10.0
+        J[:, 2, 0], J[:, 2, 1] = 0.1 * at[:, 1], 0.1 * at[:, 0]
+        J[at[:, 0] > 2.8] = np.nan
+        return J
+
+    rng = np.random.default_rng(1)
+    x0 = np.column_stack([rng.uniform(-2.5, 3.0, 12), rng.uniform(-0.5, 4.0, 12)])
+    x0 = x0[2:3] if n == 1 else x0
+    res = _levenberg_marquardt(fun, jac, x0)
+    assert any(singular) and res.invalid.sum() > 0 and res.uphill.sum() > 0
+    ref = reference_lockstep_lm(fun, jac, x0)
+    for name, got, want in zip(_LMResult._fields, res, ref):
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+        else:
+            assert got == want, name
 
 
 def test_step_that_gains_at_most_1e_12_of_the_cost_stops_its_candidate():

@@ -334,7 +334,12 @@ class TestMapPathMatchesPerRecordFormulas:
         assert skipped == want_skipped and len(skipped) == len(views)
         assert list(anns) == list(want)
         for vid, rows in want.items():
-            got = annotation_rows(anns[vid])
+            a, n = anns[vid], len(rows)
+            assert type(a.labels) is tuple and len(a.labels) == n
+            for rows_of, shape in ((a.boxes, (n, 4)), (a.centers, (n, 2)), (a.axes, (n, 2)),
+                                   (a.angles, (n,))):
+                assert rows_of.shape == shape and not rows_of.flags.writeable
+            got = annotation_rows(a)
             assert [label for label, _, _ in got] == [label for label, _, _ in rows]
             for (_, b1, e1), (_, e2, b2) in zip(got, rows):
                 assert np.array_equal(e1.center, e2.center)
