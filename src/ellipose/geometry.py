@@ -74,6 +74,16 @@ def normalize_symmetric(M: np.ndarray) -> np.ndarray:
     return (flat * np.where(first < 0.0, -1.0, 1.0)[:, None]).reshape(M.shape)
 
 
+def _cross(a, b):
+    """Cross products a x b of the 3-vectors stacked along the last axis of
+    the arrays a and b, by np.cross's own arithmetic, a1 b2 - a2 b1 and its
+    cyclic shifts, without its per-call axis handling.  The transposes put
+    the components first and back last, so a stack comes out as a strided
+    view."""
+    (a0, a1, a2), (b0, b1, b2) = a.T, b.T
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]).T
+
+
 def rotation_x(angle: float) -> np.ndarray:
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
@@ -360,7 +370,11 @@ def _project_pairs(Rs, ts, Qd, centers):
     differentiates, so a Jacobian is always that of the very conic its
     residual came from.  N is the adjugate of C*, its inverse up to scale,
     scaled to unit Frobenius norm with the first entry of significant size
-    positive (the convention of :func:`normalize_symmetric`).
+    positive (the convention of :func:`normalize_symmetric`).  That entry is
+    entry 00 in every row of a real outline, so the sign comes from it, and
+    the search for the first significant entry runs only when some row's
+    entry 00 is below 1e-12 of the norm; NaN rows are written only when some
+    row is invalid.
     """
     n, k = len(Rs), Qd.shape[-3]
     P = np.concatenate([Rs, ts[:, :, None]], axis=2)[:, None]
@@ -370,16 +384,21 @@ def _project_pairs(Rs, ts, Qd, centers):
     x = C[:, _UPPER]  # (a, b, c, d, e, f)
     t = x[:, _ADJ]
     m = t[:, 0] * t[:, 1] - t[:, 2] * t[:, 3]  # the upper entries of adj(C*)
-    det = (x[:, :3] * m[:, :3]).sum(axis=1)
+    det = np.add.reduce(x[:, :3] * m[:, :3], axis=1)
     sq = m * m
     norm = np.sqrt(sq[:, 0] + sq[:, 3] + sq[:, 5] + 2.0 * (sq[:, 1] + sq[:, 2] + sq[:, 4]))
     with np.errstate(all="ignore"):
-        valid = (depth.ravel() > 0.0) & (np.abs(det) >= 1e-14 * np.abs(C).max(axis=1) ** 3) \
-            & (norm >= 1e-300)
-        s = 1.0 / norm
-        first = np.argmax(np.abs(m) * s[:, None] > 1e-12, axis=1)
-        s = np.where(m[np.arange(len(m)), first] < 0.0, -s, s)
-        u = np.where(valid[:, None], m * s[:, None], np.nan)
+        scale = np.maximum.reduce(np.abs(C), axis=1)
+        valid = (depth.ravel() > 0.0) & (np.abs(det) >= 1e-14 * scale**3) & (norm >= 1e-300)
+        s, lead = 1.0 / norm, m[:, 0]
+        if (np.abs(lead) * s > 1e-12).all():  # every row's entry 00 is significant,
+            s = np.copysign(s, lead)  # hence not zero, and gives s its sign
+        else:
+            first = np.argmax(np.abs(m) * s[:, None] > 1e-12, axis=1)
+            s = np.where(m[np.arange(len(m)), first] < 0.0, -s, s)
+        u = m * s[:, None]
+    if not valid.all():
+        u[~valid] = np.nan
     N = u[:, _FULL].reshape(n, k, 3, 3)
     return N, depth, valid.reshape(n, k), (QPt, x.reshape(n, k, 1, 6), N, s.reshape(n, k, 1, 1))
 

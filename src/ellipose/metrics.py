@@ -87,7 +87,10 @@ def _conic_ious(M1, M2, rows):
     pairs go in blocks of ``_IOU_BYTES // (16 rows)``, so that every (2 block,
     rows) float64 temporary stays under glibc's 128 KiB mmap threshold, above
     which each call would map and fault its pages in afresh.  An IoU depends
-    on its own pair alone, so the blocks change no bit.
+    on its own pair alone, so the blocks change no bit.  Each block's chord
+    rows are computed into three (2 block, rows) buffers, reused in place
+    step after step with the operands and order of operations of the plain
+    expressions in the comments, so no step makes a fresh temporary.
     """
     n, block = len(M1), max(1, _IOU_BYTES // (16 * rows))
     if n > block:
@@ -101,13 +104,31 @@ def _conic_ious(M1, M2, rows):
     half_y = np.sqrt(ka / det2)
     lo = np.minimum(cy[:n] - half_y[:n], cy[n:] - half_y[n:])
     hi = np.maximum(cy[:n] + half_y[:n], cy[n:] + half_y[n:])
-    dy = np.tile(lo + (np.arange(rows) + 0.5) * ((hi - lo) / rows), (2, 1)) - cy  # (2n, rows)
-    mid = cx - b / a * dy
-    half = np.sqrt(np.maximum(ka - det2 * dy * dy, 0.0)) / a
-    left, right = mid - half, mid + half
-    width = (right - left).sum(axis=1)
-    inter = np.maximum(np.minimum(right[:n], right[n:]) - np.maximum(left[:n], left[n:]), 0.0)
-    inter = inter.sum(axis=1)
+    dy, mid, half = (np.empty((2 * n, rows)) for _ in range(3))  # each under 128 KiB
+    # dy = [y, y] - cy, y = lo + (arange(rows) + 0.5) * ((hi - lo) / rows)
+    y = np.multiply(np.arange(rows) + 0.5, (hi - lo) / rows, out=dy[:n])
+    np.add(lo, y, out=y)
+    np.subtract(y, cy[n:], out=dy[n:])
+    np.subtract(y, cy[:n], out=y)
+    # mid = cx - b / a * dy
+    np.multiply(b / a, dy, out=mid)
+    np.subtract(cx, mid, out=mid)
+    # half = sqrt(max(ka - det2 * dy * dy, 0)) / a
+    np.multiply(det2, dy, out=half)
+    half *= dy
+    np.subtract(ka, half, out=half)
+    np.maximum(half, 0.0, out=half)
+    np.sqrt(half, out=half)
+    half /= a
+    right, left = np.add(mid, half, out=dy), np.subtract(mid, half, out=mid)
+    width = np.add.reduce(np.subtract(right, left, out=half), axis=1)
+    # inter = max(min(right[:n], right[n:]) - max(left[:n], left[n:]), 0)
+    inter, low = half[:n], half[n:]
+    np.minimum(right[:n], right[n:], out=inter)
+    np.maximum(left[:n], left[n:], out=low)
+    inter -= low
+    np.maximum(inter, 0.0, out=inter)
+    inter = np.add.reduce(inter, axis=1)
     union = width[:n] + width[n:] - inter
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(union > 0.0, inter / union, 0.0)

@@ -81,6 +81,7 @@ from .geometry import (
     _canonical,
     _check_int,
     _check_rotation,
+    _cross,
     _ellipse_conics,
     _freeze,
     _project_pairs,
@@ -255,7 +256,7 @@ def _damped_steps(M, g):
 
 
 def _row_norms(V):
-    return np.sqrt((V * V).sum(axis=1))
+    return np.sqrt(np.add.reduce(V * V, axis=1))
 
 
 def _levenberg_marquardt(fun, jac, x0, *, max_iter=50):
@@ -294,7 +295,7 @@ def _levenberg_marquardt(fun, jac, x0, *, max_iter=50):
 
     r, ok, state = fun(slice(None), x)
     valid = ok.tolist()
-    cost = (r * r).sum(axis=1).tolist()
+    cost = np.add.reduce(r * r, axis=1).tolist()
     costs = [[c] if v else [] for c, v in zip(cost, valid)]
     stop = ["" if v else "invalid start" for v in valid]
     converged, invalid, uphill, grad = [False] * n, [0] * n, [0] * n, [0.0] * n
@@ -346,7 +347,8 @@ def _levenberg_marquardt(fun, jac, x0, *, max_iter=50):
         X = x[a] + delta
         rt, okt, st = fun(a, X)
         acc = []
-        for j, (i, v, c) in enumerate(zip(act, okt.tolist(), (rt * rt).sum(axis=1).tolist())):
+        trial_costs = np.add.reduce(rt * rt, axis=1).tolist()
+        for j, (i, v, c) in enumerate(zip(act, okt.tolist(), trial_costs)):
             if not (v and c <= cost[i]):
                 lam[i] *= 4.0
                 uphill[i] += v
@@ -472,7 +474,10 @@ def _p3p(pairs: _Pairs, triples):
     their residual, and the rotation aligns the three centers with their
     points on the rays (SVD, with the determinant's sign fixed).  Collinear
     centers, coincident rays and a vanishing leading coefficient give no
-    solution.
+    solution.  The stacked ``geometry._cross`` forms every cross product;
+    the means are sums divided by 3, as ``mean`` divides them; and the
+    reflection fix reads only the sign, +-1, of the orthogonal U Vt's
+    determinant, written out as a triple product.
 
     Returns (Rs (h,3,3), ts (h,3), of (h,)): every solution with positive
     depths, triple by triple in the eigenvalue order, and the index of the
@@ -483,7 +488,7 @@ def _p3p(pairs: _Pairs, triples):
     D = P[:, first] - P[:, second]
     d2, cos = _dot(D, D), _dot(j[:, first], j[:, second])
     (a2, b2, c2), (ca, cb, cg) = d2.T, cos.T
-    normal = np.cross(D[:, 1], D[:, 2])
+    normal = _cross(D[:, 1], D[:, 2])
     with np.errstate(all="ignore"):
         p, q, r, e = (a2 - c2) / b2, (a2 + c2) / b2, c2 / b2, a2 / b2
         coef = np.stack([
@@ -532,9 +537,10 @@ def _p3p(pairs: _Pairs, triples):
     positive = (s > 0.0).all(axis=1)
     of, s = of[positive], s[positive]
     X, P = s[:, :, None] * j[of], P[of]
-    X_mean, P_mean = X.mean(axis=1), P.mean(axis=1)
+    X_mean, P_mean = np.add.reduce(X, axis=1) / 3, np.add.reduce(P, axis=1) / 3
     U, _, Vt = np.linalg.svd((P - P_mean[:, None]).transpose(0, 2, 1) @ (X - X_mean[:, None]))
-    Vt[:, 2] *= np.sign(np.linalg.det(U @ Vt))[:, None]  # a rotation, not a reflection
+    W = U @ Vt  # orthogonal, so its determinant is +-1 up to rounding
+    Vt[:, 2] *= np.sign(_dot(W[:, 0], _cross(W[:, 1], W[:, 2])))[:, None]  # a rotation
     Rs = Vt.transpose(0, 2, 1) @ U.transpose(0, 2, 1)
     return Rs, X_mean - (Rs @ P_mean[:, :, None])[:, :, 0], of
 
@@ -587,7 +593,7 @@ def _turned(a, b):
     the first plane is any that holds a."""
     m = a + b
     if m @ m < 1e-20:
-        m = np.cross(a, _I3[np.argmin(np.abs(a))])
+        m = _cross(a, _I3[np.argmin(np.abs(a))])
     R0 = (_I3 - 2.0 * np.outer(b, b)) @ (_I3 - 2.0 * np.outer(m, m) / (m @ m))
     return _rodrigues(_TURN_ANGLES[:, None] * b)[0] @ R0
 
@@ -675,7 +681,8 @@ def _refine_raw(R0, t0, pairs, rows, *, max_iter=50, rotation_fixed=False):
     def fun(idx, X):
         R, t, left = pose_at(idx, X)
         N, _, valid, terms = _project_pairs(R, t, Qd[idx], centers[idx])
-        return (N - M_det[idx]).reshape(len(X), -1), valid.all(axis=1), (*terms, *left)
+        return (N - M_det[idx]).reshape(len(X), -1), np.logical_and.reduce(valid, axis=1), \
+            (*terms, *left)
 
     def jac(idx, X, state):  # the Jacobian terms of the trial that was accepted at X
         dP = _DP_TRANSLATION[None] if rotation_fixed else _pose_directions(*state[4:])
@@ -814,7 +821,7 @@ def _seeded_draws(det_idx, obj_idx, size, opts: RansacOptions):
     total, nth = _admissible_sets(det_idx, obj_idx, size)
     if not total:
         return None
-    rng = np.random.default_rng(np.random.SeedSequence(int(opts.seed)))
+    rng = np.random.default_rng(int(opts.seed))
     return nth(np.array(list(dict.fromkeys(rng.integers(total, size=opts.iterations).tolist()))))
 
 

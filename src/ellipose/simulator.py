@@ -27,6 +27,7 @@ from .geometry import (
     rotation_y,
     rotation_z,
     _check_int,
+    _cross,
     _inscribed_ellipses,
 )
 from .reconstruction import CalibratedView, EllipsoidCloud, generate_annotations
@@ -90,8 +91,11 @@ class CameraRig:
     cam: CameraModel = None
 
     def __post_init__(self):
-        if self.radius <= 0 or self.n_azimuth < 1 or self.n_elevation < 1:
-            raise ValueError("rig needs positive radius and counts >= 1")
+        r = self.radius
+        if not (math.isfinite(r) and r > 0.0):
+            raise ValueError(f"rig radius must be finite and > 0, got {r!r}")
+        _check_int("n_azimuth", self.n_azimuth, 1)
+        _check_int("n_elevation", self.n_elevation, 1)
         lookat = np.array(self.lookat, dtype=float)
         lookat.setflags(write=False)
         object.__setattr__(self, "lookat", lookat)
@@ -140,29 +144,26 @@ def default_camera() -> CameraModel:
     return CameraModel(K, (640.0, 480.0))
 
 
+_UP, _SIDE = np.array([0.0, 0.0, 1.0]), np.array([0.0, 1.0, 0.0])
+
+
 def look_at(camera_pos, target) -> Pose:
     """World-to-camera pose looking from ``camera_pos`` to ``target`` with
-    the world up-vector (+z) projected into the image vertical."""
+    the world up-vector (+z) projected into the image vertical.  Its cross
+    products come from the shared helper ``geometry._cross``."""
     camera_pos = np.asarray(camera_pos, float)
     f = np.asarray(target, float) - camera_pos
     nf = np.linalg.norm(f)
     if nf < 1e-12:
         raise ValueError("camera position coincides with the target")
     f = f / nf
-    x = _cross(f, (0.0, 0.0, 1.0))
+    x = _cross(f, _UP)
     if np.linalg.norm(x) < 1e-9:  # looking straight along up: pick any right
-        x = _cross(f, (0.0, 1.0, 0.0))
+        x = _cross(f, _SIDE)
     x = x / np.linalg.norm(x)
     y = _cross(f, x)
     R = np.stack([x, y, f])
     return Pose(R, -R @ camera_pos)
-
-
-def _cross(a, b) -> np.ndarray:
-    """a x b of two 3-vectors by np.cross's own arithmetic, a1 b2 - a2 b1
-    and its cyclic shifts, without its per-call array handling."""
-    (a0, a1, a2), (b0, b1, b2) = a, b
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
 def sample_cameras(rig: CameraRig) -> list:
@@ -440,7 +441,8 @@ def sample_ellipsoid_surface(E: Ellipsoid, n: int) -> np.ndarray:
 def tless_like_board(n_objects: int = 6) -> SceneSpec:
     """Small textured-board stand-in: ellipsoids resting on the z=0 plane
     inside a ~0.4-unit disc, mildly eccentric like household objects."""
-    if not 1 <= n_objects <= 6:
+    _check_int("n_objects", n_objects, 1)
+    if n_objects > 6:
         raise ValueError("board supports 1..6 objects")
     specs = [
         ((0.16, 0.00), (0.048, 0.042, 0.038), 15.0),

@@ -15,6 +15,9 @@ from ellipose.geometry import (
     normalize_symmetric,
     project_ellipsoid,
     rotation_z,
+    _ADJ,
+    _FULL,
+    _UPPER,
     _bbox_half,
     _ellipse_conics,
     _project_pairs,
@@ -26,6 +29,8 @@ from ellipose.pose import (
     _LMResult,
     _SKEW,
     _conic_jacobians,
+    _damped_steps,
+    _dot,
     _pairs,
     _ray_placements,
     _refine_raw,
@@ -690,3 +695,124 @@ def mvee_optimality(P, u) -> float:
     Q = np.column_stack([P, np.ones(len(P))])
     w = np.einsum("ij,jk,ik->i", Q, np.linalg.inv(Q.T @ (Q * u[:, None])), Q)
     return float(w.max()) / 3.0 - 1.0
+
+
+# ---------------------------------------------------------------------------
+# Frozen copies of the consensus IoU, the conic-projection kernel and P3P as
+# they were before their buffers were reused and their passes cut; the
+# kernels must equal them bit for bit
+# ---------------------------------------------------------------------------
+
+
+_REFERENCE_IOU_BYTES = 96 * 1024
+
+
+def reference_conic_ious(M1, M2, rows):
+    """IoUs (n,) of the pairs of point conics M1, M2 (n,3,3), every step
+    into a fresh temporary and the x offsets tiled."""
+    n, block = len(M1), max(1, _REFERENCE_IOU_BYTES // (16 * rows))
+    if n > block:
+        return np.concatenate([reference_conic_ious(M1[s:s + block], M2[s:s + block], rows)
+                               for s in range(0, n, block)])
+    x = np.concatenate([M1, M2]).reshape(-1, 9)[:, _UPPER]
+    a, b, c, d, e, f = (x * np.sign(x[:, :1])).T[:, :, None]
+    det2 = a * d - b * b
+    cx, cy = (e * b - c * d) / det2, (b * c - a * e) / det2
+    ka = -(c * cx + e * cy + f) * a
+    half_y = np.sqrt(ka / det2)
+    lo = np.minimum(cy[:n] - half_y[:n], cy[n:] - half_y[n:])
+    hi = np.maximum(cy[:n] + half_y[:n], cy[n:] + half_y[n:])
+    dy = np.tile(lo + (np.arange(rows) + 0.5) * ((hi - lo) / rows), (2, 1)) - cy
+    mid = cx - b / a * dy
+    half = np.sqrt(np.maximum(ka - det2 * dy * dy, 0.0)) / a
+    left, right = mid - half, mid + half
+    width = (right - left).sum(axis=1)
+    inter = np.maximum(np.minimum(right[:n], right[n:]) - np.maximum(left[:n], left[n:]), 0.0)
+    inter = inter.sum(axis=1)
+    union = width[:n] + width[n:] - inter
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(union > 0.0, inter / union, 0.0)
+
+
+def reference_project_pairs(Rs, ts, Qd, centers):
+    """(N, depth, valid, terms) of the conic-projection kernel, the sign of
+    every row found by the search for its first significant entry and every
+    row passed through the NaN mask."""
+    n, k = len(Rs), Qd.shape[-3]
+    P = np.concatenate([Rs, ts[:, :, None]], axis=2)[:, None]
+    QPt = Qd @ P.transpose(0, 1, 3, 2)
+    depth = (Rs[:, None, None, 2] @ centers[..., None])[..., 0, 0] + ts[:, 2:]
+    C = (P @ QPt).reshape(-1, 9)
+    x = C[:, _UPPER]
+    t = x[:, _ADJ]
+    m = t[:, 0] * t[:, 1] - t[:, 2] * t[:, 3]
+    det = (x[:, :3] * m[:, :3]).sum(axis=1)
+    sq = m * m
+    norm = np.sqrt(sq[:, 0] + sq[:, 3] + sq[:, 5] + 2.0 * (sq[:, 1] + sq[:, 2] + sq[:, 4]))
+    with np.errstate(all="ignore"):
+        valid = (depth.ravel() > 0.0) & (np.abs(det) >= 1e-14 * np.abs(C).max(axis=1) ** 3) \
+            & (norm >= 1e-300)
+        s = 1.0 / norm
+        first = np.argmax(np.abs(m) * s[:, None] > 1e-12, axis=1)
+        s = np.where(m[np.arange(len(m)), first] < 0.0, -s, s)
+        u = np.where(valid[:, None], m * s[:, None], np.nan)
+    N = u[:, _FULL].reshape(n, k, 3, 3)
+    return N, depth, valid.reshape(n, k), (QPt, x.reshape(n, k, 1, 6), N, s.reshape(n, k, 1, 1))
+
+
+def reference_p3p(pairs, triples):
+    """(Rs, ts, of) of the stacked P3P solver, with ``np.cross``, ``mean``
+    and the reflection fixed by the sign of ``np.linalg.det``."""
+    j, P = pairs.ray_dir[triples], pairs.center_w[triples]
+    first, second = [1, 0, 0], [2, 2, 1]
+    D = P[:, first] - P[:, second]
+    d2, cos = _dot(D, D), _dot(j[:, first], j[:, second])
+    (a2, b2, c2), (ca, cb, cg) = d2.T, cos.T
+    normal = np.cross(D[:, 1], D[:, 2])
+    with np.errstate(all="ignore"):
+        p, q, r, e = (a2 - c2) / b2, (a2 + c2) / b2, c2 / b2, a2 / b2
+        coef = np.stack([
+            (p - 1.0) * (p - 1.0) - 4.0 * r * ca * ca,
+            4.0 * (p * (1.0 - p) * cb - (1.0 - q) * ca * cg + 2.0 * r * ca * ca * cb),
+            2.0 * (p * p - 1.0 + 2.0 * p * p * cb * cb + 2.0 * (1.0 - r) * ca * ca
+                   - 4.0 * q * ca * cb * cg + 2.0 * (1.0 - e) * cg * cg),
+            4.0 * (-p * (1.0 + p) * cb + 2.0 * e * cg * cg * cb - (1.0 - q) * ca * cg),
+            (1.0 + p) * (1.0 + p) - 4.0 * e * cg * cg,
+        ], axis=1)
+        top = -coef[:, 1:] / coef[:, :1]
+        ok = ((_dot(normal, normal) > 1e-20 * b2 * c2) & (cos.max(axis=1) < 1.0 - 1e-12)
+              & np.isfinite(top).all(axis=1))
+    companion = np.zeros((len(ok), 4, 4))
+    companion[:, 0] = np.where(ok[:, None], top, 0.0)
+    companion[:, [1, 2, 3], [0, 1, 2]] = 1.0
+    w = np.linalg.eigvals(companion)
+    v = w.real
+    real = (w.imag >= 0.0) & (w.imag <= 1e-6 * (1.0 + np.abs(w)))
+    with np.errstate(all="ignore"):
+        u = ((p[:, None] - 1.0) * v * v - 2.0 * p[:, None] * cb[:, None] * v + 1.0 + p[:, None]) \
+            / (2.0 * (cg[:, None] - v * ca[:, None]))
+        s1 = np.sqrt(b2[:, None] / (1.0 + v * v - 2.0 * v * cb[:, None]))
+    of, root = np.nonzero(ok[:, None] & real & np.isfinite(u * s1))
+    s = s1[of, root, None] * np.stack([np.ones(len(of)), u[of, root], v[of, root]], axis=1)
+    cos, d2 = cos[of], d2[of]
+
+    def gaps(s):
+        x, y = s[:, first], s[:, second]
+        return x, y, x * x + y * y - 2.0 * x * y * cos - d2
+
+    x, y, F = gaps(s)
+    J = np.zeros((len(s), 3, 3))
+    J[:, [0, 1, 2], first] = 2.0 * (x - y * cos)
+    J[:, [0, 1, 2], second] = 2.0 * (y - x * cos)
+    step, _ = _damped_steps(J, F)
+    with np.errstate(all="ignore"):
+        kept = np.abs(gaps(s + step)[2]).sum(axis=1) <= np.abs(F).sum(axis=1)
+    s = np.where(kept[:, None], s + step, s)
+    positive = (s > 0.0).all(axis=1)
+    of, s = of[positive], s[positive]
+    X, P = s[:, :, None] * j[of], P[of]
+    X_mean, P_mean = X.mean(axis=1), P.mean(axis=1)
+    U, _, Vt = np.linalg.svd((P - P_mean[:, None]).transpose(0, 2, 1) @ (X - X_mean[:, None]))
+    Vt[:, 2] *= np.sign(np.linalg.det(U @ Vt))[:, None]
+    Rs = Vt.transpose(0, 2, 1) @ U.transpose(0, 2, 1)
+    return Rs, X_mean - (Rs @ P_mean[:, :, None])[:, :, 0], of

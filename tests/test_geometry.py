@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import (
     bbox_of_ellipse,
     apply_transform,
+    axis_angle_to_matrix,
     boundary_points,
     conic_residuals,
     ellipse_contains,
@@ -19,6 +20,7 @@ from conftest import (
     random_rotation,
     reference_canonicalize,
     reference_inscribed,
+    reference_project_pairs,
     rot2d,
 )
 from ellipose.errors import BehindCamera, NotAnEllipse, NotAnEllipsoid, SingularTransform
@@ -42,6 +44,7 @@ from ellipose.geometry import (
     _inscribed_ellipses,
     _outline_error,
     _outlines,
+    _project_pairs,
     _quadric_duals,
 )
 from ellipose.simulator import default_camera, look_at
@@ -409,6 +412,44 @@ class TestProjectionKernel:
             cell = _outlines(Rs[i:i + 1], ts[i:i + 1], Qd[j:j + 1], w_centers[j:j + 1], K[i:i + 1])
             for got, alone in zip(grid, cell):
                 assert got[i, j].tobytes() == alone[0, 0].tobytes()
+
+    def test_equals_the_frozen_kernel_bit_for_bit(self):
+        # the kernel takes each row's sign from adjugate entry 00, searches
+        # for the first significant entry only when some row's entry 00 is
+        # below 1e-12 of the norm, and writes NaN rows only when some row is
+        # invalid; every output must equal the frozen copy's, which searches
+        # and masks every row.  Six seeded ellipsoids in front of the
+        # identity pose, plus three rows: a center behind it, a rank-1 dual
+        # (adjugate 0), and a dual whose projection at the identity has
+        # adjugate entry 00 = -1e-14 against an entry 01 of 0.3
+        rng = np.random.default_rng(74)
+        ellipsoids = [Ellipsoid(rng.uniform(-0.5, 0.5, 3) + (0.0, 0.0, 4.0),
+                                rng.uniform(0.2, 1.0, 3), random_rotation(rng)) for _ in range(6)]
+        ellipsoids.append(Ellipsoid((0.2, -0.1, -3.0), (0.5, 0.4, 0.3), np.eye(3)))  # behind
+        Qd, centers = _stacked_duals(ellipsoids)
+        q = np.array([0.1, 0.2, 1.0, 1.0])
+        tiny = np.zeros((4, 4))
+        tiny[:3, :3] = [[1.0, 0.3, 0.2], [0.3, 1e-14, 0.0], [0.2, 0.0, -1.0]]
+        Qd = np.concatenate([Qd, [np.outer(q, q), tiny]])
+        centers = np.concatenate([centers, [q[:3], (0.0, 0.0, 1.0)]])
+        turns = [axis_angle_to_matrix(rng.normal(scale=0.2, size=3)) for _ in range(5)]
+        Rs = np.array([np.eye(3)] + turns)
+        ts = np.concatenate([np.zeros((1, 3)), rng.normal(scale=0.2, size=(5, 3))])
+
+        def same(got, want):
+            for a, b in zip(got[:3] + got[3], want[:3] + want[3]):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+        calls = [(Rs, ts, Qd, centers),  # all rows, both paths' rows mixed
+                 (Rs, ts, Qd[:6], centers[:6]),  # all valid: no search, no mask
+                 (Rs[:1], ts[:1], Qd[8:], centers[8:]),  # valid, entry 00 insignificant
+                 # each pose its own quadrics, the rows behind and rank-1 among them
+                 (Rs, ts, np.tile(Qd[2:8], (6, 1, 1, 1)), np.tile(centers[2:8], (6, 1, 1)))]
+        for call in calls:
+            same(_project_pairs(*call), reference_project_pairs(*call))
+        N, _, valid, _ = _project_pairs(*calls[0])
+        assert valid[:, :6].all() and not valid[0, 6:8].any() and valid[0, 8]
+        assert N[0, 8, 0, 0] < 0.0 < N[0, 8, 0, 1]  # the sign came from entry 01
 
     def test_plane_duals_match_closed_form(self, rng):
         # _quadric_duals in the plane gives the dual conics reconstruction uses

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import grid_ellipse_iou, random_rotation, row_ellipse_iou
+from conftest import grid_ellipse_iou, random_rotation, reference_conic_ious, row_ellipse_iou
 from ellipose.errors import BehindCamera, EmptyPointSet
 from ellipose.geometry import Ellipse, Pose, rotation_z, _ellipse_conics
 from ellipose.metrics import (
@@ -314,6 +314,26 @@ class TestEllipseIoUKernel:
         for n in (1, 47, 48, 49, 200):
             assert _conic_ious(M1[:n], M2[:n], rows).tobytes() == alone[:n].tobytes()
         assert np.count_nonzero((0.0 < alone) & (alone < 1.0)) >= 150
+
+    @pytest.mark.parametrize("rows, n", [(128, 6), (128, 36), (128, 96), (128, 500), (512, 40)])
+    def test_equals_the_frozen_kernel_bit_for_bit(self, rows, n):
+        # the kernel computes its chords into reused buffers; every IoU must
+        # equal that of the frozen copy with a fresh temporary a step, over
+        # one block and several (48 pairs a block at 128 rows, 12 at 512).
+        # The first pair is identical (exactly 1), the second disjoint
+        # (exactly 0); the second conics come scaled by signed powers of 2,
+        # which scale every product exactly
+        rng = np.random.default_rng(73)
+        cases = [(Ellipse((10, 20), (5, 2), 0.7), Ellipse((10, 20), (5, 2), 0.7)),
+                 (Ellipse((0, 0), (1, 1), 0.0), Ellipse((10, 0), (1, 1), 0.0))]
+        cases += [_near_pair(rng) if k % 3 else (_random_pair_ellipse(rng),
+                                                 _random_pair_ellipse(rng)) for k in range(n - 2)]
+        M1, M2 = _pair_conics(cases)
+        M2 = M2 * (rng.choice([-1.0, 1.0], n) * 2.0 ** rng.integers(-10, 11, n))[:, None, None]
+        got = _conic_ious(M1, M2, rows)
+        assert got.tobytes() == reference_conic_ious(M1, M2, rows).tobytes()
+        assert got[0] == 1.0 and got[1] == 0.0
+        assert np.count_nonzero((0.0 < got) & (got < 1.0)) >= (n - 2) // 2
 
 
 class TestRigidInvariance:

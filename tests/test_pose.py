@@ -24,6 +24,7 @@ from conftest import (
     random_rotation,
     reference_lm,
     reference_lockstep_lm,
+    reference_p3p,
     reference_pose_directions,
     reference_refine,
     reference_rotations,
@@ -1388,6 +1389,36 @@ def test_p3p_degenerate_triples_give_no_solution():
             assert not scalar_p3p(table.ray_dir[rows], table.center_w[rows])
         Rs, ts, of = _p3p(table, np.zeros((0, 3), int))
     assert Rs.shape == (0, 3, 3) and ts.shape == (0, 3) and of.shape == (0,)
+
+
+def test_p3p_equals_the_frozen_solver_bit_for_bit(monkeypatch):
+    # P3P forms its cross products with the stacked geometry._cross, its
+    # means as sums divided by 3 and its reflection fix from the sign of a
+    # triple product; every pose must equal the frozen copy's, which uses
+    # np.cross, mean and np.linalg.det.  200 seeded triples and a collinear
+    # one; three centers are coplanar with their points on the rays, so the
+    # SVD's third axes are free and U Vt is a reflection in some triples
+    m = 200
+    table, _, _ = p3p_problem(np.random.default_rng(75), m)
+    centers, rays = table.center_w, table.ray_dir
+    collinear = [centers[0], centers[1], 2.0 * centers[1] - centers[0]]
+    table = table._replace(center_w=np.concatenate([centers, collinear]),
+                           ray_dir=np.concatenate([rays, rays[:3]]))
+    triples = np.arange(3 * m + 3).reshape(m + 1, 3)
+    svd, dets = np.linalg.svd, []
+
+    def recorded_svd(A):
+        U, S, Vt = svd(A)
+        dets.append(np.linalg.det(U @ Vt))
+        return U, S, Vt
+
+    monkeypatch.setattr(np.linalg, "svd", recorded_svd)
+    got = _p3p(table, triples)
+    monkeypatch.undo()
+    for a, b in zip(got, reference_p3p(table, triples)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert len(dets) == 1 and (dets[0] < 0.0).any() and (dets[0] > 0.0).any()
+    assert m not in got[2].tolist() and len(set(got[2].tolist())) >= 0.9 * m
 
 
 def test_p3p_on_the_danger_cylinder_keeps_the_double_root():

@@ -79,6 +79,31 @@ class TestRig:
         assert ids == sorted(ids)
         assert ids == [v.view_id for v in sample_cameras(rig)]
 
+    @pytest.mark.parametrize("args, message", [
+        ((math.nan, 3, 2), "rig radius must be finite and > 0"),
+        ((math.inf, 3, 2), "rig radius must be finite and > 0"),
+        ((0.0, 3, 2), "rig radius must be finite and > 0"),
+        ((-0.75, 3, 2), "rig radius must be finite and > 0"),
+        ((0.75, 2.5, 2), "n_azimuth must be an int >= 1"),
+        ((0.75, True, 2), "n_azimuth must be an int >= 1"),
+        ((0.75, 0, 2), "n_azimuth must be an int >= 1"),
+        ((0.75, 3, 2.0), "n_elevation must be an int >= 1"),
+        ((0.75, 3, False), "n_elevation must be an int >= 1"),
+    ])
+    def test_rig_checks_its_radius_and_counts(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            CameraRig(*args)
+
+    @pytest.mark.parametrize("n_objects, message", [
+        (2.5, "n_objects must be an int >= 1"),
+        (True, "n_objects must be an int >= 1"),
+        (0, "n_objects must be an int >= 1"),
+        (7, "board supports 1..6 objects"),
+    ])
+    def test_board_checks_its_object_count(self, n_objects, message):
+        with pytest.raises(ValueError, match=message):
+            tless_like_board(n_objects)
+
 
 class TestRender:
     def test_sphere_on_axis(self):
